@@ -28,8 +28,15 @@ def _load_task_text(ref):
         return fh.read()
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as ParseError (exit 64) instead of exiting 2."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="prokit",
         description="exact proregularity checks over finite commutative rings",
     )
@@ -45,13 +52,12 @@ def build_parser():
         p.add_argument("--format", choices=["json", "csv", "text"], default="json")
         p.add_argument("--seed", type=int, default=None, help="override the task seed")
         p.add_argument("--m-max", type=int, default=None, help="override the search bound")
-        p.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         text = _load_task_text(args.taskfile)
         task = parse_spec(text)
     except (OSError, ParseError) as exc:
@@ -74,7 +80,7 @@ def main(argv=None):
             "axioms": "axioms",
         }.get(args.command, task.analysis.get("kind", "verify"))
     try:
-        report = run_task(task, jobs=max(1, args.jobs))
+        report = run_task(task)
     except ParseError as exc:
         print(f"prokit: {exc}", file=sys.stderr)
         return USAGE_EXIT

@@ -6,7 +6,11 @@ between power levels multiply each subset summand by the matching product
 of element powers.  Cech complexes localize through Fitting idempotents.
 Cech homology is computed as the stabilized inverse limit of Koszul
 homology, which for finite modules agrees with the derived-Hom definition
-because the lim^1 term dies (Mittag-Leffler)."""
+because the lim^1 term dies (Mittag-Leffler).
+
+Every differential and transition between direct sums here is a list of
+blocks handed to `modules.block_hom`, the one place where such maps are
+assembled."""
 
 from __future__ import annotations
 
@@ -20,7 +24,9 @@ from .modules import (
     ModuleHom,
     Submodule,
     adic_completion,
+    block_hom,
     colon_submodule,
+    direct_sum_modules,
     free_resolution,
     homology_module,
     module_power,
@@ -150,23 +156,16 @@ def koszul_complex(x_seq, M):
     subsets = {j: list(itertools.combinations(range(k), j)) for j in range(k + 1)}
     packs = {j: module_power(M, len(subsets[j])) for j in range(k + 1)}
     modules = {j: packs[j][0] for j in range(k + 1)}
+    acts = [M.action_hom(x) for x in x_seq]
     diffs = {}
     for j in range(1, k + 1):
-        src_mod, _, src_projs = packs[j]
-        tgt_mod, tgt_injs, _ = packs[j - 1]
         index_of = {S: idx for idx, S in enumerate(subsets[j - 1])}
-        acc = GroupHom.zero(src_mod.group, tgt_mod.group)
-        for s_idx, S in enumerate(subsets[j]):
-            for t, elem_idx in enumerate(S):
-                T = tuple(e for e in S if e != elem_idx)
-                sign = -1 if t % 2 else 1
-                block = (
-                    tgt_injs[index_of[T]]
-                    .hom.compose(M.action_hom(x_seq[elem_idx]))
-                    .compose(src_projs[s_idx].hom)
-                )
-                acc = acc + (block if sign > 0 else block.scale(-1))
-        diffs[j] = ModuleHom(src_mod, tgt_mod, acc)
+        blocks = [
+            (index_of[S[:t] + S[t + 1 :]], s_idx, acts[e], -1 if t % 2 else 1)
+            for s_idx, S in enumerate(subsets[j])
+            for t, e in enumerate(S)
+        ]
+        diffs[j] = ModuleHom(modules[j], modules[j - 1], block_hom(packs[j], packs[j - 1], blocks))
     C = ChainComplex(modules, diffs)
     return KoszulData(C, tuple(x_seq), M, subsets, packs)
 
@@ -182,20 +181,28 @@ def koszul_transition(x_seq, m, n, M, source=None, target=None):
         raise AxiomViolation("transition needs m >= n")
     src = source if source is not None else koszul_complex(koszul_powers(x_seq, m), M)
     tgt = target if target is not None else koszul_complex(koszul_powers(x_seq, n), M)
-    R = M.ring
     comps = {}
-    for j, subs in src.subsets.items():
-        s_mod, _, s_projs = src.packs[j]
-        t_mod, t_injs, _ = tgt.packs[j]
-        acc = GroupHom.zero(s_mod.group, t_mod.group)
-        for idx, S in enumerate(subs):
-            mult = R.one()
-            for i in S:
-                mult = mult * (x_seq[i] ** (m - n))
-            block = t_injs[idx].hom.compose(M.action_hom(mult)).compose(s_projs[idx].hom)
-            acc = acc + block
-        comps[j] = ModuleHom(s_mod, t_mod, acc)
+    for j in src.subsets:
+        hom = _transition_component(x_seq, src, tgt, j, m - n)
+        comps[j] = ModuleHom(src.packs[j][0], tgt.packs[j][0], hom)
     return ComplexMap(src.complex, tgt.complex, comps), src, tgt
+
+
+def _subset_multiplier(x_seq, S, e, M):
+    """Action on M of the product of x_i^e over i in S."""
+    mult = M.ring.one()
+    for i in S:
+        mult = mult * (x_seq[i] ** e)
+    return M.action_hom(mult)
+
+
+def _transition_component(x_seq, src, tgt, j, e):
+    """Degree-j component of the Koszul transition K(x^(n+e); M) -> K(x^(n); M)."""
+    blocks = [
+        (idx, idx, _subset_multiplier(x_seq, S, e, src.module), 1)
+        for idx, S in enumerate(src.subsets[j])
+    ]
+    return block_hom(src.packs[j], tgt.packs[j], blocks)
 
 
 class KoszulTower:
@@ -227,20 +234,7 @@ class KoszulTower:
     def transition_component(self, i, m, n):
         """Single degree-i component of the transition, without building the
         other degrees (commutation is a theorem, exercised by the tests)."""
-        src = self.level(m)
-        tgt = self.level(n)
-        R = self.M.ring
-        s_mod, _, s_projs = src.packs[i]
-        t_mod, t_injs, _ = tgt.packs[i]
-        acc = GroupHom.zero(s_mod.group, t_mod.group)
-        for idx, S in enumerate(src.subsets[i]):
-            mult = R.one()
-            for j in S:
-                mult = mult * (self.x_seq[j] ** (m - n))
-            acc = acc + t_injs[idx].hom.compose(self.M.action_hom(mult)).compose(
-                s_projs[idx].hom
-            )
-        return acc
+        return _transition_component(self.x_seq, self.level(m), self.level(n), i, m - n)
 
     def induced(self, i, m, n):
         comp = self.transition_component(i, m, n)
@@ -441,13 +435,11 @@ def cech_complex(x_seq, M):
     for j in range(k + 1):
         for S in subsets[j]:
             locs[S] = _localized_module(M, [x_seq[i] for i in S])
-    packs = {j: module_power_list([locs[S][0] for S in subsets[j]], M.ring) for j in range(k + 1)}
+    packs = {j: direct_sum_modules([locs[S][0] for S in subsets[j]]) for j in range(k + 1)}
     codiffs = {}
     for j in range(k):
-        src_mod, _, src_projs = packs[j]
-        tgt_mod, tgt_injs, _ = packs[j + 1]
         index_of = {S: idx for idx, S in enumerate(subsets[j])}
-        acc = GroupHom.zero(src_mod.group, tgt_mod.group)
+        blocks = []
         for t_idx, T in enumerate(subsets[j + 1]):
             for a, dropped in enumerate(T):
                 S = tuple(e for e in T if e != dropped)
@@ -468,23 +460,14 @@ def cech_complex(x_seq, M):
                     else IntMatrix(T_mod.group.rank, 0, [])
                 )
                 step = GroupHom(S_mod.group, T_mod.group, mat)
-                block = tgt_injs[t_idx].hom.compose(step).compose(src_projs[index_of[S]].hom)
-                acc = acc + (block if sign > 0 else block.scale(-1))
-        codiffs[j] = ModuleHom(src_mod, tgt_mod, acc)
+                blocks.append((t_idx, index_of[S], step, sign))
+        hom = block_hom(packs[j], packs[j + 1], blocks)
+        codiffs[j] = ModuleHom(packs[j][0], packs[j + 1][0], hom)
     # verify d o d = 0 on the cochain complex
     for j in range(k - 1):
         if not codiffs[j + 1].compose(codiffs[j]).is_zero_map():
             raise AxiomViolation(f"Cech codifferential fails d o d = 0 at degree {j}")
     return CechData(M, tuple(x_seq), subsets, locs, packs, codiffs)
-
-
-def module_power_list(modules, ring):
-    """Direct sum of a list of modules (zero module when empty)."""
-    from .modules import direct_sum_modules
-
-    if not modules:
-        return zero_module(ring), [], []
-    return direct_sum_modules(modules)
 
 
 def cech_cohomology(x_seq, M, i):
@@ -642,7 +625,6 @@ def _total_complex_level(x_seq, n, M, res):
     k = len(x_seq)
     ranks = res.ranks
     subsets = {j: list(itertools.combinations(range(k), j)) for j in range(k + 1)}
-    powers = [x ** n for x in x_seq]
     degrees = range(0, k + len(ranks))
     blocks = {}
     for d in degrees:
@@ -657,37 +639,25 @@ def _total_complex_level(x_seq, n, M, res):
         blocks[d] = blist
     packs = {d: module_power(M, len(blocks[d])) for d in degrees}
     index = {d: {b: idx for idx, b in enumerate(blocks[d])} for d in degrees}
+    acts = [M.action_hom(x ** n) for x in x_seq]
     diffs = {}
     for d in degrees:
         if d == 0 or not blocks[d]:
             continue
-        src_mod, _, src_projs = packs[d]
-        tgt_mod, tgt_injs, _ = packs[d - 1]
-        acc = GroupHom.zero(src_mod.group, tgt_mod.group)
+        tgt_index = index[d - 1]
+        hom_blocks = []
         for b_idx, (j, S, q, u) in enumerate(blocks[d]):
             # Koszul part: drop one index, multiply by x^n, position sign
-            for t, elem_idx in enumerate(S):
-                T = tuple(e for e in S if e != elem_idx)
-                tgt_idx = index[d - 1][(j - 1, T, q, u)]
-                block = (
-                    tgt_injs[tgt_idx]
-                    .hom.compose(M.action_hom(powers[elem_idx]))
-                    .compose(src_projs[b_idx].hom)
-                )
-                acc = acc + (block if t % 2 == 0 else block.scale(-1))
+            for t, e in enumerate(S):
+                T = S[:t] + S[t + 1 :]
+                hom_blocks.append((tgt_index[(j - 1, T, q, u)], b_idx, acts[e], (-1) ** t))
             # resolution part: (-1)^j id tensor d_L
             if q >= 1:
-                cols_ring = res.ring_matrices[q - 1]
-                for v in range(ranks[q - 1]):
-                    rel = cols_ring[u][v]
-                    tgt_idx = index[d - 1][(j, S, q - 1, v)]
-                    block = (
-                        tgt_injs[tgt_idx]
-                        .hom.compose(M.action_hom(rel))
-                        .compose(src_projs[b_idx].hom)
-                    )
-                    acc = acc + (block if j % 2 == 0 else block.scale(-1))
-        diffs[d] = ModuleHom(src_mod, tgt_mod, acc)
+                for v, rel in enumerate(res.ring_matrices[q - 1][u]):
+                    tgt_idx = tgt_index[(j, S, q - 1, v)]
+                    hom_blocks.append((tgt_idx, b_idx, M.action_hom(rel), (-1) ** j))
+        hom = block_hom(packs[d], packs[d - 1], hom_blocks)
+        diffs[d] = ModuleHom(packs[d][0], packs[d - 1][0], hom)
     C = ChainComplex({d: packs[d][0] for d in degrees}, diffs)
     return C, blocks, packs, index
 
@@ -696,25 +666,15 @@ def _total_transition(x_seq, m, n, M, res, src_pack, tgt_pack):
     """Transition between total complexes: subset blocks scaled by the
     product of x_i^(m-n), identity on the resolution part."""
     C_m, blocks_m, packs_m, _ = src_pack
-    C_n, blocks_n, packs_n, index_n = tgt_pack
-    R = M.ring
+    C_n, _, packs_n, index_n = tgt_pack
     comps = {}
     for d, blist in blocks_m.items():
-        src_mod, _, src_projs = packs_m[d]
-        tgt_mod, tgt_injs, _ = packs_n[d]
-        acc = GroupHom.zero(src_mod.group, tgt_mod.group)
-        for b_idx, (j, S, q, u) in enumerate(blist):
-            mult = R.one()
-            for i in S:
-                mult = mult * (x_seq[i] ** (m - n))
-            tgt_idx = index_n[d][(j, S, q, u)]
-            block = (
-                tgt_injs[tgt_idx]
-                .hom.compose(M.action_hom(mult))
-                .compose(src_projs[b_idx].hom)
-            )
-            acc = acc + block
-        comps[d] = ModuleHom(src_mod, tgt_mod, acc)
+        hom_blocks = [
+            (index_n[d][b], b_idx, _subset_multiplier(x_seq, b[1], m - n, M), 1)
+            for b_idx, b in enumerate(blist)
+        ]
+        hom = block_hom(packs_m[d], packs_n[d], hom_blocks)
+        comps[d] = ModuleHom(packs_m[d][0], packs_n[d][0], hom)
     return ComplexMap(C_m, C_n, comps)
 
 

@@ -9,6 +9,10 @@ resolutions with Tor/Ext, adic completion, and local cohomology.
 Submodules are stored as canonical column-HNF spans of the additive
 lattice, so equality and inclusion tests are cheap; the profile searches
 in the analysis layer lean on that.
+
+`block_hom` is the one place where maps between direct sums are assembled:
+the actions of direct sums and module powers, the Tor/Ext differentials
+here, and the Koszul, Cech and total complexes of the complexes layer.
 """
 
 from __future__ import annotations
@@ -210,41 +214,92 @@ class FreeModuleData:
 
 
 def free_module(R, s):
-    G, injs, projs = direct_sum_groups([R.additive] * s)
-    actions = []
-    for i in range(R.rank):
-        mult = GroupHom(R.additive, R.additive, R.mult_matrices[i])
-        acc = GroupHom.zero(G, G)
-        for inj, proj in zip(injs, projs):
-            acc = acc + inj.compose(mult).compose(proj)
-        actions.append(acc)
-    module = FgModule(R, G, actions)
-    return FreeModuleData(module, s, tuple(injs), tuple(projs))
+    F, injs, projs = module_power(ring_as_module(R), s)
+    return FreeModuleData(
+        F, s, tuple(inj.hom for inj in injs), tuple(proj.hom for proj in projs)
+    )
+
+
+def block_hom(src, tgt, blocks):
+    """The hom sum of c * inj_t . A . proj_s over the blocks (t, s, A, c).
+
+    `src` and `tgt` are direct-sum packs (X, injections, projections), X a
+    group or a module and the maps GroupHoms or ModuleHoms; A runs from
+    source summand s to target summand t.  Every block is written straight
+    into one target matrix through the nonzero entries of the injection and
+    projection matrices (0/1 permutations for module powers).
+    """
+    G = getattr(src[0], "group", src[0])
+    H = getattr(tgt[0], "group", tgt[0])
+    inj_cols = {}
+    proj_rows = {}
+    acc = [0] * (H.rank * G.rank)
+    for t, s, A, c in blocks:
+        inj = getattr(tgt[1][t], "hom", tgt[1][t])
+        proj = getattr(src[2][s], "hom", src[2][s])
+        if A.source != proj.target or A.target != inj.source:
+            raise DimensionMismatch("block does not fit its summands")
+        if t not in inj_cols:
+            inj_cols[t] = [_nonzero(inj.matrix.col(a)) for a in range(inj.matrix.cols)]
+        if s not in proj_rows:
+            proj_rows[s] = [_nonzero(proj.matrix.row(b)) for b in range(proj.matrix.rows)]
+        for a, icol in enumerate(inj_cols[t]):
+            for b, x in enumerate(A.matrix.row(a)):
+                if x == 0:
+                    continue
+                for j, w in proj_rows[s][b]:
+                    xw = c * x * w
+                    for i, v in icol:
+                        acc[i * G.rank + j] += v * xw
+    return GroupHom(G, H, IntMatrix(H.rank, G.rank, acc))
+
+
+def _nonzero(vec):
+    return [(i, v) for i, v in enumerate(vec) if v]
+
+
+def _sum_module(R, pack, modules):
+    """The module on a direct-sum pack of groups, with ModuleHom maps."""
+    G, injs, projs = pack
+    blocks = [[(t, t, m.actions[i], 1) for t, m in enumerate(modules)] for i in range(R.rank)]
+    M = FgModule(R, G, [block_hom(pack, pack, b) for b in blocks])
+    minjs = [ModuleHom(m, M, inj) for m, inj in zip(modules, injs)]
+    mprojs = [ModuleHom(M, m, proj) for m, proj in zip(modules, projs)]
+    return M, minjs, mprojs
 
 
 def direct_sum_modules(modules):
     """Direct sum with injections and projections as ModuleHoms."""
     if not modules:
         raise DimensionMismatch("empty direct sum is not constructed")
-    R = modules[0].ring
-    G, injs, projs = direct_sum_groups([m.group for m in modules])
-    actions = []
-    for i in range(R.rank):
-        acc = GroupHom.zero(G, G)
-        for m, inj, proj in zip(modules, injs, projs):
-            acc = acc + inj.compose(m.actions[i]).compose(proj)
-        actions.append(acc)
-    M = FgModule(R, G, actions)
-    minjs = [ModuleHom(m, M, inj) for m, inj in zip(modules, injs)]
-    mprojs = [ModuleHom(M, m, proj) for m, proj in zip(modules, projs)]
-    return M, minjs, mprojs
+    return _sum_module(modules[0].ring, direct_sum_groups([m.group for m in modules]), modules)
 
 
 def module_power(N, s):
-    """N^s with injections and projections (the zero module for s = 0)."""
+    """N^s with injections and projections (the zero module for s = 0).
+
+    The copy-major factor list of N^s is sorted by selection: the first
+    smallest remaining factor is swapped forward.  That is the order `snf`
+    leaves a diagonal divisibility chain in, so no normal form is needed and
+    the layout agrees with `direct_sum_groups([N.group] * s)`; the
+    injections and projections are 0/1 permutation matrices.
+    """
     if s == 0:
         return zero_module(N.ring), [], []
-    return direct_sum_modules([N] * s)
+    facs = list(N.group.invariant_factors) * s
+    n, r = len(facs), N.group.rank
+    slot = list(range(n))  # slot[p]: the copy-major index placed at position p
+    for t in range(n):
+        p = min(range(t, n), key=facs.__getitem__)
+        facs[t], facs[p] = facs[p], facs[t]
+        slot[t], slot[p] = slot[p], slot[t]
+    G = FinAbGroup(tuple(facs))
+    injs, projs = [], []
+    for u in range(s):
+        place = [1 if slot[i] == u * r + j else 0 for i in range(n) for j in range(r)]
+        injs.append(GroupHom(N.group, G, IntMatrix(n, r, place)))
+        projs.append(GroupHom(G, N.group, IntMatrix(n, r, place).transpose()))
+    return _sum_module(N.ring, (G, injs, projs), [N] * s)
 
 
 # ---------------------------------------------------------------------------
@@ -898,19 +953,6 @@ def free_resolution(M, length):
     return Resolution(M, tuple(frees), tuple(ring_mats), tuple(homs))
 
 
-def _block_hom(N, cols_ring, src_pack, tgt_pack):
-    """Group hom N^s -> N^t given columns of ring elements (one column per
-    source copy, entries per target copy)."""
-    src_module, _, src_projs = src_pack
-    tgt_module, tgt_injs, _ = tgt_pack
-    acc = GroupHom.zero(src_module.group, tgt_module.group)
-    for u, col in enumerate(cols_ring):
-        for v, rel in enumerate(col):
-            block = tgt_injs[v].hom.compose(N.action_hom(rel)).compose(src_projs[u].hom)
-            acc = acc + block
-    return acc
-
-
 def derived_functor(kind, M, N, i, resolution_length=None):
     """Tor_i(M, N) via tensoring a free resolution of M with N, or
     Ext^i(M, N) via Hom from the same resolution."""
@@ -920,13 +962,20 @@ def derived_functor(kind, M, N, i, resolution_length=None):
     if L < i + 1:
         raise DimensionMismatch("resolution length must be at least degree + 1")
     res = free_resolution(M, L)
-    ranks = res.ranks
-    powers = [module_power(N, r) for r in ranks]
+    powers = [module_power(N, r) for r in res.ranks]
+
+    def blocks(j):
+        # d_j: copy u of F_j -> copy v of F_{j-1} multiplies by ring_matrices[j-1][u][v]
+        return [
+            (u, v, N.action_hom(rel))
+            for u, col in enumerate(res.ring_matrices[j - 1])
+            for v, rel in enumerate(col)
+        ]
 
     if kind == "tor":
         def diff(j):
-            # d_j tensor N: block (v, u) acts by ring_matrices[j-1][u][v]
-            return _block_hom(N, res.ring_matrices[j - 1], powers[j], powers[j - 1])
+            # d_j tensor N
+            return block_hom(powers[j], powers[j - 1], [(v, u, A, 1) for u, v, A in blocks(j)])
 
         outgoing = diff(i) if i >= 1 else None
         incoming = diff(i + 1)
@@ -935,10 +984,7 @@ def derived_functor(kind, M, N, i, resolution_length=None):
     if kind == "ext":
         def codiff(j):
             # delta^j: Hom(F_{j-1}, N) -> Hom(F_j, N); transposed blocks
-            cols_ring = res.ring_matrices[j - 1]
-            t = ranks[j - 1]
-            cols_T = [[cols_ring[u][v] for u in range(ranks[j])] for v in range(t)]
-            return _block_hom(N, cols_T, powers[j - 1], powers[j])
+            return block_hom(powers[j - 1], powers[j], [(u, v, A, 1) for u, v, A in blocks(j)])
 
         outgoing = codiff(i + 1)
         incoming = codiff(i) if i >= 1 else None

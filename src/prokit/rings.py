@@ -516,33 +516,7 @@ def fitting_split(R, x):
     """
     if R.rank == 0:
         return 0, R.zero()
-    prev = _image_span(R, R.one())
-    c = 0
-    cur_power = R.one()
-    while True:
-        nxt_power = cur_power * x
-        nxt = _image_span(R, nxt_power)
-        if nxt == prev:
-            break
-        prev = nxt
-        cur_power = nxt_power
-        c += 1
-    xc = cur_power  # x^c
-    span_elems = [R.element(col) for col in prev.cols_list()]
-    if all(s.is_zero() for s in span_elems):
-        return c, R.zero()
-    # solve x^c * e = x^c with e in the span of x^c R; Fitting's lemma makes
-    # the solution idempotent and the identity of x^c R
-    cols = [list((xc * s).coords) for s in span_elems]
-    A = IntMatrix.from_cols(cols, rows=R.rank)
-    stacked = A.hstack(IntMatrix.diagonal(list(R.additive.invariant_factors)))
-    sol = IntLinearSystem(stacked).solve(xc.coords)
-    if sol is None:
-        raise AxiomViolation("Fitting idempotent equation unsolvable; ring data corrupt")
-    e = R.zero()
-    for coeff, s in zip(sol[: len(span_elems)], span_elems):
-        e = e + s.scale(coeff)
-    return c, e
+    return _factor_fitting_idempotent(R, R.one(), x)
 
 
 @dataclass(frozen=True)
@@ -754,7 +728,7 @@ def primitive_idempotents(R):
             ey = e * y
             if ey.is_zero() or ey == e:
                 continue
-            eps = _factor_fitting_idempotent(R, e, ey)
+            _, eps = _factor_fitting_idempotent(R, e, ey)
             if not eps.is_zero() and eps != e:
                 split = eps
                 break
@@ -782,10 +756,14 @@ def primitive_idempotents(R):
 
 
 def _factor_fitting_idempotent(R, e, y):
-    """Fitting idempotent of y inside the factor ring e R, computed in R.
-    Returns 0 for nilpotent-on-the-factor, e for units of the factor."""
+    """Fitting split of y inside the factor ring e R, computed in R.
+
+    Returns (c, eps): c minimal with y^c e R = y^{c+1} e R and eps the
+    idempotent with eps R = y^c e R; eps is 0 for nilpotent-on-the-factor
+    and e for units of the factor."""
     prev = _image_span(R, e)
     cur = e
+    c = 0
     while True:
         nxt_elem = cur * y
         nxt = _image_span(R, nxt_elem)
@@ -793,10 +771,13 @@ def _factor_fitting_idempotent(R, e, y):
             break
         prev = nxt
         cur = nxt_elem
+        c += 1
     yc = cur
     span_elems = [R.element(col) for col in prev.cols_list()]
     if all(s.is_zero() for s in span_elems):
-        return R.zero()
+        return c, R.zero()
+    # solve y^c * eps = y^c with eps in the span of y^c e R; Fitting's lemma
+    # makes the solution idempotent and the identity of y^c e R
     cols = [list((yc * s).coords) for s in span_elems]
     A = IntMatrix.from_cols(cols, rows=R.rank)
     stacked = A.hstack(IntMatrix.diagonal(list(R.additive.invariant_factors)))
@@ -806,4 +787,4 @@ def _factor_fitting_idempotent(R, e, y):
     eps = R.zero()
     for coeff, s in zip(sol[: len(span_elems)], span_elems):
         eps = eps + s.scale(coeff)
-    return eps
+    return c, eps

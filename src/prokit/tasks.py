@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -554,7 +553,7 @@ def _sweep_one(family, seq_refs, N, n_max, m_max):
     }
 
 
-def run_family_sweep(task, jobs=1):
+def run_family_sweep(task):
     family = task.family
     lo, hi = (int(v) for v in family.get("range", [2, 4]))
     n_max = task.bounds.get("n_max", 2)
@@ -563,15 +562,7 @@ def run_family_sweep(task, jobs=1):
     results = {"parameters": list(range(lo, hi + 1)), "sequences": []}
     inconclusive = False
     for seq_refs in seqs:
-        params = list(range(lo, hi + 1))
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                levels = list(
-                    pool.map(lambda N: _sweep_one(family, seq_refs, N, n_max, m_max), params)
-                )
-        else:
-            levels = [_sweep_one(family, seq_refs, N, n_max, m_max) for N in params]
-        levels.sort(key=lambda d: d["N"])
+        levels = [_sweep_one(family, seq_refs, N, n_max, m_max) for N in range(lo, hi + 1)]
         entry_track = [lvl["entry_1_1"] for lvl in levels]
         torsion_track = [max(lvl["torsion_indices"]) for lvl in levels]
         rows_track = [tuple(map(tuple, lvl["profile"]["rows"])) for lvl in levels]
@@ -605,7 +596,7 @@ def run_family_sweep(task, jobs=1):
     return results, (2 if inconclusive else 0)
 
 
-def run_task(task, jobs=1):
+def run_task(task):
     """Dispatch a parsed task and assemble the deterministic report."""
     t0 = time.monotonic()
     kind = task.analysis.get("kind", "verify" if task.family is None else "sweep")
@@ -618,7 +609,7 @@ def run_task(task, jobs=1):
     elif kind == "axioms":
         results, code = run_axioms_task(task)
     elif kind == "sweep":
-        results, code = run_family_sweep(task, jobs=jobs)
+        results, code = run_family_sweep(task)
     else:
         raise ParseError(f"unknown analysis kind {kind!r}")
     body = {

@@ -146,6 +146,32 @@ def test_cli_sweep_on_non_family_is_usage_error(capsys):
         os.unlink(path)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "fixture:z12_battery", "--bogus"],
+        [],
+        ["check", "fixture:z12_battery", "--seed", "x"],
+        ["check", "fixture:z12_battery", "--format", "xml"],
+        ["check", "fixture:z12_battery", "--jobs", "2"],
+        ["sweep", "fixture:ex1_truncated", "--jobs", "2"],
+    ],
+)
+def test_cli_argument_errors_exit_64(argv, capsys):
+    assert main(argv) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("prokit: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_cli_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    assert exc.value.code == 0
+    assert "usage: prokit check" in capsys.readouterr().out
+
+
 def test_cli_seed_override(capsys):
     code = main(["check", "fixture:prism_style", "--seed", "99", "--format", "json"])
     out = capsys.readouterr().out
@@ -154,28 +180,13 @@ def test_cli_seed_override(capsys):
 
 
 def test_sweep_fixture_ex1(capsys):
-    code = main(["sweep", "fixture:ex1_truncated", "--format", "json", "--jobs", "2"])
+    code = main(["sweep", "fixture:ex1_truncated", "--format", "json"])
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     seqs = {tuple(s["sequence"]): s for s in out["results"]["sequences"]}
     assert seqs[("x",)]["tracked"]["entry_1_1"] == [3, 4, 5, 6, 7]
     assert seqs[("x",)]["divergence"]["entry_1_1"]
     assert seqs[("one", "x")]["bounded"]["profile_entries"]
-
-
-def test_sweep_jobs_deterministic():
-    text = json.dumps(
-        {
-            "schema": 1,
-            "family": {"kind": "truncated_two_power", "range": [2, 4], "sequences": [["x"]]},
-            "analysis": {"kind": "sweep"},
-            "bounds": {"n_max": 2},
-            "seed": 5,
-        }
-    )
-    a = run_task(parse_spec(text), jobs=1)
-    b = run_task(parse_spec(text), jobs=3)
-    assert a.body_bytes() == b.body_bytes()
 
 
 def test_axioms_task():

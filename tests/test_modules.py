@@ -1,9 +1,14 @@
 """Module functors: submodules, colon, torsion, duality, Hom/tensor, Tor/Ext."""
 
+import pytest
+
+from prokit.complexes import cech_complex
+from prokit.intlinalg import GroupHom, IntMatrix, direct_sum_groups
 from prokit.rings import ideal, zmod, truncated_two_power
 from prokit.modules import (
     ModuleHom,
     adic_completion,
+    block_hom,
     colon_submodule,
     cyclic_quotient_module,
     derived_functor,
@@ -18,6 +23,7 @@ from prokit.modules import (
     matlis_dual,
     module_from_presentation,
     module_generators,
+    module_power,
     modules_isomorphic,
     power_image,
     quotient_module,
@@ -379,3 +385,69 @@ def test_truncated_two_power_annihilator_chain():
         orders.append(col.order())
     assert orders[3] == orders[4] == R.order()
     assert orders[0] < orders[1] < orders[2] < orders[3]
+
+
+# ---------------------------------------------------------------------------
+# Direct-sum assembly
+
+
+def _presented(modulus, relations, factors):
+    R = zmod(modulus)
+    rels = [[R.from_int(c) for c in rel] for rel in relations]
+    N, _, _ = module_from_presentation(R, len(factors), rels)
+    assert N.group.invariant_factors == factors
+    return N
+
+
+POWER_BASES = {
+    "2-4-8": (8, [[2, 0, 0], [0, 4, 0]], (2, 4, 8)),
+    "2-4-4": (4, [[2, 0, 0]], (2, 4, 4)),  # equal factors: selection order matters
+}
+
+
+@pytest.mark.parametrize("base", sorted(POWER_BASES))
+@pytest.mark.parametrize("s", [0, 1, 3])
+def test_module_power_is_a_permutation_layout(base, s):
+    N = _presented(*POWER_BASES[base])
+    P, injs, projs = module_power(N, s)
+    if s == 0:
+        assert P.is_zero_module() and injs == [] and projs == []
+        return
+    ident = GroupHom.identity(N.group)
+    for u, inj in enumerate(injs):
+        for v, proj in enumerate(projs):
+            comp = proj.hom.compose(inj.hom)
+            assert comp.equals_map(ident) if u == v else comp.is_zero_map()
+    total = GroupHom.zero(P.group, P.group)
+    for inj, proj in zip(injs, projs):
+        total = total + inj.hom.compose(proj.hom)
+    assert total.matrix == IntMatrix.identity(P.group.rank)
+    G, g_injs, g_projs = direct_sum_groups([N.group] * s)
+    assert P.group == G
+    assert [inj.hom.matrix for inj in injs] == [g.matrix for g in g_injs]
+    assert [proj.hom.matrix for proj in projs] == [g.matrix for g in g_projs]
+    entries = [e for inj in injs for row in inj.hom.matrix.rows_list() for e in row]
+    assert set(entries) == {0, 1}
+    assert all(inj.check_equivariance() for inj in injs)
+
+
+def test_block_hom_matches_composed_reference_on_mixed_pack():
+    R = zmod(12)
+    M = ring_as_module(R)
+    data = cech_complex([R.from_int(2), R.from_int(3)], M)
+    deg0, deg1 = data.packs[0], data.packs[1]
+    # Z/3 (+) Z/4 from the two localizations, packed by the SNF into Z/12
+    summands = [m.target.group for m in deg1[2]]
+    assert [g.invariant_factors for g in summands] == [(3,), (4,)]
+    assert deg1[0].group.invariant_factors == (12,)
+    reduce = [GroupHom(M.group, g, IntMatrix.identity(1)) for g in summands]
+    act = [GroupHom(g, g, IntMatrix(1, 1, [k])) for g, k in zip(summands, (5, 7))]
+    cases = [
+        (deg0, deg1, [(0, 0, reduce[0], 1), (1, 0, reduce[1], -1)]),
+        (deg1, deg1, [(0, 0, act[0], 2), (1, 1, act[1], -1), (1, 1, act[1], 3)]),
+    ]
+    for src, tgt, blocks in cases:
+        ref = GroupHom.zero(src[0].group, tgt[0].group)
+        for t, s, A, c in blocks:
+            ref = ref + tgt[1][t].hom.compose(A).compose(src[2][s].hom).scale(c)
+        assert block_hom(src, tgt, blocks) == ref
