@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
-from .errors import InsufficientBound, NotCovering
+from .errors import IdentificationFailure, InsufficientBound, NotCovering
 from .intlinalg import hom_kernel_span, span_lattice, span_leq, span_subgroup_order
 from .complexes import KoszulTower, cech_cohomology, pro_zero_index
 from .modules import (
@@ -124,7 +124,7 @@ def _lipman_condition(M, xs, y, n, m, cache):
     mapped = span_lattice(M.group, [ymn.matrix.apply(M.group.reduce(tuple(c))) for c in left.span.cols_list()])
     zero_map_form = span_leq(M.group, mapped, Nn.span)
     if incl != zero_map_form:
-        raise AssertionError("the two forms of the proregularity condition disagree")
+        raise IdentificationFailure("the two forms of the proregularity condition disagree")
     return incl
 
 

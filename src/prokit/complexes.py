@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import AxiomViolation, IdentificationFailure, NotStabilized
-from .intlinalg import GroupHom, IntMatrix, hom_image_span, solve_hom, span_lattice
+from .intlinalg import GroupHom, IntMatrix, hom_image_span, span_lattice
 from .modules import (
     FgModule,
     ModuleHom,
@@ -31,7 +31,7 @@ from .modules import (
     homology_module,
     module_power,
     power_image,
-    quotient_module,
+    quotient_module_data,
     submodule_module,
     submodule_module_data,
     subquotient_module,
@@ -267,13 +267,11 @@ def _colon_quotient_data(M, xs, y, n):
     return subquotient_module(M, col.span, Nsub.span), Nsub
 
 
-def _quotient_transition(M, Qm, projm, Qn, projn):
-    """Induced projection M/span_m -> M/span_n for span_m <= span_n."""
-    cols = []
-    for j in range(Qm.group.rank):
-        gen = Qm.group.element(tuple(1 if t == j else 0 for t in range(Qm.group.rank)))
-        lift = solve_hom(projm.hom, gen)
-        cols.append(list(projn(lift).coords))
+def _quotient_transition(Qm, section_m, Qn, projn):
+    """Induced projection M/span_m -> M/span_n for span_m <= span_n, through
+    the section of the level-m projection."""
+    M = projn.source
+    cols = [list(projn(M.group.element(c)).coords) for c in section_m.cols_list()]
     mat = (
         IntMatrix.from_cols(cols, rows=Qn.group.rank)
         if cols
@@ -292,10 +290,10 @@ def colon_identification(xs, y, n, M, extra_levels=(1, 2)):
 
     def level(nn):
         lhs, Nsub = _colon_quotient_data(M, xs, y, nn)
-        Q, proj = quotient_module(M, Nsub)
+        Q, proj, section = quotient_module_data(M, Nsub)
         kos = koszul_complex([y ** nn], Q)
         rhs = kos.complex.homology(1)
-        return lhs, Nsub, Q, proj, kos, rhs
+        return lhs, section, Q, proj, kos, rhs
 
     def canonical_map(lhs, proj, kos, rhs):
         # class of v in the colon quotient -> class of v in 0 :_Q y^n
@@ -327,7 +325,7 @@ def colon_identification(xs, y, n, M, extra_levels=(1, 2)):
             return False
         return f.check_equivariance()
 
-    lhs_n, Nsub_n, Q_n, proj_n, kos_n, rhs_n = level(n)
+    lhs_n, _, Q_n, proj_n, kos_n, rhs_n = level(n)
     chi_n = canonical_map(lhs_n, proj_n, kos_n, rhs_n)
     if not check_iso(chi_n):
         raise IdentificationFailure(f"canonical map is not an isomorphism at level {n}")
@@ -339,7 +337,7 @@ def colon_identification(xs, y, n, M, extra_levels=(1, 2)):
     }
     for extra in extra_levels:
         m = n + extra
-        lhs_m, Nsub_m, Q_m, proj_m, kos_m, rhs_m = level(m)
+        lhs_m, section_m, Q_m, proj_m, kos_m, rhs_m = level(m)
         chi_m = canonical_map(lhs_m, proj_m, kos_m, rhs_m)
         if not check_iso(chi_m):
             raise IdentificationFailure(f"canonical map is not an isomorphism at level {m}")
@@ -361,7 +359,7 @@ def colon_identification(xs, y, n, M, extra_levels=(1, 2)):
         # map (4): the Koszul transition K(y^m; Q_m) -> K(y^n; Q_n):
         # degree 0 the base projection, degree 1 multiplication by y^(m-n)
         # composed with the projection; verified to commute, then induced.
-        base = _quotient_transition(M, Q_m, proj_m, Q_n, proj_n)
+        base = _quotient_transition(Q_m, section_m, Q_n, proj_n)
         comp0 = base
         comp1 = ModuleHom(
             kos_m.packs[1][0],
@@ -585,12 +583,30 @@ def stable_limit(system):
     return limit_mod, s
 
 
-def koszul_homology_system(x_seq, M, i, n_max):
-    """Inverse system {H_i(x^(n); M)}_{n=1..n_max} with Koszul transitions."""
-    tower = KoszulTower(x_seq, M)
-    modules = [tower.homology(i, n).module for n in range(1, n_max + 1)]
-    adjacent = [tower.induced(i, n + 1, n) for n in range(1, n_max)]
-    return InverseSystem(modules, adjacent)
+def _homology_limit(M, n_max, homology, component):
+    """stable_limit of the inverse system of homology(n) (a SubquotientData)
+    for n = 1, 2, ..., with the adjacent transitions induced by
+    component(n), the group hom of level n + 1 -> level n.
+
+    With n_max given, exactly n_max levels are used.  Otherwise the range
+    starts at 4 and doubles on NotStabilized up to a cap set by the size of
+    M; the levels of a shorter range are kept and extended, never rebuilt."""
+    cap = n_max or max(6, 2 * max(M.order(), 2).bit_length() + 2)
+    attempt = n_max or 4
+    datas, adjacent = [], []
+    while True:
+        while len(datas) < attempt:
+            datas.append(homology(len(datas) + 1))
+            n = len(datas) - 1
+            if n:
+                adjacent.append(induced_on_homology(component(n), datas[n], datas[n - 1]))
+        try:
+            limit, _ = stable_limit(InverseSystem([d.module for d in datas], adjacent))
+            return limit
+        except NotStabilized:
+            if n_max is not None or attempt >= cap:
+                raise
+            attempt = min(cap, attempt * 2)
 
 
 def cech_homology(x_seq, M, i, n_max=None):
@@ -600,17 +616,13 @@ def cech_homology(x_seq, M, i, n_max=None):
         raise AxiomViolation("negative homological degree")
     if i > len(x_seq):
         return zero_module(M.ring)
-    cap = n_max or max(6, 2 * max(M.order(), 2).bit_length() + 2)
-    attempt = n_max or 4
-    while True:
-        try:
-            system = koszul_homology_system(x_seq, M, i, attempt)
-            limit, _ = stable_limit(system)
-            return limit
-        except NotStabilized:
-            if n_max is not None or attempt >= cap:
-                raise
-            attempt = min(cap, attempt * 2)
+    tower = KoszulTower(x_seq, M)
+    return _homology_limit(
+        M,
+        n_max,
+        lambda n: tower.homology(i, n),
+        lambda n: tower.transition_component(i, n + 1, n),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -690,30 +702,17 @@ def cech_tor_compare(M, N, x_seq, i, resolution_length, n_max=None):
     from .rings import Ideal
 
     res = free_resolution(N, resolution_length)
-    cap = n_max or max(6, 2 * max(M.order(), 2).bit_length() + 2)
-    attempt = n_max or 4
-    while True:
-        try:
-            levels = [
-                _total_complex_level(x_seq, nn, M, res) for nn in range(1, attempt + 1)
-            ]
-            datas = [lvl[0].homology(i) for lvl in levels]
-            modules = [d.module for d in datas]
-            adjacent = []
-            for nn in range(1, attempt):
-                cmap = _total_transition(
-                    x_seq, nn + 1, nn, M, res, levels[nn], levels[nn - 1]
-                )
-                adjacent.append(
-                    induced_on_homology(cmap.component(i).hom, datas[nn], datas[nn - 1])
-                )
-            system = InverseSystem(modules, adjacent)
-            lhs, _ = stable_limit(system)
-            break
-        except NotStabilized:
-            if n_max is not None or attempt >= cap:
-                raise
-            attempt = min(cap, attempt * 2)
+    levels = {}
+
+    def homology(n):
+        levels[n] = _total_complex_level(x_seq, n, M, res)
+        return levels[n][0].homology(i)
+
+    def component(n):
+        cmap = _total_transition(x_seq, n + 1, n, M, res, levels[n + 1], levels[n])
+        return cmap.component(i).hom
+
+    lhs = _homology_limit(M, n_max, homology, component)
     I = Ideal(M.ring, tuple(x_seq))
     lam, _ = adic_completion(M, I)
     rhs = derived_functor("tor", lam, N, i)

@@ -26,7 +26,9 @@ class DecompositionBoundExceeded(ProkitError):
 
 
 class IdentificationFailure(ProkitError):
-    """The colon/Koszul identification failed; indicates an internal bug."""
+    """Two routes to the same answer disagree (the colon/Koszul
+    identification, or the two forms of the proregularity condition);
+    indicates an internal bug."""
 
 
 class NotStabilized(ProkitError):

@@ -6,6 +6,11 @@ linear system solving, and the standard toolkit for finite abelian groups
 presented by invariant factors (homs, kernels, images, subgroups,
 quotients, direct sums).  All values are immutable after construction and
 all operations are pure functions.
+
+`cokernel_presentation` is the one lift primitive: it returns a section
+with every projection, and every quotient lift in the package (subgroups,
+quotients, direct sums, quotient rings, Hom and tensor modules,
+subquotients) is a product with that section.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from math import prod
 
-from .errors import DimensionMismatch, InfiniteCokernel
+from .errors import AxiomViolation, DimensionMismatch, InfiniteCokernel
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +216,7 @@ def snf(A: IntMatrix):
     m, n = A.rows, A.cols
     a = A.rows_list()
     u = IntMatrix.identity(m).rows_list()
-    v = IntMatrix.identity(n).rows_list()  # tracked as rows of V^T
+    v = IntMatrix.identity(n).rows_list()  # takes every column operation, so ends as V
 
     def col_op(j, k, q):
         # column_j -= q * column_k  on a; same on V (acting on the right)
@@ -537,8 +542,23 @@ def cokernel_presentation(A: IntMatrix, moduli):
 
     `moduli` gives one integer per row; 0 leaves the row unconstrained
     (allowed internally, but the resulting quotient must still be finite).
-    Returns (group, projection matrix P) where P maps old Z^rows coordinates
-    onto the new generators.
+    Returns (group, P, S): the projection matrix P maps old Z^rows
+    coordinates onto the new generators, and the section S is a rows x
+    group.rank matrix whose column i is a lift of generator e_i, so
+    P * S = I modulo the group's invariant factors.  This is the one place
+    quotient generators are lifted back: a lift of h is S * h.
+
+    S comes from one solve of [P | diag(group)] x = e_i.  That matrix maps
+    onto Z^group.rank (P is onto the group), so its Smith diagonal is all
+    ones and `IntLinearSystem.solve` is linear in the right-hand side:
+    S * h equals the solution of [P | diag(group)] x = h, cut to its first
+    `rows` entries, as raw integers.
+
+    >>> G, P, S = cokernel_presentation(IntMatrix.from_rows([[2, 4], [6, 8]]), [0, 0])
+    >>> G.invariant_factors
+    (2, 4)
+    >>> [G.reduce(c) for c in (P * S).cols_list()]
+    [(1, 0), (0, 1)]
     """
     if len(moduli) != A.rows:
         raise DimensionMismatch("moduli length must equal row count")
@@ -559,9 +579,18 @@ def cokernel_presentation(A: IntMatrix, moduli):
     facs = [diag[i] for i in kept]
     # SNF diagonals divide in order, so the kept tail is already a chain
     group = FinAbGroup(tuple(facs))
-    proj_rows = [list(U.row(i)) for i in kept]
-    P = IntMatrix.from_rows(proj_rows) if proj_rows else IntMatrix(0, r, [])
-    return group, P
+    g = group.rank
+    if not g:
+        return group, IntMatrix(0, r, []), IntMatrix.zero(r, 0)
+    P = IntMatrix.from_rows([list(U.row(i)) for i in kept])
+    system = IntLinearSystem(P.hstack(_moduli_matrix(group)))
+    lifts = []
+    for i in range(g):
+        sol = system.solve(tuple(1 if t == i else 0 for t in range(g)))
+        if sol is None:
+            raise AxiomViolation("presentation projection is not surjective")
+        lifts.append(sol[:r])
+    return group, P, IntMatrix.from_cols(lifts, rows=r)
 
 
 def hom_from_gen_images(source, target, images):
@@ -639,28 +668,21 @@ def subgroup_embedding(G, gen_vectors):
     ker = sys.kernel_basis()
     rel_cols = [list(k[:s]) for k in ker]
     R = IntMatrix.from_cols(rel_cols, rows=s) if rel_cols else IntMatrix.zero(s, 0)
-    H, P = cokernel_presentation(R, [0] * s)
-    # inclusion: lift each new generator to a Z^s combination, then into G
-    lift_sys = IntLinearSystem(P.hstack(IntMatrix.diagonal(list(H.invariant_factors))) if H.rank else P)
-    images = []
+    H, _, S = cokernel_presentation(R, [0] * s)
+    # inclusion: each new generator's lift, a Z^s combination, taken into G
     B = IntMatrix.from_cols(basis, rows=G.rank)
-    for i in range(H.rank):
-        target_vec = tuple(1 if t == i else 0 for t in range(H.rank))
-        sol = lift_sys.solve(target_vec)
-        if sol is None:
-            raise DimensionMismatch("presentation projection is not surjective")
-        lifted = B.apply(tuple(sol[:s]))
-        images.append(G.element(lifted))
+    images = [G.element(B.apply(S.col(i))) for i in range(H.rank)]
     return SubgroupData(H, hom_from_gen_images(H, G, images))
 
 
 def quotient_group(G, gen_vectors):
     """Quotient of G by the subgroup generated by the given coordinate
-    vectors.  Returns (Q, projection hom)."""
+    vectors.  Returns (Q, projection hom, section matrix); see
+    `cokernel_presentation` for the section."""
     cols = [list(v) for v in gen_vectors]
     A = IntMatrix.from_cols(cols, rows=G.rank) if cols else IntMatrix.zero(G.rank, 0)
-    Q, P = cokernel_presentation(A, list(G.invariant_factors))
-    return Q, GroupHom(G, Q, P)
+    Q, P, S = cokernel_presentation(A, list(G.invariant_factors))
+    return Q, GroupHom(G, Q, P), S
 
 
 def solve_hom(f: GroupHom, y: GroupElement):
@@ -722,20 +744,10 @@ def direct_sum_groups(groups):
     orders = [d for g in groups for d in g.invariant_factors]
     n = len(orders)
     A = IntMatrix.zero(n, 0)
-    G, P = cokernel_presentation(A, orders)
+    G, P, S = cokernel_presentation(A, orders)
     injections = []
     projections = []
     offset = 0
-    # section of P: solve P s = e_i column by column, once
-    lift_sys = IntLinearSystem(
-        P.hstack(IntMatrix.diagonal(list(G.invariant_factors))) if G.rank else P
-    )
-    sections = []
-    for i in range(G.rank):
-        e = tuple(1 if t == i else 0 for t in range(G.rank))
-        sol = lift_sys.solve(e)
-        sections.append(tuple(sol[:n]))
-    S = IntMatrix.from_cols([list(s) for s in sections], rows=n) if G.rank else IntMatrix.zero(n, 0)
     for g in groups:
         r = g.rank
         # injection: old generator -> its row block image under P

@@ -13,6 +13,9 @@ in the analysis layer lean on that.
 `block_hom` is the one place where maps between direct sums are assembled:
 the actions of direct sums and module powers, the Tor/Ext differentials
 here, and the Koszul, Cech and total complexes of the complexes layer.
+Quotient generators are lifted back only through the section that
+`intlinalg.cokernel_presentation` returns (quotients, subquotients, Hom
+and tensor modules); nothing here solves for a lift on its own.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .intlinalg import (
     hom_image_span,
     hom_kernel_span,
     quotient_group,
-    solve_hom,
     span_contains,
     span_lattice,
     span_leq,
@@ -457,24 +459,25 @@ def is_divisible(Q, x):
 # Quotients, submodule modules, subquotients
 
 
-def quotient_module(M, N):
-    """M / N with transported actions.  Returns (Q, projection)."""
+def quotient_module_data(M, N):
+    """M / N with transported actions.  Returns (Q, projection, section)
+    with the section matrix of `intlinalg.cokernel_presentation`."""
     span = N.span if isinstance(N, Submodule) else N
-    QG, proj = quotient_group(M.group, span.cols_list())
-    section = []
-    for i in range(QG.rank):
-        gen = QG.element(tuple(1 if t == i else 0 for t in range(QG.rank)))
-        lift = solve_hom(proj, gen)
-        if lift is None:
-            raise AxiomViolation("quotient projection is not surjective")
-        section.append(lift)
+    QG, proj, S = quotient_group(M.group, span.cols_list())
+    lifts = [M.group.element(S.col(i)) for i in range(QG.rank)]
     actions = []
     for i in range(M.ring.rank):
-        cols = [list(proj(M.actions[i](lift)).coords) for lift in section]
+        cols = [list(proj(M.actions[i](lift)).coords) for lift in lifts]
         mat = IntMatrix.from_cols(cols, rows=QG.rank) if cols else IntMatrix(QG.rank, 0, [])
         actions.append(GroupHom(QG, QG, mat))
     Q = FgModule(M.ring, QG, actions)
-    return Q, ModuleHom(M, Q, proj)
+    return Q, ModuleHom(M, Q, proj), S
+
+
+def quotient_module(M, N):
+    """M / N with transported actions.  Returns (Q, projection)."""
+    Q, proj, _ = quotient_module_data(M, N)
+    return Q, proj
 
 
 def submodule_module_data(M, N):
@@ -510,12 +513,11 @@ class SubquotientData:
     ambient: FgModule
     _kernel_data: object
     _proj: GroupHom
+    _section: IntMatrix
 
     def lift(self, h):
         """A representative cycle in the ambient group."""
-        pre = solve_hom(self._proj, h)
-        if pre is None:
-            raise AxiomViolation("subquotient projection not surjective")
+        pre = self._proj.source.element(self._section.apply(h.coords))
         return self._kernel_data.inclusion(pre)
 
     def classify(self, v):
@@ -530,21 +532,18 @@ def subquotient_module(M, ker_span, im_span):
     sub = subgroup_embedding(M.group, ker_span.cols_list())
     K = sub.group
     im_in_K = [sub.classify(M.group.element(c)).coords for c in im_span.cols_list()]
-    QG, proj = quotient_group(K, im_in_K)
-    section = []
-    for i in range(QG.rank):
-        gen = QG.element(tuple(1 if t == i else 0 for t in range(QG.rank)))
-        section.append(solve_hom(proj, gen))
+    QG, proj, S = quotient_group(K, im_in_K)
+    lifts = [K.element(S.col(i)) for i in range(QG.rank)]
     actions = []
     for i in range(M.ring.rank):
         cols = []
-        for lift in section:
+        for lift in lifts:
             v = M.actions[i](sub.inclusion(lift))
             cols.append(list(proj(sub.classify(v)).coords))
         mat = IntMatrix.from_cols(cols, rows=QG.rank) if cols else IntMatrix(QG.rank, 0, [])
         actions.append(GroupHom(QG, QG, mat))
     H = FgModule(M.ring, QG, actions)
-    return SubquotientData(H, M, sub, proj)
+    return SubquotientData(H, M, sub, proj, S)
 
 
 def homology_module(X, outgoing, incoming):
@@ -672,18 +671,11 @@ class HomModuleData:
     target: FgModule
     _lattice: IntMatrix   # columns: coefficient vectors spanning the hom lattice
     _proj: IntMatrix      # lattice coordinates -> module generators
+    _section: IntMatrix   # module generators -> lattice coordinates, a section of _proj
     _pair_moduli: tuple
 
     def to_group_hom(self, h):
-        lat_sys = IntLinearSystem(
-            self._proj.hstack(IntMatrix.diagonal(list(self.module.group.invariant_factors)))
-            if self.module.group.rank
-            else self._proj
-        )
-        sol = lat_sys.solve(h.coords)
-        if sol is None:
-            raise AxiomViolation("hom module projection not surjective")
-        t = self._lattice.apply(tuple(sol[: self._lattice.cols]))
+        t = self._lattice.apply(self._section.apply(h.coords))
         return _hom_matrix_from_coeffs(
             self.source.group, self.target.group, self._pair_moduli, t
         )
@@ -729,9 +721,8 @@ def hom_module_data(M, N):
     pair_moduli = tuple(gcd(a[j], b[i]) for i in range(r) for j in range(s))
     nvars = r * s
     if nvars == 0:
-        return HomModuleData(
-            zero_module(R), M, N, IntMatrix(0, 0, []), IntMatrix(0, 0, []), pair_moduli
-        )
+        empty = IntMatrix(0, 0, [])
+        return HomModuleData(zero_module(R), M, N, empty, empty, empty, pair_moduli)
 
     def scale(i, j):
         return b[i] // pair_moduli[i * s + j]
@@ -757,23 +748,15 @@ def hom_module_data(M, N):
     lattice_vecs += IntMatrix.diagonal(list(pair_moduli)).cols_list()
     L = _column_lattice(nvars, lattice_vecs)
     # present L / diag(pair_moduli): relations among the lattice basis
-    lat_sys = IntLinearSystem(L.hstack(IntMatrix.diagonal(list(pair_moduli))))
-    rel_cols = [list(k[: L.cols]) for k in lat_sys.kernel_basis()]
-    RelM = IntMatrix.from_cols(rel_cols, rows=L.cols) if rel_cols else IntMatrix.zero(L.cols, 0)
-    G, P = cokernel_presentation(RelM, [0] * L.cols)
-    # lift canonical generators to coefficient vectors
-    lift_sys = IntLinearSystem(
-        P.hstack(IntMatrix.diagonal(list(G.invariant_factors))) if G.rank else P
-    )
-    lifts = []
-    for i in range(G.rank):
-        e = tuple(1 if t == i else 0 for t in range(G.rank))
-        sol = lift_sys.solve(e)
-        lifts.append(L.apply(tuple(sol[: L.cols])))
-    concrete = [
-        _hom_matrix_from_coeffs(M.group, N.group, pair_moduli, t) for t in lifts
-    ]
     decode_sys = IntLinearSystem(L.hstack(IntMatrix.diagonal(list(pair_moduli))))
+    rel_cols = [list(k[: L.cols]) for k in decode_sys.kernel_basis()]
+    RelM = IntMatrix.from_cols(rel_cols, rows=L.cols) if rel_cols else IntMatrix.zero(L.cols, 0)
+    G, P, S = cokernel_presentation(RelM, [0] * L.cols)
+    # canonical generators lifted to coefficient vectors
+    concrete = [
+        _hom_matrix_from_coeffs(M.group, N.group, pair_moduli, L.apply(S.col(i)))
+        for i in range(G.rank)
+    ]
     actions = []
     for k in range(R.rank):
         Bk = N.actions[k]
@@ -788,7 +771,7 @@ def hom_module_data(M, N):
         mat = IntMatrix.from_cols(cols, rows=G.rank) if cols else IntMatrix(G.rank, 0, [])
         actions.append(GroupHom(G, G, mat))
     module = FgModule(R, G, actions)
-    return HomModuleData(module, M, N, L, P, pair_moduli)
+    return HomModuleData(module, M, N, L, P, S, pair_moduli)
 
 
 def _column_lattice(n, vectors):
@@ -847,15 +830,8 @@ def tensor_module_data(M, N):
                     col[j * r + l] -= B[l, k]
                 rel_cols.append(col)
     Rel = IntMatrix.from_cols(rel_cols, rows=nvars) if rel_cols else IntMatrix.zero(nvars, 0)
-    G, P = cokernel_presentation(Rel, list(pair))
-    lift_sys = IntLinearSystem(
-        P.hstack(IntMatrix.diagonal(list(G.invariant_factors))) if G.rank else P
-    )
-    lifts = []
-    for i in range(G.rank):
-        e = tuple(1 if t == i else 0 for t in range(G.rank))
-        sol = lift_sys.solve(e)
-        lifts.append(tuple(sol[:nvars]))
+    G, P, S = cokernel_presentation(Rel, list(pair))
+    lifts = S.cols_list()
     actions = []
     for rho in range(R.rank):
         A = M.actions[rho].matrix

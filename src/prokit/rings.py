@@ -259,17 +259,10 @@ def _canonical_ring(orders, products, unit_coords):
     orders, transporting the product along the base change.  Returns
     (ring, P) with P the coordinate projection old -> new."""
     s = len(orders)
-    G, P = cokernel_presentation(IntMatrix.zero(s, 0), list(orders))
+    G, P, S = cokernel_presentation(IntMatrix.zero(s, 0), list(orders))
     if G.rank == 0:
         return zero_ring(), P
-    lift_sys = IntLinearSystem(P.hstack(IntMatrix.diagonal(list(G.invariant_factors))))
-    lifts = []
-    for i in range(G.rank):
-        e = tuple(1 if t == i else 0 for t in range(G.rank))
-        sol = lift_sys.solve(e)
-        if sol is None:
-            raise AxiomViolation("canonicalization projection is not surjective")
-        lifts.append(tuple(sol[:s]))
+    lifts = S.cols_list()
 
     def old_mul(a, b):
         out = [0] * s
@@ -428,15 +421,10 @@ def quotient_ring(R, I):
     zero ring explicitly when that is what you mean).  Returns (Q, project)."""
     if I.is_unit_ideal():
         raise InvalidSpec("quotient by the unit ideal; use zero_ring instead")
-    G, P = cokernel_presentation(I.span, list(R.additive.invariant_factors))
+    G, P, S = cokernel_presentation(I.span, list(R.additive.invariant_factors))
     if G.rank == 0:
         raise AxiomViolation("proper ideal produced a trivial quotient; data corrupt")
-    lift_sys = IntLinearSystem(P.hstack(IntMatrix.diagonal(list(G.invariant_factors))))
-    lifts = []
-    for i in range(G.rank):
-        e = tuple(1 if t == i else 0 for t in range(G.rank))
-        sol = lift_sys.solve(e)
-        lifts.append(tuple(sol[: R.rank]))
+    lifts = S.cols_list()
     mult_matrices = []
     for i in range(G.rank):
         cols = [list(P.apply(R.mul_coords(lifts[i], lifts[j]))) for j in range(G.rank)]

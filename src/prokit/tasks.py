@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from . import __version__
 from .errors import (
     BoundViolation,
-    NotCovering,
     ParseError,
     ProkitError,
     UnknownReference,
@@ -181,6 +180,8 @@ def parse_spec(text):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"task document must be a JSON object, got {type(doc).__name__}")
     if doc.get("schema") != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema {doc.get('schema')!r}")
     family = doc.get("family")
@@ -451,8 +452,8 @@ def run_verify_task(task):
                 note("tor_compare", {"degrees": payload, "passed": ok}, ok)
             else:
                 raise ParseError(f"unknown check {check!r}")
-        except NotCovering as exc:
-            note(check, {"error": f"NotCovering: {exc}", "passed": False}, False)
+        except ParseError:
+            raise
         except ProkitError as exc:
             note(check, {"error": f"{type(exc).__name__}: {exc}", "passed": False}, False)
 

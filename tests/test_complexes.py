@@ -288,6 +288,24 @@ def test_cech_homology_higher_vanishes():
     assert cech_homology([R.from_int(2)], M, 1).is_zero_module()
 
 
+def test_cech_homology_retry_keeps_levels(monkeypatch):
+    # over Z/2 x Z/4 x Z/8 four levels do not stabilize; the retry at eight
+    # levels extends the first four instead of building them again
+    import prokit.complexes as cx
+
+    calls = []
+    real = cx.koszul_complex
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cx, "koszul_complex", counting)
+    R, x, _ = truncated_two_power(3)
+    assert cech_homology([x], ring_as_module(R), 1).is_zero_module()
+    assert len(calls) == 8
+
+
 def test_cech_homology_unit():
     R = zmod(12)
     M = ring_as_module(R)

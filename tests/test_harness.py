@@ -165,6 +165,40 @@ def test_cli_argument_errors_exit_64(argv, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"\xff\xfe{",
+        b"[1, 2]",
+        task_text(
+            analysis={"kind": "verify", "sequence": "xs", "checks": ["no_such_check"]}
+        ).encode(),
+    ],
+    ids=["not_utf8", "top_level_array", "unknown_check"],
+)
+def test_cli_bad_task_file_exits_64(content, tmp_path, capsys):
+    path = tmp_path / "task.json"
+    path.write_bytes(content)
+    assert main(["check", str(path)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("prokit: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_lipman_forms_disagreement_is_a_failed_check(monkeypatch):
+    import prokit.analysis as analysis
+
+    real = analysis.span_leq
+    monkeypatch.setattr(analysis, "span_leq", lambda *args: not real(*args))
+    text = task_text(analysis={"kind": "verify", "sequence": "xs", "checks": ["profiles"]})
+    report = run_task(parse_spec(text))
+    assert report.exit_code == 1
+    profiles = report.body["results"]["profiles"]
+    assert profiles["passed"] is False
+    assert profiles["error"].startswith("IdentificationFailure: ")
+
+
 def test_cli_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "--help"])

@@ -130,17 +130,17 @@ def test_unimodular_inverse():
 
 
 def test_cokernel_single_relation():
-    G, P = cokernel_presentation(IntMatrix.from_rows([[2]]), [0])
+    G, P, _ = cokernel_presentation(IntMatrix.from_rows([[2]]), [0])
     assert G.invariant_factors == (2,)
 
 
 def test_cokernel_diagonal():
-    G, _ = cokernel_presentation(IntMatrix.diagonal([2, 4]), [0, 0])
+    G, _, _ = cokernel_presentation(IntMatrix.diagonal([2, 4]), [0, 0])
     assert G.invariant_factors == (2, 4)
 
 
 def test_cokernel_derived_example():
-    G, _ = cokernel_presentation(IntMatrix.from_rows([[2, 4], [6, 8]]), [0, 0])
+    G, _, _ = cokernel_presentation(IntMatrix.from_rows([[2, 4], [6, 8]]), [0, 0])
     assert G.invariant_factors == (2, 4)
 
 
@@ -149,24 +149,48 @@ def test_cokernel_infinite():
         cokernel_presentation(IntMatrix.zero(2, 0), [2, 0])
 
 
+def assert_section(rng, G, P, S):
+    """P * S is the identity modulo G, and lifting h through S is the raw
+    solve of [P | diag(G)] x = h, unreduced."""
+    assert (S.rows, S.cols) == (P.cols, G.rank)
+    ident = IntMatrix.identity(G.rank).cols_list()
+    assert [G.reduce(c) for c in (P * S).cols_list()] == [G.reduce(c) for c in ident]
+    raw = IntLinearSystem(P.hstack(IntMatrix.diagonal(list(G.invariant_factors))))
+    for _ in range(5):
+        h = tuple(rng.randint(-3 * d, 3 * d) for d in G.invariant_factors)
+        assert S.apply(h) == raw.solve(h)[: P.cols]
+
+
 def test_cokernel_idempotent():
-    # presenting the presented group returns the same invariant factors
+    # presenting the presented group returns the same invariant factors,
+    # and every presentation comes with a section of its projection
     rng = random.Random(3)
     for _ in range(30):
         A = random_matrix(rng, max_dim=4, max_entry=10)
         try:
-            G, _ = cokernel_presentation(A, [rng.choice([0, 2, 4, 6]) for _ in range(A.rows)])
+            G, P, S = cokernel_presentation(A, [rng.choice([0, 2, 4, 6]) for _ in range(A.rows)])
         except InfiniteCokernel:
             continue
-        G2, _ = cokernel_presentation(
+        assert_section(rng, G, P, S)
+        G2, P2, S2 = cokernel_presentation(
             IntMatrix.zero(G.rank, 0), list(G.invariant_factors)
         )
         assert G2.invariant_factors == G.invariant_factors
+        assert_section(rng, G2, P2, S2)
+    # zero-rank groups and empty relation matrices
+    for A, moduli in (
+        (IntMatrix.identity(2), [0, 0]),
+        (IntMatrix.zero(2, 0), [1, 1]),
+        (IntMatrix.zero(0, 0), []),
+        (IntMatrix.zero(3, 0), [6, 4, 2]),
+    ):
+        G, P, S = cokernel_presentation(A, moduli)
+        assert_section(rng, G, P, S)
 
 
 def test_projection_maps_onto_generators():
     A = IntMatrix.from_rows([[2, 4], [6, 8]])
-    G, P = cokernel_presentation(A, [0, 0])
+    G, P, _ = cokernel_presentation(A, [0, 0])
     # relations must die under the projection
     for colv in A.cols_list():
         img = G.element(P.apply(tuple(colv)))
@@ -244,7 +268,7 @@ def test_kernel_matches_bruteforce_random():
 
 def test_quotient_z8_by_4():
     G = FinAbGroup((8,))
-    Q, proj = quotient_group(G, [(4,)])
+    Q, proj, _ = quotient_group(G, [(4,)])
     assert Q.order() == 4
     assert Q.invariant_factors == (4,)
     assert proj(G.element((4,))).is_zero()
@@ -252,13 +276,13 @@ def test_quotient_z8_by_4():
 
 def test_quotient_trivial_subgroup():
     G = FinAbGroup((6, 12))
-    Q, proj = quotient_group(G, [])
+    Q, proj, _ = quotient_group(G, [])
     assert Q.invariant_factors == G.invariant_factors
 
 
 def test_quotient_full_subgroup():
     G = FinAbGroup((8,))
-    Q, _ = quotient_group(G, [(1,)])
+    Q, _, _ = quotient_group(G, [(1,)])
     assert Q.order() == 1
 
 
@@ -267,7 +291,7 @@ def test_quotient_order_law():
     for _ in range(30):
         G = FinAbGroup(tuple(rng.choice([(4,), (2, 4), (3, 12), (8,), (2, 2)])))
         gens = [tuple(rng.randrange(d) for d in G.invariant_factors) for _ in range(2)]
-        Q, proj = quotient_group(G, gens)
+        Q, proj, _ = quotient_group(G, gens)
         sub = subgroup_span_set(G, [G.element(g) for g in gens])
         assert Q.order() * len(sub) == G.order()
         for g in gens:
