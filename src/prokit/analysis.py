@@ -347,9 +347,7 @@ def regular_then_bounded(M, x_seq, y):
         prefix = power_image(M, list(x_seq[: i - 1]), [1] * (i - 1))
         Q, _ = quotient_module(M, prefix)
         ker = hom_kernel_span(Q.action_hom(x_seq[i - 1]))
-        injective = (
-            span_subgroup_order(Q.group, ker) == 1 if Q.group.rank else True
-        )
+        injective = span_subgroup_order(Q.group, ker) == 1
         regular.append(injective)
     full = power_image(M, list(x_seq), [1] * k)
     Qfull, _ = quotient_module(M, full)
@@ -397,9 +395,10 @@ def local_global_check(M, x_seq, covering=None, mode=None, n_max=2, m_max=None):
     if mode == "maximal":
         covering = primitive_idempotents(R)
     if not covering:
-        raise NotCovering("no covering sequence supplied")
-    ok_cov, _ = is_covering(R, covering)
-    if not ok_cov:
+        # the empty family generates the unit ideal exactly when 1 = 0
+        if not R.is_zero_ring():
+            raise NotCovering("no covering sequence supplied")
+    elif not is_covering(R, covering)[0]:
         raise NotCovering("the given elements do not generate the unit ideal")
     locs = [localize(R, f) for f in covering]
     # diagonal injectivity: intersection of the kernels of the e_j actions
@@ -407,9 +406,9 @@ def local_global_check(M, x_seq, covering=None, mode=None, n_max=2, m_max=None):
     for loc in locs:
         ker = hom_kernel_span(M.action_hom(loc.idempotent))
         inter = ker if inter is None else intersect_spans(M.group, inter, ker)
-    diagonal_injective = (
-        span_subgroup_order(M.group, inter) == 1 if M.group.rank else True
-    )
+    if inter is None:  # no charts: the diagonal lands in the zero module
+        inter = M.full_span()
+    diagonal_injective = span_subgroup_order(M.group, inter) == 1
     m_max = m_max if m_max is not None else default_budget(M, len(x_seq), n_max)
     global_lip = lipman_profile(M, x_seq, n_max, m_max)
     global_weak = weak_profile(M, x_seq, n_max, m_max)
@@ -432,7 +431,8 @@ def local_global_check(M, x_seq, covering=None, mode=None, n_max=2, m_max=None):
                     Certificate("inconclusive-entry", {"profile": name, "entry": key})
                 )
                 continue
-            if g != max(local_vals):
+            # with no charts (the zero ring) there is no local value to match
+            if local_vals and g != max(local_vals):
                 certificates.append(
                     Certificate(
                         "local-global-mismatch",

@@ -321,7 +321,7 @@ def colon_identification(xs, y, n, M, extra_levels=(1, 2)):
         from .intlinalg import hom_kernel_span, span_subgroup_order
 
         ker = hom_kernel_span(f.hom)
-        if f.source.group.rank and span_subgroup_order(f.source.group, ker) != 1:
+        if span_subgroup_order(f.source.group, ker) != 1:
             return False
         return f.check_equivariance()
 
@@ -566,8 +566,6 @@ def stable_limit(system):
     # isomorphism tail of the stabilized subsystem (surjective + equal size)
     sizes = [
         span_subgroup_order(system.module(n).group, eventual[n - 1])
-        if system.module(n).group.rank
-        else 1
         for n in range(1, n0 + 1)
     ]
     s = None

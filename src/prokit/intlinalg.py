@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import prod
+from operator import mul
 
 from .errors import AxiomViolation, DimensionMismatch, InfiniteCokernel
 
@@ -99,12 +100,12 @@ class IntMatrix:
         if isinstance(other, IntMatrix):
             if self.cols != other.rows:
                 raise DimensionMismatch(f"{self.cols} != {other.rows}")
-            out = []
             ocols = other.cols
+            other_cols = [other._data[j::ocols] for j in range(ocols)]
+            out = []
             for i in range(self.rows):
                 ri = self.row(i)
-                for j in range(ocols):
-                    out.append(sum(ri[t] * other[t, j] for t in range(self.cols)))
+                out.extend(sum(map(mul, ri, cj)) for cj in other_cols)
             return IntMatrix(self.rows, ocols, out)
         return NotImplemented
 
@@ -112,9 +113,7 @@ class IntMatrix:
         """Matrix-vector product as a tuple of ints."""
         if len(vec) != self.cols:
             raise DimensionMismatch(f"{len(vec)} != {self.cols}")
-        return tuple(
-            sum(self.row(i)[t] * vec[t] for t in range(self.cols)) for i in range(self.rows)
-        )
+        return tuple(sum(map(mul, self.row(i), vec)) for i in range(self.rows))
 
     def hstack(self, other):
         if self.rows != other.rows:
@@ -614,28 +613,70 @@ def span_lattice(group, vectors):
     return IntMatrix.from_rows(rows).transpose() if rows else IntMatrix(group.rank, 0, [])
 
 
+def _canonical_diagonal(group, span):
+    """Diagonal of a canonical span; raises unless `span` has the shape
+    `span_lattice` gives it: rank x rank, lower-triangular, positive
+    diagonal."""
+    r = group.rank
+    data = span._data
+    if (
+        span.rows != r
+        or span.cols != r
+        or any(data[i * r + i] <= 0 or any(data[i * r + i + 1 : (i + 1) * r]) for i in range(r))
+    ):
+        raise DimensionMismatch("span is not a canonical span_lattice basis")
+    return data[:: r + 1]
+
+
+def _in_canonical_span(group, span, vectors):
+    """True when every vector lies in the lattice of the canonical span.
+
+    Forward substitution: column s of the span is zero above row s, so a
+    lattice vector whose entries 0..t-1 vanish is a combination of
+    columns t..r-1 alone, and its entry t is the pivot span[t, t] times
+    the coefficient of column t.  Entry t must therefore be a multiple q
+    of the pivot, and v lies in the lattice exactly when v - q * column t
+    (whose entries 0..t vanish) does.  O(r^2) integer operations per
+    vector and no normal form; vectors may be unreduced or negative."""
+    diag = _canonical_diagonal(group, span)
+    r = len(diag)
+    columns = [span._data[t::r] for t in range(r)]
+    for vector in vectors:
+        if len(vector) != r:
+            raise DimensionMismatch("vector length must equal the group rank")
+        v = list(vector)
+        for t, (p, col) in enumerate(zip(diag, columns)):
+            q, rest = divmod(v[t], p)
+            if rest:
+                return False
+            if q:
+                for i in range(t + 1, r):
+                    v[i] -= q * col[i]
+    return True
+
+
 def span_contains(group, span, vector):
-    """Membership of `vector` in the subgroup described by `span`."""
-    sys = IntLinearSystem(span.hstack(_moduli_matrix(group)) if span.cols else _moduli_matrix(group))
-    return sys.solve(tuple(vector)) is not None
+    """Membership of `vector` in the subgroup described by `span`.
+
+    `span` must be canonical, i.e. come from `span_lattice`.  It then
+    contains the relation lattice diag(d_1..d_r), so it is a full-rank
+    lower-triangular basis, and forward substitution along its columns
+    decides membership exactly (see `_in_canonical_span`)."""
+    return _in_canonical_span(group, span, [vector])
 
 
 def span_subgroup_order(group, span):
     """Order of the subgroup a canonical span describes."""
-    if group.rank == 0:
-        return 1
     # the span lattice contains the relation lattice, hence is full rank;
-    # its index in Z^r is |det| of any basis matrix
-    if span.cols != group.rank:
-        raise DimensionMismatch("canonical span must be full rank for a finite group")
-    idx = abs(det(span))
-    return group.order() // idx
+    # its index in Z^r is |det|, the product of its triangular diagonal
+    return group.order() // prod(_canonical_diagonal(group, span))
 
 
 def span_leq(group, inner, outer):
-    """Inclusion test for canonical spans."""
-    merged = span_lattice(group, inner.cols_list() + outer.cols_list())
-    return merged == outer
+    """Inclusion test for canonical spans: every column of `inner` lies in
+    the lattice of the canonical span `outer`, decided by the forward
+    substitution of `span_contains`."""
+    return _in_canonical_span(group, outer, inner.cols_list())
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,11 @@ duality against the injective cogenerator R^dual, Hom and tensor, free
 resolutions with Tor/Ext, adic completion, and local cohomology.
 
 Submodules are stored as canonical column-HNF spans of the additive
-lattice, so equality and inclusion tests are cheap; the profile searches
-in the analysis layer lean on that.
+lattice, so equality and inclusion tests are cheap: equality compares
+the matrices, and membership and inclusion are forward substitution
+along the lower-triangular span (`intlinalg.span_contains`), with no
+normal form per query.  The profile searches in the analysis layer and
+`span_closure` lean on that.
 
 `block_hom` is the one place where maps between direct sums are assembled:
 the actions of direct sums and module powers, the Tor/Ext differentials
@@ -316,8 +319,6 @@ class Submodule:
     span: IntMatrix
 
     def contains(self, m):
-        if self.parent.group.rank == 0:
-            return True
         return span_contains(self.parent.group, self.span, m.coords)
 
     def leq(self, other):
@@ -326,8 +327,6 @@ class Submodule:
         return span_leq(self.parent.group, self.span, other.span)
 
     def order(self):
-        if self.parent.group.rank == 0:
-            return 1
         return span_subgroup_order(self.parent.group, self.span)
 
     def span_elements(self):
@@ -449,8 +448,6 @@ def torsion_by_colon_ascent(M, I):
 
 def is_divisible(Q, x):
     """x * Q = Q, i.e. the action of x is surjective."""
-    if Q.group.rank == 0:
-        return True
     img = span_lattice(Q.group, Q.action_hom(x).matrix.cols_list())
     return span_subgroup_order(Q.group, img) == Q.order()
 

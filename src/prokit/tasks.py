@@ -84,53 +84,82 @@ class Report:
         return json.dumps(self.body, sort_keys=True, separators=(",", ":")).encode()
 
 
+_REQUIRED = object()
+
+
+def _field(spec, key, convert=int, default=_REQUIRED):
+    """`convert(spec[key])`, or `default` when the key is absent.
+
+    The one reader of task-document fields: a spec that is not an object, a
+    missing required key, or a value `convert` rejects is a ParseError."""
+    if not isinstance(spec, dict):
+        raise ParseError(f"expected a JSON object around {key!r}, got {type(spec).__name__}")
+    if key not in spec:
+        if default is _REQUIRED:
+            raise ParseError(f"missing field {key!r}")
+        return default
+    try:
+        return convert(spec[key])
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad value for field {key!r}: {exc}") from exc
+
+
+def _int_pair(value):
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"expected a list of exactly two integers, got {value!r}")
+    return int(value[0]), int(value[1])
+
+
+def _int_list(value):
+    return [int(v) for v in value]
+
+
+def _products_table(value):
+    return [[tuple(int(c) for c in col) for col in row] for row in value]
+
+
 def _build_ring(spec, validate=True):
-    kind = spec.get("kind")
+    kind = _field(spec, "kind", str, None)
     named = {}
     if kind == "zmod":
-        R = zmod(int(spec["m"]))
+        R = zmod(_field(spec, "m"))
     elif kind == "product":
         factors = []
-        for sub in spec["factors"]:
+        for sub in _field(spec, "factors", list):
             Rf, sub_named = _build_ring(sub)
             factors.append(Rf)
         R, _ = product_ring(factors)
     elif kind == "truncated_two_power":
-        R, x, one = truncated_two_power(int(spec["N"]))
+        R, x, one = truncated_two_power(_field(spec, "N"))
         named["x"] = x
     elif kind == "truncated_polynomial":
-        R, t = truncated_polynomial(int(spec["q"]), int(spec["n"]))
+        R, t = truncated_polynomial(_field(spec, "q"), _field(spec, "n"))
         named["x"] = t
     elif kind == "truncated_polynomial_family":
-        R, x, one = truncated_polynomial_family(int(spec["q"]), int(spec["N"]))
+        R, x, one = truncated_polynomial_family(_field(spec, "q"), _field(spec, "N"))
         named["x"] = x
     elif kind == "quotient":
-        base, base_named = _build_ring(spec["ring"])
-        gens = [_resolve_element(base, base_named, ref) for ref in spec["ideal"]]
+        base, base_named = _build_ring(_field(spec, "ring", dict))
+        gens = [_resolve_element(base, base_named, ref) for ref in _field(spec, "ideal", list)]
         R, project = quotient_ring(base, ideal(base, gens))
         named = {name: project(el) for name, el in base_named.items()}
     elif kind == "raw":
+        orders = _field(spec, "orders", _int_list)
+        products = _field(spec, "products", _products_table)
+        unit = tuple(_field(spec, "unit", _int_list))
         if validate:
-            R = ring_from_raw(
-                [int(o) for o in spec["orders"]],
-                [[tuple(int(c) for c in col) for col in row] for row in spec["products"]],
-                tuple(int(c) for c in spec["unit"]),
-            )
+            R = ring_from_raw(orders, products, unit)
         else:
             # axioms tasks diagnose broken tables instead of rejecting them
             from .intlinalg import FinAbGroup, IntMatrix
             from .rings import FiniteRing
 
-            orders = [int(o) for o in spec["orders"]]
-            products = [
-                [tuple(int(c) for c in col) for col in row] for row in spec["products"]
-            ]
             n = len(orders)
             mult = [
                 IntMatrix.from_cols([list(products[i][j]) for j in range(n)], rows=n)
                 for i in range(n)
             ]
-            R = FiniteRing(FinAbGroup(tuple(orders)), mult, tuple(int(c) for c in spec["unit"]), check=False)
+            R = FiniteRing(FinAbGroup(tuple(orders)), mult, unit, check=False)
     else:
         raise ParseError(f"unknown ring kind {kind!r}")
     named["one"] = R.one()
@@ -153,18 +182,18 @@ def _resolve_element(R, named, ref):
 
 
 def _build_module(R, named, spec):
-    kind = spec.get("kind", "ring")
+    kind = _field(spec, "kind", str, "ring")
     if kind == "ring":
         return ring_as_module(R)
     if kind == "free":
         from .modules import free_module
 
-        return free_module(R, int(spec["rank"])).module
+        return free_module(R, _field(spec, "rank")).module
     if kind == "presentation":
-        gens = int(spec["generators"])
+        gens = _field(spec, "generators")
         rels = [
             [_resolve_element(R, named, ref) for ref in rel]
-            for rel in spec.get("relations", [])
+            for rel in _field(spec, "relations", list, [])
         ]
         for rel in rels:
             if len(rel) != gens:
@@ -184,35 +213,37 @@ def parse_spec(text):
         raise ParseError(f"task document must be a JSON object, got {type(doc).__name__}")
     if doc.get("schema") != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema {doc.get('schema')!r}")
-    family = doc.get("family")
-    ring_spec = doc.get("ring")
+    family = _field(doc, "family", dict, None)
+    ring_spec = _field(doc, "ring", dict, None)
     if ring_spec is None and family is None:
         raise ParseError("task needs a ring or a family")
-    bounds = dict(doc.get("bounds", {}))
-    for key, val in bounds.items():
-        if key in ("n_max", "m_max", "i_max", "resolution_length") and int(val) < 1:
-            raise BoundViolation(f"bound {key} must be positive, got {val}")
-        bounds[key] = int(val)
-    seed = int(doc.get("seed", 0))
-    analysis = dict(doc.get("analysis", {}))
+    bounds = _field(doc, "bounds", dict, {})
+    for key in bounds:
+        bounds[key] = _field(bounds, key)
+        if key in ("n_max", "m_max", "i_max", "resolution_length") and bounds[key] < 1:
+            raise BoundViolation(f"bound {key} must be positive, got {bounds[key]}")
+    seed = _field(doc, "seed", default=0)
+    analysis = _field(doc, "analysis", dict, {})
     if family is not None:
-        lo, hi = family.get("range", [2, 4])
-        if int(lo) < 1 or int(hi) < int(lo):
+        lo, hi = _field(family, "range", _int_pair, (2, 4))
+        if lo < 1 or hi < lo:
             raise BoundViolation(f"bad family range {family.get('range')}")
         return TaskSpec(None, {}, {}, _family_sequences(family), analysis, bounds, seed, doc, family)
     diagnosing = analysis.get("kind") == "axioms"
     R, named = _build_ring(ring_spec, validate=not diagnosing)
-    for name, ref in doc.get("elements", {}).items():
+    for name, ref in _field(doc, "elements", dict, {}).items():
         named[name] = _resolve_element(R, named, ref)
     modules = {}
     if not diagnosing:
-        for name, mspec in doc.get("modules", {"M": {"kind": "ring"}}).items():
+        for name, mspec in _field(doc, "modules", dict, {"M": {"kind": "ring"}}).items():
             modules[name] = _build_module(R, named, mspec)
         if not modules:
             modules["M"] = ring_as_module(R)
-    sequences = {}
-    for name, refs in doc.get("sequences", {}).items():
-        sequences[name] = [_resolve_element(R, named, ref) for ref in refs]
+    seq_specs = _field(doc, "sequences", dict, {})
+    sequences = {
+        name: [_resolve_element(R, named, ref) for ref in _field(seq_specs, name, list)]
+        for name in seq_specs
+    }
     if analysis.get("kind") == "profile" and analysis.get("profile") == "weak":
         if bounds.get("i_max", 1) < 1:
             raise BoundViolation("i_max must be >= 1 for weak profiles")
@@ -529,11 +560,11 @@ def run_axioms_task(task):
 
 
 def _family_level(family, N):
-    kind = family["kind"]
+    kind = _field(family, "kind", str)
     if kind == "truncated_two_power":
         R, x, one = truncated_two_power(N)
     elif kind == "truncated_polynomial":
-        R, x, one = truncated_polynomial_family(int(family.get("q", 2)), N)
+        R, x, one = truncated_polynomial_family(_field(family, "q", default=2), N)
     else:
         raise ParseError(f"unknown family kind {kind!r}")
     return R, {"x": x, "one": one, "zero": R.zero()}
@@ -556,7 +587,7 @@ def _sweep_one(family, seq_refs, N, n_max, m_max):
 
 def run_family_sweep(task):
     family = task.family
-    lo, hi = (int(v) for v in family.get("range", [2, 4]))
+    lo, hi = _field(family, "range", _int_pair, (2, 4))
     n_max = task.bounds.get("n_max", 2)
     m_max = task.bounds.get("m_max")
     seqs = task.sequences["_family"]

@@ -173,8 +173,20 @@ def test_cli_argument_errors_exit_64(argv, capsys):
         task_text(
             analysis={"kind": "verify", "sequence": "xs", "checks": ["no_such_check"]}
         ).encode(),
+        task_text(ring={"kind": "zmod"}).encode(),
+        task_text(bounds={"n_max": "a"}).encode(),
+        json.dumps(
+            {"schema": 1, "family": {"kind": "truncated_two_power", "range": [3]}}
+        ).encode(),
     ],
-    ids=["not_utf8", "top_level_array", "unknown_check"],
+    ids=[
+        "not_utf8",
+        "top_level_array",
+        "unknown_check",
+        "missing_modulus",
+        "non_integer_bound",
+        "one_entry_range",
+    ],
 )
 def test_cli_bad_task_file_exits_64(content, tmp_path, capsys):
     path = tmp_path / "task.json"
@@ -197,6 +209,22 @@ def test_lipman_forms_disagreement_is_a_failed_check(monkeypatch):
     profiles = report.body["results"]["profiles"]
     assert profiles["passed"] is False
     assert profiles["error"].startswith("IdentificationFailure: ")
+
+
+def test_zero_ring_passes_local_global(tmp_path, capsys):
+    # in the zero ring 1 = 0, so the empty family of primitive idempotents covers
+    path = tmp_path / "task.json"
+    path.write_text(
+        task_text(
+            ring={"kind": "product", "factors": []},
+            sequences={"xs": [1]},
+            analysis={"kind": "verify", "sequence": "xs"},
+        )
+    )
+    assert main(["check", str(path)]) == 0
+    body = json.loads(capsys.readouterr().out)
+    assert body["results"]["local_global"]["passed"] is True
+    assert body["results"]["local_global"]["details"]["covering_size"] == 0
 
 
 def test_cli_help_exits_0(capsys):

@@ -19,10 +19,13 @@ from prokit.intlinalg import (
     quotient_group,
     snf,
     solve_hom,
+    span_contains,
     span_lattice,
+    span_leq,
+    span_subgroup_order,
     subgroup_embedding,
 )
-from prokit.errors import InfiniteCokernel
+from prokit.errors import DimensionMismatch, InfiniteCokernel
 
 
 def random_matrix(rng, max_dim=6, max_entry=20):
@@ -329,3 +332,86 @@ def test_span_lattice_canonical_equality():
     assert s1 == s2  # both generate {0,2,...,10}
     s3 = span_lattice(G, [(4,)])
     assert s1 != s3
+
+
+SPAN_CHAINS = [(), (2,), (12,), (2, 4), (2, 2, 8), (3, 6, 12), (4, 4, 8, 16)]
+
+
+def _old_span_contains(G, span, vector):
+    relations = IntMatrix.diagonal(list(G.invariant_factors))
+    system = IntLinearSystem(span.hstack(relations) if span.cols else relations)
+    return system.solve(tuple(vector)) is not None
+
+
+def _random_vector(rng, G):
+    return tuple(rng.randint(-3 * d, 3 * d) for d in G.invariant_factors)
+
+
+def _random_member(rng, G, span):
+    """An unreduced lattice vector: a random combination of span columns."""
+    v = [0] * G.rank
+    for col in span.cols_list():
+        q = rng.randint(-3, 3)
+        v = [a + q * b for a, b in zip(v, col)]
+    return tuple(v)
+
+
+def test_canonical_span_membership_matches_old_formulas():
+    rng = random.Random(0xA4C0)
+    for facs in SPAN_CHAINS:
+        G = FinAbGroup(facs)
+        spans = [
+            span_lattice(G, []),
+            span_lattice(G, IntMatrix.identity(G.rank).cols_list()),
+        ]
+        for _ in range(6):
+            gens = [_random_vector(rng, G) for _ in range(rng.randint(1, 3))]
+            spans.append(span_lattice(G, gens))
+        for span in spans:
+            assert span_subgroup_order(G, span) == G.order() // abs(det(span))
+            vectors = [_random_vector(rng, G) for _ in range(8)]
+            vectors += [_random_member(rng, G, span) for _ in range(4)]
+            for v in vectors:
+                assert span_contains(G, span, v) == _old_span_contains(G, span, v)
+            for outer in spans:
+                old = span_lattice(G, span.cols_list() + outer.cols_list()) == outer
+                assert span_leq(G, span, outer) == old
+        if G.rank:
+            # both answers occur on every nontrivial chain
+            zero, full = spans[0], spans[1]
+            assert not span_contains(G, zero, G.generator(0).coords)
+            assert span_contains(G, full, _random_vector(rng, G))
+
+
+def test_non_canonical_span_raises():
+    G = FinAbGroup((2, 4))
+    upper = IntMatrix.from_rows([[1, 1], [0, 2]])
+    negative = IntMatrix.from_rows([[-1, 0], [0, 2]])
+    narrow = IntMatrix.from_rows([[1], [0]])
+    full = span_lattice(G, IntMatrix.identity(2).cols_list())
+    for span in (upper, negative, narrow):
+        with pytest.raises(DimensionMismatch):
+            span_contains(G, span, (1, 1))
+        with pytest.raises(DimensionMismatch):
+            span_leq(G, full, span)
+        with pytest.raises(DimensionMismatch):
+            span_subgroup_order(G, span)
+    with pytest.raises(DimensionMismatch):
+        span_contains(G, full, (1, 1, 1))
+
+
+def test_product_kernels_match_naive_loops():
+    rng = random.Random(0xA4C1)
+    shapes = [(0, 0, 0), (0, 3, 2), (2, 0, 3), (3, 2, 0), (1, 1, 1)]
+    shapes += [tuple(rng.randint(1, 5) for _ in range(3)) for _ in range(20)]
+    for m, k, n in shapes:
+        A = IntMatrix(m, k, [rng.randint(-9, 9) for _ in range(m * k)])
+        B = IntMatrix(k, n, [rng.randint(-9, 9) for _ in range(k * n)])
+        C = A * B
+        naive = [sum(A[i, t] * B[t, j] for t in range(k)) for i in range(m) for j in range(n)]
+        assert (C.rows, C.cols) == (m, n)
+        assert C._data == tuple(naive)
+        vec = [rng.randint(-9, 9) for _ in range(k)]
+        expected = tuple(sum(A[i, t] * vec[t] for t in range(k)) for i in range(m))
+        assert A.apply(vec) == expected
+        assert A.apply(tuple(vec)) == expected
