@@ -60,7 +60,8 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
         text = _load_task_text(args.taskfile)
         task = parse_spec(text)
-    except (OSError, UnicodeDecodeError, ParseError) as exc:
+    except (OSError, UnicodeDecodeError, ProkitError) as exc:
+        # any error while the task's ring and modules are built is bad input
         print(f"prokit: {exc}", file=sys.stderr)
         return USAGE_EXIT
     if args.seed is not None:

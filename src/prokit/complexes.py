@@ -3,10 +3,14 @@
 Koszul complexes are built on lexicographically ordered subsets with the
 sign of a face given by the position of the dropped index; transitions
 between power levels multiply each subset summand by the matching product
-of element powers.  Cech complexes localize through Fitting idempotents.
-Cech homology is computed as the stabilized inverse limit of Koszul
-homology, which for finite modules agrees with the derived-Hom definition
-because the lim^1 term dies (Mittag-Leffler).
+of element powers.  The Koszul builder takes an optional free resolution L
+and then builds the total complex of K(x) tensor M tensor L (the plain
+Koszul complex is the case L = R in degree 0), so Cech homology and the
+Tor comparison share one `KoszulTower` and one stabilized-limit loop.
+Cech complexes localize through Fitting idempotents.  Cech homology is
+computed as the stabilized inverse limit of Koszul homology, which for
+finite modules agrees with the derived-Hom definition because the lim^1
+term dies (Mittag-Leffler).
 
 Every differential and transition between direct sums here is a list of
 blocks handed to `modules.block_hom`, the one place where such maps are
@@ -144,30 +148,72 @@ class KoszulData:
     complex: ChainComplex
     sequence: tuple
     module: FgModule
-    subsets: dict     # degree -> list of index tuples (lexicographic)
+    blocks: dict      # degree -> list of blocks (S, q, u), one copy of M each
+    index: dict       # degree -> {block: position in that degree}
     packs: dict       # degree -> (module, injections, projections)
 
 
-def koszul_complex(x_seq, M):
-    """K(x_1, ..., x_k; M): degree j holds one copy of M per j-subset."""
-    if not x_seq:
+def koszul_complex(x_seq, M, res=None):
+    """K(x_1, ..., x_k; M), or Tot(K(x_1, ..., x_k) tensor M tensor L) for a
+    free resolution `res` = L of some module.
+
+    Degree d is one copy of M per block (S, q, u): S a subset of the indices
+    (a tuple), q = d - |S| a degree of L and u < ranks[q] a basis index of
+    L_q.  Without a resolution the ranks are (1,), so degree d holds one
+    block (S, 0, 0) per d-subset.  Blocks are ordered by |S|, then S
+    lexicographically, then u.  The differential sends block (S, q, u) to
+    (S minus S[t], q, u) by x_{S[t]} with sign (-1)^t, and to (S, q - 1, v)
+    by the ring entry of d_L from u to v with sign (-1)^|S|.
+
+    >>> from prokit.rings import ideal, zmod
+    >>> from prokit.modules import cyclic_quotient_module, free_resolution, ring_as_module
+    >>> R = zmod(4)
+    >>> two = R.from_int(2)
+    >>> L = free_resolution(cyclic_quotient_module(R, ideal(R, [two])), 2)
+    >>> L.ranks
+    (1, 1, 1)
+    >>> kos = koszul_complex([two], ring_as_module(R), L)
+    >>> kos.blocks[1]
+    [((), 1, 0), ((0,), 0, 0)]
+    >>> kos.blocks[3]
+    [((0,), 2, 0)]
+    """
+    if not x_seq and res is None:
+        # with a resolution an empty sequence leaves M tensor L, which the
+        # Tor comparison accepts
         raise AxiomViolation("Koszul complex of an empty sequence")
     k = len(x_seq)
-    subsets = {j: list(itertools.combinations(range(k), j)) for j in range(k + 1)}
-    packs = {j: module_power(M, len(subsets[j])) for j in range(k + 1)}
-    modules = {j: packs[j][0] for j in range(k + 1)}
+    ranks = res.ranks if res is not None else (1,)
+    degrees = range(k + len(ranks))
+    blocks = {
+        d: [
+            (S, d - j, u)
+            for j in range(max(0, d - len(ranks) + 1), min(d, k) + 1)
+            for S in itertools.combinations(range(k), j)
+            for u in range(ranks[d - j])
+        ]
+        for d in degrees
+    }
+    index = {d: {b: idx for idx, b in enumerate(blocks[d])} for d in degrees}
+    packs = {d: module_power(M, len(blocks[d])) for d in degrees}
+    modules = {d: packs[d][0] for d in degrees}
     acts = [M.action_hom(x) for x in x_seq]
     diffs = {}
-    for j in range(1, k + 1):
-        index_of = {S: idx for idx, S in enumerate(subsets[j - 1])}
-        blocks = [
-            (index_of[S[:t] + S[t + 1 :]], s_idx, acts[e], -1 if t % 2 else 1)
-            for s_idx, S in enumerate(subsets[j])
-            for t, e in enumerate(S)
-        ]
-        diffs[j] = ModuleHom(modules[j], modules[j - 1], block_hom(packs[j], packs[j - 1], blocks))
+    for d in degrees[1:]:
+        below = index[d - 1]
+        hom_blocks = []
+        for b_idx, (S, q, u) in enumerate(blocks[d]):
+            for t, e in enumerate(S):
+                face = (S[:t] + S[t + 1 :], q, u)
+                hom_blocks.append((below[face], b_idx, acts[e], -1 if t % 2 else 1))
+            if q:
+                sign = -1 if len(S) % 2 else 1
+                for v, rel in enumerate(res.ring_matrices[q - 1][u]):
+                    hom_blocks.append((below[(S, q - 1, v)], b_idx, M.action_hom(rel), sign))
+        hom = block_hom(packs[d], packs[d - 1], hom_blocks)
+        diffs[d] = ModuleHom(modules[d], modules[d - 1], hom)
     C = ChainComplex(modules, diffs)
-    return KoszulData(C, tuple(x_seq), M, subsets, packs)
+    return KoszulData(C, tuple(x_seq), M, blocks, index, packs)
 
 
 def koszul_powers(x_seq, n):
@@ -182,7 +228,7 @@ def koszul_transition(x_seq, m, n, M, source=None, target=None):
     src = source if source is not None else koszul_complex(koszul_powers(x_seq, m), M)
     tgt = target if target is not None else koszul_complex(koszul_powers(x_seq, n), M)
     comps = {}
-    for j in src.subsets:
+    for j in src.blocks:
         hom = _transition_component(x_seq, src, tgt, j, m - n)
         comps[j] = ModuleHom(src.packs[j][0], tgt.packs[j][0], hom)
     return ComplexMap(src.complex, tgt.complex, comps), src, tgt
@@ -197,26 +243,30 @@ def _subset_multiplier(x_seq, S, e, M):
 
 
 def _transition_component(x_seq, src, tgt, j, e):
-    """Degree-j component of the Koszul transition K(x^(n+e); M) -> K(x^(n); M)."""
+    """Degree-j component of the Koszul transition K(x^(n+e); M) -> K(x^(n); M):
+    block (S, q, u) is multiplied by the product of x_i^e over i in S."""
     blocks = [
-        (idx, idx, _subset_multiplier(x_seq, S, e, src.module), 1)
-        for idx, S in enumerate(src.subsets[j])
+        (tgt.index[j][b], idx, _subset_multiplier(x_seq, b[0], e, src.module), 1)
+        for idx, b in enumerate(src.blocks[j])
     ]
     return block_hom(src.packs[j], tgt.packs[j], blocks)
 
 
 class KoszulTower:
-    """Koszul complexes of x^(n) on M for varying n, with homology caches."""
+    """Koszul complexes of x^(n) on M for varying n, with homology caches;
+    with a free resolution `res`, the total complexes of K(x^(n)) tensor M
+    tensor res (see `koszul_complex`)."""
 
-    def __init__(self, x_seq, M):
+    def __init__(self, x_seq, M, res=None):
         self.x_seq = tuple(x_seq)
         self.M = M
+        self.res = res
         self._levels = {}
         self._homology = {}
 
     def level(self, n):
         if n not in self._levels:
-            self._levels[n] = koszul_complex(koszul_powers(self.x_seq, n), self.M)
+            self._levels[n] = koszul_complex(koszul_powers(self.x_seq, n), self.M, self.res)
         return self._levels[n]
 
     def homology(self, i, n):
@@ -296,24 +346,9 @@ def colon_identification(xs, y, n, M, extra_levels=(1, 2)):
         return lhs, section, Q, proj, kos, rhs
 
     def canonical_map(lhs, proj, kos, rhs):
-        # class of v in the colon quotient -> class of v in 0 :_Q y^n
-        src = lhs.module
-        pack1 = kos.packs[1]
-        cols = []
-        for j in range(src.group.rank):
-            gen = src.group.element(
-                tuple(1 if t == j else 0 for t in range(src.group.rank))
-            )
-            v = lhs.lift(gen)
-            q = proj(v)
-            cyc = pack1[1][0](q)  # inject into the degree-1 block
-            cols.append(list(rhs.classify(cyc).coords))
-        mat = (
-            IntMatrix.from_cols(cols, rows=rhs.module.group.rank)
-            if cols
-            else IntMatrix(rhs.module.group.rank, 0, [])
-        )
-        return ModuleHom(src, rhs.module, GroupHom(src.group, rhs.module.group, mat))
+        # class of v in the colon quotient -> class of v in 0 :_Q y^n, the
+        # cycles of the degree-1 block
+        return induced_on_homology(kos.packs[1][1][0].hom.compose(proj.hom), lhs, rhs)
 
     def check_iso(f):
         if f.source.order() != f.target.order():
@@ -343,19 +378,7 @@ def colon_identification(xs, y, n, M, extra_levels=(1, 2)):
             raise IdentificationFailure(f"canonical map is not an isomorphism at level {m}")
         # map (3): multiplication by y^(m-n) between colon quotients
         ymn = y ** (m - n)
-        cols = []
-        src = lhs_m.module
-        for j in range(src.group.rank):
-            gen = src.group.element(tuple(1 if t == j else 0 for t in range(src.group.rank)))
-            v = lhs_m.lift(gen)
-            w = M.action_hom(ymn)(v)
-            cols.append(list(lhs_n.classify(w).coords))
-        mat = (
-            IntMatrix.from_cols(cols, rows=lhs_n.module.group.rank)
-            if cols
-            else IntMatrix(lhs_n.module.group.rank, 0, [])
-        )
-        map3 = ModuleHom(src, lhs_n.module, GroupHom(src.group, lhs_n.module.group, mat))
+        map3 = induced_on_homology(M.action_hom(ymn), lhs_m, lhs_n)
         # map (4): the Koszul transition K(y^m; Q_m) -> K(y^n; Q_n):
         # degree 0 the base projection, degree 1 multiplication by y^(m-n)
         # composed with the projection; verified to commute, then induced.
@@ -581,25 +604,22 @@ def stable_limit(system):
     return limit_mod, s
 
 
-def _homology_limit(M, n_max, homology, component):
-    """stable_limit of the inverse system of homology(n) (a SubquotientData)
-    for n = 1, 2, ..., with the adjacent transitions induced by
-    component(n), the group hom of level n + 1 -> level n.
+def _homology_limit(tower, i, n_max):
+    """stable_limit of the inverse system H_i of the tower's levels
+    n = 1, 2, ..., with the induced adjacent transitions.
 
     With n_max given, exactly n_max levels are used.  Otherwise the range
     starts at 4 and doubles on NotStabilized up to a cap set by the size of
-    M; the levels of a shorter range are kept and extended, never rebuilt."""
-    cap = n_max or max(6, 2 * max(M.order(), 2).bit_length() + 2)
+    the tower's module; the tower keeps the levels of a shorter range, and
+    the adjacent transitions already induced are kept, never rebuilt."""
+    cap = n_max or max(6, 2 * max(tower.M.order(), 2).bit_length() + 2)
     attempt = n_max or 4
-    datas, adjacent = [], []
+    adjacent = []
     while True:
-        while len(datas) < attempt:
-            datas.append(homology(len(datas) + 1))
-            n = len(datas) - 1
-            if n:
-                adjacent.append(induced_on_homology(component(n), datas[n], datas[n - 1]))
+        modules = [tower.homology(i, n).module for n in range(1, attempt + 1)]
+        adjacent += [tower.induced(i, n + 1, n) for n in range(len(adjacent) + 1, attempt)]
         try:
-            limit, _ = stable_limit(InverseSystem([d.module for d in datas], adjacent))
+            limit, _ = stable_limit(InverseSystem(modules, adjacent))
             return limit
         except NotStabilized:
             if n_max is not None or attempt >= cap:
@@ -614,78 +634,11 @@ def cech_homology(x_seq, M, i, n_max=None):
         raise AxiomViolation("negative homological degree")
     if i > len(x_seq):
         return zero_module(M.ring)
-    tower = KoszulTower(x_seq, M)
-    return _homology_limit(
-        M,
-        n_max,
-        lambda n: tower.homology(i, n),
-        lambda n: tower.transition_component(i, n + 1, n),
-    )
+    return _homology_limit(KoszulTower(x_seq, M), i, n_max)
 
 
 # ---------------------------------------------------------------------------
 # Tor comparison through the Cech-homology of a tensored resolution
-
-
-def _total_complex_level(x_seq, n, M, res):
-    """Tot(K(x^(n)) tensor M tensor L) for a free resolution L of N.
-
-    Blocks of degree d are (S, q, u) with |S| + q = d and u a copy index of
-    the free rank in degree q; every block is one copy of M."""
-    k = len(x_seq)
-    ranks = res.ranks
-    subsets = {j: list(itertools.combinations(range(k), j)) for j in range(k + 1)}
-    degrees = range(0, k + len(ranks))
-    blocks = {}
-    for d in degrees:
-        blist = []
-        for j in range(0, min(d, k) + 1):
-            q = d - j
-            if q >= len(ranks):
-                continue
-            for S in subsets[j]:
-                for u in range(ranks[q]):
-                    blist.append((j, S, q, u))
-        blocks[d] = blist
-    packs = {d: module_power(M, len(blocks[d])) for d in degrees}
-    index = {d: {b: idx for idx, b in enumerate(blocks[d])} for d in degrees}
-    acts = [M.action_hom(x ** n) for x in x_seq]
-    diffs = {}
-    for d in degrees:
-        if d == 0 or not blocks[d]:
-            continue
-        tgt_index = index[d - 1]
-        hom_blocks = []
-        for b_idx, (j, S, q, u) in enumerate(blocks[d]):
-            # Koszul part: drop one index, multiply by x^n, position sign
-            for t, e in enumerate(S):
-                T = S[:t] + S[t + 1 :]
-                hom_blocks.append((tgt_index[(j - 1, T, q, u)], b_idx, acts[e], (-1) ** t))
-            # resolution part: (-1)^j id tensor d_L
-            if q >= 1:
-                for v, rel in enumerate(res.ring_matrices[q - 1][u]):
-                    tgt_idx = tgt_index[(j, S, q - 1, v)]
-                    hom_blocks.append((tgt_idx, b_idx, M.action_hom(rel), (-1) ** j))
-        hom = block_hom(packs[d], packs[d - 1], hom_blocks)
-        diffs[d] = ModuleHom(packs[d][0], packs[d - 1][0], hom)
-    C = ChainComplex({d: packs[d][0] for d in degrees}, diffs)
-    return C, blocks, packs, index
-
-
-def _total_transition(x_seq, m, n, M, res, src_pack, tgt_pack):
-    """Transition between total complexes: subset blocks scaled by the
-    product of x_i^(m-n), identity on the resolution part."""
-    C_m, blocks_m, packs_m, _ = src_pack
-    C_n, _, packs_n, index_n = tgt_pack
-    comps = {}
-    for d, blist in blocks_m.items():
-        hom_blocks = [
-            (index_n[d][b], b_idx, _subset_multiplier(x_seq, b[1], m - n, M), 1)
-            for b_idx, b in enumerate(blist)
-        ]
-        hom = block_hom(packs_m[d], packs_n[d], hom_blocks)
-        comps[d] = ModuleHom(packs_m[d][0], packs_n[d][0], hom)
-    return ComplexMap(C_m, C_n, comps)
 
 
 def cech_tor_compare(M, N, x_seq, i, resolution_length, n_max=None):
@@ -699,18 +652,8 @@ def cech_tor_compare(M, N, x_seq, i, resolution_length, n_max=None):
     from .modules import derived_functor, modules_isomorphic
     from .rings import Ideal
 
-    res = free_resolution(N, resolution_length)
-    levels = {}
-
-    def homology(n):
-        levels[n] = _total_complex_level(x_seq, n, M, res)
-        return levels[n][0].homology(i)
-
-    def component(n):
-        cmap = _total_transition(x_seq, n + 1, n, M, res, levels[n + 1], levels[n])
-        return cmap.component(i).hom
-
-    lhs = _homology_limit(M, n_max, homology, component)
+    tower = KoszulTower(x_seq, M, free_resolution(N, resolution_length))
+    lhs = _homology_limit(tower, i, n_max)
     I = Ideal(M.ring, tuple(x_seq))
     lam, _ = adic_completion(M, I)
     rhs = derived_functor("tor", lam, N, i)

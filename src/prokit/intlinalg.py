@@ -599,18 +599,22 @@ def hom_from_gen_images(source, target, images):
     return GroupHom(source, target, m)
 
 
-def span_lattice(group, vectors):
-    """Canonical column-HNF basis of the lattice spanned by `vectors` plus
-    the group relations.  Uniquely determines the subgroup, so equality of
-    subgroups is equality of these matrices."""
+def column_lattice(n, vectors):
+    """Canonical column-HNF basis of the lattice in Z^n spanned by
+    `vectors`."""
     cols = [list(v) for v in vectors]
-    cols += _moduli_matrix(group).cols_list()
     if not cols:
-        return IntMatrix(group.rank, 0, [])
-    M = IntMatrix.from_cols(cols, rows=group.rank)
-    H, _ = hnf(M.transpose())
+        return IntMatrix(n, 0, [])
+    H, _ = hnf(IntMatrix.from_cols(cols, rows=n).transpose())
     rows = [r for r in H.rows_list() if any(r)]
-    return IntMatrix.from_rows(rows).transpose() if rows else IntMatrix(group.rank, 0, [])
+    return IntMatrix.from_rows(rows).transpose() if rows else IntMatrix(n, 0, [])
+
+
+def span_lattice(group, vectors):
+    """Canonical basis of the lattice spanned by `vectors` plus the group
+    relations diag(invariant factors).  Uniquely determines the subgroup,
+    so equality of subgroups is equality of these matrices."""
+    return column_lattice(group.rank, [*vectors, *_moduli_matrix(group).cols_list()])
 
 
 def _canonical_diagonal(group, span):

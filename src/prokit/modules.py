@@ -34,8 +34,8 @@ from .intlinalg import (
     IntLinearSystem,
     IntMatrix,
     cokernel_presentation,
+    column_lattice,
     direct_sum_groups,
-    hnf,
     hom_image_span,
     hom_kernel_span,
     quotient_group,
@@ -743,7 +743,7 @@ def hom_module_data(M, N):
     sys = IntLinearSystem(C.hstack(IntMatrix.diagonal(cond_mods)))
     lattice_vecs = [k[:nvars] for k in sys.kernel_basis()]
     lattice_vecs += IntMatrix.diagonal(list(pair_moduli)).cols_list()
-    L = _column_lattice(nvars, lattice_vecs)
+    L = column_lattice(nvars, lattice_vecs)
     # present L / diag(pair_moduli): relations among the lattice basis
     decode_sys = IntLinearSystem(L.hstack(IntMatrix.diagonal(list(pair_moduli))))
     rel_cols = [list(k[: L.cols]) for k in decode_sys.kernel_basis()]
@@ -769,17 +769,6 @@ def hom_module_data(M, N):
         actions.append(GroupHom(G, G, mat))
     module = FgModule(R, G, actions)
     return HomModuleData(module, M, N, L, P, S, pair_moduli)
-
-
-def _column_lattice(n, vectors):
-    """Canonical basis of the lattice in Z^n generated by the vectors."""
-    cols = [list(v) for v in vectors]
-    if not cols:
-        return IntMatrix(n, 0, [])
-    M = IntMatrix.from_cols(cols, rows=n)
-    H, _ = hnf(M.transpose())
-    rows = [row for row in H.rows_list() if any(row)]
-    return IntMatrix.from_rows(rows).transpose() if rows else IntMatrix(n, 0, [])
 
 
 def hom_module(M, N):

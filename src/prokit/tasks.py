@@ -250,15 +250,21 @@ def parse_spec(text):
     return TaskSpec(R, named, modules, sequences, analysis, bounds, seed, doc, None)
 
 
+def _reference_lists(value):
+    if not all(isinstance(refs, list) for refs in value):
+        raise ValueError(f"expected a list of element-reference lists, got {value!r}")
+    return list(value)
+
+
 def _family_sequences(family):
-    seqs = family.get("sequences")
+    seqs = _field(family, "sequences", _reference_lists, None)
     if seqs is None:
-        seqs = [family.get("sequence", ["x"])]
+        seqs = [_field(family, "sequence", list, ["x"])]
     return {"_family": seqs}
 
 
 def _analysis_module(task):
-    name = task.analysis.get("module")
+    name = _field(task.analysis, "module", str, None)
     if name is None:
         return next(iter(task.modules.values()))
     if name not in task.modules:
@@ -267,7 +273,7 @@ def _analysis_module(task):
 
 
 def _analysis_sequence(task):
-    name = task.analysis.get("sequence")
+    name = _field(task.analysis, "sequence", str, None)
     if name is None:
         if not task.sequences:
             raise UnknownReference("no sequence declared")
@@ -317,7 +323,9 @@ def run_profile_task(task):
     seq = _analysis_sequence(task)
     n_max = task.bounds.get("n_max", 3)
     m_max = task.bounds.get("m_max")
-    kinds = task.analysis.get("profiles", [task.analysis.get("profile", "lipman")])
+    kinds = _field(task.analysis, "profiles", list, None)
+    if kinds is None:
+        kinds = [_field(task.analysis, "profile", str, "lipman")]
     results = {}
     inconclusive = False
     for kind in kinds:
@@ -350,6 +358,10 @@ ALL_CHECKS = (
 )
 
 
+def _check_names(value):
+    return ALL_CHECKS if value == "all" else tuple(value)
+
+
 def run_verify_task(task):
     M = _analysis_module(task)
     seq = _analysis_sequence(task)
@@ -357,8 +369,7 @@ def run_verify_task(task):
     n_max = task.bounds.get("n_max", 2)
     m_max = task.bounds.get("m_max")
     rng = rng_from_seed(task.seed)
-    requested = task.analysis.get("checks", "all")
-    checks = ALL_CHECKS if requested == "all" else tuple(requested)
+    checks = _field(task.analysis, "checks", _check_names, ALL_CHECKS)
     results = {}
     failed = False
     inconclusive = False
@@ -491,13 +502,18 @@ def run_verify_task(task):
     # optional Cartier checks when the task declares an ideal and an element
     cart = task.analysis.get("cartier")
     if cart:
-        I = ideal(R, [_resolve_element(R, task.named, g) for g in cart["ideal"]])
-        x = _resolve_element(R, task.named, cart["x"])
+        def element(ref):
+            return _resolve_element(R, task.named, ref)
+
+        def elements(refs):
+            return [element(ref) for ref in refs]
+
+        I = ideal(R, _field(cart, "ideal", elements))
+        x = _field(cart, "x", element)
         out = cartier_check(R, I, x, task.bounds.get("n_max", 3), task.bounds.get("m_max"))
         note("cartier", _outcome_payload(out), out.passed)
-        cov = cart.get("covering")
-        if cov:
-            covering = [_resolve_element(R, task.named, f) for f in cov]
+        covering = _field(cart, "covering", elements, None)
+        if covering:
             out2 = is_effective_cartier(R, I, covering)
             # chart degeneracy is expected; record without failing the run
             payload2 = _outcome_payload(out2)

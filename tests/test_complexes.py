@@ -1,5 +1,7 @@
 """Koszul and Cech complexes, transitions, inverse systems, identifications."""
 
+import random
+
 import pytest
 
 from prokit.errors import NotStabilized
@@ -7,6 +9,7 @@ from prokit.intlinalg import GroupHom
 from prokit.modules import (
     ModuleHom,
     adic_completion,
+    free_resolution,
     generated_submodule,
     modules_isomorphic,
     power_image,
@@ -340,6 +343,42 @@ def test_cech_tor_compare_z8():
     for i in (0, 1):
         lhs, rhs, ok = cech_tor_compare(M, N, [R.from_int(2)], i, i + 2)
         assert ok, i
+
+
+def test_tensored_koszul_tower_transition_commutes():
+    # the Tor comparison reads one degree of each transition; building the
+    # whole ComplexMap checks commutation in every degree, and the blocks
+    # of the differential from L carry the sign (-1)^|S|
+    rng = random.Random(0xC0DE)
+    checked_res_blocks = 0
+    for modulus in (8, 12, 27):
+        R = zmod(modulus)
+        for _ in range(3):
+            xs = [R.from_int(rng.randrange(modulus)) for _ in range(rng.randint(1, 2))]
+            M = rng.choice(
+                [ring_as_module(R), cyclic_quotient_module(R, ideal(R, [R.from_int(3)]))]
+            )
+            N = cyclic_quotient_module(R, ideal(R, [R.from_int(rng.choice([2, 3, 4, 6]))]))
+            res = free_resolution(N, rng.randint(2, 3))
+            tower = KoszulTower(xs, M, res)
+            m, n = rng.choice([(2, 1), (3, 1), (3, 2)])
+            cmap = tower.transition(m, n)
+            for i in sorted(tower.level(m).blocks):
+                assert cmap.component(i).hom.equals_map(tower.transition_component(i, m, n))
+            kos = tower.level(m)
+            for d in sorted(kos.blocks)[1:]:
+                diff = kos.complex.differential(d).hom
+                for S, q, u in kos.blocks[d]:
+                    if not q:
+                        continue
+                    inj = kos.packs[d][1][kos.index[d][(S, q, u)]].hom
+                    for v, rel in enumerate(res.ring_matrices[q - 1][u]):
+                        proj = kos.packs[d - 1][2][kos.index[d - 1][(S, q - 1, v)]].hom
+                        sign = R.from_int(-1 if len(S) % 2 else 1)
+                        block = proj.compose(diff).compose(inj)
+                        assert block.equals_map(M.action_hom(sign * rel))
+                        checked_res_blocks += bool(S) and not block.is_zero_map()
+    assert checked_res_blocks
 
 
 def test_koszul_transition_degree2_multiplier():

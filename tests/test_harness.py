@@ -165,19 +165,39 @@ def test_cli_argument_errors_exit_64(argv, capsys):
     assert "Traceback" not in err
 
 
+def family_text(**family):
+    return json.dumps({"schema": 1, "family": {"kind": "truncated_two_power", **family}})
+
+
+def verify_text(**analysis):
+    return task_text(analysis={"kind": "verify", "sequence": "xs", **analysis})
+
+
 @pytest.mark.parametrize(
-    "content",
+    "command, content",
     [
-        b"\xff\xfe{",
-        b"[1, 2]",
-        task_text(
-            analysis={"kind": "verify", "sequence": "xs", "checks": ["no_such_check"]}
-        ).encode(),
-        task_text(ring={"kind": "zmod"}).encode(),
-        task_text(bounds={"n_max": "a"}).encode(),
-        json.dumps(
-            {"schema": 1, "family": {"kind": "truncated_two_power", "range": [3]}}
-        ).encode(),
+        ("check", b"\xff\xfe{"),
+        ("check", b"[1, 2]"),
+        ("check", verify_text(checks=["no_such_check"]).encode()),
+        ("check", task_text(ring={"kind": "zmod"}).encode()),
+        ("check", task_text(bounds={"n_max": "a"}).encode()),
+        ("check", family_text(range=[3]).encode()),
+        # errors raised while the ring is built
+        ("check", task_text(ring={"kind": "zmod", "m": 0}).encode()),
+        ("check", task_text(ring={"kind": "truncated_two_power", "N": -1}).encode()),
+        (
+            "check",
+            task_text(
+                ring={"kind": "raw", "orders": [2], "products": [[[1]]], "unit": [1, 1]}
+            ).encode(),
+        ),
+        # fields read only when the task runs
+        ("sweep", family_text(range=[2, 3], sequences=5).encode()),
+        ("sweep", family_text(range=[2, 3], sequences=[5]).encode()),
+        ("check", verify_text(checks=5).encode()),
+        ("check", verify_text(checks=[], cartier={"x": 2}).encode()),
+        ("check", verify_text(checks=["torsion_routes"], module=["M"]).encode()),
+        ("profile", task_text(analysis={"kind": "profile", "profiles": 5}).encode()),
     ],
     ids=[
         "not_utf8",
@@ -186,12 +206,21 @@ def test_cli_argument_errors_exit_64(argv, capsys):
         "missing_modulus",
         "non_integer_bound",
         "one_entry_range",
+        "zero_modulus",
+        "negative_two_power",
+        "raw_unit_length",
+        "family_sequences_not_a_list",
+        "family_sequences_entry_not_a_list",
+        "checks_not_a_list",
+        "cartier_without_ideal",
+        "module_name_not_a_string",
+        "profiles_not_a_list",
     ],
 )
-def test_cli_bad_task_file_exits_64(content, tmp_path, capsys):
+def test_cli_bad_task_file_exits_64(command, content, tmp_path, capsys):
     path = tmp_path / "task.json"
     path.write_bytes(content)
-    assert main(["check", str(path)]) == 64
+    assert main([command, str(path)]) == 64
     err = capsys.readouterr().err
     assert err.startswith("prokit: ")
     assert err.count("\n") == 1
