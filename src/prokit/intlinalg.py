@@ -142,6 +142,20 @@ class IntMatrix:
         return all(e == 0 for e in self._data)
 
 
+def linear_combination(coeffs, vectors):
+    """The sum of c * v over coefficients c and equal-length vectors v,
+    skipping zero coefficients.
+
+    >>> linear_combination([2, 0, -1], [(1, 2), (5, 5), (0, 3)])
+    [2, 1]
+    """
+    out = [0] * len(vectors[0])
+    for c, v in zip(coeffs, vectors):
+        if c:
+            out = [a + c * b for a, b in zip(out, v)]
+    return out
+
+
 def _swap_rows(rows, i, j):
     rows[i], rows[j] = rows[j], rows[i]
 

@@ -26,6 +26,7 @@ from .intlinalg import (
     IntLinearSystem,
     IntMatrix,
     cokernel_presentation,
+    linear_combination,
     solve_hom,
     span_contains,
     span_lattice,
@@ -44,16 +45,18 @@ class FiniteRing:
     `mult_matrices[i]` is the matrix of multiplication by the i-th basis
     element acting on the additive group; its column j holds the coordinates
     of e_i * e_j, so the structure tensor is c[i][j][k] = mult_matrices[i][k, j].
+
+    The constructor checks no axioms.  Ring data from outside enters only
+    through `ring_from_raw`, which runs `check_ring_axioms`; the `axioms`
+    task diagnoses a raw table without rejecting it; every other ring is
+    built from valid rings by a construction that keeps the axioms.  The
+    test suite checks the axioms of every ring it constructs.
     """
 
-    def __init__(self, additive, mult_matrices, unit_coords, check=True):
+    def __init__(self, additive, mult_matrices, unit_coords):
         self.additive = additive
         self.mult_matrices = tuple(mult_matrices)
         self.unit_coords = additive.reduce(tuple(unit_coords)) if additive.rank else ()
-        if check:
-            failures = check_ring_axioms(self)
-            if failures:
-                raise AxiomViolation("; ".join(failures[:3]))
 
     @property
     def rank(self):
@@ -202,31 +205,48 @@ class RingElement:
 def check_ring_axioms(R):
     """Basis-level diagnostics: commutativity, associativity, unit law, and
     well-definedness of the multiplication modulo the additive orders.
-    Returns a list of failure descriptions (empty when all axioms hold)."""
+    Returns a list of failure descriptions (empty when all axioms hold).
+
+    Runs at runtime on raw tables only: `ring_from_raw` rejects a table that
+    fails, and the `axioms` task reports the failures; the test suite runs
+    it on every ring it constructs.  Associativity costs one matrix
+    comparison per basis pair (i, j): column k of L_{e_i e_j} is
+    (e_i e_j) e_k and column k of L_i . reduce(L_j) is e_i (e_j e_k), with
+    L_t the multiplication matrix of e_t.
+    """
     failures = []
     n = R.rank
     if n == 0:
         return failures
     basis = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
     d = R.additive.invariant_factors
+    prods = [[R.mul_coords(basis[i], basis[j]) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i, n):
-            if R.mul_coords(basis[i], basis[j]) != R.mul_coords(basis[j], basis[i]):
+            if prods[i][j] != prods[j][i]:
                 failures.append(f"commutativity fails at basis pair ({i}, {j})")
+    L = R.mult_matrices
+    flat = [[m[r, k] for r in range(n) for k in range(n)] for m in L]
+    # row t of reduce(L_j): the t-th coordinates of e_j e_k over k
+    reduced_rows = [[[prods[j][k][t] for k in range(n)] for t in range(n)] for j in range(n)]
+    mods = [dr for dr in d for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            for k in range(n):
-                lhs = R.mul_coords(R.mul_coords(basis[i], basis[j]), basis[k])
-                rhs = R.mul_coords(basis[i], R.mul_coords(basis[j], basis[k]))
-                if lhs != rhs:
-                    failures.append(f"associativity fails at basis triple ({i}, {j}, {k})")
+            lhs = linear_combination(prods[i][j], flat)
+            rhs = []
+            for r in range(n):
+                rhs.extend(linear_combination(L[i].row(r), reduced_rows[j]))
+            diff = [(a - b) % m for a, b, m in zip(lhs, rhs, mods)]
+            if any(diff):
+                for k in range(n):
+                    if any(diff[r * n + k] for r in range(n)):
+                        failures.append(f"associativity fails at basis triple ({i}, {j}, {k})")
     for i in range(n):
         if R.mul_coords(R.unit_coords, basis[i]) != basis[i]:
             failures.append(f"unit law fails at basis element {i}")
     for i in range(n):
         for j in range(n):
-            prod_coords = R.mul_coords(basis[i], basis[j])
-            scaled = tuple(d[i] * c for c in prod_coords)
+            scaled = tuple(d[i] * c for c in prods[i][j])
             if any(s % dk != 0 for s, dk in zip(scaled, d)):
                 failures.append(f"order well-definedness fails at ({i}, {j})")
     return failures
@@ -288,8 +308,16 @@ def _canonical_ring(orders, products, unit_coords):
 def ring_from_raw(orders, products, unit_coords):
     """Ring from raw structure constants over generators with the given
     additive orders; `products[i][j]` is the coordinate vector of g_i * g_j.
-    Axioms are validated on the canonicalized result."""
+
+    Raw tables are where ring data from outside enters, so this is the one
+    constructor that checks the axioms at runtime: `check_ring_axioms` runs
+    on the canonicalized result and any failure raises AxiomViolation
+    naming the first three.
+    """
     ring, _ = _canonical_ring(orders, products, unit_coords)
+    failures = check_ring_axioms(ring)
+    if failures:
+        raise AxiomViolation("; ".join(failures[:3]))
     return ring
 
 

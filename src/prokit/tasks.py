@@ -110,6 +110,13 @@ def _int_pair(value):
     return int(value[0]), int(value[1])
 
 
+def _count(value):
+    count = int(value)
+    if count < 0:
+        raise ValueError(f"expected a count >= 0, got {count}")
+    return count
+
+
 def _int_list(value):
     return [int(v) for v in value]
 
@@ -147,6 +154,13 @@ def _build_ring(spec, validate=True):
         orders = _field(spec, "orders", _int_list)
         products = _field(spec, "products", _products_table)
         unit = tuple(_field(spec, "unit", _int_list))
+        n = len(orders)
+        if len(products) != n or any(
+            len(row) != n or any(len(entry) != n for entry in row) for row in products
+        ):
+            raise ParseError(f"raw products must be a {n}x{n} table of length-{n} vectors")
+        if len(unit) != n:
+            raise ParseError(f"raw unit has length {len(unit)}, expected {n}")
         if validate:
             R = ring_from_raw(orders, products, unit)
         else:
@@ -154,12 +168,11 @@ def _build_ring(spec, validate=True):
             from .intlinalg import FinAbGroup, IntMatrix
             from .rings import FiniteRing
 
-            n = len(orders)
             mult = [
                 IntMatrix.from_cols([list(products[i][j]) for j in range(n)], rows=n)
                 for i in range(n)
             ]
-            R = FiniteRing(FinAbGroup(tuple(orders)), mult, unit, check=False)
+            R = FiniteRing(FinAbGroup(tuple(orders)), mult, unit)
     else:
         raise ParseError(f"unknown ring kind {kind!r}")
     named["one"] = R.one()
@@ -188,9 +201,9 @@ def _build_module(R, named, spec):
     if kind == "free":
         from .modules import free_module
 
-        return free_module(R, _field(spec, "rank")).module
+        return free_module(R, _field(spec, "rank", _count)).module
     if kind == "presentation":
-        gens = _field(spec, "generators")
+        gens = _field(spec, "generators", _count)
         rels = [
             [_resolve_element(R, named, ref) for ref in rel]
             for rel in _field(spec, "relations", list, [])

@@ -1,0 +1,42 @@
+"""Axiom checks on every ring and module the test suite constructs.
+
+`FiniteRing` and `FgModule` are plain constructors: at runtime only raw ring
+tables are checked (`ring_from_raw`), because every other ring and module is
+built by a construction that keeps the axioms.  The suite proves that claim
+on each construction it makes: the autouse fixture below wraps both
+`__init__`s so that each ring runs `check_ring_axioms` and each module runs
+`validate()`, raising AxiomViolation with the first three failures.
+
+A test that builds a broken table on purpose opts out with
+`@pytest.mark.unchecked_axioms`.
+"""
+
+import pytest
+
+from prokit.errors import AxiomViolation
+from prokit.modules import FgModule
+from prokit.rings import FiniteRing, check_ring_axioms
+
+
+def _raise_on(failures):
+    if failures:
+        raise AxiomViolation("; ".join(failures[:3]))
+
+
+@pytest.fixture(autouse=True)
+def check_axioms_on_construction(request, monkeypatch):
+    if request.node.get_closest_marker("unchecked_axioms"):
+        return
+    ring_init = FiniteRing.__init__
+    module_init = FgModule.__init__
+
+    def checked_ring_init(self, *args, **kwargs):
+        ring_init(self, *args, **kwargs)
+        _raise_on(check_ring_axioms(self))
+
+    def checked_module_init(self, *args, **kwargs):
+        module_init(self, *args, **kwargs)
+        _raise_on(self.validate())
+
+    monkeypatch.setattr(FiniteRing, "__init__", checked_ring_init)
+    monkeypatch.setattr(FgModule, "__init__", checked_module_init)

@@ -191,6 +191,22 @@ def verify_text(**analysis):
                 ring={"kind": "raw", "orders": [2], "products": [[[1]]], "unit": [1, 1]}
             ).encode(),
         ),
+        (
+            "check",
+            task_text(
+                ring={"kind": "raw", "orders": [2, 2], "products": [[[1, 0]]], "unit": [1, 0]}
+            ).encode(),
+        ),
+        (
+            "axioms",
+            task_text(
+                ring={"kind": "raw", "orders": [2, 2], "products": [[[1, 0]]], "unit": [1, 0]},
+                analysis={"kind": "axioms"},
+            ).encode(),
+        ),
+        # errors raised while the modules are built
+        ("check", task_text(modules={"M": {"kind": "free", "rank": -2}}).encode()),
+        ("check", task_text(modules={"M": {"kind": "presentation", "generators": -1}}).encode()),
         # fields read only when the task runs
         ("sweep", family_text(range=[2, 3], sequences=5).encode()),
         ("sweep", family_text(range=[2, 3], sequences=[5]).encode()),
@@ -209,6 +225,10 @@ def verify_text(**analysis):
         "zero_modulus",
         "negative_two_power",
         "raw_unit_length",
+        "raw_products_short",
+        "raw_products_short_axioms",
+        "free_negative_rank",
+        "presentation_negative_generators",
         "family_sequences_not_a_list",
         "family_sequences_entry_not_a_list",
         "checks_not_a_list",
@@ -225,6 +245,14 @@ def test_cli_bad_task_file_exits_64(command, content, tmp_path, capsys):
     assert err.startswith("prokit: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_cli_corrupted_raw_ring_exits_64(tmp_path, capsys):
+    # Z/4 with e1*e1 = 3*e1 while the unit claims e1
+    path = tmp_path / "task.json"
+    path.write_text(task_text(ring={"kind": "raw", "orders": [4], "products": [[[3]]], "unit": [1]}))
+    assert main(["check", str(path)]) == 64
+    assert capsys.readouterr().err == "prokit: unit law fails at basis element 0\n"
 
 
 def test_lipman_forms_disagreement_is_a_failed_check(monkeypatch):

@@ -2,16 +2,42 @@
 
 import json
 
+import pytest
+
 from prokit.analysis import lipman_profile, _lipman_condition
 from prokit.complexes import cech_homology
+from prokit.errors import AxiomViolation
+from prokit.intlinalg import FinAbGroup, GroupHom, IntMatrix
 from prokit.modules import (
+    FgModule,
+    cyclic_quotient_module,
     direct_sum_modules,
+    free_module,
+    generated_submodule,
     hom_module,
+    local_cohomology,
+    localize_module,
     matlis_dual,
+    module_power,
+    quotient_module,
     ring_as_module,
+    submodule_module,
+    tensor_module,
+    zero_module,
 )
-from prokit.randgen import random_instance, rng_from_seed
-from prokit.rings import zmod
+from prokit.randgen import random_instance, random_ring, rng_from_seed
+from prokit.rings import (
+    FiniteRing,
+    check_ring_axioms,
+    ideal,
+    localize,
+    product_ring,
+    quotient_ring,
+    truncated_polynomial_family,
+    truncated_two_power,
+    zero_ring,
+    zmod,
+)
 from prokit.tasks import Report, emit_report, parse_spec, run_task
 
 
@@ -53,6 +79,7 @@ def test_emit_empty_report_all_formats():
     assert "prokit" in text
 
 
+@pytest.mark.unchecked_axioms
 def test_axioms_task_diagnoses_corrupted_ring():
     # Z/4 with e1*e1 = 3*e1 while the unit claims e1: unit-law failure
     doc = {
@@ -76,3 +103,58 @@ def test_doctests_pass():
     for mod in (prokit.intlinalg, prokit.rings):
         result = doctest.testmod(mod)
         assert result.failed == 0, mod.__name__
+
+
+def test_suite_checks_axioms_on_every_construction():
+    # tests/conftest.py wraps both constructors; without it these would pass
+    with pytest.raises(AxiomViolation, match="unit law fails at basis element 0"):
+        FiniteRing(FinAbGroup((4,)), [IntMatrix.from_rows([[3]])], (1,))
+    G = FinAbGroup((2, 4))
+    # the Z/2 generator sent to the Z/4 generator: not a group hom
+    action = GroupHom(G, G, IntMatrix.from_rows([[1, 0], [1, 1]]))
+    with pytest.raises(AxiomViolation, match="not well defined"):
+        FgModule(zmod(2), G, [action])
+    # a group hom, but 2 = 0 in Z/2 acts as 2 on Z/4
+    with pytest.raises(AxiomViolation, match="not killed by its order"):
+        FgModule(zmod(2), FinAbGroup((4,)), [GroupHom.identity(FinAbGroup((4,)))])
+
+
+def test_every_constructor_output_satisfies_axioms():
+    # the runtime no longer checks derived rings and modules; check them here
+    rng = rng_from_seed(0x7B0D)
+    R12 = zmod(12)
+    rings = [
+        R12,
+        zero_ring(),
+        product_ring([zmod(4), zmod(6)])[0],
+        truncated_two_power(3)[0],
+        truncated_polynomial_family(3, 2)[0],
+        quotient_ring(R12, ideal(R12, [R12.from_int(4)]))[0],
+        localize(R12, R12.from_int(2)).ring,
+    ]
+    rings += [random_ring(rng)[0] for _ in range(4)]
+    for R in rings:
+        assert check_ring_axioms(R) == [], R
+    for _ in range(6):
+        R, M, seq = random_instance(rng, k_max=2)
+        x = seq[0]
+        I = ideal(R, seq)
+        sub = generated_submodule(M, [M.generators()[0]] if M.group.rank else [])
+        modules = [
+            M,
+            zero_module(R),
+            ring_as_module(R),
+            free_module(R, 2).module,
+            module_power(M, 2)[0],
+            direct_sum_modules([M, ring_as_module(R)])[0],
+            quotient_module(M, sub)[0],
+            submodule_module(M, sub)[0],
+            cyclic_quotient_module(R, I),
+            matlis_dual(M),
+            hom_module(M, M),
+            tensor_module(M, M),
+            local_cohomology(M, I, 1),
+            localize_module(M, localize(R, x)),
+        ]
+        for N in modules:
+            assert N.validate() == [], N

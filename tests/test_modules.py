@@ -1,11 +1,16 @@
 """Module functors: submodules, colon, torsion, duality, Hom/tensor, Tor/Ext."""
 
+import random
+
 import pytest
 
 from prokit.complexes import cech_complex
+from prokit.errors import InvalidSpec
 from prokit.intlinalg import GroupHom, IntMatrix, direct_sum_groups
+from prokit.randgen import random_instance
 from prokit.rings import ideal, zmod, truncated_two_power
 from prokit.modules import (
+    FgModule,
     ModuleHom,
     adic_completion,
     block_hom,
@@ -429,6 +434,59 @@ def test_module_power_is_a_permutation_layout(base, s):
     entries = [e for inj in injs for row in inj.hom.matrix.rows_list() for e in row]
     assert set(entries) == {0, 1}
     assert all(inj.check_equivariance() for inj in injs)
+
+
+def _composed_validate(M):
+    """`FgModule.validate` with the composition test as GroupHom algebra:
+    A_i . A_j against the action of e_i e_j, one map comparison per pair."""
+    failures = []
+    R = M.ring
+    for i, A in enumerate(M.actions):
+        if not A.is_well_defined():
+            failures.append(f"action of basis element {i} is not well defined")
+        if not A.scale(R.additive.invariant_factors[i]).is_zero_map():
+            failures.append(f"action of basis element {i} is not killed by its order")
+    if not M._combine(R.unit_coords).equals_map(GroupHom.identity(M.group)):
+        failures.append("unit does not act as the identity")
+    basis = R.basis()
+    for i in range(R.rank):
+        for j in range(R.rank):
+            lhs = M.actions[i].compose(M.actions[j])
+            if not lhs.equals_map(M.action_hom(basis[i] * basis[j])):
+                failures.append(f"action composition fails at basis pair ({i}, {j})")
+    return failures
+
+
+@pytest.mark.unchecked_axioms
+def test_validate_matches_composed_reference():
+    rng = random.Random(0x0DD5)
+    valid = []
+    for _ in range(8):
+        R, M, _ = random_instance(rng, k_max=1)
+        if M.group.rank:
+            valid += [M, tensor_module(M, ring_as_module(R))]
+    for M in valid:
+        assert M.validate() == _composed_validate(M) == []
+    detected = 0
+    for _ in range(80):
+        M = rng.choice(valid)
+        n = M.group.rank
+        tables = [A.matrix.rows_list() for A in M.actions]
+        for _ in range(rng.randint(1, 2)):
+            t, r, k = rng.randrange(len(tables)), rng.randrange(n), rng.randrange(n)
+            tables[t][r][k] = rng.randint(-9, 9)
+        actions = [GroupHom(M.group, M.group, IntMatrix.from_rows(rows)) for rows in tables]
+        bad = FgModule(M.ring, M.group, actions)
+        expected = _composed_validate(bad)
+        assert bad.validate() == expected
+        detected += bool(expected)
+    assert detected >= 50
+
+
+def test_module_power_rejects_negative_exponent():
+    N = ring_as_module(zmod(4))
+    with pytest.raises(InvalidSpec):
+        module_power(N, -1)
 
 
 def test_block_hom_matches_composed_reference_on_mixed_pack():

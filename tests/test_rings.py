@@ -1,5 +1,7 @@
 """Ring constructors, Fitting splits, localization, idempotents, coverings."""
 
+import random
+
 import pytest
 
 from prokit.errors import AxiomViolation, InvalidSpec
@@ -57,13 +59,79 @@ def test_product_ring_z2_z3():
     assert check_ring_axioms(R) == []
 
 
+@pytest.mark.unchecked_axioms
 def test_corrupted_structure_constants_reported():
     # Z/4 with e1*e1 = 3*e1 while the unit claims e1: unit law must fail
     with pytest.raises(AxiomViolation):
         ring_from_raw([4], [[(3,)]], (1,))
-    bad = FiniteRing(FinAbGroup((4,)), [IntMatrix.from_rows([[3]])], (1,), check=False)
+    bad = FiniteRing(FinAbGroup((4,)), [IntMatrix.from_rows([[3]])], (1,))
     failures = check_ring_axioms(bad)
     assert any("unit law" in f for f in failures)
+
+
+def _triple_loop_ring_axioms(R):
+    """`check_ring_axioms` as it was before its associativity test became
+    one matrix comparison per basis pair: n^3 `mul_coords` pairs."""
+    failures = []
+    n = R.rank
+    if n == 0:
+        return failures
+    basis = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
+    d = R.additive.invariant_factors
+    for i in range(n):
+        for j in range(i, n):
+            if R.mul_coords(basis[i], basis[j]) != R.mul_coords(basis[j], basis[i]):
+                failures.append(f"commutativity fails at basis pair ({i}, {j})")
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = R.mul_coords(R.mul_coords(basis[i], basis[j]), basis[k])
+                rhs = R.mul_coords(basis[i], R.mul_coords(basis[j], basis[k]))
+                if lhs != rhs:
+                    failures.append(f"associativity fails at basis triple ({i}, {j}, {k})")
+    for i in range(n):
+        if R.mul_coords(R.unit_coords, basis[i]) != basis[i]:
+            failures.append(f"unit law fails at basis element {i}")
+    for i in range(n):
+        for j in range(n):
+            prod_coords = R.mul_coords(basis[i], basis[j])
+            scaled = tuple(d[i] * c for c in prod_coords)
+            if any(s % dk != 0 for s, dk in zip(scaled, d)):
+                failures.append(f"order well-definedness fails at ({i}, {j})")
+    return failures
+
+
+@pytest.mark.unchecked_axioms
+def test_check_ring_axioms_matches_triple_loop():
+    valid = [
+        zmod(12),
+        product_ring([zmod(2), zmod(3)])[0],
+        product_ring([zmod(4), zmod(6)])[0],
+        truncated_two_power(3)[0],
+        truncated_polynomial(3, 3)[0],
+        truncated_polynomial_family(2, 3)[0],
+        quotient_ring(zmod(12), ideal(zmod(12), [zmod(12).from_int(4)]))[0],
+        localize(zmod(12), zmod(12).from_int(3)).ring,
+    ]
+    for R in valid:
+        assert check_ring_axioms(R) == _triple_loop_ring_axioms(R) == []
+    rng = random.Random(0x5EED06)
+    detected = 0
+    for _ in range(80):
+        R = rng.choice(valid)
+        n = R.rank
+        tables = [m.rows_list() for m in R.mult_matrices]
+        for _ in range(rng.randint(1, 3)):
+            t, r, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+            tables[t][r][k] = rng.randint(-20, 20)
+        unit = list(R.unit_coords)
+        if rng.random() < 0.25:
+            unit[rng.randrange(n)] += rng.randint(1, 3)
+        bad = FiniteRing(R.additive, [IntMatrix.from_rows(rows) for rows in tables], unit)
+        expected = _triple_loop_ring_axioms(bad)
+        assert check_ring_axioms(bad) == expected
+        detected += bool(expected)
+    assert detected >= 60
 
 
 def test_fitting_split_z12_at_2():
