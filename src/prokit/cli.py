@@ -16,6 +16,9 @@ from .errors import ParseError, ProkitError
 from .tasks import emit_report, parse_spec, run_task
 
 USAGE_EXIT = 64
+# the analysis kind each subcommand runs on a ring task; sweep keeps the
+# document's, and a sweep without a family section is refused below
+COMMAND_KINDS = {"check": "verify", "profile": "profile", "axioms": "axioms"}
 
 
 def _load_task_text(ref):
@@ -59,7 +62,7 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         text = _load_task_text(args.taskfile)
-        task = parse_spec(text)
+        task = parse_spec(text, COMMAND_KINDS.get(args.command))
     except (OSError, UnicodeDecodeError, ProkitError) as exc:
         # any error while the task's ring and modules are built is bad input
         print(f"prokit: {exc}", file=sys.stderr)
@@ -74,12 +77,6 @@ def main(argv=None):
     if args.command == "sweep" and task.family is None:
         print("prokit: sweep needs a task file with a family section", file=sys.stderr)
         return USAGE_EXIT
-    if task.family is None:
-        task.analysis["kind"] = {
-            "check": "verify",
-            "profile": "profile",
-            "axioms": "axioms",
-        }.get(args.command, task.analysis.get("kind", "verify"))
     try:
         report = run_task(task)
     except ParseError as exc:

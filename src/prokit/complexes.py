@@ -14,7 +14,10 @@ term dies (Mittag-Leffler).
 
 Every differential and transition between direct sums here is a list of
 blocks handed to `modules.block_hom`, the one place where such maps are
-assembled."""
+assembled.  Every map onto homology, colon quotients or localizations (the
+Koszul transitions on homology, the colon identification, the Cech
+codifferentials) is `intlinalg.induced_hom` on the subquotients'
+`GroupSubquotient` records, the one lift/classify path."""
 
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import AxiomViolation, IdentificationFailure, NotStabilized
-from .intlinalg import GroupHom, IntMatrix, hom_image_span, span_lattice
+from .intlinalg import GroupHom, hom_image_span, induced_hom, span_lattice
 from .modules import (
     FgModule,
     ModuleHom,
@@ -120,23 +123,6 @@ def resolution_complex(res):
     return ChainComplex(modules, diffs)
 
 
-def induced_on_homology(comp_hom, src_data, tgt_data):
-    """Map on homology induced by an ambient hom carrying cycles to cycles."""
-    src = src_data.module
-    tgt = tgt_data.module
-    cols = []
-    for j in range(src.group.rank):
-        gen = src.group.element(tuple(1 if t == j else 0 for t in range(src.group.rank)))
-        v = comp_hom(src_data.lift(gen))
-        cols.append(list(tgt_data.classify(v).coords))
-    mat = (
-        IntMatrix.from_cols(cols, rows=tgt.group.rank)
-        if cols
-        else IntMatrix(tgt.group.rank, 0, [])
-    )
-    return ModuleHom(src, tgt, GroupHom(src.group, tgt.group, mat))
-
-
 # ---------------------------------------------------------------------------
 # Koszul complexes
 
@@ -163,7 +149,8 @@ def koszul_complex(x_seq, M, res=None):
     block (S, 0, 0) per d-subset.  Blocks are ordered by |S|, then S
     lexicographically, then u.  The differential sends block (S, q, u) to
     (S minus S[t], q, u) by x_{S[t]} with sign (-1)^t, and to (S, q - 1, v)
-    by the ring entry of d_L from u to v with sign (-1)^|S|.
+    by the ring entry of d_L from u to v with sign (-1)^|S|.  The empty
+    sequence gives M in degree 0 (M tensor L without the Koszul part).
 
     >>> from prokit.rings import ideal, zmod
     >>> from prokit.modules import cyclic_quotient_module, free_resolution, ring_as_module
@@ -178,10 +165,6 @@ def koszul_complex(x_seq, M, res=None):
     >>> kos.blocks[3]
     [((0,), 2, 0)]
     """
-    if not x_seq and res is None:
-        # with a resolution an empty sequence leaves M tensor L, which the
-        # Tor comparison accepts
-        raise AxiomViolation("Koszul complex of an empty sequence")
     k = len(x_seq)
     ranks = res.ranks if res is not None else (1,)
     degrees = range(k + len(ranks))
@@ -288,7 +271,8 @@ class KoszulTower:
 
     def induced(self, i, m, n):
         comp = self.transition_component(i, m, n)
-        return induced_on_homology(comp, self.homology(i, m), self.homology(i, n))
+        src, tgt = self.homology(i, m), self.homology(i, n)
+        return ModuleHom(src.module, tgt.module, induced_hom(comp, src.data, tgt.data))
 
 
 def pro_zero_index(x_seq, M, i, n, m_max, tower=None):
@@ -317,19 +301,6 @@ def _colon_quotient_data(M, xs, y, n):
     return subquotient_module(M, col.span, Nsub.span), Nsub
 
 
-def _quotient_transition(Qm, section_m, Qn, projn):
-    """Induced projection M/span_m -> M/span_n for span_m <= span_n, through
-    the section of the level-m projection."""
-    M = projn.source
-    cols = [list(projn(M.group.element(c)).coords) for c in section_m.cols_list()]
-    mat = (
-        IntMatrix.from_cols(cols, rows=Qn.group.rank)
-        if cols
-        else IntMatrix(Qn.group.rank, 0, [])
-    )
-    return ModuleHom(Qm, Qn, GroupHom(Qm.group, Qn.group, mat))
-
-
 def colon_identification(xs, y, n, M, extra_levels=(1, 2)):
     """Identify (x^(n)M :_M y^n)/x^(n)M with H_1(y^n; H_0(x^(n); M)) and
     verify that multiplication by y^(m-n) on the colon quotients matches the
@@ -340,15 +311,16 @@ def colon_identification(xs, y, n, M, extra_levels=(1, 2)):
 
     def level(nn):
         lhs, Nsub = _colon_quotient_data(M, xs, y, nn)
-        Q, proj, section = quotient_module_data(M, Nsub)
+        Q, proj, quo = quotient_module_data(M, Nsub)
         kos = koszul_complex([y ** nn], Q)
         rhs = kos.complex.homology(1)
-        return lhs, section, Q, proj, kos, rhs
+        return lhs, quo, Q, proj, kos, rhs
 
     def canonical_map(lhs, proj, kos, rhs):
         # class of v in the colon quotient -> class of v in 0 :_Q y^n, the
         # cycles of the degree-1 block
-        return induced_on_homology(kos.packs[1][1][0].hom.compose(proj.hom), lhs, rhs)
+        f = kos.packs[1][1][0].hom.compose(proj.hom)
+        return ModuleHom(lhs.module, rhs.module, induced_hom(f, lhs.data, rhs.data))
 
     def check_iso(f):
         if f.source.order() != f.target.order():
@@ -360,7 +332,7 @@ def colon_identification(xs, y, n, M, extra_levels=(1, 2)):
             return False
         return f.check_equivariance()
 
-    lhs_n, _, Q_n, proj_n, kos_n, rhs_n = level(n)
+    lhs_n, quo_n, Q_n, proj_n, kos_n, rhs_n = level(n)
     chi_n = canonical_map(lhs_n, proj_n, kos_n, rhs_n)
     if not check_iso(chi_n):
         raise IdentificationFailure(f"canonical map is not an isomorphism at level {n}")
@@ -372,18 +344,17 @@ def colon_identification(xs, y, n, M, extra_levels=(1, 2)):
     }
     for extra in extra_levels:
         m = n + extra
-        lhs_m, section_m, Q_m, proj_m, kos_m, rhs_m = level(m)
+        lhs_m, quo_m, Q_m, proj_m, kos_m, rhs_m = level(m)
         chi_m = canonical_map(lhs_m, proj_m, kos_m, rhs_m)
         if not check_iso(chi_m):
             raise IdentificationFailure(f"canonical map is not an isomorphism at level {m}")
         # map (3): multiplication by y^(m-n) between colon quotients
         ymn = y ** (m - n)
-        map3 = induced_on_homology(M.action_hom(ymn), lhs_m, lhs_n)
+        map3 = induced_hom(M.action_hom(ymn), lhs_m.data, lhs_n.data)
         # map (4): the Koszul transition K(y^m; Q_m) -> K(y^n; Q_n):
         # degree 0 the base projection, degree 1 multiplication by y^(m-n)
         # composed with the projection; verified to commute, then induced.
-        base = _quotient_transition(Q_m, section_m, Q_n, proj_n)
-        comp0 = base
+        base = ModuleHom(Q_m, Q_n, induced_hom(GroupHom.identity(M.group), quo_m, quo_n))
         comp1 = ModuleHom(
             kos_m.packs[1][0],
             kos_n.packs[1][0],
@@ -393,12 +364,12 @@ def colon_identification(xs, y, n, M, extra_levels=(1, 2)):
             .compose(kos_m.packs[1][2][0].hom),
         )
         cmap = ComplexMap(
-            kos_m.complex, kos_n.complex, {0: comp0, 1: comp1}
+            kos_m.complex, kos_n.complex, {0: base, 1: comp1}
         )  # construction validates commuting
-        map4 = induced_on_homology(cmap.component(1).hom, rhs_m, rhs_n)
+        map4 = induced_hom(cmap.component(1).hom, rhs_m.data, rhs_n.data)
         # the (3)/(4) square: chi_n o map3 == map4 o chi_m
-        left = chi_n.hom.compose(map3.hom)
-        right = map4.hom.compose(chi_m.hom)
+        left = chi_n.hom.compose(map3)
+        right = map4.compose(chi_m.hom)
         if not left.equals_map(right):
             raise IdentificationFailure(f"square fails between levels {m} and {n}")
         witness["squares"].append({"m": m, "n": n, "commutes": True})
@@ -420,7 +391,7 @@ class CechData:
     module: FgModule
     sequence: tuple
     subsets: dict
-    locs: dict        # subset -> (abstract module, inclusion, subgroup data)
+    locs: dict        # subset -> (abstract module, subgroup data, idempotent)
     packs: dict       # degree -> (module, injections, projections)
     codiffs: dict     # j -> ModuleHom C^j -> C^{j+1}
 
@@ -436,15 +407,15 @@ class CechData:
 
 
 def _localized_module(M, elems):
-    """e_S M as an abstract module, with inclusion and classify data."""
+    """e_S M as an abstract module, with its subgroup data and e_S."""
     R = M.ring
     f = R.one()
     for x in elems:
         f = f * x
     _, e = fitting_split(R, f)
     span = span_lattice(M.group, M.action_hom(e).matrix.cols_list())
-    S, incl, data = submodule_module_data(M, Submodule(M, span))
-    return S, incl, data, e
+    S, _, data = submodule_module_data(M, Submodule(M, span))
+    return S, data, e
 
 
 def cech_complex(x_seq, M):
@@ -465,22 +436,8 @@ def cech_complex(x_seq, M):
             for a, dropped in enumerate(T):
                 S = tuple(e for e in T if e != dropped)
                 sign = -1 if a % 2 else 1
-                S_mod, S_incl, _, _ = locs[S]
-                T_mod, _, T_data, eT = locs[T]
                 # localize further: include into M, multiply by e_T, classify
-                cols = []
-                for u in range(S_mod.group.rank):
-                    gen = S_mod.group.element(
-                        tuple(1 if t == u else 0 for t in range(S_mod.group.rank))
-                    )
-                    v = M.action_hom(eT)(S_incl(gen))
-                    cols.append(list(T_data.classify(v).coords))
-                mat = (
-                    IntMatrix.from_cols(cols, rows=T_mod.group.rank)
-                    if cols
-                    else IntMatrix(T_mod.group.rank, 0, [])
-                )
-                step = GroupHom(S_mod.group, T_mod.group, mat)
+                step = induced_hom(M.action_hom(locs[T][2]), locs[S][1], locs[T][1])
                 blocks.append((t_idx, index_of[S], step, sign))
         hom = block_hom(packs[j], packs[j + 1], blocks)
         codiffs[j] = ModuleHom(packs[j][0], packs[j + 1][0], hom)

@@ -7,10 +7,16 @@ presented by invariant factors (homs, kernels, images, subgroups,
 quotients, direct sums).  All values are immutable after construction and
 all operations are pure functions.
 
-`cokernel_presentation` is the one lift primitive: it returns a section
+`cokernel_presentation` is the one section primitive: it returns a section
 with every projection, and every quotient lift in the package (subgroups,
 quotients, direct sums, quotient rings, Hom and tensor modules,
-subquotients) is a product with that section.
+subquotients) is a product with that section.  `GroupSubquotient` and
+`induced_hom` are the one lift/classify path: `subgroup_embedding`,
+`quotient_group` and `subquotient_group` return the record, it classifies
+an element by forward substitution on its canonical span (no normal form),
+and every map induced on a subgroup, quotient or subquotient (module
+actions, homology and Cech maps, localized rings) classifies the columns of
+f * lift in one call of `induced_hom`.
 """
 
 from __future__ import annotations
@@ -646,16 +652,19 @@ def _canonical_diagonal(group, span):
     return data[:: r + 1]
 
 
-def _in_canonical_span(group, span, vectors):
-    """True when every vector lies in the lattice of the canonical span.
+def _span_coefficients(group, span, vectors):
+    """For each vector, the integer coefficients c with span * c = v, or
+    None when v is not in the lattice of the canonical span.
 
     Forward substitution: column s of the span is zero above row s, so a
     lattice vector whose entries 0..t-1 vanish is a combination of
     columns t..r-1 alone, and its entry t is the pivot span[t, t] times
     the coefficient of column t.  Entry t must therefore be a multiple q
     of the pivot, and v lies in the lattice exactly when v - q * column t
-    (whose entries 0..t vanish) does.  O(r^2) integer operations per
-    vector and no normal form; vectors may be unreduced or negative."""
+    (whose entries 0..t vanish) does.  The span is square with a positive
+    diagonal, so c is unique.  O(r^2) integer operations per vector and no
+    normal form; vectors may be unreduced or negative.  A generator, so a
+    membership test stops at the first vector outside the lattice."""
     diag = _canonical_diagonal(group, span)
     r = len(diag)
     columns = [span._data[t::r] for t in range(r)]
@@ -663,14 +672,23 @@ def _in_canonical_span(group, span, vectors):
         if len(vector) != r:
             raise DimensionMismatch("vector length must equal the group rank")
         v = list(vector)
+        coeffs = []
         for t, (p, col) in enumerate(zip(diag, columns)):
             q, rest = divmod(v[t], p)
             if rest:
-                return False
+                coeffs = None
+                break
+            coeffs.append(q)
             if q:
                 for i in range(t + 1, r):
                     v[i] -= q * col[i]
-    return True
+        yield coeffs
+
+
+def _in_canonical_span(group, span, vectors):
+    """True when every vector lies in the lattice of the canonical span
+    (see `_span_coefficients`)."""
+    return all(c is not None for c in _span_coefficients(group, span, vectors))
 
 
 def span_contains(group, span, vector):
@@ -698,50 +716,94 @@ def span_leq(group, inner, outer):
 
 
 @dataclass(frozen=True)
-class SubgroupData:
-    """A subgroup realized abstractly: H plus the injective inclusion into G."""
+class GroupSubquotient:
+    """A subquotient L/N of an ambient group G (N <= L <= G) as an abstract
+    group, with the one lift and classify path for derived groups.
+
+    `lift` is a hom from `group` into G sending each class to a
+    representative in L: the inclusion for a subgroup (N = 0), the section
+    of `cokernel_presentation` for a quotient (L = G).  `span` is the
+    canonical span of L (`span_lattice`), and `projection` maps
+    coefficients over the span's columns onto `group`.  Classifying v in L
+    solves span * c = v by forward substitution and reduces projection * c,
+    so no normal form runs.  The class does not depend on the representative
+    (unreduced or negative coordinates are fine), and for a subgroup it is
+    the unique preimage under the injective lift.
+    """
 
     group: FinAbGroup
-    inclusion: GroupHom
+    lift: GroupHom
+    span: IntMatrix
+    projection: IntMatrix
 
     def classify(self, elem):
-        """Coordinates in H of an element of G known to lie in the subgroup."""
-        pre = solve_hom(self.inclusion, elem)
-        if pre is None:
-            raise DimensionMismatch("element is not in the subgroup")
-        return pre
+        """Class in `group` of an element of L given in G coordinates;
+        raises DimensionMismatch when the element is not in L."""
+        return self.group.element(self._classes([elem.coords])[0])
+
+    def classify_hom(self, f):
+        """The hom sending x to the class of f(x), for f with image in L."""
+        if f.target != self.lift.target:
+            raise DimensionMismatch("hom does not land in the ambient group")
+        cols = [self.group.reduce(c) for c in self._classes(f.matrix.cols_list())]
+        return GroupHom(f.source, self.group, IntMatrix.from_cols(cols, rows=self.group.rank))
+
+    def _classes(self, vectors):
+        out = []
+        for c in _span_coefficients(self.lift.target, self.span, vectors):
+            if c is None:
+                raise DimensionMismatch("element is not in the subgroup")
+            out.append(self.projection.apply(c))
+        return out
+
+
+def induced_hom(f, src, tgt):
+    """The hom src.group -> tgt.group induced by an ambient hom f that
+    carries src's L into tgt's L and src's N into tgt's N: the columns of
+    f * src.lift, classified in tgt."""
+    return tgt.classify_hom(f.compose(src.lift))
 
 
 def subgroup_embedding(G, gen_vectors):
-    """Abstract group of the subgroup of G generated by the given coordinate
-    vectors, together with its inclusion hom."""
+    """The subgroup of G generated by the given coordinate vectors, as a
+    GroupSubquotient whose lift is the inclusion."""
     span = span_lattice(G, gen_vectors)
-    basis = span.cols_list()
-    s = len(basis)
-    if s == 0 or G.rank == 0:
+    r = G.rank
+    if r == 0:
         H = FinAbGroup(())
-        return SubgroupData(H, GroupHom(H, G, IntMatrix(G.rank, 0, [])))
-    # relations among the basis vectors inside G
-    stacked = IntMatrix.from_cols(basis, rows=G.rank).hstack(_moduli_matrix(G))
-    sys = IntLinearSystem(stacked)
-    ker = sys.kernel_basis()
-    rel_cols = [list(k[:s]) for k in ker]
-    R = IntMatrix.from_cols(rel_cols, rows=s) if rel_cols else IntMatrix.zero(s, 0)
-    H, _, S = cokernel_presentation(R, [0] * s)
-    # inclusion: each new generator's lift, a Z^s combination, taken into G
-    B = IntMatrix.from_cols(basis, rows=G.rank)
-    images = [G.element(B.apply(S.col(i))) for i in range(H.rank)]
-    return SubgroupData(H, hom_from_gen_images(H, G, images))
+        empty = IntMatrix(0, 0, [])
+        return GroupSubquotient(H, GroupHom(H, G, empty), span, empty)
+    # relations among the span's columns inside G; the span is r x r
+    sys = IntLinearSystem(span.hstack(_moduli_matrix(G)))
+    rel_cols = [list(k[:r]) for k in sys.kernel_basis()]
+    R = IntMatrix.from_cols(rel_cols, rows=r) if rel_cols else IntMatrix.zero(r, 0)
+    H, P, S = cokernel_presentation(R, [0] * r)
+    # inclusion: each new generator's lift, a Z^r combination, taken into G
+    images = [G.element(span.apply(S.col(i))) for i in range(H.rank)]
+    return GroupSubquotient(H, hom_from_gen_images(H, G, images), span, P)
 
 
 def quotient_group(G, gen_vectors):
     """Quotient of G by the subgroup generated by the given coordinate
-    vectors.  Returns (Q, projection hom, section matrix); see
-    `cokernel_presentation` for the section."""
+    vectors, as a GroupSubquotient whose lift is the section of
+    `cokernel_presentation`.  L = G has the identity as its span, so the
+    projection acts on G coordinates directly."""
     cols = [list(v) for v in gen_vectors]
     A = IntMatrix.from_cols(cols, rows=G.rank) if cols else IntMatrix.zero(G.rank, 0)
     Q, P, S = cokernel_presentation(A, list(G.invariant_factors))
-    return Q, GroupHom(G, Q, P), S
+    return GroupSubquotient(Q, GroupHom(Q, G, S), IntMatrix.identity(G.rank), P)
+
+
+def subquotient_group(G, ker_vectors, im_vectors):
+    """L/N for the subgroups L and N of G generated by the given vectors,
+    N inside L: the quotient of the subgroup L by the classes of N.  The
+    lift is the inclusion of L after the quotient's section, and the
+    projection is P_Q * P_L."""
+    sub = subgroup_embedding(G, ker_vectors)
+    quo = quotient_group(sub.group, [sub.classify(G.element(v)).coords for v in im_vectors])
+    return GroupSubquotient(
+        quo.group, sub.lift.compose(quo.lift), sub.span, quo.projection * sub.projection
+    )
 
 
 def solve_hom(f: GroupHom, y: GroupElement):
@@ -760,24 +822,14 @@ def solve_hom(f: GroupHom, y: GroupElement):
 
 
 def hom_kernel(f: GroupHom):
-    """Kernel of f as a SubgroupData of the source."""
-    s, t = f.source.rank, f.target.rank
-    if s == 0:
-        return subgroup_embedding(f.source, [])
-    if t == 0:
-        return subgroup_embedding(f.source, IntMatrix.identity(s).cols_list())
-    stacked = f.matrix.hstack(_moduli_matrix(f.target))
-    sys = IntLinearSystem(stacked)
-    vecs = [k[:s] for k in sys.kernel_basis()]
-    # source relations always sit inside the kernel lattice
-    vecs += IntMatrix.diagonal(list(f.source.invariant_factors)).cols_list()
-    return subgroup_embedding(f.source, vecs)
+    """Kernel of f as a GroupSubquotient of the source."""
+    return subgroup_embedding(f.source, hom_kernel_span(f).cols_list())
 
 
 def kernel_generators(f: GroupHom):
     """Generators of ker f as elements of the source group."""
     data = hom_kernel(f)
-    return [data.inclusion(g) for g in data.group.generators()]
+    return [data.lift(g) for g in data.group.generators()]
 
 
 def hom_kernel_span(f: GroupHom):

@@ -18,7 +18,10 @@ the actions of direct sums and module powers, the Tor/Ext differentials
 here, and the Koszul, Cech and total complexes of the complexes layer.
 Quotient generators are lifted back only through the section that
 `intlinalg.cokernel_presentation` returns (quotients, subquotients, Hom
-and tensor modules); nothing here solves for a lift on its own.
+and tensor modules); nothing here solves for a lift on its own.  Quotient,
+submodule, subquotient and localized modules carry an
+`intlinalg.GroupSubquotient` and get their actions from
+`intlinalg.induced_hom`, the one lift/classify path.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .errors import AxiomViolation, DimensionMismatch, InvalidSpec
 from .intlinalg import (
     FinAbGroup,
     GroupHom,
+    GroupSubquotient,
     IntLinearSystem,
     IntMatrix,
     cokernel_presentation,
@@ -38,6 +42,7 @@ from .intlinalg import (
     direct_sum_groups,
     hom_image_span,
     hom_kernel_span,
+    induced_hom,
     linear_combination,
     quotient_group,
     span_contains,
@@ -45,6 +50,7 @@ from .intlinalg import (
     span_leq,
     span_subgroup_order,
     subgroup_embedding,
+    subquotient_group,
 )
 from .rings import RingElement, ideal_power, ideal_stabilization
 
@@ -469,43 +475,29 @@ def is_divisible(Q, x):
 
 
 def quotient_module_data(M, N):
-    """M / N with transported actions.  Returns (Q, projection, section)
-    with the section matrix of `intlinalg.cokernel_presentation`."""
+    """M / N with induced actions.  Returns (Q, projection, quo) with quo
+    the GroupSubquotient of M.group that lifts and classifies."""
     span = N.span if isinstance(N, Submodule) else N
-    QG, proj, S = quotient_group(M.group, span.cols_list())
-    lifts = [M.group.element(S.col(i)) for i in range(QG.rank)]
-    actions = []
-    for i in range(M.ring.rank):
-        cols = [list(proj(M.actions[i](lift)).coords) for lift in lifts]
-        mat = IntMatrix.from_cols(cols, rows=QG.rank) if cols else IntMatrix(QG.rank, 0, [])
-        actions.append(GroupHom(QG, QG, mat))
-    Q = FgModule(M.ring, QG, actions)
-    return Q, ModuleHom(M, Q, proj), S
+    quo = quotient_group(M.group, span.cols_list())
+    Q = FgModule(M.ring, quo.group, [induced_hom(A, quo, quo) for A in M.actions])
+    # a quotient's span is the identity, so its projection acts on M coordinates
+    return Q, ModuleHom(M, Q, GroupHom(M.group, quo.group, quo.projection)), quo
 
 
 def quotient_module(M, N):
-    """M / N with transported actions.  Returns (Q, projection)."""
+    """M / N with induced actions.  Returns (Q, projection)."""
     Q, proj, _ = quotient_module_data(M, N)
     return Q, proj
 
 
 def submodule_module_data(M, N):
-    """The submodule N as an abstract module.  Returns (S, inclusion,
-    subgroup data) where the subgroup data classifies ambient elements."""
+    """The submodule N as an abstract module.  Returns (S, inclusion, sub)
+    with sub the GroupSubquotient of M.group that classifies ambient
+    elements."""
     span = N.span if isinstance(N, Submodule) else N
     sub = subgroup_embedding(M.group, span.cols_list())
-    SG = sub.group
-    actions = []
-    for i in range(M.ring.rank):
-        cols = []
-        for j in range(SG.rank):
-            gen = SG.element(tuple(1 if t == j else 0 for t in range(SG.rank)))
-            img = M.actions[i](sub.inclusion(gen))
-            cols.append(list(sub.classify(img).coords))
-        mat = IntMatrix.from_cols(cols, rows=SG.rank) if cols else IntMatrix(SG.rank, 0, [])
-        actions.append(GroupHom(SG, SG, mat))
-    S = FgModule(M.ring, SG, actions)
-    return S, ModuleHom(S, M, sub.inclusion), sub
+    S = FgModule(M.ring, sub.group, [induced_hom(A, sub, sub) for A in M.actions])
+    return S, ModuleHom(S, M, sub.lift), sub
 
 
 def submodule_module(M, N):
@@ -516,43 +508,21 @@ def submodule_module(M, N):
 
 @dataclass(frozen=True)
 class SubquotientData:
-    """A ker/im subquotient with lift and classify bookkeeping."""
+    """A ker/im subquotient module; `data` is its GroupSubquotient of the
+    ambient group, which lifts classes and classifies cycles."""
 
     module: FgModule
     ambient: FgModule
-    _kernel_data: object
-    _proj: GroupHom
-    _section: IntMatrix
-
-    def lift(self, h):
-        """A representative cycle in the ambient group."""
-        pre = self._proj.source.element(self._section.apply(h.coords))
-        return self._kernel_data.inclusion(pre)
-
-    def classify(self, v):
-        """Class of an ambient cycle in the subquotient."""
-        return self._proj(self._kernel_data.classify(v))
+    data: GroupSubquotient
 
 
 def subquotient_module(M, ker_span, im_span):
     """(ker_span)/(im_span) with induced actions; im must lie inside ker."""
     if not span_leq(M.group, im_span, ker_span):
         raise AxiomViolation("image span does not lie inside the kernel span")
-    sub = subgroup_embedding(M.group, ker_span.cols_list())
-    K = sub.group
-    im_in_K = [sub.classify(M.group.element(c)).coords for c in im_span.cols_list()]
-    QG, proj, S = quotient_group(K, im_in_K)
-    lifts = [K.element(S.col(i)) for i in range(QG.rank)]
-    actions = []
-    for i in range(M.ring.rank):
-        cols = []
-        for lift in lifts:
-            v = M.actions[i](sub.inclusion(lift))
-            cols.append(list(proj(sub.classify(v)).coords))
-        mat = IntMatrix.from_cols(cols, rows=QG.rank) if cols else IntMatrix(QG.rank, 0, [])
-        actions.append(GroupHom(QG, QG, mat))
-    H = FgModule(M.ring, QG, actions)
-    return SubquotientData(H, M, sub, proj, S)
+    data = subquotient_group(M.group, ker_span.cols_list(), im_span.cols_list())
+    H = FgModule(M.ring, data.group, [induced_hom(A, data, data) for A in M.actions])
+    return SubquotientData(H, M, data)
 
 
 def homology_module(X, outgoing, incoming):
@@ -1005,20 +975,10 @@ def localize_module(M, loc):
     is exact because e M is an R-direct summand."""
     span = span_lattice(M.group, M.action_hom(loc.idempotent).matrix.cols_list())
     sub = subgroup_embedding(M.group, span.cols_list())
-    G = sub.group
-    Lring = loc.ring
-    actions = []
-    for i in range(Lring.rank):
-        b = Lring.element(tuple(1 if t == i else 0 for t in range(Lring.rank)))
-        r_b = loc.pull_back(b)
-        cols = []
-        for j in range(G.rank):
-            gen = G.element(tuple(1 if t == j else 0 for t in range(G.rank)))
-            img = M.action_hom(r_b)(sub.inclusion(gen))
-            cols.append(list(sub.classify(img).coords))
-        mat = IntMatrix.from_cols(cols, rows=G.rank) if cols else IntMatrix(G.rank, 0, [])
-        actions.append(GroupHom(G, G, mat))
-    return FgModule(Lring, G, actions)
+    actions = [
+        induced_hom(M.action_hom(loc.pull_back(b)), sub, sub) for b in loc.ring.basis()
+    ]
+    return FgModule(loc.ring, sub.group, actions)
 
 
 # ---------------------------------------------------------------------------

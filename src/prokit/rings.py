@@ -26,6 +26,7 @@ from .intlinalg import (
     IntLinearSystem,
     IntMatrix,
     cokernel_presentation,
+    induced_hom,
     linear_combination,
     solve_hom,
     span_contains,
@@ -563,29 +564,11 @@ def localize(R, f):
         sec = GroupHom(Z.additive, R.additive, IntMatrix(R.rank, 0, []))
         return Localization(Z, e, c, triv, sec)
     sub = subgroup_embedding(R.additive, _image_span(R, e).cols_list())
-    G = sub.group
-    basis_lifts = [
-        R.element(sub.inclusion(G.element(tuple(1 if t == i else 0 for t in range(G.rank)))).coords)
-        for i in range(G.rank)
-    ]
-    retract_cols = [
-        list(sub.classify((e * b).as_group_element()).coords) for b in R.basis()
-    ]
-    retraction = GroupHom(
-        R.additive,
-        G,
-        IntMatrix.from_cols(retract_cols, rows=G.rank),
-    )
-    mult_matrices = []
-    for i in range(G.rank):
-        cols = [
-            list(sub.classify((basis_lifts[i] * basis_lifts[j]).as_group_element()).coords)
-            for j in range(G.rank)
-        ]
-        mult_matrices.append(IntMatrix.from_cols(cols, rows=G.rank))
-    unit_new = sub.classify(e.as_group_element()).coords
-    L = FiniteRing(G, mult_matrices, unit_new)
-    return Localization(L, e, c, retraction, sub.inclusion)
+    lifts = [R.element(c) for c in sub.lift.matrix.cols_list()]
+    mult_matrices = [induced_hom(R.multiplication_hom(x), sub, sub).matrix for x in lifts]
+    L = FiniteRing(sub.group, mult_matrices, sub.classify(e.as_group_element()).coords)
+    retraction = sub.classify_hom(R.multiplication_hom(e))
+    return Localization(L, e, c, retraction, sub.lift)
 
 
 def is_covering(R, elements):

@@ -216,8 +216,13 @@ def _build_module(R, named, spec):
     raise ParseError(f"unknown module kind {kind!r}")
 
 
-def parse_spec(text):
-    """Parse and validate a task document; all names must resolve."""
+def parse_spec(text, kind=None):
+    """Parse and validate a task document; all names must resolve.
+
+    `kind`, when given, is the analysis kind the caller runs; it replaces
+    the document's `analysis.kind` of a ring task before the ring is built,
+    because the kind decides whether a raw ring is rejected or diagnosed
+    (`axioms`) and whether modules are built.  Family tasks always sweep."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -242,6 +247,8 @@ def parse_spec(text):
         if lo < 1 or hi < lo:
             raise BoundViolation(f"bad family range {family.get('range')}")
         return TaskSpec(None, {}, {}, _family_sequences(family), analysis, bounds, seed, doc, family)
+    if kind is not None:
+        analysis["kind"] = kind
     diagnosing = analysis.get("kind") == "axioms"
     R, named = _build_ring(ring_spec, validate=not diagnosing)
     for name, ref in _field(doc, "elements", dict, {}).items():

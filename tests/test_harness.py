@@ -6,7 +6,7 @@ import pytest
 
 from prokit.errors import BoundViolation, ParseError, UnknownReference
 from prokit.cli import main
-from prokit.tasks import emit_report, parse_spec, run_task
+from prokit.tasks import ALL_CHECKS, emit_report, parse_spec, run_task
 
 
 MINIMAL = {
@@ -253,6 +253,84 @@ def test_cli_corrupted_raw_ring_exits_64(tmp_path, capsys):
     path.write_text(task_text(ring={"kind": "raw", "orders": [4], "products": [[[3]]], "unit": [1]}))
     assert main(["check", str(path)]) == 64
     assert capsys.readouterr().err == "prokit: unit law fails at basis element 0\n"
+
+
+CORRUPT_RAW = {"kind": "raw", "orders": [4], "products": [[[3]]], "unit": [1]}
+
+
+def write_doc(tmp_path, **doc):
+    path = tmp_path / "task.json"
+    path.write_text(json.dumps({"schema": 1, **doc}))
+    return str(path)
+
+
+@pytest.mark.unchecked_axioms
+def test_cli_axioms_diagnoses_whatever_kind_the_document_declares(tmp_path, capsys):
+    path = write_doc(tmp_path, ring=CORRUPT_RAW, analysis={"kind": "verify"})
+    assert main(["axioms", path]) == 1
+    out = capsys.readouterr()
+    assert out.err == ""
+    axioms = json.loads(out.out)["results"]["axioms"]
+    assert axioms["passed"] is False
+    assert axioms["failures"][0] == "unit law fails at basis element 0"
+
+
+@pytest.mark.parametrize("command", ["check", "profile"])
+def test_cli_command_kind_overrides_declared_axioms(command, tmp_path, capsys):
+    path = write_doc(
+        tmp_path, ring={"kind": "zmod", "m": 6}, analysis={"kind": "axioms"}, sequences={"s": [2]}
+    )
+    assert main([command, path]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_check_rejects_corrupted_ring_declaring_axioms(tmp_path, capsys):
+    path = write_doc(tmp_path, ring=CORRUPT_RAW, analysis={"kind": "axioms"})
+    assert main(["check", path]) == 64
+    assert capsys.readouterr().err == "prokit: unit law fails at basis element 0\n"
+
+
+ZERO_RING = {"kind": "product", "factors": []}
+Z6 = {"kind": "zmod", "m": 6}
+Z12 = {"kind": "zmod", "m": 12}
+DEGENERATE_DOCS = {
+    "zero_ring": {"ring": ZERO_RING, "sequences": {"s": [1]}},
+    "zero_ring_free_rank_2": {
+        "ring": ZERO_RING,
+        "modules": {"M": {"kind": "free", "rank": 2}},
+        "sequences": {"s": [1, 0]},
+    },
+    "free_rank_0": {
+        "ring": Z6,
+        "modules": {"M": {"kind": "free", "rank": 0}},
+        "sequences": {"s": [2]},
+    },
+    "unit_relation": {
+        "ring": Z6,
+        "modules": {"M": {"kind": "presentation", "generators": 1, "relations": [[1]]}},
+        "sequences": {"s": [2, 3]},
+    },
+    "empty_sequence": {"ring": Z6, "sequences": {"s": []}},
+    "unit_entry": {"ring": Z12, "sequences": {"s": [1]}},
+    "zero_entry": {"ring": Z12, "sequences": {"s": [0]}},
+    "unit_zero_x": {
+        "ring": {"kind": "truncated_two_power", "N": 2},
+        "sequences": {"s": ["one", "zero", "x"]},
+    },
+}
+
+
+@pytest.mark.parametrize("check", ALL_CHECKS)
+@pytest.mark.parametrize("doc", DEGENERATE_DOCS)
+def test_degenerate_inputs_pass_every_check(doc, check, tmp_path, capsys):
+    # the zero ring, zero modules, an empty sequence, unit and zero entries
+    path = write_doc(
+        tmp_path, **DEGENERATE_DOCS[doc], analysis={"kind": "verify", "checks": [check]}
+    )
+    assert main(["check", path]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert json.loads(out.out)["results"][check]["passed"] is True
 
 
 def test_lipman_forms_disagreement_is_a_failed_check(monkeypatch):

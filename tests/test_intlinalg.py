@@ -1,12 +1,13 @@
 """Exact linear algebra: normal forms, presentations, kernels."""
 
 import random
-from math import prod
+from math import gcd, prod
 
 import pytest
 
 from prokit.intlinalg import (
     FinAbGroup,
+    GroupElement,
     GroupHom,
     IntLinearSystem,
     IntMatrix,
@@ -14,6 +15,8 @@ from prokit.intlinalg import (
     det,
     direct_sum_groups,
     hnf,
+    hom_image_span,
+    hom_kernel_span,
     kernel_generators,
     mat_inverse_unimodular,
     quotient_group,
@@ -24,6 +27,7 @@ from prokit.intlinalg import (
     span_leq,
     span_subgroup_order,
     subgroup_embedding,
+    subquotient_group,
 )
 from prokit.errors import DimensionMismatch, InfiniteCokernel
 
@@ -271,22 +275,22 @@ def test_kernel_matches_bruteforce_random():
 
 def test_quotient_z8_by_4():
     G = FinAbGroup((8,))
-    Q, proj, _ = quotient_group(G, [(4,)])
-    assert Q.order() == 4
-    assert Q.invariant_factors == (4,)
-    assert proj(G.element((4,))).is_zero()
+    quo = quotient_group(G, [(4,)])
+    assert quo.group.order() == 4
+    assert quo.group.invariant_factors == (4,)
+    assert quo.classify(G.element((4,))).is_zero()
 
 
 def test_quotient_trivial_subgroup():
     G = FinAbGroup((6, 12))
-    Q, proj, _ = quotient_group(G, [])
-    assert Q.invariant_factors == G.invariant_factors
+    quo = quotient_group(G, [])
+    assert quo.group.invariant_factors == G.invariant_factors
 
 
 def test_quotient_full_subgroup():
     G = FinAbGroup((8,))
-    Q, _, _ = quotient_group(G, [(1,)])
-    assert Q.order() == 1
+    quo = quotient_group(G, [(1,)])
+    assert quo.group.order() == 1
 
 
 def test_quotient_order_law():
@@ -294,11 +298,11 @@ def test_quotient_order_law():
     for _ in range(30):
         G = FinAbGroup(tuple(rng.choice([(4,), (2, 4), (3, 12), (8,), (2, 2)])))
         gens = [tuple(rng.randrange(d) for d in G.invariant_factors) for _ in range(2)]
-        Q, proj, _ = quotient_group(G, gens)
+        quo = quotient_group(G, gens)
         sub = subgroup_span_set(G, [G.element(g) for g in gens])
-        assert Q.order() * len(sub) == G.order()
+        assert quo.group.order() * len(sub) == G.order()
         for g in gens:
-            assert proj(G.element(g)).is_zero()
+            assert quo.classify(G.element(g)).is_zero()
 
 
 def test_subgroup_embedding_roundtrip():
@@ -307,9 +311,91 @@ def test_subgroup_embedding_roundtrip():
     H = data.group
     assert H.order() == 4
     for h in H.elements():
-        img = data.inclusion(h)
+        img = data.lift(h)
         assert data.classify(img).coords == h.coords
-    assert data.inclusion.is_well_defined()
+    assert data.lift.is_well_defined()
+
+
+RECORD_CHAINS = [(), (2,), (12,), (2, 4), (2, 2, 8), (3, 6, 12), (4, 4, 8, 16)]
+
+
+def random_endo(rng, G):
+    """A random well-defined endomorphism: entry (i, j) is a multiple of
+    d_i / gcd(d_i, d_j)."""
+    d = G.invariant_factors
+    r = G.rank
+    entries = [
+        rng.randrange(-3, 4) * (d[i] // gcd(d[i], d[j])) for i in range(r) for j in range(r)
+    ]
+    return GroupHom(G, G, IntMatrix(r, r, entries))
+
+
+def rand_vec(rng, n):
+    return tuple(rng.randrange(-9, 10) for _ in range(n))
+
+
+def representatives(rng, G, v):
+    """v reduced, with a random multiple of the relations added, and with
+    every coordinate made negative."""
+    d = G.invariant_factors
+    return [
+        G.reduce(v),
+        tuple(a + rng.randrange(1, 5) * m for a, m in zip(v, d)),
+        tuple(a % m - rng.randrange(1, 5) * m for a, m in zip(v, d)),
+    ]
+
+
+def record_cases(rng, G):
+    """(kind, record, canonical span of N) for random subgroups, quotients
+    and subquotients of G built from random homs."""
+    vecs = [rand_vec(rng, G.rank) for _ in range(2)]
+    f, g, h = (random_endo(rng, G) for _ in range(3))
+    zero = span_lattice(G, [])
+    yield "subgroup", subgroup_embedding(G, vecs), zero
+    yield "subgroup", subgroup_embedding(G, hom_kernel_span(f).cols_list()), zero
+    yield "quotient", quotient_group(G, vecs), span_lattice(G, vecs)
+    # ker(f g) / ker(g) and im(g) / im(g h)
+    for L, N in (
+        (hom_kernel_span(f.compose(g)), hom_kernel_span(g)),
+        (hom_image_span(g), hom_image_span(g.compose(h))),
+    ):
+        yield "subquotient", subquotient_group(G, L.cols_list(), N.cols_list()), N
+
+
+def test_subquotient_record_classify_against_reference(monkeypatch):
+    import prokit.intlinalg as intlinalg
+
+    rng = random.Random(0x5B0)
+    snf_calls = []
+    real_snf = intlinalg.snf
+    for G in map(FinAbGroup, RECORD_CHAINS):
+        for _ in range(3):
+            for kind, rec, im_span in record_cases(rng, G):
+                H = rec.group
+                members = [rec.lift.matrix.apply(rand_vec(rng, H.rank)) for _ in range(4)]
+                members += [rec.span.apply(rand_vec(rng, G.rank)) for _ in range(4)]
+                outside = [rand_vec(rng, G.rank) for _ in range(6)]
+                outside = [v for v in outside if not span_contains(G, rec.span, v)]
+                if kind == "subgroup":
+                    # solve_hom is the reference: the lift is injective
+                    expected = [solve_hom(rec.lift, G.element(v)) for v in members]
+                monkeypatch.setattr(intlinalg, "snf", lambda A: snf_calls.append(A) or real_snf(A))
+                for idx, v in enumerate(members):
+                    classes = [rec.classify(GroupElement(G, w)) for w in representatives(rng, G, v)]
+                    assert classes[1:] == classes[:1] * 2
+                    if kind == "subgroup":
+                        assert classes[0] == expected[idx]
+                    else:
+                        back = rec.lift(classes[0]).coords
+                        assert span_contains(G, im_span, [a - b for a, b in zip(back, v)])
+                for h in list(H.elements())[:16]:
+                    assert rec.classify(rec.lift(h)) == h
+                for v in outside:
+                    with pytest.raises(DimensionMismatch):
+                        rec.classify(GroupElement(G, v))
+                monkeypatch.setattr(intlinalg, "snf", real_snf)
+    # classification is forward substitution: no normal form at all
+    assert snf_calls == []
 
 
 def test_direct_sum_groups():
