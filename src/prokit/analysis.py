@@ -15,14 +15,13 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .errors import IdentificationFailure, InsufficientBound, NotCovering
-from .intlinalg import hom_kernel_span, span_lattice, span_leq, span_subgroup_order
+from .intlinalg import hom_kernel_span, intersect_spans, span_lattice, span_leq, span_subgroup_order
 from .complexes import KoszulTower, cech_cohomology, pro_zero_index
 from .modules import (
     Submodule,
     colon_submodule,
     hom_module,
     ideal_power_image,
-    intersect_spans,
     is_divisible,
     localize_module,
     matlis_dual,

@@ -1,11 +1,13 @@
 """Exact integer linear algebra and finite abelian group arithmetic.
 
 Everything here is computed over Python's arbitrary-precision integers:
-Hermite and Smith normal forms with their unimodular transforms, integer
-linear system solving, and the standard toolkit for finite abelian groups
-presented by invariant factors (homs, kernels, images, subgroups,
-quotients, direct sums).  All values are immutable after construction and
-all operations are pure functions.
+Hermite and Smith normal forms, integer linear system solving, and the
+standard toolkit for finite abelian groups presented by invariant factors
+(homs, kernels, images, subgroups, quotients, direct sums).  Canonical
+spans, kernels, preimages and intersections come from one transform-free
+Hermite reduction, with no SNF: Hermite form is unique, so any generating
+set of a lattice gives the same span.  All values are immutable after
+construction and all operations are pure functions.
 
 `cokernel_presentation` is the one section primitive: it returns a section
 with every projection, and every quotient lift in the package (subgroups,
@@ -166,57 +168,62 @@ def _swap_rows(rows, i, j):
     rows[i], rows[j] = rows[j], rows[i]
 
 
+def _hermite(rows, width):
+    """The one Hermite loop: reduce equal-length integer rows in place to
+    row Hermite normal form with pivots in the first `width` columns only,
+    and no transform: positive pivots, zeros below and entries above each
+    pivot reduced into [0, pivot).  The pivot is the smallest nonzero
+    |entry|, which keeps entries small without randomization.  Returns the
+    number of pivot rows, which come first."""
+    m = len(rows)
+    r = 0  # next pivot row
+    for j in range(width):
+        if r == m:
+            break
+        # pick smallest |entry| below (and including) row r in column j
+        best = None
+        for i in range(r, m):
+            if rows[i][j] != 0 and (best is None or abs(rows[i][j]) < abs(rows[best][j])):
+                best = i
+        if best is None:
+            continue
+        _swap_rows(rows, r, best)
+        # clear below the pivot by repeated reduction (gcd cascade); a pass
+        # with no swap leaves every remainder zero
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(r + 1, m):
+                if rows[i][j] == 0:
+                    continue
+                q = rows[i][j] // rows[r][j]
+                if q:
+                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
+                if rows[i][j] != 0 and abs(rows[i][j]) < abs(rows[r][j]):
+                    _swap_rows(rows, r, i)
+                    dirty = True
+        if rows[r][j] < 0:
+            rows[r] = [-x for x in rows[r]]
+        # reduce entries above the pivot
+        for i in range(r):
+            q = rows[i][j] // rows[r][j]
+            if q:
+                rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
 def hnf(A: IntMatrix):
     """Row Hermite normal form.
 
     Returns (H, U) with H = U * A, U unimodular, H in row-echelon form with
-    positive pivots and entries above each pivot reduced into [0, pivot).
-    Pivot selection takes the smallest-magnitude nonzero candidate, which
-    keeps intermediate entries small without randomization.
-    """
+    positive pivots and entries above each pivot reduced into [0, pivot):
+    the Hermite loop on the rows of [A | I], pivots limited to A's columns."""
     m, n = A.rows, A.cols
-    a = A.rows_list()
-    u = IntMatrix.identity(m).rows_list()
-    r = 0  # next pivot row
-    for j in range(n):
-        # pick smallest |entry| below (and including) row r in column j
-        best = None
-        for i in range(r, m):
-            if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best][j])):
-                best = i
-        if best is None:
-            continue
-        _swap_rows(a, r, best)
-        _swap_rows(u, r, best)
-        # clear below the pivot by repeated reduction (gcd cascade)
-        while True:
-            dirty = False
-            for i in range(r + 1, m):
-                if a[i][j] == 0:
-                    continue
-                q = a[i][j] // a[r][j]
-                if q:
-                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
-                if a[i][j] != 0 and abs(a[i][j]) < abs(a[r][j]):
-                    _swap_rows(a, r, i)
-                    _swap_rows(u, r, i)
-                    dirty = True
-            if not dirty and all(a[i][j] == 0 for i in range(r + 1, m)):
-                break
-        if a[r][j] < 0:
-            a[r] = [-x for x in a[r]]
-            u[r] = [-x for x in u[r]]
-        # reduce entries above the pivot
-        for i in range(r):
-            q = a[i][j] // a[r][j]
-            if q:
-                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[r])]
-        r += 1
-        if r == m:
-            break
-    return IntMatrix.from_rows(a) if a else IntMatrix(0, n, []), IntMatrix.from_rows(u)
+    rows = [a + e for a, e in zip(A.rows_list(), IntMatrix.identity(m).rows_list())]
+    _hermite(rows, n)
+    H = IntMatrix(m, n, [x for row in rows for x in row[:n]])
+    return H, IntMatrix(m, m, [x for row in rows for x in row[n:]])
 
 
 def snf(A: IntMatrix):
@@ -619,15 +626,20 @@ def hom_from_gen_images(source, target, images):
     return GroupHom(source, target, m)
 
 
+def _lattice_basis(rows, lead, n):
+    """Trailing parts of the pivot rows whose first `lead` entries vanish
+    after one Hermite reduction of `rows` (length lead + n each), as the
+    columns of an n-row matrix: a basis of the row lattice's meet with
+    0 x Z^n, which depends on that lattice only, as Hermite form is unique."""
+    p = _hermite(rows, lead + n)
+    kept = [row[lead:] for row in rows[:p] if not any(row[:lead])]
+    return IntMatrix(n, len(kept), [row[i] for i in range(n) for row in kept])
+
+
 def column_lattice(n, vectors):
     """Canonical column-HNF basis of the lattice in Z^n spanned by
     `vectors`."""
-    cols = [list(v) for v in vectors]
-    if not cols:
-        return IntMatrix(n, 0, [])
-    H, _ = hnf(IntMatrix.from_cols(cols, rows=n).transpose())
-    rows = [r for r in H.rows_list() if any(r)]
-    return IntMatrix.from_rows(rows).transpose() if rows else IntMatrix(n, 0, [])
+    return _lattice_basis([list(v) for v in vectors], 0, n)
 
 
 def span_lattice(group, vectors):
@@ -635,6 +647,41 @@ def span_lattice(group, vectors):
     relations diag(invariant factors).  Uniquely determines the subgroup,
     so equality of subgroups is equality of these matrices."""
     return column_lattice(group.rank, [*vectors, *_moduli_matrix(group).cols_list()])
+
+
+def preimage_lattice(A, span, moduli):
+    """Canonical basis of {v : A v in the column lattice of `span`} +
+    diag(moduli) in Z^(A.cols): the rows of [A^T | I ; span^T | 0 ;
+    0 | diag(moduli)] whose first A.rows entries vanish after one Hermite
+    reduction.  No normal form with transforms runs."""
+    s = A.cols
+    rows = [c + e for c, e in zip(A.cols_list(), IntMatrix.identity(s).rows_list())]
+    rows += [c + [0] * s for c in span.cols_list()]
+    rows += [[0] * A.rows + d for d in IntMatrix.diagonal(list(moduli)).rows_list()]
+    return _lattice_basis(rows, A.rows, s)
+
+
+def preimage_span(f, span):
+    """Canonical span (in source coordinates) of {v : f(v) lies in the
+    lattice of `span`}, for a span of f's target that contains its
+    relations.  The kernel of multiplication by 2 on Z/8 is 4Z/8:
+
+    >>> Z8 = FinAbGroup((8,))
+    >>> double = GroupHom(Z8, Z8, IntMatrix(1, 1, [2]))
+    >>> preimage_span(double, span_lattice(Z8, [])).rows_list()
+    [[4]]
+    """
+    return preimage_lattice(f.matrix, span, f.source.invariant_factors)
+
+
+def intersect_spans(G, s1, s2):
+    """Canonical span of the meet of two span lattices of G, plus G's
+    relations: one Hermite reduction of [s1^T | s1^T ; s2^T | 0 ;
+    0 | diag(G)]."""
+    r = G.rank
+    rows = [c + c for c in s1.cols_list()] + [c + [0] * r for c in s2.cols_list()]
+    rows += [[0] * r + d for d in _moduli_matrix(G).rows_list()]
+    return _lattice_basis(rows, r, r)
 
 
 def _canonical_diagonal(group, span):
@@ -833,16 +880,8 @@ def kernel_generators(f: GroupHom):
 
 
 def hom_kernel_span(f: GroupHom):
-    """Canonical span (in source coordinates) of ker f."""
-    s, t = f.source.rank, f.target.rank
-    if s == 0:
-        return IntMatrix(0, 0, [])
-    if t == 0:
-        return span_lattice(f.source, IntMatrix.identity(s).cols_list())
-    stacked = f.matrix.hstack(_moduli_matrix(f.target))
-    sys = IntLinearSystem(stacked)
-    vecs = [k[:s] for k in sys.kernel_basis()]
-    return span_lattice(f.source, vecs)
+    """Canonical span (in source coordinates) of ker f, the preimage of 0."""
+    return preimage_span(f, _moduli_matrix(f.target))
 
 
 def hom_image_span(f: GroupHom):

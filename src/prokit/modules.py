@@ -38,12 +38,14 @@ from .intlinalg import (
     IntLinearSystem,
     IntMatrix,
     cokernel_presentation,
-    column_lattice,
     direct_sum_groups,
     hom_image_span,
     hom_kernel_span,
     induced_hom,
+    intersect_spans,
     linear_combination,
+    preimage_lattice,
+    preimage_span,
     quotient_group,
     span_contains,
     span_lattice,
@@ -409,41 +411,16 @@ def ideal_power_image(M, I, n):
     return Submodule(M, span_lattice(M.group, cols))
 
 
-def preimage_span(M, hom, span):
-    """Span of {v : hom(v) lies in the given span of hom's target}."""
-    r_src = hom.source.rank
-    if hom.target.rank == 0 or r_src == 0:
-        return span_lattice(hom.source, IntMatrix.identity(r_src).cols_list())
-    parts = hom.matrix
-    if span.cols:
-        parts = parts.hstack(span)
-    parts = parts.hstack(IntMatrix.diagonal(list(hom.target.invariant_factors)))
-    sys = IntLinearSystem(parts)
-    vecs = [k[:r_src] for k in sys.kernel_basis()]
-    return span_lattice(hom.source, vecs)
-
-
-def intersect_spans(G, s1, s2):
-    """Intersection of two canonical span lattices of the same group."""
-    if not s1.cols or not s2.cols:
-        return s1 if not s1.cols else s2
-    stacked = s1.hstack(s2.neg())
-    sys = IntLinearSystem(stacked)
-    vecs = [s1.apply(tuple(k[: s1.cols])) for k in sys.kernel_basis()]
-    return span_lattice(G, vecs)
-
-
 def colon_submodule(M, N, x, e):
     """N :_M x^e, the elements multiplied into N by x^e."""
     A = M.action_hom(x ** e)
-    return Submodule(M, preimage_span(M, A, N.span))
+    return Submodule(M, preimage_span(A, N.span))
 
 
 def torsion_submodule(M, I):
     """I-torsion via the stable idempotent: 0 :_M e where I^c = e R."""
     _, e = ideal_stabilization(I)
-    A = M.action_hom(e)
-    return Submodule(M, preimage_span(M, A, M.zero_span()))
+    return Submodule(M, hom_kernel_span(M.action_hom(e)))
 
 
 def torsion_by_colon_ascent(M, I):
@@ -457,7 +434,7 @@ def torsion_by_colon_ascent(M, I):
     while True:
         nxt = None
         for A in hom_list:
-            pre = preimage_span(M, A, span)
+            pre = preimage_span(A, span)
             nxt = pre if nxt is None else intersect_spans(M.group, nxt, pre)
         if nxt == span:
             return Submodule(M, span)
@@ -722,10 +699,7 @@ def hom_module_data(M, N):
                 cond_rows.append(row)
                 cond_mods.append(b[i])
     C = IntMatrix.from_rows(cond_rows)
-    sys = IntLinearSystem(C.hstack(IntMatrix.diagonal(cond_mods)))
-    lattice_vecs = [k[:nvars] for k in sys.kernel_basis()]
-    lattice_vecs += IntMatrix.diagonal(list(pair_moduli)).cols_list()
-    L = column_lattice(nvars, lattice_vecs)
+    L = preimage_lattice(C, IntMatrix.diagonal(cond_mods), pair_moduli)
     # present L / diag(pair_moduli): relations among the lattice basis
     decode_sys = IntLinearSystem(L.hstack(IntMatrix.diagonal(list(pair_moduli))))
     rel_cols = [list(k[: L.cols]) for k in decode_sys.kernel_basis()]

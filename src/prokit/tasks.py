@@ -190,7 +190,10 @@ def _resolve_element(R, named, ref):
     if isinstance(ref, (list, tuple)):
         if len(ref) != R.rank:
             raise ParseError(f"coordinate vector of length {len(ref)} for rank {R.rank}")
-        return R.element(tuple(int(c) for c in ref))
+        try:
+            return R.element(tuple(int(c) for c in ref))
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"bad coordinate vector {ref!r}: {exc}") from exc
     raise ParseError(f"cannot interpret element reference {ref!r}")
 
 
@@ -206,7 +209,7 @@ def _build_module(R, named, spec):
         gens = _field(spec, "generators", _count)
         rels = [
             [_resolve_element(R, named, ref) for ref in rel]
-            for rel in _field(spec, "relations", list, [])
+            for rel in _field(spec, "relations", _reference_lists, [])
         ]
         for rel in rels:
             if len(rel) != gens:
@@ -280,6 +283,8 @@ def _family_sequences(family):
     seqs = _field(family, "sequences", _reference_lists, None)
     if seqs is None:
         seqs = [_field(family, "sequence", list, ["x"])]
+    if not all(seqs):
+        raise ParseError("a sweep tracks entry (1, 1), so no family sequence may be empty")
     return {"_family": seqs}
 
 
@@ -443,6 +448,7 @@ def run_verify_task(task):
             elif check == "bound_transfer":
                 if lip is None:
                     lip = lipman_profile(M, seq, n_max, m_max)
+                if gm is None:
                     gm = gm_profile(M, seq, n_max, m_max)
                 out = verify_bound_transfer(M, seq, lip, gm)
                 note("bound_transfer", _outcome_payload(out), out.passed)

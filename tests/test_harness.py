@@ -205,11 +205,20 @@ def verify_text(**analysis):
             ).encode(),
         ),
         # errors raised while the modules are built
+        ("check", task_text(sequences={"xs": [[None]]}).encode()),
         ("check", task_text(modules={"M": {"kind": "free", "rank": -2}}).encode()),
         ("check", task_text(modules={"M": {"kind": "presentation", "generators": -1}}).encode()),
+        (
+            "check",
+            task_text(
+                modules={"M": {"kind": "presentation", "generators": 1, "relations": [2]}}
+            ).encode(),
+        ),
         # fields read only when the task runs
         ("sweep", family_text(range=[2, 3], sequences=5).encode()),
         ("sweep", family_text(range=[2, 3], sequences=[5]).encode()),
+        ("sweep", family_text(range=[2, 3], sequences=[["x"], []]).encode()),
+        ("profile", family_text(range=[2, 3], sequence=[]).encode()),
         ("check", verify_text(checks=5).encode()),
         ("check", verify_text(checks=[], cartier={"x": 2}).encode()),
         ("check", verify_text(checks=["torsion_routes"], module=["M"]).encode()),
@@ -227,10 +236,14 @@ def verify_text(**analysis):
         "raw_unit_length",
         "raw_products_short",
         "raw_products_short_axioms",
+        "coordinate_not_an_integer",
         "free_negative_rank",
         "presentation_negative_generators",
+        "presentation_relation_not_a_list",
         "family_sequences_not_a_list",
         "family_sequences_entry_not_a_list",
+        "family_sequences_entry_empty",
+        "family_sequence_empty",
         "checks_not_a_list",
         "cartier_without_ideal",
         "module_name_not_a_string",
@@ -331,6 +344,17 @@ def test_degenerate_inputs_pass_every_check(doc, check, tmp_path, capsys):
     out = capsys.readouterr()
     assert out.err == ""
     assert json.loads(out.out)["results"][check]["passed"] is True
+
+
+def test_bound_transfer_after_thm2_builds_its_own_gm_profile(tmp_path, capsys):
+    # thm2 leaves only the Lipman and weak profiles behind
+    path = write_doc(
+        tmp_path, ring=Z12, sequences={"s": [2]}, analysis={"checks": ["thm2", "bound_transfer"]}
+    )
+    assert main(["check", path]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert json.loads(out.out)["results"]["bound_transfer"]["passed"] is True
 
 
 def test_lipman_forms_disagreement_is_a_failed_check(monkeypatch):

@@ -16,9 +16,12 @@ from prokit.intlinalg import (
     direct_sum_groups,
     hnf,
     hom_image_span,
+    column_lattice,
     hom_kernel_span,
+    intersect_spans,
     kernel_generators,
     mat_inverse_unimodular,
+    preimage_span,
     quotient_group,
     snf,
     solve_hom,
@@ -501,3 +504,163 @@ def test_product_kernels_match_naive_loops():
         expected = tuple(sum(A[i, t] * vec[t] for t in range(k)) for i in range(m))
         assert A.apply(vec) == expected
         assert A.apply(tuple(vec)) == expected
+
+
+# ---------------------------------------------------------------------------
+# Canonical spans by one transform-free Hermite reduction, against the SNF
+# kernel bodies and the HNF-with-transform lattice they replaced
+
+
+def _ref_column_lattice(n, vectors):
+    cols = [list(v) for v in vectors]
+    if not cols:
+        return IntMatrix(n, 0, [])
+    H, _ = hnf(IntMatrix.from_cols(cols, rows=n).transpose())
+    rows = [r for r in H.rows_list() if any(r)]
+    return IntMatrix.from_rows(rows).transpose() if rows else IntMatrix(n, 0, [])
+
+
+def _ref_span_lattice(G, vectors):
+    relations = IntMatrix.diagonal(list(G.invariant_factors)).cols_list()
+    return _ref_column_lattice(G.rank, [*vectors, *relations])
+
+
+def _ref_preimage_span(f, span):
+    r_src = f.source.rank
+    if f.target.rank == 0 or r_src == 0:
+        return _ref_span_lattice(f.source, IntMatrix.identity(r_src).cols_list())
+    parts = f.matrix
+    if span.cols:
+        parts = parts.hstack(span)
+    parts = parts.hstack(IntMatrix.diagonal(list(f.target.invariant_factors)))
+    vecs = [k[:r_src] for k in IntLinearSystem(parts).kernel_basis()]
+    return _ref_span_lattice(f.source, vecs)
+
+
+def _ref_hom_kernel_span(f):
+    s, t = f.source.rank, f.target.rank
+    if s == 0:
+        return IntMatrix(0, 0, [])
+    if t == 0:
+        return _ref_span_lattice(f.source, IntMatrix.identity(s).cols_list())
+    stacked = f.matrix.hstack(IntMatrix.diagonal(list(f.target.invariant_factors)))
+    vecs = [k[:s] for k in IntLinearSystem(stacked).kernel_basis()]
+    return _ref_span_lattice(f.source, vecs)
+
+
+def _ref_intersect_spans(G, s1, s2):
+    if not s1.cols or not s2.cols:
+        return s1 if not s1.cols else s2
+    system = IntLinearSystem(s1.hstack(s2.neg()))
+    vecs = [s1.apply(tuple(k[: s1.cols])) for k in system.kernel_basis()]
+    return _ref_span_lattice(G, vecs)
+
+
+def _ref_preimage_lattice(A, span, moduli):
+    """hom_module_data's lattice as it was computed from one SNF kernel."""
+    vecs = [k[: A.cols] for k in IntLinearSystem(A.hstack(span)).kernel_basis()]
+    vecs += IntMatrix.diagonal(list(moduli)).cols_list()
+    return _ref_column_lattice(A.cols, vecs)
+
+
+HERMITE_CHAINS = RECORD_CHAINS + [(2, 4, 8, 8, 16)]
+
+
+def assert_column_hermite(span):
+    """Column echelon form with positive pivots, each pivot's row reduced
+    into [0, pivot) in the columns before it: the shape that makes the
+    basis unique (checked directly, since `hnf` shares the Hermite loop)."""
+    pivots = []
+    for col in span.cols_list():
+        p = next(i for i, e in enumerate(col) if e)
+        assert col[p] > 0 and all(p > q for q in pivots)
+        assert all(0 <= span[p, c] < col[p] for c in range(len(pivots)))
+        pivots.append(p)
+
+
+def random_hom(rng, G, H):
+    """A random well-defined hom G -> H with unreduced and negative entries:
+    entry (i, j) is a multiple of h_i / gcd(h_i, g_j) in [-3 h_i, 3 h_i]."""
+    g, h = G.invariant_factors, H.invariant_factors
+    entries = []
+    for i in range(H.rank):
+        for j in range(G.rank):
+            unit = h[i] // gcd(h[i], g[j])
+            entries.append(rng.randint(-3 * gcd(h[i], g[j]), 3 * gcd(h[i], g[j])) * unit)
+    return GroupHom(G, H, IntMatrix(H.rank, G.rank, entries))
+
+
+def random_span(rng, G):
+    return span_lattice(G, [rand_vec(rng, G.rank) for _ in range(rng.randint(0, 3))])
+
+
+def test_hermite_spans_match_snf_kernel_reference(monkeypatch):
+    import prokit.intlinalg as intlinalg
+
+    rng = random.Random(0x4E2F)
+    snf_calls = []
+    real_snf = intlinalg.snf
+    counting = lambda A: snf_calls.append(A) or real_snf(A)
+    chains = [FinAbGroup(c) for c in HERMITE_CHAINS]
+    for G in chains:
+        for _ in range(12):
+            H = rng.choice(chains)
+            f = random_hom(rng, G, H)
+            assert f.is_well_defined()
+            target_spans = [span_lattice(H, []), random_span(rng, H), random_span(rng, H)]
+            s1 = random_span(rng, G)
+            s2 = _ref_hom_kernel_span(random_hom(rng, G, rng.choice(chains)))
+            vecs = [rand_vec(rng, G.rank) for _ in range(rng.randint(0, 4))]
+            expected = (
+                [_ref_preimage_span(f, span) for span in target_spans],
+                _ref_hom_kernel_span(f),
+                _ref_intersect_spans(G, s1, s2),
+                _ref_column_lattice(G.rank, vecs),
+                _ref_span_lattice(G, vecs),
+            )
+            monkeypatch.setattr(intlinalg, "snf", counting)
+            got = (
+                [preimage_span(f, span) for span in target_spans],
+                hom_kernel_span(f),
+                intersect_spans(G, s1, s2),
+                column_lattice(G.rank, vecs),
+                span_lattice(G, vecs),
+            )
+            monkeypatch.setattr(intlinalg, "snf", real_snf)
+            assert got == expected
+            for span in [*got[0], *got[1:]]:
+                assert_column_hermite(span)
+    # the canonical spans, kernels, preimages and meets run no SNF
+    assert snf_calls == []
+
+
+def test_hom_module_lattice_matches_snf_kernel_reference(monkeypatch):
+    import prokit.modules as modules
+    from prokit.modules import (
+        cyclic_quotient_module,
+        hom_module_data,
+        matlis_dual,
+        module_from_presentation,
+        ring_as_module,
+    )
+    from prokit.rings import ideal, truncated_two_power, zmod
+
+    R = zmod(12)
+    T, x, _ = truncated_two_power(3)
+    M2, _, _ = module_from_presentation(zmod(4), 1, [[zmod(4).from_int(2)]])
+    real = modules.preimage_lattice
+    pairs = [
+        (ring_as_module(R), ring_as_module(R)),
+        (cyclic_quotient_module(R, ideal(R, [R.from_int(4)])), matlis_dual(ring_as_module(R))),
+        (ring_as_module(T), matlis_dual(ring_as_module(T))),
+        (cyclic_quotient_module(T, ideal(T, [x])), ring_as_module(T)),
+        (M2, ring_as_module(zmod(4))),
+    ]
+    for M, N in pairs:
+        new = hom_module_data(M, N)
+        monkeypatch.setattr(modules, "preimage_lattice", _ref_preimage_lattice)
+        old = hom_module_data(M, N)
+        monkeypatch.setattr(modules, "preimage_lattice", real)
+        assert new._lattice == old._lattice
+        assert new.module.group == old.module.group
+        assert [a.matrix for a in new.module.actions] == [a.matrix for a in old.module.actions]
