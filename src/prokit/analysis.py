@@ -7,31 +7,45 @@ from n upward.  Validity is upward-closed in m, so the first hit is the
 minimum.  Entries that exhaust the search bound are recorded as
 inconclusive together with that bound; over a finite module the default
 budget always suffices, so an inconclusive entry at the default budget
-signals a bug rather than an expected outcome."""
+signals a bug rather than an expected outcome.
+
+Lipman's, Greenlees-May's and the Cartier profile share one condition,
+(N_m :_M y^m) <= (N_n :_M y^(m-n)), and one scan, `_witness_scan`; they
+differ only in the levels N_m that `_levels` yields: x^(m) M (elementwise
+powers of the prefix) or I^m M (powers of the prefix ideal, over R itself
+for Cartier).  The weak profile scans Koszul transitions instead."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from math import comb
 
 from .errors import IdentificationFailure, InsufficientBound, NotCovering
-from .intlinalg import hom_kernel_span, intersect_spans, span_lattice, span_leq, span_subgroup_order
-from .complexes import KoszulTower, cech_cohomology, pro_zero_index
+from .intlinalg import (
+    hom_kernel_span,
+    intersect_spans,
+    preimage_span,
+    span_lattice,
+    span_leq,
+    span_subgroup_order,
+)
+from .complexes import KoszulTower, cech_cohomology, cech_complex, pro_zero_index
 from .modules import (
     Submodule,
     colon_submodule,
     hom_module,
     ideal_power_image,
+    image_submodule,
     is_divisible,
     localize_module,
     matlis_dual,
-    power_image,
     quotient_module,
     ring_as_module,
     subquotient_module,
     torsion_submodule,
 )
-from .rings import ideal, ideal_sum, is_covering, localize, primitive_idempotents
+from .rings import ideal, ideal_product, ideal_sum, is_covering, localize, primitive_idempotents
 
 
 @dataclass(frozen=True)
@@ -90,94 +104,92 @@ def default_budget(M, k, n_max):
 
 def bounded_torsion_index(M, x):
     """Least c with 0 :_M x^c = 0 :_M x^{c+1}, plus the strictly increasing
-    chain of annihilator orders as the witness."""
-    zero = Submodule(M, M.zero_span())
-    prev = colon_submodule(M, zero, x, 0)
+    chain of annihilator orders as the witness.  0 :_M x^{c+1} is the
+    preimage of 0 :_M x^c under x, so no power of x is formed.
+
+    >>> from prokit.rings import zmod
+    >>> R = zmod(8)
+    >>> bounded_torsion_index(ring_as_module(R), R.from_int(2))
+    (3, [2, 4, 8])
+    """
+    act = M.action_hom(x)
+    prev = M.zero_span()
     chain = []
-    c = 0
     while True:
-        nxt = colon_submodule(M, zero, x, c + 1)
+        nxt = preimage_span(act, prev)
         if nxt == prev:
-            return c, chain
-        chain.append(nxt.order())
+            return len(chain), chain
+        chain.append(span_subgroup_order(M.group, nxt))
         prev = nxt
-        c += 1
 
 
-def _lipman_condition(M, xs, y, n, m, cache):
-    """Display-(2) inclusion at (n, m), cross-checked against the zero-map
-    form of display (1)."""
-    key = ("pow", m)
-    if key not in cache:
-        cache[key] = power_image(M, xs, [m] * len(xs))
-    Nm = cache[key]
-    key = ("pow", n)
-    if key not in cache:
-        cache[key] = power_image(M, xs, [n] * len(xs))
-    Nn = cache[key]
-    left = colon_submodule(M, Nm, y, m)
-    right = colon_submodule(M, Nn, y, m - n)
-    incl = left.leq(right)
-    # zero-map form: y^{m-n} maps the colon into the level-n submodule
-    ymn = M.action_hom(y ** (m - n))
-    mapped = span_lattice(M.group, [ymn.matrix.apply(M.group.reduce(tuple(c))) for c in left.span.cols_list()])
-    zero_map_form = span_leq(M.group, mapped, Nn.span)
-    if incl != zero_map_form:
-        raise IdentificationFailure("the two forms of the proregularity condition disagree")
-    return incl
+def _levels(M, kind, xs):
+    """The levels N_1, N_2, ... of a colon scan over the prefix xs, each
+    one multiplication past the one before: x^(m) M (elementwise powers,
+    Lipman) for kind "lipman", I^m M with I = (xs) (ideal powers,
+    Greenlees-May) for any other kind."""
+    if kind == "lipman":
+        gens = list(xs)
+        while True:
+            yield image_submodule(M, gens)
+            gens = [g * x for g, x in zip(gens, xs)]
+    I = J = ideal(M.ring, list(xs))
+    while True:
+        yield image_submodule(M, J.span_elements())
+        J = ideal_product(J, I)
 
 
-def _gm_condition(M, I, y, n, m, cache):
-    key = ("ipow", m)
-    if key not in cache:
-        cache[key] = ideal_power_image(M, I, m)
-    Nm = cache[key]
-    key = ("ipow", n)
-    if key not in cache:
-        cache[key] = ideal_power_image(M, I, n)
-    Nn = cache[key]
-    left = colon_submodule(M, Nm, y, m)
-    right = colon_submodule(M, Nn, y, m - n)
-    return left.leq(right)
+def _witness_scan(M, levels, y, n_max, m_max):
+    """{n: least m in [n, m_max] with (N_m :_M y^m) <= (N_n :_M y^(m-n))}
+    for n = 1..n_max, None where no m is, with N_m the m-th item of
+    `levels`.  Each level, each power y^e (one multiplication past
+    y^(e-1)) and each left colon is built once; every colon is the
+    preimage of a level under the action of a power.  Every inclusion is
+    cross-checked against the zero-map form y^(m-n) (N_m :_M y^m) <= N_n,
+    which goes through `span_leq` where the inclusion goes through
+    `Submodule.leq`."""
+    power = M.ring.one()
+    acts = [M.action_hom(power)]  # acts[e]: the action of y^e
+    N = [None]
+    lefts = [None]  # lefts[m] = N_m :_M y^m
+    found = {}
+    for n in range(1, n_max + 1):
+        found[n] = None
+        for m in range(n, m_max + 1):
+            while len(lefts) <= m:
+                power = power * y
+                acts.append(M.action_hom(power))
+                N.append(next(levels))
+                lefts.append(Submodule(M, preimage_span(acts[-1], N[-1].span)))
+            left = lefts[m]
+            incl = left.leq(Submodule(M, preimage_span(acts[m - n], N[n].span)))
+            mapped = span_lattice(M.group, (acts[m - n].matrix * left.span).cols_list())
+            if incl != span_leq(M.group, mapped, N[n].span):
+                raise IdentificationFailure("the two forms of the proregularity condition disagree")
+            if incl:
+                found[n] = m
+                break
+    return found
+
+
+def _profile(M, x_seq, kind, n_max, m_max):
+    k = len(x_seq)
+    m_max = m_max if m_max is not None else default_budget(M, k, n_max)
+    entries = {}
+    for i in range(1, k + 1):
+        scan = _witness_scan(M, _levels(M, kind, x_seq[: i - 1]), x_seq[i - 1], n_max, m_max)
+        entries.update(((i, n), m) for n, m in scan.items())
+    return Profile(kind, k, n_max, m_max, entries)
 
 
 def lipman_profile(M, x_seq, n_max, m_max=None):
     """Minimal witnesses for the elementwise-power form of proregularity."""
-    k = len(x_seq)
-    m_max = m_max if m_max is not None else default_budget(M, k, n_max)
-    entries = {}
-    for i in range(1, k + 1):
-        xs = list(x_seq[: i - 1])
-        y = x_seq[i - 1]
-        cache = {}
-        for n in range(1, n_max + 1):
-            found = None
-            for m in range(n, m_max + 1):
-                if _lipman_condition(M, xs, y, n, m, cache):
-                    found = m
-                    break
-            entries[(i, n)] = found
-    return Profile("lipman", k, n_max, m_max, entries)
+    return _profile(M, x_seq, "lipman", n_max, m_max)
 
 
 def gm_profile(M, x_seq, n_max, m_max=None):
     """Minimal witnesses for the ideal-power form of proregularity."""
-    k = len(x_seq)
-    m_max = m_max if m_max is not None else default_budget(M, k, n_max)
-    R = M.ring
-    entries = {}
-    for i in range(1, k + 1):
-        I = ideal(R, list(x_seq[: i - 1]))
-        y = x_seq[i - 1]
-        cache = {}
-        for n in range(1, n_max + 1):
-            found = None
-            for m in range(n, m_max + 1):
-                if _gm_condition(M, I, y, n, m, cache):
-                    found = m
-                    break
-            entries[(i, n)] = found
-    return Profile("gm", k, n_max, m_max, entries)
+    return _profile(M, x_seq, "gm", n_max, m_max)
 
 
 def weak_profile(M, x_seq, n_max, m_max=None, i_max=None):
@@ -196,17 +208,12 @@ def weak_profile(M, x_seq, n_max, m_max=None, i_max=None):
 
 def violating_certificate(M, x_seq, kind, i, n, m):
     """An explicit element of the level-m colon whose y^{m-n} multiple is
-    nonzero in the level-n quotient, or None when the inclusion holds."""
-    xs = list(x_seq[: i - 1])
+    nonzero in the level-n quotient, or None when the inclusion holds.
+    One entry checked element by element, apart from the profile scans."""
     y = x_seq[i - 1]
-    if kind == "lipman":
-        Nm = power_image(M, xs, [m] * len(xs))
-        Nn = power_image(M, xs, [n] * len(xs))
-    else:
-        I = ideal(M.ring, xs)
-        Nm = ideal_power_image(M, I, m)
-        Nn = ideal_power_image(M, I, n)
-    left = colon_submodule(M, Nm, y, m)
+    levels = list(islice(_levels(M, kind, x_seq[: i - 1]), m))
+    Nn = levels[n - 1]
+    left = colon_submodule(M, levels[m - 1], y, m)
     ymn = M.action_hom(y ** (m - n))
     for col in left.span.cols_list():
         u = M.group.element(col)
@@ -318,8 +325,9 @@ def injective_criterion(M, x_seq, mode):
             ok = ok and vanish and divisible
         profile = lipman_profile(M, x_seq, 2)
     elif mode == "weak":
+        cech = cech_complex(list(x_seq), H)
         for i in range(1, k + 1):
-            vanish = cech_cohomology(list(x_seq), H, i).is_zero_module()
+            vanish = cech.cohomology_data(i).module.is_zero_module()
             details[f"degree_{i}"] = {"cech_vanishes": vanish}
             ok = ok and vanish
         profile = weak_profile(M, x_seq, 2)
@@ -343,13 +351,11 @@ def regular_then_bounded(M, x_seq, y):
     k = len(x_seq)
     regular = []
     for i in range(1, k + 1):
-        prefix = power_image(M, list(x_seq[: i - 1]), [1] * (i - 1))
-        Q, _ = quotient_module(M, prefix)
+        Q, _ = quotient_module(M, image_submodule(M, x_seq[: i - 1]))
         ker = hom_kernel_span(Q.action_hom(x_seq[i - 1]))
         injective = span_subgroup_order(Q.group, ker) == 1
         regular.append(injective)
-    full = power_image(M, list(x_seq), [1] * k)
-    Qfull, _ = quotient_module(M, full)
+    Qfull, _ = quotient_module(M, image_submodule(M, x_seq))
     c, chain = bounded_torsion_index(Qfull, y)
     hypothesis_ok = all(regular)
     details = {
@@ -459,16 +465,8 @@ def local_global_check(M, x_seq, covering=None, mode=None, n_max=2, m_max=None):
 def cartier_profile(R, I, x, n_max, m_max):
     """Minimal witnesses for the ideal form: I^m : x^m inside I^n : x^{m-n}."""
     M = ring_as_module(R)
-    cache = {}
-    entries = {}
-    for n in range(1, n_max + 1):
-        found = None
-        for m in range(n, m_max + 1):
-            if _gm_condition(M, I, x, n, m, cache):
-                found = m
-                break
-        entries[(1, n)] = found
-    return Profile("cartier", 1, n_max, m_max, entries)
+    scan = _witness_scan(M, _levels(M, "cartier", I.generators), x, n_max, m_max)
+    return Profile("cartier", 1, n_max, m_max, {(1, n): m for n, m in scan.items()})
 
 
 def cartier_check(R, I, x, n_max=3, m_max=None):

@@ -36,6 +36,7 @@ from .modules import (
     direct_sum_modules,
     free_resolution,
     homology_module,
+    image_submodule,
     module_power,
     power_image,
     quotient_module_data,
@@ -413,8 +414,7 @@ def _localized_module(M, elems):
     for x in elems:
         f = f * x
     _, e = fitting_split(R, f)
-    span = span_lattice(M.group, M.action_hom(e).matrix.cols_list())
-    S, _, data = submodule_module_data(M, Submodule(M, span))
+    S, _, data = submodule_module_data(M, image_submodule(M, [e]))
     return S, data, e
 
 
@@ -450,11 +450,12 @@ def cech_complex(x_seq, M):
 
 def cech_cohomology(x_seq, M, i):
     """H^i of the Cech cochain complex; degree 0 equals the torsion
-    submodule of the generated ideal."""
-    data = cech_complex(x_seq, M)
+    submodule of the generated ideal.  One degree per call: a caller
+    that needs several builds `cech_complex` once and reads each off
+    `cohomology_data`."""
     if i > len(x_seq):
         return zero_module(M.ring)
-    return data.cohomology_data(i).module
+    return cech_complex(x_seq, M).cohomology_data(i).module
 
 
 # ---------------------------------------------------------------------------

@@ -91,13 +91,14 @@ class IntMatrix:
         return self._data[i * self.cols : (i + 1) * self.cols]
 
     def col(self, j):
-        return tuple(self._data[i * self.cols + j] for i in range(self.rows))
+        # a slice step must not be 0, and a matrix with no columns has none
+        return self._data[j :: self.cols] if self.cols else ()
 
     def rows_list(self):
         return [list(self.row(i)) for i in range(self.rows)]
 
     def cols_list(self):
-        return [list(self.col(j)) for j in range(self.cols)]
+        return [list(self._data[j :: self.cols]) for j in range(self.cols)]
 
     def transpose(self):
         return IntMatrix(

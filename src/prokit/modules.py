@@ -54,7 +54,7 @@ from .intlinalg import (
     subgroup_embedding,
     subquotient_group,
 )
-from .rings import RingElement, ideal_power, ideal_stabilization
+from .rings import RingElement, ideal, ideal_power, ideal_stabilization
 
 
 class FgModule:
@@ -391,24 +391,25 @@ def generated_submodule(M, gens):
     return Submodule(M, span_closure(M, [g.coords for g in gens]))
 
 
+def image_submodule(M, elements):
+    """(a_1, ..., a_j) M: the sum of the action images (each already
+    action-closed, so no closure pass is needed)."""
+    cols = []
+    for a in elements:
+        cols.extend(M.action_hom(a).matrix.cols_list())
+    return Submodule(M, span_lattice(M.group, cols))
+
+
 def power_image(M, elements, exponents):
-    """(x_1^{m_1}, ..., x_j^{m_j}) M: the sum of the power-action images
-    (already action-closed, so no closure pass is needed)."""
+    """(x_1^{m_1}, ..., x_j^{m_j}) M."""
     if len(elements) != len(exponents):
         raise DimensionMismatch("one exponent per element")
-    cols = []
-    for x, m in zip(elements, exponents):
-        cols.extend(M.action_hom(x ** m).matrix.cols_list())
-    return Submodule(M, span_lattice(M.group, cols))
+    return image_submodule(M, [x ** m for x, m in zip(elements, exponents)])
 
 
 def ideal_power_image(M, I, n):
     """I^n * M as a submodule."""
-    In = ideal_power(I, n)
-    cols = []
-    for g in In.span_elements():
-        cols.extend(M.action_hom(g).matrix.cols_list())
-    return Submodule(M, span_lattice(M.group, cols))
+    return image_submodule(M, ideal_power(I, n).span_elements())
 
 
 def colon_submodule(M, N, x, e):
@@ -918,8 +919,7 @@ def derived_functor(kind, M, N, i, resolution_length=None):
 def adic_completion(M, I):
     """Stable-power completion M / I^c M; returns (module, surjection)."""
     _, e = ideal_stabilization(I)
-    span = span_lattice(M.group, M.action_hom(e).matrix.cols_list())
-    return quotient_module(M, Submodule(M, span))
+    return quotient_module(M, image_submodule(M, [e]))
 
 
 def cyclic_quotient_module(R, I):
@@ -932,14 +932,11 @@ def cyclic_quotient_module(R, I):
 def local_cohomology(M, I, i):
     """H^i_I(M) as Ext^i(R/I^c, M) for the stable power index c; the colimit
     over n is eventually constant because the powers I^n are."""
-    from .rings import Ideal
-
-    c, e = ideal_stabilization(I)
-    stable = ideal_power(I, c) if c else Ideal(M.ring, (M.ring.one(),))
+    _, e = ideal_stabilization(I)
+    stable = ideal(M.ring, [e])  # I^c = e R
     if stable.is_unit_ideal():
         return zero_module(M.ring)
-    RmodIc = cyclic_quotient_module(M.ring, stable)
-    return derived_functor("ext", RmodIc, M, i)
+    return derived_functor("ext", cyclic_quotient_module(M.ring, stable), M, i)
 
 
 def localize_module(M, loc):

@@ -31,7 +31,7 @@ from .analysis import (
     verify_bound_transfer,
     weak_profile,
 )
-from .complexes import cech_cohomology, cech_homology, colon_identification, cech_tor_compare
+from .complexes import cech_complex, cech_homology, colon_identification, cech_tor_compare
 from .modules import (
     adic_completion,
     local_cohomology,
@@ -556,11 +556,12 @@ def _vanishing_battery(M, seq):
     I = ideal(R, list(seq))
     payload = {}
     ok = True
+    cech = cech_complex(list(seq), M)
     for i in range(1, k + 1):
-        z = cech_cohomology(list(seq), M, i).is_zero_module()
+        z = cech.cohomology_data(i).module.is_zero_module()
         payload[f"cech_cohomology_{i}_zero"] = z
         ok = ok and z
-    h0 = cech_cohomology(list(seq), M, 0)
+    h0 = cech.cohomology_data(0).module
     gamma, _ = submodule_module(M, torsion_submodule(M, I))
     lc0 = local_cohomology(M, I, 0)
     agree0 = modules_isomorphic(h0, gamma) and modules_isomorphic(h0, lc0)

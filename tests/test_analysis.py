@@ -115,15 +115,45 @@ def test_weak_profile_truncated_family():
 
 def test_validity_upward_closed():
     # if m witnesses level n then any larger m witnesses it too
-    from prokit.analysis import _lipman_condition
-
     R = zmod(12)
     M = ring_as_module(R)
-    xs = [R.from_int(2)]
-    y = R.from_int(6)
-    cache = {}
-    hits = [m for m in range(1, 9) if _lipman_condition(M, xs, y, 1, m, cache)]
+    seq = [R.from_int(2), R.from_int(6)]
+    hits = [m for m in range(1, 9) if violating_certificate(M, seq, "lipman", 2, 1, m) is None]
     assert hits == list(range(hits[0], 9))
+
+
+def test_colon_scans_form_no_ring_powers(monkeypatch):
+    # each power in a scan is one multiplication past the one before
+    from prokit.analysis import cartier_profile
+    from prokit.rings import RingElement
+
+    R, x, one = truncated_two_power(5)
+    M = ring_as_module(R)
+    calls = []
+    real = RingElement.__pow__
+    monkeypatch.setattr(RingElement, "__pow__", lambda self, e: calls.append(e) or real(self, e))
+    assert lipman_profile(M, [x, x + one, x], 2).all_conclusive()
+    assert gm_profile(M, [x, x], 2).all_conclusive()
+    cartier_profile(R, ideal(R, [x]), x, 2, 8)
+    assert bounded_torsion_index(M, x)[0] == 5
+    assert calls == []
+
+
+def test_scan_levels_match_power_images():
+    # the scan grows each level by one factor; power_image forms each power afresh
+    from itertools import islice
+
+    from prokit.analysis import _levels
+    from prokit.modules import ideal_power_image, power_image
+
+    R, x, one = truncated_two_power(5)
+    M = ring_as_module(R)
+    for xs in ([], [x], [x, x + x, one]):
+        lip = list(islice(_levels(M, "lipman", xs), 6))
+        gm = list(islice(_levels(M, "gm", xs), 6))
+        for m in range(1, 7):
+            assert lip[m - 1] == power_image(M, xs, [m] * len(xs))
+            assert gm[m - 1] == ideal_power_image(M, ideal(R, xs), m)
 
 
 def test_violating_certificate_exists_below_witness():

@@ -357,6 +357,27 @@ def test_bound_transfer_after_thm2_builds_its_own_gm_profile(tmp_path, capsys):
     assert json.loads(out.out)["results"]["bound_transfer"]["passed"] is True
 
 
+@pytest.mark.parametrize("check", ["vanishing", "injective_weak"])
+def test_one_cech_complex_per_check(monkeypatch, check):
+    # degrees 0..k are read off one complex, not built once per degree
+    import prokit.analysis
+    import prokit.complexes
+    import prokit.tasks
+
+    real = prokit.complexes.cech_complex
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (prokit.complexes, prokit.tasks, prokit.analysis):
+        monkeypatch.setattr(module, "cech_complex", counted, raising=False)
+    text = task_text(sequences={"xs": [2, 4]}, analysis={"kind": "verify", "sequence": "xs", "checks": [check]})
+    assert run_task(parse_spec(text)).body["results"][check]["passed"] is True
+    assert len(calls) == 1
+
+
 def test_lipman_forms_disagreement_is_a_failed_check(monkeypatch):
     import prokit.analysis as analysis
 

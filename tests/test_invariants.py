@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from prokit.analysis import lipman_profile, _lipman_condition
+from prokit.analysis import lipman_profile, violating_certificate
 from prokit.complexes import cech_homology
 from prokit.errors import AxiomViolation
 from prokit.intlinalg import FinAbGroup, GroupHom, IntMatrix
@@ -49,10 +49,9 @@ def test_conclusive_entries_reverify():
         prof = lipman_profile(M, seq, 2)
         for (i, n), m in prof.entries.items():
             assert m is not None
-            cache = {}
-            assert _lipman_condition(M, list(seq[: i - 1]), seq[i - 1], n, m, cache)
+            assert violating_certificate(M, seq, "lipman", i, n, m) is None
             if m > n:
-                assert not _lipman_condition(M, list(seq[: i - 1]), seq[i - 1], n, m - 1, cache)
+                assert violating_certificate(M, seq, "lipman", i, n, m - 1) is not None
 
 
 def test_hom_of_injective_sums_vanishing():

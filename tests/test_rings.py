@@ -229,13 +229,25 @@ def test_ideal_stabilization_examples():
 
 
 def test_ideal_stabilization_invariants():
-    R = zmod(12)
-    I = ideal(R, [R.from_int(2)])
-    c, e = ideal_stabilization(I)
-    Ic = ideal_power(I, c)
-    assert ideal_power(I, c + 1).span == Ic.span
-    for g in Ic.span_elements():
-        assert e * g == g
+    # the stable power I^c is e R, so local cohomology can present R/I^c by e
+    Z12 = zmod(12)
+    P, embed = product_ring([zmod(4), zmod(3)])
+    cases = [
+        ideal(Z12, [Z12.from_int(2)]),
+        ideal(P, [embed([zmod(4).from_int(2), zmod(3).one()])]),  # e = (0, 1)
+        ideal(Z12, [Z12.zero()]),
+        ideal(Z12, [Z12.from_int(5)]),  # the unit ideal
+    ]
+    for I in cases:
+        R = I.ring
+        c, e = ideal_stabilization(I)
+        Ic = ideal_power(I, c)
+        assert ideal_power(I, c + 1).span == Ic.span
+        for g in Ic.span_elements():
+            assert e * g == g
+        assert ideal(R, [e]).span == Ic.span
+    _, e = ideal_stabilization(cases[1])
+    assert e not in (P.zero(), P.one())  # a proper idempotent
 
 
 def test_primitive_idempotents_z6():
