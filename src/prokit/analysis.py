@@ -35,7 +35,6 @@ from .modules import (
     Submodule,
     colon_submodule,
     hom_module,
-    ideal_power_image,
     image_submodule,
     is_divisible,
     localize_module,
@@ -371,12 +370,12 @@ def regular_then_bounded(M, x_seq, y):
     conclusion = prof.all_conclusive()
     # graded-piece cardinalities, ideal powers of the full prefix
     if k >= 1:
-        I = ideal(R, list(x_seq))
         base = Qfull.order()
         card_ok = True
+        # |I^n M| for n = 0..4: M, then one chain I M, I^2 M, I^3 M, I^4 M
+        orders = [M.order()] + [N.order() for N in islice(_levels(M, "gm", x_seq), 4)]
         for n in range(0, 4):
-            upper = ideal_power_image(M, I, n).order()
-            lower = ideal_power_image(M, I, n + 1).order()
+            upper, lower = orders[n], orders[n + 1]
             expected = base ** comb(k + n - 1, n)
             if upper // lower != expected:
                 card_ok = False

@@ -7,7 +7,12 @@ of element powers.  The Koszul builder takes an optional free resolution L
 and then builds the total complex of K(x) tensor M tensor L (the plain
 Koszul complex is the case L = R in degree 0), so Cech homology and the
 Tor comparison share one `KoszulTower` and one stabilized-limit loop.
-Cech complexes localize through Fitting idempotents.  Cech homology is
+What does not depend on the sequence's entries (the blocks, one module
+power per distinct block count, the d_L blocks) is one private layout, built
+once per tower; each level only adds the Koszul face blocks of x^(n).
+Cech complexes localize through Fitting idempotents, one split per element
+of the sequence: the idempotent of a subset is the product of its
+elements' idempotents.  Cech homology is
 computed as the stabilized inverse limit of Koszul homology, which for
 finite modules agrees with the derived-Hom definition because the lim^1
 term dies (Mittag-Leffler).
@@ -140,6 +145,69 @@ class KoszulData:
     packs: dict       # degree -> (module, injections, projections)
 
 
+class _KoszulLayout:
+    """The parts of K(x; M) tensor L that do not depend on the entries of
+    x, for a sequence of length k: the blocks of each degree and their
+    index, one `module_power` of M per distinct block count (degrees with
+    as many blocks share it), and the (-1)^|S| id tensor d_L blocks, with
+    one action of M per distinct ring entry of L's differentials.  A
+    `KoszulTower` builds one for all its levels; `level(x)` adds the
+    Koszul face blocks of x and assembles each differential."""
+
+    def __init__(self, k, M, res):
+        ranks = res.ranks if res is not None else (1,)
+        self.M = M
+        self.degrees = range(k + len(ranks))
+        self.blocks = {
+            d: [
+                (S, d - j, u)
+                for j in range(max(0, d - len(ranks) + 1), min(d, k) + 1)
+                for S in itertools.combinations(range(k), j)
+                for u in range(ranks[d - j])
+            ]
+            for d in self.degrees
+        }
+        self.index = {d: {b: i for i, b in enumerate(self.blocks[d])} for d in self.degrees}
+        powers = {}
+        for d in self.degrees:
+            s = len(self.blocks[d])
+            if s not in powers:
+                powers[s] = module_power(M, s)
+        self.packs = {d: powers[len(self.blocks[d])] for d in self.degrees}
+        self.modules = {d: self.packs[d][0] for d in self.degrees}
+        acts = {}
+        self.faces = {}     # degree -> [(target block, source block, entry of x, sign)]
+        self.res_part = {}  # degree -> blocks of (-1)^|S| id tensor d_L
+        for d in self.degrees[1:]:
+            below = self.index[d - 1]
+            faces, res_part = [], []
+            for b_idx, (S, q, u) in enumerate(self.blocks[d]):
+                for t, e in enumerate(S):
+                    face = (S[:t] + S[t + 1 :], q, u)
+                    faces.append((below[face], b_idx, e, -1 if t % 2 else 1))
+                if q:
+                    sign = -1 if len(S) % 2 else 1
+                    for v, rel in enumerate(res.ring_matrices[q - 1][u]):
+                        if rel.is_zero():
+                            continue
+                        if rel.coords not in acts:
+                            acts[rel.coords] = M.action_hom(rel)
+                        res_part.append((below[(S, q - 1, v)], b_idx, acts[rel.coords], sign))
+            self.faces[d] = faces
+            self.res_part[d] = res_part
+
+    def level(self, x_seq):
+        """K(x; M) tensor L for a sequence x of length k."""
+        acts = [self.M.action_hom(x) for x in x_seq]
+        diffs = {}
+        for d in self.degrees[1:]:
+            blocks = [(t, s, acts[e], c) for t, s, e, c in self.faces[d]] + self.res_part[d]
+            hom = block_hom(self.packs[d], self.packs[d - 1], blocks)
+            diffs[d] = ModuleHom(self.modules[d], self.modules[d - 1], hom)
+        C = ChainComplex(self.modules, diffs)
+        return KoszulData(C, tuple(x_seq), self.M, self.blocks, self.index, self.packs)
+
+
 def koszul_complex(x_seq, M, res=None):
     """K(x_1, ..., x_k; M), or Tot(K(x_1, ..., x_k) tensor M tensor L) for a
     free resolution `res` = L of some module.
@@ -166,38 +234,7 @@ def koszul_complex(x_seq, M, res=None):
     >>> kos.blocks[3]
     [((0,), 2, 0)]
     """
-    k = len(x_seq)
-    ranks = res.ranks if res is not None else (1,)
-    degrees = range(k + len(ranks))
-    blocks = {
-        d: [
-            (S, d - j, u)
-            for j in range(max(0, d - len(ranks) + 1), min(d, k) + 1)
-            for S in itertools.combinations(range(k), j)
-            for u in range(ranks[d - j])
-        ]
-        for d in degrees
-    }
-    index = {d: {b: idx for idx, b in enumerate(blocks[d])} for d in degrees}
-    packs = {d: module_power(M, len(blocks[d])) for d in degrees}
-    modules = {d: packs[d][0] for d in degrees}
-    acts = [M.action_hom(x) for x in x_seq]
-    diffs = {}
-    for d in degrees[1:]:
-        below = index[d - 1]
-        hom_blocks = []
-        for b_idx, (S, q, u) in enumerate(blocks[d]):
-            for t, e in enumerate(S):
-                face = (S[:t] + S[t + 1 :], q, u)
-                hom_blocks.append((below[face], b_idx, acts[e], -1 if t % 2 else 1))
-            if q:
-                sign = -1 if len(S) % 2 else 1
-                for v, rel in enumerate(res.ring_matrices[q - 1][u]):
-                    hom_blocks.append((below[(S, q - 1, v)], b_idx, M.action_hom(rel), sign))
-        hom = block_hom(packs[d], packs[d - 1], hom_blocks)
-        diffs[d] = ModuleHom(modules[d], modules[d - 1], hom)
-    C = ChainComplex(modules, diffs)
-    return KoszulData(C, tuple(x_seq), M, blocks, index, packs)
+    return _KoszulLayout(len(x_seq), M, res).level(x_seq)
 
 
 def koszul_powers(x_seq, n):
@@ -239,18 +276,20 @@ def _transition_component(x_seq, src, tgt, j, e):
 class KoszulTower:
     """Koszul complexes of x^(n) on M for varying n, with homology caches;
     with a free resolution `res`, the total complexes of K(x^(n)) tensor M
-    tensor res (see `koszul_complex`)."""
+    tensor res (see `koszul_complex`).  The layout of blocks, module powers
+    and d_L blocks is built once, at construction, and shared by every
+    level, so the levels share their modules."""
 
     def __init__(self, x_seq, M, res=None):
         self.x_seq = tuple(x_seq)
         self.M = M
-        self.res = res
+        self._layout = _KoszulLayout(len(self.x_seq), M, res)
         self._levels = {}
         self._homology = {}
 
     def level(self, n):
         if n not in self._levels:
-            self._levels[n] = koszul_complex(koszul_powers(self.x_seq, n), self.M, self.res)
+            self._levels[n] = self._layout.level(koszul_powers(self.x_seq, n))
         return self._levels[n]
 
     def homology(self, i, n):
@@ -387,6 +426,9 @@ class CechData:
 
     Degree j is the direct sum over j-subsets S of the localizations e_S M,
     where e_S is the Fitting idempotent of the product of the x_i, i in S.
+    A finite ring is a product of local rings, where each element is a unit
+    or nilpotent, so that idempotent is the product of the e_{x_i}: the k
+    Fitting splits of the x_i give all 2^k of them.
     """
 
     module: FgModule
@@ -407,26 +449,27 @@ class CechData:
         )
 
 
-def _localized_module(M, elems):
-    """e_S M as an abstract module, with its subgroup data and e_S."""
-    R = M.ring
-    f = R.one()
-    for x in elems:
-        f = f * x
-    _, e = fitting_split(R, f)
+def _localized_module(M, e):
+    """e M as an abstract module, with its subgroup data and e."""
     S, _, data = submodule_module_data(M, image_submodule(M, [e]))
     return S, data, e
 
 
 def cech_complex(x_seq, M):
     """The Cech cochain complex 0 -> M -> (+) M_{x_i} -> ... with
-    lexicographic subsets and position signs."""
+    lexicographic subsets and position signs.  One Fitting split per x_i:
+    e_S is the product of the e_{x_i} over i in S (1 for the empty set)."""
+    R = M.ring
     k = len(x_seq)
     subsets = {j: list(itertools.combinations(range(k), j)) for j in range(k + 1)}
+    splits = [fitting_split(R, x)[1] for x in x_seq]
     locs = {}
     for j in range(k + 1):
         for S in subsets[j]:
-            locs[S] = _localized_module(M, [x_seq[i] for i in S])
+            e = R.one()
+            for i in S:
+                e = e * splits[i]
+            locs[S] = _localized_module(M, e)
     packs = {j: direct_sum_modules([locs[S][0] for S in subsets[j]]) for j in range(k + 1)}
     codiffs = {}
     for j in range(k):

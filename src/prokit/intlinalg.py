@@ -36,7 +36,12 @@ from .errors import AxiomViolation, DimensionMismatch, InfiniteCokernel
 
 
 class IntMatrix:
-    """Immutable dense integer matrix stored row-major."""
+    """Immutable dense integer matrix stored row-major.
+
+    The public constructor coerces every entry with `int()` and checks the
+    length.  Kernel outputs, whose entries are ints by construction, go
+    through the trusted `_of`, which does neither (the test suite checks
+    its contract on every call)."""
 
     __slots__ = ("rows", "cols", "_data")
 
@@ -51,37 +56,46 @@ class IntMatrix:
         self._data = entries
 
     @classmethod
+    def _of(cls, rows, cols, data):
+        """A matrix on `data`, a tuple of rows * cols ints, taken as is."""
+        m = object.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m._data = data
+        return m
+
+    @classmethod
     def from_rows(cls, rows_list):
         rows = len(rows_list)
         cols = len(rows_list[0]) if rows else 0
         if any(len(r) != cols for r in rows_list):
             raise DimensionMismatch("ragged rows")
-        return cls(rows, cols, [e for r in rows_list for e in r])
+        return cls._of(rows, cols, tuple(e for r in rows_list for e in r))
 
     @classmethod
     def from_cols(cls, cols_list, rows=None):
         ncols = len(cols_list)
         if ncols == 0:
-            return cls(rows or 0, 0, [])
+            return cls._of(rows or 0, 0, ())
         nrows = len(cols_list[0])
         if any(len(c) != nrows for c in cols_list):
             raise DimensionMismatch("ragged columns")
-        return cls(
-            nrows, ncols, [cols_list[j][i] for i in range(nrows) for j in range(ncols)]
+        return cls._of(
+            nrows, ncols, tuple(cols_list[j][i] for i in range(nrows) for j in range(ncols))
         )
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+        return cls._of(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
     @classmethod
     def zero(cls, rows, cols):
-        return cls(rows, cols, [0] * (rows * cols))
+        return cls._of(rows, cols, (0,) * (rows * cols))
 
     @classmethod
     def diagonal(cls, diag):
         n = len(diag)
-        return cls(n, n, [diag[i] if i == j else 0 for i in range(n) for j in range(n)])
+        return cls._of(n, n, tuple(diag[i] if i == j else 0 for i in range(n) for j in range(n)))
 
     def __getitem__(self, idx):
         i, j = idx
@@ -101,8 +115,9 @@ class IntMatrix:
         return [list(self._data[j :: self.cols]) for j in range(self.cols)]
 
     def transpose(self):
-        return IntMatrix(
-            self.cols, self.rows, [self[i, j] for j in range(self.cols) for i in range(self.rows)]
+        cols = self.cols
+        return IntMatrix._of(
+            cols, self.rows, tuple(e for j in range(cols) for e in self._data[j::cols])
         )
 
     def __mul__(self, other):
@@ -115,7 +130,7 @@ class IntMatrix:
             for i in range(self.rows):
                 ri = self.row(i)
                 out.extend(sum(map(mul, ri, cj)) for cj in other_cols)
-            return IntMatrix(self.rows, ocols, out)
+            return IntMatrix._of(self.rows, ocols, tuple(out))
         return NotImplemented
 
     def apply(self, vec):
@@ -131,7 +146,7 @@ class IntMatrix:
         return IntMatrix.from_rows(rows) if rows else IntMatrix(0, self.cols + other.cols, [])
 
     def neg(self):
-        return IntMatrix(self.rows, self.cols, [-e for e in self._data])
+        return IntMatrix._of(self.rows, self.cols, tuple(-e for e in self._data))
 
     def __eq__(self, other):
         return (
@@ -223,8 +238,8 @@ def hnf(A: IntMatrix):
     m, n = A.rows, A.cols
     rows = [a + e for a, e in zip(A.rows_list(), IntMatrix.identity(m).rows_list())]
     _hermite(rows, n)
-    H = IntMatrix(m, n, [x for row in rows for x in row[:n]])
-    return H, IntMatrix(m, m, [x for row in rows for x in row[n:]])
+    H = IntMatrix._of(m, n, tuple(x for row in rows for x in row[:n]))
+    return H, IntMatrix._of(m, m, tuple(x for row in rows for x in row[n:]))
 
 
 def snf(A: IntMatrix):
@@ -521,15 +536,16 @@ class GroupHom:
     def __add__(self, other):
         if self.source != other.source or self.target != other.target:
             raise DimensionMismatch("hom sum mismatch")
-        m = IntMatrix(
+        m = IntMatrix._of(
             self.matrix.rows,
             self.matrix.cols,
-            [a + b for a, b in zip(self.matrix._data, other.matrix._data)],
+            tuple(a + b for a, b in zip(self.matrix._data, other.matrix._data)),
         )
         return GroupHom(self.source, self.target, m)
 
     def scale(self, k):
-        m = IntMatrix(self.matrix.rows, self.matrix.cols, [k * a for a in self.matrix._data])
+        data = tuple(k * a for a in self.matrix._data)
+        m = IntMatrix._of(self.matrix.rows, self.matrix.cols, data)
         return GroupHom(self.source, self.target, m)
 
     @classmethod
@@ -551,8 +567,8 @@ class GroupHom:
     def equals_map(self, other):
         if self.source != other.source or self.target != other.target:
             return False
-        diff = [a - b for a, b in zip(self.matrix._data, other.matrix._data)]
-        m = IntMatrix(self.matrix.rows, self.matrix.cols, diff)
+        diff = tuple(a - b for a, b in zip(self.matrix._data, other.matrix._data))
+        m = IntMatrix._of(self.matrix.rows, self.matrix.cols, diff)
         return GroupHom(self.source, self.target, m).is_zero_map()
 
 
@@ -634,7 +650,7 @@ def _lattice_basis(rows, lead, n):
     0 x Z^n, which depends on that lattice only, as Hermite form is unique."""
     p = _hermite(rows, lead + n)
     kept = [row[lead:] for row in rows[:p] if not any(row[:lead])]
-    return IntMatrix(n, len(kept), [row[i] for i in range(n) for row in kept])
+    return IntMatrix._of(n, len(kept), tuple(row[i] for i in range(n) for row in kept))
 
 
 def column_lattice(n, vectors):

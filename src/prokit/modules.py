@@ -54,7 +54,7 @@ from .intlinalg import (
     subgroup_embedding,
     subquotient_group,
 )
-from .rings import RingElement, ideal, ideal_power, ideal_stabilization
+from .rings import RingElement, ideal, ideal_power, stable_idempotent
 
 
 class FgModule:
@@ -274,7 +274,7 @@ def block_hom(src, tgt, blocks):
                     xw = c * x * w
                     for i, v in icol:
                         acc[i * G.rank + j] += v * xw
-    return GroupHom(G, H, IntMatrix(H.rank, G.rank, acc))
+    return GroupHom(G, H, IntMatrix._of(H.rank, G.rank, tuple(acc)))
 
 
 def _nonzero(vec):
@@ -321,9 +321,11 @@ def module_power(N, s):
     G = FinAbGroup(tuple(facs))
     injs, projs = [], []
     for u in range(s):
-        place = [1 if slot[i] == u * r + j else 0 for i in range(n) for j in range(r)]
-        injs.append(GroupHom(N.group, G, IntMatrix(n, r, place)))
-        projs.append(GroupHom(G, N.group, IntMatrix(n, r, place).transpose()))
+        place = IntMatrix._of(
+            n, r, tuple(1 if slot[i] == u * r + j else 0 for i in range(n) for j in range(r))
+        )
+        injs.append(GroupHom(N.group, G, place))
+        projs.append(GroupHom(G, N.group, place.transpose()))
     return _sum_module(N.ring, (G, injs, projs), [N] * s)
 
 
@@ -420,7 +422,7 @@ def colon_submodule(M, N, x, e):
 
 def torsion_submodule(M, I):
     """I-torsion via the stable idempotent: 0 :_M e where I^c = e R."""
-    _, e = ideal_stabilization(I)
+    e = stable_idempotent(I)
     return Submodule(M, hom_kernel_span(M.action_hom(e)))
 
 
@@ -918,7 +920,7 @@ def derived_functor(kind, M, N, i, resolution_length=None):
 
 def adic_completion(M, I):
     """Stable-power completion M / I^c M; returns (module, surjection)."""
-    _, e = ideal_stabilization(I)
+    e = stable_idempotent(I)
     return quotient_module(M, image_submodule(M, [e]))
 
 
@@ -932,7 +934,7 @@ def cyclic_quotient_module(R, I):
 def local_cohomology(M, I, i):
     """H^i_I(M) as Ext^i(R/I^c, M) for the stable power index c; the colimit
     over n is eventually constant because the powers I^n are."""
-    _, e = ideal_stabilization(I)
+    e = stable_idempotent(I)
     stable = ideal(M.ring, [e])  # I^c = e R
     if stable.is_unit_ideal():
         return zero_module(M.ring)

@@ -401,22 +401,20 @@ class Ideal:
 
 
 def ideal_span(R, generators):
-    """Canonical additive span of the generated ideal: close the additive
-    span under multiplication by every basis element."""
+    """Canonical additive span of the generated ideal: one reduction of the
+    products of the generators with the basis.  R is additively spanned by
+    its basis, so those products span R * (generators); a canonical span is
+    unique, so it is the span any generating set gives.  More generators
+    than the rank r (`ideal_product` passes r^2) are first replaced by the
+    r columns of their canonical span, which generate the same additive
+    group with the relations."""
     if R.rank == 0:
         return IntMatrix(0, 0, [])
-    span = span_lattice(R.additive, [g.coords for g in generators])
-    basis_elems = R.basis()
-    while True:
-        new_vecs = []
-        for col in span.cols_list():
-            for b in basis_elems:
-                prod_coords = R.mul_coords(R.additive.reduce(tuple(col)), b.coords)
-                if not span_contains(R.additive, span, prod_coords):
-                    new_vecs.append(prod_coords)
-        if not new_vecs:
-            return span
-        span = span_lattice(R.additive, span.cols_list() + new_vecs)
+    gens = [g.coords for g in generators]
+    if len(gens) > R.rank:
+        gens = [R.additive.reduce(tuple(c)) for c in span_lattice(R.additive, gens).cols_list()]
+    basis = [b.coords for b in R.basis()]
+    return span_lattice(R.additive, [R.mul_coords(g, b) for g in gens for b in basis])
 
 
 def ideal(R, generators):
@@ -596,12 +594,31 @@ def is_covering(R, elements):
     return True, coeffs
 
 
+def stable_idempotent(I):
+    """The idempotent e with I^c = e R for the stable power I^c of I.
+
+    A finite ring is a product of local rings R_j (Atiyah-Macdonald, ch. 8).
+    In R_j an element is a unit or nilpotent, so I^c has the factor R_j
+    when some generator is a unit there and is 0 there otherwise; the
+    Fitting idempotent of g is the sum of the 1_j where g is a unit.  So
+    e = 1 - prod(1 - e_g) over the generators g, one Fitting split each.
+
+    >>> R = zmod(12)
+    >>> stable_idempotent(ideal(R, [R.from_int(2), R.from_int(6)])).coords
+    (4,)
+    """
+    R = I.ring
+    one = R.one()
+    rest = one
+    for g in I.generators:
+        rest = rest * (one - fitting_split(R, g)[1])
+    return one - rest
+
+
 def ideal_stabilization(I):
     """Minimal c with I^c = I^{c+1} (I^0 = R), plus the idempotent generator
-    of the stable power I^c = e R."""
+    of the stable power I^c = e R (`stable_idempotent`)."""
     R = I.ring
-    if R.rank == 0:
-        return 0, R.zero()
     cur = Ideal(R, (R.one(),))  # I^0
     c = 0
     while True:
@@ -610,34 +627,7 @@ def ideal_stabilization(I):
             break
         cur = nxt
         c += 1
-    stable = cur
-    if stable.is_zero_ideal():
-        return c, R.zero()
-    gens = stable.span_elements()
-    r = R.rank
-    # unknowns: coefficients of e over the stable span; conditions e*g = g
-    cond_rows = []
-    rhs = []
-    for g in gens:
-        for k in range(r):
-            cond_rows.append([(s * g).coords[k] for s in gens])
-            rhs.append(g.coords[k])
-    A = IntMatrix.from_rows(cond_rows)
-    d = R.additive.invariant_factors
-    mod_cols = []
-    for t in range(len(gens)):
-        for k in range(r):
-            col = [0] * (len(gens) * r)
-            col[t * r + k] = d[k]
-            mod_cols.append(col)
-    stacked = A.hstack(IntMatrix.from_cols(mod_cols, rows=len(gens) * r))
-    sol = IntLinearSystem(stacked).solve(tuple(rhs))
-    if sol is None:
-        raise AxiomViolation("stable ideal power has no idempotent generator; data corrupt")
-    e = R.zero()
-    for coeff, s in zip(sol[: len(gens)], gens):
-        e = e + s.scale(coeff)
-    return c, e
+    return c, stable_idempotent(I)
 
 
 def _is_local(R, limit=SPLIT_ENUM_LIMIT):
@@ -767,6 +757,8 @@ def _factor_fitting_idempotent(R, e, y):
         prev = nxt
         cur = nxt_elem
         c += 1
+    if c == 0:
+        return 0, e  # y is a unit of e R, and e is its identity
     yc = cur
     span_elems = [R.element(col) for col in prev.cols_list()]
     if all(s.is_zero() for s in span_elems):

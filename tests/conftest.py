@@ -9,11 +9,16 @@ on each construction it makes: the autouse fixture below wraps both
 
 A test that builds a broken table on purpose opts out with
 `@pytest.mark.unchecked_axioms`.
+
+`IntMatrix._of`, the trusted constructor of kernel outputs, coerces and
+checks nothing at runtime; a second autouse fixture asserts its contract (a
+tuple of exactly rows * cols ints) on every call the suite makes.
 """
 
 import pytest
 
 from prokit.errors import AxiomViolation
+from prokit.intlinalg import IntMatrix
 from prokit.modules import FgModule
 from prokit.rings import FiniteRing, check_ring_axioms
 
@@ -40,3 +45,16 @@ def check_axioms_on_construction(request, monkeypatch):
 
     monkeypatch.setattr(FiniteRing, "__init__", checked_ring_init)
     monkeypatch.setattr(FgModule, "__init__", checked_module_init)
+
+
+@pytest.fixture(autouse=True)
+def check_trusted_matrices(monkeypatch):
+    trusted = IntMatrix._of.__func__
+
+    def checked_of(cls, rows, cols, data):
+        assert type(data) is tuple, f"trusted matrix data is a {type(data).__name__}"
+        assert len(data) == rows * cols, f"{len(data)} entries for {rows}x{cols}"
+        assert all(type(e) is int for e in data), "trusted matrix entry is not an int"
+        return trusted(cls, rows, cols, data)
+
+    monkeypatch.setattr(IntMatrix, "_of", classmethod(checked_of))

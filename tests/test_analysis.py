@@ -251,6 +251,28 @@ def test_regular_then_bounded_empty_prefix():
     assert out.details["tail_torsion_index"] == 3
 
 
+def test_regular_then_bounded_forms_ideal_powers_once(monkeypatch):
+    # |I^n M| for n = 0..4 comes from one chain I, I^2, I^3, I^4: three
+    # ideal products, where asking for I^n and I^(n+1) afresh at each n
+    # made nine
+    import prokit.analysis
+    import prokit.rings
+
+    calls = []
+    real = prokit.rings.ideal_product
+
+    def counting(I, J):
+        calls.append(1)
+        return real(I, J)
+
+    monkeypatch.setattr(prokit.rings, "ideal_product", counting)
+    monkeypatch.setattr(prokit.analysis, "ideal_product", counting)
+    R = zmod(12)
+    out = regular_then_bounded(ring_as_module(R), [R.from_int(5)], R.from_int(2))
+    assert out.passed and out.details["cardinality_ok"]
+    assert len(calls) == 3
+
+
 def test_regular_then_bounded_z12():
     R = zmod(12)
     M = ring_as_module(R)

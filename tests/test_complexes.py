@@ -1,5 +1,6 @@
 """Koszul and Cech complexes, transitions, inverse systems, identifications."""
 
+import itertools
 import random
 
 import pytest
@@ -8,9 +9,11 @@ from prokit.errors import NotStabilized
 from prokit.intlinalg import GroupHom
 from prokit.modules import (
     ModuleHom,
+    block_hom,
     adic_completion,
     free_resolution,
     generated_submodule,
+    module_power,
     modules_isomorphic,
     power_image,
     quotient_module,
@@ -27,6 +30,7 @@ from prokit.complexes import (
     colon_identification,
     complex_homology,
     koszul_complex,
+    koszul_powers,
     koszul_transition,
     pro_zero_index,
     stable_limit,
@@ -297,13 +301,13 @@ def test_cech_homology_retry_keeps_levels(monkeypatch):
     import prokit.complexes as cx
 
     calls = []
-    real = cx.koszul_complex
+    real = cx._KoszulLayout.level
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(self, x_seq):
+        calls.append(x_seq)
+        return real(self, x_seq)
 
-    monkeypatch.setattr(cx, "koszul_complex", counting)
+    monkeypatch.setattr(cx._KoszulLayout, "level", counting)
     R, x, _ = truncated_two_power(3)
     assert cech_homology([x], ring_as_module(R), 1).is_zero_module()
     assert len(calls) == 8
@@ -402,3 +406,89 @@ def test_zero_complex_homology():
     R = zmod(4)
     C = ChainComplex({0: zero_module(R)}, {})
     assert complex_homology(C, 0).is_zero_module()
+
+
+def _reference_koszul_diffs(x_seq, M, res):
+    """Differential matrices of Tot(K(x) tensor M tensor L) as the builder
+    made them before the layout was shared: one module power per degree
+    and one action per block, zero entries of d_L included."""
+    k = len(x_seq)
+    ranks = res.ranks if res is not None else (1,)
+    degrees = range(k + len(ranks))
+    blocks = {
+        d: [
+            (S, d - j, u)
+            for j in range(max(0, d - len(ranks) + 1), min(d, k) + 1)
+            for S in itertools.combinations(range(k), j)
+            for u in range(ranks[d - j])
+        ]
+        for d in degrees
+    }
+    packs = {d: module_power(M, len(blocks[d])) for d in degrees}
+    acts = [M.action_hom(x) for x in x_seq]
+    diffs = {}
+    for d in degrees[1:]:
+        below = {b: i for i, b in enumerate(blocks[d - 1])}
+        hom_blocks = []
+        for b_idx, (S, q, u) in enumerate(blocks[d]):
+            for t, e in enumerate(S):
+                face = (S[:t] + S[t + 1 :], q, u)
+                hom_blocks.append((below[face], b_idx, acts[e], -1 if t % 2 else 1))
+            if q:
+                sign = -1 if len(S) % 2 else 1
+                for v, rel in enumerate(res.ring_matrices[q - 1][u]):
+                    hom_blocks.append((below[(S, q - 1, v)], b_idx, M.action_hom(rel), sign))
+        diffs[d] = block_hom(packs[d], packs[d - 1], hom_blocks).matrix
+    return blocks, {d: p[0] for d, p in packs.items()}, diffs
+
+
+def _tower_cases():
+    R = zmod(12)
+    Z8 = zmod(8)
+    T, t, _ = truncated_two_power(3)
+    N12 = cyclic_quotient_module(R, ideal(R, [R.from_int(2)]))
+    N3 = cyclic_quotient_module(R, ideal(R, [R.from_int(3)]))
+    NT = cyclic_quotient_module(T, ideal(T, [t]))
+    return [
+        ([R.from_int(2), R.from_int(3)], ring_as_module(R), None),
+        ([R.from_int(2), R.from_int(3)], ring_as_module(R), free_resolution(N12, 2)),
+        ([R.from_int(6)], N12, free_resolution(N3, 3)),
+        ([Z8.from_int(2), Z8.zero(), Z8.one()], ring_as_module(Z8), None),
+        ([t], ring_as_module(T), free_resolution(NT, 2)),
+        ([], ring_as_module(R), free_resolution(N12, 2)),
+    ]
+
+
+def test_tower_levels_match_fresh_koszul_complexes():
+    # the tower shares one layout across its levels; each level must equal
+    # a fresh koszul_complex of x^(n), and the per-degree reference build
+    for xs, M, res in _tower_cases():
+        tower = KoszulTower(xs, M, res)
+        for n in range(1, 5):
+            level = tower.level(n)
+            xn = koszul_powers(xs, n)
+            fresh = koszul_complex(xn, M, res)
+            ref_blocks, ref_modules, ref_diffs = _reference_koszul_diffs(xn, M, res)
+            assert level.blocks == fresh.blocks == ref_blocks
+            assert level.index == fresh.index
+            assert level.complex.modules == fresh.complex.modules == ref_modules
+            assert set(level.complex.diffs) == set(fresh.complex.diffs) == set(ref_diffs)
+            for d, diff in level.complex.diffs.items():
+                assert diff.hom.matrix == fresh.complex.diffs[d].hom.matrix == ref_diffs[d]
+            for d, (X, injs, projs) in level.packs.items():
+                assert X == fresh.packs[d][0]
+                assert [f.hom.matrix for f in injs] == [f.hom.matrix for f in fresh.packs[d][1]]
+                assert [f.hom.matrix for f in projs] == [f.hom.matrix for f in fresh.packs[d][2]]
+
+
+def test_tower_forms_one_module_power_per_block_count(monkeypatch):
+    import prokit.complexes as cx
+
+    for xs, M, res in _tower_cases():
+        calls = []
+        monkeypatch.setattr(cx, "module_power", lambda N, s: calls.append(s) or module_power(N, s))
+        tower = KoszulTower(xs, M, res)
+        for n in range(1, 5):
+            tower.level(n)
+        counts = {len(b) for b in tower.level(1).blocks.values()}
+        assert sorted(calls) == sorted(counts)

@@ -6,7 +6,7 @@ import pytest
 
 from prokit.analysis import lipman_profile, violating_certificate
 from prokit.complexes import cech_homology
-from prokit.errors import AxiomViolation
+from prokit.errors import AxiomViolation, DimensionMismatch
 from prokit.intlinalg import FinAbGroup, GroupHom, IntMatrix
 from prokit.modules import (
     FgModule,
@@ -116,6 +116,20 @@ def test_suite_checks_axioms_on_every_construction():
     # a group hom, but 2 = 0 in Z/2 acts as 2 on Z/4
     with pytest.raises(AxiomViolation, match="not killed by its order"):
         FgModule(zmod(2), FinAbGroup((4,)), [GroupHom.identity(FinAbGroup((4,)))])
+
+
+def test_suite_checks_trusted_matrix_contract():
+    # kernel outputs skip coercion and the length check through
+    # IntMatrix._of; tests/conftest.py asserts its contract instead
+    for data in ([1, 2], (1,), (1, 2.0), (True, 0)):
+        with pytest.raises(AssertionError):
+            IntMatrix._of(1, 2, data)
+    assert IntMatrix._of(1, 2, (1, -2)) == IntMatrix(1, 2, [1, -2])
+    # the public constructor still coerces and checks
+    assert IntMatrix(1, 2, [True, 2.0])._data == (1, 2)
+    assert all(type(e) is int for e in IntMatrix(1, 2, [True, 2.0])._data)
+    with pytest.raises(DimensionMismatch):
+        IntMatrix(1, 2, [1])
 
 
 def test_every_constructor_output_satisfies_axioms():

@@ -5,13 +5,16 @@ import random
 import pytest
 
 from prokit.errors import AxiomViolation, InvalidSpec
-from prokit.intlinalg import FinAbGroup, IntMatrix
+from prokit.intlinalg import FinAbGroup, IntLinearSystem, IntMatrix, span_contains, span_lattice
 from prokit.rings import (
     FiniteRing,
+    Ideal,
     check_ring_axioms,
     fitting_split,
     ideal,
     ideal_power,
+    ideal_product,
+    ideal_span,
     ideal_stabilization,
     is_covering,
     localize,
@@ -20,9 +23,11 @@ from prokit.rings import (
     product_ring,
     quotient_ring,
     ring_from_raw,
+    stable_idempotent,
     truncated_polynomial,
     truncated_polynomial_family,
     truncated_two_power,
+    zero_ring,
     zmod,
 )
 
@@ -338,3 +343,113 @@ def test_covering_diagonal_injective():
     for r in R.elements():
         if all(loc.localize_element(r).is_zero() for loc in locs):
             assert r.is_zero()
+
+
+def _idempotent_rings():
+    P, _ = product_ring([zmod(4), zmod(6)])
+    Q, _ = product_ring([zmod(3), truncated_polynomial(2, 2)[0]])
+    return [zmod(12), truncated_two_power(3)[0], P, Q]
+
+
+def test_fitting_idempotent_is_multiplicative():
+    # every element is a unit or nilpotent in each local factor, so
+    # e_{xy} = e_x e_y; the Cech complex builds every e_S from this
+    for R in _idempotent_rings():
+        e = {x.coords: fitting_split(R, x)[1] for x in R.elements()}
+        for x in R.elements():
+            for y in R.elements():
+                assert e[(x * y).coords] == e[x.coords] * e[y.coords]
+
+
+def _closure_ideal_span(R, generators):
+    """The ideal span as the closure loop made it: close the additive span
+    under multiplication by every basis element, round after round."""
+    if R.rank == 0:
+        return IntMatrix(0, 0, [])
+    span = span_lattice(R.additive, [g.coords for g in generators])
+    while True:
+        new_vecs = []
+        for col in span.cols_list():
+            for b in R.basis():
+                prod_coords = R.mul_coords(R.additive.reduce(tuple(col)), b.coords)
+                if not span_contains(R.additive, span, prod_coords):
+                    new_vecs.append(prod_coords)
+        if not new_vecs:
+            return span
+        span = span_lattice(R.additive, span.cols_list() + new_vecs)
+
+
+def test_ideal_span_matches_closure_loop():
+    rng = random.Random(0x1DEA)
+    P, _ = product_ring([zmod(4), zmod(6), truncated_polynomial(2, 3)[0]])
+    rings = [zmod(12), P, zero_ring()] + [truncated_two_power(N)[0] for N in (3, 4, 5)]
+    for R in rings:
+        gen_sets = [[], [R.zero()], [R.one()]]
+        for _ in range(12):
+            gen_sets.append(
+                [
+                    R.element([rng.randrange(-d, 2 * d) for d in R.additive.invariant_factors])
+                    for _ in range(rng.randint(1, 3))
+                ]
+            )
+        for gens in gen_sets:
+            assert ideal_span(R, gens) == _closure_ideal_span(R, gens)
+        I = ideal(R, gen_sets[-1])
+        # ideal_product passes r^2 generators
+        assert ideal_product(I, I).span == _closure_ideal_span(
+            R, [a * b for a in I.span_elements() for b in I.span_elements()]
+        )
+
+
+def _solved_stable_idempotent(I):
+    """(c, e) with I^c = I^{c+1} = e R, e found by solving e * g = g over
+    the span of I^c, as `ideal_stabilization` did before the Fitting form."""
+    R = I.ring
+    if R.rank == 0:
+        return 0, R.zero()
+    cur = Ideal(R, (R.one(),))
+    c = 0
+    while True:
+        nxt = ideal_product(cur, I)
+        if nxt.span == cur.span:
+            break
+        cur = nxt
+        c += 1
+    if cur.is_zero_ideal():
+        return c, R.zero()
+    gens = cur.span_elements()
+    r = R.rank
+    cond_rows, rhs = [], []
+    for g in gens:
+        for k in range(r):
+            cond_rows.append([(s * g).coords[k] for s in gens])
+            rhs.append(g.coords[k])
+    d = R.additive.invariant_factors
+    mod_cols = []
+    for t in range(len(gens)):
+        for k in range(r):
+            col = [0] * (len(gens) * r)
+            col[t * r + k] = d[k]
+            mod_cols.append(col)
+    A = IntMatrix.from_rows(cond_rows)
+    stacked = A.hstack(IntMatrix.from_cols(mod_cols, rows=len(gens) * r))
+    sol = IntLinearSystem(stacked).solve(tuple(rhs))
+    e = R.zero()
+    for coeff, s in zip(sol[: len(gens)], gens):
+        e = e + s.scale(coeff)
+    return c, e
+
+
+def test_stable_idempotent_matches_linear_solve():
+    rng = random.Random(0x57AB)
+    Z = zero_ring()
+    cases = [ideal(Z, []), ideal(Z, [Z.zero()])]
+    for R in _idempotent_rings():
+        cases += [ideal(R, []), ideal(R, [R.zero()]), ideal(R, [R.one()])]
+        elems = list(R.elements())
+        for _ in range(10):
+            cases.append(ideal(R, rng.sample(elems, rng.randint(1, 3))))
+    for I in cases:
+        expected = _solved_stable_idempotent(I)
+        assert ideal_stabilization(I) == expected
+        assert stable_idempotent(I) == expected[1]
