@@ -43,6 +43,7 @@ from .modules import (
     homology_module,
     image_submodule,
     module_power,
+    modules_isomorphic,
     power_image,
     quotient_module_data,
     submodule_module,
@@ -50,7 +51,7 @@ from .modules import (
     subquotient_module,
     zero_module,
 )
-from .rings import fitting_split
+from .rings import Ideal, fitting_split
 
 
 @dataclass(frozen=True)
@@ -646,16 +647,17 @@ def cech_tor_compare(M, N, x_seq, i, resolution_length, n_max=None):
     """Compare lim_n H_i(K(x^(n)) tensor M tensor L) against
     Tor_i(completion(M), N) for a free resolution L of N.
 
+    One resolution L serves both sides: Tor is balanced, so Tor_i(Lambda, N)
+    is H_i(Lambda tensor L), the empty-sequence Koszul complex on the
+    completion Lambda with L.  The tests check it against the route of
+    `derived_functor`, which resolves Lambda instead.
+
     Returns (lhs, rhs, agree) where agreement is isomorphism of invariant
     factors plus the action fingerprint."""
     if resolution_length <= i:
         raise AxiomViolation("resolution length must exceed the degree")
-    from .modules import derived_functor, modules_isomorphic
-    from .rings import Ideal
-
-    tower = KoszulTower(x_seq, M, free_resolution(N, resolution_length))
-    lhs = _homology_limit(tower, i, n_max)
-    I = Ideal(M.ring, tuple(x_seq))
-    lam, _ = adic_completion(M, I)
-    rhs = derived_functor("tor", lam, N, i)
+    res = free_resolution(N, resolution_length)
+    lhs = _homology_limit(KoszulTower(x_seq, M, res), i, n_max)
+    lam, _ = adic_completion(M, Ideal(M.ring, tuple(x_seq)))
+    rhs = koszul_complex([], lam, res).complex.homology(i).module
     return lhs, rhs, modules_isomorphic(lhs, rhs)

@@ -4,14 +4,18 @@ Modules are finite abelian groups with one action matrix per ring basis
 element.  This file carries the functor toolkit the analysis layer runs on:
 submodule spans, colon and torsion constructions, divisibility, Matlis
 duality against the injective cogenerator R^dual, Hom and tensor, free
-resolutions with Tor/Ext, adic completion, and local cohomology.
+resolutions, adic completion, and local cohomology, which comes from the
+stable idempotent with no resolution.  Tor/Ext through a resolution of the
+first argument (`derived_functor`) are reference routes: the runtime takes
+neither, and the test suite checks local cohomology and the Tor comparison
+against them.
 
 Submodules are stored as canonical column-HNF spans of the additive
-lattice, so equality and inclusion tests are cheap: equality compares
-the matrices, and membership and inclusion are forward substitution
-along the lower-triangular span (`intlinalg.span_contains`), with no
-normal form per query.  The profile searches in the analysis layer and
-`span_closure` lean on that.
+lattice, so equality compares the matrices, and membership and inclusion
+are forward substitution along the lower-triangular span
+(`intlinalg.span_contains`), with no normal form per query.  The submodule
+generated by some vectors is one canonical span of their images under the
+ring basis (`span_closure`).
 
 `block_hom` is the one place where maps between direct sums are assembled:
 the actions of direct sums and module powers, the Tor/Ext differentials
@@ -54,7 +58,7 @@ from .intlinalg import (
     subgroup_embedding,
     subquotient_group,
 )
-from .rings import RingElement, ideal, ideal_power, stable_idempotent
+from .rings import RingElement, ideal_power, stable_idempotent
 
 
 class FgModule:
@@ -372,20 +376,11 @@ class Submodule:
 
 
 def span_closure(M, vectors):
-    """Close an additive span under all ring actions."""
-    span = span_lattice(M.group, vectors)
-    mats = [a.matrix for a in M.actions]
-    while True:
-        new_vecs = []
-        for col in span.cols_list():
-            reduced = M.group.reduce(tuple(col))
-            for mat in mats:
-                img = M.group.reduce(mat.apply(reduced))
-                if not span_contains(M.group, span, img):
-                    new_vecs.append(img)
-        if not new_vecs:
-            return span
-        span = span_lattice(M.group, span.cols_list() + new_vecs)
+    """Canonical span of the submodule generated by `vectors`: the additive
+    span of b.v over the ring basis b.  It contains each v, since the basis
+    spans 1, and it is closed, since b.(b'.v) = (bb').v, so one reduction
+    gives it."""
+    return span_lattice(M.group, [A.matrix.apply(v) for A in M.actions for v in vectors])
 
 
 def generated_submodule(M, gens):
@@ -543,33 +538,31 @@ def module_generators(M, candidates=None):
     for g in gens[1:]:
         total = total + g
     pool = candidates if candidates is not None else [total] + gens
-    chosen = []
-    span = M.zero_span()
-    full = M.full_span()
-    for g in pool:
-        if span == full:
-            break
-        if not span_contains(M.group, span, g.coords):
-            chosen.append(g)
-            span = span_closure(M, span.cols_list() + [g.coords])
-    if span != full:
+    chosen, span = _greedy_generators(M, pool, M.full_span())
+    if span != M.full_span():
         raise AxiomViolation("candidate set failed to generate the module")
     return chosen
 
 
 def _minimize_span_generators(M, span):
     """Greedy module generators for the submodule a span describes."""
-    cols = [c for c in span.cols_list() if not M.group.element(c).is_zero()]
+    cols = [M.group.element(c) for c in span.cols_list()]
+    return _greedy_generators(M, [g for g in cols if not g.is_zero()], span)[0]
+
+
+def _greedy_generators(M, pool, target):
+    """The elements of `pool`, in order, that lie outside the submodule
+    generated by those chosen before them, until that submodule is the
+    span `target`.  Returns (chosen, span of the submodule they generate)."""
     chosen = []
-    cur = M.zero_span()
-    for c in cols:
-        vec = M.group.reduce(tuple(c))
-        if not span_contains(M.group, cur, vec):
-            chosen.append(M.group.element(vec))
-            cur = span_closure(M, cur.cols_list() + [vec])
-        if cur == span:
+    span = M.zero_span()
+    for g in pool:
+        if span == target:
             break
-    return chosen
+        if not span_contains(M.group, span, g.coords):
+            chosen.append(g)
+            span = span_closure(M, span.cols_list() + [g.coords])
+    return chosen, span
 
 
 # ---------------------------------------------------------------------------
@@ -836,20 +829,12 @@ class Resolution:
 def _free_map_from_images(F_src, tgt_module, images):
     """GroupHom from a free module determined by generator images."""
     cols = []
-    for j in range(F_src.module.group.rank):
-        gen = F_src.module.group.element(
-            tuple(1 if t == j else 0 for t in range(F_src.module.group.rank))
-        )
-        rc = F_src.coords(gen)
+    for gen in F_src.module.generators():
         acc = tgt_module.zero()
-        for u, r in enumerate(rc):
-            acc = acc + tgt_module.action_hom(r)(images[u])
-        cols.append(list(acc.coords))
-    mat = (
-        IntMatrix.from_cols(cols, rows=tgt_module.group.rank)
-        if cols
-        else IntMatrix(tgt_module.group.rank, 0, [])
-    )
+        for r, image in zip(F_src.coords(gen), images):
+            acc = acc + tgt_module.action_hom(r)(image)
+        cols.append(acc.coords)
+    mat = IntMatrix.from_cols(cols, rows=tgt_module.group.rank)
     return GroupHom(F_src.module.group, tgt_module.group, mat)
 
 
@@ -932,13 +917,24 @@ def cyclic_quotient_module(R, I):
 
 
 def local_cohomology(M, I, i):
-    """H^i_I(M) as Ext^i(R/I^c, M) for the stable power index c; the colimit
-    over n is eventually constant because the powers I^n are."""
-    e = stable_idempotent(I)
-    stable = ideal(M.ring, [e])  # I^c = e R
-    if stable.is_unit_ideal():
+    """H^i_I(M) = Ext^i(R/eR, M) for the stable idempotent e, I^c = e R.
+    R/eR is isomorphic to (1 - e)R, a direct summand of R, so it is
+    projective: H^i_I(M) = 0 for i >= 1 and H^0_I(M) = (1 - e)M (Weibel,
+    An Introduction to Homological Algebra, 2.4).  No resolution is built;
+    the tests check this against the Ext route of `derived_functor`.
+
+    >>> from prokit.rings import ideal, zmod
+    >>> R = zmod(12)
+    >>> I = ideal(R, [R.from_int(2)])
+    >>> [local_cohomology(ring_as_module(R), I, i).order() for i in (0, 1)]
+    [4, 1]
+    """
+    if i < 0:
+        raise DimensionMismatch("local cohomology degree must be >= 0")
+    if i >= 1:
         return zero_module(M.ring)
-    return derived_functor("ext", cyclic_quotient_module(M.ring, stable), M, i)
+    e = stable_idempotent(I)
+    return submodule_module(M, image_submodule(M, [M.ring.one() - e]))[0]
 
 
 def localize_module(M, loc):

@@ -11,6 +11,7 @@ from prokit.modules import (
     ModuleHom,
     block_hom,
     adic_completion,
+    derived_functor,
     free_resolution,
     generated_submodule,
     module_power,
@@ -35,6 +36,7 @@ from prokit.complexes import (
     pro_zero_index,
     stable_limit,
 )
+from prokit.randgen import random_instance, rng_from_seed
 from prokit.rings import ideal, truncated_two_power, zmod
 from prokit.modules import cyclic_quotient_module
 
@@ -339,6 +341,22 @@ def test_cech_tor_compare_degree0_and_1():
         lhs, rhs, ok = cech_tor_compare(M, N, [R.from_int(2)], i, i + 2)
         assert ok, i
 
+
+
+def test_cech_tor_compare_matches_tor_route():
+    # the draws of acceptance criterion 11: the right-hand side, H_i of the
+    # completion tensor the resolution of N, against Tor through a
+    # resolution of the completion, the route the comparison no longer takes
+    rng = rng_from_seed(0xA011)
+    for _ in range(20):
+        R, M, seq = random_instance(rng, k_max=2, ring_order=36, module_order=64)
+        N = ring_as_module(R) if rng.random() < 0.4 else M
+        lam, _ = adic_completion(M, ideal(R, list(seq)))
+        for i in (0, 1):
+            _, rhs, _ = cech_tor_compare(M, N, seq, i, i + 2)
+            tor = derived_functor("tor", lam, N, i)
+            assert rhs.group.invariant_factors == tor.group.invariant_factors, (R, seq, i)
+            assert modules_isomorphic(rhs, tor), (R, seq, i)
 
 def test_cech_tor_compare_z8():
     R = zmod(8)

@@ -166,6 +166,7 @@ def test_every_constructor_output_satisfies_axioms():
             matlis_dual(M),
             hom_module(M, M),
             tensor_module(M, M),
+            local_cohomology(M, I, 0),
             local_cohomology(M, I, 1),
             localize_module(M, localize(R, x)),
         ]

@@ -5,10 +5,10 @@ import random
 import pytest
 
 from prokit.complexes import cech_complex
-from prokit.errors import InvalidSpec
-from prokit.intlinalg import GroupHom, IntMatrix, direct_sum_groups
-from prokit.randgen import random_instance
-from prokit.rings import ideal, zmod, truncated_two_power
+from prokit.errors import DimensionMismatch, InvalidSpec
+from prokit.intlinalg import GroupHom, IntMatrix, direct_sum_groups, span_contains, span_lattice
+from prokit.randgen import random_instance, random_module, random_ring, rng_from_seed
+from prokit.rings import ideal, stable_idempotent, truncated_two_power, zero_ring, zmod
 from prokit.modules import (
     FgModule,
     ModuleHom,
@@ -33,11 +33,13 @@ from prokit.modules import (
     power_image,
     quotient_module,
     ring_as_module,
+    span_closure,
     submodule_module,
     tensor_module,
     tensor_module_data,
     torsion_by_colon_ascent,
     torsion_submodule,
+    zero_module,
 )
 
 
@@ -373,9 +375,88 @@ def test_local_cohomology_examples():
     assert modules_isomorphic(h0, submodule_module(M, torsion_submodule(M, I))[0])
     h1 = local_cohomology(M, I, 1)
     assert h1.is_zero_module()
+    with pytest.raises(DimensionMismatch):
+        local_cohomology(M, I, -1)
+    # the unit ideal has e = 1, so every degree vanishes, degree 0 included
     unit = ideal(R, [R.one()])
     for i in (0, 1, 2):
         assert local_cohomology(M, unit, i).is_zero_module()
+    # the zero ideal has e = 0, so H^0 is all of M
+    assert local_cohomology(M, ideal(R, [R.zero()]), 0).order() == M.order()
+    assert local_cohomology(M, ideal(R, [R.zero()]), 1).is_zero_module()
+    Z = zero_ring()
+    for N, J in ((ring_as_module(Z), ideal(Z, [Z.one()])), (zero_module(R), I)):
+        for i in (0, 1, 2):
+            assert local_cohomology(N, J, i).is_zero_module()
+
+
+
+def _ext_route_agrees(M, I, k):
+    """Ext^i(R/eR, M) through a free resolution, the route local_cohomology
+    no longer takes: zero for 1 <= i <= k, and (1 - e)M in degree 0."""
+    R = M.ring
+    Q = cyclic_quotient_module(R, ideal(R, [stable_idempotent(I)]))
+    for i in range(1, k + 1):
+        if not derived_functor("ext", Q, M, i).is_zero_module():
+            return False
+    ext0, lc0 = derived_functor("ext", Q, M, 0), local_cohomology(M, I, 0)
+    return (
+        ext0.group.invariant_factors == lc0.group.invariant_factors
+        and modules_isomorphic(ext0, lc0)
+    )
+
+
+def test_local_cohomology_matches_ext_route():
+    # the draws of acceptance criterion 06, then the degenerate inputs
+    rng = rng_from_seed(0xA006)
+    for _ in range(100):
+        R, M, seq = random_instance(rng, k_max=3)
+        assert _ext_route_agrees(M, ideal(R, list(seq)), len(seq)), (R, seq)
+    R, Z = zmod(12), zero_ring()
+    two = ideal(R, [R.from_int(2)])
+    assert _ext_route_agrees(ring_as_module(Z), ideal(Z, [Z.one()]), 2)
+    assert _ext_route_agrees(zero_module(R), two, 2)
+    assert _ext_route_agrees(ring_as_module(R), ideal(R, [R.one()]), 2)
+    assert _ext_route_agrees(ring_as_module(R), ideal(R, []), 2)
+
+
+def _span_closure_by_rounds(M, vectors):
+    """The round-by-round closure span_closure ran before: apply every action
+    to every span column, keep the images outside the span, repeat."""
+    span = span_lattice(M.group, vectors)
+    while True:
+        images = [
+            M.group.reduce(A.matrix.apply(M.group.reduce(tuple(c))))
+            for c in span.cols_list()
+            for A in M.actions
+        ]
+        new = [v for v in images if not span_contains(M.group, span, v)]
+        if not new:
+            return span
+        span = span_lattice(M.group, span.cols_list() + new)
+
+
+def test_span_closure_matches_round_by_round_closure():
+    # rings of rank >= 2, where the additive span of a vector is rarely closed
+    rng = random.Random(0x5C10)
+    cases = []
+    while len(cases) < 40:
+        R, _ = random_ring(rng)
+        if R.rank < 2:
+            continue
+        M = rng.choice(
+            [ring_as_module(R), random_module(rng, R), module_power(ring_as_module(R), 2)[0]]
+        )
+        vectors = [
+            tuple(rng.randrange(d) for d in M.group.invariant_factors)
+            for _ in range(rng.randint(1, 2))
+        ]
+        cases.append((M, vectors))
+    cases.append((ring_as_module(zero_ring()), []))
+    cases.append((zero_module(zmod(12)), []))
+    cases.append((zero_module(zmod(12)), [()]))
+    for M, vectors in cases:
+        assert span_closure(M, vectors) == _span_closure_by_rounds(M, vectors)
 
 
 def test_truncated_two_power_annihilator_chain():
