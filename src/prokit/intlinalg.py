@@ -9,16 +9,23 @@ Hermite reduction, with no SNF: Hermite form is unique, so any generating
 set of a lattice gives the same span.  All values are immutable after
 construction and all operations are pure functions.
 
-`cokernel_presentation` is the one section primitive: it returns a section
-with every projection, and every quotient lift in the package (subgroups,
-quotients, direct sums, quotient rings, Hom and tensor modules,
-subquotients) is a product with that section.  `GroupSubquotient` and
-`induced_hom` are the one lift/classify path: `subgroup_embedding`,
-`quotient_group` and `subquotient_group` return the record, it classifies
-an element by forward substitution on its canonical span (no normal form),
-and every map induced on a subgroup, quotient or subquotient (module
-actions, homology and Cech maps, localized rings) classifies the columns of
-f * lift in one call of `induced_hom`.
+Every presentation is one Smith reduction D = U * H * V of a square,
+nonsingular relation matrix H (`_smith_presentation`): the projection P is
+the kept rows of U and the section S the kept columns of U^-1 = H * V * D^-1,
+so P * S = I over Z with no second solve.  `cokernel_presentation` first
+reduces its relations to their canonical basis, and `subquotient_group`
+presents L/N by L^-1 N, the coefficients of N's canonical span over L's
+from forward substitution; so the coordinates depend only on the
+subgroups, never on their generators.  Every quotient lift in the package
+(subgroups, quotients, direct sums, quotient rings, Hom and tensor
+modules, subquotients) is a product with such a section.
+`GroupSubquotient` and `induced_hom` are the one lift/classify path:
+`subgroup_embedding` (N = 0) and `quotient_group` (L = G) are cases of
+`subquotient_group`, the record classifies an element by forward
+substitution on its canonical span (no normal form), and every map induced
+on a subgroup, quotient or subquotient (module actions, homology and Cech
+maps, localized rings) classifies the columns of f * lift in one call of
+`induced_hom`.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from dataclasses import dataclass
 from math import prod
 from operator import mul
 
-from .errors import AxiomViolation, DimensionMismatch, InfiniteCokernel
+from .errors import DimensionMismatch, InfiniteCokernel
 
 
 # ---------------------------------------------------------------------------
@@ -587,60 +594,49 @@ def cokernel_presentation(A: IntMatrix, moduli):
     (allowed internally, but the resulting quotient must still be finite).
     Returns (group, P, S): the projection matrix P maps old Z^rows
     coordinates onto the new generators, and the section S is a rows x
-    group.rank matrix whose column i is a lift of generator e_i, so
-    P * S = I modulo the group's invariant factors.  This is the one place
-    quotient generators are lifted back: a lift of h is S * h.
+    group.rank matrix whose column i is a lift of generator e_i, with
+    P * S = I over Z.  This is the one place quotient generators are
+    lifted back: a lift of h is S * h.
 
-    S comes from one solve of [P | diag(group)] x = e_i.  That matrix maps
-    onto Z^group.rank (P is onto the group), so its Smith diagonal is all
-    ones and `IntLinearSystem.solve` is linear in the right-hand side:
-    S * h equals the solution of [P | diag(group)] x = h, cut to its first
-    `rows` entries, as raw integers.
+    The relations are first reduced to their canonical basis H
+    (`column_lattice`), so (group, P, S) depends only on the relation
+    lattice.  One Smith reduction D = U * H * V of that square matrix gives
+    P, the kept rows of U, and S, the kept columns of U^-1 = H * V * D^-1
+    (see `_smith_presentation`).
 
     >>> G, P, S = cokernel_presentation(IntMatrix.from_rows([[2, 4], [6, 8]]), [0, 0])
     >>> G.invariant_factors
     (2, 4)
-    >>> [G.reduce(c) for c in (P * S).cols_list()]
-    [(1, 0), (0, 1)]
+    >>> (P * S).rows_list()
+    [[1, 0], [0, 1]]
     """
     if len(moduli) != A.rows:
         raise DimensionMismatch("moduli length must equal row count")
-    rel_cols = A.cols_list()
-    for i, mval in enumerate(moduli):
-        if mval:
-            rel_cols.append([mval if t == i else 0 for t in range(A.rows)])
-    if rel_cols:
-        R = IntMatrix.from_cols(rel_cols, rows=A.rows)
-    else:
-        R = IntMatrix.zero(A.rows, 0)
-    D, U, V = snf(R)
     r = A.rows
-    diag = [D[i, i] if i < min(D.rows, D.cols) else 0 for i in range(r)]
-    if any(d == 0 for d in diag):
+    rel_cols = A.cols_list()
+    rel_cols += [[m if t == i else 0 for t in range(r)] for i, m in enumerate(moduli) if m]
+    H = column_lattice(r, rel_cols)
+    if H.cols < r:
         raise InfiniteCokernel("quotient has free rank")
-    kept = [i for i in range(r) if diag[i] > 1]
-    facs = [diag[i] for i in kept]
+    return _smith_presentation(H)
+
+
+def _smith_presentation(H):
+    """(group, P, S) for Z^r / H Z^r, H square and nonsingular, from one
+    Smith reduction D = U * H * V.  The kept rows of U (diagonal entries
+    d_i > 1) are P; since H = U^-1 * D * V^-1, column i of U^-1 is
+    H * V[:, i] / d_i, an exact division, and its kept columns are S.
+    So P * S = I over Z (Cohen, A Course in Computational Algebraic Number
+    Theory, 2.4), and P kills the columns of H modulo the group."""
+    D, U, V = snf(H)
+    r = H.rows
+    kept = [i for i in range(r) if D[i, i] > 1]
     # SNF diagonals divide in order, so the kept tail is already a chain
-    group = FinAbGroup(tuple(facs))
-    g = group.rank
-    if not g:
-        return group, IntMatrix(0, r, []), IntMatrix.zero(r, 0)
-    P = IntMatrix.from_rows([list(U.row(i)) for i in kept])
-    system = IntLinearSystem(P.hstack(_moduli_matrix(group)))
-    lifts = []
-    for i in range(g):
-        sol = system.solve(tuple(1 if t == i else 0 for t in range(g)))
-        if sol is None:
-            raise AxiomViolation("presentation projection is not surjective")
-        lifts.append(sol[:r])
-    return group, P, IntMatrix.from_cols(lifts, rows=r)
-
-
-def hom_from_gen_images(source, target, images):
-    """Hom sending the j-th source generator to images[j]."""
-    cols = [list(img.coords) for img in images]
-    m = IntMatrix.from_cols(cols, rows=target.rank) if cols else IntMatrix(target.rank, 0, [])
-    return GroupHom(source, target, m)
+    group = FinAbGroup(tuple(D[i, i] for i in kept))
+    HV = H * V
+    P = IntMatrix._of(len(kept), r, tuple(x for i in kept for x in U.row(i)))
+    S = IntMatrix._of(r, len(kept), tuple(HV[t, i] // D[i, i] for t in range(r) for i in kept))
+    return group, P, S
 
 
 def _lattice_basis(rows, lead, n):
@@ -701,11 +697,10 @@ def intersect_spans(G, s1, s2):
     return _lattice_basis(rows, r, r)
 
 
-def _canonical_diagonal(group, span):
-    """Diagonal of a canonical span; raises unless `span` has the shape
-    `span_lattice` gives it: rank x rank, lower-triangular, positive
+def _canonical_diagonal(r, span):
+    """Diagonal of a canonical span of rank r; raises unless `span` has the
+    shape `span_lattice` gives it: r x r, lower-triangular, positive
     diagonal."""
-    r = group.rank
     data = span._data
     if (
         span.rows != r
@@ -716,9 +711,9 @@ def _canonical_diagonal(group, span):
     return data[:: r + 1]
 
 
-def _span_coefficients(group, span, vectors):
+def _span_coefficients(r, span, vectors):
     """For each vector, the integer coefficients c with span * c = v, or
-    None when v is not in the lattice of the canonical span.
+    None when v is not in the lattice of the canonical r x r span.
 
     Forward substitution: column s of the span is zero above row s, so a
     lattice vector whose entries 0..t-1 vanish is a combination of
@@ -729,12 +724,11 @@ def _span_coefficients(group, span, vectors):
     diagonal, so c is unique.  O(r^2) integer operations per vector and no
     normal form; vectors may be unreduced or negative.  A generator, so a
     membership test stops at the first vector outside the lattice."""
-    diag = _canonical_diagonal(group, span)
-    r = len(diag)
+    diag = _canonical_diagonal(r, span)
     columns = [span._data[t::r] for t in range(r)]
     for vector in vectors:
         if len(vector) != r:
-            raise DimensionMismatch("vector length must equal the group rank")
+            raise DimensionMismatch("vector length must equal the span rank")
         v = list(vector)
         coeffs = []
         for t, (p, col) in enumerate(zip(diag, columns)):
@@ -752,7 +746,7 @@ def _span_coefficients(group, span, vectors):
 def _in_canonical_span(group, span, vectors):
     """True when every vector lies in the lattice of the canonical span
     (see `_span_coefficients`)."""
-    return all(c is not None for c in _span_coefficients(group, span, vectors))
+    return all(c is not None for c in _span_coefficients(group.rank, span, vectors))
 
 
 def span_contains(group, span, vector):
@@ -769,7 +763,7 @@ def span_subgroup_order(group, span):
     """Order of the subgroup a canonical span describes."""
     # the span lattice contains the relation lattice, hence is full rank;
     # its index in Z^r is |det|, the product of its triangular diagonal
-    return group.order() // prod(_canonical_diagonal(group, span))
+    return group.order() // prod(_canonical_diagonal(group.rank, span))
 
 
 def span_leq(group, inner, outer):
@@ -785,10 +779,10 @@ class GroupSubquotient:
     group, with the one lift and classify path for derived groups.
 
     `lift` is a hom from `group` into G sending each class to a
-    representative in L: the inclusion for a subgroup (N = 0), the section
-    of `cokernel_presentation` for a quotient (L = G).  `span` is the
-    canonical span of L (`span_lattice`), and `projection` maps
-    coefficients over the span's columns onto `group`.  Classifying v in L
+    representative in L: the span times the section of the presentation,
+    the inclusion for a subgroup (N = 0).  `span` is the canonical span of
+    L (`span_lattice`), and `projection` maps coefficients over the span's
+    columns onto `group`.  Classifying v in L
     solves span * c = v by forward substitution and reduces projection * c,
     so no normal form runs.  The class does not depend on the representative
     (unreduced or negative coordinates are fine), and for a subgroup it is
@@ -803,22 +797,27 @@ class GroupSubquotient:
     def classify(self, elem):
         """Class in `group` of an element of L given in G coordinates;
         raises DimensionMismatch when the element is not in L."""
-        return self.group.element(self._classes([elem.coords])[0])
+        return self.group.element(_span_classes(self.span, self.projection, [elem.coords])[0])
 
     def classify_hom(self, f):
         """The hom sending x to the class of f(x), for f with image in L."""
         if f.target != self.lift.target:
             raise DimensionMismatch("hom does not land in the ambient group")
-        cols = [self.group.reduce(c) for c in self._classes(f.matrix.cols_list())]
+        classes = _span_classes(self.span, self.projection, f.matrix.cols_list())
+        cols = [self.group.reduce(c) for c in classes]
         return GroupHom(f.source, self.group, IntMatrix.from_cols(cols, rows=self.group.rank))
 
-    def _classes(self, vectors):
-        out = []
-        for c in _span_coefficients(self.lift.target, self.span, vectors):
-            if c is None:
-                raise DimensionMismatch("element is not in the subgroup")
-            out.append(self.projection.apply(c))
-        return out
+
+def _span_classes(span, projection, vectors):
+    """projection * c for the coefficients c of each vector over the
+    canonical span (`_span_coefficients`); raises DimensionMismatch when a
+    vector is not in the span's lattice."""
+    out = []
+    for c in _span_coefficients(span.rows, span, vectors):
+        if c is None:
+            raise DimensionMismatch("element is not in the subgroup")
+        out.append(projection.apply(c))
+    return out
 
 
 def induced_hom(f, src, tgt):
@@ -830,44 +829,34 @@ def induced_hom(f, src, tgt):
 
 def subgroup_embedding(G, gen_vectors):
     """The subgroup of G generated by the given coordinate vectors, as a
-    GroupSubquotient whose lift is the inclusion."""
-    span = span_lattice(G, gen_vectors)
-    r = G.rank
-    if r == 0:
-        H = FinAbGroup(())
-        empty = IntMatrix(0, 0, [])
-        return GroupSubquotient(H, GroupHom(H, G, empty), span, empty)
-    # relations among the span's columns inside G; the span is r x r
-    sys = IntLinearSystem(span.hstack(_moduli_matrix(G)))
-    rel_cols = [list(k[:r]) for k in sys.kernel_basis()]
-    R = IntMatrix.from_cols(rel_cols, rows=r) if rel_cols else IntMatrix.zero(r, 0)
-    H, P, S = cokernel_presentation(R, [0] * r)
-    # inclusion: each new generator's lift, a Z^r combination, taken into G
-    images = [G.element(span.apply(S.col(i))) for i in range(H.rank)]
-    return GroupSubquotient(H, hom_from_gen_images(H, G, images), span, P)
+    GroupSubquotient whose lift is the inclusion: `subquotient_group` with
+    N = 0, whose canonical span is diag(G)."""
+    return subquotient_group(G, gen_vectors, [])
 
 
 def quotient_group(G, gen_vectors):
     """Quotient of G by the subgroup generated by the given coordinate
-    vectors, as a GroupSubquotient whose lift is the section of
-    `cokernel_presentation`.  L = G has the identity as its span, so the
-    projection acts on G coordinates directly."""
-    cols = [list(v) for v in gen_vectors]
-    A = IntMatrix.from_cols(cols, rows=G.rank) if cols else IntMatrix.zero(G.rank, 0)
-    Q, P, S = cokernel_presentation(A, list(G.invariant_factors))
-    return GroupSubquotient(Q, GroupHom(Q, G, S), IntMatrix.identity(G.rank), P)
+    vectors, as a GroupSubquotient: `subquotient_group` with L = G, whose
+    canonical span is the identity, so the projection acts on G
+    coordinates directly and the lift is the section of the presentation."""
+    return subquotient_group(G, IntMatrix.identity(G.rank).cols_list(), gen_vectors)
 
 
 def subquotient_group(G, ker_vectors, im_vectors):
     """L/N for the subgroups L and N of G generated by the given vectors,
-    N inside L: the quotient of the subgroup L by the classes of N.  The
-    lift is the inclusion of L after the quotient's section, and the
-    projection is P_Q * P_L."""
-    sub = subgroup_embedding(G, ker_vectors)
-    quo = quotient_group(sub.group, [sub.classify(G.element(v)).coords for v in im_vectors])
-    return GroupSubquotient(
-        quo.group, sub.lift.compose(quo.lift), sub.span, quo.projection * sub.projection
-    )
+    N inside L.  Both canonical spans are square, full rank and
+    lower-triangular, so the coefficients L^-1 N of N's columns over L's
+    come from forward substitution, with no normal form; they present L/N
+    on the span's columns, and one Smith reduction of that square matrix
+    (`_smith_presentation`) gives (group, P, S).  The record's projection
+    is P and its lift L * S.  Every matrix here depends only on the two
+    subgroups, not on the generating vectors."""
+    L = span_lattice(G, ker_vectors)
+    coeffs = list(_span_coefficients(G.rank, L, span_lattice(G, im_vectors).cols_list()))
+    if None in coeffs:
+        raise DimensionMismatch("element is not in the subgroup")
+    Q, P, S = _smith_presentation(IntMatrix.from_cols(coeffs, rows=G.rank))
+    return GroupSubquotient(Q, GroupHom(Q, G, L * S), L, P)
 
 
 def solve_hom(f: GroupHom, y: GroupElement):

@@ -20,9 +20,9 @@ ring basis (`span_closure`).
 `block_hom` is the one place where maps between direct sums are assembled:
 the actions of direct sums and module powers, the Tor/Ext differentials
 here, and the Koszul, Cech and total complexes of the complexes layer.
-Quotient generators are lifted back only through the section that
-`intlinalg.cokernel_presentation` returns (quotients, subquotients, Hom
-and tensor modules); nothing here solves for a lift on its own.  Quotient,
+Quotient generators are lifted back only through the section read off
+the one Smith reduction of `intlinalg` (quotients, subquotients, Hom and
+tensor modules); nothing here solves for a lift on its own.  Quotient,
 submodule, subquotient and localized modules carry an
 `intlinalg.GroupSubquotient` and get their actions from
 `intlinalg.induced_hom`, the one lift/classify path.
@@ -39,8 +39,10 @@ from .intlinalg import (
     FinAbGroup,
     GroupHom,
     GroupSubquotient,
-    IntLinearSystem,
     IntMatrix,
+    _smith_presentation,
+    _span_classes,
+    _span_coefficients,
     cokernel_presentation,
     direct_sum_groups,
     hom_image_span,
@@ -561,7 +563,10 @@ def _greedy_generators(M, pool, target):
             break
         if not span_contains(M.group, span, g.coords):
             chosen.append(g)
-            span = span_closure(M, span.cols_list() + [g.coords])
+            # the span is already closed, so only g's images join it
+            span = span_lattice(
+                M.group, span.cols_list() + [A.matrix.apply(g.coords) for A in M.actions]
+            )
     return chosen, span
 
 
@@ -634,16 +639,7 @@ class HomModuleData:
 
     def from_group_hom(self, f):
         t = _hom_coeffs_of(self.source.group, self.target.group, self._pair_moduli, f)
-        nvars = len(self._pair_moduli)
-        stacked = (
-            self._lattice.hstack(IntMatrix.diagonal(list(self._pair_moduli)))
-            if nvars
-            else self._lattice
-        )
-        sol = IntLinearSystem(stacked).solve(tuple(t))
-        if sol is None:
-            raise AxiomViolation("hom does not lie in the computed hom lattice")
-        return self.module.element(self._proj.apply(tuple(sol[: self._lattice.cols])))
+        return self.module.element(_span_classes(self._lattice, self._proj, [t])[0])
 
 
 def _hom_coeffs_of(source_group, target_group, pair_moduli, f):
@@ -695,28 +691,21 @@ def hom_module_data(M, N):
                 cond_rows.append(row)
                 cond_mods.append(b[i])
     C = IntMatrix.from_rows(cond_rows)
+    # L is canonical, square and full rank, so it presents the hom group
+    # with relations L^-1 diag(pair_moduli), and t decodes to P * L^-1 t,
+    # both by forward substitution
     L = preimage_lattice(C, IntMatrix.diagonal(cond_mods), pair_moduli)
-    # present L / diag(pair_moduli): relations among the lattice basis
-    decode_sys = IntLinearSystem(L.hstack(IntMatrix.diagonal(list(pair_moduli))))
-    rel_cols = [list(k[: L.cols]) for k in decode_sys.kernel_basis()]
-    RelM = IntMatrix.from_cols(rel_cols, rows=L.cols) if rel_cols else IntMatrix.zero(L.cols, 0)
-    G, P, S = cokernel_presentation(RelM, [0] * L.cols)
+    rels = _span_coefficients(nvars, L, IntMatrix.diagonal(list(pair_moduli)).cols_list())
+    G, P, S = _smith_presentation(IntMatrix.from_cols(list(rels), rows=nvars))
     # canonical generators lifted to coefficient vectors
     concrete = [
         _hom_matrix_from_coeffs(M.group, N.group, pair_moduli, L.apply(S.col(i)))
         for i in range(G.rank)
     ]
     actions = []
-    for k in range(R.rank):
-        Bk = N.actions[k]
-        cols = []
-        for f in concrete:
-            g = Bk.compose(f)
-            tvec = _hom_coeffs_of(M.group, N.group, pair_moduli, g)
-            sol = decode_sys.solve(tuple(tvec))
-            if sol is None:
-                raise AxiomViolation("hom action left the hom lattice")
-            cols.append(list(P.apply(tuple(sol[: L.cols]))))
+    for Bk in N.actions:
+        tvecs = [_hom_coeffs_of(M.group, N.group, pair_moduli, Bk.compose(f)) for f in concrete]
+        cols = [G.reduce(c) for c in _span_classes(L, P, tvecs)]
         mat = IntMatrix.from_cols(cols, rows=G.rank) if cols else IntMatrix(G.rank, 0, [])
         actions.append(GroupHom(G, G, mat))
     module = FgModule(R, G, actions)
@@ -827,13 +816,14 @@ class Resolution:
 
 
 def _free_map_from_images(F_src, tgt_module, images):
-    """GroupHom from a free module determined by generator images."""
+    """GroupHom from a free module determined by generator images.  Each
+    basis action is applied to each image once; a generator with ring
+    coordinates r_u in copy u goes to the sum of r_u[b] * (b . image_u)."""
+    products = [A.matrix.apply(img.coords) for img in images for A in tgt_module.actions]
     cols = []
     for gen in F_src.module.generators():
-        acc = tgt_module.zero()
-        for r, image in zip(F_src.coords(gen), images):
-            acc = acc + tgt_module.action_hom(r)(image)
-        cols.append(acc.coords)
+        coeffs = [c for r in F_src.coords(gen) for c in r.coords]
+        cols.append(tgt_module.group.reduce(linear_combination(coeffs, products)))
     mat = IntMatrix.from_cols(cols, rows=tgt_module.group.rank)
     return GroupHom(F_src.module.group, tgt_module.group, mat)
 

@@ -9,6 +9,7 @@ from prokit.intlinalg import (
     FinAbGroup,
     GroupElement,
     GroupHom,
+    GroupSubquotient,
     IntLinearSystem,
     IntMatrix,
     cokernel_presentation,
@@ -159,16 +160,16 @@ def test_cokernel_infinite():
         cokernel_presentation(IntMatrix.zero(2, 0), [2, 0])
 
 
-def assert_section(rng, G, P, S):
-    """P * S is the identity modulo G, and lifting h through S is the raw
-    solve of [P | diag(G)] x = h, unreduced."""
+def assert_section(G, P, S, A, moduli):
+    """P * S is the identity over Z (stronger than modulo G), and P kills
+    every relation column (A's columns and the moduli) modulo G."""
     assert (S.rows, S.cols) == (P.cols, G.rank)
-    ident = IntMatrix.identity(G.rank).cols_list()
-    assert [G.reduce(c) for c in (P * S).cols_list()] == [G.reduce(c) for c in ident]
-    raw = IntLinearSystem(P.hstack(IntMatrix.diagonal(list(G.invariant_factors))))
-    for _ in range(5):
-        h = tuple(rng.randint(-3 * d, 3 * d) for d in G.invariant_factors)
-        assert S.apply(h) == raw.solve(h)[: P.cols]
+    assert P * S == IntMatrix.identity(G.rank)
+    relations = A.cols_list() + [
+        [m if t == i else 0 for t in range(A.rows)] for i, m in enumerate(moduli)
+    ]
+    for col in relations:
+        assert G.element(P.apply(tuple(col))).is_zero()
 
 
 def test_cokernel_idempotent():
@@ -177,16 +178,16 @@ def test_cokernel_idempotent():
     rng = random.Random(3)
     for _ in range(30):
         A = random_matrix(rng, max_dim=4, max_entry=10)
+        moduli = [rng.choice([0, 2, 4, 6]) for _ in range(A.rows)]
         try:
-            G, P, S = cokernel_presentation(A, [rng.choice([0, 2, 4, 6]) for _ in range(A.rows)])
+            G, P, S = cokernel_presentation(A, moduli)
         except InfiniteCokernel:
             continue
-        assert_section(rng, G, P, S)
-        G2, P2, S2 = cokernel_presentation(
-            IntMatrix.zero(G.rank, 0), list(G.invariant_factors)
-        )
+        assert_section(G, P, S, A, moduli)
+        empty = IntMatrix.zero(G.rank, 0)
+        G2, P2, S2 = cokernel_presentation(empty, list(G.invariant_factors))
         assert G2.invariant_factors == G.invariant_factors
-        assert_section(rng, G2, P2, S2)
+        assert_section(G2, P2, S2, empty, list(G.invariant_factors))
     # zero-rank groups and empty relation matrices
     for A, moduli in (
         (IntMatrix.identity(2), [0, 0]),
@@ -195,7 +196,7 @@ def test_cokernel_idempotent():
         (IntMatrix.zero(3, 0), [6, 4, 2]),
     ):
         G, P, S = cokernel_presentation(A, moduli)
-        assert_section(rng, G, P, S)
+        assert_section(G, P, S, A, moduli)
 
 
 def test_projection_maps_onto_generators():
@@ -399,6 +400,161 @@ def test_subquotient_record_classify_against_reference(monkeypatch):
                 monkeypatch.setattr(intlinalg, "snf", real_snf)
     # classification is forward substitution: no normal form at all
     assert snf_calls == []
+
+
+def _two_step_presentation(A, moduli):
+    """The presentation route before one Smith form per presentation: an
+    SNF of the raw relation columns, then the section from an
+    `IntLinearSystem` solve of [P | diag(group)] x = e_i."""
+    r = A.rows
+    rel_cols = A.cols_list()
+    rel_cols += [[m if t == i else 0 for t in range(r)] for i, m in enumerate(moduli) if m]
+    D, U, _ = snf(IntMatrix.from_cols(rel_cols, rows=r))
+    diag = [D[i, i] if i < min(D.rows, D.cols) else 0 for i in range(r)]
+    assert all(diag)
+    kept = [i for i in range(r) if diag[i] > 1]
+    G = FinAbGroup(tuple(diag[i] for i in kept))
+    P = IntMatrix(len(kept), r, [x for i in kept for x in U.row(i)])
+    lifts = []
+    if kept:
+        system = IntLinearSystem(P.hstack(IntMatrix.diagonal(list(G.invariant_factors))))
+        lifts = [system.solve(tuple(int(t == i) for t in range(G.rank)))[:r] for i in range(G.rank)]
+    return G, P, IntMatrix.from_cols(lifts, rows=r)
+
+
+def _two_step_subgroup(G, vecs):
+    """The subgroup route before: relations among the span's columns from
+    an `IntLinearSystem` kernel basis, then a presentation."""
+    span = span_lattice(G, vecs)
+    r = G.rank
+    system = IntLinearSystem(span.hstack(IntMatrix.diagonal(list(G.invariant_factors))))
+    rels = [k[:r] for k in system.kernel_basis()]
+    H, P, S = _two_step_presentation(IntMatrix.from_cols(rels, rows=r), [0] * r)
+    lift = IntMatrix.from_cols([G.reduce(c) for c in (span * S).cols_list()], rows=r)
+    return GroupSubquotient(H, GroupHom(H, G, lift), span, P)
+
+
+def _two_step_quotient(G, vecs):
+    Q, P, S = _two_step_presentation(IntMatrix.from_cols(vecs, rows=G.rank), list(G.invariant_factors))
+    return GroupSubquotient(Q, GroupHom(Q, G, S), IntMatrix.identity(G.rank), P)
+
+
+def _two_step_subquotient(G, ker_vecs, im_vecs):
+    """L/N as the quotient of the subgroup L by the classes of N."""
+    sub = _two_step_subgroup(G, ker_vecs)
+    quo = _two_step_quotient(sub.group, [sub.classify(G.element(v)).coords for v in im_vecs])
+    return GroupSubquotient(
+        quo.group, sub.lift.compose(quo.lift), sub.span, quo.projection * sub.projection
+    )
+
+
+def assert_subquotient_laws(G, rec, im_span):
+    """classify after lift is the identity, N classifies to 0, and
+    |L| = |N| * |L/N|."""
+    for h in list(rec.group.elements())[:32]:
+        assert rec.classify(rec.lift(h)) == h
+    for v in im_span.cols_list():
+        assert rec.classify(G.element(v)).is_zero()
+    assert span_subgroup_order(G, rec.span) == span_subgroup_order(G, im_span) * rec.group.order()
+
+
+def test_subquotient_records_match_the_two_step_route():
+    rng = random.Random(0x2573)
+    for G in map(FinAbGroup, RECORD_CHAINS):
+        for _ in range(3):
+            vecs = [rand_vec(rng, G.rank) for _ in range(2)]
+            f, g = random_endo(rng, G), random_endo(rng, G)
+            L, N = hom_kernel_span(f.compose(g)), hom_kernel_span(g)
+            pairs = [
+                (subgroup_embedding(G, vecs), _two_step_subgroup(G, vecs), span_lattice(G, [])),
+                (quotient_group(G, vecs), _two_step_quotient(G, vecs), span_lattice(G, vecs)),
+                (
+                    subquotient_group(G, L.cols_list(), N.cols_list()),
+                    _two_step_subquotient(G, L.cols_list(), N.cols_list()),
+                    N,
+                ),
+            ]
+            for new, old, im_span in pairs:
+                assert new.group == old.group
+                assert new.span == old.span
+                assert_subquotient_laws(G, new, im_span)
+                assert_subquotient_laws(G, old, im_span)
+
+
+def _unit(rng, G):
+    """A multiplier that is a unit modulo every invariant factor of G."""
+    exponent = G.invariant_factors[-1] if G.rank else 1
+    units = [u for u in range(-2 * exponent - 1, 2 * exponent + 2) if gcd(u, exponent) == 1]
+    return rng.choice(units)
+
+
+def _regenerated(rng, G, vecs):
+    """Another generating set of the subgroup the vectors generate: shuffled,
+    each scaled by a unit, padded with integer combinations and relations."""
+    units = [_unit(rng, G) for _ in vecs]
+    out = [tuple(u * a for a in v) for u, v in zip(units, vecs)]
+    for _ in range(2):
+        combo = [0] * G.rank
+        for v in vecs:
+            q = rng.randint(-3, 3)
+            combo = [a + q * b for a, b in zip(combo, v)]
+        out.append(tuple(a + rng.randint(-2, 2) * d for a, d in zip(combo, G.invariant_factors)))
+    rng.shuffle(out)
+    return out
+
+
+def test_subquotient_records_depend_only_on_the_subgroups():
+    rng = random.Random(0xCA9)
+    for G in map(FinAbGroup, RECORD_CHAINS):
+        for _ in range(4):
+            ker = [rand_vec(rng, G.rank) for _ in range(rng.randint(1, 3))]
+            # N inside L: combinations of L's generators
+            qs = [rng.randint(-2, 2) for _ in ker]
+            im = [tuple(sum(q * v[t] for q, v in zip(qs, ker)) for t in range(G.rank))]
+            ker2, im2 = _regenerated(rng, G, ker), _regenerated(rng, G, im)
+            assert subgroup_embedding(G, ker) == subgroup_embedding(G, ker2)
+            assert quotient_group(G, im) == quotient_group(G, im2)
+            assert subquotient_group(G, ker, im) == subquotient_group(G, ker2, im2)
+            # a relation lattice presents the same way from any generating set
+            A, A2 = (IntMatrix.from_cols(vs, rows=G.rank) for vs in (ker, ker2))
+            moduli = list(G.invariant_factors)
+            assert cokernel_presentation(A, moduli) == cokernel_presentation(A2, moduli)
+
+
+def test_presentations_run_one_smith_form_and_no_linear_system(monkeypatch):
+    import prokit.intlinalg as intlinalg
+
+    counts = {"snf": 0, "system": 0}
+    real_snf, real_init = intlinalg.snf, IntLinearSystem.__init__
+
+    def counting_snf(A):
+        counts["snf"] += 1
+        return real_snf(A)
+
+    def counting_init(self, A):
+        counts["system"] += 1
+        real_init(self, A)
+
+    rng = random.Random(0x1F0)
+    cases = []
+    for G in map(FinAbGroup, RECORD_CHAINS):
+        vecs = [rand_vec(rng, G.rank) for _ in range(2)]
+        f, g = random_endo(rng, G), random_endo(rng, G)
+        L, N = hom_kernel_span(f.compose(g)), hom_kernel_span(g)
+        A = IntMatrix.from_cols(vecs, rows=G.rank)
+        cases += [
+            (cokernel_presentation, (A, list(G.invariant_factors))),
+            (subgroup_embedding, (G, vecs)),
+            (quotient_group, (G, vecs)),
+            (subquotient_group, (G, L.cols_list(), N.cols_list())),
+        ]
+    monkeypatch.setattr(intlinalg, "snf", counting_snf)
+    monkeypatch.setattr(IntLinearSystem, "__init__", counting_init)
+    for fn, args in cases:
+        counts.update(snf=0, system=0)
+        fn(*args)
+        assert counts["snf"] <= 1, fn.__name__
+        assert counts["system"] == 0, fn.__name__
 
 
 def test_direct_sum_groups():

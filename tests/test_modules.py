@@ -1,17 +1,26 @@
 """Module functors: submodules, colon, torsion, duality, Hom/tensor, Tor/Ext."""
 
+import itertools
 import random
 
 import pytest
 
 from prokit.complexes import cech_complex
 from prokit.errors import DimensionMismatch, InvalidSpec
-from prokit.intlinalg import GroupHom, IntMatrix, direct_sum_groups, span_contains, span_lattice
+from prokit.intlinalg import (
+    GroupHom,
+    IntMatrix,
+    direct_sum_groups,
+    hom_kernel_span,
+    span_contains,
+    span_lattice,
+)
 from prokit.randgen import random_instance, random_module, random_ring, rng_from_seed
 from prokit.rings import ideal, stable_idempotent, truncated_two_power, zero_ring, zmod
 from prokit.modules import (
     FgModule,
     ModuleHom,
+    _greedy_generators,
     adic_completion,
     block_hom,
     colon_submodule,
@@ -457,6 +466,88 @@ def test_span_closure_matches_round_by_round_closure():
     cases.append((zero_module(zmod(12)), [()]))
     for M, vectors in cases:
         assert span_closure(M, vectors) == _span_closure_by_rounds(M, vectors)
+
+
+def _acceptance_11_draws():
+    """The (M, N) pairs of acceptance criterion 11, drawn the same way."""
+    rng = rng_from_seed(0xA011)
+    for _ in range(20):
+        R, M, _ = random_instance(rng, k_max=2, ring_order=36, module_order=64)
+        yield M, ring_as_module(R) if rng.random() < 0.4 else M
+
+
+def _free_map_by_action_homs(F_src, tgt_module, images):
+    """The free-map construction before: one assembled action hom per ring
+    coordinate, applied to one image."""
+    cols = []
+    for gen in F_src.module.generators():
+        acc = tgt_module.zero()
+        for r, image in zip(F_src.coords(gen), images):
+            acc = acc + tgt_module.action_hom(r)(image)
+        cols.append(acc.coords)
+    mat = IntMatrix.from_cols(cols, rows=tgt_module.group.rank)
+    return GroupHom(F_src.module.group, tgt_module.group, mat)
+
+
+def test_free_resolution_maps_match_action_hom_construction():
+    for _, N in _acceptance_11_draws():
+        res = free_resolution(N, 3)
+        # generator images: the module generators, then each kernel
+        # generator rebuilt from its ring coordinates
+        images = [module_generators(N)]
+        images += [[F.element(col) for col in cols] for F, cols in zip(res.frees, res.ring_matrices)]
+        targets = [N] + [F.module for F in res.frees[:-1]]
+        for F, tgt, imgs, hom in zip(res.frees, targets, images, res.group_homs):
+            assert hom.equals_map(_free_map_by_action_homs(F, tgt, imgs))
+
+
+def _greedy_by_full_closure(M, pool, target):
+    """The greedy loop before: the whole chosen set closed again at each
+    step."""
+    chosen, span = [], M.zero_span()
+    for g in pool:
+        if span == target:
+            break
+        if not span_contains(M.group, span, g.coords):
+            chosen.append(g)
+            span = span_closure(M, span.cols_list() + [g.coords])
+    return chosen, span
+
+
+def test_greedy_generators_match_full_closure():
+    for M, N in _acceptance_11_draws():
+        res = free_resolution(N, 1)
+        F0 = res.frees[0].module
+        ker = hom_kernel_span(res.group_homs[0])
+        # the pool of `module_generators`: the sum of the group generators first
+        cases = [
+            (X, [sum(X.generators()[1:], X.generators()[0])] + X.generators(), X.full_span())
+            for X in (M, N)
+            if X.group.rank
+        ]
+        cases.append((F0, [g for g in map(F0.element, ker.cols_list()) if not g.is_zero()], ker))
+        for X, pool, target in cases:
+            chosen, span = _greedy_generators(X, pool, target)
+            assert (chosen, span) == _greedy_by_full_closure(X, pool, target)
+            assert span == span_closure(X, [g.coords for g in chosen]) == target
+
+
+def test_hom_module_round_trip_on_seeded_draws():
+    rng = random.Random(0x40E)
+    for _ in range(12):
+        R, _ = random_ring(rng, max_order=36)
+        M, N = random_module(rng, R, max_order=64), random_module(rng, R, max_order=64)
+        data = hom_module_data(M, N)
+        H = data.module
+        for h in itertools.islice(H.group.elements(), 24):
+            f = data.to_group_hom(h)
+            assert f.is_well_defined()
+            assert ModuleHom(M, N, f).check_equivariance()
+            assert data.from_group_hom(f) == h
+        # the action of basis element k on Hom is composition with N's action
+        for A, B in zip(H.actions, N.actions):
+            for h in H.generators():
+                assert data.to_group_hom(A(h)).equals_map(B.compose(data.to_group_hom(h)))
 
 
 def test_truncated_two_power_annihilator_chain():
