@@ -187,6 +187,19 @@ def linear_combination(coeffs, vectors):
     return out
 
 
+def matrix_combination(coeffs, matrices, n):
+    """The n x n matrix sum of c * m over coefficients c and n x n
+    matrices m, skipping zero coefficients (`linear_combination` on the
+    row-major entries).
+
+    >>> matrix_combination([3, 0], [IntMatrix.identity(2), IntMatrix.zero(2, 2)], 2).rows_list()
+    [[3, 0], [0, 3]]
+    """
+    if not matrices:
+        return IntMatrix.zero(n, n)
+    return IntMatrix._of(n, n, tuple(linear_combination(coeffs, [m._data for m in matrices])))
+
+
 def _swap_rows(rows, i, j):
     rows[i], rows[j] = rows[j], rows[i]
 

@@ -50,6 +50,7 @@ from .intlinalg import (
     induced_hom,
     intersect_spans,
     linear_combination,
+    matrix_combination,
     preimage_lattice,
     preimage_span,
     quotient_group,
@@ -112,18 +113,7 @@ class FgModule:
 
     def _combine(self, ring_coords):
         """Group hom for the action of the element with these coordinates."""
-        n = self.group.rank
-        acc = [[0] * n for _ in range(n)]
-        for i, c in enumerate(ring_coords):
-            if c == 0:
-                continue
-            m = self.actions[i].matrix
-            for r in range(n):
-                row = m.row(r)
-                ar = acc[r]
-                for j in range(n):
-                    ar[j] += c * row[j]
-        mat = IntMatrix.from_rows(acc) if n else IntMatrix(0, 0, [])
+        mat = matrix_combination(ring_coords, [A.matrix for A in self.actions], self.group.rank)
         return GroupHom(self.group, self.group, mat)
 
     def action_hom(self, relem):
@@ -932,8 +922,7 @@ def localize_module(M, loc):
 
     The localized scalars act through their representatives inside R, which
     is exact because e M is an R-direct summand."""
-    span = span_lattice(M.group, M.action_hom(loc.idempotent).matrix.cols_list())
-    sub = subgroup_embedding(M.group, span.cols_list())
+    sub = subgroup_embedding(M.group, M.action_hom(loc.idempotent).matrix.cols_list())
     actions = [
         induced_hom(M.action_hom(loc.pull_back(b)), sub, sub) for b in loc.ring.basis()
     ]

@@ -4,7 +4,13 @@ A ring is a finite abelian group in invariant-factor form together with a
 multiplication tensor over that basis and a distinguished unit.  The
 constructors cover cyclic rings, finite products, quotients by ideals, the
 truncated families used for the divergence sweeps, and raw structure
-constants.  On top of the arithmetic sit the Fitting decomposition (which
+constants.  Raw tables, products and quotients are built one way
+(`_transported_ring`): from a presentation (G, P, S) of the new additive
+group over old generators and the matrices L_a of multiplication by each
+old generator, the new basis element i multiplies by P * L(S_i) * S, each
+column reduced into G, with no per-pair structure constants.  A truncated
+polynomial ring needs no presentation: its shift matrices already act on
+(q,)^n.  On top of the arithmetic sit the Fitting decomposition (which
 realizes localization at a single element), ideal power stabilization,
 covering sequences, and the primitive idempotent splitting into local
 factors.
@@ -28,6 +34,7 @@ from .intlinalg import (
     cokernel_presentation,
     induced_hom,
     linear_combination,
+    matrix_combination,
     solve_hom,
     span_contains,
     span_lattice,
@@ -90,18 +97,7 @@ class FiniteRing:
 
     def multiplication_hom(self, elem):
         """Multiplication by `elem` as a GroupHom on the additive group."""
-        rows = self.rank
-        acc = [[0] * rows for _ in range(rows)]
-        for i, c in enumerate(elem.coords):
-            if c == 0:
-                continue
-            mi = self.mult_matrices[i]
-            for r in range(rows):
-                row = mi.row(r)
-                ar = acc[r]
-                for j in range(rows):
-                    ar[j] += c * row[j]
-        m = IntMatrix.from_rows(acc) if rows else IntMatrix(0, 0, [])
+        m = matrix_combination(elem.coords, self.mult_matrices, self.rank)
         return GroupHom(self.additive, self.additive, m)
 
     def mul_coords(self, a, b):
@@ -275,35 +271,30 @@ def zero_ring():
     return FiniteRing(FinAbGroup(()), [], ())
 
 
-def _canonical_ring(orders, products, unit_coords):
-    """Canonicalize a ring presented over generators of the given additive
-    orders, transporting the product along the base change.  Returns
-    (ring, P) with P the coordinate projection old -> new."""
-    s = len(orders)
-    G, P, S = cokernel_presentation(IntMatrix.zero(s, 0), list(orders))
+def _transported_ring(G, P, S, left, unit_coords):
+    """The ring on the presented group G, carried over from the
+    multiplication of s old generators.
+
+    (G, P, S) comes from `cokernel_presentation` over the s old
+    generators, so column i of S lifts the new basis element e_i and P
+    projects old coordinates onto G.  `left[a]` is the s x s matrix of
+    multiplication by old generator a, so the lift S_i multiplies by
+    L(S_i) = sum_a S[a, i] * left[a] and e_i by P * L(S_i) * S, each column
+    reduced into G.  This is the one way a ring is built from another: raw
+    tables, products and quotients differ only in their `left`.
+    """
     if G.rank == 0:
-        return zero_ring(), P
+        return zero_ring()
+    d = G.invariant_factors
     lifts = S.cols_list()
-
-    def old_mul(a, b):
-        out = [0] * s
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                if cb == 0:
-                    continue
-                pij = products[i][j]
-                for k in range(s):
-                    out[k] += ca * cb * pij[k]
-        return tuple(out)
-
+    proj_cols = P.cols_list()
     mult_matrices = []
-    for i in range(G.rank):
-        cols = [list(P.apply(old_mul(lifts[i], lifts[j]))) for j in range(G.rank)]
-        mult_matrices.append(IntMatrix.from_cols(cols, rows=G.rank))
-    ring = FiniteRing(G, mult_matrices, P.apply(tuple(unit_coords)))
-    return ring, P
+    for lift in lifts:
+        cols = matrix_combination(lift, left, P.cols).cols_list()
+        images = [linear_combination(linear_combination(b, cols), proj_cols) for b in lifts]
+        reduced = [[x % m for x, m in zip(v, d)] for v in images]
+        mult_matrices.append(IntMatrix.from_cols(reduced, rows=G.rank))
+    return FiniteRing(G, mult_matrices, P.apply(tuple(unit_coords)))
 
 
 def ring_from_raw(orders, products, unit_coords):
@@ -315,7 +306,10 @@ def ring_from_raw(orders, products, unit_coords):
     on the canonicalized result and any failure raises AxiomViolation
     naming the first three.
     """
-    ring, _ = _canonical_ring(orders, products, unit_coords)
+    s = len(orders)
+    G, P, S = cokernel_presentation(IntMatrix.zero(s, 0), list(orders))
+    left = [IntMatrix.from_cols([list(v) for v in row], rows=s) for row in products]
+    ring = _transported_ring(G, P, S, left, unit_coords)
     failures = check_ring_axioms(ring)
     if failures:
         raise AxiomViolation("; ".join(failures[:3]))
@@ -328,38 +322,26 @@ def product_ring(factors):
     Returns (ring, embed); embed maps a tuple with one element per factor to
     the corresponding element of the product.
     """
-    orders = []
-    blocks = []  # (factor index, index within the factor) per generator
-    for t, R in enumerate(factors):
-        for j in range(R.rank):
-            orders.append(R.additive.invariant_factors[j])
-            blocks.append((t, j))
+    orders = [d for R in factors for d in R.additive.invariant_factors]
     s = len(orders)
-
-    def gen_product(a, b):
-        ta, ja = blocks[a]
-        tb, jb = blocks[b]
-        out = [0] * s
-        if ta != tb:
-            return tuple(out)
-        R = factors[ta]
-        prod_coords = R.mul_coords(
-            tuple(1 if i == ja else 0 for i in range(R.rank)),
-            tuple(1 if i == jb else 0 for i in range(R.rank)),
-        )
-        for k, (tk, jk) in enumerate(blocks):
-            if tk == ta:
-                out[k] = prod_coords[jk]
-        return tuple(out)
-
-    products = [[gen_product(i, j) for j in range(s)] for i in range(s)]
-    unit = [factors[tk].unit_coords[jk] for (tk, jk) in blocks]
-    ring, P = _canonical_ring(orders, products, tuple(unit))
+    # generator (t, j) multiplies by factor t's matrix j in block t
+    left = []
+    offset = 0
+    for R in factors:
+        for m in R.mult_matrices:
+            rows = [[0] * s for _ in range(s)]
+            for r in range(R.rank):
+                rows[offset + r][offset : offset + R.rank] = m.row(r)
+            left.append(IntMatrix.from_rows(rows))
+        offset += R.rank
+    unit = [c for R in factors for c in R.unit_coords]
+    G, P, S = cokernel_presentation(IntMatrix.zero(s, 0), orders)
+    ring = _transported_ring(G, P, S, left, unit)
 
     def embed(parts):
         if len(parts) != len(factors):
             raise DimensionMismatch("one element per factor required")
-        vec = [parts[tk].coords[jk] for (tk, jk) in blocks]
+        vec = [c for part in parts for c in part.coords]
         return ring.element(P.apply(tuple(vec))) if ring.rank else ring.zero()
 
     return ring, embed
@@ -447,12 +429,7 @@ def quotient_ring(R, I):
     G, P, S = cokernel_presentation(I.span, list(R.additive.invariant_factors))
     if G.rank == 0:
         raise AxiomViolation("proper ideal produced a trivial quotient; data corrupt")
-    lifts = S.cols_list()
-    mult_matrices = []
-    for i in range(G.rank):
-        cols = [list(P.apply(R.mul_coords(lifts[i], lifts[j]))) for j in range(G.rank)]
-        mult_matrices.append(IntMatrix.from_cols(cols, rows=G.rank))
-    Q = FiniteRing(G, mult_matrices, P.apply(R.unit_coords))
+    Q = _transported_ring(G, P, S, R.mult_matrices, R.unit_coords)
 
     def project(elem):
         return Q.element(P.apply(elem.coords))
@@ -479,19 +456,14 @@ def truncated_polynomial(q, n):
         raise InvalidSpec(f"modulus {q} is not prime")
     if n < 1:
         raise InvalidSpec("nilpotency order must be >= 1")
-    # basis 1, t, ..., t^{n-1}; every order is q, already a divisibility chain
-    orders = [q] * n
-    products = [
-        [
-            tuple(1 if k == i + j else 0 for k in range(n)) if i + j < n else (0,) * n
-            for j in range(n)
-        ]
+    # basis 1, t, ..., t^{n-1}: (q,)^n is already a divisibility chain, and
+    # t^i shifts t^j to t^{i+j}
+    shifts = [
+        IntMatrix.from_rows([[1 if k == i + j else 0 for j in range(n)] for k in range(n)])
         for i in range(n)
     ]
-    unit = tuple(1 if k == 0 else 0 for k in range(n))
-    ring, P = _canonical_ring(orders, products, unit)
-    tbar = ring.element(P.apply(tuple(1 if k == 1 else 0 for k in range(n))))
-    return ring, tbar
+    ring = FiniteRing(FinAbGroup((q,) * n), shifts, (1,) + (0,) * (n - 1))
+    return ring, ring.element(tuple(1 if k == 1 else 0 for k in range(n)))
 
 
 def truncated_polynomial_family(q, N):
@@ -561,7 +533,7 @@ def localize(R, f):
         triv = GroupHom(R.additive, Z.additive, IntMatrix(0, R.rank, []))
         sec = GroupHom(Z.additive, R.additive, IntMatrix(R.rank, 0, []))
         return Localization(Z, e, c, triv, sec)
-    sub = subgroup_embedding(R.additive, _image_span(R, e).cols_list())
+    sub = subgroup_embedding(R.additive, R.multiplication_hom(e).matrix.cols_list())
     lifts = [R.element(c) for c in sub.lift.matrix.cols_list()]
     mult_matrices = [induced_hom(R.multiplication_hom(x), sub, sub).matrix for x in lifts]
     L = FiniteRing(sub.group, mult_matrices, sub.classify(e.as_group_element()).coords)

@@ -613,10 +613,8 @@ def _family_level(family, N):
     return R, {"x": x, "one": one, "zero": R.zero()}
 
 
-def _sweep_one(family, seq_refs, N, n_max, m_max):
-    R, named = _family_level(family, N)
+def _sweep_one(R, named, M, seq_refs, N, n_max, m_max):
     seq = [_resolve_element(R, named, ref) for ref in seq_refs]
-    M = ring_as_module(R)
     prof = lipman_profile(M, seq, n_max, m_max)
     torsion = [bounded_torsion_index(M, x)[0] for x in seq]
     return {
@@ -636,8 +634,15 @@ def run_family_sweep(task):
     seqs = task.sequences["_family"]
     results = {"parameters": list(range(lo, hi + 1)), "sequences": []}
     inconclusive = False
-    for seq_refs in seqs:
-        levels = [_sweep_one(family, seq_refs, N, n_max, m_max) for N in range(lo, hi + 1)]
+    # each level's ring is built once and serves every sequence; a sweep
+    # with no sequences builds none
+    per_sequence = [[] for _ in seqs]
+    for N in range(lo, hi + 1) if seqs else ():
+        R, named = _family_level(family, N)
+        M = ring_as_module(R)
+        for levels, seq_refs in zip(per_sequence, seqs):
+            levels.append(_sweep_one(R, named, M, seq_refs, N, n_max, m_max))
+    for seq_refs, levels in zip(seqs, per_sequence):
         entry_track = [lvl["entry_1_1"] for lvl in levels]
         torsion_track = [max(lvl["torsion_indices"]) for lvl in levels]
         rows_track = [tuple(map(tuple, lvl["profile"]["rows"])) for lvl in levels]

@@ -431,6 +431,29 @@ def test_sweep_fixture_ex1(capsys):
     assert seqs[("one", "x")]["bounded"]["profile_entries"]
 
 
+def test_sweep_builds_each_level_ring_once(monkeypatch):
+    # two sequences over three levels: one ring per level, not per pair
+    import prokit.tasks as tasks
+
+    built = []
+    level = tasks._family_level
+    monkeypatch.setattr(tasks, "_family_level", lambda fam, N: built.append(N) or level(fam, N))
+    doc = {
+        "schema": 1,
+        "family": {
+            "kind": "truncated_two_power",
+            "range": [2, 4],
+            "sequences": [["x"], ["one", "x"]],
+        },
+        "analysis": {"kind": "sweep"},
+        "bounds": {"n_max": 2},
+    }
+    report = run_task(parse_spec(json.dumps(doc)))
+    assert built == [2, 3, 4]
+    assert [s["sequence"] for s in report.body["results"]["sequences"]] == [["x"], ["one", "x"]]
+    assert [lvl["N"] for lvl in report.body["results"]["sequences"][1]["levels"]] == [2, 3, 4]
+
+
 def test_axioms_task():
     text = task_text(analysis={"kind": "axioms"})
     report = run_task(parse_spec(text))

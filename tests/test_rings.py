@@ -5,7 +5,14 @@ import random
 import pytest
 
 from prokit.errors import AxiomViolation, InvalidSpec
-from prokit.intlinalg import FinAbGroup, IntLinearSystem, IntMatrix, span_contains, span_lattice
+from prokit.intlinalg import (
+    FinAbGroup,
+    IntLinearSystem,
+    IntMatrix,
+    cokernel_presentation,
+    span_contains,
+    span_lattice,
+)
 from prokit.rings import (
     FiniteRing,
     Ideal,
@@ -453,3 +460,187 @@ def test_stable_idempotent_matches_linear_solve():
         expected = _solved_stable_idempotent(I)
         assert ideal_stabilization(I) == expected
         assert stable_idempotent(I) == expected[1]
+
+
+# The structure-constant constructors that `_transported_ring` replaced,
+# kept as a reference: each builds the per-pair product table over the old
+# generators and transports every product of two lifts separately.
+
+
+def _reference_canonical_ring(orders, products, unit_coords):
+    s = len(orders)
+    G, P, S = cokernel_presentation(IntMatrix.zero(s, 0), list(orders))
+    if G.rank == 0:
+        return zero_ring(), P
+    lifts = S.cols_list()
+
+    def old_mul(a, b):
+        out = [0] * s
+        for i, ca in enumerate(a):
+            for j, cb in enumerate(b):
+                if ca and cb:
+                    for k in range(s):
+                        out[k] += ca * cb * products[i][j][k]
+        return tuple(out)
+
+    mult = [
+        IntMatrix.from_cols(
+            [list(P.apply(old_mul(lifts[i], lifts[j]))) for j in range(G.rank)], rows=G.rank
+        )
+        for i in range(G.rank)
+    ]
+    return FiniteRing(G, mult, P.apply(tuple(unit_coords))), P
+
+
+def _reference_product_ring(factors):
+    blocks = [(t, j) for t, R in enumerate(factors) for j in range(R.rank)]
+    orders = [factors[t].additive.invariant_factors[j] for t, j in blocks]
+
+    def gen_product(a, b):
+        (ta, ja), (tb, jb) = blocks[a], blocks[b]
+        if ta != tb:
+            return (0,) * len(blocks)
+        R = factors[ta]
+        basis = R.basis()
+        prod = R.mul_coords(basis[ja].coords, basis[jb].coords)
+        return tuple(prod[jk] if tk == ta else 0 for tk, jk in blocks)
+
+    products = [[gen_product(i, j) for j in range(len(blocks))] for i in range(len(blocks))]
+    unit = tuple(factors[t].unit_coords[j] for t, j in blocks)
+    ring, P = _reference_canonical_ring(orders, products, unit)
+
+    def embed(parts):
+        vec = tuple(parts[t].coords[j] for t, j in blocks)
+        return ring.element(P.apply(vec)) if ring.rank else ring.zero()
+
+    return ring, embed
+
+
+def _reference_quotient_ring(R, I):
+    G, P, S = cokernel_presentation(I.span, list(R.additive.invariant_factors))
+    lifts = S.cols_list()
+    mult = [
+        IntMatrix.from_cols(
+            [list(P.apply(R.mul_coords(lifts[i], lifts[j]))) for j in range(G.rank)],
+            rows=G.rank,
+        )
+        for i in range(G.rank)
+    ]
+    Q = FiniteRing(G, mult, P.apply(R.unit_coords))
+    return Q, lambda elem: Q.element(P.apply(elem.coords))
+
+
+def _reference_truncated_polynomial(q, n):
+    products = [
+        [tuple(1 if k == i + j else 0 for k in range(n)) for j in range(n)] for i in range(n)
+    ]
+    ring, P = _reference_canonical_ring([q] * n, products, (1,) + (0,) * (n - 1))
+    return ring, ring.element(P.apply(tuple(1 if k == 1 else 0 for k in range(n))))
+
+
+def _reduced(R):
+    """The multiplication matrices with each row reduced modulo its factor."""
+    d = R.additive.invariant_factors
+    return [[[x % dk for x in row] for row, dk in zip(m.rows_list(), d)] for m in R.mult_matrices]
+
+
+def _same_ring(new, ref):
+    return (
+        new.additive == ref.additive
+        and _reduced(new) == _reduced(ref)
+        and new.unit_coords == ref.unit_coords
+    )
+
+
+def _raw_table(R):
+    """Structure constants of R over its own basis: a valid raw table."""
+    basis = [b.coords for b in R.basis()]
+    return [[list(R.mul_coords(a, b)) for b in basis] for a in basis]
+
+
+def _transport_corpus():
+    """(label, new ring, reference ring, [(new element, reference element)])
+    over the seeded corpus of derived rings."""
+    rng = random.Random(0x7A45)
+    out = []
+    for N in range(1, 8):
+        new, x, one = truncated_two_power(N)
+        factors = [zmod(2 ** n) for n in range(1, N + 1)]
+        ref, embed = _reference_product_ring(factors)
+        out.append((f"two_power {N}", new, ref, [(x, embed([f.from_int(2) for f in factors]))]))
+    for q in (2, 3, 5):
+        for n in range(1, 6):
+            new, t = truncated_polynomial(q, n)
+            ref, tref = _reference_truncated_polynomial(q, n)
+            out.append((f"poly {q},{n}", new, ref, [(t, tref)]))
+        for N in range(1, 5):
+            new, x, one = truncated_polynomial_family(q, N)
+            comps = [_reference_truncated_polynomial(q, n) for n in range(1, N + 1)]
+            ref, embed = _reference_product_ring([c[0] for c in comps])
+            out.append((f"family {q},{N}", new, ref, [(x, embed([c[1] for c in comps]))]))
+    moduli = [[6, 10, 15], [4, 6], [3, 5], [12, 18], [2, 2, 2]]
+    moduli += [[rng.randint(2, 12) for _ in range(rng.randint(1, 3))] for _ in range(6)]
+    for ms in moduli:
+        factors = [zmod(m) for m in ms]
+        new, embed_new = product_ring(factors)
+        ref, embed_ref = _reference_product_ring(factors)
+        parts = [f.from_int(rng.randint(0, 40)) for f in factors]
+        out.append((f"product {ms}", new, ref, [(embed_new(parts), embed_ref(parts))]))
+    mixed = [truncated_polynomial(3, 2)[0], zmod(10)]
+    new, embed_new = product_ring(mixed)
+    ref, embed_ref = _reference_product_ring(mixed)
+    parts = [mixed[0].basis()[1], mixed[1].from_int(3)]
+    out.append(("product mixed", new, ref, [(embed_new(parts), embed_ref(parts))]))
+    bases = [zmod(12), zmod(36), product_ring([zmod(6), zmod(10), zmod(15)])[0]]
+    bases += [truncated_two_power(3)[0], truncated_polynomial_family(3, 3)[0]]
+    for R in bases:
+        elems = list(R.elements())
+        for _ in range(4):
+            I = ideal(R, rng.sample(elems, rng.randint(1, 2)))
+            if I.is_unit_ideal():
+                continue
+            new, project_new = quotient_ring(R, I)
+            ref, project_ref = _reference_quotient_ring(R, I)
+            r = rng.choice(elems)
+            out.append((f"quotient of {R}", new, ref, [(project_new(r), project_ref(r))]))
+    for R in bases + [zmod(7), truncated_polynomial(2, 3)[0]]:
+        orders, table = list(R.additive.invariant_factors), _raw_table(R)
+        new = ring_from_raw(orders, table, R.unit_coords)
+        ref, _ = _reference_canonical_ring(orders, table, R.unit_coords)
+        out.append((f"raw {R}", new, ref, []))
+    return out
+
+
+def test_transported_rings_match_structure_constant_reference():
+    # equal after reducing each row modulo its invariant factor, with equal
+    # presentation (the embedded/projected elements), unit and named elements
+    for label, new, ref, pairs in _transport_corpus():
+        assert _same_ring(new, ref), label
+        for a, b in pairs:
+            assert a.coords == b.coords, label
+
+
+def test_multiplication_entries_are_reduced():
+    for label, new, _, _ in _transport_corpus():
+        d = new.additive.invariant_factors
+        for m in new.mult_matrices:
+            for row, dk in zip(m.rows_list(), d):
+                assert all(0 <= x < dk for x in row), label
+
+
+@pytest.mark.unchecked_axioms  # the axiom check itself multiplies by mul_coords
+def test_derived_rings_build_without_pairwise_products(monkeypatch):
+    calls = []
+    mul_coords = FiniteRing.mul_coords
+    monkeypatch.setattr(
+        FiniteRing, "mul_coords", lambda self, a, b: calls.append(1) or mul_coords(self, a, b)
+    )
+    R = product_ring([zmod(6), zmod(10), zmod(15)])[0]
+    T = truncated_two_power(4)[0]
+    I, J = ideal(R, [R.from_int(2)]), ideal(T, [T.from_int(4)])
+    calls.clear()
+    product_ring([R, T, zmod(9)])
+    quotient_ring(R, I)
+    quotient_ring(T, J)
+    truncated_polynomial_family(3, 4)
+    assert calls == []
