@@ -10,19 +10,22 @@ Tor comparison share one `KoszulTower` and one stabilized-limit loop.
 What does not depend on the sequence's entries (the blocks, one module
 power per distinct block count, the d_L blocks) is one private layout, built
 once per tower; each level only adds the Koszul face blocks of x^(n).
-Cech complexes localize through Fitting idempotents, one split per element
-of the sequence: the idempotent of a subset is the product of its
-elements' idempotents.  Cech homology is
+The Cech complex is built on the same layout: degree j is the power
+M^(k choose j), its codifferential is the layout's faces transposed, copy S
+to copy T by the face's sign times the Fitting idempotent e_T, and the
+localizations (+) e_S M are the subcomplex cut out by E = diag(e_S), one
+Fitting split per element of the sequence (the idempotent of a subset is
+the product of its elements' idempotents).  Cech homology is
 computed as the stabilized inverse limit of Koszul homology, which for
 finite modules agrees with the derived-Hom definition because the lim^1
 term dies (Mittag-Leffler).
 
-Every differential and transition between direct sums here is a list of
-blocks handed to `modules.block_hom`, the one place where such maps are
-assembled.  Every map onto homology, colon quotients or localizations (the
-Koszul transitions on homology, the colon identification, the Cech
-codifferentials) is `intlinalg.induced_hom` on the subquotients'
-`GroupSubquotient` records, the one lift/classify path."""
+Every differential, codifferential and transition between module powers
+here is a list of blocks handed to `modules.block_hom`, the one place where
+such maps are assembled.  Every map onto homology or colon quotients (the
+Koszul transitions on homology, the colon identification) is
+`intlinalg.induced_hom` on the subquotients' `GroupSubquotient` records,
+the one lift/classify path."""
 
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import AxiomViolation, IdentificationFailure, NotStabilized
-from .intlinalg import GroupHom, hom_image_span, induced_hom, span_lattice
+from .intlinalg import GroupHom, hom_image_span, hom_kernel_span, induced_hom, span_lattice
 from .modules import (
     FgModule,
     ModuleHom,
@@ -38,16 +41,13 @@ from .modules import (
     adic_completion,
     block_hom,
     colon_submodule,
-    direct_sum_modules,
     free_resolution,
     homology_module,
-    image_submodule,
     module_power,
     modules_isomorphic,
     power_image,
     quotient_module_data,
     submodule_module,
-    submodule_module_data,
     subquotient_module,
     zero_module,
 )
@@ -423,73 +423,73 @@ def colon_identification(xs, y, n, M, extra_levels=(1, 2)):
 
 @dataclass(frozen=True)
 class CechData:
-    """Cech cochain complex of a sequence on a module.
+    """Cech cochain complex of a sequence on a module, on the Koszul layout.
 
-    Degree j is the direct sum over j-subsets S of the localizations e_S M,
-    where e_S is the Fitting idempotent of the product of the x_i, i in S.
-    A finite ring is a product of local rings, where each element is a unit
-    or nilpotent, so that idempotent is the product of the e_{x_i}: the k
-    Fitting splits of the x_i give all 2^k of them.
+    Degree j is M^(k choose j), one copy per j-subset S in the layout's
+    order, and `idempotents[j]` is E_j = diag(e_S), where e_S is the Fitting
+    idempotent of the product of the x_i, i in S.  A finite ring is a
+    product of local rings, where each element is a unit or nilpotent, so
+    that idempotent is the product of the e_{x_i}: the k Fitting splits of
+    the x_i give all 2^k of them.  The codifferential sends copy S to each
+    copy T containing S by +-e_T.  Since e_T e_S = e_T, d = d E = E d: the
+    complex of localizations (+) e_S M is the subcomplex E M^(k choose j),
+    and d kills (1 - E) M^(k choose j).
     """
 
     module: FgModule
     sequence: tuple
-    subsets: dict
-    locs: dict        # subset -> (abstract module, subgroup data, idempotent)
-    packs: dict       # degree -> (module, injections, projections)
-    codiffs: dict     # j -> ModuleHom C^j -> C^{j+1}
+    packs: dict        # degree -> (module, injections, projections)
+    idempotents: dict  # degree j -> GroupHom E_j on C^j
+    codiffs: dict      # j -> ModuleHom C^j -> C^{j+1}
 
     def cohomology_data(self, i):
+        """H^i of the localized subcomplex: E_i ker d^i / im d^(i-1)."""
         X = self.packs[i][0]
         outgoing = self.codiffs.get(i)
         incoming = self.codiffs.get(i - 1)
-        return homology_module(
-            X,
-            outgoing.hom if outgoing is not None else None,
-            incoming.hom if incoming is not None else None,
-        )
-
-
-def _localized_module(M, e):
-    """e M as an abstract module, with its subgroup data and e."""
-    S, _, data = submodule_module_data(M, image_submodule(M, [e]))
-    return S, data, e
+        ker = hom_kernel_span(outgoing.hom) if outgoing is not None else X.full_span()
+        cycles = span_lattice(X.group, (self.idempotents[i].matrix * ker).cols_list())
+        im = hom_image_span(incoming.hom) if incoming is not None else X.zero_span()
+        return subquotient_module(X, cycles, im)
 
 
 def cech_complex(x_seq, M):
-    """The Cech cochain complex 0 -> M -> (+) M_{x_i} -> ... with
-    lexicographic subsets and position signs.  One Fitting split per x_i:
-    e_S is the product of the e_{x_i} over i in S (1 for the empty set)."""
+    """The Cech cochain complex 0 -> M -> (+) M_{x_i} -> ... on the module
+    powers of `_KoszulLayout(k, M, None)`: the codifferential of degree j is
+    the transpose of the layout's degree-(j + 1) faces, copy S to copy T by
+    the face's sign times e_T.  One Fitting split per x_i: e_S is the product
+    of the e_{x_i} over i in S (1 for the empty set).
+
+    >>> from prokit.rings import zmod
+    >>> from prokit.modules import ring_as_module
+    >>> R = zmod(12)
+    >>> cech = cech_complex([R.from_int(2)], ring_as_module(R))
+    >>> [cech.cohomology_data(i).module.order() for i in (0, 1)]
+    [4, 1]
+    """
     R = M.ring
-    k = len(x_seq)
-    subsets = {j: list(itertools.combinations(range(k), j)) for j in range(k + 1)}
+    layout = _KoszulLayout(len(x_seq), M, None)
     splits = [fitting_split(R, x)[1] for x in x_seq]
-    locs = {}
-    for j in range(k + 1):
-        for S in subsets[j]:
-            e = R.one()
-            for i in S:
-                e = e * splits[i]
-            locs[S] = _localized_module(M, e)
-    packs = {j: direct_sum_modules([locs[S][0] for S in subsets[j]]) for j in range(k + 1)}
+    idem = {(): R.one()}
+    for d in layout.degrees[1:]:
+        for S, _, _ in layout.blocks[d]:
+            idem[S] = idem[S[:-1]] * splits[S[-1]]
+    acts = {S: M.action_hom(e) for S, e in idem.items()}
+    packs = layout.packs
+    idempotents = {
+        j: block_hom(packs[j], packs[j], [(b, b, acts[S], 1) for b, (S, _, _) in enumerate(bl)])
+        for j, bl in layout.blocks.items()
+    }
     codiffs = {}
-    for j in range(k):
-        index_of = {S: idx for idx, S in enumerate(subsets[j])}
-        blocks = []
-        for t_idx, T in enumerate(subsets[j + 1]):
-            for a, dropped in enumerate(T):
-                S = tuple(e for e in T if e != dropped)
-                sign = -1 if a % 2 else 1
-                # localize further: include into M, multiply by e_T, classify
-                step = induced_hom(M.action_hom(locs[T][2]), locs[S][1], locs[T][1])
-                blocks.append((t_idx, index_of[S], step, sign))
-        hom = block_hom(packs[j], packs[j + 1], blocks)
-        codiffs[j] = ModuleHom(packs[j][0], packs[j + 1][0], hom)
-    # verify d o d = 0 on the cochain complex
-    for j in range(k - 1):
+    for d in layout.degrees[1:]:
+        # the faces of degree d transposed: copy S to copy T by +-e_T
+        blocks = [(t, s, acts[layout.blocks[d][t][0]], c) for s, t, _, c in layout.faces[d]]
+        hom = block_hom(packs[d - 1], packs[d], blocks)
+        codiffs[d - 1] = ModuleHom(packs[d - 1][0], packs[d][0], hom)
+    for j in range(len(x_seq) - 1):
         if not codiffs[j + 1].compose(codiffs[j]).is_zero_map():
             raise AxiomViolation(f"Cech codifferential fails d o d = 0 at degree {j}")
-    return CechData(M, tuple(x_seq), subsets, locs, packs, codiffs)
+    return CechData(M, tuple(x_seq), packs, idempotents, codiffs)
 
 
 def cech_cohomology(x_seq, M, i):
@@ -606,16 +606,16 @@ def stable_limit(system):
     return limit_mod, s
 
 
-def _homology_limit(tower, i, n_max):
+def _homology_limit(tower, i):
     """stable_limit of the inverse system H_i of the tower's levels
     n = 1, 2, ..., with the induced adjacent transitions.
 
-    With n_max given, exactly n_max levels are used.  Otherwise the range
-    starts at 4 and doubles on NotStabilized up to a cap set by the size of
-    the tower's module; the tower keeps the levels of a shorter range, and
-    the adjacent transitions already induced are kept, never rebuilt."""
-    cap = n_max or max(6, 2 * max(tower.M.order(), 2).bit_length() + 2)
-    attempt = n_max or 4
+    The range starts at 4 and doubles on NotStabilized up to a cap set by
+    the size of the tower's module; the tower keeps the levels of a shorter
+    range, and the adjacent transitions already induced are kept, never
+    rebuilt."""
+    cap = max(6, 2 * max(tower.M.order(), 2).bit_length() + 2)
+    attempt = 4
     adjacent = []
     while True:
         modules = [tower.homology(i, n).module for n in range(1, attempt + 1)]
@@ -624,26 +624,26 @@ def _homology_limit(tower, i, n_max):
             limit, _ = stable_limit(InverseSystem(modules, adjacent))
             return limit
         except NotStabilized:
-            if n_max is not None or attempt >= cap:
+            if attempt >= cap:
                 raise
             attempt = min(cap, attempt * 2)
 
 
-def cech_homology(x_seq, M, i, n_max=None):
+def cech_homology(x_seq, M, i):
     """Cech homology via stabilized limits of Koszul homology; degree 0 is
     the adic completion, degree i >= 1 vanishes for finite modules."""
     if i < 0:
         raise AxiomViolation("negative homological degree")
     if i > len(x_seq):
         return zero_module(M.ring)
-    return _homology_limit(KoszulTower(x_seq, M), i, n_max)
+    return _homology_limit(KoszulTower(x_seq, M), i)
 
 
 # ---------------------------------------------------------------------------
 # Tor comparison through the Cech-homology of a tensored resolution
 
 
-def cech_tor_compare(M, N, x_seq, i, resolution_length, n_max=None):
+def cech_tor_compare(M, N, x_seq, i, resolution_length):
     """Compare lim_n H_i(K(x^(n)) tensor M tensor L) against
     Tor_i(completion(M), N) for a free resolution L of N.
 
@@ -657,7 +657,7 @@ def cech_tor_compare(M, N, x_seq, i, resolution_length, n_max=None):
     if resolution_length <= i:
         raise AxiomViolation("resolution length must exceed the degree")
     res = free_resolution(N, resolution_length)
-    lhs = _homology_limit(KoszulTower(x_seq, M, res), i, n_max)
+    lhs = _homology_limit(KoszulTower(x_seq, M, res), i)
     lam, _ = adic_completion(M, Ideal(M.ring, tuple(x_seq)))
     rhs = koszul_complex([], lam, res).complex.homology(i).module
     return lhs, rhs, modules_isomorphic(lhs, rhs)

@@ -3,11 +3,13 @@
 Everything here is computed over Python's arbitrary-precision integers:
 Hermite and Smith normal forms, integer linear system solving, and the
 standard toolkit for finite abelian groups presented by invariant factors
-(homs, kernels, images, subgroups, quotients, direct sums).  Canonical
-spans, kernels, preimages and intersections come from one transform-free
-Hermite reduction, with no SNF: Hermite form is unique, so any generating
-set of a lattice gives the same span.  All values are immutable after
-construction and all operations are pure functions.
+(homs, kernels, images, subgroups, quotients).  Canonical spans, kernels,
+preimages and intersections come from one transform-free Hermite
+reduction, with no SNF: Hermite form is unique, so any generating set of a
+lattice gives the same span.  Direct sums are not built here: the module
+layer lays out module powers by permutation (`modules.module_power`).  All
+values are immutable after construction and all operations are pure
+functions.
 
 Every presentation is one Smith reduction D = U * H * V of a square,
 nonsingular relation matrix H (`_smith_presentation`): the projection P is
@@ -15,16 +17,17 @@ the kept rows of U and the section S the kept columns of U^-1 = H * V * D^-1,
 so P * S = I over Z with no second solve.  `cokernel_presentation` first
 reduces its relations to their canonical basis, and `subquotient_group`
 presents L/N by L^-1 N, the coefficients of N's canonical span over L's
-from forward substitution; so the coordinates depend only on the
-subgroups, never on their generators.  Every quotient lift in the package
-(subgroups, quotients, direct sums, quotient rings, Hom and tensor
-modules, subquotients) is a product with such a section.
+from forward substitution; it takes the canonical spans themselves, so
+the coordinates depend only on the subgroups, never on their generators.
+Every quotient lift in the package (subgroups, quotients, quotient rings,
+Hom and tensor modules, subquotients) is a product with such a section.
 `GroupSubquotient` and `induced_hom` are the one lift/classify path:
-`subgroup_embedding` (N = 0) and `quotient_group` (L = G) are cases of
+`subgroup_embedding` (N = 0, span diag(G)) and `quotient_group` (L = G,
+span I) canonicalize their generators once and are cases of
 `subquotient_group`, the record classifies an element by forward
 substitution on its canonical span (no normal form), and every map induced
-on a subgroup, quotient or subquotient (module actions, homology and Cech
-maps, localized rings) classifies the columns of f * lift in one call of
+on a subgroup, quotient or subquotient (module actions, homology maps,
+localized rings) classifies the columns of f * lift in one call of
 `induced_hom`.
 """
 
@@ -844,7 +847,7 @@ def subgroup_embedding(G, gen_vectors):
     """The subgroup of G generated by the given coordinate vectors, as a
     GroupSubquotient whose lift is the inclusion: `subquotient_group` with
     N = 0, whose canonical span is diag(G)."""
-    return subquotient_group(G, gen_vectors, [])
+    return subquotient_group(G, span_lattice(G, gen_vectors), _moduli_matrix(G))
 
 
 def quotient_group(G, gen_vectors):
@@ -852,20 +855,20 @@ def quotient_group(G, gen_vectors):
     vectors, as a GroupSubquotient: `subquotient_group` with L = G, whose
     canonical span is the identity, so the projection acts on G
     coordinates directly and the lift is the section of the presentation."""
-    return subquotient_group(G, IntMatrix.identity(G.rank).cols_list(), gen_vectors)
+    return subquotient_group(G, IntMatrix.identity(G.rank), span_lattice(G, gen_vectors))
 
 
-def subquotient_group(G, ker_vectors, im_vectors):
-    """L/N for the subgroups L and N of G generated by the given vectors,
-    N inside L.  Both canonical spans are square, full rank and
-    lower-triangular, so the coefficients L^-1 N of N's columns over L's
-    come from forward substitution, with no normal form; they present L/N
-    on the span's columns, and one Smith reduction of that square matrix
+def subquotient_group(G, L, N):
+    """L/N for canonical spans L and N of G (as `span_lattice` gives them),
+    N inside L.  Both are square, full rank and lower-triangular, so the
+    coefficients L^-1 N of N's columns over L's come from forward
+    substitution, with no normal form; they present L/N on the span's
+    columns, and one Smith reduction of that square matrix
     (`_smith_presentation`) gives (group, P, S).  The record's projection
     is P and its lift L * S.  Every matrix here depends only on the two
-    subgroups, not on the generating vectors."""
-    L = span_lattice(G, ker_vectors)
-    coeffs = list(_span_coefficients(G.rank, L, span_lattice(G, im_vectors).cols_list()))
+    subgroups.  Raises DimensionMismatch when N is not inside L."""
+    _canonical_diagonal(G.rank, N)
+    coeffs = list(_span_coefficients(G.rank, L, N.cols_list()))
     if None in coeffs:
         raise DimensionMismatch("element is not in the subgroup")
     Q, P, S = _smith_presentation(IntMatrix.from_cols(coeffs, rows=G.rank))
@@ -889,7 +892,7 @@ def solve_hom(f: GroupHom, y: GroupElement):
 
 def hom_kernel(f: GroupHom):
     """Kernel of f as a GroupSubquotient of the source."""
-    return subgroup_embedding(f.source, hom_kernel_span(f).cols_list())
+    return subquotient_group(f.source, hom_kernel_span(f), _moduli_matrix(f.source))
 
 
 def kernel_generators(f: GroupHom):
@@ -906,34 +909,3 @@ def hom_kernel_span(f: GroupHom):
 def hom_image_span(f: GroupHom):
     """Canonical span (in target coordinates) of im f."""
     return span_lattice(f.target, f.matrix.cols_list())
-
-
-def direct_sum_groups(groups):
-    """Direct sum in canonical form.  Returns (G, injections, projections)."""
-    orders = [d for g in groups for d in g.invariant_factors]
-    n = len(orders)
-    A = IntMatrix.zero(n, 0)
-    G, P, S = cokernel_presentation(A, orders)
-    injections = []
-    projections = []
-    offset = 0
-    for g in groups:
-        r = g.rank
-        # injection: old generator -> its row block image under P
-        inj_cols = []
-        for j in range(r):
-            vec = [0] * n
-            vec[offset + j] = 1
-            inj_cols.append(list(P.apply(tuple(vec))))
-        inj = GroupHom(
-            g, G, IntMatrix.from_cols(inj_cols, rows=G.rank) if inj_cols else IntMatrix(G.rank, 0, [])
-        )
-        # projection: canonical generator -> section -> block coordinates
-        proj_rows = [list(S.row(offset + j)) for j in range(r)]
-        proj = GroupHom(
-            G, g, IntMatrix.from_rows(proj_rows) if proj_rows else IntMatrix(0, G.rank, [])
-        )
-        injections.append(inj)
-        projections.append(proj)
-        offset += r
-    return G, injections, projections

@@ -17,9 +17,11 @@ are forward substitution along the lower-triangular span
 generated by some vectors is one canonical span of their images under the
 ring basis (`span_closure`).
 
-`block_hom` is the one place where maps between direct sums are assembled:
-the actions of direct sums and module powers, the Tor/Ext differentials
-here, and the Koszul, Cech and total complexes of the complexes layer.
+`module_power` is the one direct sum of modules, laid out by permutation,
+and `block_hom` the one place where maps between direct sums are
+assembled: the actions of module powers, the Tor/Ext differentials here,
+and the Koszul, Cech and total complexes of the complexes layer, which
+are all built on module powers.
 Quotient generators are lifted back only through the section read off
 the one Smith reduction of `intlinalg` (quotients, subquotients, Hom and
 tensor modules); nothing here solves for a lift on its own.  Quotient,
@@ -40,11 +42,11 @@ from .intlinalg import (
     GroupHom,
     GroupSubquotient,
     IntMatrix,
+    _moduli_matrix,
     _smith_presentation,
     _span_classes,
     _span_coefficients,
     cokernel_presentation,
-    direct_sum_groups,
     hom_image_span,
     hom_kernel_span,
     induced_hom,
@@ -53,7 +55,6 @@ from .intlinalg import (
     matrix_combination,
     preimage_lattice,
     preimage_span,
-    quotient_group,
     span_contains,
     span_lattice,
     span_leq,
@@ -140,10 +141,12 @@ class FgModule:
         return self.group.rank == 0
 
     def full_span(self):
-        return span_lattice(self.group, [g.coords for g in self.generators()])
+        """The canonical span of the whole group: the identity."""
+        return IntMatrix.identity(self.group.rank)
 
     def zero_span(self):
-        return span_lattice(self.group, [])
+        """The canonical span of 0: the relations diag(d_1..d_r)."""
+        return _moduli_matrix(self.group)
 
     def __eq__(self, other):
         return (
@@ -277,31 +280,15 @@ def _nonzero(vec):
     return [(i, v) for i, v in enumerate(vec) if v]
 
 
-def _sum_module(R, pack, modules):
-    """The module on a direct-sum pack of groups, with ModuleHom maps."""
-    G, injs, projs = pack
-    blocks = [[(t, t, m.actions[i], 1) for t, m in enumerate(modules)] for i in range(R.rank)]
-    M = FgModule(R, G, [block_hom(pack, pack, b) for b in blocks])
-    minjs = [ModuleHom(m, M, inj) for m, inj in zip(modules, injs)]
-    mprojs = [ModuleHom(M, m, proj) for m, proj in zip(modules, projs)]
-    return M, minjs, mprojs
-
-
-def direct_sum_modules(modules):
-    """Direct sum with injections and projections as ModuleHoms."""
-    if not modules:
-        raise DimensionMismatch("empty direct sum is not constructed")
-    return _sum_module(modules[0].ring, direct_sum_groups([m.group for m in modules]), modules)
-
-
 def module_power(N, s):
     """N^s with injections and projections (the zero module for s = 0).
 
     The copy-major factor list of N^s is sorted by selection: the first
     smallest remaining factor is swapped forward.  That is the order `snf`
     leaves a diagonal divisibility chain in, so no normal form is needed and
-    the layout agrees with `direct_sum_groups([N.group] * s)`; the
-    injections and projections are 0/1 permutation matrices.
+    the layout is the canonical direct sum of s copies of N; the
+    injections and projections are 0/1 permutation matrices, and each
+    action is N's action on every copy.
     """
     if s < 0:
         raise InvalidSpec(f"module power needs s >= 0, got {s}")
@@ -322,7 +309,10 @@ def module_power(N, s):
         )
         injs.append(GroupHom(N.group, G, place))
         projs.append(GroupHom(G, N.group, place.transpose()))
-    return _sum_module(N.ring, (G, injs, projs), [N] * s)
+    pack = (G, injs, projs)
+    actions = [block_hom(pack, pack, [(u, u, A, 1) for u in range(s)]) for A in N.actions]
+    P = FgModule(N.ring, G, actions)
+    return P, [ModuleHom(N, P, inj) for inj in injs], [ModuleHom(P, N, proj) for proj in projs]
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +435,7 @@ def quotient_module_data(M, N):
     """M / N with induced actions.  Returns (Q, projection, quo) with quo
     the GroupSubquotient of M.group that lifts and classifies."""
     span = N.span if isinstance(N, Submodule) else N
-    quo = quotient_group(M.group, span.cols_list())
+    quo = subquotient_group(M.group, M.full_span(), span)
     Q = FgModule(M.ring, quo.group, [induced_hom(A, quo, quo) for A in M.actions])
     # a quotient's span is the identity, so its projection acts on M coordinates
     return Q, ModuleHom(M, Q, GroupHom(M.group, quo.group, quo.projection)), quo
@@ -457,20 +447,13 @@ def quotient_module(M, N):
     return Q, proj
 
 
-def submodule_module_data(M, N):
-    """The submodule N as an abstract module.  Returns (S, inclusion, sub)
-    with sub the GroupSubquotient of M.group that classifies ambient
-    elements."""
-    span = N.span if isinstance(N, Submodule) else N
-    sub = subgroup_embedding(M.group, span.cols_list())
-    S = FgModule(M.ring, sub.group, [induced_hom(A, sub, sub) for A in M.actions])
-    return S, ModuleHom(S, M, sub.lift), sub
-
-
 def submodule_module(M, N):
-    """The submodule N as an abstract module.  Returns (S, inclusion)."""
-    S, incl, _ = submodule_module_data(M, N)
-    return S, incl
+    """The submodule N (or its canonical span) as an abstract module.
+    Returns (S, inclusion)."""
+    span = N.span if isinstance(N, Submodule) else N
+    sub = subquotient_group(M.group, span, M.zero_span())
+    S = FgModule(M.ring, sub.group, [induced_hom(A, sub, sub) for A in M.actions])
+    return S, ModuleHom(S, M, sub.lift)
 
 
 @dataclass(frozen=True)
@@ -484,10 +467,9 @@ class SubquotientData:
 
 
 def subquotient_module(M, ker_span, im_span):
-    """(ker_span)/(im_span) with induced actions; im must lie inside ker."""
-    if not span_leq(M.group, im_span, ker_span):
-        raise AxiomViolation("image span does not lie inside the kernel span")
-    data = subquotient_group(M.group, ker_span.cols_list(), im_span.cols_list())
+    """(ker_span)/(im_span) with induced actions, for canonical spans; raises
+    DimensionMismatch unless im lies inside ker."""
+    data = subquotient_group(M.group, ker_span, im_span)
     H = FgModule(M.ring, data.group, [induced_hom(A, data, data) for A in M.actions])
     return SubquotientData(H, M, data)
 
@@ -939,8 +921,8 @@ def module_fingerprint(M):
     the comparison used where no natural map is available."""
     parts = [tuple(M.group.invariant_factors)]
     for A in M.actions:
-        ker_sub = subgroup_embedding(M.group, hom_kernel_span(A).cols_list()).group
-        im_sub = subgroup_embedding(M.group, hom_image_span(A).cols_list()).group
+        ker_sub = subquotient_group(M.group, hom_kernel_span(A), M.zero_span()).group
+        im_sub = subquotient_group(M.group, hom_image_span(A), M.zero_span()).group
         parts.append((ker_sub.invariant_factors, im_sub.invariant_factors))
     return tuple(parts)
 

@@ -613,16 +613,21 @@ def _family_level(family, N):
     return R, {"x": x, "one": one, "zero": R.zero()}
 
 
-def _sweep_one(R, named, M, seq_refs, N, n_max, m_max):
+def _sweep_one(R, named, M, seq_refs, N, n_max, m_max, torsion):
+    """One sequence at one level; `torsion` holds the level's bounded
+    torsion indices by element coordinates (refs may be names or
+    coordinate lists), so each element's index is computed once."""
     seq = [_resolve_element(R, named, ref) for ref in seq_refs]
     prof = lipman_profile(M, seq, n_max, m_max)
-    torsion = [bounded_torsion_index(M, x)[0] for x in seq]
+    for x in seq:
+        if x.coords not in torsion:
+            torsion[x.coords] = bounded_torsion_index(M, x)[0]
     return {
         "N": N,
         "ring_order": R.order(),
         "profile": _profile_payload(prof),
         "entry_1_1": prof.entry(1, 1) if prof.conclusive(1, 1) else None,
-        "torsion_indices": torsion,
+        "torsion_indices": [torsion[x.coords] for x in seq],
     }
 
 
@@ -640,8 +645,9 @@ def run_family_sweep(task):
     for N in range(lo, hi + 1) if seqs else ():
         R, named = _family_level(family, N)
         M = ring_as_module(R)
+        torsion = {}
         for levels, seq_refs in zip(per_sequence, seqs):
-            levels.append(_sweep_one(R, named, M, seq_refs, N, n_max, m_max))
+            levels.append(_sweep_one(R, named, M, seq_refs, N, n_max, m_max, torsion))
     for seq_refs, levels in zip(seqs, per_sequence):
         entry_track = [lvl["entry_1_1"] for lvl in levels]
         torsion_track = [max(lvl["torsion_indices"]) for lvl in levels]

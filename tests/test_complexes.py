@@ -6,14 +6,19 @@ import random
 import pytest
 
 from prokit.errors import NotStabilized
-from prokit.intlinalg import GroupHom
+from prokit.intlinalg import GroupHom, induced_hom, subgroup_embedding
 from prokit.modules import (
+    FgModule,
     ModuleHom,
     block_hom,
     adic_completion,
     derived_functor,
     free_resolution,
     generated_submodule,
+    hom_module,
+    homology_module,
+    matlis_dual,
+    module_fingerprint,
     module_power,
     modules_isomorphic,
     power_image,
@@ -21,11 +26,13 @@ from prokit.modules import (
     ring_as_module,
     submodule_module,
     torsion_submodule,
+    zero_module,
 )
 from prokit.complexes import (
     InverseSystem,
     KoszulTower,
     cech_cohomology,
+    cech_complex,
     cech_homology,
     cech_tor_compare,
     colon_identification,
@@ -37,7 +44,7 @@ from prokit.complexes import (
     stable_limit,
 )
 from prokit.randgen import random_instance, rng_from_seed
-from prokit.rings import ideal, truncated_two_power, zmod
+from prokit.rings import fitting_split, ideal, truncated_two_power, zero_ring, zmod
 from prokit.modules import cyclic_quotient_module
 
 
@@ -510,3 +517,108 @@ def test_tower_forms_one_module_power_per_block_count(monkeypatch):
             tower.level(n)
         counts = {len(b) for b in tower.level(1).blocks.values()}
         assert sorted(calls) == sorted(counts)
+
+
+def _reference_cech_cohomology(x_seq, M):
+    """Every H^i of the Cech complex built from the localized summands: each
+    e_S M a submodule module of its own, each degree their direct sum by a
+    cokernel presentation, and each codifferential block the map induced by
+    e_T from e_S M to e_T M."""
+    from test_modules import direct_sum_groups
+
+    R = M.ring
+    k = len(x_seq)
+    subsets = {j: list(itertools.combinations(range(k), j)) for j in range(k + 1)}
+    splits = [fitting_split(R, x)[1] for x in x_seq]
+    locs = {}
+    for S in itertools.chain(*subsets.values()):
+        e = R.one()
+        for i in S:
+            e = e * splits[i]
+        sub = subgroup_embedding(M.group, M.action_hom(e).matrix.cols_list())
+        locs[S] = (FgModule(R, sub.group, [induced_hom(A, sub, sub) for A in M.actions]), sub, e)
+    packs = {}
+    for j, Ss in subsets.items():
+        summands = [locs[S][0] for S in Ss]
+        pack = direct_sum_groups([m.group for m in summands])
+        actions = [
+            block_hom(pack, pack, [(t, t, m.actions[a], 1) for t, m in enumerate(summands)])
+            for a in range(R.rank)
+        ]
+        packs[j] = (FgModule(R, pack[0], actions), pack[1], pack[2])
+    codiffs = {}
+    for j in range(k):
+        index_of = {S: idx for idx, S in enumerate(subsets[j])}
+        blocks = []
+        for t_idx, T in enumerate(subsets[j + 1]):
+            for a, dropped in enumerate(T):
+                S = tuple(e for e in T if e != dropped)
+                step = induced_hom(M.action_hom(locs[T][2]), locs[S][1], locs[T][1])
+                blocks.append((t_idx, index_of[S], step, -1 if a % 2 else 1))
+        codiffs[j] = block_hom(packs[j], packs[j + 1], blocks)
+    return [
+        homology_module(packs[i][0], codiffs.get(i), codiffs.get(i - 1)).module
+        for i in range(k + 1)
+    ]
+
+
+def _cech_reference_cases():
+    # the draws of acceptance criterion 06
+    rng = rng_from_seed(0xA006)
+    for _ in range(100):
+        yield random_instance(rng, k_max=3)
+    # Hom(M, R^dual) on the draws of criteria 05 and 07
+    rng = rng_from_seed(0xA005)
+    for _ in range(12):
+        R, M, seq = random_instance(rng, k_max=3)
+        yield R, hom_module(M, matlis_dual(ring_as_module(R))), seq
+    # degenerate inputs: the zero ring, the zero module, unit and zero
+    # entries, the empty sequence
+    Z = zero_ring()
+    yield Z, ring_as_module(Z), [Z.one()]
+    yield Z, ring_as_module(Z), [Z.zero(), Z.one()]
+    R = zmod(12)
+    yield R, zero_module(R), [R.from_int(2), R.from_int(3)]
+    yield R, ring_as_module(R), [R.one(), R.zero()]
+    yield R, ring_as_module(R), [R.zero(), R.from_int(6), R.from_int(4)]
+    yield R, ring_as_module(R), []
+    T, t, one = truncated_two_power(3)
+    yield T, ring_as_module(T), [t, one, T.zero()]
+
+
+def test_cech_cohomology_matches_localized_summand_reference():
+    for R, M, seq in _cech_reference_cases():
+        cech = cech_complex(list(seq), M)
+        ref = _reference_cech_cohomology(list(seq), M)
+        for i, old in enumerate(ref):
+            new = cech.cohomology_data(i).module
+            assert new.group.invariant_factors == old.group.invariant_factors, (R, seq, i)
+            assert module_fingerprint(new) == module_fingerprint(old), (R, seq, i)
+            assert cech_cohomology(list(seq), M, i).group == new.group
+
+
+def test_cech_complex_builds_no_subgroup_direct_sum_or_induced_map(monkeypatch):
+    # every degree is a module power and every block a multiplication, so
+    # building the complex presents no subgroup and induces no map
+    import prokit
+
+    counts = {}
+    for name in ("subgroup_embedding", "subquotient_group", "direct_sum_groups", "induced_hom"):
+        for mod in (prokit.intlinalg, prokit.modules, prokit.complexes, prokit.rings):
+            real = getattr(mod, name, None)
+            if real is None:
+                continue
+
+            def counted(*args, _real=real, _name=name):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _real(*args)
+
+            monkeypatch.setattr(mod, name, counted)
+    R12 = zmod(12)
+    T, t, one = truncated_two_power(3)
+    for seq, M in (
+        ([R12.from_int(2), R12.from_int(3)], ring_as_module(R12)),
+        ([t, one, T.zero()], ring_as_module(T)),
+    ):
+        cech_complex(seq, M)
+    assert counts == {}

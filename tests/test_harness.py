@@ -454,6 +454,24 @@ def test_sweep_builds_each_level_ring_once(monkeypatch):
     assert [lvl["N"] for lvl in report.body["results"]["sequences"][1]["levels"]] == [2, 3, 4]
 
 
+def test_sweep_computes_each_torsion_index_once_per_level(monkeypatch):
+    # ex1_truncated sweeps ["x"] and ["one", "x"] over five levels: ten
+    # distinct (level, element) pairs, so ten torsion indices, not fifteen
+    import prokit.tasks as tasks
+    from prokit.cli import _load_task_text
+
+    calls = []
+    real = tasks.bounded_torsion_index
+    monkeypatch.setattr(
+        tasks, "bounded_torsion_index", lambda M, x: calls.append(x.coords) or real(M, x)
+    )
+    report = run_task(parse_spec(_load_task_text("fixture:ex1_truncated")))
+    assert report.exit_code == 0
+    assert len(calls) == 10
+    levels = report.body["results"]["sequences"][1]["levels"]
+    assert all(len(lvl["torsion_indices"]) == 2 for lvl in levels)
+
+
 def test_axioms_task():
     text = task_text(analysis={"kind": "axioms"})
     report = run_task(parse_spec(text))

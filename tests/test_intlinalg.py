@@ -14,7 +14,6 @@ from prokit.intlinalg import (
     IntMatrix,
     cokernel_presentation,
     det,
-    direct_sum_groups,
     hnf,
     hom_image_span,
     column_lattice,
@@ -363,7 +362,7 @@ def record_cases(rng, G):
         (hom_kernel_span(f.compose(g)), hom_kernel_span(g)),
         (hom_image_span(g), hom_image_span(g.compose(h))),
     ):
-        yield "subquotient", subquotient_group(G, L.cols_list(), N.cols_list()), N
+        yield "subquotient", subquotient_group(G, L, N), N
 
 
 def test_subquotient_record_classify_against_reference(monkeypatch):
@@ -469,7 +468,7 @@ def test_subquotient_records_match_the_two_step_route():
                 (subgroup_embedding(G, vecs), _two_step_subgroup(G, vecs), span_lattice(G, [])),
                 (quotient_group(G, vecs), _two_step_quotient(G, vecs), span_lattice(G, vecs)),
                 (
-                    subquotient_group(G, L.cols_list(), N.cols_list()),
+                    subquotient_group(G, L, N),
                     _two_step_subquotient(G, L.cols_list(), N.cols_list()),
                     N,
                 ),
@@ -514,7 +513,10 @@ def test_subquotient_records_depend_only_on_the_subgroups():
             ker2, im2 = _regenerated(rng, G, ker), _regenerated(rng, G, im)
             assert subgroup_embedding(G, ker) == subgroup_embedding(G, ker2)
             assert quotient_group(G, im) == quotient_group(G, im2)
-            assert subquotient_group(G, ker, im) == subquotient_group(G, ker2, im2)
+            spans, spans2 = (
+                (span_lattice(G, a), span_lattice(G, b)) for a, b in ((ker, im), (ker2, im2))
+            )
+            assert subquotient_group(G, *spans) == subquotient_group(G, *spans2)
             # a relation lattice presents the same way from any generating set
             A, A2 = (IntMatrix.from_cols(vs, rows=G.rank) for vs in (ker, ker2))
             moduli = list(G.invariant_factors)
@@ -546,7 +548,7 @@ def test_presentations_run_one_smith_form_and_no_linear_system(monkeypatch):
             (cokernel_presentation, (A, list(G.invariant_factors))),
             (subgroup_embedding, (G, vecs)),
             (quotient_group, (G, vecs)),
-            (subquotient_group, (G, L.cols_list(), N.cols_list())),
+            (subquotient_group, (G, L, N)),
         ]
     monkeypatch.setattr(intlinalg, "snf", counting_snf)
     monkeypatch.setattr(IntLinearSystem, "__init__", counting_init)
@@ -555,19 +557,6 @@ def test_presentations_run_one_smith_form_and_no_linear_system(monkeypatch):
         fn(*args)
         assert counts["snf"] <= 1, fn.__name__
         assert counts["system"] == 0, fn.__name__
-
-
-def test_direct_sum_groups():
-    A = FinAbGroup((2,))
-    B = FinAbGroup((3,))
-    G, injs, projs = direct_sum_groups([A, B])
-    assert G.order() == 6
-    a = injs[0](A.element((1,)))
-    b = injs[1](B.element((1,)))
-    assert projs[0](a) == A.element((1,))
-    assert projs[1](a).is_zero()
-    assert projs[1](b) == B.element((1,))
-    assert not (a + b).is_zero()
 
 
 def test_span_lattice_canonical_equality():

@@ -11,7 +11,6 @@ from prokit.intlinalg import FinAbGroup, GroupHom, IntMatrix
 from prokit.modules import (
     FgModule,
     cyclic_quotient_module,
-    direct_sum_modules,
     free_module,
     generated_submodule,
     hom_module,
@@ -59,7 +58,7 @@ def test_hom_of_injective_sums_vanishing():
     for modulus in (6, 8):
         R = zmod(modulus)
         E = matlis_dual(ring_as_module(R))
-        E2, _, _ = direct_sum_modules([E, E])
+        E2, _, _ = module_power(E, 2)
         for s_mod, t_mod in ((E, E2), (E2, E), (E2, E2)):
             H = hom_module(s_mod, t_mod)
             x = R.from_int(2)
@@ -159,7 +158,6 @@ def test_every_constructor_output_satisfies_axioms():
             ring_as_module(R),
             free_module(R, 2).module,
             module_power(M, 2)[0],
-            direct_sum_modules([M, ring_as_module(R)])[0],
             quotient_module(M, sub)[0],
             submodule_module(M, sub)[0],
             cyclic_quotient_module(R, I),

@@ -5,12 +5,12 @@ import random
 
 import pytest
 
-from prokit.complexes import cech_complex
 from prokit.errors import DimensionMismatch, InvalidSpec
 from prokit.intlinalg import (
+    FinAbGroup,
     GroupHom,
     IntMatrix,
-    direct_sum_groups,
+    cokernel_presentation,
     hom_kernel_span,
     span_contains,
     span_lattice,
@@ -568,6 +568,51 @@ def test_truncated_two_power_annihilator_chain():
 # Direct-sum assembly
 
 
+def direct_sum_groups(groups):
+    """Direct sum in canonical form through a cokernel presentation of the
+    concatenated factors: the reference for `module_power`'s layout.
+    Returns (G, injections, projections)."""
+    orders = [d for g in groups for d in g.invariant_factors]
+    n = len(orders)
+    G, P, S = cokernel_presentation(IntMatrix.zero(n, 0), orders)
+    injections = []
+    projections = []
+    offset = 0
+    for g in groups:
+        r = g.rank
+        # injection: old generator -> its row block image under P
+        inj_cols = []
+        for j in range(r):
+            vec = [0] * n
+            vec[offset + j] = 1
+            inj_cols.append(list(P.apply(tuple(vec))))
+        inj = GroupHom(
+            g, G, IntMatrix.from_cols(inj_cols, rows=G.rank) if inj_cols else IntMatrix(G.rank, 0, [])
+        )
+        # projection: canonical generator -> section -> block coordinates
+        proj_rows = [list(S.row(offset + j)) for j in range(r)]
+        proj = GroupHom(
+            G, g, IntMatrix.from_rows(proj_rows) if proj_rows else IntMatrix(0, G.rank, [])
+        )
+        injections.append(inj)
+        projections.append(proj)
+        offset += r
+    return G, injections, projections
+
+
+def test_direct_sum_groups():
+    A = FinAbGroup((2,))
+    B = FinAbGroup((3,))
+    G, injs, projs = direct_sum_groups([A, B])
+    assert G.order() == 6
+    a = injs[0](A.element((1,)))
+    b = injs[1](B.element((1,)))
+    assert projs[0](a) == A.element((1,))
+    assert projs[1](a).is_zero()
+    assert projs[1](b) == B.element((1,))
+    assert not (a + b).is_zero()
+
+
 def _presented(modulus, relations, factors):
     R = zmod(modulus)
     rels = [[R.from_int(c) for c in rel] for rel in relations]
@@ -662,22 +707,26 @@ def test_module_power_rejects_negative_exponent():
 
 
 def test_block_hom_matches_composed_reference_on_mixed_pack():
-    R = zmod(12)
-    M = ring_as_module(R)
-    data = cech_complex([R.from_int(2), R.from_int(3)], M)
-    deg0, deg1 = data.packs[0], data.packs[1]
-    # Z/3 (+) Z/4 from the two localizations, packed by the SNF into Z/12
-    summands = [m.target.group for m in deg1[2]]
-    assert [g.invariant_factors for g in summands] == [(3,), (4,)]
-    assert deg1[0].group.invariant_factors == (12,)
-    reduce = [GroupHom(M.group, g, IntMatrix.identity(1)) for g in summands]
+    # Z/3 (+) Z/4 packed as Z/12: injections and projections that are not
+    # 0/1 permutations, the path module powers never take
+    Z3, Z4, Z12 = FinAbGroup((3,)), FinAbGroup((4,)), FinAbGroup((12,))
+    mixed = (
+        Z12,
+        [GroupHom(Z3, Z12, IntMatrix(1, 1, [4])), GroupHom(Z4, Z12, IntMatrix(1, 1, [9]))],
+        [GroupHom(Z12, Z3, IntMatrix(1, 1, [1])), GroupHom(Z12, Z4, IntMatrix(1, 1, [1]))],
+    )
+    single = (Z12, [GroupHom.identity(Z12)], [GroupHom.identity(Z12)])
+    summands = [Z3, Z4]
+    for inj, proj, g in zip(mixed[1], mixed[2], summands):
+        assert proj.compose(inj).equals_map(GroupHom.identity(g))
+    reduce = [GroupHom(Z12, g, IntMatrix.identity(1)) for g in summands]
     act = [GroupHom(g, g, IntMatrix(1, 1, [k])) for g, k in zip(summands, (5, 7))]
     cases = [
-        (deg0, deg1, [(0, 0, reduce[0], 1), (1, 0, reduce[1], -1)]),
-        (deg1, deg1, [(0, 0, act[0], 2), (1, 1, act[1], -1), (1, 1, act[1], 3)]),
+        (single, mixed, [(0, 0, reduce[0], 1), (1, 0, reduce[1], -1)]),
+        (mixed, mixed, [(0, 0, act[0], 2), (1, 1, act[1], -1), (1, 1, act[1], 3)]),
     ]
     for src, tgt, blocks in cases:
-        ref = GroupHom.zero(src[0].group, tgt[0].group)
+        ref = GroupHom.zero(src[0], tgt[0])
         for t, s, A, c in blocks:
-            ref = ref + tgt[1][t].hom.compose(A).compose(src[2][s].hom).scale(c)
+            ref = ref + tgt[1][t].compose(A).compose(src[2][s]).scale(c)
         assert block_hom(src, tgt, blocks) == ref
