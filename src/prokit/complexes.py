@@ -1,4 +1,4 @@
-"""Chain complexes, Koszul and Cech machinery, inverse systems.
+"""Chain complexes, Koszul and Cech machinery, Cech homology.
 
 Koszul complexes are built on lexicographically ordered subsets with the
 sign of a face given by the position of the dropped index; transitions
@@ -6,7 +6,7 @@ between power levels multiply each subset summand by the matching product
 of element powers.  The Koszul builder takes an optional free resolution L
 and then builds the total complex of K(x) tensor M tensor L (the plain
 Koszul complex is the case L = R in degree 0), so Cech homology and the
-Tor comparison share one `KoszulTower` and one stabilized-limit loop.
+Tor comparison share one `KoszulTower` and one limit (`_homology_limit`).
 What does not depend on the sequence's entries (the blocks, one module
 power per distinct block count, the d_L blocks) is one private layout, built
 once per tower; each level only adds the Koszul face blocks of x^(n).
@@ -15,10 +15,14 @@ M^(k choose j), its codifferential is the layout's faces transposed, copy S
 to copy T by the face's sign times the Fitting idempotent e_T, and the
 localizations (+) e_S M are the subcomplex cut out by E = diag(e_S), one
 Fitting split per element of the sequence (the idempotent of a subset is
-the product of its elements' idempotents).  Cech homology is
-computed as the stabilized inverse limit of Koszul homology, which for
+the product of its elements' idempotents).
+
+Cech homology is the inverse limit of Koszul homology H_i(x^(m)), which for
 finite modules agrees with the derived-Hom definition because the lim^1
-term dies (Mittag-Leffler).
+term dies (Mittag-Leffler).  Over a finite ring the limit needs no search:
+R is a product of local rings, where each x_j is a unit or nilpotent, so at
+the level n = bit_length(|R|) the image of H_i(x^(2n)) -> H_i(x^(n)) is the
+limit.  Two Koszul levels and one induced transition give it.
 
 Every differential, codifferential and transition between module powers
 here is a list of blocks handed to `modules.block_hom`, the one place where
@@ -32,7 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import AxiomViolation, IdentificationFailure, NotStabilized
+from .errors import AxiomViolation, IdentificationFailure
 from .intlinalg import GroupHom, hom_image_span, hom_kernel_span, induced_hom, span_lattice
 from .modules import (
     FgModule,
@@ -503,135 +507,43 @@ def cech_cohomology(x_seq, M, i):
 
 
 # ---------------------------------------------------------------------------
-# Inverse systems and Cech homology
-
-
-class InverseSystem:
-    """Modules M_1 .. M_{n_max} with transitions tau_{m,n} for m >= n,
-    stored as adjacent steps tau_{n+1 -> n} and composed on demand."""
-
-    def __init__(self, modules, adjacent):
-        if len(adjacent) != max(len(modules) - 1, 0):
-            raise AxiomViolation("need one adjacent transition per step")
-        self.modules = list(modules)
-        self.adjacent = list(adjacent)
-
-    @property
-    def n_max(self):
-        return len(self.modules)
-
-    def module(self, n):
-        return self.modules[n - 1]
-
-    def transition(self, m, n):
-        """tau_{m,n}: M_m -> M_n for m >= n (identity when m = n)."""
-        if m < n:
-            raise AxiomViolation("transition needs m >= n")
-        if m == n:
-            X = self.module(n)
-            return ModuleHom(X, X, GroupHom.identity(X.group))
-        f = self.adjacent[m - 2]  # tau_{m -> m-1}
-        for step in range(m - 1, n, -1):
-            f = self.adjacent[step - 2].compose(f)
-        return f
-
-    def verify_functoriality(self, samples=None):
-        triples = samples or []
-        if not triples and self.n_max >= 3:
-            triples = [(self.n_max, (self.n_max + 1) // 2, 1)]
-        for l, m, n in triples:
-            direct = self.transition(l, n)
-            composed = self.transition(m, n).compose(self.transition(l, m))
-            if not direct.hom.equals_map(composed.hom):
-                return False
-        return True
-
-
-def stable_limit(system):
-    """Eventual-image limit of an inverse system of finite modules.
-
-    For each n the images im(tau_{m,n}) stabilize; the stabilized subsystem
-    has surjective transitions (Mittag-Leffler), and once those become
-    isomorphisms the inverse limit is the stable value.  Raises
-    NotStabilized when the index range ends before both stabilizations are
-    witnessed with at least one repeated step."""
-    from .intlinalg import span_subgroup_order
-
-    n_max = system.n_max
-    # eventual images E_n for the longest prefix of indices where the image
-    # chain is seen to be constant through the top of the range (the repeat
-    # at m = n_max is the witness)
-    eventual = []
-    for n in range(1, n_max):
-        spans = [hom_image_span(system.transition(m, n).hom) for m in range(n, n_max + 1)]
-        stable_span = spans[-1]
-        m0 = None
-        for idx in range(len(spans)):
-            if all(s == stable_span for s in spans[idx:]):
-                m0 = n + idx
-                break
-        if m0 is None or m0 >= n_max:
-            break
-        eventual.append(stable_span)
-    n0 = len(eventual)
-    if n0 < 2:
-        raise NotStabilized(
-            f"eventual images witnessed only up to index {n0} within range {n_max}"
-        )
-    # Mittag-Leffler surjectivity of the restricted transitions
-    for n in range(1, n0):
-        tau = system.transition(n + 1, n)
-        Gm = system.module(n + 1).group
-        image_of_E = span_lattice(
-            system.module(n).group,
-            [tau.hom.matrix.apply(Gm.reduce(tuple(c))) for c in eventual[n].cols_list()],
-        )
-        if image_of_E != eventual[n - 1]:
-            raise NotStabilized("stabilized transitions are not surjective")
-    # isomorphism tail of the stabilized subsystem (surjective + equal size)
-    sizes = [
-        span_subgroup_order(system.module(n).group, eventual[n - 1])
-        for n in range(1, n0 + 1)
-    ]
-    s = None
-    for n in range(1, n0 + 1):
-        if all(sz == sizes[n - 1] for sz in sizes[n - 1 :]):
-            s = n
-            break
-    if s is None or s > n0 - 1:
-        raise NotStabilized("stabilized subsystem has no witnessed isomorphism tail")
-    limit_mod, _ = submodule_module(
-        system.module(s), Submodule(system.module(s), eventual[s - 1])
-    )
-    return limit_mod, s
+# Cech homology at the stable level
 
 
 def _homology_limit(tower, i):
-    """stable_limit of the inverse system H_i of the tower's levels
-    n = 1, 2, ..., with the induced adjacent transitions.
+    """lim_m H_i of the tower's levels, read off one transition: the image
+    of H_i(x^(2n)) -> H_i(x^(n)) as a submodule of H_i(x^(n)), at the stable
+    level n = bit_length(|R|) (at least 1, since |R| >= 1).
 
-    The range starts at 4 and doubles on NotStabilized up to a cap set by
-    the size of the tower's module; the tower keeps the levels of a shorter
-    range, and the adjacent transitions already induced are kept, never
-    rebuilt."""
-    cap = max(6, 2 * max(tower.M.order(), 2).bit_length() + 2)
-    attempt = 4
-    adjacent = []
-    while True:
-        modules = [tower.homology(i, n).module for n in range(1, attempt + 1)]
-        adjacent += [tower.induced(i, n + 1, n) for n in range(len(adjacent) + 1, attempt)]
-        try:
-            limit, _ = stable_limit(InverseSystem(modules, adjacent))
-            return limit
-        except NotStabilized:
-            if attempt >= cap:
-                raise
-            attempt = min(cap, attempt * 2)
+    Each strict step of R > xR > x^2 R > ... at least halves the ideal, so n
+    exceeds every Fitting index c of the x_j.  R is a product of local rings
+    R_j (Atiyah-Macdonald, ch. 8), and the complexes split along them.  On an
+    R_j where some x_j is a unit, K(x_j^m) is contractible, so
+    Tot(K(x^(m)) tensor M tensor L) is exact at every level m.  On an R_j
+    where every x_j is nilpotent, x_j^n = 0, so for m >= n the Koszul faces
+    vanish and H_i(x^(m)) is the sum over subsets S of H_{i-|S|}(M tensor L);
+    the transition tau_{m,n} multiplies summand S by the x_j^(m-n), j in S,
+    so for m >= 2n it kills every S other than the empty set, on which it is
+    the identity.  The images of the tau_{m,n} are therefore the same for all
+    m >= 2n (the system is Mittag-Leffler, Weibel 3.5), and tau restricts to
+    isomorphisms between them: the image at level n is the limit."""
+    n = tower.M.ring.order().bit_length()
+    H = tower.homology(i, n).module
+    image = hom_image_span(tower.induced(i, 2 * n, n).hom)
+    return submodule_module(H, Submodule(H, image))[0]
 
 
 def cech_homology(x_seq, M, i):
-    """Cech homology via stabilized limits of Koszul homology; degree 0 is
-    the adic completion, degree i >= 1 vanishes for finite modules."""
+    """Cech homology lim_n H_i(x^(n); M), read off the Koszul levels n and 2n
+    at the stable level n = bit_length(|R|) (see `_homology_limit`); degree 0
+    is the adic completion, degree i >= 1 vanishes for finite modules.
+
+    >>> from prokit.rings import zmod
+    >>> from prokit.modules import ring_as_module
+    >>> R = zmod(12)
+    >>> [cech_homology([R.from_int(2)], ring_as_module(R), i).order() for i in (0, 1)]
+    [4, 1]
+    """
     if i < 0:
         raise AxiomViolation("negative homological degree")
     if i > len(x_seq):

@@ -354,6 +354,8 @@ class Ideal:
     ring: FiniteRing
     generators: tuple
     span: IntMatrix = field(compare=False, default=None)
+    # e with I^c = e R, kept by the first `stable_idempotent(I)`
+    idempotent: RingElement = field(init=False, compare=False, default=None, repr=False)
 
     def __post_init__(self):
         if self.span is None:
@@ -573,18 +575,21 @@ def stable_idempotent(I):
     In R_j an element is a unit or nilpotent, so I^c has the factor R_j
     when some generator is a unit there and is 0 there otherwise; the
     Fitting idempotent of g is the sum of the 1_j where g is a unit.  So
-    e = 1 - prod(1 - e_g) over the generators g, one Fitting split each.
+    e = 1 - prod(1 - e_g) over the generators g, one Fitting split each,
+    on the first call for I; e is kept on I for later calls.
 
     >>> R = zmod(12)
     >>> stable_idempotent(ideal(R, [R.from_int(2), R.from_int(6)])).coords
     (4,)
     """
-    R = I.ring
-    one = R.one()
-    rest = one
-    for g in I.generators:
-        rest = rest * (one - fitting_split(R, g)[1])
-    return one - rest
+    if I.idempotent is None:
+        R = I.ring
+        one = R.one()
+        rest = one
+        for g in I.generators:
+            rest = rest * (one - fitting_split(R, g)[1])
+        object.__setattr__(I, "idempotent", one - rest)
+    return I.idempotent
 
 
 def ideal_stabilization(I):

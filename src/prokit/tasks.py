@@ -31,7 +31,13 @@ from .analysis import (
     verify_bound_transfer,
     weak_profile,
 )
-from .complexes import cech_complex, cech_homology, colon_identification, cech_tor_compare
+from .complexes import (
+    KoszulTower,
+    _homology_limit,
+    cech_complex,
+    cech_tor_compare,
+    colon_identification,
+)
 from .modules import (
     adic_completion,
     local_cohomology,
@@ -573,11 +579,13 @@ def _vanishing_battery(M, seq):
         ok = ok and z
     inconclusive = False
     try:
+        # one tower serves every degree of the Cech homology
+        tower = KoszulTower(seq, M)
         for i in range(1, k + 1):
-            z = cech_homology(list(seq), M, i).is_zero_module()
+            z = _homology_limit(tower, i).is_zero_module()
             payload[f"cech_homology_{i}_zero"] = z
             ok = ok and z
-        ch0 = cech_homology(list(seq), M, 0)
+        ch0 = _homology_limit(tower, 0)
         lam, _ = adic_completion(M, I)
         agree_l = modules_isomorphic(ch0, lam)
         payload["cech_homology0_is_completion"] = agree_l

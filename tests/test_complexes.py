@@ -5,8 +5,15 @@ import random
 
 import pytest
 
-from prokit.errors import NotStabilized
-from prokit.intlinalg import GroupHom, induced_hom, subgroup_embedding
+from prokit.errors import AxiomViolation, NotStabilized
+from prokit.intlinalg import (
+    GroupHom,
+    hom_image_span,
+    induced_hom,
+    span_lattice,
+    span_subgroup_order,
+    subgroup_embedding,
+)
 from prokit.modules import (
     FgModule,
     ModuleHom,
@@ -24,13 +31,14 @@ from prokit.modules import (
     power_image,
     quotient_module,
     ring_as_module,
+    Submodule,
     submodule_module,
     torsion_submodule,
     zero_module,
 )
 from prokit.complexes import (
-    InverseSystem,
     KoszulTower,
+    _homology_limit,
     cech_cohomology,
     cech_complex,
     cech_homology,
@@ -41,9 +49,8 @@ from prokit.complexes import (
     koszul_powers,
     koszul_transition,
     pro_zero_index,
-    stable_limit,
 )
-from prokit.randgen import random_instance, rng_from_seed
+from prokit.randgen import random_instance, random_ring, rng_from_seed
 from prokit.rings import fitting_split, ideal, truncated_two_power, zero_ring, zmod
 from prokit.modules import cyclic_quotient_module
 
@@ -196,6 +203,130 @@ def test_cech_two_elements_vanishing():
     assert modules_isomorphic(h0, gamma)
 
 
+# ---------------------------------------------------------------------------
+# The stabilized-limit route: the generic eventual-image limit of an inverse
+# system, which `_homology_limit` replaced with one transition at the stable
+# level.  Kept as the reference for it.
+
+
+class InverseSystem:
+    """Modules M_1 .. M_{n_max} with transitions tau_{m,n} for m >= n,
+    stored as adjacent steps tau_{n+1 -> n} and composed on demand."""
+
+    def __init__(self, modules, adjacent):
+        if len(adjacent) != max(len(modules) - 1, 0):
+            raise AxiomViolation("need one adjacent transition per step")
+        self.modules = list(modules)
+        self.adjacent = list(adjacent)
+
+    @property
+    def n_max(self):
+        return len(self.modules)
+
+    def module(self, n):
+        return self.modules[n - 1]
+
+    def transition(self, m, n):
+        """tau_{m,n}: M_m -> M_n for m >= n (identity when m = n)."""
+        if m < n:
+            raise AxiomViolation("transition needs m >= n")
+        if m == n:
+            X = self.module(n)
+            return ModuleHom(X, X, GroupHom.identity(X.group))
+        f = self.adjacent[m - 2]  # tau_{m -> m-1}
+        for step in range(m - 1, n, -1):
+            f = self.adjacent[step - 2].compose(f)
+        return f
+
+    def verify_functoriality(self, samples=None):
+        triples = samples or []
+        if not triples and self.n_max >= 3:
+            triples = [(self.n_max, (self.n_max + 1) // 2, 1)]
+        for l, m, n in triples:
+            direct = self.transition(l, n)
+            composed = self.transition(m, n).compose(self.transition(l, m))
+            if not direct.hom.equals_map(composed.hom):
+                return False
+        return True
+
+
+def stable_limit(system):
+    """Eventual-image limit of an inverse system of finite modules.
+
+    For each n the images im(tau_{m,n}) stabilize; the stabilized subsystem
+    has surjective transitions (Mittag-Leffler), and once those become
+    isomorphisms the inverse limit is the stable value.  Raises
+    NotStabilized when the index range ends before both stabilizations are
+    witnessed with at least one repeated step."""
+    n_max = system.n_max
+    # eventual images E_n for the longest prefix of indices where the image
+    # chain is seen to be constant through the top of the range (the repeat
+    # at m = n_max is the witness)
+    eventual = []
+    for n in range(1, n_max):
+        spans = [hom_image_span(system.transition(m, n).hom) for m in range(n, n_max + 1)]
+        stable_span = spans[-1]
+        m0 = None
+        for idx in range(len(spans)):
+            if all(s == stable_span for s in spans[idx:]):
+                m0 = n + idx
+                break
+        if m0 is None or m0 >= n_max:
+            break
+        eventual.append(stable_span)
+    n0 = len(eventual)
+    if n0 < 2:
+        raise NotStabilized(
+            f"eventual images witnessed only up to index {n0} within range {n_max}"
+        )
+    # Mittag-Leffler surjectivity of the restricted transitions
+    for n in range(1, n0):
+        tau = system.transition(n + 1, n)
+        Gm = system.module(n + 1).group
+        image_of_E = span_lattice(
+            system.module(n).group,
+            [tau.hom.matrix.apply(Gm.reduce(tuple(c))) for c in eventual[n].cols_list()],
+        )
+        if image_of_E != eventual[n - 1]:
+            raise NotStabilized("stabilized transitions are not surjective")
+    # isomorphism tail of the stabilized subsystem (surjective + equal size)
+    sizes = [
+        span_subgroup_order(system.module(n).group, eventual[n - 1])
+        for n in range(1, n0 + 1)
+    ]
+    s = None
+    for n in range(1, n0 + 1):
+        if all(sz == sizes[n - 1] for sz in sizes[n - 1 :]):
+            s = n
+            break
+    if s is None or s > n0 - 1:
+        raise NotStabilized("stabilized subsystem has no witnessed isomorphism tail")
+    limit_mod, _ = submodule_module(
+        system.module(s), Submodule(system.module(s), eventual[s - 1])
+    )
+    return limit_mod, s
+
+
+def _reference_homology_limit(tower, i):
+    """stable_limit of the inverse system H_i of the tower's levels
+    n = 1, 2, ..., with the induced adjacent transitions: the range starts
+    at 4 and doubles on NotStabilized up to a cap set by the size of the
+    tower's module."""
+    cap = max(6, 2 * max(tower.M.order(), 2).bit_length() + 2)
+    attempt = 4
+    adjacent = []
+    while True:
+        modules = [tower.homology(i, n).module for n in range(1, attempt + 1)]
+        adjacent += [tower.induced(i, n + 1, n) for n in range(len(adjacent) + 1, attempt)]
+        try:
+            limit, _ = stable_limit(InverseSystem(modules, adjacent))
+            return limit
+        except NotStabilized:
+            if attempt >= cap:
+                raise
+            attempt = min(cap, attempt * 2)
+
+
 def test_stable_limit_constant_system():
     R = zmod(12)
     M = ring_as_module(R)
@@ -304,22 +435,30 @@ def test_cech_homology_higher_vanishes():
     assert cech_homology([R.from_int(2)], M, 1).is_zero_module()
 
 
-def test_cech_homology_retry_keeps_levels(monkeypatch):
-    # over Z/2 x Z/4 x Z/8 four levels do not stabilize; the retry at eight
-    # levels extends the first four instead of building them again
+def test_cech_homology_builds_levels_n_and_2n(monkeypatch):
+    # over Z/2 x Z/4 x Z/8 (order 64) the stable level is n = 7: the limit
+    # reads levels 7 and 14 and nothing else, with no stabilized-limit search
     import prokit.complexes as cx
 
-    calls = []
-    real = cx._KoszulLayout.level
+    levels, builds = [], []
+    real_tower, real_layout = cx.KoszulTower.level, cx._KoszulLayout.level
+
+    def recording(self, n):
+        if n not in self._levels:
+            levels.append(n)
+        return real_tower(self, n)
 
     def counting(self, x_seq):
-        calls.append(x_seq)
-        return real(self, x_seq)
+        builds.append(x_seq)
+        return real_layout(self, x_seq)
 
+    monkeypatch.setattr(cx.KoszulTower, "level", recording)
     monkeypatch.setattr(cx._KoszulLayout, "level", counting)
     R, x, _ = truncated_two_power(3)
     assert cech_homology([x], ring_as_module(R), 1).is_zero_module()
-    assert len(calls) == 8
+    assert levels == [7, 14]
+    assert len(builds) == 2
+    assert not hasattr(cx, "stable_limit") and not hasattr(cx, "InverseSystem")
 
 
 def test_cech_homology_unit():
@@ -572,8 +711,11 @@ def _cech_reference_cases():
     for _ in range(12):
         R, M, seq = random_instance(rng, k_max=3)
         yield R, hom_module(M, matlis_dual(ring_as_module(R))), seq
-    # degenerate inputs: the zero ring, the zero module, unit and zero
-    # entries, the empty sequence
+    yield from _degenerate_cases()
+
+
+def _degenerate_cases():
+    # the zero ring, the zero module, unit and zero entries, the empty sequence
     Z = zero_ring()
     yield Z, ring_as_module(Z), [Z.one()]
     yield Z, ring_as_module(Z), [Z.zero(), Z.one()]
@@ -622,3 +764,48 @@ def test_cech_complex_builds_no_subgroup_direct_sum_or_induced_map(monkeypatch):
     ):
         cech_complex(seq, M)
     assert counts == {}
+
+
+def _assert_same_module(new, old, context):
+    assert new.group.invariant_factors == old.group.invariant_factors, context
+    assert module_fingerprint(new) == module_fingerprint(old), context
+
+
+def test_homology_limit_matches_stabilized_reference():
+    # the draws of acceptance criterion 06 and the degenerate inputs: every
+    # degree of the Cech homology, at the stable level and by the search
+    rng = rng_from_seed(0xA006)
+    draws = [random_instance(rng, k_max=3) for _ in range(100)]
+    for R, M, seq in draws + list(_degenerate_cases()):
+        tower = KoszulTower(seq, M)
+        for i in range(len(seq) + 1):
+            new = _homology_limit(tower, i)
+            _assert_same_module(new, _reference_homology_limit(tower, i), (R, seq, i))
+
+
+def test_tor_homology_limit_matches_stabilized_reference():
+    # the tensored towers of acceptance criterion 11, and the degenerate
+    # inputs tensored with a resolution of the module itself
+    rng = rng_from_seed(0xA011)
+    cases = []
+    for _ in range(20):
+        R, M, seq = random_instance(rng, k_max=2, ring_order=36, module_order=64)
+        cases.append((R, M, seq, ring_as_module(R) if rng.random() < 0.4 else M))
+    cases += [(R, M, seq, M) for R, M, seq in _degenerate_cases()]
+    for R, M, seq, N in cases:
+        for i in (0, 1):
+            tower = KoszulTower(seq, M, free_resolution(N, i + 2))
+            new = _homology_limit(tower, i)
+            _assert_same_module(new, _reference_homology_limit(tower, i), (R, seq, i))
+
+
+def test_fitting_index_is_below_the_stable_level():
+    # each strict step of R > xR > x^2 R > ... at least halves the ideal, so
+    # 2^c <= |R| and c < bit_length(|R|), the level `_homology_limit` reads
+    rng = rng_from_seed(0xF17)
+    rings = [random_ring(rng)[0] for _ in range(40)]
+    rings += [zero_ring(), zmod(12), zmod(64), truncated_two_power(3)[0]]
+    for R in rings:
+        for x in R.elements():
+            c, _ = fitting_split(R, x)
+            assert c < R.order().bit_length(), (R, x, c)

@@ -378,6 +378,50 @@ def test_one_cech_complex_per_check(monkeypatch, check):
     assert len(calls) == 1
 
 
+def _z12_battery():
+    from prokit.modules import ring_as_module
+    from prokit.rings import zmod
+    from prokit.tasks import _vanishing_battery
+
+    R = zmod(12)
+    payload, ok, inconclusive = _vanishing_battery(
+        ring_as_module(R), [R.from_int(2), R.from_int(3)]
+    )
+    assert ok and not inconclusive and payload["passed"]
+
+
+def test_vanishing_battery_reads_every_cech_homology_degree_off_one_tower(monkeypatch):
+    # Z/12 has stable level n = 4: one tower, its levels 4 and 8
+    import prokit.complexes as cx
+
+    towers, levels = [], []
+    real_init, real_level = cx.KoszulTower.__init__, cx._KoszulLayout.level
+    monkeypatch.setattr(
+        cx.KoszulTower, "__init__", lambda self, *a: towers.append(a) or real_init(self, *a)
+    )
+    monkeypatch.setattr(
+        cx._KoszulLayout, "level", lambda self, xs: levels.append(xs) or real_level(self, xs)
+    )
+    _z12_battery()
+    assert len(towers) == 1
+    assert len(levels) == 2
+
+
+def test_vanishing_battery_splits_each_element_once_per_use(monkeypatch):
+    # one split per element for the Cech complex's idempotents, and one for
+    # the stable idempotent of I, which torsion_submodule, local_cohomology
+    # and adic_completion share through the Ideal
+    import prokit.complexes
+    import prokit.rings
+
+    calls = []
+    real = prokit.rings.fitting_split
+    for module in (prokit.rings, prokit.complexes):
+        monkeypatch.setattr(module, "fitting_split", lambda R, x: calls.append(x) or real(R, x))
+    _z12_battery()
+    assert len(calls) == 4
+
+
 def test_lipman_forms_disagreement_is_a_failed_check(monkeypatch):
     import prokit.analysis as analysis
 
