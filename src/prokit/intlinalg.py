@@ -1,24 +1,27 @@
 """Exact integer linear algebra and finite abelian group arithmetic.
 
 Everything here is computed over Python's arbitrary-precision integers:
-Hermite and Smith normal forms, integer linear system solving, and the
-standard toolkit for finite abelian groups presented by invariant factors
-(homs, kernels, images, subgroups, quotients).  Canonical spans, kernels,
-preimages and intersections come from one transform-free Hermite
-reduction, with no SNF: Hermite form is unique, so any generating set of a
-lattice gives the same span.  Direct sums are not built here: the module
-layer lays out module powers by permutation (`modules.module_power`).  All
-values are immutable after construction and all operations are pure
-functions.
+Hermite and Smith normal forms and the standard toolkit for finite abelian
+groups presented by invariant factors (homs, kernels, images, subgroups,
+quotients).  Canonical spans, kernels, preimages and intersections come
+from one transform-free Hermite reduction, with no SNF: Hermite form is
+unique, so any generating set of a lattice gives the same span.  There is
+one solve of A x = b in a group (`_solve`): the canonical preimage of the
+group's relations under [b | A], read off its first basis column, so it
+runs the same Hermite reduction and no SNF.  Direct sums are not built
+here: the module layer lays out module powers by permutation
+(`modules.module_power`).  All values are immutable after construction
+and all operations are pure functions.
 
 Every presentation is one Smith reduction D = U * H * V of a square,
-nonsingular relation matrix H (`_smith_presentation`): the projection P is
-the kept rows of U and the section S the kept columns of U^-1 = H * V * D^-1,
-so P * S = I over Z with no second solve.  `cokernel_presentation` first
-reduces its relations to their canonical basis, and `subquotient_group`
-presents L/N by L^-1 N, the coefficients of N's canonical span over L's
-from forward substitution; it takes the canonical spans themselves, so
-the coordinates depend only on the subgroups, never on their generators.
+nonsingular relation matrix H (`_smith_presentation`, the one caller of
+`snf`): the projection P is the kept rows of U and the section S the kept
+columns of U^-1 = H * V * D^-1, so P * S = I over Z with no second solve.
+`cokernel_presentation` first reduces its relations to their canonical
+basis, and `subquotient_group` presents L/N by L^-1 N, the coefficients
+of N's canonical span over L's from forward substitution; it takes the
+canonical spans themselves, so the coordinates depend only on the
+subgroups, never on their generators.
 Every quotient lift in the package (subgroups, quotients, quotient rings,
 Hom and tensor modules, subquotients) is a product with such a section.
 `GroupSubquotient` and `induced_hom` are the one lift/classify path:
@@ -252,19 +255,6 @@ def _hermite(rows, width):
     return r
 
 
-def hnf(A: IntMatrix):
-    """Row Hermite normal form.
-
-    Returns (H, U) with H = U * A, U unimodular, H in row-echelon form with
-    positive pivots and entries above each pivot reduced into [0, pivot):
-    the Hermite loop on the rows of [A | I], pivots limited to A's columns."""
-    m, n = A.rows, A.cols
-    rows = [a + e for a, e in zip(A.rows_list(), IntMatrix.identity(m).rows_list())]
-    _hermite(rows, n)
-    H = IntMatrix._of(m, n, tuple(x for row in rows for x in row[:n]))
-    return H, IntMatrix._of(m, m, tuple(x for row in rows for x in row[n:]))
-
-
 def snf(A: IntMatrix):
     """Smith normal form.
 
@@ -390,46 +380,6 @@ def det(A: IntMatrix):
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def mat_inverse_unimodular(U: IntMatrix):
-    """Inverse of a unimodular integer matrix, again with integer entries."""
-    n = U.rows
-    H, W = hnf(U)
-    if H != IntMatrix.identity(n):
-        raise DimensionMismatch("matrix is not unimodular")
-    return W
-
-
-class IntLinearSystem:
-    """Solver for A x = y over the integers, reusing one SNF of A."""
-
-    def __init__(self, A: IntMatrix):
-        self.A = A
-        self.D, self.U, self.V = snf(A)
-        self.rank = sum(
-            1 for i in range(min(A.rows, A.cols)) if self.D[i, i] != 0
-        )
-
-    def solve(self, y):
-        """One integer solution of A x = y, or None if there is none."""
-        if len(y) != self.A.rows:
-            raise DimensionMismatch("rhs length mismatch")
-        w = self.U.apply(tuple(y))
-        x = [0] * self.A.cols
-        for i in range(self.A.rows):
-            d = self.D[i, i] if i < min(self.A.rows, self.A.cols) else 0
-            if i < self.rank:
-                if w[i] % d != 0:
-                    return None
-                x[i] = w[i] // d
-            elif w[i] != 0:
-                return None
-        return self.V.apply(tuple(x))
-
-    def kernel_basis(self):
-        """Columns of V beyond the rank span ker A exactly."""
-        return [self.V.col(j) for j in range(self.rank, self.A.cols)]
 
 
 # ---------------------------------------------------------------------------
@@ -703,6 +653,29 @@ def preimage_span(f, span):
     return preimage_lattice(f.matrix, span, f.source.invariant_factors)
 
 
+def _solve(A, b, group, moduli):
+    """One x with A x = b in `group`, or None when b is not in the image of
+    A, for an A whose column j is killed by moduli[j] in the group.
+
+    The one solve: the canonical preimage of diag(group) under [b | A],
+    with t taken modulo |group|, is the lattice of the (t, v) with
+    t b + A v = 0 in the group.  Its first basis column starts with the
+    least t > 0 that puts t b in im A, so b is in im A exactly when that
+    entry is 1, and then x = -v.  One Hermite reduction and no Smith form,
+    and x depends only on the lattice.  2x = 4 is solvable in Z/8, and
+    2x = 1 is not:
+
+    >>> Z8 = FinAbGroup((8,))
+    >>> _solve(IntMatrix(1, 1, [2]), (4,), Z8, (8,))
+    (-2,)
+    >>> _solve(IntMatrix(1, 1, [2]), (1,), Z8, (8,)) is None
+    True
+    """
+    stacked = IntMatrix.from_cols([tuple(b), *A.cols_list()], rows=group.rank)
+    first = preimage_lattice(stacked, _moduli_matrix(group), (group.order(), *moduli)).col(0)
+    return tuple(-v for v in first[1:]) if first[0] == 1 else None
+
+
 def intersect_spans(G, s1, s2):
     """Canonical span of the meet of two span lattices of G, plus G's
     relations: one Hermite reduction of [s1^T | s1^T ; s2^T | 0 ;
@@ -873,32 +846,6 @@ def subquotient_group(G, L, N):
         raise DimensionMismatch("element is not in the subgroup")
     Q, P, S = _smith_presentation(IntMatrix.from_cols(coeffs, rows=G.rank))
     return GroupSubquotient(Q, GroupHom(Q, G, L * S), L, P)
-
-
-def solve_hom(f: GroupHom, y: GroupElement):
-    """One preimage of y under f, or None if y is not in the image."""
-    if y.group != f.target:
-        raise DimensionMismatch("rhs not in target group")
-    s, t = f.source.rank, f.target.rank
-    stacked = f.matrix.hstack(_moduli_matrix(f.target)) if t else IntMatrix(0, s, [])
-    if t == 0:
-        return f.source.zero()
-    sys = IntLinearSystem(stacked)
-    sol = sys.solve(y.coords)
-    if sol is None:
-        return None
-    return f.source.element(sol[:s])
-
-
-def hom_kernel(f: GroupHom):
-    """Kernel of f as a GroupSubquotient of the source."""
-    return subquotient_group(f.source, hom_kernel_span(f), _moduli_matrix(f.source))
-
-
-def kernel_generators(f: GroupHom):
-    """Generators of ker f as elements of the source group."""
-    data = hom_kernel(f)
-    return [data.lift(g) for g in data.group.generators()]
 
 
 def hom_kernel_span(f: GroupHom):

@@ -29,13 +29,12 @@ from .errors import (
 from .intlinalg import (
     FinAbGroup,
     GroupHom,
-    IntLinearSystem,
     IntMatrix,
+    _solve,
     cokernel_presentation,
     induced_hom,
     linear_combination,
     matrix_combination,
-    solve_hom,
     span_contains,
     span_lattice,
     span_subgroup_order,
@@ -122,7 +121,8 @@ class FiniteRing:
             yield RingElement(self, g.coords)
 
     def is_unit(self, elem):
-        return solve_hom(self.multiplication_hom(elem), self.one().as_group_element()) is not None
+        m, G = self.multiplication_hom(elem).matrix, self.additive
+        return _solve(m, self.unit_coords, G, G.invariant_factors) is not None
 
     def is_nilpotent(self, elem):
         y = elem
@@ -555,8 +555,7 @@ def is_covering(R, elements):
     for f in elements:
         cols.extend(R.multiplication_hom(f).matrix.cols_list())
     A = IntMatrix.from_cols(cols, rows=r)
-    stacked = A.hstack(IntMatrix.diagonal(list(R.additive.invariant_factors)))
-    sol = IntLinearSystem(stacked).solve(R.unit_coords)
+    sol = _solve(A, R.unit_coords, R.additive, R.additive.invariant_factors * len(elements))
     if sol is None:
         return False, None
     coeffs = [R.element(sol[t * r : (t + 1) * r]) for t in range(len(elements))]
@@ -722,7 +721,12 @@ def _factor_fitting_idempotent(R, e, y):
 
     Returns (c, eps): c minimal with y^c e R = y^{c+1} e R and eps the
     idempotent with eps R = y^c e R; eps is 0 for nilpotent-on-the-factor
-    and e for units of the factor."""
+    and e for units of the factor.  eps solves y^c * eps = y^c with eps in
+    y^c e R: eps = prev * x for the canonical span prev of y^c e R and a
+    solution x of (y^c * prev) x = y^c.  Multiplication by y^c maps the
+    finite y^c e R onto y^{2c} e R = y^c e R, so it is injective there,
+    eps is unique whichever x the solver returns, and by Fitting's lemma it
+    is the idempotent identity of y^c e R."""
     prev = _image_span(R, e)
     cur = e
     c = 0
@@ -736,19 +740,11 @@ def _factor_fitting_idempotent(R, e, y):
         c += 1
     if c == 0:
         return 0, e  # y is a unit of e R, and e is its identity
-    yc = cur
-    span_elems = [R.element(col) for col in prev.cols_list()]
-    if all(s.is_zero() for s in span_elems):
+    if span_subgroup_order(R.additive, prev) == 1:
         return c, R.zero()
-    # solve y^c * eps = y^c with eps in the span of y^c e R; Fitting's lemma
-    # makes the solution idempotent and the identity of y^c e R
-    cols = [list((yc * s).coords) for s in span_elems]
-    A = IntMatrix.from_cols(cols, rows=R.rank)
-    stacked = A.hstack(IntMatrix.diagonal(list(R.additive.invariant_factors)))
-    sol = IntLinearSystem(stacked).solve(yc.coords)
-    if sol is None:
+    A = R.multiplication_hom(cur).matrix * prev
+    exponent = R.additive.invariant_factors[-1]
+    x = _solve(A, cur.coords, R.additive, (exponent,) * prev.cols)
+    if x is None:
         raise AxiomViolation("factor Fitting equation unsolvable; ring data corrupt")
-    eps = R.zero()
-    for coeff, s in zip(sol[: len(span_elems)], span_elems):
-        eps = eps + s.scale(coeff)
-    return c, eps
+    return c, R.element(prev.apply(x))

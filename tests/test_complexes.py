@@ -369,7 +369,7 @@ def test_stable_limit_annihilator_system_is_zero():
             gen = src.group.element(tuple(1 if t == j else 0 for t in range(src.group.rank)))
             v = M.action_hom(R.from_int(2))(incls[n](gen))
             # classify in the target submodule copy
-            from prokit.intlinalg import solve_hom
+            from linalg_reference import solve_hom
 
             pre = solve_hom(incls[n - 1].hom, v)
             cols.append(list(pre.coords))
@@ -401,7 +401,8 @@ def test_stable_limit_completion_system():
     for n in range(1, n_max):
         src, tgt = mods[n], mods[n - 1]
         cols = []
-        from prokit.intlinalg import IntMatrix, solve_hom
+        from linalg_reference import solve_hom
+        from prokit.intlinalg import IntMatrix
 
         for j in range(src.group.rank):
             gen = src.group.element(tuple(1 if t == j else 0 for t in range(src.group.rank)))

@@ -10,21 +10,17 @@ from prokit.intlinalg import (
     GroupElement,
     GroupHom,
     GroupSubquotient,
-    IntLinearSystem,
     IntMatrix,
+    _solve,
     cokernel_presentation,
     det,
-    hnf,
     hom_image_span,
     column_lattice,
     hom_kernel_span,
     intersect_spans,
-    kernel_generators,
-    mat_inverse_unimodular,
     preimage_span,
     quotient_group,
     snf,
-    solve_hom,
     span_contains,
     span_lattice,
     span_leq,
@@ -33,6 +29,14 @@ from prokit.intlinalg import (
     subquotient_group,
 )
 from prokit.errors import DimensionMismatch, InfiniteCokernel
+
+from linalg_reference import (
+    IntLinearSystem,
+    hnf,
+    kernel_generators,
+    mat_inverse_unimodular,
+    solve_hom,
+)
 
 
 def random_matrix(rng, max_dim=6, max_entry=20):
@@ -524,10 +528,23 @@ def test_subquotient_records_depend_only_on_the_subgroups():
 
 
 def test_presentations_run_one_smith_form_and_no_linear_system(monkeypatch):
+    """Each presentation runs one SNF, and the ring layer's solves (units,
+    coverings, Fitting splits and the idempotent search built on them) run
+    none: every SNF belongs to a presentation, and no linear system runs."""
     import prokit.intlinalg as intlinalg
+    from prokit.rings import (
+        fitting_split,
+        is_covering,
+        primitive_idempotents,
+        product_ring,
+        truncated_polynomial,
+        truncated_two_power,
+        zmod,
+    )
 
-    counts = {"snf": 0, "system": 0}
+    counts = {"snf": 0, "system": 0, "presentation": 0}
     real_snf, real_init = intlinalg.snf, IntLinearSystem.__init__
+    real_presentation = intlinalg._smith_presentation
 
     def counting_snf(A):
         counts["snf"] += 1
@@ -537,26 +554,81 @@ def test_presentations_run_one_smith_form_and_no_linear_system(monkeypatch):
         counts["system"] += 1
         real_init(self, A)
 
+    def counting_presentation(H):
+        counts["presentation"] += 1
+        return real_presentation(H)
+
     rng = random.Random(0x1F0)
-    cases = []
+    cases = []  # (function, arguments, most SNFs, or None for any number)
     for G in map(FinAbGroup, RECORD_CHAINS):
         vecs = [rand_vec(rng, G.rank) for _ in range(2)]
         f, g = random_endo(rng, G), random_endo(rng, G)
         L, N = hom_kernel_span(f.compose(g)), hom_kernel_span(g)
         A = IntMatrix.from_cols(vecs, rows=G.rank)
         cases += [
-            (cokernel_presentation, (A, list(G.invariant_factors))),
-            (subgroup_embedding, (G, vecs)),
-            (quotient_group, (G, vecs)),
-            (subquotient_group, (G, L, N)),
+            (cokernel_presentation, (A, list(G.invariant_factors)), 1),
+            (subgroup_embedding, (G, vecs), 1),
+            (quotient_group, (G, vecs), 1),
+            (subquotient_group, (G, L, N), 1),
+        ]
+    rings = [
+        zmod(12),
+        product_ring([zmod(8), zmod(4)])[0],
+        truncated_two_power(3)[0],
+        truncated_polynomial(2, 4)[0],
+    ]
+    for R in rings:
+        elems = list(R.elements())
+        y, z = R.from_int(2), rng.choice(elems)
+        cases += [
+            (R.is_unit, (y,), 0),
+            (R.is_unit, (R.one(),), 0),
+            (is_covering, (R, [y, z]), 0),
+            (fitting_split, (R, y), 0),
+            (fitting_split, (R, z), 0),
+            # each local factor is localized, and so presented, once
+            (primitive_idempotents, (R,), None),
         ]
     monkeypatch.setattr(intlinalg, "snf", counting_snf)
+    monkeypatch.setattr(intlinalg, "_smith_presentation", counting_presentation)
     monkeypatch.setattr(IntLinearSystem, "__init__", counting_init)
-    for fn, args in cases:
-        counts.update(snf=0, system=0)
+    for fn, args, most in cases:
+        counts.update(snf=0, system=0, presentation=0)
         fn(*args)
-        assert counts["snf"] <= 1, fn.__name__
+        assert counts["snf"] == counts["presentation"], fn.__name__
+        if most is not None:
+            assert counts["snf"] <= most, fn.__name__
         assert counts["system"] == 0, fn.__name__
+
+
+def test_one_solve_matches_linear_system_reference():
+    """`_solve` finds x with A x = b in G exactly when the SNF reference
+    does, and its x solves the system; A may have no columns, G may be
+    trivial, and b may be unreduced or negative."""
+    rng = random.Random(0x501E)
+    found = {True: 0, False: 0}
+    for G in map(FinAbGroup, RECORD_CHAINS):
+        relations = IntMatrix.diagonal(list(G.invariant_factors))
+        for _ in range(24):
+            s = rng.randint(0, 3)
+            A = IntMatrix(G.rank, s, [rng.randrange(-9, 10) for _ in range(G.rank * s)])
+            b = rand_vec(rng, G.rank)
+            if rng.random() < 0.5:
+                image = A.apply(rand_vec(rng, s))
+                b = rng.choice(representatives(rng, G, image))
+            x = _solve(A, b, G, (G.order(),) * s)
+            expected = IntLinearSystem(A.hstack(relations)).solve(b)
+            assert (x is None) == (expected is None)
+            found[x is not None] += 1
+            if x is not None:
+                assert len(x) == s
+                assert G.reduce([a - c for a, c in zip(A.apply(x), b)]) == G.zero().coords
+    assert found[True] and found[False]
+    trivial, Z12 = FinAbGroup(()), FinAbGroup((12,))
+    assert _solve(IntMatrix(0, 2, []), (), trivial, (1, 1)) == (0, 0)
+    assert _solve(IntMatrix(1, 0, []), (-24,), Z12, ()) == ()
+    assert _solve(IntMatrix(1, 0, []), (5,), Z12, ()) is None
+    assert _solve(IntMatrix(1, 1, [8]), (-28,), Z12, (3,)) is not None
 
 
 def test_span_lattice_canonical_equality():

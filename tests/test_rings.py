@@ -7,7 +7,6 @@ import pytest
 from prokit.errors import AxiomViolation, InvalidSpec
 from prokit.intlinalg import (
     FinAbGroup,
-    IntLinearSystem,
     IntMatrix,
     cokernel_presentation,
     span_contains,
@@ -37,6 +36,8 @@ from prokit.rings import (
     zero_ring,
     zmod,
 )
+
+from linalg_reference import IntLinearSystem
 
 
 def test_zmod_basics():
@@ -445,6 +446,21 @@ def _solved_stable_idempotent(I):
     for coeff, s in zip(sol[: len(gens)], gens):
         e = e + s.scale(coeff)
     return c, e
+
+
+def test_is_unit_matches_enumerated_unit_table():
+    rings = [
+        zmod(12),
+        product_ring([zmod(8), zmod(4)])[0],
+        truncated_two_power(3)[0],
+        truncated_polynomial(2, 4)[0],
+    ]
+    for R in rings:
+        elems = list(R.elements())
+        one = R.one()
+        units = {u.coords for u in elems if any(u * v == one for v in elems)}
+        assert one.coords in units and R.zero().coords not in units
+        assert {u.coords for u in elems if R.is_unit(u)} == units
 
 
 def test_stable_idempotent_matches_linear_solve():
