@@ -22,7 +22,9 @@ finite modules agrees with the derived-Hom definition because the lim^1
 term dies (Mittag-Leffler).  Over a finite ring the limit needs no search:
 R is a product of local rings, where each x_j is a unit or nilpotent, so at
 the level n = bit_length(|R|) the image of H_i(x^(2n)) -> H_i(x^(n)) is the
-limit.  Two Koszul levels and one induced transition give it.
+limit.  It is one subquotient of the level-n chains: the transition
+applied to the level-2n cycles, plus the level-n boundaries, modulo those
+boundaries; neither homology is presented.
 
 Every differential, codifferential and transition between module powers
 here is a list of blocks handed to `modules.block_hom`, the one place where
@@ -34,6 +36,7 @@ the one lift/classify path."""
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import AxiomViolation, IdentificationFailure
@@ -51,7 +54,6 @@ from .modules import (
     modules_isomorphic,
     power_image,
     quotient_module_data,
-    submodule_module,
     subquotient_module,
     zero_module,
 )
@@ -76,9 +78,6 @@ class ChainComplex:
             up = self.diffs.get(i + 1)
             if up is not None and not d.compose(up).is_zero_map():
                 raise AxiomViolation(f"d_{i} after d_{i + 1} is not zero")
-
-    def degrees(self):
-        return sorted(self.modules)
 
     def module(self, i):
         return self.modules.get(i)
@@ -120,18 +119,6 @@ class ComplexMap:
 
     def component(self, i):
         return self.components.get(i)
-
-
-def complex_homology(C, i):
-    """ker d_i / im d_{i+1} with its induced module structure."""
-    return C.homology(i).module
-
-
-def resolution_complex(res):
-    """A free resolution as a validated ChainComplex F_L -> ... -> F_0."""
-    modules = {i: f.module for i, f in enumerate(res.frees)}
-    diffs = {i: res.differential(i) for i in range(1, len(res.frees))}
-    return ChainComplex(modules, diffs)
 
 
 # ---------------------------------------------------------------------------
@@ -253,37 +240,31 @@ def koszul_transition(x_seq, m, n, M, source=None, target=None):
         raise AxiomViolation("transition needs m >= n")
     src = source if source is not None else koszul_complex(koszul_powers(x_seq, m), M)
     tgt = target if target is not None else koszul_complex(koszul_powers(x_seq, n), M)
+    y_seq = koszul_powers(x_seq, m - n)
     comps = {}
     for j in src.blocks:
-        hom = _transition_component(x_seq, src, tgt, j, m - n)
+        hom = _transition_component(y_seq, src, tgt, j)
         comps[j] = ModuleHom(src.packs[j][0], tgt.packs[j][0], hom)
     return ComplexMap(src.complex, tgt.complex, comps), src, tgt
 
 
-def _subset_multiplier(x_seq, S, e, M):
-    """Action on M of the product of x_i^e over i in S."""
-    mult = M.ring.one()
-    for i in S:
-        mult = mult * (x_seq[i] ** e)
-    return M.action_hom(mult)
-
-
-def _transition_component(x_seq, src, tgt, j, e):
-    """Degree-j component of the Koszul transition K(x^(n+e); M) -> K(x^(n); M):
-    block (S, q, u) is multiplied by the product of x_i^e over i in S."""
-    blocks = [
-        (tgt.index[j][b], idx, _subset_multiplier(x_seq, b[0], e, src.module), 1)
-        for idx, b in enumerate(src.blocks[j])
-    ]
+def _transition_component(y_seq, src, tgt, j):
+    """Degree-j component of the Koszul transition K(x^(n+e); M) -> K(x^(n); M)
+    for y = x^(e): block (S, q, u) is multiplied by the product of the y_i,
+    i in S, with one action of M per subset S."""
+    one = src.module.ring.one()
+    subsets = {b[0] for b in src.blocks[j]}
+    acts = {S: src.module.action_hom(math.prod((y_seq[i] for i in S), start=one)) for S in subsets}
+    blocks = [(tgt.index[j][b], idx, acts[b[0]], 1) for idx, b in enumerate(src.blocks[j])]
     return block_hom(src.packs[j], tgt.packs[j], blocks)
 
 
 class KoszulTower:
-    """Koszul complexes of x^(n) on M for varying n, with homology caches;
-    with a free resolution `res`, the total complexes of K(x^(n)) tensor M
-    tensor res (see `koszul_complex`).  The layout of blocks, module powers
-    and d_L blocks is built once, at construction, and shared by every
-    level, so the levels share their modules."""
+    """Koszul complexes of x^(n) on M for varying n; with a free resolution
+    `res`, the total complexes of K(x^(n)) tensor M tensor res (see
+    `koszul_complex`).  The layout of blocks, module powers and d_L blocks
+    is built once and shared by every level.  Level 2n's entries square
+    level n's, and a transition by x^(e) takes level e's, when built."""
 
     def __init__(self, x_seq, M, res=None):
         self.x_seq = tuple(x_seq)
@@ -292,12 +273,20 @@ class KoszulTower:
         self._levels = {}
         self._homology = {}
 
+    def _powers(self, n):
+        if n in self._levels:
+            return self._levels[n].sequence
+        if n % 2 == 0 and n // 2 in self._levels:
+            return [y * y for y in self._levels[n // 2].sequence]
+        return koszul_powers(self.x_seq, n)
+
     def level(self, n):
         if n not in self._levels:
-            self._levels[n] = self._layout.level(koszul_powers(self.x_seq, n))
+            self._levels[n] = self._layout.level(self._powers(n))
         return self._levels[n]
 
     def homology(self, i, n):
+        """H_i(x^(n)), kept; only `pro_zero_index` (the weak profile) reads it."""
         key = (i, n)
         if key not in self._homology:
             self._homology[key] = self.level(n).complex.homology(i)
@@ -312,9 +301,11 @@ class KoszulTower:
     def transition_component(self, i, m, n):
         """Single degree-i component of the transition, without building the
         other degrees (commutation is a theorem, exercised by the tests)."""
-        return _transition_component(self.x_seq, self.level(m), self.level(n), i, m - n)
+        src, tgt = self.level(m), self.level(n)
+        return _transition_component(self._powers(m - n), src, tgt, i)
 
     def induced(self, i, m, n):
+        """H_i(x^(m)) -> H_i(x^(n)); only `pro_zero_index` (the weak profile) uses it."""
         comp = self.transition_component(i, m, n)
         src, tgt = self.homology(i, m), self.homology(i, n)
         return ModuleHom(src.module, tgt.module, induced_hom(comp, src.data, tgt.data))
@@ -445,6 +436,7 @@ class CechData:
     packs: dict        # degree -> (module, injections, projections)
     idempotents: dict  # degree j -> GroupHom E_j on C^j
     codiffs: dict      # j -> ModuleHom C^j -> C^{j+1}
+    splits: tuple      # the Fitting idempotents e_{x_i}, one per element
 
     def cohomology_data(self, i):
         """H^i of the localized subcomplex: E_i ker d^i / im d^(i-1)."""
@@ -493,7 +485,7 @@ def cech_complex(x_seq, M):
     for j in range(len(x_seq) - 1):
         if not codiffs[j + 1].compose(codiffs[j]).is_zero_map():
             raise AxiomViolation(f"Cech codifferential fails d o d = 0 at degree {j}")
-    return CechData(M, tuple(x_seq), packs, idempotents, codiffs)
+    return CechData(M, tuple(x_seq), packs, idempotents, codiffs, tuple(splits))
 
 
 def cech_cohomology(x_seq, M, i):
@@ -511,26 +503,34 @@ def cech_cohomology(x_seq, M, i):
 
 
 def _homology_limit(tower, i):
-    """lim_m H_i of the tower's levels, read off one transition: the image
-    of H_i(x^(2n)) -> H_i(x^(n)) as a submodule of H_i(x^(n)), at the stable
-    level n = bit_length(|R|) (at least 1, since |R| >= 1).
+    """lim_m H_i of the tower's levels: the image of H_i(x^(2n)) -> H_i(x^(n))
+    at n = bit_length(|R|) (at least 1), as the one subquotient
+    (tau Z_i(x^(2n)) + B_i(x^(n))) / B_i(x^(n)) of C_i(x^(n)), Z the cycles,
+    B the boundaries, tau the degree-i transition.  tau maps cycles to
+    cycles, so this is the set of classes [tau z]: that image itself.
 
-    Each strict step of R > xR > x^2 R > ... at least halves the ideal, so n
-    exceeds every Fitting index c of the x_j.  R is a product of local rings
-    R_j (Atiyah-Macdonald, ch. 8), and the complexes split along them.  On an
-    R_j where some x_j is a unit, K(x_j^m) is contractible, so
-    Tot(K(x^(m)) tensor M tensor L) is exact at every level m.  On an R_j
-    where every x_j is nilpotent, x_j^n = 0, so for m >= n the Koszul faces
-    vanish and H_i(x^(m)) is the sum over subsets S of H_{i-|S|}(M tensor L);
-    the transition tau_{m,n} multiplies summand S by the x_j^(m-n), j in S,
-    so for m >= 2n it kills every S other than the empty set, on which it is
-    the identity.  The images of the tau_{m,n} are therefore the same for all
-    m >= 2n (the system is Mittag-Leffler, Weibel 3.5), and tau restricts to
-    isomorphisms between them: the image at level n is the limit."""
+    Why it is the limit: each strict step of R > xR > x^2 R > ...
+    at least halves the ideal, so n exceeds every Fitting index c of the
+    x_j.  R is a product of local rings R_j (Atiyah-Macdonald, ch. 8), and
+    the complexes split along them.  On an R_j where some x_j is a unit,
+    K(x_j^m) is contractible, so Tot(K(x^(m)) tensor M tensor L) is exact at
+    every level m.  On an R_j where every x_j is nilpotent, x_j^n = 0, so
+    for m >= n the Koszul faces vanish and H_i(x^(m)) is the sum over
+    subsets S of H_{i-|S|}(M tensor L); the transition tau_{m,n} multiplies
+    summand S by the x_j^(m-n), j in S, so for m >= 2n it kills every S
+    other than the empty set, on which it is the identity.  The images of
+    the tau_{m,n} are therefore the same for all m >= 2n (the system is
+    Mittag-Leffler, Weibel 3.5), and tau restricts to isomorphisms between
+    them: the image at level n is the limit."""
     n = tower.M.ring.order().bit_length()
-    H = tower.homology(i, n).module
-    image = hom_image_span(tower.induced(i, 2 * n, n).hom)
-    return submodule_module(H, Submodule(H, image))[0]
+    low, high = tower.level(n).complex, tower.level(2 * n).complex
+    X = low.module(i)
+    d, d_up = high.differential(i), low.differential(i + 1)
+    cycles = hom_kernel_span(d.hom) if d is not None else X.full_span()
+    bounds = hom_image_span(d_up.hom) if d_up is not None else X.zero_span()
+    tau = tower.transition_component(i, 2 * n, n).matrix
+    image = span_lattice(X.group, (tau * cycles).cols_list() + bounds.cols_list())
+    return subquotient_module(X, image, bounds).module
 
 
 def cech_homology(x_seq, M, i):

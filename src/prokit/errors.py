@@ -31,10 +31,6 @@ class IdentificationFailure(ProkitError):
     indicates an internal bug."""
 
 
-class NotStabilized(ProkitError):
-    """An inverse system did not witness stabilization within its range."""
-
-
 class NotCovering(ProkitError):
     pass
 

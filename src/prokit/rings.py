@@ -18,6 +18,7 @@ factors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -32,6 +33,7 @@ from .intlinalg import (
     IntMatrix,
     _solve,
     cokernel_presentation,
+    hom_image_span,
     induced_hom,
     linear_combination,
     matrix_combination,
@@ -482,11 +484,6 @@ def truncated_polynomial_family(q, N):
 # Multiplicative structure
 
 
-def _image_span(R, elem):
-    """Canonical span of the principal ideal elem * R."""
-    return span_lattice(R.additive, [(elem * b).coords for b in R.basis()])
-
-
 def fitting_split(R, x):
     """Fitting decomposition along x.
 
@@ -582,13 +579,15 @@ def stable_idempotent(I):
     (4,)
     """
     if I.idempotent is None:
-        R = I.ring
-        one = R.one()
-        rest = one
-        for g in I.generators:
-            rest = rest * (one - fitting_split(R, g)[1])
-        object.__setattr__(I, "idempotent", one - rest)
+        _keep_stable_idempotent(I, [fitting_split(I.ring, g)[1] for g in I.generators])
     return I.idempotent
+
+
+def _keep_stable_idempotent(I, splits):
+    """Keep e = 1 - prod(1 - e_g) on I, for the Fitting idempotents e_g of its
+    generators (a caller that already split them passes its splits)."""
+    one = I.ring.one()
+    object.__setattr__(I, "idempotent", one - math.prod((one - e for e in splits), start=one))
 
 
 def ideal_stabilization(I):
@@ -679,7 +678,7 @@ def primitive_idempotents(R):
     work = list(current)
     while work:
         e = work.pop(0)
-        factor_order = span_subgroup_order(R.additive, _image_span(R, e))
+        factor_order = span_subgroup_order(R.additive, hom_image_span(R.multiplication_hom(e)))
         if factor_order > SPLIT_ENUM_LIMIT:
             raise DecompositionBoundExceeded(
                 f"factor of order {factor_order} too large to enumerate"
@@ -726,17 +725,18 @@ def _factor_fitting_idempotent(R, e, y):
     solution x of (y^c * prev) x = y^c.  Multiplication by y^c maps the
     finite y^c e R onto y^{2c} e R = y^c e R, so it is injective there,
     eps is unique whichever x the solver returns, and by Fitting's lemma it
-    is the idempotent identity of y^c e R."""
-    prev = _image_span(R, e)
+    is the idempotent identity of y^c e R.  The chain steps by
+    y^{c+1} e R = span(mult(y) * prev), with mult(y) formed once."""
+    mult_y = R.multiplication_hom(y).matrix
+    prev = hom_image_span(R.multiplication_hom(e))
     cur = e
     c = 0
     while True:
-        nxt_elem = cur * y
-        nxt = _image_span(R, nxt_elem)
+        nxt = span_lattice(R.additive, (mult_y * prev).cols_list())
         if nxt == prev:
             break
         prev = nxt
-        cur = nxt_elem
+        cur = cur * y
         c += 1
     if c == 0:
         return 0, e  # y is a unit of e R, and e is its identity

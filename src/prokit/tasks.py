@@ -50,6 +50,7 @@ from .modules import (
 )
 from .randgen import rng_from_seed
 from .rings import (
+    _keep_stable_idempotent,
     check_ring_axioms,
     ideal,
     product_ring,
@@ -563,6 +564,7 @@ def _vanishing_battery(M, seq):
     payload = {}
     ok = True
     cech = cech_complex(list(seq), M)
+    _keep_stable_idempotent(I, cech.splits)
     for i in range(1, k + 1):
         z = cech.cohomology_data(i).module.is_zero_module()
         payload[f"cech_cohomology_{i}_zero"] = z

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from prokit.errors import AxiomViolation, NotStabilized
+from prokit.errors import AxiomViolation, ProkitError
 from prokit.intlinalg import (
     GroupHom,
     hom_image_span,
@@ -44,7 +44,6 @@ from prokit.complexes import (
     cech_homology,
     cech_tor_compare,
     colon_identification,
-    complex_homology,
     koszul_complex,
     koszul_powers,
     koszul_transition,
@@ -59,8 +58,8 @@ def test_koszul_single_element_z8():
     R = zmod(8)
     M = ring_as_module(R)
     kos = koszul_complex([R.from_int(2)], M)
-    h1 = complex_homology(kos.complex, 1)
-    h0 = complex_homology(kos.complex, 0)
+    h1 = kos.complex.homology(1).module
+    h0 = kos.complex.homology(0).module
     assert h1.order() == 2   # 0 : 2 = {0, 4}
     assert h0.order() == 2   # Z/8 / 2 Z/8
 
@@ -69,8 +68,8 @@ def test_koszul_unit_kills_homology():
     R = zmod(8)
     M = ring_as_module(R)
     kos = koszul_complex([R.from_int(3)], M)
-    assert complex_homology(kos.complex, 0).is_zero_module()
-    assert complex_homology(kos.complex, 1).is_zero_module()
+    assert kos.complex.homology(0).module.is_zero_module()
+    assert kos.complex.homology(1).module.is_zero_module()
 
 
 def test_koszul_two_elements_z4():
@@ -78,9 +77,9 @@ def test_koszul_two_elements_z4():
     M = ring_as_module(R)
     two = R.from_int(2)
     kos = koszul_complex([two, two], M)
-    assert complex_homology(kos.complex, 0).order() == 2
-    assert complex_homology(kos.complex, 1).order() == 4
-    assert complex_homology(kos.complex, 2).order() == 2
+    assert kos.complex.homology(0).module.order() == 2
+    assert kos.complex.homology(1).module.order() == 4
+    assert kos.complex.homology(2).module.order() == 2
 
 
 def test_koszul_h0_and_top_match_direct_computations():
@@ -89,11 +88,11 @@ def test_koszul_h0_and_top_match_direct_computations():
     xs = [R.from_int(2), R.from_int(3)]
     kos = koszul_complex(xs, M)
     # H_0 = M / (x1, x2) M
-    h0 = complex_homology(kos.complex, 0)
+    h0 = kos.complex.homology(0).module
     quot, _ = quotient_module(M, generated_submodule(M, [M.act(x, g) for x in xs for g in M.generators()]))
     assert modules_isomorphic(h0, quot)
     # H_k = joint annihilator
-    hk = complex_homology(kos.complex, 2)
+    hk = kos.complex.homology(2).module
     from prokit.modules import colon_submodule, intersect_spans, Submodule
 
     zero = generated_submodule(M, [])
@@ -205,8 +204,8 @@ def test_cech_two_elements_vanishing():
 
 # ---------------------------------------------------------------------------
 # The stabilized-limit route: the generic eventual-image limit of an inverse
-# system, which `_homology_limit` replaced with one transition at the stable
-# level.  Kept as the reference for it.
+# system, which `_homology_limit` replaced with one subquotient at the stable
+# level.  Kept as the reference for it, with its error `NotStabilized`.
 
 
 class InverseSystem:
@@ -248,6 +247,10 @@ class InverseSystem:
             if not direct.hom.equals_map(composed.hom):
                 return False
         return True
+
+
+class NotStabilized(ProkitError):
+    """An inverse system did not witness stabilization within its range."""
 
 
 def stable_limit(system):
@@ -462,6 +465,76 @@ def test_cech_homology_builds_levels_n_and_2n(monkeypatch):
     assert not hasattr(cx, "stable_limit") and not hasattr(cx, "InverseSystem")
 
 
+def test_homology_limit_is_one_subquotient_of_the_level_n_chains(monkeypatch):
+    # the limit is (tau Z_i(x^(2n)) + B_i(x^(n))) / B_i(x^(n)): one
+    # subquotient (one presentation), and no homology of either level
+    import prokit.complexes as cx
+    import prokit.modules as md
+
+    R = zmod(12)
+    M = ring_as_module(R)
+    cases = [([R.from_int(2), R.from_int(3)], None), ([R.from_int(2)], free_resolution(M, 2))]
+    for seq, res in cases:
+        tower = KoszulTower(seq, M, res)
+        for i in range(len(seq) + 1):
+            sq, groups, homologies = [], [], []
+            real_sq, real_group = md.subquotient_module, md.subquotient_group
+            real_h = cx.KoszulTower.homology
+            record = homologies.append
+            with monkeypatch.context() as mp:
+                mp.setattr(cx, "subquotient_module", lambda *a: sq.append(a) or real_sq(*a))
+                mp.setattr(md, "subquotient_group", lambda *a: groups.append(a) or real_group(*a))
+                mp.setattr(cx.KoszulTower, "homology", lambda t, *a: record(a) or real_h(t, *a))
+                limit = _homology_limit(tower, i)
+            assert (len(sq), len(groups), homologies) == (1, 1, []), (seq, i)
+            _assert_same_module(limit, _reference_homology_limit(tower, i), (seq, i))
+
+
+def test_level_2n_squares_level_n_and_transitions_raise_no_power(monkeypatch):
+    # level 2n's entries are the squares of level n's, and tau_{2n,n}
+    # multiplies by level n's own entries, one action per subset S
+    from prokit.modules import FgModule
+    from prokit.rings import RingElement
+
+    R, x, _ = truncated_two_power(3)
+    M = ring_as_module(R)
+    seq = [x, R.from_int(2)]
+    n = R.order().bit_length()
+    tower = KoszulTower(seq, M, free_resolution(M, 2))
+    low = tower.level(n)
+    powers = []
+    real_pow, real = RingElement.__pow__, FgModule.action_hom
+    monkeypatch.setattr(RingElement, "__pow__", lambda a, e: powers.append(e) or real_pow(a, e))
+    high = tower.level(2 * n)
+    assert high.sequence == tuple(y * y for y in low.sequence)
+    for i in low.blocks:
+        actions = []
+        with monkeypatch.context() as mp:
+            mp.setattr(FgModule, "action_hom", lambda self, r: actions.append(r) or real(self, r))
+            tower.transition_component(i, 2 * n, n)
+        assert len(actions) == len({S for S, _, _ in low.blocks[i]}), i
+    assert powers == []
+
+
+def test_fitting_split_never_calls_ring_basis(monkeypatch):
+    # the chain y^(c+1) e R = span(mult(y) prev) steps on the previous span
+    from prokit.rings import FiniteRing, product_ring, truncated_polynomial
+
+    rings = [
+        zmod(12),
+        product_ring([zmod(8), zmod(4)])[0],
+        truncated_two_power(3)[0],
+        truncated_polynomial(2, 4)[0],
+    ]
+    calls = []
+    real = FiniteRing.basis
+    monkeypatch.setattr(FiniteRing, "basis", lambda self: calls.append(self) or real(self))
+    for R in rings:
+        for x in R.elements():
+            fitting_split(R, x)
+    assert calls == []
+
+
 def test_cech_homology_unit():
     R = zmod(12)
     M = ring_as_module(R)
@@ -570,7 +643,7 @@ def test_zero_complex_homology():
 
     R = zmod(4)
     C = ChainComplex({0: zero_module(R)}, {})
-    assert complex_homology(C, 0).is_zero_module()
+    assert C.homology(0).module.is_zero_module()
 
 
 def _reference_koszul_diffs(x_seq, M, res):

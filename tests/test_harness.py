@@ -408,9 +408,9 @@ def test_vanishing_battery_reads_every_cech_homology_degree_off_one_tower(monkey
 
 
 def test_vanishing_battery_splits_each_element_once_per_use(monkeypatch):
-    # one split per element for the Cech complex's idempotents, and one for
-    # the stable idempotent of I, which torsion_submodule, local_cohomology
-    # and adic_completion share through the Ideal
+    # one split per element, by the Cech complex; the stable idempotent of
+    # I, which torsion_submodule, local_cohomology and adic_completion share
+    # through the Ideal, is formed from those splits
     import prokit.complexes
     import prokit.rings
 
@@ -419,7 +419,7 @@ def test_vanishing_battery_splits_each_element_once_per_use(monkeypatch):
     for module in (prokit.rings, prokit.complexes):
         monkeypatch.setattr(module, "fitting_split", lambda R, x: calls.append(x) or real(R, x))
     _z12_battery()
-    assert len(calls) == 4
+    assert len(calls) == 2
 
 
 def test_lipman_forms_disagreement_is_a_failed_check(monkeypatch):

@@ -8,9 +8,12 @@ from prokit.errors import AxiomViolation, InvalidSpec
 from prokit.intlinalg import (
     FinAbGroup,
     IntMatrix,
+    _solve,
     cokernel_presentation,
+    hom_image_span,
     span_contains,
     span_lattice,
+    span_subgroup_order,
 )
 from prokit.rings import (
     FiniteRing,
@@ -36,6 +39,8 @@ from prokit.rings import (
     zero_ring,
     zmod,
 )
+
+from prokit.randgen import random_ring
 
 from linalg_reference import IntLinearSystem
 
@@ -173,11 +178,9 @@ def test_fitting_power_chain_strict():
     R = zmod(12)
     x = R.from_int(2)
     c, e = fitting_split(R, x)
-    from prokit.rings import _image_span
-    from prokit.intlinalg import span_subgroup_order
-
     orders = [
-        span_subgroup_order(R.additive, _image_span(R, x ** n)) for n in range(c + 2)
+        span_subgroup_order(R.additive, hom_image_span(R.multiplication_hom(x ** n)))
+        for n in range(c + 2)
     ]
     assert orders[c] == orders[c + 1]
     for n in range(c):
@@ -660,3 +663,45 @@ def test_derived_rings_build_without_pairwise_products(monkeypatch):
     quotient_ring(T, J)
     truncated_polynomial_family(3, 4)
     assert calls == []
+
+
+def _basis_product_fitting_split(R, x):
+    """The Fitting split of x with the chain x^c R read off the products of
+    x^c with the ring basis, one span per step; the reference for
+    `fitting_split`, which steps the chain by multiplication by x on the
+    previous span."""
+
+    def image_span(elem):
+        return span_lattice(R.additive, [(elem * b).coords for b in R.basis()])
+
+    if R.rank == 0:
+        return 0, R.zero()
+    prev, cur, c = image_span(R.one()), R.one(), 0
+    while True:
+        nxt_elem = cur * x
+        nxt = image_span(nxt_elem)
+        if nxt == prev:
+            break
+        prev, cur, c = nxt, nxt_elem, c + 1
+    if c == 0:
+        return 0, R.one()
+    if span_subgroup_order(R.additive, prev) == 1:
+        return c, R.zero()
+    A = R.multiplication_hom(cur).matrix * prev
+    exponent = R.additive.invariant_factors[-1]
+    sol = _solve(A, cur.coords, R.additive, (exponent,) * prev.cols)
+    return c, R.element(prev.apply(sol))
+
+
+def test_fitting_split_matches_basis_product_reference():
+    rng = random.Random(0xF175)
+    rings = [random_ring(rng)[0] for _ in range(40)]
+    rings += [
+        zmod(12),
+        product_ring([zmod(8), zmod(4)])[0],
+        truncated_two_power(3)[0],
+        truncated_polynomial(2, 4)[0],
+    ]
+    for R in rings:
+        for x in R.elements():
+            assert fitting_split(R, x) == _basis_product_fitting_split(R, x), (R, x)
