@@ -141,29 +141,38 @@ def _levels(M, kind, xs):
 def _witness_scan(M, levels, y, n_max, m_max):
     """{n: least m in [n, m_max] with (N_m :_M y^m) <= (N_n :_M y^(m-n))}
     for n = 1..n_max, None where no m is, with N_m the m-th item of
-    `levels`.  Each level, each power y^e (one multiplication past
-    y^(e-1)) and each left colon is built once; every colon is the
-    preimage of a level under the action of a power.  Every inclusion is
-    cross-checked against the zero-map form y^(m-n) (N_m :_M y^m) <= N_n,
-    which goes through `span_leq` where the inclusion goes through
-    `Submodule.leq`."""
+    `levels`.  Each level and each power y^e (one multiplication past
+    y^(e-1)) is built once.  A colon N :_M y^e is N for e = 0, else the
+    preimage of N under y^e, kept for the scan under the key (matrix of
+    y^e, canonical span of N): canonical spans identify submodules, so
+    each distinct colon is built once.  Every inclusion is cross-checked
+    against the zero-map form y^(m-n) (N_m :_M y^m) <= N_n, membership of
+    the mapped generators in the canonical N_n by `span_leq`, where the
+    inclusion goes through `Submodule.leq`."""
     power = M.ring.one()
     acts = [M.action_hom(power)]  # acts[e]: the action of y^e
     N = [None]
-    lefts = [None]  # lefts[m] = N_m :_M y^m
+    colons = {}
+
+    def colon(e, level):
+        if e == 0:
+            return level
+        key = (acts[e].matrix, level.span)
+        if key not in colons:
+            colons[key] = Submodule(M, preimage_span(acts[e], level.span))
+        return colons[key]
+
     found = {}
     for n in range(1, n_max + 1):
         found[n] = None
         for m in range(n, m_max + 1):
-            while len(lefts) <= m:
+            while len(N) <= m:
                 power = power * y
                 acts.append(M.action_hom(power))
                 N.append(next(levels))
-                lefts.append(Submodule(M, preimage_span(acts[-1], N[-1].span)))
-            left = lefts[m]
-            incl = left.leq(Submodule(M, preimage_span(acts[m - n], N[n].span)))
-            mapped = span_lattice(M.group, (acts[m - n].matrix * left.span).cols_list())
-            if incl != span_leq(M.group, mapped, N[n].span):
+            left = colon(m, N[m])
+            incl = left.leq(colon(m - n, N[n]))
+            if incl != span_leq(M.group, acts[m - n].matrix * left.span, N[n].span):
                 raise IdentificationFailure("the two forms of the proregularity condition disagree")
             if incl:
                 found[n] = m

@@ -437,6 +437,7 @@ class CechData:
     idempotents: dict  # degree j -> GroupHom E_j on C^j
     codiffs: dict      # j -> ModuleHom C^j -> C^{j+1}
     splits: tuple      # the Fitting idempotents e_{x_i}, one per element
+    tower: KoszulTower  # the Koszul tower of x on M, on the same layout
 
     def cohomology_data(self, i):
         """H^i of the localized subcomplex: E_i ker d^i / im d^(i-1)."""
@@ -451,10 +452,11 @@ class CechData:
 
 def cech_complex(x_seq, M):
     """The Cech cochain complex 0 -> M -> (+) M_{x_i} -> ... on the module
-    powers of `_KoszulLayout(k, M, None)`: the codifferential of degree j is
-    the transpose of the layout's degree-(j + 1) faces, copy S to copy T by
-    the face's sign times e_T.  One Fitting split per x_i: e_S is the product
-    of the e_{x_i} over i in S (1 for the empty set).
+    powers of the layout of `KoszulTower(x, M)`, kept as `tower` for the
+    Cech homology: the codifferential of degree j is the transpose of the
+    layout's degree-(j + 1) faces, copy S to copy T by the face's sign
+    times e_T.  One Fitting split per x_i: e_S is the product of the
+    e_{x_i} over i in S (1 for the empty set).
 
     >>> from prokit.rings import zmod
     >>> from prokit.modules import ring_as_module
@@ -464,7 +466,8 @@ def cech_complex(x_seq, M):
     [4, 1]
     """
     R = M.ring
-    layout = _KoszulLayout(len(x_seq), M, None)
+    tower = KoszulTower(x_seq, M)
+    layout = tower._layout
     splits = [fitting_split(R, x)[1] for x in x_seq]
     idem = {(): R.one()}
     for d in layout.degrees[1:]:
@@ -485,7 +488,7 @@ def cech_complex(x_seq, M):
     for j in range(len(x_seq) - 1):
         if not codiffs[j + 1].compose(codiffs[j]).is_zero_map():
             raise AxiomViolation(f"Cech codifferential fails d o d = 0 at degree {j}")
-    return CechData(M, tuple(x_seq), packs, idempotents, codiffs, tuple(splits))
+    return CechData(M, tuple(x_seq), packs, idempotents, codiffs, tuple(splits), tower)
 
 
 def cech_cohomology(x_seq, M, i):

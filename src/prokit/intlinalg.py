@@ -756,9 +756,10 @@ def span_subgroup_order(group, span):
 
 
 def span_leq(group, inner, outer):
-    """Inclusion test for canonical spans: every column of `inner` lies in
-    the lattice of the canonical span `outer`, decided by the forward
-    substitution of `span_contains`."""
+    """Inclusion test: every column of `inner` lies in the lattice of the
+    canonical span `outer`, decided by the forward substitution of
+    `span_contains`.  Only `outer` must be canonical; the columns of
+    `inner` may be any generators, unreduced or negative."""
     return _in_canonical_span(group, outer, inner.cols_list())
 
 

@@ -33,7 +33,6 @@ submodule, subquotient and localized modules carry an
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .errors import AxiomViolation, DimensionMismatch, InvalidSpec
@@ -62,7 +61,7 @@ from .intlinalg import (
     subgroup_embedding,
     subquotient_group,
 )
-from .rings import RingElement, ideal_power, stable_idempotent
+from .rings import RingElement, stable_idempotent
 
 
 class FgModule:
@@ -386,11 +385,6 @@ def power_image(M, elements, exponents):
     return image_submodule(M, [x ** m for x, m in zip(elements, exponents)])
 
 
-def ideal_power_image(M, I, n):
-    """I^n * M as a submodule."""
-    return image_submodule(M, ideal_power(I, n).span_elements())
-
-
 def colon_submodule(M, N, x, e):
     """N :_M x^e, the elements multiplied into N by x^e."""
     A = M.action_hom(x ** e)
@@ -567,16 +561,6 @@ def matlis_dual(M):
                 entries.append(q)
         actions.append(GroupHom(M.group, M.group, IntMatrix(n, n, entries)))
     return FgModule(M.ring, FinAbGroup(d), actions)
-
-
-def dual_pairing(M, phi, m):
-    """The Q/Z pairing of a dual element with a module element, as a
-    Fraction reduced into [0, 1)."""
-    d = M.group.invariant_factors
-    total = Fraction(0)
-    for c_phi, c_m, dj in zip(phi.coords, m.coords, d):
-        total += Fraction(c_phi * c_m, dj)
-    return total - (total.numerator // total.denominator)
 
 
 def _hom_matrix_from_coeffs(source_group, target_group, pair_moduli, t):

@@ -21,7 +21,7 @@ def rng_from_seed(seed):
     return random.Random(seed & 0xFFFFFFFFFFFFFFFF)
 
 
-def random_ring(rng, max_order=64):
+def random_ring(rng):
     """A small ring plus a few notable elements worth probing."""
     kind = rng.choice(["zmod", "zmod", "zmod", "product", "two_power", "poly"])
     if kind == "zmod":
@@ -92,9 +92,9 @@ def random_module(rng, R, max_order=256, attempts=6):
     return M
 
 
-def random_instance(rng, k_max=3, ring_order=64, module_order=256):
+def random_instance(rng, k_max=3, module_order=256):
     """(ring, module, sequence) with the sizes the acceptance suite uses."""
-    R, notables = random_ring(rng, max_order=ring_order)
+    R, notables = random_ring(rng)
     M = random_module(rng, R, max_order=module_order)
     k = rng.randint(1, k_max)
     seq = random_sequence(rng, R, k, notables)

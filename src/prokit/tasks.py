@@ -32,7 +32,6 @@ from .analysis import (
     weak_profile,
 )
 from .complexes import (
-    KoszulTower,
     _homology_limit,
     cech_complex,
     cech_tor_compare,
@@ -581,8 +580,8 @@ def _vanishing_battery(M, seq):
         ok = ok and z
     inconclusive = False
     try:
-        # one tower serves every degree of the Cech homology
-        tower = KoszulTower(seq, M)
+        # one tower, on the Cech complex's layout, serves every degree
+        tower = cech.tower
         for i in range(1, k + 1):
             z = _homology_limit(tower, i).is_zero_module()
             payload[f"cech_homology_{i}_zero"] = z

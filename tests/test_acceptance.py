@@ -207,7 +207,7 @@ def test_acceptance_07_injective_dual_criteria():
     hom_failures = 0
     rng2 = rng_from_seed(0xA007)
     for _ in range(20):
-        R, notables = random_ring(rng2, max_order=36)
+        R, notables = random_ring(rng2)
         E = matlis_dual(ring_as_module(R))
         H = hom_module(E, E)
         seq = [random_element(rng2, R) for _ in range(rng2.randint(1, 2))]
@@ -304,7 +304,7 @@ def test_acceptance_11_tor_edge_comparison():
     rng = rng_from_seed(0xA011)
     failures = 0
     for _ in range(20):
-        R, M, seq = random_instance(rng, k_max=2, ring_order=36, module_order=64)
+        R, M, seq = random_instance(rng, k_max=2, module_order=64)
         N = ring_as_module(R) if rng.random() < 0.4 else M
         for i in (0, 1):
             try:

@@ -1,9 +1,14 @@
 """Profiles, bound transfer, criteria, local-global, Cartier checks."""
 
+from itertools import islice
+
 import pytest
 
-from prokit.errors import NotCovering
+import prokit.analysis as analysis
+from prokit.errors import IdentificationFailure, NotCovering
 from prokit.analysis import (
+    _levels,
+    _witness_scan,
     bounded_torsion_index,
     cartier_check,
     default_budget,
@@ -18,8 +23,17 @@ from prokit.analysis import (
     violating_certificate,
     weak_profile,
 )
-from prokit.modules import ring_as_module
-from prokit.rings import ideal, truncated_two_power, zmod
+from prokit.intlinalg import preimage_span, span_lattice, span_leq
+from prokit.modules import Submodule, image_submodule, ring_as_module, zero_module
+from prokit.randgen import random_instance, rng_from_seed
+from prokit.rings import (
+    ideal,
+    ideal_power,
+    truncated_polynomial_family,
+    truncated_two_power,
+    zero_ring,
+    zmod,
+)
 
 
 def test_bounded_torsion_index_z8():
@@ -139,12 +153,14 @@ def test_colon_scans_form_no_ring_powers(monkeypatch):
     assert calls == []
 
 
+def ideal_power_image(M, I, n):
+    """I^n * M as a submodule, with I^n formed afresh."""
+    return image_submodule(M, ideal_power(I, n).span_elements())
+
+
 def test_scan_levels_match_power_images():
     # the scan grows each level by one factor; power_image forms each power afresh
-    from itertools import islice
-
-    from prokit.analysis import _levels
-    from prokit.modules import ideal_power_image, power_image
+    from prokit.modules import power_image
 
     R, x, one = truncated_two_power(5)
     M = ring_as_module(R)
@@ -154,6 +170,108 @@ def test_scan_levels_match_power_images():
         for m in range(1, 7):
             assert lip[m - 1] == power_image(M, xs, [m] * len(xs))
             assert gm[m - 1] == ideal_power_image(M, ideal(R, xs), m)
+
+
+def _reference_witness_scan(M, levels, y, n_max, m_max):
+    """The scan with every colon recomputed: N_m :_M y^m once per m, and
+    N_n :_M y^(m-n) afresh at each step, with the mapped span y^(m-n) *
+    left canonicalized before the zero-map cross-check."""
+    power = M.ring.one()
+    acts = [M.action_hom(power)]
+    N = [None]
+    lefts = [None]
+    found = {}
+    for n in range(1, n_max + 1):
+        found[n] = None
+        for m in range(n, m_max + 1):
+            while len(lefts) <= m:
+                power = power * y
+                acts.append(M.action_hom(power))
+                N.append(next(levels))
+                lefts.append(Submodule(M, preimage_span(acts[-1], N[-1].span)))
+            left = lefts[m]
+            incl = left.leq(Submodule(M, preimage_span(acts[m - n], N[n].span)))
+            mapped = span_lattice(M.group, (acts[m - n].matrix * left.span).cols_list())
+            if incl != span_leq(M.group, mapped, N[n].span):
+                raise IdentificationFailure("the two forms of the proregularity condition disagree")
+            if incl:
+                found[n] = m
+                break
+    return found
+
+
+def _scan_corpus():
+    """(M, x, cartier) cases, with cartier = (generators of I, x) over the
+    ring of M: the four fixtures, the two truncated families with (x) and
+    (one, x), 40 seeded random draws, and degenerate inputs."""
+    Z12 = zmod(12)
+    one, zero, two, three = (Z12.from_int(v) for v in (1, 0, 2, 3))
+    R12 = ring_as_module(Z12)
+    cases = [(R12, [two, three], ([two, three], three)), (R12, [two], ([three], two))]
+    families = [truncated_two_power(N) for N in range(2, 8)]
+    families += [truncated_polynomial_family(2, N) for N in range(2, 6)]
+    for R, x, unit in families:
+        M = ring_as_module(R)
+        cases += [(M, [x], ([x], x)), (M, [unit, x], ([unit], x))]
+    rng = rng_from_seed(0xA18)
+    for _ in range(40):
+        _, M, seq = random_instance(rng, k_max=3)
+        cases.append((M, seq, (seq[:-1], seq[-1])))
+    Z0 = zero_ring()
+    cases += [
+        (zero_module(Z12), [two, three], ([two], three)),
+        (ring_as_module(Z0), [Z0.one(), Z0.zero()], ([], Z0.one())),
+        (R12, [one, zero, two], ([zero], two)),
+        (R12, [zero, one, three], ([one], zero)),
+    ]
+    return cases
+
+
+def test_witness_scan_matches_reference_scan():
+    # default budgets, and a budget of n_max that leaves entries open
+    def both(M, kind, xs, y, n_max, m_max):
+        fast = _witness_scan(M, _levels(M, kind, xs), y, n_max, m_max)
+        assert fast == _reference_witness_scan(M, _levels(M, kind, xs), y, n_max, m_max)
+        return fast
+
+    for M, seq, (gens, x) in _scan_corpus():
+        RM = ring_as_module(M.ring)
+        for m_max in (default_budget(M, len(seq), 3), 3):
+            for i in range(1, len(seq) + 1):
+                for kind in ("lipman", "gm"):
+                    both(M, kind, seq[: i - 1], seq[i - 1], 3, m_max)
+            both(RM, "cartier", ideal(M.ring, gens).generators, x, 3, m_max)
+    Z8 = zmod(8)
+    assert both(ring_as_module(Z8), "lipman", [], Z8.from_int(2), 3, 3) == {1: None, 2: None, 3: None}
+
+
+def test_witness_scan_builds_each_colon_once(monkeypatch):
+    # N_m = 0 at every level of an i = 1 scan, and x^e = 0 for e >= 5, so
+    # most colons repeat; each distinct (action, level) with e >= 1 is one
+    # preimage, and the cross-check canonicalizes nothing
+    R, x, _ = truncated_two_power(5)
+    M = ring_as_module(R)
+    preimages, lattices = [], []
+    real_preimage, real_lattice = analysis.preimage_span, analysis.span_lattice
+    monkeypatch.setattr(
+        analysis, "preimage_span", lambda f, s: preimages.append(s) or real_preimage(f, s)
+    )
+    monkeypatch.setattr(
+        analysis, "span_lattice", lambda *a: lattices.append(a) or real_lattice(*a)
+    )
+    prof = lipman_profile(M, [x], 3)
+    found = {n: prof.entry(1, n) for n in (1, 2, 3)}
+    assert found == {1: 6, 2: 7, 3: 8}
+    levels = [None] + list(islice(_levels(M, "lipman", []), max(found.values())))
+    acts = [M.action_hom(x ** e).matrix for e in range(len(levels))]
+    pairs = set()
+    for n, witness in found.items():
+        for m in range(n, witness + 1):
+            pairs.add((acts[m], levels[m].span))
+            if m > n:
+                pairs.add((acts[m - n], levels[n].span))
+    assert len(preimages) == len(pairs) == 5
+    assert lattices == []
 
 
 def test_violating_certificate_exists_below_witness():

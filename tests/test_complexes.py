@@ -569,7 +569,7 @@ def test_cech_tor_compare_matches_tor_route():
     # resolution of the completion, the route the comparison no longer takes
     rng = rng_from_seed(0xA011)
     for _ in range(20):
-        R, M, seq = random_instance(rng, k_max=2, ring_order=36, module_order=64)
+        R, M, seq = random_instance(rng, k_max=2, module_order=64)
         N = ring_as_module(R) if rng.random() < 0.4 else M
         lam, _ = adic_completion(M, ideal(R, list(seq)))
         for i in (0, 1):
@@ -863,7 +863,7 @@ def test_tor_homology_limit_matches_stabilized_reference():
     rng = rng_from_seed(0xA011)
     cases = []
     for _ in range(20):
-        R, M, seq = random_instance(rng, k_max=2, ring_order=36, module_order=64)
+        R, M, seq = random_instance(rng, k_max=2, module_order=64)
         cases.append((R, M, seq, ring_as_module(R) if rng.random() < 0.4 else M))
     cases += [(R, M, seq, M) for R, M, seq in _degenerate_cases()]
     for R, M, seq, N in cases:

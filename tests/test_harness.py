@@ -422,6 +422,19 @@ def test_vanishing_battery_splits_each_element_once_per_use(monkeypatch):
     assert len(calls) == 2
 
 
+def test_vanishing_battery_builds_one_koszul_layout(monkeypatch):
+    # the Cech complex and the tower of the Cech homology share one layout
+    import prokit.complexes as cx
+
+    layouts = []
+    real_init = cx._KoszulLayout.__init__
+    monkeypatch.setattr(
+        cx._KoszulLayout, "__init__", lambda self, *a: layouts.append(a) or real_init(self, *a)
+    )
+    _z12_battery()
+    assert len(layouts) == 1
+
+
 def test_lipman_forms_disagreement_is_a_failed_check(monkeypatch):
     import prokit.analysis as analysis
 
