@@ -8,8 +8,11 @@ and then builds the total complex of K(x) tensor M tensor L (the plain
 Koszul complex is the case L = R in degree 0), so Cech homology and the
 Tor comparison share one `KoszulTower` and one limit (`_homology_limit`).
 What does not depend on the sequence's entries (the blocks, one module
-power per distinct block count, the d_L blocks) is one private layout, built
-once per tower; each level only adds the Koszul face blocks of x^(n).
+power per distinct block count, the d_L blocks) is one private layout per
+tower, each part formed on first use; each level only adds the Koszul face
+blocks of x^(n).  A level can be built for some degrees only: a homology
+H_i reads d_i and d_(i+1), so the limit and the Tor side build those
+and no other module power or differential.
 The Cech complex is built on the same layout: degree j is the power
 M^(k choose j), its codifferential is the layout's faces transposed, copy S
 to copy T by the face's sign times the Fitting idempotent e_T, and the
@@ -64,8 +67,10 @@ from .rings import Ideal, fitting_split
 class ChainComplex:
     """Graded modules with degree-lowering differentials d_i: X_i -> X_{i-1}.
 
-    Degrees outside the stored support are zero modules.  d o d = 0 is
-    verified at construction."""
+    Degrees outside the stored support are zero modules, unless the complex
+    was built for some degrees only (a Koszul level built for H_i holds
+    d_i and d_(i+1) and their modules).  d o d = 0 is verified at
+    construction on every adjacent pair of differentials that was built."""
 
     modules: dict
     diffs: dict
@@ -127,7 +132,10 @@ class ComplexMap:
 
 @dataclass(frozen=True)
 class KoszulData:
-    """Koszul complex of a sequence on a module, with block bookkeeping."""
+    """Koszul complex of a sequence on a module, with block bookkeeping.
+
+    `blocks` and `index` cover every degree of the layout; `packs` and the
+    complex hold only the degrees the level was built for."""
 
     complex: ChainComplex
     sequence: tuple
@@ -140,15 +148,18 @@ class KoszulData:
 class _KoszulLayout:
     """The parts of K(x; M) tensor L that do not depend on the entries of
     x, for a sequence of length k: the blocks of each degree and their
-    index, one `module_power` of M per distinct block count (degrees with
-    as many blocks share it), and the (-1)^|S| id tensor d_L blocks, with
-    one action of M per distinct ring entry of L's differentials.  A
-    `KoszulTower` builds one for all its levels; `level(x)` adds the
-    Koszul face blocks of x and assembles each differential."""
+    index, formed up front; and, formed on first use, one `module_power`
+    of M per distinct block count (degrees with as many blocks share it)
+    and the Koszul face and (-1)^|S| id tensor d_L blocks of each
+    differential, with one action of M per distinct ring entry of L's
+    differentials.  A `KoszulTower` builds one for all its levels;
+    `level(x, degrees)` adds the Koszul face blocks of x and assembles the
+    differentials of those degrees, so it forms only their module powers."""
 
     def __init__(self, k, M, res):
         ranks = res.ranks if res is not None else (1,)
         self.M = M
+        self.res = res
         self.degrees = range(k + len(ranks))
         self.blocks = {
             d: [
@@ -160,17 +171,22 @@ class _KoszulLayout:
             for d in self.degrees
         }
         self.index = {d: {b: i for i, b in enumerate(self.blocks[d])} for d in self.degrees}
-        powers = {}
-        for d in self.degrees:
-            s = len(self.blocks[d])
-            if s not in powers:
-                powers[s] = module_power(M, s)
-        self.packs = {d: powers[len(self.blocks[d])] for d in self.degrees}
-        self.modules = {d: self.packs[d][0] for d in self.degrees}
-        acts = {}
-        self.faces = {}     # degree -> [(target block, source block, entry of x, sign)]
-        self.res_part = {}  # degree -> blocks of (-1)^|S| id tensor d_L
-        for d in self.degrees[1:]:
+        self._powers = {}       # block count -> module_power(M, count)
+        self._diff_blocks = {}  # degree -> (faces, d_L blocks)
+        self._acts = {}         # ring entry of d_L -> its action on M
+
+    def pack(self, d):
+        """(M^s, injections, projections) for the s blocks of degree d."""
+        s = len(self.blocks[d])
+        if s not in self._powers:
+            self._powers[s] = module_power(self.M, s)
+        return self._powers[s]
+
+    def diff_blocks(self, d):
+        """The blocks of d_d that do not depend on x: the Koszul faces as
+        (target block, source block, entry of x, sign), and the
+        (-1)^|S| id tensor d_L blocks as (target, source, action, sign)."""
+        if d not in self._diff_blocks:
             below = self.index[d - 1]
             faces, res_part = [], []
             for b_idx, (S, q, u) in enumerate(self.blocks[d]):
@@ -179,25 +195,48 @@ class _KoszulLayout:
                     faces.append((below[face], b_idx, e, -1 if t % 2 else 1))
                 if q:
                     sign = -1 if len(S) % 2 else 1
-                    for v, rel in enumerate(res.ring_matrices[q - 1][u]):
+                    for v, rel in enumerate(self.res.ring_matrices[q - 1][u]):
                         if rel.is_zero():
                             continue
-                        if rel.coords not in acts:
-                            acts[rel.coords] = M.action_hom(rel)
-                        res_part.append((below[(S, q - 1, v)], b_idx, acts[rel.coords], sign))
-            self.faces[d] = faces
-            self.res_part[d] = res_part
+                        if rel.coords not in self._acts:
+                            self._acts[rel.coords] = self.M.action_hom(rel)
+                        res_part.append((below[(S, q - 1, v)], b_idx, self._acts[rel.coords], sign))
+            self._diff_blocks[d] = faces, res_part
+        return self._diff_blocks[d]
 
-    def level(self, x_seq):
-        """K(x; M) tensor L for a sequence x of length k."""
+    def support(self, degrees=None):
+        """(module degrees, differential degrees) of a level built for
+        `degrees` (all by default): each of them in the layout, and d_d
+        with its target for each such d >= 1."""
+        wanted = {d for d in (self.degrees if degrees is None else degrees) if d in self.degrees}
+        diffs = {d for d in wanted if d >= 1}
+        return wanted | {d - 1 for d in diffs}, diffs
+
+    def level(self, x_seq, degrees=None):
+        """K(x; M) tensor L for a sequence x of length k, built in the given
+        degrees (see `support`): H_i reads degrees (i, i + 1)."""
+        mods, diff_degrees = self.support(degrees)
         acts = [self.M.action_hom(x) for x in x_seq]
+        packs = {d: self.pack(d) for d in sorted(mods)}
+        modules = {d: pack[0] for d, pack in packs.items()}
         diffs = {}
-        for d in self.degrees[1:]:
-            blocks = [(t, s, acts[e], c) for t, s, e, c in self.faces[d]] + self.res_part[d]
-            hom = block_hom(self.packs[d], self.packs[d - 1], blocks)
-            diffs[d] = ModuleHom(self.modules[d], self.modules[d - 1], hom)
-        C = ChainComplex(self.modules, diffs)
-        return KoszulData(C, tuple(x_seq), self.M, self.blocks, self.index, self.packs)
+        for d in sorted(diff_degrees):
+            faces, res_part = self.diff_blocks(d)
+            blocks = [(t, s, acts[e], c) for t, s, e, c in faces] + res_part
+            hom = block_hom(packs[d], packs[d - 1], blocks)
+            diffs[d] = ModuleHom(modules[d], modules[d - 1], hom)
+        C = ChainComplex(modules, diffs)
+        return KoszulData(C, tuple(x_seq), self.M, self.blocks, self.index, packs)
+
+    def transition(self, y_seq, j):
+        """Degree-j component of the transition K(x^(n+e)) -> K(x^(n)) for
+        y = x^(e): block (S, q, u) is multiplied by the product of the y_i,
+        i in S, with one action of M per subset S."""
+        one = self.M.ring.one()
+        subsets = {S for S, _, _ in self.blocks[j]}
+        acts = {S: self.M.action_hom(math.prod((y_seq[i] for i in S), start=one)) for S in subsets}
+        blocks = [(b, b, acts[S], 1) for b, (S, _, _) in enumerate(self.blocks[j])]
+        return block_hom(self.pack(j), self.pack(j), blocks)
 
 
 def koszul_complex(x_seq, M, res=None):
@@ -233,57 +272,47 @@ def koszul_powers(x_seq, n):
     return [x ** n for x in x_seq]
 
 
-def koszul_transition(x_seq, m, n, M, source=None, target=None):
+def koszul_transition(x_seq, m, n, M):
     """Natural map K(x^(m); M) -> K(x^(n); M) for m >= n: the summand of a
-    subset S is multiplied by prod_{i in S} x_i^{m-n}."""
-    if m < n:
-        raise AxiomViolation("transition needs m >= n")
-    src = source if source is not None else koszul_complex(koszul_powers(x_seq, m), M)
-    tgt = target if target is not None else koszul_complex(koszul_powers(x_seq, n), M)
-    y_seq = koszul_powers(x_seq, m - n)
-    comps = {}
-    for j in src.blocks:
-        hom = _transition_component(y_seq, src, tgt, j)
-        comps[j] = ModuleHom(src.packs[j][0], tgt.packs[j][0], hom)
-    return ComplexMap(src.complex, tgt.complex, comps), src, tgt
-
-
-def _transition_component(y_seq, src, tgt, j):
-    """Degree-j component of the Koszul transition K(x^(n+e); M) -> K(x^(n); M)
-    for y = x^(e): block (S, q, u) is multiplied by the product of the y_i,
-    i in S, with one action of M per subset S."""
-    one = src.module.ring.one()
-    subsets = {b[0] for b in src.blocks[j]}
-    acts = {S: src.module.action_hom(math.prod((y_seq[i] for i in S), start=one)) for S in subsets}
-    blocks = [(tgt.index[j][b], idx, acts[b[0]], 1) for idx, b in enumerate(src.blocks[j])]
-    return block_hom(src.packs[j], tgt.packs[j], blocks)
+    subset S is multiplied by prod_{i in S} x_i^{m-n}.  Returns the map and
+    its source and target levels."""
+    tower = KoszulTower(x_seq, M)
+    return tower.transition(m, n), tower.level(m), tower.level(n)
 
 
 class KoszulTower:
     """Koszul complexes of x^(n) on M for varying n; with a free resolution
     `res`, the total complexes of K(x^(n)) tensor M tensor res (see
     `koszul_complex`).  The layout of blocks, module powers and d_L blocks
-    is built once and shared by every level.  Level 2n's entries square
-    level n's, and a transition by x^(e) takes level e's, when built."""
+    is shared by every level.  Level 2n's entries square level n's, and a
+    transition by x^(e) takes level e's, when built."""
 
     def __init__(self, x_seq, M, res=None):
         self.x_seq = tuple(x_seq)
         self.M = M
         self._layout = _KoszulLayout(len(self.x_seq), M, res)
-        self._levels = {}
+        self._sequences = {}  # n -> x^(n)
+        self._levels = {}     # n -> the levels of x^(n) built so far
         self._homology = {}
 
     def _powers(self, n):
-        if n in self._levels:
-            return self._levels[n].sequence
-        if n % 2 == 0 and n // 2 in self._levels:
-            return [y * y for y in self._levels[n // 2].sequence]
-        return koszul_powers(self.x_seq, n)
+        if n not in self._sequences:
+            half = self._sequences.get(n // 2) if n % 2 == 0 else None
+            seq = [y * y for y in half] if half is not None else koszul_powers(self.x_seq, n)
+            self._sequences[n] = tuple(seq)
+        return self._sequences[n]
 
-    def level(self, n):
-        if n not in self._levels:
-            self._levels[n] = self._layout.level(self._powers(n))
-        return self._levels[n]
+    def level(self, n, degrees=None):
+        """Level n in the given degrees (all by default; see
+        `_KoszulLayout.support`).  A level of n already built that holds
+        every module and differential asked for serves the request."""
+        mods, diffs = self._layout.support(degrees)
+        for built in self._levels.get(n, ()):
+            if mods <= built.complex.modules.keys() and diffs <= built.complex.diffs.keys():
+                return built
+        built = self._layout.level(self._powers(n), degrees)
+        self._levels.setdefault(n, []).append(built)
+        return built
 
     def homology(self, i, n):
         """H_i(x^(n)), kept; only `pro_zero_index` (the weak profile) reads it."""
@@ -293,16 +322,21 @@ class KoszulTower:
         return self._homology[key]
 
     def transition(self, m, n):
-        cmap, _, _ = koszul_transition(
-            self.x_seq, m, n, self.M, source=self.level(m), target=self.level(n)
-        )
-        return cmap
+        """The chain map of full levels x^(m) -> x^(n), m >= n."""
+        if m < n:
+            raise AxiomViolation("transition needs m >= n")
+        src, tgt = self.level(m), self.level(n)
+        comps = {
+            j: ModuleHom(X, tgt.complex.modules[j], self.transition_component(j, m, n))
+            for j, X in src.complex.modules.items()
+        }
+        return ComplexMap(src.complex, tgt.complex, comps)
 
     def transition_component(self, i, m, n):
-        """Single degree-i component of the transition, without building the
-        other degrees (commutation is a theorem, exercised by the tests)."""
-        src, tgt = self.level(m), self.level(n)
-        return _transition_component(self._powers(m - n), src, tgt, i)
+        """Single degree-i component of the transition, on the layout alone:
+        no level is built (commutation is a theorem, exercised by the
+        tests)."""
+        return self._layout.transition(self._powers(m - n), i)
 
     def induced(self, i, m, n):
         """H_i(x^(m)) -> H_i(x^(n)); only `pro_zero_index` (the weak profile) uses it."""
@@ -474,7 +508,7 @@ def cech_complex(x_seq, M):
         for S, _, _ in layout.blocks[d]:
             idem[S] = idem[S[:-1]] * splits[S[-1]]
     acts = {S: M.action_hom(e) for S, e in idem.items()}
-    packs = layout.packs
+    packs = {j: layout.pack(j) for j in layout.degrees}
     idempotents = {
         j: block_hom(packs[j], packs[j], [(b, b, acts[S], 1) for b, (S, _, _) in enumerate(bl)])
         for j, bl in layout.blocks.items()
@@ -482,7 +516,8 @@ def cech_complex(x_seq, M):
     codiffs = {}
     for d in layout.degrees[1:]:
         # the faces of degree d transposed: copy S to copy T by +-e_T
-        blocks = [(t, s, acts[layout.blocks[d][t][0]], c) for s, t, _, c in layout.faces[d]]
+        faces, _ = layout.diff_blocks(d)
+        blocks = [(t, s, acts[layout.blocks[d][t][0]], c) for s, t, _, c in faces]
         hom = block_hom(packs[d - 1], packs[d], blocks)
         codiffs[d - 1] = ModuleHom(packs[d - 1][0], packs[d][0], hom)
     for j in range(len(x_seq) - 1):
@@ -511,6 +546,9 @@ def _homology_limit(tower, i):
     (tau Z_i(x^(2n)) + B_i(x^(n))) / B_i(x^(n)) of C_i(x^(n)), Z the cycles,
     B the boundaries, tau the degree-i transition.  tau maps cycles to
     cycles, so this is the set of classes [tau z]: that image itself.
+    It reads C_i, d_(i+1) of level n, d_i of level 2n and tau in degree i,
+    so both levels are built in degrees (i, i + 1) only; each still
+    checks d_i o d_(i+1) = 0.
 
     Why it is the limit: each strict step of R > xR > x^2 R > ...
     at least halves the ideal, so n exceeds every Fitting index c of the
@@ -526,7 +564,8 @@ def _homology_limit(tower, i):
     Mittag-Leffler, Weibel 3.5), and tau restricts to isomorphisms between
     them: the image at level n is the limit."""
     n = tower.M.ring.order().bit_length()
-    low, high = tower.level(n).complex, tower.level(2 * n).complex
+    low = tower.level(n, (i, i + 1)).complex
+    high = tower.level(2 * n, (i, i + 1)).complex
     X = low.module(i)
     d, d_up = high.differential(i), low.differential(i + 1)
     cycles = hom_kernel_span(d.hom) if d is not None else X.full_span()
@@ -565,14 +604,18 @@ def cech_tor_compare(M, N, x_seq, i, resolution_length):
     One resolution L serves both sides: Tor is balanced, so Tor_i(Lambda, N)
     is H_i(Lambda tensor L), the empty-sequence Koszul complex on the
     completion Lambda with L.  The tests check it against the route of
-    `derived_functor`, which resolves Lambda instead.
+    `derived_functor`, which resolves Lambda instead.  Each side builds
+    only degrees (i, i + 1): two levels of the tower for the limit, one
+    complex Lambda tensor L for Tor.
 
     Returns (lhs, rhs, agree) where agreement is isomorphism of invariant
     factors plus the action fingerprint."""
+    if i < 0:
+        raise AxiomViolation("negative homological degree")
     if resolution_length <= i:
         raise AxiomViolation("resolution length must exceed the degree")
     res = free_resolution(N, resolution_length)
     lhs = _homology_limit(KoszulTower(x_seq, M, res), i)
     lam, _ = adic_completion(M, Ideal(M.ring, tuple(x_seq)))
-    rhs = koszul_complex([], lam, res).complex.homology(i).module
+    rhs = _KoszulLayout(0, lam, res).level((), (i, i + 1)).complex.homology(i).module
     return lhs, rhs, modules_isomorphic(lhs, rhs)

@@ -3,9 +3,10 @@
 Modules are finite abelian groups with one action matrix per ring basis
 element.  This file carries the functor toolkit the analysis layer runs on:
 submodule spans, colon and torsion constructions, divisibility, Matlis
-duality against the injective cogenerator R^dual, Hom and tensor, free
-resolutions, adic completion, and local cohomology, which comes from the
-stable idempotent with no resolution.  Tor/Ext through a resolution of the
+duality against the injective cogenerator R^dual, Hom, free resolutions
+(free modules addressed by index, `FreeModuleData`), adic completion,
+and local cohomology, which comes from the stable idempotent with no
+resolution.  Tor/Ext through a resolution of the
 first argument (`derived_functor`) are reference routes: the runtime takes
 neither, and the test suite checks local cohomology and the Tor comparison
 against them.
@@ -23,8 +24,8 @@ assembled: the actions of module powers, the Tor/Ext differentials here,
 and the Koszul, Cech and total complexes of the complexes layer, which
 are all built on module powers.
 Quotient generators are lifted back only through the section read off
-the one Smith reduction of `intlinalg` (quotients, subquotients, Hom and
-tensor modules); nothing here solves for a lift on its own.  Quotient,
+the one Smith reduction of `intlinalg` (quotients, subquotients and Hom
+modules); nothing here solves for a lift on its own.  Quotient,
 submodule, subquotient and localized modules carry an
 `intlinalg.GroupSubquotient` and get their actions from
 `intlinalg.induced_hom`, the one lift/classify path.
@@ -45,7 +46,6 @@ from .intlinalg import (
     _smith_presentation,
     _span_classes,
     _span_coefficients,
-    cokernel_presentation,
     hom_image_span,
     hom_kernel_span,
     induced_hom,
@@ -209,36 +209,43 @@ def ring_as_module(R):
 
 @dataclass(frozen=True)
 class FreeModuleData:
-    """A free module R^s with its block bookkeeping."""
+    """A free module R^s, addressed by index.
+
+    The injections of `module_power` are 0/1 permutations, so generator p
+    of the group of R^s is e_j of copy u for exactly one (u, j), e_j the
+    j-th additive generator of R: `positions[u][j]` is that p.  Elements
+    are written and read at those positions; no injection or projection is
+    applied."""
 
     module: FgModule
     rank: int
-    injections: tuple   # GroupHom R.additive -> F.group, one per copy
-    projections: tuple  # GroupHom F.group -> R.additive
+    positions: tuple  # positions[u][j]: the generator of R^s that is e_j of copy u
 
     def element(self, ring_elements):
         if len(ring_elements) != self.rank:
             raise DimensionMismatch("one ring element per free generator")
-        acc = self.module.zero()
-        for inj, r in zip(self.injections, ring_elements):
-            acc = acc + inj(r.as_group_element())
-        return acc
+        coords = [0] * self.module.group.rank
+        for pos, r in zip(self.positions, ring_elements):
+            for p, c in zip(pos, r.coords):
+                coords[p] = c
+        return self.module.element(coords)
 
     def coords(self, m):
-        """Decode a group element into its tuple of ring coordinates."""
+        """The ring coordinates of a group element, one per copy: its entries
+        at the copy's positions, reduced into R's factors."""
         R = self.module.ring
-        return tuple(RingElement(R, proj(m).coords) for proj in self.projections)
-
-    def generator(self, u):
-        R = self.module.ring
-        return self.element([R.one() if t == u else R.zero() for t in range(self.rank)])
+        return tuple(
+            RingElement(R, R.additive.reduce(tuple(m.coords[p] for p in pos)))
+            for pos in self.positions
+        )
 
 
 def free_module(R, s):
-    F, injs, projs = module_power(ring_as_module(R), s)
-    return FreeModuleData(
-        F, s, tuple(inj.hom for inj in injs), tuple(proj.hom for proj in projs)
+    F, injs, _ = module_power(ring_as_module(R), s)
+    positions = tuple(
+        tuple(inj.hom.matrix.col(j).index(1) for j in range(R.additive.rank)) for inj in injs
     )
+    return FreeModuleData(F, s, positions)
 
 
 def block_hom(src, tgt, blocks):
@@ -672,69 +679,6 @@ def hom_module(M, N):
     return hom_module_data(M, N).module
 
 
-@dataclass(frozen=True)
-class TensorData:
-    """M tensor_R N presented by generator pairs modulo balancing."""
-
-    module: FgModule
-    left: FgModule
-    right: FgModule
-    _proj: IntMatrix
-    _pair_moduli: tuple
-
-    def pure(self, m, n):
-        coords = [cm * cn for cm in m.coords for cn in n.coords]
-        return self.module.element(self._proj.apply(tuple(coords))) if self.module.group.rank else self.module.zero()
-
-
-def tensor_module_data(M, N):
-    if M.ring != N.ring:
-        raise DimensionMismatch("tensor of modules over different rings")
-    R = M.ring
-    a = M.group.invariant_factors
-    b = N.group.invariant_factors
-    s = M.group.rank
-    r = N.group.rank
-    nvars = s * r
-    pair = tuple(gcd(a[j], b[k]) for j in range(s) for k in range(r))
-    if nvars == 0:
-        return TensorData(zero_module(R), M, N, IntMatrix(0, 0, []), pair)
-    rel_cols = []
-    for rho in range(R.rank):
-        A = M.actions[rho].matrix
-        B = N.actions[rho].matrix
-        for j in range(s):
-            for k in range(r):
-                # (e_rho e_j) x f_k - e_j x (e_rho f_k)
-                col = [0] * nvars
-                for i in range(s):
-                    col[i * r + k] += A[i, j]
-                for l in range(r):
-                    col[j * r + l] -= B[l, k]
-                rel_cols.append(col)
-    Rel = IntMatrix.from_cols(rel_cols, rows=nvars) if rel_cols else IntMatrix.zero(nvars, 0)
-    G, P, S = cokernel_presentation(Rel, list(pair))
-    lifts = S.cols_list()
-    actions = []
-    for rho in range(R.rank):
-        A = M.actions[rho].matrix
-        cols = []
-        for w in lifts:
-            v = [0] * nvars
-            for i in range(s):
-                for k in range(r):
-                    v[i * r + k] = sum(A[i, j] * w[j * r + k] for j in range(s))
-            cols.append(list(P.apply(tuple(v))))
-        mat = IntMatrix.from_cols(cols, rows=G.rank) if cols else IntMatrix(G.rank, 0, [])
-        actions.append(GroupHom(G, G, mat))
-    module = FgModule(R, G, actions)
-    return TensorData(module, M, N, P, pair)
-
-
-def tensor_module(M, N):
-    return tensor_module_data(M, N).module
-
-
 # ---------------------------------------------------------------------------
 # Resolutions and derived functors
 
@@ -772,14 +716,13 @@ class Resolution:
 
 
 def _free_map_from_images(F_src, tgt_module, images):
-    """GroupHom from a free module determined by generator images.  Each
-    basis action is applied to each image once; a generator with ring
-    coordinates r_u in copy u goes to the sum of r_u[b] * (b . image_u)."""
-    products = [A.matrix.apply(img.coords) for img in images for A in tgt_module.actions]
-    cols = []
-    for gen in F_src.module.generators():
-        coeffs = [c for r in F_src.coords(gen) for c in r.coords]
-        cols.append(tgt_module.group.reduce(linear_combination(coeffs, products)))
+    """GroupHom from a free module determined by generator images: the
+    generator at `positions[u][j]`, e_j of copy u, goes to e_j . image_u,
+    one basis action applied to each image."""
+    cols = [None] * F_src.module.group.rank
+    for pos, img in zip(F_src.positions, images):
+        for p, A in zip(pos, tgt_module.actions):
+            cols[p] = tgt_module.group.reduce(A.matrix.apply(img.coords))
     mat = IntMatrix.from_cols(cols, rows=tgt_module.group.rank)
     return GroupHom(F_src.module.group, tgt_module.group, mat)
 
@@ -787,7 +730,9 @@ def _free_map_from_images(F_src, tgt_module, images):
 def free_resolution(M, length):
     """Greedy free resolution: minimized kernel generators become the next
     free basis, so exactness in the middle holds by construction (and is
-    re-verified by the test suite)."""
+    re-verified by the test suite).  Each map is written column by column
+    from the generator images, and each kernel generator is read back into
+    ring coordinates at the free module's positions (`FreeModuleData`)."""
     if length < 0:
         raise DimensionMismatch("resolution length must be >= 0")
     gens = module_generators(M)

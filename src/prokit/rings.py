@@ -617,22 +617,6 @@ def _is_local(R, limit=SPLIT_ENUM_LIMIT):
     return True
 
 
-def nonunits_form_ideal(R, limit=SPLIT_ENUM_LIMIT):
-    """Direct check that the non-units are closed under addition and under
-    multiplication by arbitrary elements (the local-ring criterion)."""
-    if R.order() > limit:
-        raise DecompositionBoundExceeded("ring too large to enumerate")
-    nonunits = {y.coords for y in R.elements() if not R.is_unit(y)}
-    for a in nonunits:
-        for b in nonunits:
-            if R.additive.reduce(tuple(x + y for x, y in zip(a, b))) not in nonunits:
-                return False
-        for r in R.elements():
-            if R.mul_coords(a, r.coords) not in nonunits:
-                return False
-    return True
-
-
 def primitive_idempotents(R):
     """Orthogonal primitive idempotents summing to 1; each factor e R is a
     local ring.

@@ -447,14 +447,14 @@ def test_cech_homology_builds_levels_n_and_2n(monkeypatch):
     levels, builds = [], []
     real_tower, real_layout = cx.KoszulTower.level, cx._KoszulLayout.level
 
-    def recording(self, n):
+    def recording(self, n, degrees=None):
         if n not in self._levels:
             levels.append(n)
-        return real_tower(self, n)
+        return real_tower(self, n, degrees)
 
-    def counting(self, x_seq):
+    def counting(self, x_seq, degrees=None):
         builds.append(x_seq)
-        return real_layout(self, x_seq)
+        return real_layout(self, x_seq, degrees)
 
     monkeypatch.setattr(cx.KoszulTower, "level", recording)
     monkeypatch.setattr(cx._KoszulLayout, "level", counting)
@@ -871,6 +871,95 @@ def test_tor_homology_limit_matches_stabilized_reference():
             tower = KoszulTower(seq, M, free_resolution(N, i + 2))
             new = _homology_limit(tower, i)
             _assert_same_module(new, _reference_homology_limit(tower, i), (R, seq, i))
+
+
+def _restricted_level_cases():
+    """(seq, M, N, L): the tensored towers of acceptance criterion 11 at
+    resolution lengths 1 and 2, and the degenerate inputs with N = M and
+    with the zero module (all ranks 0)."""
+    rng = rng_from_seed(0xA011)
+    for t in range(20):
+        R, M, seq = random_instance(rng, k_max=2, module_order=64)
+        yield seq, M, ring_as_module(R) if rng.random() < 0.4 else M, 1 + t % 2
+    for R, M, seq in _degenerate_cases():
+        yield seq, M, M, 2
+        yield seq, M, zero_module(R), 1
+
+
+def test_restricted_levels_equal_the_same_degrees_of_full_levels():
+    # a level built for (i, i + 1) holds d_i, d_(i+1) and their modules,
+    # each equal to the full level's, for every i up to the top degree
+    import prokit.complexes as cx
+
+    for seq, M, N, L in _restricted_level_cases():
+        res = free_resolution(N, L)
+        n = M.ring.order().bit_length()
+        for xs in (koszul_powers(seq, n), koszul_powers(seq, 2 * n)):
+            full = koszul_complex(xs, M, res)
+            top = len(seq) + L
+            for i in range(top + 1):
+                part = cx._KoszulLayout(len(seq), M, res).level(xs, (i, i + 1))
+                mods = {d for d in (i - 1, i, i + 1) if 0 <= d <= top}
+                diffs = {d for d in (i, i + 1) if 1 <= d <= top}
+                assert set(part.complex.modules) == set(part.packs) == mods, (seq, i)
+                assert set(part.complex.diffs) == diffs, (seq, i)
+                assert part.blocks == full.blocks and part.index == full.index
+                for d in mods:
+                    X, injs, projs = part.packs[d]
+                    assert X == full.packs[d][0] == full.complex.modules[d]
+                    assert [f.hom.matrix for f in injs] == [f.hom.matrix for f in full.packs[d][1]]
+                    assert [f.hom.matrix for f in projs] == [f.hom.matrix for f in full.packs[d][2]]
+                for d in diffs:
+                    assert part.complex.diffs[d].hom.matrix == full.complex.diffs[d].hom.matrix
+
+
+def test_restricted_limits_match_stabilized_reference():
+    # the limit on restricted levels, and Tor_i(Lambda, N) read off Lambda
+    # tensor L in degrees (i, i + 1), against the full-level routes, up to
+    # i = L - 1
+    for seq, M, N, L in _restricted_level_cases():
+        res = free_resolution(N, L)
+        for i in range(L):
+            new = _homology_limit(KoszulTower(seq, M, res), i)
+            old = _reference_homology_limit(KoszulTower(seq, M, res), i)
+            _assert_same_module(new, old, (seq, i))
+            lhs, rhs, _ = cech_tor_compare(M, N, seq, i, L)
+            _assert_same_module(lhs, new, (seq, i))
+            lam, _ = adic_completion(M, ideal(M.ring, seq))
+            tor = koszul_complex([], lam, res).complex.homology(i).module
+            _assert_same_module(rhs, tor, (seq, i))
+
+
+def test_tor_compare_assembles_two_differentials_per_level(monkeypatch):
+    # Z/12, x = (2, 3), L of length 2: a full level has 4 differentials and
+    # Lambda tensor L has 2; each side builds d_i and d_(i+1) only, and
+    # checks d_i o d_(i+1) = 0 once per level
+    import prokit.complexes as cx
+
+    built, composed = [], []
+    real_level, real_compose = cx._KoszulLayout.level, ModuleHom.compose
+
+    def level(self, xs, degrees=None):
+        out = real_level(self, xs, degrees)
+        built.append(sorted(out.complex.diffs))
+        return out
+
+    monkeypatch.setattr(cx._KoszulLayout, "level", level)
+    monkeypatch.setattr(ModuleHom, "compose", lambda f, g: composed.append(1) or real_compose(f, g))
+    R = zmod(12)
+    M = ring_as_module(R)
+    for i in (0, 1):
+        built.clear(), composed.clear()
+        cech_tor_compare(M, M, [R.from_int(2), R.from_int(3)], i, i + 2)
+        assert built == [[d for d in (i, i + 1) if d >= 1]] * 3, i
+        assert len(composed) == 3 * (i >= 1), i
+
+
+def test_cech_tor_compare_rejects_a_negative_degree():
+    R = zmod(12)
+    M = ring_as_module(R)
+    with pytest.raises(AxiomViolation, match="negative homological degree"):
+        cech_tor_compare(M, M, [R.from_int(2)], -1, 1)
 
 
 def test_fitting_index_is_below_the_stable_level():

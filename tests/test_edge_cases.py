@@ -11,10 +11,10 @@ from prokit.modules import (
     module_from_presentation,
     modules_isomorphic,
     ring_as_module,
-    tensor_module,
     hom_module,
 )
 from prokit.rings import ideal, localize, zmod, zero_ring, product_ring
+from test_modules import tensor_module
 
 
 def test_resolution_as_chain_complex():

@@ -400,7 +400,9 @@ def test_vanishing_battery_reads_every_cech_homology_degree_off_one_tower(monkey
         cx.KoszulTower, "__init__", lambda self, *a: towers.append(a) or real_init(self, *a)
     )
     monkeypatch.setattr(
-        cx._KoszulLayout, "level", lambda self, xs: levels.append(xs) or real_level(self, xs)
+        cx._KoszulLayout,
+        "level",
+        lambda self, xs, degrees=None: levels.append(xs) or real_level(self, xs, degrees),
     )
     _z12_battery()
     assert len(towers) == 1

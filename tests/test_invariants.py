@@ -21,7 +21,6 @@ from prokit.modules import (
     quotient_module,
     ring_as_module,
     submodule_module,
-    tensor_module,
     zero_module,
 )
 from prokit.randgen import random_instance, random_ring, rng_from_seed
@@ -38,6 +37,7 @@ from prokit.rings import (
     zmod,
 )
 from prokit.tasks import Report, emit_report, parse_spec, run_task
+from test_modules import tensor_module
 
 
 def test_conclusive_entries_reverify():

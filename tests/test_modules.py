@@ -2,31 +2,46 @@
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from prokit.errors import DimensionMismatch, InvalidSpec
 from prokit.intlinalg import (
     FinAbGroup,
+    GroupElement,
     GroupHom,
     IntMatrix,
     cokernel_presentation,
     hom_kernel_span,
+    linear_combination,
     span_contains,
     span_lattice,
 )
 from prokit.randgen import random_instance, random_module, random_ring, rng_from_seed
-from prokit.rings import ideal, stable_idempotent, truncated_two_power, zero_ring, zmod
+from prokit.rings import (
+    RingElement,
+    ideal,
+    product_ring,
+    stable_idempotent,
+    truncated_polynomial,
+    truncated_two_power,
+    zero_ring,
+    zmod,
+)
 from prokit.modules import (
     FgModule,
     ModuleHom,
     _greedy_generators,
+    _minimize_span_generators,
     adic_completion,
     block_hom,
     colon_submodule,
     cyclic_quotient_module,
     derived_functor,
+    free_module,
     free_resolution,
     generated_submodule,
     hom_module,
@@ -43,8 +58,6 @@ from prokit.modules import (
     ring_as_module,
     span_closure,
     submodule_module,
-    tensor_module,
-    tensor_module_data,
     torsion_by_colon_ascent,
     torsion_submodule,
     zero_module,
@@ -255,6 +268,73 @@ def test_hom_into_dual_is_matlis_dual():
         H = hom_module(M, E)
         D = matlis_dual(M)
         assert modules_isomorphic(H, D)
+
+
+# Tensor products: the runtime takes none, so the construction lives here
+# with its tests (and `test_invariants`, `test_edge_cases` import it).
+
+
+@dataclass(frozen=True)
+class TensorData:
+    """M tensor_R N presented by generator pairs modulo balancing."""
+
+    module: FgModule
+    left: FgModule
+    right: FgModule
+    _proj: IntMatrix
+    _pair_moduli: tuple
+
+    def pure(self, m, n):
+        coords = [cm * cn for cm in m.coords for cn in n.coords]
+        return self.module.element(self._proj.apply(tuple(coords))) if self.module.group.rank else self.module.zero()
+
+
+def tensor_module_data(M, N):
+    if M.ring != N.ring:
+        raise DimensionMismatch("tensor of modules over different rings")
+    R = M.ring
+    a = M.group.invariant_factors
+    b = N.group.invariant_factors
+    s = M.group.rank
+    r = N.group.rank
+    nvars = s * r
+    pair = tuple(gcd(a[j], b[k]) for j in range(s) for k in range(r))
+    if nvars == 0:
+        return TensorData(zero_module(R), M, N, IntMatrix(0, 0, []), pair)
+    rel_cols = []
+    for rho in range(R.rank):
+        A = M.actions[rho].matrix
+        B = N.actions[rho].matrix
+        for j in range(s):
+            for k in range(r):
+                # (e_rho e_j) x f_k - e_j x (e_rho f_k)
+                col = [0] * nvars
+                for i in range(s):
+                    col[i * r + k] += A[i, j]
+                for l in range(r):
+                    col[j * r + l] -= B[l, k]
+                rel_cols.append(col)
+    Rel = IntMatrix.from_cols(rel_cols, rows=nvars) if rel_cols else IntMatrix.zero(nvars, 0)
+    G, P, S = cokernel_presentation(Rel, list(pair))
+    lifts = S.cols_list()
+    actions = []
+    for rho in range(R.rank):
+        A = M.actions[rho].matrix
+        cols = []
+        for w in lifts:
+            v = [0] * nvars
+            for i in range(s):
+                for k in range(r):
+                    v[i * r + k] = sum(A[i, j] * w[j * r + k] for j in range(s))
+            cols.append(list(P.apply(tuple(v))))
+        mat = IntMatrix.from_cols(cols, rows=G.rank) if cols else IntMatrix(G.rank, 0, [])
+        actions.append(GroupHom(G, G, mat))
+    module = FgModule(R, G, actions)
+    return TensorData(module, M, N, P, pair)
+
+
+def tensor_module(M, N):
+    return tensor_module_data(M, N).module
 
 
 def test_tensor_module_examples():
@@ -509,6 +589,84 @@ def test_free_resolution_maps_match_action_hom_construction():
         targets = [N] + [F.module for F in res.frees[:-1]]
         for F, tgt, imgs, hom in zip(res.frees, targets, images, res.group_homs):
             assert hom.equals_map(_free_map_by_action_homs(F, tgt, imgs))
+
+
+def _projections(R, s):
+    return [p.hom for p in module_power(ring_as_module(R), s)[2]]
+
+
+def _coords_by_projections(R, projs, m):
+    """Ring coordinates as decoded before: one projection hom per copy."""
+    return tuple(RingElement(R, p(m).coords) for p in projs)
+
+
+def _free_map_by_projections(F_src, projs, tgt_module, images):
+    """The free map as built before: every generator decoded by the
+    projections, then a linear combination over all image products."""
+    products = [A.matrix.apply(img.coords) for img in images for A in tgt_module.actions]
+    cols = []
+    for gen in F_src.module.generators():
+        coeffs = [c for r in _coords_by_projections(tgt_module.ring, projs, gen) for c in r.coords]
+        cols.append(tgt_module.group.reduce(linear_combination(coeffs, products)))
+    mat = IntMatrix.from_cols(cols, rows=tgt_module.group.rank)
+    return GroupHom(F_src.module.group, tgt_module.group, mat)
+
+
+def _free_coords_rings():
+    return [
+        zmod(12),
+        product_ring([zmod(2), zmod(4), zmod(8)])[0],
+        truncated_polynomial(2, 3)[0],
+    ]
+
+
+def test_free_module_coords_match_projection_decoding():
+    # coords reads each copy at its positions and reduces into R's factors;
+    # elements are unreduced and negative on purpose
+    rng = random.Random(0xF4EE)
+    for R in _free_coords_rings():
+        for s in range(5):
+            F = free_module(R, s)
+            projs = _projections(R, s)
+            injs = [inj.hom for inj in module_power(ring_as_module(R), s)[1]]
+            top = 3 * max(F.module.group.invariant_factors, default=1)
+            for _ in range(20):
+                raw = tuple(rng.randint(-top, top) for _ in range(F.module.group.rank))
+                m = GroupElement(F.module.group, raw)
+                assert F.coords(m) == _coords_by_projections(R, projs, m), (R, s, raw)
+                facs = R.additive.invariant_factors
+                rs = [R.element([rng.randrange(d) for d in facs]) for _ in range(s)]
+                acc = F.module.zero()
+                for inj, r in zip(injs, rs):
+                    acc = acc + inj(r.as_group_element())
+                assert F.element(rs) == acc
+
+
+def _free_resolution_by_projections(M, length):
+    """`free_resolution` as built before, with projection decoding; returns
+    (ring matrices, group homs)."""
+    R = M.ring
+    gens = module_generators(M)
+    frees = [free_module(R, len(gens))]
+    projs = [_projections(R, len(gens))]
+    homs = [_free_map_by_projections(frees[0], projs[0], M, gens)]
+    ring_mats = []
+    for _ in range(length):
+        ker_gens = _minimize_span_generators(frees[-1].module, hom_kernel_span(homs[-1]))
+        ring_mats.append(tuple(_coords_by_projections(R, projs[-1], v) for v in ker_gens))
+        frees.append(free_module(R, len(ker_gens)))
+        projs.append(_projections(R, len(ker_gens)))
+        homs.append(_free_map_by_projections(frees[-1], projs[-1], frees[-2].module, ker_gens))
+    return tuple(ring_mats), homs
+
+
+def test_free_resolution_matches_projection_decoding():
+    for M, N in _acceptance_11_draws():
+        for mod in (M, N):
+            res = free_resolution(mod, 3)
+            ring_mats, homs = _free_resolution_by_projections(mod, 3)
+            assert res.ring_matrices == ring_mats
+            assert [h.matrix for h in res.group_homs] == [h.matrix for h in homs]
 
 
 def _greedy_by_full_closure(M, pool, target):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from prokit.errors import AxiomViolation, InvalidSpec
+from prokit.errors import AxiomViolation, DecompositionBoundExceeded, InvalidSpec
 from prokit.intlinalg import (
     FinAbGroup,
     IntMatrix,
@@ -16,6 +16,7 @@ from prokit.intlinalg import (
     span_subgroup_order,
 )
 from prokit.rings import (
+    SPLIT_ENUM_LIMIT,
     FiniteRing,
     Ideal,
     check_ring_axioms,
@@ -27,7 +28,6 @@ from prokit.rings import (
     ideal_stabilization,
     is_covering,
     localize,
-    nonunits_form_ideal,
     primitive_idempotents,
     product_ring,
     quotient_ring,
@@ -287,6 +287,26 @@ def test_primitive_idempotents_z12():
         total = total + e
     assert total == R.one()
     assert (es[0] * es[1]).is_zero()
+
+
+# The local-ring criterion by enumeration, the reference for the factors
+# `primitive_idempotents` splits off.
+
+
+def nonunits_form_ideal(R, limit=SPLIT_ENUM_LIMIT):
+    """Direct check that the non-units are closed under addition and under
+    multiplication by arbitrary elements (the local-ring criterion)."""
+    if R.order() > limit:
+        raise DecompositionBoundExceeded("ring too large to enumerate")
+    nonunits = {y.coords for y in R.elements() if not R.is_unit(y)}
+    for a in nonunits:
+        for b in nonunits:
+            if R.additive.reduce(tuple(x + y for x, y in zip(a, b))) not in nonunits:
+                return False
+        for r in R.elements():
+            if R.mul_coords(a, r.coords) not in nonunits:
+                return False
+    return True
 
 
 def test_primitive_idempotents_product():
