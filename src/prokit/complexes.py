@@ -531,6 +531,8 @@ def cech_cohomology(x_seq, M, i):
     submodule of the generated ideal.  One degree per call: a caller
     that needs several builds `cech_complex` once and reads each off
     `cohomology_data`."""
+    if i < 0:
+        raise AxiomViolation("negative cohomological degree")
     if i > len(x_seq):
         return zero_module(M.ring)
     return cech_complex(x_seq, M).cohomology_data(i).module
@@ -608,8 +610,10 @@ def cech_tor_compare(M, N, x_seq, i, resolution_length):
     only degrees (i, i + 1): two levels of the tower for the limit, one
     complex Lambda tensor L for Tor.
 
-    Returns (lhs, rhs, agree) where agreement is isomorphism of invariant
-    factors plus the action fingerprint."""
+    Returns (lhs, rhs, agree), agree from `modules_isomorphic`: when the
+    two sides are equal modules the identity is the isomorphism shown;
+    otherwise agreement is equal fingerprints, a necessary condition
+    only."""
     if i < 0:
         raise AxiomViolation("negative homological degree")
     if resolution_length <= i:

@@ -18,11 +18,12 @@ are forward substitution along the lower-triangular span
 generated by some vectors is one canonical span of their images under the
 ring basis (`span_closure`).
 
-`module_power` is the one direct sum of modules, laid out by permutation,
-and `block_hom` the one place where maps between direct sums are
-assembled: the actions of module powers, the Tor/Ext differentials here,
-and the Koszul, Cech and total complexes of the complexes layer, which
-are all built on module powers.
+`module_power` is the one direct sum of modules, laid out by one slot map
+(`_power_layout`, which `free_module` shares) with each action written
+straight to its slots, and `block_hom` the one place where maps between
+direct sums are assembled: the Tor/Ext differentials here, and the
+Koszul, Cech and total complexes of the complexes layer, which are all
+built on module powers.
 Quotient generators are lifted back only through the section read off
 the one Smith reduction of `intlinalg` (quotients, subquotients and Hom
 modules); nothing here solves for a lift on its own.  Quotient,
@@ -211,9 +212,9 @@ def ring_as_module(R):
 class FreeModuleData:
     """A free module R^s, addressed by index.
 
-    The injections of `module_power` are 0/1 permutations, so generator p
-    of the group of R^s is e_j of copy u for exactly one (u, j), e_j the
-    j-th additive generator of R: `positions[u][j]` is that p.  Elements
+    The layout of module powers (`_power_layout`) is a permutation, so
+    generator p of the group of R^s is e_j of copy u for exactly one (u, j),
+    e_j the j-th additive generator of R: `positions[u][j]` is that p.  Elements
     are written and read at those positions; no injection or projection is
     applied."""
 
@@ -241,11 +242,10 @@ class FreeModuleData:
 
 
 def free_module(R, s):
-    F, injs, _ = module_power(ring_as_module(R), s)
-    positions = tuple(
-        tuple(inj.hom.matrix.col(j).index(1) for j in range(R.additive.rank)) for inj in injs
-    )
-    return FreeModuleData(F, s, positions)
+    """R^s with its positions, laid out as `module_power(ring_as_module(R), s)`
+    and written straight from R's multiplication matrices."""
+    G, positions = _power_layout(R.additive, s)
+    return FreeModuleData(_power_module(R, G, positions, R.mult_matrices), s, positions)
 
 
 def block_hom(src, tgt, blocks):
@@ -286,39 +286,60 @@ def _nonzero(vec):
     return [(i, v) for i, v in enumerate(vec) if v]
 
 
-def module_power(N, s):
-    """N^s with injections and projections (the zero module for s = 0).
+def _power_layout(group, s):
+    """The group of s copies of `group` and positions[u][j], the generator
+    that is generator j of copy u.
 
-    The copy-major factor list of N^s is sorted by selection: the first
-    smallest remaining factor is swapped forward.  That is the order `snf`
-    leaves a diagonal divisibility chain in, so no normal form is needed and
-    the layout is the canonical direct sum of s copies of N; the
-    injections and projections are 0/1 permutation matrices, and each
-    action is N's action on every copy.
-    """
-    if s < 0:
-        raise InvalidSpec(f"module power needs s >= 0, got {s}")
-    if s == 0:
-        return zero_module(N.ring), [], []
-    facs = list(N.group.invariant_factors) * s
-    n, r = len(facs), N.group.rank
+    The copy-major factor list is sorted by selection: the first smallest
+    remaining factor is swapped forward.  That is the order `snf` leaves a
+    diagonal divisibility chain in, so no normal form is needed and the
+    layout is the canonical direct sum of s copies."""
+    facs = list(group.invariant_factors) * s
+    n, r = len(facs), group.rank
     slot = list(range(n))  # slot[p]: the copy-major index placed at position p
     for t in range(n):
         p = min(range(t, n), key=facs.__getitem__)
         facs[t], facs[p] = facs[p], facs[t]
         slot[t], slot[p] = slot[p], slot[t]
-    G = FinAbGroup(tuple(facs))
+    positions = [[0] * r for _ in range(s)]
+    for p, q in enumerate(slot):
+        positions[q // r][q % r] = p
+    return FinAbGroup(tuple(facs)), tuple(map(tuple, positions))
+
+
+def _power_module(ring, G, positions, mats):
+    """The module on G on which ring basis element i acts by mats[i] on
+    every copy: entry (a, b) of mats[i] goes to (positions[u][a],
+    positions[u][b]) for each copy u."""
+    n = G.rank
+    actions = []
+    for A in mats:
+        acc = [0] * (n * n)
+        for pos in positions:
+            for a, pa in enumerate(pos):
+                for b, x in enumerate(A.row(a)):
+                    if x:
+                        acc[pa * n + pos[b]] = x
+        actions.append(GroupHom(G, G, IntMatrix._of(n, n, tuple(acc))))
+    return FgModule(ring, G, actions)
+
+
+def module_power(N, s):
+    """N^s with injections and projections (the zero module for s = 0),
+    laid out by `_power_layout`: the injections and projections are 0/1
+    permutation matrices, and each action is N's action on every copy.
+    """
+    if s < 0:
+        raise InvalidSpec(f"module power needs s >= 0, got {s}")
+    G, positions = _power_layout(N.group, s)
+    P = _power_module(N.ring, G, positions, [A.matrix for A in N.actions])
+    n, r = G.rank, N.group.rank
     injs, projs = [], []
-    for u in range(s):
-        place = IntMatrix._of(
-            n, r, tuple(1 if slot[i] == u * r + j else 0 for i in range(n) for j in range(r))
-        )
-        injs.append(GroupHom(N.group, G, place))
-        projs.append(GroupHom(G, N.group, place.transpose()))
-    pack = (G, injs, projs)
-    actions = [block_hom(pack, pack, [(u, u, A, 1) for u in range(s)]) for A in N.actions]
-    P = FgModule(N.ring, G, actions)
-    return P, [ModuleHom(N, P, inj) for inj in injs], [ModuleHom(P, N, proj) for proj in projs]
+    for pos in positions:
+        place = IntMatrix._of(n, r, tuple(int(pos[j] == i) for i in range(n) for j in range(r)))
+        injs.append(ModuleHom(N, P, GroupHom(N.group, G, place)))
+        projs.append(ModuleHom(P, N, GroupHom(G, N.group, place.transpose())))
+    return P, injs, projs
 
 
 # ---------------------------------------------------------------------------
@@ -841,13 +862,14 @@ def localize_module(M, loc):
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism fingerprints
+# Isomorphism: the identity of equal modules, else fingerprints
 
 
 def module_fingerprint(M):
     """Isomorphism invariants: group factors plus kernel and image factors
-    of every basis action.  Agreement is necessary for isomorphism; it is
-    the comparison used where no natural map is available."""
+    of every basis action.  Agreement is necessary for isomorphism, not
+    sufficient; `modules_isomorphic` falls back to it only for modules
+    that are presented differently."""
     parts = [tuple(M.group.invariant_factors)]
     for A in M.actions:
         ker_sub = subquotient_group(M.group, hom_kernel_span(A), M.zero_span()).group
@@ -857,4 +879,16 @@ def module_fingerprint(M):
 
 
 def modules_isomorphic(A, B):
-    return module_fingerprint(A) == module_fingerprint(B)
+    """True when A and B are equal modules, an isomorphism shown, or have
+    equal fingerprints, isomorphism not ruled out.
+
+    Equal modules (`FgModule.__eq__`: the same ring, group and action
+    matrices, not the same object) are isomorphic by the identity of the
+    group; no invariant is computed.  The coordinates of a subquotient
+    depend only on its subgroups, so two routes to the same subquotient
+    give equal modules, and that is what the comparisons of the runtime
+    meet.  Modules presented differently fall back to `module_fingerprint`,
+    a necessary condition only.  The fingerprint depends on the group and
+    actions alone, so equal modules have equal fingerprints and the
+    shortcut changes no answer."""
+    return A == B or module_fingerprint(A) == module_fingerprint(B)

@@ -24,6 +24,7 @@ from prokit.modules import (
     generated_submodule,
     hom_module,
     homology_module,
+    local_cohomology,
     matlis_dual,
     module_fingerprint,
     module_power,
@@ -960,6 +961,60 @@ def test_cech_tor_compare_rejects_a_negative_degree():
     M = ring_as_module(R)
     with pytest.raises(AxiomViolation, match="negative homological degree"):
         cech_tor_compare(M, M, [R.from_int(2)], -1, 1)
+
+
+def test_cech_cohomology_rejects_a_negative_degree():
+    R = zmod(12)
+    M = ring_as_module(R)
+    with pytest.raises(AxiomViolation, match="negative cohomological degree"):
+        cech_cohomology([R.from_int(2)], M, -1)
+
+
+def test_runtime_comparisons_compute_no_fingerprint(monkeypatch):
+    # every comparison below meets equal modules, decided by the identity:
+    # cech_tor_compare on the draws of acceptance criterion 11, the battery
+    # of the z12_battery fixture, and criterion-06 batteries over
+    # Z/2 x Z/4 x Z/8
+    import prokit.complexes as cx
+    import prokit.modules as md
+    import prokit.tasks as tasks
+    from prokit.cli import _load_task_text
+
+    fingerprints, compared = [], []
+    real_fingerprint, real_isomorphic = md.module_fingerprint, md.modules_isomorphic
+
+    def isomorphic(A, B):
+        compared.append(A == B)
+        return real_isomorphic(A, B)
+
+    def fingerprint(M):
+        fingerprints.append(M)
+        return real_fingerprint(M)
+
+    monkeypatch.setattr(md, "module_fingerprint", fingerprint)
+    monkeypatch.setattr(cx, "modules_isomorphic", isomorphic)
+    monkeypatch.setattr(tasks, "modules_isomorphic", isomorphic)
+    rng = rng_from_seed(0xA011)
+    for _ in range(20):
+        R, M, seq = random_instance(rng, k_max=2, module_order=64)
+        N = ring_as_module(R) if rng.random() < 0.4 else M
+        for i in (0, 1):
+            assert cech_tor_compare(M, N, seq, i, i + 2)[2], (R, seq, i)
+    assert len(compared) == 40
+    report = tasks.run_task(tasks.parse_spec(_load_task_text("fixture:z12_battery")))
+    assert report.body["results"]["vanishing"]["passed"]
+    assert len(compared) >= 43  # the battery's three, and the fixture's Tor comparisons
+    before = len(compared)
+    T, x, one = truncated_two_power(3)
+    for M in (ring_as_module(T), cyclic_quotient_module(T, ideal(T, [x]))):
+        for seq in ([x], [x, x * x], [x, one]):
+            I = ideal(T, seq)
+            h0 = cech_cohomology(seq, M, 0)
+            gamma, _ = submodule_module(M, torsion_submodule(M, I))
+            assert isomorphic(h0, gamma) and isomorphic(h0, local_cohomology(M, I, 0))
+            assert isomorphic(cech_homology(seq, M, 0), adic_completion(M, I)[0])
+    assert len(compared) == before + 18 and all(compared)
+    assert fingerprints == []
 
 
 def test_fitting_index_is_below_the_stable_level():

@@ -546,3 +546,14 @@ def test_sweep_matches_golden_file():
     golden = Path(__file__).parent / "data" / "ex1_sweep_golden.json"
     report = run_task(parse_spec(_load_task_text("fixture:ex1_truncated")))
     assert report.body_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["z12_battery", "prism_style", "ex2_truncated"])
+def test_fixture_body_matches_golden_file(name):
+    from pathlib import Path
+
+    from prokit.cli import _load_task_text
+
+    golden = Path(__file__).parent / "data" / f"{name}_golden.json"
+    report = run_task(parse_spec(_load_task_text(f"fixture:{name}")))
+    assert report.body_bytes() == golden.read_bytes()

@@ -49,6 +49,7 @@ from prokit.modules import (
     is_divisible,
     local_cohomology,
     matlis_dual,
+    module_fingerprint,
     module_from_presentation,
     module_generators,
     module_power,
@@ -62,6 +63,7 @@ from prokit.modules import (
     torsion_submodule,
     zero_module,
 )
+from prokit.complexes import cech_cohomology, cech_homology
 from test_analysis import ideal_power_image
 
 
@@ -519,6 +521,101 @@ def test_local_cohomology_matches_ext_route():
     assert _ext_route_agrees(ring_as_module(R), ideal(R, []), 2)
 
 
+def _fingerprints_agree(A, B):
+    """The comparison `modules_isomorphic` made before equal modules were
+    decided by the identity: fingerprints alone."""
+    return module_fingerprint(A) == module_fingerprint(B)
+
+
+def _conjugated(M, i, j, c):
+    """M presented in the basis g_j + c g_i (i < j, so d_i | d_j and the
+    change of basis P = 1 + c E_ij is an automorphism): P^-1 A P for each
+    action A, reduced modulo the factors."""
+    n, facs = M.group.rank, M.group.invariant_factors
+
+    def shear(t):
+        return IntMatrix.from_rows(
+            [[int(r == k) + t * (r == i and k == j) for k in range(n)] for r in range(n)]
+        )
+
+    P, P_inv = shear(c), shear(-c)
+    actions = []
+    for A in M.actions:
+        rows = (P_inv * A.matrix * P).rows_list()
+        reduced = [[e % facs[r] for e in row] for r, row in enumerate(rows)]
+        actions.append(GroupHom(M.group, M.group, IntMatrix.from_rows(reduced)))
+    return FgModule(M.ring, M.group, actions)
+
+
+def _comparison_corpus():
+    """Seeded pairs of modules over one ring: the comparisons of the
+    criterion-06 battery and the Ext route on its draws (equal modules,
+    bar one Ext-route pair), each drawn module against a conjugated
+    presentation of itself, and non-isomorphic modules with equal
+    invariant factors."""
+    rng = rng_from_seed(0xA006)
+    for _ in range(100):
+        R, M, seq = random_instance(rng, k_max=3)
+        I = ideal(R, list(seq))
+        h0 = cech_cohomology(list(seq), M, 0)
+        gamma, _ = submodule_module(M, torsion_submodule(M, I))
+        lc0 = local_cohomology(M, I, 0)
+        Q = cyclic_quotient_module(R, ideal(R, [stable_idempotent(I)]))
+        yield from ((h0, gamma), (h0, lc0), (derived_functor("ext", Q, M, 0), lc0))
+        yield cech_homology(list(seq), M, 0), adic_completion(M, I)[0]
+        if M.group.rank >= 2:
+            yield M, _conjugated(M, 0, M.group.rank - 1, rng.randint(1, 3))
+    # F_2[t]/t^2 against k^2 (t acts as 0): both of group Z/2 + Z/2
+    T, t = truncated_polynomial(2, 2)
+    k = cyclic_quotient_module(T, ideal(T, [t]))
+    yield ring_as_module(T), module_power(k, 2)[0]
+    # the residue fields of the three local factors of Z/2 x Z/4 x Z/8: all
+    # of group Z/2, each killed by the idempotents of the other two factors
+    factors = [zmod(2), zmod(4), zmod(8)]
+    W, embed = product_ring(factors)
+
+    def residue(a):
+        u = embed([F.from_int(2 if b == a else 1) for b, F in enumerate(factors)])
+        return cyclic_quotient_module(W, ideal(W, [u]))
+
+    for a, b in itertools.combinations(range(3), 2):
+        yield residue(a), residue(b)
+
+
+def test_modules_isomorphic_matches_the_fingerprint_comparison():
+    # equal modules are decided by the identity, every other pair by the
+    # fingerprints, so the answer is the fingerprint comparison's throughout
+    kinds = {"equal": 0, "presented differently": 0, "not isomorphic": 0}
+    for A, B in _comparison_corpus():
+        assert modules_isomorphic(A, B) == _fingerprints_agree(A, B), (A, B)
+        if A == B:
+            kinds["equal"] += 1
+        elif _fingerprints_agree(A, B):
+            kinds["presented differently"] += 1
+        else:
+            assert A.group == B.group, (A, B)
+            kinds["not isomorphic"] += 1
+    assert kinds["equal"] >= 400
+    assert kinds["presented differently"] >= 10
+    assert kinds["not isomorphic"] == 4
+
+
+def test_equal_modules_compute_no_fingerprint(monkeypatch):
+    import prokit.modules as md
+
+    calls = []
+    real = md.module_fingerprint
+    monkeypatch.setattr(md, "module_fingerprint", lambda M: calls.append(M) or real(M))
+    R = zmod(12)
+    M = ring_as_module(R)
+    assert modules_isomorphic(M, ring_as_module(R)) and calls == []
+    two = ideal(R, [R.from_int(2)])
+    assert modules_isomorphic(local_cohomology(M, two, 0), local_cohomology(M, two, 0))
+    assert calls == []
+    assert not modules_isomorphic(M, cyclic_quotient_module(R, two))
+    assert len(calls) == 2
+
+
 def _span_closure_by_rounds(M, vectors):
     """The round-by-round closure span_closure ran before: apply every action
     to every span column, keep the images outside the span, repeat."""
@@ -819,6 +916,37 @@ def test_module_power_is_a_permutation_layout(base, s):
     entries = [e for inj in injs for row in inj.hom.matrix.rows_list() for e in row]
     assert set(entries) == {0, 1}
     assert all(inj.check_equivariance() for inj in injs)
+
+
+def _power_by_block_hom(N, s):
+    """`module_power(N, s)` as built before: each action the sum of
+    inj_u . A . proj_u over the copies, assembled by `block_hom`."""
+    P, injs, projs = module_power(N, s)
+    pack = (P.group, [inj.hom for inj in injs], [proj.hom for proj in projs])
+    actions = [block_hom(pack, pack, [(u, u, A, 1) for u in range(s)]) for A in N.actions]
+    return FgModule(N.ring, P.group, actions), injs
+
+
+def test_module_power_writes_each_action_to_its_slots():
+    for base in sorted(POWER_BASES):
+        N = _presented(*POWER_BASES[base])
+        for s in range(5):
+            assert module_power(N, s)[0] == _power_by_block_hom(N, s)[0], (base, s)
+
+
+def test_free_module_shares_the_slot_map_of_module_powers():
+    # R^s and its positions, written straight from R's multiplication
+    # matrices, against module_power(ring_as_module(R), s) with block_hom
+    # actions and positions read off the injections
+    for R in _free_coords_rings():
+        for s in range(5):
+            P, injs = _power_by_block_hom(ring_as_module(R), s)
+            F = free_module(R, s)
+            assert F.module == P, (R, s)
+            assert F.positions == tuple(
+                tuple(inj.hom.matrix.col(j).index(1) for j in range(R.additive.rank))
+                for inj in injs
+            ), (R, s)
 
 
 def _composed_validate(M):
