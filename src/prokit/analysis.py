@@ -206,11 +206,11 @@ def weak_profile(M, x_seq, n_max, m_max=None, i_max=None):
     k = len(x_seq)
     i_max = i_max if i_max is not None else k
     m_max = m_max if m_max is not None else default_budget(M, k, n_max)
-    tower = KoszulTower(list(x_seq), M)
+    tower = KoszulTower(x_seq, M)
     entries = {}
     for i in range(1, i_max + 1):
         for n in range(1, n_max + 1):
-            entries[(i, n)] = pro_zero_index(list(x_seq), M, i, n, m_max, tower=tower)
+            entries[(i, n)] = pro_zero_index(tower, i, n, m_max)
     return Profile("weak", i_max, n_max, m_max, entries)
 
 

@@ -10,9 +10,10 @@ Tor comparison share one `KoszulTower` and one limit (`_homology_limit`).
 What does not depend on the sequence's entries (the blocks, one module
 power per distinct block count, the d_L blocks) is one private layout per
 tower, each part formed on first use; each level only adds the Koszul face
-blocks of x^(n).  A level can be built for some degrees only: a homology
-H_i reads d_i and d_(i+1), so the limit and the Tor side build those
-and no other module power or differential.
+blocks of x^(n).  A tower keeps differentials, not levels: each d_d of a
+level is assembled once, when first read.  Koszul homology and its
+transitions are read as spans of the level-n chains (`_transition_image`)
+by the Cech-homology limit, the weak profile and the Tor comparison.
 The Cech complex is built on the same layout: degree j is the power
 M^(k choose j), its codifferential is the layout's faces transposed, copy S
 to copy T by the face's sign times the Fitting idempotent e_T, and the
@@ -27,14 +28,13 @@ R is a product of local rings, where each x_j is a unit or nilpotent, so at
 the level n = bit_length(|R|) the image of H_i(x^(2n)) -> H_i(x^(n)) is the
 limit.  It is one subquotient of the level-n chains: the transition
 applied to the level-2n cycles, plus the level-n boundaries, modulo those
-boundaries; neither homology is presented.
+boundaries.
 
 Every differential, codifferential and transition between module powers
 here is a list of blocks handed to `modules.block_hom`, the one place where
-such maps are assembled.  Every map onto homology or colon quotients (the
-Koszul transitions on homology, the colon identification) is
-`intlinalg.induced_hom` on the subquotients' `GroupSubquotient` records,
-the one lift/classify path."""
+such maps are assembled.  The maps onto colon quotients and their Koszul
+homology in the colon identification are `intlinalg.induced_hom` on the
+subquotients' `GroupSubquotient` records, the one lift/classify path."""
 
 from __future__ import annotations
 
@@ -67,10 +67,8 @@ from .rings import Ideal, fitting_split
 class ChainComplex:
     """Graded modules with degree-lowering differentials d_i: X_i -> X_{i-1}.
 
-    Degrees outside the stored support are zero modules, unless the complex
-    was built for some degrees only (a Koszul level built for H_i holds
-    d_i and d_(i+1) and their modules).  d o d = 0 is verified at
-    construction on every adjacent pair of differentials that was built."""
+    Degrees outside the stored support are zero modules.  d o d = 0 is
+    verified at construction on every adjacent pair of differentials."""
 
     modules: dict
     diffs: dict
@@ -83,9 +81,6 @@ class ChainComplex:
             up = self.diffs.get(i + 1)
             if up is not None and not d.compose(up).is_zero_map():
                 raise AxiomViolation(f"d_{i} after d_{i + 1} is not zero")
-
-    def module(self, i):
-        return self.modules.get(i)
 
     def differential(self, i):
         return self.diffs.get(i)
@@ -134,8 +129,7 @@ class ComplexMap:
 class KoszulData:
     """Koszul complex of a sequence on a module, with block bookkeeping.
 
-    `blocks` and `index` cover every degree of the layout; `packs` and the
-    complex hold only the degrees the level was built for."""
+    `blocks`, `index`, `packs` and the complex cover every degree."""
 
     complex: ChainComplex
     sequence: tuple
@@ -151,10 +145,9 @@ class _KoszulLayout:
     index, formed up front; and, formed on first use, one `module_power`
     of M per distinct block count (degrees with as many blocks share it)
     and the Koszul face and (-1)^|S| id tensor d_L blocks of each
-    differential, with one action of M per distinct ring entry of L's
-    differentials.  A `KoszulTower` builds one for all its levels;
-    `level(x, degrees)` adds the Koszul face blocks of x and assembles the
-    differentials of those degrees, so it forms only their module powers."""
+    differential, with one action of M per distinct ring element (entries
+    of x and of L's differentials).  A `KoszulTower` builds one for all its
+    levels; `differential(x, d)` adds the Koszul face blocks of x."""
 
     def __init__(self, k, M, res):
         ranks = res.ranks if res is not None else (1,)
@@ -173,7 +166,7 @@ class _KoszulLayout:
         self.index = {d: {b: i for i, b in enumerate(self.blocks[d])} for d in self.degrees}
         self._powers = {}       # block count -> module_power(M, count)
         self._diff_blocks = {}  # degree -> (faces, d_L blocks)
-        self._acts = {}         # ring entry of d_L -> its action on M
+        self._acts = {}         # ring element -> its action on M
 
     def pack(self, d):
         """(M^s, injections, projections) for the s blocks of degree d."""
@@ -181,6 +174,12 @@ class _KoszulLayout:
         if s not in self._powers:
             self._powers[s] = module_power(self.M, s)
         return self._powers[s]
+
+    def action(self, r):
+        """The action of the ring element r on M, formed once per r."""
+        if r.coords not in self._acts:
+            self._acts[r.coords] = self.M.action_hom(r)
+        return self._acts[r.coords]
 
     def diff_blocks(self, d):
         """The blocks of d_d that do not depend on x: the Koszul faces as
@@ -198,35 +197,18 @@ class _KoszulLayout:
                     for v, rel in enumerate(self.res.ring_matrices[q - 1][u]):
                         if rel.is_zero():
                             continue
-                        if rel.coords not in self._acts:
-                            self._acts[rel.coords] = self.M.action_hom(rel)
-                        res_part.append((below[(S, q - 1, v)], b_idx, self._acts[rel.coords], sign))
+                        res_part.append((below[(S, q - 1, v)], b_idx, self.action(rel), sign))
             self._diff_blocks[d] = faces, res_part
         return self._diff_blocks[d]
 
-    def support(self, degrees=None):
-        """(module degrees, differential degrees) of a level built for
-        `degrees` (all by default): each of them in the layout, and d_d
-        with its target for each such d >= 1."""
-        wanted = {d for d in (self.degrees if degrees is None else degrees) if d in self.degrees}
-        diffs = {d for d in wanted if d >= 1}
-        return wanted | {d - 1 for d in diffs}, diffs
-
-    def level(self, x_seq, degrees=None):
-        """K(x; M) tensor L for a sequence x of length k, built in the given
-        degrees (see `support`): H_i reads degrees (i, i + 1)."""
-        mods, diff_degrees = self.support(degrees)
-        acts = [self.M.action_hom(x) for x in x_seq]
-        packs = {d: self.pack(d) for d in sorted(mods)}
-        modules = {d: pack[0] for d, pack in packs.items()}
-        diffs = {}
-        for d in sorted(diff_degrees):
-            faces, res_part = self.diff_blocks(d)
-            blocks = [(t, s, acts[e], c) for t, s, e, c in faces] + res_part
-            hom = block_hom(packs[d], packs[d - 1], blocks)
-            diffs[d] = ModuleHom(modules[d], modules[d - 1], hom)
-        C = ChainComplex(modules, diffs)
-        return KoszulData(C, tuple(x_seq), self.M, self.blocks, self.index, packs)
+    def differential(self, x_seq, d):
+        """d_d of K(x; M) tensor L: the blocks of `diff_blocks` with each
+        face's entry of x replaced by its action, between the module powers
+        of degrees d and d - 1, the only ones it forms."""
+        faces, res_part = self.diff_blocks(d)
+        blocks = [(t, s, self.action(x_seq[e]), c) for t, s, e, c in faces] + res_part
+        source, target = self.pack(d), self.pack(d - 1)
+        return ModuleHom(source[0], target[0], block_hom(source, target, blocks))
 
     def transition(self, y_seq, j):
         """Degree-j component of the transition K(x^(n+e)) -> K(x^(n)) for
@@ -265,35 +247,33 @@ def koszul_complex(x_seq, M, res=None):
     >>> kos.blocks[3]
     [((0,), 2, 0)]
     """
-    return _KoszulLayout(len(x_seq), M, res).level(x_seq)
+    layout = _KoszulLayout(len(x_seq), M, res)
+    packs = {d: layout.pack(d) for d in layout.degrees}
+    diffs = {d: layout.differential(x_seq, d) for d in layout.degrees[1:]}
+    C = ChainComplex({d: pack[0] for d, pack in packs.items()}, diffs)
+    return KoszulData(C, tuple(x_seq), M, layout.blocks, layout.index, packs)
 
 
 def koszul_powers(x_seq, n):
     return [x ** n for x in x_seq]
 
 
-def koszul_transition(x_seq, m, n, M):
-    """Natural map K(x^(m); M) -> K(x^(n); M) for m >= n: the summand of a
-    subset S is multiplied by prod_{i in S} x_i^{m-n}.  Returns the map and
-    its source and target levels."""
-    tower = KoszulTower(x_seq, M)
-    return tower.transition(m, n), tower.level(m), tower.level(n)
-
-
 class KoszulTower:
-    """Koszul complexes of x^(n) on M for varying n; with a free resolution
-    `res`, the total complexes of K(x^(n)) tensor M tensor res (see
-    `koszul_complex`).  The layout of blocks, module powers and d_L blocks
-    is shared by every level.  Level 2n's entries square level n's, and a
-    transition by x^(e) takes level e's, when built."""
+    """The differentials of the Koszul complexes of x^(n) on M for varying
+    n; with a free resolution `res`, of the total complexes of K(x^(n))
+    tensor M tensor res (see `koszul_complex`).  Every level shares one
+    layout, and no level is built whole: each d_d of a level is assembled
+    once, when first read.  Level 2n's entries square level n's, and a
+    transition by x^(e) takes level e's, when built.  The cycles and
+    boundaries read are kept as canonical spans of the chains C_i."""
 
     def __init__(self, x_seq, M, res=None):
         self.x_seq = tuple(x_seq)
         self.M = M
         self._layout = _KoszulLayout(len(self.x_seq), M, res)
         self._sequences = {}  # n -> x^(n)
-        self._levels = {}     # n -> the levels of x^(n) built so far
-        self._homology = {}
+        self._diffs = {}      # (n, d) -> d_d of level n
+        self._spans = {}      # ("Z" or "B", i, n) -> a canonical span in C_i
 
     def _powers(self, n):
         if n not in self._sequences:
@@ -302,60 +282,72 @@ class KoszulTower:
             self._sequences[n] = tuple(seq)
         return self._sequences[n]
 
-    def level(self, n, degrees=None):
-        """Level n in the given degrees (all by default; see
-        `_KoszulLayout.support`).  A level of n already built that holds
-        every module and differential asked for serves the request."""
-        mods, diffs = self._layout.support(degrees)
-        for built in self._levels.get(n, ()):
-            if mods <= built.complex.modules.keys() and diffs <= built.complex.diffs.keys():
-                return built
-        built = self._layout.level(self._powers(n), degrees)
-        self._levels.setdefault(n, []).append(built)
-        return built
+    def chains(self, i):
+        """C_i, one copy of M per block of degree i at every level."""
+        return self._layout.pack(i)[0]
 
-    def homology(self, i, n):
-        """H_i(x^(n)), kept; only `pro_zero_index` (the weak profile) reads it."""
-        key = (i, n)
-        if key not in self._homology:
-            self._homology[key] = self.level(n).complex.homology(i)
-        return self._homology[key]
+    def differential(self, n, d):
+        """d_d of level n, 1 <= d <= the top degree; d o d = 0 is checked
+        once per adjacent pair of a level, when its second map is built."""
+        if (n, d) not in self._diffs:
+            f = self._layout.differential(self._powers(n), d)
+            below, above = self._diffs.get((n, d - 1)), self._diffs.get((n, d + 1))
+            for lower, upper, e in ((below, f, d), (f, above, d + 1)):
+                if lower is not None and upper is not None and not lower.compose(upper).is_zero_map():
+                    raise AxiomViolation(f"d_{e - 1} after d_{e} is not zero at level {n}")
+            self._diffs[(n, d)] = f
+        return self._diffs[(n, d)]
 
-    def transition(self, m, n):
-        """The chain map of full levels x^(m) -> x^(n), m >= n."""
-        if m < n:
-            raise AxiomViolation("transition needs m >= n")
-        src, tgt = self.level(m), self.level(n)
-        comps = {
-            j: ModuleHom(X, tgt.complex.modules[j], self.transition_component(j, m, n))
-            for j, X in src.complex.modules.items()
-        }
-        return ComplexMap(src.complex, tgt.complex, comps)
+    def cycles(self, i, n):
+        """Z_i(x^(n)) = ker d_i, kept; all of C_0 in degree 0."""
+        if ("Z", i, n) not in self._spans:
+            Z = hom_kernel_span(self.differential(n, i).hom) if i else self.chains(0).full_span()
+            self._spans["Z", i, n] = Z
+        return self._spans["Z", i, n]
+
+    def boundaries(self, i, n):
+        """B_i(x^(n)) = im d_(i+1), kept; zero in the top degree."""
+        if ("B", i, n) not in self._spans:
+            top = i == self._layout.degrees[-1]
+            B = self.chains(i).zero_span() if top else hom_image_span(self.differential(n, i + 1).hom)
+            self._spans["B", i, n] = B
+        return self._spans["B", i, n]
 
     def transition_component(self, i, m, n):
-        """Single degree-i component of the transition, on the layout alone:
-        no level is built (commutation is a theorem, exercised by the
-        tests)."""
+        """Single degree-i component of the transition x^(m) -> x^(n), on the
+        layout alone: no differential is built (commutation is a theorem,
+        exercised by the tests)."""
         return self._layout.transition(self._powers(m - n), i)
 
-    def induced(self, i, m, n):
-        """H_i(x^(m)) -> H_i(x^(n)); only `pro_zero_index` (the weak profile) uses it."""
-        comp = self.transition_component(i, m, n)
-        src, tgt = self.homology(i, m), self.homology(i, n)
-        return ModuleHom(src.module, tgt.module, induced_hom(comp, src.data, tgt.data))
+
+def _transition_image(tower, i, m, n):
+    """(tau Z_i(x^(m)) + B_i(x^(n)), B_i(x^(n))) as canonical spans of C_i,
+    for tau the degree-i transition x^(m) -> x^(n), m >= n: the classes of
+    the image of H_i(x^(m)) -> H_i(x^(n)), and of zero.  The map is zero
+    exactly when the two are equal, and its image is their subquotient.
+    For m = n, tau is the identity and B lies in Z: the pair is (Z, B)."""
+    bounds = tower.boundaries(i, n)
+    if m == n:
+        return tower.cycles(i, n), bounds
+    tau = tower.transition_component(i, m, n).matrix
+    moved = (tau * tower.cycles(i, m)).cols_list()
+    return span_lattice(tower.chains(i).group, moved + bounds.cols_list()), bounds
 
 
-def pro_zero_index(x_seq, M, i, n, m_max, tower=None):
-    """Least m >= n with the transition H_i(x^(m); M) -> H_i(x^(n); M) zero,
-    or None when the bound m_max is exhausted."""
-    if i < 1 or n < 1:
-        raise AxiomViolation("pro-zero search needs i >= 1 and n >= 1")
-    if tower is None:
-        tower = KoszulTower(x_seq, M)
-    if tower.homology(i, n).module.is_zero_module():
-        return n
-    for m in range(n, m_max + 1):
-        if tower.induced(i, m, n).is_zero_map():
+def pro_zero_index(tower, i, n, m_max):
+    """Least m >= n with the transition H_i(x^(m); M) -> H_i(x^(n); M) of
+    the tower's levels zero, or None when the bound m_max is exhausted.
+    m = n, where the transition is the identity and so zero exactly when
+    H_i(x^(n)) = 0, is always tried.  Each m is one span comparison
+    (`_transition_image`)."""
+    k = len(tower.x_seq)
+    if not 1 <= i <= k:
+        raise AxiomViolation(f"pro-zero search needs 1 <= i <= {k}, got i = {i}")
+    if n < 1:
+        raise AxiomViolation("pro-zero search needs n >= 1")
+    for m in range(n, max(m_max, n) + 1):
+        image, bounds = _transition_image(tower, i, m, n)
+        if image == bounds:
             return m
     return None
 
@@ -546,11 +538,9 @@ def _homology_limit(tower, i):
     """lim_m H_i of the tower's levels: the image of H_i(x^(2n)) -> H_i(x^(n))
     at n = bit_length(|R|) (at least 1), as the one subquotient
     (tau Z_i(x^(2n)) + B_i(x^(n))) / B_i(x^(n)) of C_i(x^(n)), Z the cycles,
-    B the boundaries, tau the degree-i transition.  tau maps cycles to
-    cycles, so this is the set of classes [tau z]: that image itself.
-    It reads C_i, d_(i+1) of level n, d_i of level 2n and tau in degree i,
-    so both levels are built in degrees (i, i + 1) only; each still
-    checks d_i o d_(i+1) = 0.
+    B the boundaries, tau the degree-i transition (`_transition_image`).
+    It builds d_(i+1) of level n and d_i of level 2n, and no other
+    differential.
 
     Why it is the limit: each strict step of R > xR > x^2 R > ...
     at least halves the ideal, so n exceeds every Fitting index c of the
@@ -566,15 +556,7 @@ def _homology_limit(tower, i):
     Mittag-Leffler, Weibel 3.5), and tau restricts to isomorphisms between
     them: the image at level n is the limit."""
     n = tower.M.ring.order().bit_length()
-    low = tower.level(n, (i, i + 1)).complex
-    high = tower.level(2 * n, (i, i + 1)).complex
-    X = low.module(i)
-    d, d_up = high.differential(i), low.differential(i + 1)
-    cycles = hom_kernel_span(d.hom) if d is not None else X.full_span()
-    bounds = hom_image_span(d_up.hom) if d_up is not None else X.zero_span()
-    tau = tower.transition_component(i, 2 * n, n).matrix
-    image = span_lattice(X.group, (tau * cycles).cols_list() + bounds.cols_list())
-    return subquotient_module(X, image, bounds).module
+    return subquotient_module(tower.chains(i), *_transition_image(tower, i, 2 * n, n)).module
 
 
 def cech_homology(x_seq, M, i):
@@ -606,9 +588,10 @@ def cech_tor_compare(M, N, x_seq, i, resolution_length):
     One resolution L serves both sides: Tor is balanced, so Tor_i(Lambda, N)
     is H_i(Lambda tensor L), the empty-sequence Koszul complex on the
     completion Lambda with L.  The tests check it against the route of
-    `derived_functor`, which resolves Lambda instead.  Each side builds
-    only degrees (i, i + 1): two levels of the tower for the limit, one
-    complex Lambda tensor L for Tor.
+    `derived_functor`, which resolves Lambda instead.  Both sides are read
+    as spans (`_transition_image`): the limit off the tower of x on M, and
+    Tor as H_i at level 1 of the empty-sequence tower on Lambda, from its
+    d_i and d_(i+1) alone.
 
     Returns (lhs, rhs, agree), agree from `modules_isomorphic`: when the
     two sides are equal modules the identity is the isomorphism shown;
@@ -621,5 +604,6 @@ def cech_tor_compare(M, N, x_seq, i, resolution_length):
     res = free_resolution(N, resolution_length)
     lhs = _homology_limit(KoszulTower(x_seq, M, res), i)
     lam, _ = adic_completion(M, Ideal(M.ring, tuple(x_seq)))
-    rhs = _KoszulLayout(0, lam, res).level((), (i, i + 1)).complex.homology(i).module
+    tor = KoszulTower((), lam, res)
+    rhs = subquotient_module(tor.chains(i), *_transition_image(tor, i, 1, 1)).module
     return lhs, rhs, modules_isomorphic(lhs, rhs)

@@ -842,7 +842,7 @@ def local_cohomology(M, I, i):
     [4, 1]
     """
     if i < 0:
-        raise DimensionMismatch("local cohomology degree must be >= 0")
+        raise AxiomViolation("negative cohomological degree")
     if i >= 1:
         return zero_module(M.ring)
     e = stable_idempotent(I)

@@ -273,9 +273,6 @@ def parse_spec(text, kind=None):
         name: [_resolve_element(R, named, ref) for ref in _field(seq_specs, name, list)]
         for name in seq_specs
     }
-    if analysis.get("kind") == "profile" and analysis.get("profile") == "weak":
-        if bounds.get("i_max", 1) < 1:
-            raise BoundViolation("i_max must be >= 1 for weak profiles")
     return TaskSpec(R, named, modules, sequences, analysis, bounds, seed, doc, None)
 
 
@@ -365,7 +362,10 @@ def run_profile_task(task):
         elif kind == "gm":
             prof = gm_profile(M, seq, n_max, m_max)
         elif kind == "weak":
-            prof = weak_profile(M, seq, n_max, m_max, task.bounds.get("i_max"))
+            i_max = task.bounds.get("i_max")
+            if i_max is not None and i_max > len(seq):
+                raise BoundViolation(f"bound i_max {i_max} exceeds the sequence length {len(seq)}")
+            prof = weak_profile(M, seq, n_max, m_max, i_max)
         else:
             raise ParseError(f"unknown profile kind {kind!r}")
         results[kind] = _profile_payload(prof)

@@ -38,6 +38,7 @@ from prokit.modules import (
     zero_module,
 )
 from prokit.complexes import (
+    ComplexMap,
     KoszulTower,
     _homology_limit,
     cech_cohomology,
@@ -47,9 +48,9 @@ from prokit.complexes import (
     colon_identification,
     koszul_complex,
     koszul_powers,
-    koszul_transition,
     pro_zero_index,
 )
+from prokit.analysis import weak_profile
 from prokit.randgen import random_instance, random_ring, rng_from_seed
 from prokit.rings import fitting_split, ideal, truncated_two_power, zero_ring, zmod
 from prokit.modules import cyclic_quotient_module
@@ -109,22 +110,21 @@ def test_koszul_h0_and_top_match_direct_computations():
 def test_koszul_transition_identity_and_nilpotent():
     R = zmod(8)
     M = ring_as_module(R)
-    x = [R.from_int(2)]
-    cmap, src, tgt = koszul_transition(x, 1, 1, M)
-    assert cmap.component(1).hom.equals_map(GroupHom.identity(src.packs[1][0].group))
+    ref = _ReferenceTower(KoszulTower([R.from_int(2)], M))
+    cmap = ref.transition(1, 1)
+    assert cmap.component(1).hom.equals_map(GroupHom.identity(ref.level(1).packs[1][0].group))
     # m=4, n=1: multiplication by 2^3 = 0 on Z/8
-    cmap2, _, _ = koszul_transition(x, 4, 1, M)
-    assert cmap2.component(1).is_zero_map()
+    assert ref.transition(4, 1).component(1).is_zero_map()
 
 
 def test_koszul_transition_functorial():
     R = zmod(12)
     M = ring_as_module(R)
     xs = [R.from_int(2), R.from_int(6)]
-    tower = KoszulTower(xs, M)
-    direct = tower.transition(4, 1)
-    step = tower.transition(2, 1)
-    step2 = tower.transition(4, 2)
+    ref = _ReferenceTower(KoszulTower(xs, M))
+    direct = ref.transition(4, 1)
+    step = ref.transition(2, 1)
+    step2 = ref.transition(4, 2)
     for j in range(3):
         lhs = direct.component(j).hom
         rhs = step.component(j).hom.compose(step2.component(j).hom)
@@ -134,17 +134,83 @@ def test_koszul_transition_functorial():
 def test_pro_zero_index_examples():
     R = zmod(8)
     M = ring_as_module(R)
-    assert pro_zero_index([R.from_int(2)], M, 1, 1, 10) == 4
-    assert pro_zero_index([R.from_int(3)], M, 1, 1, 10) == 1
+    assert pro_zero_index(KoszulTower([R.from_int(2)], M), 1, 1, 10) == 4
+    assert pro_zero_index(KoszulTower([R.from_int(3)], M), 1, 1, 10) == 1
     Rt, x, one = truncated_two_power(3)
     Mt = ring_as_module(Rt)
-    assert pro_zero_index([x], Mt, 1, 1, 10) == 4
+    assert pro_zero_index(KoszulTower([x], Mt), 1, 1, 10) == 4
 
 
 def test_pro_zero_inconclusive_is_none():
     R = zmod(8)
     M = ring_as_module(R)
-    assert pro_zero_index([R.from_int(2)], M, 1, 1, 2) is None
+    assert pro_zero_index(KoszulTower([R.from_int(2)], M), 1, 1, 2) is None
+
+
+def test_pro_zero_index_rejects_a_degree_outside_the_sequence():
+    # H_i of a k-element sequence is searched for 1 <= i <= k only
+    R = zmod(8)
+    tower = KoszulTower([R.from_int(2)], ring_as_module(R))
+    for i in (0, 2):
+        with pytest.raises(AxiomViolation, match="1 <= i <= 1"):
+            pro_zero_index(tower, i, 1, 10)
+    with pytest.raises(AxiomViolation):
+        pro_zero_index(KoszulTower([], ring_as_module(R)), 1, 1, 10)
+
+
+def _weak_profile_cases():
+    """(M, seq, n_max, m_max, i_max): the draws of acceptance criteria 05
+    and 07 at the default budget; and the degenerate inputs at the default
+    budget, at a budget below n_max, and with i_max below k."""
+    rng = rng_from_seed(0xA005)
+    for _ in range(120):
+        R, M, seq = random_instance(rng, k_max=3)
+        yield M, seq, 2, None, None
+    for R, M, seq in _degenerate_cases():
+        yield M, seq, 2, None, None
+        yield M, seq, 3, 1, None
+        if len(seq) > 1:
+            yield M, seq, 2, None, len(seq) - 1
+
+
+def test_weak_profile_matches_the_smith_presented_reference():
+    # every entry against H_i presented by `ChainComplex.homology` of full
+    # levels and the transitions induced on the presentations
+    kinds = set()
+    for M, seq, n_max, m_max, i_max in _weak_profile_cases():
+        prof = weak_profile(M, seq, n_max, m_max, i_max)
+        ref = _ReferenceTower(KoszulTower(seq, M))
+        expected = {
+            (i, n): _reference_pro_zero_index(ref, i, n, prof.m_max)
+            for i in range(1, prof.length + 1)
+            for n in range(1, n_max + 1)
+        }
+        assert prof.entries == expected, (M.ring, seq, n_max, m_max, i_max)
+        kinds |= {"none" if m is None else (m > n) for (_, n), m in prof.entries.items()}
+    assert kinds == {"none", True, False}
+
+
+def test_weak_profile_presents_no_homology(monkeypatch):
+    # each pro-zero test is one span comparison in the level-n chains
+    import prokit.analysis as an
+    import prokit.complexes as cx
+    import prokit.modules as md
+
+    calls = []
+    real = md.subquotient_module
+    for mod in (md, cx, an):
+        monkeypatch.setattr(mod, "subquotient_module", lambda *a: calls.append(a) or real(*a))
+    R = zmod(12)
+    T, t, _ = truncated_two_power(3)
+    entries = []
+    for M, seq in (
+        (ring_as_module(R), [R.from_int(2), R.from_int(3)]),
+        (ring_as_module(R), [R.from_int(6), R.from_int(4)]),
+        (ring_as_module(T), [t, T.from_int(2)]),
+    ):
+        entries += weak_profile(M, seq, 2).entries.items()
+    assert any(m > n for (_, n), m in entries)
+    assert calls == []
 
 
 def test_colon_identification_z8():
@@ -311,17 +377,76 @@ def stable_limit(system):
     return limit_mod, s
 
 
+# ---------------------------------------------------------------------------
+# The Smith-presented route for Koszul homology: every H_i(x^(n)) presented
+# as a subquotient module of a full level, and every transition between
+# them induced on the presentations by `induced_hom`.  `prokit.complexes`
+# reads both as spans of the level-n chains (`_transition_image`); this
+# route is the independent answer the tests compare against.
+
+
+class _ReferenceTower:
+    """Full levels of a tower's sequence, module and resolution, each a
+    fresh `koszul_complex` of x^(n), with their homology and the
+    transitions between them."""
+
+    def __init__(self, tower):
+        self.tower = tower
+        self._levels = {}
+        self._homology = {}
+
+    def level(self, n):
+        if n not in self._levels:
+            t = self.tower
+            self._levels[n] = koszul_complex(koszul_powers(t.x_seq, n), t.M, t._layout.res)
+        return self._levels[n]
+
+    def homology(self, i, n):
+        """H_i(x^(n)) as a SubquotientData, from `ChainComplex.homology`."""
+        if (i, n) not in self._homology:
+            self._homology[(i, n)] = self.level(n).complex.homology(i)
+        return self._homology[(i, n)]
+
+    def induced(self, i, m, n):
+        """H_i(x^(m)) -> H_i(x^(n)), induced by the degree-i transition."""
+        comp = self.tower.transition_component(i, m, n)
+        src, tgt = self.homology(i, m), self.homology(i, n)
+        return ModuleHom(src.module, tgt.module, induced_hom(comp, src.data, tgt.data))
+
+    def transition(self, m, n):
+        """The chain map of full levels x^(m) -> x^(n), m >= n; building it
+        checks that every component commutes with the differentials."""
+        src, tgt = self.level(m).complex, self.level(n).complex
+        comps = {
+            j: ModuleHom(X, tgt.modules[j], self.tower.transition_component(j, m, n))
+            for j, X in src.modules.items()
+        }
+        return ComplexMap(src, tgt, comps)
+
+
+def _reference_pro_zero_index(ref, i, n, m_max):
+    """The least m >= n whose induced map H_i(x^(m)) -> H_i(x^(n)) is zero,
+    or None; n itself when H_i(x^(n)) = 0."""
+    if ref.homology(i, n).module.is_zero_module():
+        return n
+    for m in range(n, m_max + 1):
+        if ref.induced(i, m, n).is_zero_map():
+            return m
+    return None
+
+
 def _reference_homology_limit(tower, i):
     """stable_limit of the inverse system H_i of the tower's levels
     n = 1, 2, ..., with the induced adjacent transitions: the range starts
     at 4 and doubles on NotStabilized up to a cap set by the size of the
     tower's module."""
+    ref = _ReferenceTower(tower)
     cap = max(6, 2 * max(tower.M.order(), 2).bit_length() + 2)
     attempt = 4
     adjacent = []
     while True:
-        modules = [tower.homology(i, n).module for n in range(1, attempt + 1)]
-        adjacent += [tower.induced(i, n + 1, n) for n in range(len(adjacent) + 1, attempt)]
+        modules = [ref.homology(i, n).module for n in range(1, attempt + 1)]
+        adjacent += [ref.induced(i, n + 1, n) for n in range(len(adjacent) + 1, attempt)]
         try:
             limit, _ = stable_limit(InverseSystem(modules, adjacent))
             return limit
@@ -440,29 +565,48 @@ def test_cech_homology_higher_vanishes():
     assert cech_homology([R.from_int(2)], M, 1).is_zero_module()
 
 
-def test_cech_homology_builds_levels_n_and_2n(monkeypatch):
-    # over Z/2 x Z/4 x Z/8 (order 64) the stable level is n = 7: the limit
-    # reads levels 7 and 14 and nothing else, with no stabilized-limit search
+def _count_koszul_differentials(monkeypatch):
+    """Hook the towers: each Koszul differential assembled, as (length of
+    the tower's sequence, level, degree), and the arguments of each
+    KoszulTower and layout built."""
     import prokit.complexes as cx
 
-    levels, builds = [], []
-    real_tower, real_layout = cx.KoszulTower.level, cx._KoszulLayout.level
+    built, towers, layouts = [], [], []
+    real_diff = cx.KoszulTower.differential
+    real_tower, real_layout = cx.KoszulTower.__init__, cx._KoszulLayout.__init__
 
-    def recording(self, n, degrees=None):
-        if n not in self._levels:
-            levels.append(n)
-        return real_tower(self, n, degrees)
+    def differential(self, n, d):
+        if (n, d) not in self._diffs:
+            built.append((len(self.x_seq), n, d))
+        return real_diff(self, n, d)
 
-    def counting(self, x_seq, degrees=None):
-        builds.append(x_seq)
-        return real_layout(self, x_seq, degrees)
+    monkeypatch.setattr(cx.KoszulTower, "differential", differential)
+    monkeypatch.setattr(
+        cx.KoszulTower, "__init__", lambda self, *a: towers.append(a) or real_tower(self, *a)
+    )
+    monkeypatch.setattr(
+        cx._KoszulLayout, "__init__", lambda self, *a: layouts.append(a) or real_layout(self, *a)
+    )
+    return built, towers, layouts
 
-    monkeypatch.setattr(cx.KoszulTower, "level", recording)
-    monkeypatch.setattr(cx._KoszulLayout, "level", counting)
+
+def test_cech_homology_builds_levels_n_and_2n(monkeypatch):
+    # over Z/2 x Z/4 x Z/8 (order 64) the stable level is n = 7: the limit
+    # reads d_(i+1) of level 7 and d_i of level 14 and nothing else, with no
+    # stabilized-limit search; on one element, H_0 reads d_1 of level 7
+    # alone and H_1 d_1 of level 14 alone
+    import prokit.complexes as cx
+
+    built, _, _ = _count_koszul_differentials(monkeypatch)
     R, x, _ = truncated_two_power(3)
-    assert cech_homology([x], ring_as_module(R), 1).is_zero_module()
-    assert levels == [7, 14]
-    assert len(builds) == 2
+    M = ring_as_module(R)
+    assert not cech_homology([x], M, 0).is_zero_module()
+    assert built == [(1, 7, 1)]
+    assert cech_homology([x], M, 1).is_zero_module()
+    assert built == [(1, 7, 1), (1, 14, 1)]
+    built.clear()
+    assert cech_homology([x, x], M, 1).is_zero_module()
+    assert built == [(2, 7, 2), (2, 14, 1)]
     assert not hasattr(cx, "stable_limit") and not hasattr(cx, "InverseSystem")
 
 
@@ -480,12 +624,12 @@ def test_homology_limit_is_one_subquotient_of_the_level_n_chains(monkeypatch):
         for i in range(len(seq) + 1):
             sq, groups, homologies = [], [], []
             real_sq, real_group = md.subquotient_module, md.subquotient_group
-            real_h = cx.KoszulTower.homology
+            real_h = cx.ChainComplex.homology
             record = homologies.append
             with monkeypatch.context() as mp:
                 mp.setattr(cx, "subquotient_module", lambda *a: sq.append(a) or real_sq(*a))
                 mp.setattr(md, "subquotient_group", lambda *a: groups.append(a) or real_group(*a))
-                mp.setattr(cx.KoszulTower, "homology", lambda t, *a: record(a) or real_h(t, *a))
+                mp.setattr(cx.ChainComplex, "homology", lambda c, *a: record(a) or real_h(c, *a))
                 limit = _homology_limit(tower, i)
             assert (len(sq), len(groups), homologies) == (1, 1, []), (seq, i)
             _assert_same_module(limit, _reference_homology_limit(tower, i), (seq, i))
@@ -502,18 +646,21 @@ def test_level_2n_squares_level_n_and_transitions_raise_no_power(monkeypatch):
     seq = [x, R.from_int(2)]
     n = R.order().bit_length()
     tower = KoszulTower(seq, M, free_resolution(M, 2))
-    low = tower.level(n)
+    blocks = tower._layout.blocks
+    for d in list(blocks)[1:]:
+        tower.differential(n, d)
     powers = []
     real_pow, real = RingElement.__pow__, FgModule.action_hom
     monkeypatch.setattr(RingElement, "__pow__", lambda a, e: powers.append(e) or real_pow(a, e))
-    high = tower.level(2 * n)
-    assert high.sequence == tuple(y * y for y in low.sequence)
-    for i in low.blocks:
+    for d in list(blocks)[1:]:
+        tower.differential(2 * n, d)
+    assert tower._powers(2 * n) == tuple(y * y for y in tower._powers(n))
+    for i in blocks:
         actions = []
         with monkeypatch.context() as mp:
             mp.setattr(FgModule, "action_hom", lambda self, r: actions.append(r) or real(self, r))
             tower.transition_component(i, 2 * n, n)
-        assert len(actions) == len({S for S, _, _ in low.blocks[i]}), i
+        assert len(actions) == len({S for S, _, _ in blocks[i]}), i
     assert powers == []
 
 
@@ -603,12 +750,10 @@ def test_tensored_koszul_tower_transition_commutes():
             )
             N = cyclic_quotient_module(R, ideal(R, [R.from_int(rng.choice([2, 3, 4, 6]))]))
             res = free_resolution(N, rng.randint(2, 3))
-            tower = KoszulTower(xs, M, res)
+            ref = _ReferenceTower(KoszulTower(xs, M, res))
             m, n = rng.choice([(2, 1), (3, 1), (3, 2)])
-            cmap = tower.transition(m, n)
-            for i in sorted(tower.level(m).blocks):
-                assert cmap.component(i).hom.equals_map(tower.transition_component(i, m, n))
-            kos = tower.level(m)
+            ref.transition(m, n)
+            kos = ref.level(m)
             for d in sorted(kos.blocks)[1:]:
                 diff = kos.complex.differential(d).hom
                 for S, q, u in kos.blocks[d]:
@@ -629,7 +774,8 @@ def test_koszul_transition_degree2_multiplier():
     R = zmod(12)
     M = ring_as_module(R)
     xs = [R.from_int(2), R.from_int(3)]
-    cmap, src, tgt = koszul_transition(xs, 2, 1, M)
+    ref = _ReferenceTower(KoszulTower(xs, M))
+    cmap, src, tgt = ref.transition(2, 1), ref.level(2), ref.level(1)
     expected = M.action_hom(xs[0] * xs[1])
     # the degree-2 packs hold a single block, so the component is the action
     comp = cmap.component(2).hom
@@ -699,25 +845,27 @@ def _tower_cases():
 
 
 def test_tower_levels_match_fresh_koszul_complexes():
-    # the tower shares one layout across its levels; each level must equal
-    # a fresh koszul_complex of x^(n), and the per-degree reference build
+    # the tower shares one layout across its levels; each differential of
+    # level n must equal that of a fresh koszul_complex of x^(n), and the
+    # per-degree reference build
     for xs, M, res in _tower_cases():
         tower = KoszulTower(xs, M, res)
+        layout = tower._layout
         for n in range(1, 5):
-            level = tower.level(n)
             xn = koszul_powers(xs, n)
             fresh = koszul_complex(xn, M, res)
             ref_blocks, ref_modules, ref_diffs = _reference_koszul_diffs(xn, M, res)
-            assert level.blocks == fresh.blocks == ref_blocks
-            assert level.index == fresh.index
-            assert level.complex.modules == fresh.complex.modules == ref_modules
-            assert set(level.complex.diffs) == set(fresh.complex.diffs) == set(ref_diffs)
-            for d, diff in level.complex.diffs.items():
-                assert diff.hom.matrix == fresh.complex.diffs[d].hom.matrix == ref_diffs[d]
-            for d, (X, injs, projs) in level.packs.items():
-                assert X == fresh.packs[d][0]
-                assert [f.hom.matrix for f in injs] == [f.hom.matrix for f in fresh.packs[d][1]]
-                assert [f.hom.matrix for f in projs] == [f.hom.matrix for f in fresh.packs[d][2]]
+            assert layout.blocks == fresh.blocks == ref_blocks
+            assert layout.index == fresh.index
+            assert {d: tower.chains(d) for d in layout.degrees} == fresh.complex.modules == ref_modules
+            assert set(layout.degrees[1:]) == set(fresh.complex.diffs) == set(ref_diffs)
+            for d in layout.degrees[1:]:
+                diff = tower.differential(n, d)
+                assert diff.hom.matrix == fresh.complex.differential(d).hom.matrix == ref_diffs[d]
+            for d, (X, injs, projs) in fresh.packs.items():
+                assert X == layout.pack(d)[0]
+                assert [f.hom.matrix for f in injs] == [f.hom.matrix for f in layout.pack(d)[1]]
+                assert [f.hom.matrix for f in projs] == [f.hom.matrix for f in layout.pack(d)[2]]
 
 
 def test_tower_forms_one_module_power_per_block_count(monkeypatch):
@@ -728,8 +876,9 @@ def test_tower_forms_one_module_power_per_block_count(monkeypatch):
         monkeypatch.setattr(cx, "module_power", lambda N, s: calls.append(s) or module_power(N, s))
         tower = KoszulTower(xs, M, res)
         for n in range(1, 5):
-            tower.level(n)
-        counts = {len(b) for b in tower.level(1).blocks.values()}
+            for d in tower._layout.degrees[1:]:
+                tower.differential(n, d)
+        counts = {len(b) for b in tower._layout.blocks.values()}
         assert sorted(calls) == sorted(counts)
 
 
@@ -874,7 +1023,7 @@ def test_tor_homology_limit_matches_stabilized_reference():
             _assert_same_module(new, _reference_homology_limit(tower, i), (R, seq, i))
 
 
-def _restricted_level_cases():
+def _tensored_tower_cases():
     """(seq, M, N, L): the tensored towers of acceptance criterion 11 at
     resolution lengths 1 and 2, and the degenerate inputs with N = M and
     with the zero module (all ranks 0)."""
@@ -887,38 +1036,32 @@ def _restricted_level_cases():
         yield seq, M, zero_module(R), 1
 
 
-def test_restricted_levels_equal_the_same_degrees_of_full_levels():
-    # a level built for (i, i + 1) holds d_i, d_(i+1) and their modules,
-    # each equal to the full level's, for every i up to the top degree
-    import prokit.complexes as cx
-
-    for seq, M, N, L in _restricted_level_cases():
+def test_tower_differentials_equal_those_of_full_levels():
+    # at the levels n and 2n the limit reads, each differential of the
+    # tower, built alone and in the order H_i reads them (d_(i+1) of level
+    # n, then d_i of level 2n), equals the full level's, and so does each
+    # module of chains, up to the top degree
+    for seq, M, N, L in _tensored_tower_cases():
         res = free_resolution(N, L)
         n = M.ring.order().bit_length()
-        for xs in (koszul_powers(seq, n), koszul_powers(seq, 2 * n)):
-            full = koszul_complex(xs, M, res)
-            top = len(seq) + L
-            for i in range(top + 1):
-                part = cx._KoszulLayout(len(seq), M, res).level(xs, (i, i + 1))
-                mods = {d for d in (i - 1, i, i + 1) if 0 <= d <= top}
-                diffs = {d for d in (i, i + 1) if 1 <= d <= top}
-                assert set(part.complex.modules) == set(part.packs) == mods, (seq, i)
-                assert set(part.complex.diffs) == diffs, (seq, i)
-                assert part.blocks == full.blocks and part.index == full.index
-                for d in mods:
-                    X, injs, projs = part.packs[d]
-                    assert X == full.packs[d][0] == full.complex.modules[d]
-                    assert [f.hom.matrix for f in injs] == [f.hom.matrix for f in full.packs[d][1]]
-                    assert [f.hom.matrix for f in projs] == [f.hom.matrix for f in full.packs[d][2]]
-                for d in diffs:
-                    assert part.complex.diffs[d].hom.matrix == full.complex.diffs[d].hom.matrix
+        tower = KoszulTower(seq, M, res)
+        top = len(seq) + L
+        for i in range(top + 1):
+            _homology_limit(tower, i)
+        for level in (n, 2 * n):
+            full = koszul_complex(koszul_powers(seq, level), M, res)
+            assert tower._layout.blocks == full.blocks and tower._layout.index == full.index
+            assert {d: tower.chains(d) for d in range(top + 1)} == full.complex.modules
+            assert set(full.complex.diffs) == set(range(1, top + 1)), seq
+            for d, diff in full.complex.diffs.items():
+                assert tower.differential(level, d).hom.matrix == diff.hom.matrix, (seq, level, d)
 
 
 def test_restricted_limits_match_stabilized_reference():
-    # the limit on restricted levels, and Tor_i(Lambda, N) read off Lambda
-    # tensor L in degrees (i, i + 1), against the full-level routes, up to
-    # i = L - 1
-    for seq, M, N, L in _restricted_level_cases():
+    # the limit, and Tor_i(Lambda, N) read as spans of level 1 of the
+    # empty-sequence tower on Lambda with L, against the full-level routes,
+    # up to i = L - 1
+    for seq, M, N, L in _tensored_tower_cases():
         res = free_resolution(N, L)
         for i in range(L):
             new = _homology_limit(KoszulTower(seq, M, res), i)
@@ -931,29 +1074,62 @@ def test_restricted_limits_match_stabilized_reference():
             _assert_same_module(rhs, tor, (seq, i))
 
 
-def test_tor_compare_assembles_two_differentials_per_level(monkeypatch):
-    # Z/12, x = (2, 3), L of length 2: a full level has 4 differentials and
-    # Lambda tensor L has 2; each side builds d_i and d_(i+1) only, and
-    # checks d_i o d_(i+1) = 0 once per level
-    import prokit.complexes as cx
-
-    built, composed = [], []
-    real_level, real_compose = cx._KoszulLayout.level, ModuleHom.compose
-
-    def level(self, xs, degrees=None):
-        out = real_level(self, xs, degrees)
-        built.append(sorted(out.complex.diffs))
-        return out
-
-    monkeypatch.setattr(cx._KoszulLayout, "level", level)
+def test_tor_compare_builds_only_the_differentials_its_spans_read(monkeypatch):
+    # Z/12 (stable level 4), x = (2, 3), L of length 2: a full level has 4
+    # differentials and Lambda tensor L has 2.  The limit builds d_(i+1) of
+    # level 4 and d_i of level 8, the Tor side d_(i+1) and d_i of Lambda
+    # tensor L; only the Tor side builds an adjacent pair, and it checks
+    # d_i o d_(i+1) = 0 once
+    built, _, _ = _count_koszul_differentials(monkeypatch)
+    composed = []
+    real_compose = ModuleHom.compose
     monkeypatch.setattr(ModuleHom, "compose", lambda f, g: composed.append(1) or real_compose(f, g))
     R = zmod(12)
     M = ring_as_module(R)
+    expected = {
+        0: [(2, 4, 1), (0, 1, 1)],
+        1: [(2, 4, 2), (2, 8, 1), (0, 1, 2), (0, 1, 1)],
+    }
     for i in (0, 1):
         built.clear(), composed.clear()
         cech_tor_compare(M, M, [R.from_int(2), R.from_int(3)], i, i + 2)
-        assert built == [[d for d in (i, i + 1) if d >= 1]] * 3, i
-        assert len(composed) == 3 * (i >= 1), i
+        assert built == expected[i], i
+        assert len(composed) == (i >= 1), i
+
+
+def test_tower_checks_each_adjacent_pair_of_differentials_once(monkeypatch):
+    # d_(d-1) o d_d is checked when the second map of the pair is built,
+    # whichever of the two comes first
+    composed = []
+    real_compose = ModuleHom.compose
+    monkeypatch.setattr(ModuleHom, "compose", lambda f, g: composed.append((f, g)) or real_compose(f, g))
+    R = zmod(12)
+    tower = KoszulTower([R.from_int(2), R.from_int(3), R.from_int(6)], ring_as_module(R))
+    for d in (3, 1, 2, 1, 3):
+        tower.differential(1, d)
+    d1, d2, d3 = (tower.differential(1, d) for d in (1, 2, 3))
+    assert composed == [(d1, d2), (d2, d3)]
+
+
+def test_tower_rejects_a_differential_that_fails_d_after_d(monkeypatch):
+    # without the face signs, d_1 o d_2 = 2 x_1 x_2 is not zero; the tower
+    # raises on the second map of the pair and does not keep it
+    import prokit.complexes as cx
+
+    real = cx._KoszulLayout.diff_blocks
+
+    def unsigned(self, d):
+        faces, res_part = real(self, d)
+        return [(t, s, e, 1) for t, s, e, _ in faces], res_part
+
+    monkeypatch.setattr(cx._KoszulLayout, "diff_blocks", unsigned)
+    R = zmod(12)
+    tower = KoszulTower([R.one(), R.one()], ring_as_module(R))
+    tower.differential(1, 1)
+    with pytest.raises(AxiomViolation, match="d_1 after d_2 is not zero at level 1"):
+        tower.differential(1, 2)
+    with pytest.raises(AxiomViolation):
+        tower.differential(1, 2)
 
 
 def test_cech_tor_compare_rejects_a_negative_degree():

@@ -178,14 +178,14 @@ def test_gm_profile_against_enumeration():
 def test_pro_zero_against_annihilator_arithmetic():
     # for one element, the transition H_1(x^m) -> H_1(x^n) is zero exactly
     # when x^{m-n} kills the annihilator of x^m: enumeration oracle
-    from prokit.complexes import pro_zero_index
+    from prokit.complexes import KoszulTower, pro_zero_index
 
     for modulus in (8, 12, 16, 18):
         R = zmod(modulus)
         M = ring_as_module(R)
         for xv in range(2, modulus):
             x = R.from_int(xv)
-            got = pro_zero_index([x], M, 1, 1, 20)
+            got = pro_zero_index(KoszulTower([x], M), 1, 1, 20)
             expected = None
             for m in range(1, 21):
                 ann = {r for r in range(modulus) if (pow(xv, m, modulus) * r) % modulus == 0}

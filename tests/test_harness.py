@@ -86,6 +86,31 @@ def test_profile_weak_zero_imax_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "analysis",
+    [{"kind": "profile", "profile": "weak"}, {"kind": "profile", "profiles": ["weak"]}],
+)
+def test_cli_weak_profile_i_max_above_the_sequence_length_is_a_usage_error(
+    analysis, tmp_path, capsys
+):
+    # H_i of a k-element sequence is read for i <= k only: a bound i_max above
+    # k is bad input (exit 64), not a failed check (exit 1)
+    doc = {
+        "schema": 1,
+        "ring": {"kind": "zmod", "m": 8},
+        "sequences": {"s": [2]},
+        "analysis": analysis,
+        "bounds": {"n_max": 2, "i_max": 3},
+    }
+    path = tmp_path / "task.json"
+    path.write_text(json.dumps(doc))
+    assert main(["profile", str(path)]) == 64
+    captured = capsys.readouterr()
+    lines = [line for line in captured.err.splitlines() if line.startswith("prokit:")]
+    assert len(lines) == 1 and "i_max 3" in lines[0] and "length 1" in lines[0], lines
+    assert captured.out == ""
+
+
 def test_report_roundtrip_json():
     task = parse_spec(task_text())
     report = run_task(task)
@@ -391,22 +416,35 @@ def _z12_battery():
 
 
 def test_vanishing_battery_reads_every_cech_homology_degree_off_one_tower(monkeypatch):
-    # Z/12 has stable level n = 4: one tower, its levels 4 and 8
-    import prokit.complexes as cx
+    # Z/12 has stable level n = 4: one tower, and d_1, d_2 of its levels 4
+    # and 8, each assembled once
+    from test_complexes import _count_koszul_differentials
 
-    towers, levels = [], []
-    real_init, real_level = cx.KoszulTower.__init__, cx._KoszulLayout.level
-    monkeypatch.setattr(
-        cx.KoszulTower, "__init__", lambda self, *a: towers.append(a) or real_init(self, *a)
-    )
-    monkeypatch.setattr(
-        cx._KoszulLayout,
-        "level",
-        lambda self, xs, degrees=None: levels.append(xs) or real_level(self, xs, degrees),
-    )
+    built, towers, _ = _count_koszul_differentials(monkeypatch)
     _z12_battery()
     assert len(towers) == 1
-    assert len(levels) == 2
+    assert sorted(built) == [(2, 4, 1), (2, 4, 2), (2, 8, 1), (2, 8, 2)]
+
+
+def test_three_element_battery_builds_each_differential_once(monkeypatch):
+    # Z/2 x Z/4 x Z/8 has stable level n = 7; H_0 .. H_3 read d_1 .. d_3 of
+    # levels 7 and 14, six differentials in all, on one layout
+    from prokit.modules import ring_as_module
+    from prokit.rings import product_ring, zmod
+    from prokit.tasks import _vanishing_battery
+    from test_complexes import _count_koszul_differentials
+
+    built, towers, layouts = _count_koszul_differentials(monkeypatch)
+    factors = [zmod(2), zmod(4), zmod(8)]
+    R, embed = product_ring(factors)
+    seq = [
+        embed([F.from_int(c) for F, c in zip(factors, coords)])
+        for coords in ((0, 2, 2), (1, 0, 2), (0, 1, 4))
+    ]
+    payload, ok, inconclusive = _vanishing_battery(ring_as_module(R), seq)
+    assert not inconclusive and "cech_homology_3_zero" in payload
+    assert sorted(built) == [(3, n, d) for n in (7, 14) for d in (1, 2, 3)]
+    assert len(towers) == 1 and len(layouts) == 1
 
 
 def test_vanishing_battery_splits_each_element_once_per_use(monkeypatch):
@@ -426,13 +464,9 @@ def test_vanishing_battery_splits_each_element_once_per_use(monkeypatch):
 
 def test_vanishing_battery_builds_one_koszul_layout(monkeypatch):
     # the Cech complex and the tower of the Cech homology share one layout
-    import prokit.complexes as cx
+    from test_complexes import _count_koszul_differentials
 
-    layouts = []
-    real_init = cx._KoszulLayout.__init__
-    monkeypatch.setattr(
-        cx._KoszulLayout, "__init__", lambda self, *a: layouts.append(a) or real_init(self, *a)
-    )
+    _, _, layouts = _count_koszul_differentials(monkeypatch)
     _z12_battery()
     assert len(layouts) == 1
 

@@ -8,7 +8,7 @@ from math import gcd
 
 import pytest
 
-from prokit.errors import DimensionMismatch, InvalidSpec
+from prokit.errors import AxiomViolation, DimensionMismatch, InvalidSpec
 from prokit.intlinalg import (
     FinAbGroup,
     GroupElement,
@@ -476,7 +476,7 @@ def test_local_cohomology_examples():
     assert modules_isomorphic(h0, submodule_module(M, torsion_submodule(M, I))[0])
     h1 = local_cohomology(M, I, 1)
     assert h1.is_zero_module()
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(AxiomViolation, match="negative cohomological degree"):
         local_cohomology(M, I, -1)
     # the unit ideal has e = 1, so every degree vanishes, degree 0 included
     unit = ideal(R, [R.one()])
