@@ -90,11 +90,11 @@ class CheckOutcome:
     certificates: tuple = ()
 
 
-def default_budget(M, k, n_max):
-    """n_max + ceil(log2 |M|) * (k + 1); annihilator and power chains in a
-    finite module are shorter than log2 |M|."""
-    o = max(M.order(), 2)
-    return n_max + (o - 1).bit_length() * (k + 1)
+def default_budget(order, k, n_max):
+    """n_max + ceil(log2 |M|) * (k + 1) for a module M of the given order;
+    annihilator and power chains in a finite module are shorter than
+    log2 |M|."""
+    return n_max + (max(order, 2) - 1).bit_length() * (k + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +182,7 @@ def _witness_scan(M, levels, y, n_max, m_max):
 
 def _profile(M, x_seq, kind, n_max, m_max):
     k = len(x_seq)
-    m_max = m_max if m_max is not None else default_budget(M, k, n_max)
+    m_max = m_max if m_max is not None else default_budget(M.order(), k, n_max)
     entries = {}
     for i in range(1, k + 1):
         scan = _witness_scan(M, _levels(M, kind, x_seq[: i - 1]), x_seq[i - 1], n_max, m_max)
@@ -205,7 +205,7 @@ def weak_profile(M, x_seq, n_max, m_max=None, i_max=None):
     indexed by homological degree i = 1..i_max."""
     k = len(x_seq)
     i_max = i_max if i_max is not None else k
-    m_max = m_max if m_max is not None else default_budget(M, k, n_max)
+    m_max = m_max if m_max is not None else default_budget(M.order(), k, n_max)
     tower = KoszulTower(x_seq, M)
     entries = {}
     for i in range(1, i_max + 1):
@@ -422,7 +422,7 @@ def local_global_check(M, x_seq, covering=None, mode=None, n_max=2, m_max=None):
     if inter is None:  # no charts: the diagonal lands in the zero module
         inter = M.full_span()
     diagonal_injective = span_subgroup_order(M.group, inter) == 1
-    m_max = m_max if m_max is not None else default_budget(M, len(x_seq), n_max)
+    m_max = m_max if m_max is not None else default_budget(M.order(), len(x_seq), n_max)
     global_lip = lipman_profile(M, x_seq, n_max, m_max)
     global_weak = weak_profile(M, x_seq, n_max, m_max)
     local_lips = []
@@ -485,7 +485,7 @@ def cartier_check(R, I, x, n_max=3, m_max=None):
     span = I.span
     Q, _ = quotient_module(M, Submodule(M, span))
     c, _ = bounded_torsion_index(Q, x)
-    m_max = m_max if m_max is not None else default_budget(M, 1, n_max)
+    m_max = m_max if m_max is not None else default_budget(M.order(), 1, n_max)
     prof = cartier_profile(R, I, x, n_max, m_max)
     E = matlis_dual(M)
     span_I = torsion_submodule(E, I).span

@@ -335,17 +335,17 @@ def _transition_image(tower, i, m, n):
 
 
 def pro_zero_index(tower, i, n, m_max):
-    """Least m >= n with the transition H_i(x^(m); M) -> H_i(x^(n); M) of
-    the tower's levels zero, or None when the bound m_max is exhausted.
-    m = n, where the transition is the identity and so zero exactly when
-    H_i(x^(n)) = 0, is always tried.  Each m is one span comparison
-    (`_transition_image`)."""
+    """Least m in [n, m_max] with the transition H_i(x^(m); M) ->
+    H_i(x^(n); M) of the tower's levels zero, or None when there is none,
+    so None for n > m_max, as in the colon scans.  At m = n the transition
+    is the identity, zero exactly when H_i(x^(n)) = 0.  Each m is one span
+    comparison (`_transition_image`)."""
     k = len(tower.x_seq)
     if not 1 <= i <= k:
         raise AxiomViolation(f"pro-zero search needs 1 <= i <= {k}, got i = {i}")
     if n < 1:
         raise AxiomViolation("pro-zero search needs n >= 1")
-    for m in range(n, max(m_max, n) + 1):
+    for m in range(n, m_max + 1):
         image, bounds = _transition_image(tower, i, m, n)
         if image == bounds:
             return m

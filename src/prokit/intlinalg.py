@@ -357,31 +357,6 @@ def snf(A: IntMatrix):
     return D, U, V
 
 
-def det(A: IntMatrix):
-    """Exact determinant via fraction-free Gaussian elimination (Bareiss)."""
-    if A.rows != A.cols:
-        raise DimensionMismatch("determinant of non-square matrix")
-    n = A.rows
-    if n == 0:
-        return 1
-    a = A.rows_list()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            _swap_rows(a, k, swap)
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 # ---------------------------------------------------------------------------
 # Finite abelian groups
 

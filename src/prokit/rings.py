@@ -416,15 +416,6 @@ def ideal_sum(I, J):
     return Ideal(I.ring, I.generators + J.generators)
 
 
-def ideal_power(I, n):
-    if n == 0:
-        return Ideal(I.ring, (I.ring.one(),))
-    result = I
-    for _ in range(n - 1):
-        result = ideal_product(result, I)
-    return result
-
-
 def quotient_ring(R, I):
     """Quotient by a proper ideal; the unit ideal is rejected (construct the
     zero ring explicitly when that is what you mean).  Returns (Q, project)."""
@@ -441,17 +432,27 @@ def quotient_ring(R, I):
     return Q, project
 
 
+def truncated_two_power_factors(N):
+    """The factors Z/2^n, n = 1..N, of `truncated_two_power(N)`, each with
+    the image of 2.  Returns [(ring, x)]."""
+    if N < 1:
+        raise InvalidSpec("truncation length must be >= 1")
+    return [(R, R.from_int(2)) for R in (zmod(2 ** n) for n in range(1, N + 1))]
+
+
 def truncated_two_power(N):
     """Truncation of the product of Z/2^n: the ring Z/2 x Z/4 x ... x Z/2^N.
 
     Returns (ring, x, one) with x the image of (2 mod 2^n)_n.
     """
-    if N < 1:
-        raise InvalidSpec("truncation length must be >= 1")
-    factors = [zmod(2 ** n) for n in range(1, N + 1)]
-    ring, embed = product_ring(factors)
-    x = embed([Rf.from_int(2) for Rf in factors])
-    return ring, x, ring.one()
+    return _diagonal_product(truncated_two_power_factors(N))
+
+
+def _diagonal_product(factors):
+    """(ring, x, one) for factors [(R_n, x_n)]: the product of the R_n with
+    x = (x_n)_n."""
+    ring, embed = product_ring([R for R, _ in factors])
+    return ring, embed([x for _, x in factors]), ring.one()
 
 
 def truncated_polynomial(q, n):
@@ -470,14 +471,18 @@ def truncated_polynomial(q, n):
     return ring, ring.element(tuple(1 if k == 1 else 0 for k in range(n)))
 
 
+def truncated_polynomial_factors(q, N):
+    """The factors F_q[t]/(t^n), n = 1..N, of
+    `truncated_polynomial_family(q, N)`, each with the image of t.
+    Returns [(ring, t)]."""
+    return [truncated_polynomial(q, n) for n in range(1, N + 1)]
+
+
 def truncated_polynomial_family(q, N):
     """Product of F_q[t]/(t^n) for n = 1..N with the diagonal image of t;
     the finite analog of the power-series truncation family.  Returns
     (ring, x, one)."""
-    comps = [truncated_polynomial(q, n) for n in range(1, N + 1)]
-    ring, embed = product_ring([c[0] for c in comps])
-    x = embed([c[1] for c in comps])
-    return ring, x, ring.one()
+    return _diagonal_product(truncated_polynomial_factors(q, N))
 
 
 # ---------------------------------------------------------------------------

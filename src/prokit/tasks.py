@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import mul
 
 from . import __version__
 from .errors import (
@@ -20,8 +22,10 @@ from .errors import (
     UnknownReference,
 )
 from .analysis import (
+    Profile,
     bounded_torsion_index,
     cartier_check,
+    default_budget,
     gm_profile,
     injective_criterion,
     is_effective_cartier,
@@ -37,6 +41,7 @@ from .complexes import (
     cech_tor_compare,
     colon_identification,
 )
+from .intlinalg import IntMatrix, cokernel_presentation
 from .modules import (
     adic_completion,
     local_cohomology,
@@ -56,8 +61,10 @@ from .rings import (
     quotient_ring,
     ring_from_raw,
     truncated_polynomial,
+    truncated_polynomial_factors,
     truncated_polynomial_family,
     truncated_two_power,
+    truncated_two_power_factors,
     zmod,
 )
 
@@ -611,36 +618,121 @@ def run_axioms_task(task):
     return results, 0 if not failures else 1
 
 
-def _family_level(family, N):
+def _family_factors(family, hi):
+    """The factors R_1..R_hi of a family, each with its table of names;
+    level N of the family is R_1 x ... x R_N."""
     kind = _field(family, "kind", str)
     if kind == "truncated_two_power":
-        R, x, one = truncated_two_power(N)
+        factors = truncated_two_power_factors(hi)
     elif kind == "truncated_polynomial":
-        R, x, one = truncated_polynomial_family(_field(family, "q", default=2), N)
+        factors = truncated_polynomial_factors(_field(family, "q", default=2), hi)
     else:
         raise ParseError(f"unknown family kind {kind!r}")
-    return R, {"x": x, "one": one, "zero": R.zero()}
+    return [(R, {"x": x, "one": R.one(), "zero": R.zero()}) for R, x in factors]
 
 
-def _sweep_one(R, named, M, seq_refs, N, n_max, m_max, torsion):
-    """One sequence at one level; `torsion` holds the level's bounded
-    torsion indices by element coordinates (refs may be names or
-    coordinate lists), so each element's index is computed once."""
-    seq = [_resolve_element(R, named, ref) for ref in seq_refs]
-    prof = lipman_profile(M, seq, n_max, m_max)
-    for x in seq:
-        if x.coords not in torsion:
-            torsion[x.coords] = bounded_torsion_index(M, x)[0]
-    return {
-        "N": N,
-        "ring_order": R.order(),
-        "profile": _profile_payload(prof),
-        "entry_1_1": prof.entry(1, 1) if prof.conclusive(1, 1) else None,
-        "torsion_indices": [torsion[x.coords] for x in seq],
-    }
+class _FactorSweep:
+    """The factors of a family sweep and their scans, each made once per
+    sweep and read by every level that contains its factor.
+
+    A factor is scanned at the sweep's largest budget: the document's m_max,
+    or else the default budget of the top level's order.  Scans are kept by
+    factor and the coordinates of the sequence there, torsion indices by
+    factor and element."""
+
+    def __init__(self, family, hi, n_max, m_max):
+        self.factors = _family_factors(family, hi)
+        self.modules = [ring_as_module(R) for R, _ in self.factors]
+        # orders[N - 1] is the order of level N
+        self.orders = list(accumulate((R.order() for R, _ in self.factors), mul))
+        self.n_max = n_max
+        self.m_max = m_max
+        self.scans = {}
+        self.torsion = {}
+        self.presentations = {}
+
+    def _budget(self, N, k):
+        if self.m_max is not None:
+            return self.m_max
+        return default_budget(self.orders[N - 1], k, self.n_max)
+
+    def _resolve(self, N, ref):
+        """The element `ref` of level N as its images in R_1..R_N.  A name
+        resolves in each factor's table and an int by `from_int`; a
+        coordinate list is read in the level's additive group, presented
+        over the factors' generators, and lifted to them by the section."""
+        level = self.factors[:N]
+        if not isinstance(ref, (list, tuple)):
+            return [_resolve_element(R, named, ref) for R, named in level]
+        if N not in self.presentations:
+            orders = [d for R, _ in level for d in R.additive.invariant_factors]
+            G, _, S = cokernel_presentation(IntMatrix.zero(len(orders), 0), orders)
+            self.presentations[N] = G, S
+        G, S = self.presentations[N]
+        if len(ref) != G.rank:
+            raise ParseError(f"coordinate vector of length {len(ref)} for rank {G.rank}")
+        try:
+            lift = S.apply(G.reduce(tuple(int(c) for c in ref)))
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"bad coordinate vector {ref!r}: {exc}") from exc
+        parts = []
+        for R, _ in level:
+            parts.append(R.element(lift[: R.rank]))
+            lift = lift[R.rank :]
+        return parts
+
+    def _scan(self, j, seq):
+        key = (j, tuple(x.coords for x in seq))
+        if key not in self.scans:
+            top = self._budget(len(self.factors), len(seq))
+            self.scans[key] = lipman_profile(self.modules[j], seq, self.n_max, top)
+        return self.scans[key]
+
+    def _torsion_index(self, j, x):
+        key = (j, x.coords)
+        if key not in self.torsion:
+            self.torsion[key] = bounded_torsion_index(self.modules[j], x)[0]
+        return self.torsion[key]
+
+    def level(self, N, seq_refs):
+        """One sequence at level N, read off the scans of factors 1..N."""
+        parts = [self._resolve(N, ref) for ref in seq_refs]
+        scans = [self._scan(j, seq) for j, seq in enumerate(zip(*parts))]
+        budget = self._budget(N, len(seq_refs))
+        entries = {}
+        for key in scans[0].entries:
+            ms = [scan.entries[key] for scan in scans]
+            entries[key] = max(ms) if None not in ms and max(ms) <= budget else None
+        prof = Profile("lipman", len(seq_refs), self.n_max, budget, entries)
+        return {
+            "N": N,
+            "ring_order": self.orders[N - 1],
+            "profile": _profile_payload(prof),
+            "entry_1_1": prof.entry(1, 1) if prof.conclusive(1, 1) else None,
+            "torsion_indices": [
+                max(self._torsion_index(j, x) for j, x in enumerate(xs)) for xs in parts
+            ],
+        }
 
 
 def run_family_sweep(task):
+    """Lipman profiles and torsion indices of each level of a truncated
+    family, read off its factors; no product ring is built.
+
+    Level N is R = R_1 x ... x R_N, so M = R splits as the sum of the
+    e_j M, and the levels, colons and inclusions of a witness scan split
+    with it: condition (n, m) holds over R iff it holds on every factor.
+    Validity is upward closed in m: if y u lies in N_m :_M y^m, which is
+    contained in N_n :_M y^(m-n), then u lies in N_n :_M y^(m+1-n).  So the
+    least m that holds on every factor is max_j m_j of the factors' least
+    witnesses, and level N's entry is that maximum when every m_j is found
+    and at most level N's own budget, and inconclusive otherwise.  The
+    annihilators 0 :_M x^c split the same way, so the torsion index is
+    max_j c_j, and the order of level N is the product of the |R_j|.
+    `local_global_check` verifies the same law on the direct route.
+
+    Each (factor, sequence) is scanned once, at the sweep's largest budget,
+    so every level reads the witnesses its budget allows."""
     family = task.family
     lo, hi = _field(family, "range", _int_pair, (2, 4))
     n_max = task.bounds.get("n_max", 2)
@@ -648,15 +740,12 @@ def run_family_sweep(task):
     seqs = task.sequences["_family"]
     results = {"parameters": list(range(lo, hi + 1)), "sequences": []}
     inconclusive = False
-    # each level's ring is built once and serves every sequence; a sweep
-    # with no sequences builds none
     per_sequence = [[] for _ in seqs]
-    for N in range(lo, hi + 1) if seqs else ():
-        R, named = _family_level(family, N)
-        M = ring_as_module(R)
-        torsion = {}
-        for levels, seq_refs in zip(per_sequence, seqs):
-            levels.append(_sweep_one(R, named, M, seq_refs, N, n_max, m_max, torsion))
+    if seqs:  # a sweep with no sequences builds no factor
+        sweep = _FactorSweep(family, hi, n_max, m_max)
+        for N in range(lo, hi + 1):
+            for levels, seq_refs in zip(per_sequence, seqs):
+                levels.append(sweep.level(N, seq_refs))
     for seq_refs, levels in zip(seqs, per_sequence):
         entry_track = [lvl["entry_1_1"] for lvl in levels]
         torsion_track = [max(lvl["torsion_indices"]) for lvl in levels]

@@ -2,7 +2,9 @@
 form, the SNF-based integer linear system and the kernels and preimages
 built on it.  `prokit.intlinalg` solves A x = b by one canonical preimage
 (`_solve`) and keeps `snf` for presentations alone; these are the routes
-it replaced, kept as the independent answers the tests compare against."""
+it replaced, kept as the independent answers the tests compare against.
+The Bareiss determinant `det` is the independent oracle of acceptance
+criterion 01, which checks the Smith form against it."""
 
 from prokit.errors import DimensionMismatch
 from prokit.intlinalg import (
@@ -10,10 +12,36 @@ from prokit.intlinalg import (
     GroupElement,
     IntMatrix,
     _hermite,
+    _swap_rows,
     hom_kernel_span,
     snf,
     subquotient_group,
 )
+
+
+def det(A: IntMatrix):
+    """Exact determinant via fraction-free Gaussian elimination (Bareiss)."""
+    if A.rows != A.cols:
+        raise DimensionMismatch("determinant of non-square matrix")
+    n = A.rows
+    if n == 0:
+        return 1
+    a = A.rows_list()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            _swap_rows(a, k, swap)
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def _relations(G):

@@ -28,12 +28,12 @@ from prokit.modules import Submodule, image_submodule, ring_as_module, zero_modu
 from prokit.randgen import random_instance, rng_from_seed
 from prokit.rings import (
     ideal,
-    ideal_power,
     truncated_polynomial_family,
     truncated_two_power,
     zero_ring,
     zmod,
 )
+from test_rings import ideal_power
 
 
 def test_bounded_torsion_index_z8():
@@ -236,7 +236,7 @@ def test_witness_scan_matches_reference_scan():
 
     for M, seq, (gens, x) in _scan_corpus():
         RM = ring_as_module(M.ring)
-        for m_max in (default_budget(M, len(seq), 3), 3):
+        for m_max in (default_budget(M.order(), len(seq), 3), 3):
             for i in range(1, len(seq) + 1):
                 for kind in ("lipman", "gm"):
                     both(M, kind, seq[: i - 1], seq[i - 1], 3, m_max)
@@ -480,9 +480,9 @@ def test_effective_cartier_examples():
 
 
 def test_default_budget_formula():
-    R = zmod(8)
-    M = ring_as_module(R)
-    assert default_budget(M, 1, 3) == 3 + 3 * 2
+    assert default_budget(ring_as_module(zmod(8)).order(), 1, 3) == 3 + 3 * 2
+    # the zero module's order 1 reads as 2
+    assert default_budget(1, 2, 2) == default_budget(2, 2, 2) == 2 + 1 * 3
 
 
 def test_power_stability_z12_cubed():

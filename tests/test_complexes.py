@@ -425,9 +425,9 @@ class _ReferenceTower:
 
 
 def _reference_pro_zero_index(ref, i, n, m_max):
-    """The least m >= n whose induced map H_i(x^(m)) -> H_i(x^(n)) is zero,
-    or None; n itself when H_i(x^(n)) = 0."""
-    if ref.homology(i, n).module.is_zero_module():
+    """The least m in [n, m_max] whose induced map H_i(x^(m)) -> H_i(x^(n))
+    is zero, or None; n itself when n <= m_max and H_i(x^(n)) = 0."""
+    if n <= m_max and ref.homology(i, n).module.is_zero_module():
         return n
     for m in range(n, m_max + 1):
         if ref.induced(i, m, n).is_zero_map():

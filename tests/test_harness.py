@@ -524,13 +524,26 @@ def test_sweep_fixture_ex1(capsys):
     assert seqs[("one", "x")]["bounded"]["profile_entries"]
 
 
-def test_sweep_builds_each_level_ring_once(monkeypatch):
-    # two sequences over three levels: one ring per level, not per pair
+def test_sweep_builds_no_product_ring_and_scans_each_factor_once(monkeypatch):
+    # two sequences over levels 2..4: each of the factors Z/2..Z/16 is
+    # scanned once per sequence, and no level's product ring is built
+    import prokit.rings as rings
     import prokit.tasks as tasks
 
-    built = []
-    level = tasks._family_level
-    monkeypatch.setattr(tasks, "_family_level", lambda fam, N: built.append(N) or level(fam, N))
+    products, scans = [], []
+    real_product, real_scan = rings.product_ring, tasks.lipman_profile
+
+    def product_ring(factors):
+        products.append(len(factors))
+        return real_product(factors)
+
+    def lipman_profile(M, seq, *bounds):
+        scans.append((M.order(), len(seq)))
+        return real_scan(M, seq, *bounds)
+
+    monkeypatch.setattr(rings, "product_ring", product_ring)
+    monkeypatch.setattr(tasks, "product_ring", product_ring)
+    monkeypatch.setattr(tasks, "lipman_profile", lipman_profile)
     doc = {
         "schema": 1,
         "family": {
@@ -542,27 +555,177 @@ def test_sweep_builds_each_level_ring_once(monkeypatch):
         "bounds": {"n_max": 2},
     }
     report = run_task(parse_spec(json.dumps(doc)))
-    assert built == [2, 3, 4]
+    assert products == []
+    assert sorted(scans) == sorted((2 ** j, k) for j in range(1, 5) for k in (1, 2))
     assert [s["sequence"] for s in report.body["results"]["sequences"]] == [["x"], ["one", "x"]]
     assert [lvl["N"] for lvl in report.body["results"]["sequences"][1]["levels"]] == [2, 3, 4]
 
 
-def test_sweep_computes_each_torsion_index_once_per_level(monkeypatch):
-    # ex1_truncated sweeps ["x"] and ["one", "x"] over five levels: ten
-    # distinct (level, element) pairs, so ten torsion indices, not fifteen
+def test_sweep_computes_each_torsion_index_once_per_factor(monkeypatch):
+    # ex1_truncated sweeps ["x"] and ["one", "x"] over levels 2..6: two
+    # elements on each of six factors, so twelve torsion indices, not one
+    # per (level, element)
     import prokit.tasks as tasks
     from prokit.cli import _load_task_text
 
     calls = []
     real = tasks.bounded_torsion_index
     monkeypatch.setattr(
-        tasks, "bounded_torsion_index", lambda M, x: calls.append(x.coords) or real(M, x)
+        tasks,
+        "bounded_torsion_index",
+        lambda M, x: calls.append((M.order(), x.coords)) or real(M, x),
     )
     report = run_task(parse_spec(_load_task_text("fixture:ex1_truncated")))
     assert report.exit_code == 0
-    assert len(calls) == 10
+    assert len(calls) == len(set(calls)) == 12
     levels = report.body["results"]["sequences"][1]["levels"]
     assert all(len(lvl["torsion_indices"]) == 2 for lvl in levels)
+
+
+def _reference_family_sweep(task):
+    """The levels of each sequence of a sweep, with each level's ring built
+    by `product_ring` and scanned at full rank: the route that reading
+    levels off factors replaced, kept as the reference."""
+    from prokit.analysis import bounded_torsion_index, lipman_profile
+    from prokit.modules import ring_as_module
+    from prokit.rings import truncated_polynomial_family, truncated_two_power
+    from prokit.tasks import _profile_payload, _resolve_element
+
+    family = task.family
+    lo, hi = family["range"]
+    n_max = task.bounds.get("n_max", 2)
+    m_max = task.bounds.get("m_max")
+    seqs = task.sequences["_family"]
+    out = [[] for _ in seqs]
+    for N in range(lo, hi + 1):
+        if family["kind"] == "truncated_two_power":
+            R, x, one = truncated_two_power(N)
+        else:
+            R, x, one = truncated_polynomial_family(family.get("q", 2), N)
+        named = {"x": x, "one": one, "zero": R.zero()}
+        M = ring_as_module(R)
+        for levels, refs in zip(out, seqs):
+            seq = [_resolve_element(R, named, ref) for ref in refs]
+            prof = lipman_profile(M, seq, n_max, m_max)
+            levels.append(
+                {
+                    "N": N,
+                    "ring_order": R.order(),
+                    "profile": _profile_payload(prof),
+                    "entry_1_1": prof.entry(1, 1) if prof.conclusive(1, 1) else None,
+                    "torsion_indices": [bounded_torsion_index(M, y)[0] for y in seq],
+                }
+            )
+    return out
+
+
+def _sweep_task(family, sequences, bounds):
+    doc = {
+        "schema": 1,
+        "family": {**family, "sequences": sequences},
+        "analysis": {"kind": "sweep"},
+        "bounds": bounds,
+    }
+    return parse_spec(json.dumps(doc))
+
+
+def _sweep_corpus():
+    """Sweep tasks of the factor-route comparison, drawn from one seed."""
+    import random
+
+    from prokit.rings import truncated_polynomial_family, truncated_two_power
+
+    rng = random.Random(0xA022)
+    named = [["x"], ["one", "x"], ["zero"]]
+    families = (
+        ({"kind": "truncated_two_power"}, 12, lambda N: truncated_two_power(N)[0]),
+        (
+            {"kind": "truncated_polynomial", "q": 2},
+            8,
+            lambda N: truncated_polynomial_family(2, N)[0],
+        ),
+        (
+            {"kind": "truncated_polynomial", "q": 3},
+            4,
+            lambda N: truncated_polynomial_family(3, N)[0],
+        ),
+    )
+    for family, top, level_ring in families:
+        ints = [[rng.randrange(-9, 17) for _ in range(rng.randint(1, 2))] for _ in range(2)]
+        yield _sweep_task({**family, "range": [1, top]}, named + ints, {"n_max": 2})
+        # budgets tight enough to leave entries inconclusive
+        for m_max in (1, 2, 3, 5):
+            yield _sweep_task({**family, "range": [2, 5]}, named, {"n_max": 3, "m_max": m_max})
+        # coordinate lists name elements of one level's additive group
+        for N in range(1, min(top, 5) + 1):
+            rank = level_ring(N).rank
+
+            def coords():
+                return [rng.randrange(-3, 9) for _ in range(rank)]
+
+            seqs = [[coords()], [coords(), "x"], ["one", coords()]]
+            yield _sweep_task({**family, "range": [N, N]}, seqs, {"n_max": 2})
+
+
+def test_sweep_levels_read_off_factors_match_the_product_route():
+    tasks = list(_sweep_corpus())
+    inconclusive = 0
+    for task in tasks:
+        report = run_task(task)
+        levels = [s["levels"] for s in report.body["results"]["sequences"]]
+        assert levels == _reference_family_sweep(task), task.echo
+        inconclusive += report.exit_code == 2
+    assert 0 < inconclusive < len(tasks)
+
+
+def test_sweep_level_reads_none_where_a_factor_witness_exceeds_its_budget(monkeypatch):
+    # Under a budget that grows more slowly than the witnesses, factor Z/8
+    # has witness 4 for entry (1, 1), above the budgets 3 of levels 3 and 4.
+    # The top level's budget finds it, and levels 3 and 4 read None, as the
+    # product route's scans of those levels do.
+    import prokit.analysis as analysis
+    import prokit.tasks as tasks
+
+    def slow_budget(order, k, n_max):
+        return n_max + order.bit_length() // 4
+
+    monkeypatch.setattr(analysis, "default_budget", slow_budget)
+    monkeypatch.setattr(tasks, "default_budget", slow_budget)
+    task = _sweep_task(
+        {"kind": "truncated_two_power", "range": [2, 8]}, [["x"], ["one", "x"]], {"n_max": 2}
+    )
+    report = run_task(task)
+    sequences = report.body["results"]["sequences"]
+    assert [s["levels"] for s in sequences] == _reference_family_sweep(task)
+    assert sequences[0]["tracked"]["entry_1_1"] == [3, None, None, 6, 7, 8, 9]
+    assert report.exit_code == 2
+
+
+def test_sweep_coordinate_reference_of_another_level_is_a_parse_error():
+    # a coordinate list of level 2's rank names no element of level 3
+    task = _sweep_task(
+        {"kind": "truncated_two_power", "range": [2, 3]}, [[[1, 1]]], {"n_max": 2}
+    )
+    with pytest.raises(ParseError, match="coordinate vector of length 2 for rank 3"):
+        run_task(task)
+    task = _sweep_task({"kind": "truncated_two_power", "range": [2, 2]}, [[[1, None]]], {})
+    with pytest.raises(ParseError, match="bad coordinate vector"):
+        run_task(task)
+
+
+def test_weak_profile_records_no_witness_above_m_max():
+    # Z/8, x = 3, n_max 3, m_max 1: the entries n = 2, 3 lie above the
+    # budget, so every profile records them inconclusive at m_max
+    text = task_text(
+        sequences={"xs": [3]},
+        analysis={"kind": "profile", "profiles": ["lipman", "gm", "weak"], "sequence": "xs"},
+        bounds={"n_max": 3, "m_max": 1},
+    )
+    report = run_task(parse_spec(text))
+    rows = [[1, 1, 1, True], [1, 2, 1, False], [1, 3, 1, False]]
+    for kind in ("lipman", "gm", "weak"):
+        assert report.body["results"][kind]["rows"] == rows
+    assert report.exit_code == 2
 
 
 def test_axioms_task():
@@ -579,6 +742,28 @@ def test_sweep_matches_golden_file():
 
     golden = Path(__file__).parent / "data" / "ex1_sweep_golden.json"
     report = run_task(parse_spec(_load_task_text("fixture:ex1_truncated")))
+    assert report.body_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name, family",
+    [
+        ("poly_sweep", {"kind": "truncated_polynomial", "q": 2, "range": [2, 8]}),
+        ("two_power_sweep", {"kind": "truncated_two_power", "range": [2, 12]}),
+    ],
+)
+def test_multi_level_sweep_matches_golden_file(name, family):
+    from pathlib import Path
+
+    doc = {
+        "schema": 1,
+        "family": {**family, "sequences": [["x"], ["one", "x"]]},
+        "analysis": {"kind": "sweep"},
+        "bounds": {"n_max": 2},
+        "seed": 7,
+    }
+    golden = Path(__file__).parent / "data" / f"{name}_golden.json"
+    report = run_task(parse_spec(json.dumps(doc)))
     assert report.body_bytes() == golden.read_bytes()
 
 

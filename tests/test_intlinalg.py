@@ -13,7 +13,6 @@ from prokit.intlinalg import (
     IntMatrix,
     _solve,
     cokernel_presentation,
-    det,
     hom_image_span,
     column_lattice,
     hom_kernel_span,
@@ -32,6 +31,7 @@ from prokit.errors import DimensionMismatch, InfiniteCokernel
 
 from linalg_reference import (
     IntLinearSystem,
+    det,
     hnf,
     kernel_generators,
     mat_inverse_unimodular,
