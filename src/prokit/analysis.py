@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from math import comb
 
 from .errors import IdentificationFailure, InsufficientBound, NotCovering
 from .intlinalg import (
@@ -122,6 +121,27 @@ def bounded_torsion_index(M, x):
         prev = nxt
 
 
+def _torsion_index_from(M, x, start, colons):
+    """max(start, c) for c the bounded torsion index of x on M: the least
+    c >= start with 0 :_M x^c = 0 :_M x^(c+1).  Each term of the chain is
+    the preimage of the one before under x, so once two consecutive terms
+    agree the chain stays constant, and equality at `start` settles
+    c <= start.  The annihilator 0 :_M x^e is a colon of the zero level,
+    kept in `colons` under the key of `_witness_scan`; an i = 1 Lipman scan
+    of M (whose levels are all 0) builds the same colons."""
+    zero = M.zero_span()
+    power = M.ring.one()
+    for _ in range(start):
+        power = power * x
+    c, cur = start, zero if start == 0 else _colon(M, colons, M.action_hom(power), zero).span
+    while True:
+        power = power * x
+        nxt = _colon(M, colons, M.action_hom(power), zero).span
+        if nxt == cur:
+            return c
+        c, cur = c + 1, nxt
+
+
 def _levels(M, kind, xs):
     """The levels N_1, N_2, ... of a colon scan over the prefix xs, each
     one multiplication past the one before: x^(m) M (elementwise powers,
@@ -138,34 +158,47 @@ def _levels(M, kind, xs):
         J = ideal_product(J, I)
 
 
-def _witness_scan(M, levels, y, n_max, m_max):
-    """{n: least m in [n, m_max] with (N_m :_M y^m) <= (N_n :_M y^(m-n))}
+def _colon(M, colons, act, span):
+    """N :_M y^e for `act` the action of y^e and `span` the canonical span
+    of N: the preimage of N under y^e, kept in `colons` under the key
+    (matrix of y^e, span).  Canonical spans identify submodules, so each
+    distinct colon of a module is built once per dict.  A dict belongs to
+    one module: equal matrices act differently on different groups."""
+    key = (act.matrix, span)
+    if key not in colons:
+        colons[key] = Submodule(M, preimage_span(act, span))
+    return colons[key]
+
+
+def _witness_scan(M, levels, y, n_max, m_max, start=None, colons=None):
+    """{n: least m in [s_n, m_max] with (N_m :_M y^m) <= (N_n :_M y^(m-n))}
     for n = 1..n_max, None where no m is, with N_m the m-th item of
-    `levels`.  Each level and each power y^e (one multiplication past
-    y^(e-1)) is built once.  A colon N :_M y^e is N for e = 0, else the
-    preimage of N under y^e, kept for the scan under the key (matrix of
-    y^e, canonical span of N): canonical spans identify submodules, so
-    each distinct colon is built once.  Every inclusion is cross-checked
+    `levels` and s_n = max(n, start[n]), or n without `start`.  Each level
+    and each power y^e (one multiplication past y^(e-1)) is built once.
+
+    The levels decrease, so validity is upward closed in m (the argument is
+    in `tasks.run_family_sweep`), and the first hit at or above s_n is the
+    larger of s_n and the least witness: one test at s_n settles whether
+    the least witness is at most s_n, and the scan goes past s_n only when
+    it is not.  A start above m_max leaves n inconclusive with no test.
+
+    A colon N :_M y^e is N for e = 0, else built by `_colon` in `colons`
+    (a fresh dict when none is given).  Every inclusion is cross-checked
     against the zero-map form y^(m-n) (N_m :_M y^m) <= N_n, membership of
     the mapped generators in the canonical N_n by `span_leq`, where the
     inclusion goes through `Submodule.leq`."""
     power = M.ring.one()
     acts = [M.action_hom(power)]  # acts[e]: the action of y^e
     N = [None]
-    colons = {}
+    colons = {} if colons is None else colons
 
     def colon(e, level):
-        if e == 0:
-            return level
-        key = (acts[e].matrix, level.span)
-        if key not in colons:
-            colons[key] = Submodule(M, preimage_span(acts[e], level.span))
-        return colons[key]
+        return level if e == 0 else _colon(M, colons, acts[e], level.span)
 
     found = {}
     for n in range(1, n_max + 1):
         found[n] = None
-        for m in range(n, m_max + 1):
+        for m in range(n if start is None else max(n, start[n]), m_max + 1):
             while len(N) <= m:
                 power = power * y
                 acts.append(M.action_hom(power))
@@ -180,19 +213,25 @@ def _witness_scan(M, levels, y, n_max, m_max):
     return found
 
 
-def _profile(M, x_seq, kind, n_max, m_max):
+def _profile(M, x_seq, kind, n_max, m_max, start=None, colons=None):
     k = len(x_seq)
     m_max = m_max if m_max is not None else default_budget(M.order(), k, n_max)
     entries = {}
     for i in range(1, k + 1):
-        scan = _witness_scan(M, _levels(M, kind, x_seq[: i - 1]), x_seq[i - 1], n_max, m_max)
+        levels = _levels(M, kind, x_seq[: i - 1])
+        starts = None if start is None else {n: start[(i, n)] for n in range(1, n_max + 1)}
+        scan = _witness_scan(M, levels, x_seq[i - 1], n_max, m_max, starts, colons)
         entries.update(((i, n), m) for n, m in scan.items())
     return Profile(kind, k, n_max, m_max, entries)
 
 
-def lipman_profile(M, x_seq, n_max, m_max=None):
-    """Minimal witnesses for the elementwise-power form of proregularity."""
-    return _profile(M, x_seq, "lipman", n_max, m_max)
+def lipman_profile(M, x_seq, n_max, m_max=None, start=None, colons=None):
+    """Minimal witnesses for the elementwise-power form of proregularity.
+
+    With `start`, a map (i, n) -> lower bound, entry (i, n) is the least
+    witness at or above its bound; `colons` is a colon dict of M shared
+    with other scans of M (see `_witness_scan`)."""
+    return _profile(M, x_seq, "lipman", n_max, m_max, start, colons)
 
 
 def gm_profile(M, x_seq, n_max, m_max=None):
@@ -345,55 +384,6 @@ def injective_criterion(M, x_seq, mode):
     details["profile_conclusive"] = profile.all_conclusive()
     details["agrees_with_profile"] = agrees
     return CheckOutcome(f"injective_criterion_{mode}", passed=ok and agrees, details=details)
-
-
-# ---------------------------------------------------------------------------
-# Regular sequences with a bounded-torsion tail
-
-
-def regular_then_bounded(M, x_seq, y):
-    """A regular sequence extended by one bounded-torsion element stays
-    proregular; additionally verifies the graded-piece cardinality law
-    |x^n M / x^{n+1} M| = |M/xM|^{binom(k+n-1, n)} for n <= 3."""
-    R = M.ring
-    k = len(x_seq)
-    regular = []
-    for i in range(1, k + 1):
-        Q, _ = quotient_module(M, image_submodule(M, x_seq[: i - 1]))
-        ker = hom_kernel_span(Q.action_hom(x_seq[i - 1]))
-        injective = span_subgroup_order(Q.group, ker) == 1
-        regular.append(injective)
-    Qfull, _ = quotient_module(M, image_submodule(M, x_seq))
-    c, chain = bounded_torsion_index(Qfull, y)
-    hypothesis_ok = all(regular)
-    details = {
-        "regular_positions": regular,
-        "tail_torsion_index": c,
-        "tail_chain_orders": chain,
-    }
-    if not hypothesis_ok:
-        details["hypothesis_failed"] = True
-        return CheckOutcome("regular_then_bounded", passed=False, details=details)
-    prof = lipman_profile(M, list(x_seq) + [y], 3)
-    details["profile_rows"] = prof.rows()
-    conclusion = prof.all_conclusive()
-    # graded-piece cardinalities, ideal powers of the full prefix
-    if k >= 1:
-        base = Qfull.order()
-        card_ok = True
-        # |I^n M| for n = 0..4: M, then one chain I M, I^2 M, I^3 M, I^4 M
-        orders = [M.order()] + [N.order() for N in islice(_levels(M, "gm", x_seq), 4)]
-        for n in range(0, 4):
-            upper, lower = orders[n], orders[n + 1]
-            expected = base ** comb(k + n - 1, n)
-            if upper // lower != expected:
-                card_ok = False
-                details.setdefault("cardinality_failures", []).append(
-                    {"n": n, "observed": upper // lower, "expected": expected}
-                )
-        details["cardinality_ok"] = card_ok
-        conclusion = conclusion and card_ok
-    return CheckOutcome("regular_then_bounded", passed=conclusion, details=details)
 
 
 # ---------------------------------------------------------------------------

@@ -455,10 +455,15 @@ def _diagonal_product(factors):
     return ring, embed([x for _, x in factors]), ring.one()
 
 
-def truncated_polynomial(q, n):
-    """The ring F_q[t]/(t^n) for a prime q.  Returns (ring, tbar)."""
+def require_prime(q):
+    """Raise InvalidSpec unless the integer q is a prime."""
     if q < 2 or any(q % p == 0 for p in range(2, int(q ** 0.5) + 1)):
         raise InvalidSpec(f"modulus {q} is not prime")
+
+
+def truncated_polynomial(q, n):
+    """The ring F_q[t]/(t^n) for a prime q.  Returns (ring, tbar)."""
+    require_prime(q)
     if n < 1:
         raise InvalidSpec("nilpotency order must be >= 1")
     # basis 1, t, ..., t^{n-1}: (q,)^n is already a divisibility chain, and

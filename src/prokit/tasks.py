@@ -23,6 +23,7 @@ from .errors import (
 )
 from .analysis import (
     Profile,
+    _torsion_index_from,
     bounded_torsion_index,
     cartier_check,
     default_budget,
@@ -59,6 +60,7 @@ from .rings import (
     ideal,
     product_ring,
     quotient_ring,
+    require_prime,
     ring_from_raw,
     truncated_polynomial,
     truncated_polynomial_factors,
@@ -262,6 +264,8 @@ def parse_spec(text, kind=None):
         lo, hi = _field(family, "range", _int_pair, (2, 4))
         if lo < 1 or hi < lo:
             raise BoundViolation(f"bad family range {family.get('range')}")
+        if family.get("kind") == "truncated_polynomial":
+            require_prime(_field(family, "q", default=2))
         return TaskSpec(None, {}, {}, _family_sequences(family), analysis, bounds, seed, doc, family)
     if kind is not None:
         analysis["kind"] = kind
@@ -635,10 +639,14 @@ class _FactorSweep:
     """The factors of a family sweep and their scans, each made once per
     sweep and read by every level that contains its factor.
 
-    A factor is scanned at the sweep's largest budget: the document's m_max,
-    or else the default budget of the top level's order.  Scans are kept by
-    factor and the coordinates of the sequence there, torsion indices by
-    factor and element."""
+    A level reads only maxima over its factors, so scans are chained over
+    factor prefixes: the scan of factor j starts each entry at the running
+    maximum of factors 1..j-1, and the prefix 1..j keeps max(that, m_j), or
+    None once a factor has no witness.  Torsion searches chain the same way.
+    Scans run at the sweep's largest budget: the document's m_max, or else
+    the default budget of the top level's order.  A prefix is kept under
+    the coordinates of its items on each factor, and each factor module has
+    one colon dict, shared by its scans and torsion searches."""
 
     def __init__(self, family, hi, n_max, m_max):
         self.factors = _family_factors(family, hi)
@@ -647,6 +655,7 @@ class _FactorSweep:
         self.orders = list(accumulate((R.order() for R, _ in self.factors), mul))
         self.n_max = n_max
         self.m_max = m_max
+        self.colons = [{} for _ in self.modules]
         self.scans = {}
         self.torsion = {}
         self.presentations = {}
@@ -681,28 +690,42 @@ class _FactorSweep:
             lift = lift[R.rank :]
         return parts
 
-    def _scan(self, j, seq):
-        key = (j, tuple(x.coords for x in seq))
-        if key not in self.scans:
-            top = self._budget(len(self.factors), len(seq))
-            self.scans[key] = lipman_profile(self.modules[j], seq, self.n_max, top)
-        return self.scans[key]
+    @staticmethod
+    def _chain(table, keys, step):
+        """The value of the prefix of factors 1..len(keys), where keys[j] is
+        the key of the prefix's item on factor j: each prefix is computed
+        once, by step(j, value of the prefix before it or None), and kept in
+        `table` under its items' keys."""
+        prefix, value = (), None
+        for j, key in enumerate(keys):
+            prefix += (key,)
+            if prefix not in table:
+                table[prefix] = step(j, value)
+            value = table[prefix]
+        return value
 
-    def _torsion_index(self, j, x):
-        key = (j, x.coords)
-        if key not in self.torsion:
-            self.torsion[key] = bounded_torsion_index(self.modules[j], x)[0]
-        return self.torsion[key]
+    def _scan(self, j, seq, before):
+        """Entries (i, n) of the sequence `seq` of factor j, each the running
+        maximum over factors 1..j of the least witnesses, or None."""
+        top = self._budget(len(self.factors), len(seq))
+        start = None
+        if before is not None:
+            # a witness missing on an earlier factor starts past the budget
+            start = {key: top + 1 if m is None else m for key, m in before.items()}
+        prof = lipman_profile(self.modules[j], seq, self.n_max, top, start, self.colons[j])
+        return prof.entries
 
     def level(self, N, seq_refs):
-        """One sequence at level N, read off the scans of factors 1..N."""
+        """One sequence at level N, read off the prefix of factors 1..N."""
         parts = [self._resolve(N, ref) for ref in seq_refs]
-        scans = [self._scan(j, seq) for j, seq in enumerate(zip(*parts))]
+        seqs = list(zip(*parts))
+        maxima = self._chain(
+            self.scans,
+            [tuple(x.coords for x in seq) for seq in seqs],
+            lambda j, before: self._scan(j, seqs[j], before),
+        )
         budget = self._budget(N, len(seq_refs))
-        entries = {}
-        for key in scans[0].entries:
-            ms = [scan.entries[key] for scan in scans]
-            entries[key] = max(ms) if None not in ms and max(ms) <= budget else None
+        entries = {key: m if m is not None and m <= budget else None for key, m in maxima.items()}
         prof = Profile("lipman", len(seq_refs), self.n_max, budget, entries)
         return {
             "N": N,
@@ -710,7 +733,14 @@ class _FactorSweep:
             "profile": _profile_payload(prof),
             "entry_1_1": prof.entry(1, 1) if prof.conclusive(1, 1) else None,
             "torsion_indices": [
-                max(self._torsion_index(j, x) for j, x in enumerate(xs)) for xs in parts
+                self._chain(
+                    self.torsion,
+                    [x.coords for x in xs],
+                    lambda j, before: _torsion_index_from(
+                        self.modules[j], xs[j], before or 0, self.colons[j]
+                    ),
+                )
+                for xs in parts
             ],
         }
 
@@ -722,17 +752,26 @@ def run_family_sweep(task):
     Level N is R = R_1 x ... x R_N, so M = R splits as the sum of the
     e_j M, and the levels, colons and inclusions of a witness scan split
     with it: condition (n, m) holds over R iff it holds on every factor.
-    Validity is upward closed in m: if y u lies in N_m :_M y^m, which is
-    contained in N_n :_M y^(m-n), then u lies in N_n :_M y^(m+1-n).  So the
-    least m that holds on every factor is max_j m_j of the factors' least
-    witnesses, and level N's entry is that maximum when every m_j is found
-    and at most level N's own budget, and inconclusive otherwise.  The
-    annihilators 0 :_M x^c split the same way, so the torsion index is
+    Validity is upward closed in m: if u lies in N_(m+1) :_M y^(m+1), then
+    y u lies in N_m :_M y^m, as the levels decrease, and that is contained
+    in N_n :_M y^(m-n) when (n, m) holds, so u lies in N_n :_M y^(m+1-n).
+    So the least m that holds on every factor is max_j m_j of the factors'
+    least witnesses, and level N's entry is that maximum when every m_j is
+    found and at most level N's own budget, and inconclusive otherwise.
+    The annihilators 0 :_M x^c split the same way, so the torsion index is
     max_j c_j, and the order of level N is the product of the |R_j|.
     `local_global_check` verifies the same law on the direct route.
 
-    Each (factor, sequence) is scanned once, at the sweep's largest budget,
-    so every level reads the witnesses its budget allows."""
+    Only the maximum is read, so factor j is scanned from the running
+    maximum r of factors 1..j-1: by upward closure the first m >= r that
+    holds on factor j is max(r, m_j), the running maximum of factors 1..j.
+    One test at r settles m_j <= r, and the scan goes past r only when
+    m_j > r; a factor with no witness leaves the entry inconclusive at
+    every later level.  Once 0 :_M x^c = 0 :_M x^(c+1) the annihilator
+    chain stays constant, so each torsion search likewise starts at the
+    running maximum of the torsion indices before it.  Each (factor
+    prefix, sequence) is scanned once, at the sweep's largest budget, so
+    every level reads the witnesses its budget allows."""
     family = task.family
     lo, hi = _field(family, "range", _int_pair, (2, 4))
     n_max = task.bounds.get("n_max", 2)

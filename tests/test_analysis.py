@@ -1,13 +1,16 @@
 """Profiles, bound transfer, criteria, local-global, Cartier checks."""
 
-from itertools import islice
+from itertools import count, islice
+from math import comb
 
 import pytest
 
 import prokit.analysis as analysis
 from prokit.errors import IdentificationFailure, NotCovering
 from prokit.analysis import (
+    CheckOutcome,
     _levels,
+    _torsion_index_from,
     _witness_scan,
     bounded_torsion_index,
     cartier_check,
@@ -18,13 +21,24 @@ from prokit.analysis import (
     lipman_profile,
     local_global_check,
     power_stability_check,
-    regular_then_bounded,
     verify_bound_transfer,
     violating_certificate,
     weak_profile,
 )
-from prokit.intlinalg import preimage_span, span_lattice, span_leq
-from prokit.modules import Submodule, image_submodule, ring_as_module, zero_module
+from prokit.intlinalg import (
+    hom_kernel_span,
+    preimage_span,
+    span_lattice,
+    span_leq,
+    span_subgroup_order,
+)
+from prokit.modules import (
+    Submodule,
+    image_submodule,
+    quotient_module,
+    ring_as_module,
+    zero_module,
+)
 from prokit.randgen import random_instance, rng_from_seed
 from prokit.rings import (
     ideal,
@@ -228,11 +242,41 @@ def _scan_corpus():
 
 
 def test_witness_scan_matches_reference_scan():
-    # default budgets, and a budget of n_max that leaves entries open
+    # default budgets, and a budget of n_max that leaves entries open.  A
+    # scan started at s_n returns max(s_n, least witness) while that is
+    # within the budget, and None otherwise; a torsion search started at s
+    # returns max(s, c).  Scans and searches of one module share one
+    # colon dict.
+    rng = rng_from_seed(0xA23)
+    stores = {}
+
     def both(M, kind, xs, y, n_max, m_max):
-        fast = _witness_scan(M, _levels(M, kind, xs), y, n_max, m_max)
-        assert fast == _reference_witness_scan(M, _levels(M, kind, xs), y, n_max, m_max)
+        source, built = _levels(M, kind, xs), []  # built once for the three scans
+
+        def levels():
+            for k in count():
+                if k == len(built):
+                    built.append(next(source))
+                yield built[k]
+
+        fast = _witness_scan(M, levels(), y, n_max, m_max)
+        assert fast == _reference_witness_scan(M, levels(), y, n_max, m_max)
+        # starts around the least witness and past the budget
+        start = {
+            n: rng.choice([0, n, m_max + 1] + ([] if m is None else [m - 1, m, m + 1]))
+            for n, m in fast.items()
+        }
+        colons = stores.setdefault(M, {})
+        started = _witness_scan(M, levels(), y, n_max, m_max, start, colons)
+        for n, m in fast.items():
+            bound = None if m is None else max(start[n], m)
+            assert started[n] == (bound if bound is not None and bound <= m_max else None)
         return fast
+
+    def torsion(M, y):
+        c = bounded_torsion_index(M, y)[0]
+        for start in (0, c, c + 1, rng.randint(0, 6)):
+            assert _torsion_index_from(M, y, start, stores.setdefault(M, {})) == max(start, c)
 
     for M, seq, (gens, x) in _scan_corpus():
         RM = ring_as_module(M.ring)
@@ -241,6 +285,8 @@ def test_witness_scan_matches_reference_scan():
                 for kind in ("lipman", "gm"):
                     both(M, kind, seq[: i - 1], seq[i - 1], 3, m_max)
             both(RM, "cartier", ideal(M.ring, gens).generators, x, 3, m_max)
+        for y in seq:
+            torsion(M, y)
     Z8 = zmod(8)
     assert both(ring_as_module(Z8), "lipman", [], Z8.from_int(2), 3, 3) == {1: None, 2: None, 3: None}
 
@@ -351,6 +397,48 @@ def test_injective_criterion_unit_sequence():
     M = ring_as_module(R)
     out = injective_criterion(M, [R.one()], "proregular")
     assert out.passed
+
+
+def regular_then_bounded(M, x_seq, y):
+    """A regular sequence extended by one bounded-torsion element stays
+    proregular; additionally verifies the graded-piece cardinality law
+    |x^n M / x^{n+1} M| = |M/xM|^{binom(k+n-1, n)} for n <= 3."""
+    k = len(x_seq)
+    regular = []
+    for i in range(1, k + 1):
+        Q, _ = quotient_module(M, image_submodule(M, x_seq[: i - 1]))
+        ker = hom_kernel_span(Q.action_hom(x_seq[i - 1]))
+        regular.append(span_subgroup_order(Q.group, ker) == 1)
+    Qfull, _ = quotient_module(M, image_submodule(M, x_seq))
+    c, chain = bounded_torsion_index(Qfull, y)
+    details = {
+        "regular_positions": regular,
+        "tail_torsion_index": c,
+        "tail_chain_orders": chain,
+    }
+    if not all(regular):
+        details["hypothesis_failed"] = True
+        return CheckOutcome("regular_then_bounded", passed=False, details=details)
+    prof = lipman_profile(M, list(x_seq) + [y], 3)
+    details["profile_rows"] = prof.rows()
+    conclusion = prof.all_conclusive()
+    # graded-piece cardinalities, ideal powers of the full prefix
+    if k >= 1:
+        base = Qfull.order()
+        card_ok = True
+        # |I^n M| for n = 0..4: M, then one chain I M, I^2 M, I^3 M, I^4 M
+        orders = [M.order()] + [N.order() for N in islice(_levels(M, "gm", x_seq), 4)]
+        for n in range(0, 4):
+            upper, lower = orders[n], orders[n + 1]
+            expected = base ** comb(k + n - 1, n)
+            if upper // lower != expected:
+                card_ok = False
+                details.setdefault("cardinality_failures", []).append(
+                    {"n": n, "observed": upper // lower, "expected": expected}
+                )
+        details["cardinality_ok"] = card_ok
+        conclusion = conclusion and card_ok
+    return CheckOutcome("regular_then_bounded", passed=conclusion, details=details)
 
 
 def test_regular_then_bounded_unit_regular():

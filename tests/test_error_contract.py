@@ -67,8 +67,8 @@ def _generated(rng):
     }
 
 
-def _family(rng):
-    kind = rng.choice(["truncated_two_power", "truncated_polynomial"])
+def _family(rng, kind=None):
+    kind = kind or rng.choice(["truncated_two_power", "truncated_polynomial"])
     family = {"kind": kind, "range": [2, 3], "sequences": [["x"], ["one", "x"]]}
     if kind == "truncated_polynomial":
         family["q"] = 2
@@ -100,9 +100,9 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _mutate(rng, doc):
-    slots = list(_slots(doc))
-    container, key = rng.choice(slots)
+def _mutate(rng, doc, slot=None):
+    """Drop, retype or negate the field at `slot`, or at a random slot."""
+    container, key = slot or rng.choice(list(_slots(doc)))
     action = rng.choice(["drop", "retype", "negate"])
     old = container[key]
     if action == "drop":
@@ -123,10 +123,16 @@ def _mutants():
     bases = [(name, _tiny(_fixture(name))) for name in FIXTURES]
     bases += [(f"generated{i}", _generated(rng)) for i in range(16)]
     bases += [(f"family{i}", _family(rng)) for i in range(4)]
+    # the first mutation of this base always hits the family's modulus q
+    bases.append(("family_q", _family(rng, "truncated_polynomial")))
     for name, base in bases:
         for k in range(MUTANTS_PER_BASE):
             doc = copy.deepcopy(base)
-            steps = [_mutate(rng, doc) for _ in range(rng.randint(1, 2))]
+            if name == "family_q":
+                steps = [_mutate(rng, doc, (doc["family"], "q"))]
+                steps += [_mutate(rng, doc) for _ in range(rng.randint(0, 1))]
+            else:
+                steps = [_mutate(rng, doc) for _ in range(rng.randint(1, 2))]
             yield f"{name}-{k}", rng.choice(COMMANDS), doc, steps
 
 
@@ -134,8 +140,9 @@ MUTANTS = list(_mutants())
 
 
 def test_mutants_cover_every_base_and_command():
-    assert len(MUTANTS) == 24 * MUTANTS_PER_BASE
+    assert len(MUTANTS) == 25 * MUTANTS_PER_BASE
     assert {command for _, command, _, _ in MUTANTS} == set(COMMANDS)
+    assert any(step.endswith("'q'") for _, _, _, steps in MUTANTS for step in steps)
 
 
 # a mutated raw table may break the ring axioms: the contract is checked

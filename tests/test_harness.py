@@ -285,6 +285,33 @@ def test_cli_bad_task_file_exits_64(command, content, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("q", [0, 1, -2, 9, True])
+def test_cli_family_modulus_that_is_not_prime_exits_64(q, tmp_path, capsys):
+    # the family's modulus is checked while the document is parsed, as a
+    # ring's is, so both are bad input with the same message
+    family = {"kind": "truncated_polynomial", "q": q, "range": [2, 3]}
+    ring = {"kind": "truncated_polynomial", "q": q, "n": 2}
+    errors = []
+    for command, doc in (
+        ("sweep", {"schema": 1, "family": family}),
+        ("check", json.loads(task_text(ring=ring))),
+    ):
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path)]) == 64
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == f"prokit: modulus {int(q)} is not prime\n"
+
+
+def test_cli_sweep_over_a_prime_family_modulus_runs(tmp_path, capsys):
+    path = tmp_path / "task.json"
+    doc = {"schema": 1, "family": {"kind": "truncated_polynomial", "q": 3, "range": [2, 3]}}
+    path.write_text(json.dumps(doc))
+    assert main(["sweep", str(path)]) == 0
+    levels = json.loads(capsys.readouterr().out)["results"]["sequences"][0]["levels"]
+    assert [lvl["ring_order"] for lvl in levels] == [3 * 9, 3 * 9 * 27]
+
+
 def test_cli_corrupted_raw_ring_exits_64(tmp_path, capsys):
     # Z/4 with e1*e1 = 3*e1 while the unit claims e1
     path = tmp_path / "task.json"
@@ -563,23 +590,43 @@ def test_sweep_builds_no_product_ring_and_scans_each_factor_once(monkeypatch):
 
 def test_sweep_computes_each_torsion_index_once_per_factor(monkeypatch):
     # ex1_truncated sweeps ["x"] and ["one", "x"] over levels 2..6: two
-    # elements on each of six factors, so twelve torsion indices, not one
-    # per (level, element)
+    # elements on each prefix Z/2 x ... x Z/2^j, j = 1..6, so twelve torsion
+    # searches, not one per (level, element).  The search on factor Z/2^j
+    # starts at the torsion index of the prefix before it: j - 1 for x, 0
+    # for one.
     import prokit.tasks as tasks
     from prokit.cli import _load_task_text
 
     calls = []
-    real = tasks.bounded_torsion_index
-    monkeypatch.setattr(
-        tasks,
-        "bounded_torsion_index",
-        lambda M, x: calls.append((M.order(), x.coords)) or real(M, x),
-    )
+    real = tasks._torsion_index_from
+
+    def search(M, x, start, colons):
+        calls.append((M.order(), x.coords, start))
+        return real(M, x, start, colons)
+
+    monkeypatch.setattr(tasks, "_torsion_index_from", search)
     report = run_task(parse_spec(_load_task_text("fixture:ex1_truncated")))
     assert report.exit_code == 0
-    assert len(calls) == len(set(calls)) == 12
+    x_calls = [(2 ** j, (2 % 2 ** j,), j - 1) for j in range(1, 7)]
+    one_calls = [(2 ** j, (1,), 0) for j in range(1, 7)]
+    assert sorted(calls) == sorted(x_calls + one_calls)
     levels = report.body["results"]["sequences"][1]["levels"]
-    assert all(len(lvl["torsion_indices"]) == 2 for lvl in levels)
+    assert [lvl["torsion_indices"] for lvl in levels] == [[0, N] for N in range(2, 7)]
+
+
+def test_sweep_preimage_count_on_ex1(monkeypatch):
+    # Scanning each factor from m = n, with its torsion chain built apart
+    # from its scans, took 71 preimages on ex1_truncated.  Started at the
+    # running maximum, with one colon dict per factor, the sweep takes 28.
+    import prokit.analysis as analysis
+    from prokit.cli import _load_task_text
+
+    calls = []
+    real = analysis.preimage_span
+    monkeypatch.setattr(analysis, "preimage_span", lambda f, s: calls.append(1) or real(f, s))
+    report = run_task(parse_spec(_load_task_text("fixture:ex1_truncated")))
+    assert report.exit_code == 0
+    assert len(calls) == 28
 
 
 def _reference_family_sweep(task):
@@ -633,24 +680,16 @@ def _sweep_corpus():
     """Sweep tasks of the factor-route comparison, drawn from one seed."""
     import random
 
-    from prokit.rings import truncated_polynomial_family, truncated_two_power
+    from prokit.rings import truncated_polynomial_factors, truncated_two_power_factors
 
     rng = random.Random(0xA022)
     named = [["x"], ["one", "x"], ["zero"]]
     families = (
-        ({"kind": "truncated_two_power"}, 12, lambda N: truncated_two_power(N)[0]),
-        (
-            {"kind": "truncated_polynomial", "q": 2},
-            8,
-            lambda N: truncated_polynomial_family(2, N)[0],
-        ),
-        (
-            {"kind": "truncated_polynomial", "q": 3},
-            4,
-            lambda N: truncated_polynomial_family(3, N)[0],
-        ),
+        ({"kind": "truncated_two_power"}, 12, truncated_two_power_factors),
+        ({"kind": "truncated_polynomial", "q": 2}, 8, lambda N: truncated_polynomial_factors(2, N)),
+        ({"kind": "truncated_polynomial", "q": 3}, 4, lambda N: truncated_polynomial_factors(3, N)),
     )
-    for family, top, level_ring in families:
+    for family, top, level_factors in families:
         ints = [[rng.randrange(-9, 17) for _ in range(rng.randint(1, 2))] for _ in range(2)]
         yield _sweep_task({**family, "range": [1, top]}, named + ints, {"n_max": 2})
         # budgets tight enough to leave entries inconclusive
@@ -658,16 +697,45 @@ def _sweep_corpus():
             yield _sweep_task({**family, "range": [2, 5]}, named, {"n_max": 3, "m_max": m_max})
         # coordinate lists name elements of one level's additive group
         for N in range(1, min(top, 5) + 1):
-            rank = level_ring(N).rank
+            rank = sum(R.rank for R, _ in level_factors(N))
 
             def coords():
                 return [rng.randrange(-3, 9) for _ in range(rank)]
 
             seqs = [[coords()], [coords(), "x"], ["one", coords()]]
             yield _sweep_task({**family, "range": [N, N]}, seqs, {"n_max": 2})
+        # x on factors 1..cut and 1 on the rest: the witnesses of the later
+        # factors lie below the running maximum of the earlier ones
+        N = min(top, 4)
+        for cut in (1, 2, 3):
+            parts = [x if j < cut else R.one() for j, (R, x) in enumerate(level_factors(N))]
+            y = [c for part in parts for c in part.coords]
+            seqs = [[y], [y, "x"], ["x", y]]
+            yield _sweep_task({**family, "range": [N, N]}, seqs, {"n_max": 2})
 
 
-def test_sweep_levels_read_off_factors_match_the_product_route():
+def test_sweep_levels_read_off_factors_match_the_product_route(monkeypatch):
+    # Every factor after the first is scanned from the running maximum; a
+    # hook on those scans records the entries where the first test, at the
+    # running maximum, held though the factor's own least witness is
+    # smaller.  The families' x never gives one, since its witnesses rise
+    # with the factor; coordinate lists do, those that are units on the
+    # later factors above all.
+    import prokit.tasks as tasks_module
+
+    real = tasks_module.lipman_profile
+    held = []
+
+    def scan(M, seq, n_max, m_max, start=None, colons=None):
+        prof = real(M, seq, n_max, m_max, start, colons)
+        # entries (i, n) that held at a running maximum above n
+        at_start = [key for key, m in (start or {}).items() if key[1] < m == prof.entries[key]]
+        if at_start:
+            own = real(M, seq, n_max, m_max).entries
+            held.extend(key for key in at_start if own[key] < start[key])
+        return prof
+
+    monkeypatch.setattr(tasks_module, "lipman_profile", scan)
     tasks = list(_sweep_corpus())
     inconclusive = 0
     for task in tasks:
@@ -676,6 +744,7 @@ def test_sweep_levels_read_off_factors_match_the_product_route():
         assert levels == _reference_family_sweep(task), task.echo
         inconclusive += report.exit_code == 2
     assert 0 < inconclusive < len(tasks)
+    assert held
 
 
 def test_sweep_level_reads_none_where_a_factor_witness_exceeds_its_budget(monkeypatch):
