@@ -1,4 +1,4 @@
-"""Chain complexes, Koszul and Cech machinery, Cech homology.
+"""Koszul and Cech machinery, Cech homology, the colon identification.
 
 Koszul complexes are built on lexicographically ordered subsets with the
 sign of a face given by the position of the dropped index; transitions
@@ -13,7 +13,11 @@ tower, each part formed on first use; each level only adds the Koszul face
 blocks of x^(n).  A tower keeps differentials, not levels: each d_d of a
 level is assembled once, when first read.  Koszul homology and its
 transitions are read as spans of the level-n chains (`_transition_image`)
-by the Cech-homology limit, the weak profile and the Tor comparison.
+by the Cech-homology limit, the weak profile, the Tor comparison and the
+colon identification, which reads H_1(y^n; M/x^(n)M) off the tower of the
+one element y.  No complex is built whole at runtime: the whole-complex
+route (`koszul_complex`, `ChainComplex`, `ComplexMap`) is a reference in
+`tests/complex_reference.py` that only the tests take.
 The Cech complex is built on the same layout: degree j is the power
 M^(k choose j), its codifferential is the layout's faces transposed, copy S
 to copy T by the face's sign times the Fitting idempotent e_T, and the
@@ -32,9 +36,10 @@ boundaries.
 
 Every differential, codifferential and transition between module powers
 here is a list of blocks handed to `modules.block_hom`, the one place where
-such maps are assembled.  The maps onto colon quotients and their Koszul
-homology in the colon identification are `intlinalg.induced_hom` on the
-subquotients' `GroupSubquotient` records, the one lift/classify path."""
+such maps are assembled.  The maps between colon quotients, quotients
+M/x^(n)M and their Koszul homology in the colon identification are
+`intlinalg.induced_hom` on the subquotients' `GroupSubquotient` records,
+the one lift/classify path."""
 
 from __future__ import annotations
 
@@ -43,7 +48,14 @@ import math
 from dataclasses import dataclass
 
 from .errors import AxiomViolation, IdentificationFailure
-from .intlinalg import GroupHom, hom_image_span, hom_kernel_span, induced_hom, span_lattice
+from .intlinalg import (
+    GroupHom,
+    hom_image_span,
+    hom_kernel_span,
+    induced_hom,
+    span_lattice,
+    span_subgroup_order,
+)
 from .modules import (
     FgModule,
     ModuleHom,
@@ -52,7 +64,6 @@ from .modules import (
     block_hom,
     colon_submodule,
     free_resolution,
-    homology_module,
     module_power,
     modules_isomorphic,
     power_image,
@@ -63,80 +74,8 @@ from .modules import (
 from .rings import Ideal, fitting_split
 
 
-@dataclass(frozen=True)
-class ChainComplex:
-    """Graded modules with degree-lowering differentials d_i: X_i -> X_{i-1}.
-
-    Degrees outside the stored support are zero modules.  d o d = 0 is
-    verified at construction on every adjacent pair of differentials."""
-
-    modules: dict
-    diffs: dict
-
-    def __post_init__(self):
-        for i, d in self.diffs.items():
-            if d.source != self.modules[i] or d.target != self.modules[i - 1]:
-                raise AxiomViolation(f"differential {i} does not match the grading")
-        for i, d in self.diffs.items():
-            up = self.diffs.get(i + 1)
-            if up is not None and not d.compose(up).is_zero_map():
-                raise AxiomViolation(f"d_{i} after d_{i + 1} is not zero")
-
-    def differential(self, i):
-        return self.diffs.get(i)
-
-    def homology(self, i):
-        """Homology at degree i as a SubquotientData."""
-        X = self.modules.get(i)
-        if X is None:
-            raise AxiomViolation(f"no module in degree {i}")
-        return homology_module(
-            X,
-            self.diffs.get(i).hom if i in self.diffs else None,
-            self.diffs.get(i + 1).hom if i + 1 in self.diffs else None,
-        )
-
-
-@dataclass(frozen=True)
-class ComplexMap:
-    """Degreewise map of chain complexes, commuting with differentials."""
-
-    source: ChainComplex
-    target: ChainComplex
-    components: dict
-
-    def __post_init__(self):
-        for i, f in self.components.items():
-            ds = self.source.diffs.get(i)
-            dt = self.target.diffs.get(i)
-            if ds is None or dt is None:
-                continue
-            lower = self.components.get(i - 1)
-            if lower is None:
-                continue
-            if not dt.hom.compose(f.hom).equals_map(lower.hom.compose(ds.hom)):
-                raise AxiomViolation(f"component {i} does not commute with differentials")
-
-    def component(self, i):
-        return self.components.get(i)
-
-
 # ---------------------------------------------------------------------------
 # Koszul complexes
-
-
-@dataclass(frozen=True)
-class KoszulData:
-    """Koszul complex of a sequence on a module, with block bookkeeping.
-
-    `blocks`, `index`, `packs` and the complex cover every degree."""
-
-    complex: ChainComplex
-    sequence: tuple
-    module: FgModule
-    blocks: dict      # degree -> list of blocks (S, q, u), one copy of M each
-    index: dict       # degree -> {block: position in that degree}
-    packs: dict       # degree -> (module, injections, projections)
 
 
 class _KoszulLayout:
@@ -147,7 +86,16 @@ class _KoszulLayout:
     and the Koszul face and (-1)^|S| id tensor d_L blocks of each
     differential, with one action of M per distinct ring element (entries
     of x and of L's differentials).  A `KoszulTower` builds one for all its
-    levels; `differential(x, d)` adds the Koszul face blocks of x."""
+    levels; `differential(x, d)` adds the Koszul face blocks of x.
+
+    Degree d is one copy of M per block (S, q, u): S a subset of the indices
+    (a tuple), q = d - |S| a degree of L and u < ranks[q] a basis index of
+    L_q.  Without a resolution the ranks are (1,), so degree d holds one
+    block (S, 0, 0) per d-subset.  Blocks are ordered by |S|, then S
+    lexicographically, then u.  The differential sends block (S, q, u) to
+    (S minus S[t], q, u) by x_{S[t]} with sign (-1)^t, and to (S, q - 1, v)
+    by the ring entry of d_L from u to v with sign (-1)^|S|.  The empty
+    sequence gives M in degree 0 (M tensor L without the Koszul part)."""
 
     def __init__(self, k, M, res):
         ranks = res.ranks if res is not None else (1,)
@@ -221,39 +169,6 @@ class _KoszulLayout:
         return block_hom(self.pack(j), self.pack(j), blocks)
 
 
-def koszul_complex(x_seq, M, res=None):
-    """K(x_1, ..., x_k; M), or Tot(K(x_1, ..., x_k) tensor M tensor L) for a
-    free resolution `res` = L of some module.
-
-    Degree d is one copy of M per block (S, q, u): S a subset of the indices
-    (a tuple), q = d - |S| a degree of L and u < ranks[q] a basis index of
-    L_q.  Without a resolution the ranks are (1,), so degree d holds one
-    block (S, 0, 0) per d-subset.  Blocks are ordered by |S|, then S
-    lexicographically, then u.  The differential sends block (S, q, u) to
-    (S minus S[t], q, u) by x_{S[t]} with sign (-1)^t, and to (S, q - 1, v)
-    by the ring entry of d_L from u to v with sign (-1)^|S|.  The empty
-    sequence gives M in degree 0 (M tensor L without the Koszul part).
-
-    >>> from prokit.rings import ideal, zmod
-    >>> from prokit.modules import cyclic_quotient_module, free_resolution, ring_as_module
-    >>> R = zmod(4)
-    >>> two = R.from_int(2)
-    >>> L = free_resolution(cyclic_quotient_module(R, ideal(R, [two])), 2)
-    >>> L.ranks
-    (1, 1, 1)
-    >>> kos = koszul_complex([two], ring_as_module(R), L)
-    >>> kos.blocks[1]
-    [((), 1, 0), ((0,), 0, 0)]
-    >>> kos.blocks[3]
-    [((0,), 2, 0)]
-    """
-    layout = _KoszulLayout(len(x_seq), M, res)
-    packs = {d: layout.pack(d) for d in layout.degrees}
-    diffs = {d: layout.differential(x_seq, d) for d in layout.degrees[1:]}
-    C = ChainComplex({d: pack[0] for d, pack in packs.items()}, diffs)
-    return KoszulData(C, tuple(x_seq), M, layout.blocks, layout.index, packs)
-
-
 def koszul_powers(x_seq, n):
     return [x ** n for x in x_seq]
 
@@ -261,7 +176,7 @@ def koszul_powers(x_seq, n):
 class KoszulTower:
     """The differentials of the Koszul complexes of x^(n) on M for varying
     n; with a free resolution `res`, of the total complexes of K(x^(n))
-    tensor M tensor res (see `koszul_complex`).  Every level shares one
+    tensor M tensor res (see `_KoszulLayout`).  Every level shares one
     layout, and no level is built whole: each d_d of a level is assembled
     once, when first read.  Level 2n's entries square level n's, and a
     transition by x^(e) takes level e's, when built.  The cycles and
@@ -356,48 +271,36 @@ def pro_zero_index(tower, i, n, m_max):
 # The colon/Koszul identification of the multiplication maps
 
 
-def _colon_quotient_data(M, xs, y, n):
-    """(x^(n) M :_M y^n) / x^(n) M as a SubquotientData."""
-    Nsub = power_image(M, xs, [n] * len(xs)) if xs else Submodule(M, M.zero_span())
-    col = colon_submodule(M, Nsub, y, n)
-    return subquotient_module(M, col.span, Nsub.span), Nsub
-
-
 def colon_identification(xs, y, n, M, extra_levels=(1, 2)):
-    """Identify (x^(n)M :_M y^n)/x^(n)M with H_1(y^n; H_0(x^(n); M)) and
-    verify that multiplication by y^(m-n) on the colon quotients matches the
-    Koszul transition on H_1, for m = n + each extra level.
+    """Identify (x^(n)M :_M y^n)/x^(n)M with H_1(y^n; Q_n), Q_n = M/x^(n)M,
+    and verify that multiplication by y^(m-n) on the colon quotients matches
+    the Koszul transition on H_1, for m = n + each extra level.
+
+    H_1 at level l is read off `KoszulTower([y], Q_l)` as the spans
+    (Z_1, B_1) of its chains C_1, which for one element is Q_l itself (a
+    one-copy power is laid out as the module), so the canonical map chi_l
+    is the projection M -> Q_l, induced on the subquotients.
 
     Returns a dict of witnesses; raises IdentificationFailure if any part
     fails (the identification is a theorem, so failure means a bug)."""
 
-    def level(nn):
-        lhs, Nsub = _colon_quotient_data(M, xs, y, nn)
-        Q, proj, quo = quotient_module_data(M, Nsub)
-        kos = koszul_complex([y ** nn], Q)
-        rhs = kos.complex.homology(1)
-        return lhs, quo, Q, proj, kos, rhs
+    def level(l):
+        Nsub = power_image(M, xs, [l] * len(xs)) if xs else Submodule(M, M.zero_span())
+        lhs = subquotient_module(M, colon_submodule(M, Nsub, y, l).span, Nsub.span)
+        _, proj, quo = quotient_module_data(M, Nsub)
+        tower = KoszulTower([y], proj.target)
+        rhs = subquotient_module(tower.chains(1), *_transition_image(tower, 1, l, l))
+        # class of v in the colon quotient -> class of v in 0 :_Q y^l
+        chi = ModuleHom(lhs.module, rhs.module, induced_hom(proj.hom, lhs.data, rhs.data))
+        if not (
+            chi.source.order() == chi.target.order()
+            and span_subgroup_order(chi.source.group, hom_kernel_span(chi.hom)) == 1
+            and chi.check_equivariance()
+        ):
+            raise IdentificationFailure(f"canonical map is not an isomorphism at level {l}")
+        return lhs, rhs, chi, quo, tower.differential(l, 1).hom
 
-    def canonical_map(lhs, proj, kos, rhs):
-        # class of v in the colon quotient -> class of v in 0 :_Q y^n, the
-        # cycles of the degree-1 block
-        f = kos.packs[1][1][0].hom.compose(proj.hom)
-        return ModuleHom(lhs.module, rhs.module, induced_hom(f, lhs.data, rhs.data))
-
-    def check_iso(f):
-        if f.source.order() != f.target.order():
-            return False
-        from .intlinalg import hom_kernel_span, span_subgroup_order
-
-        ker = hom_kernel_span(f.hom)
-        if span_subgroup_order(f.source.group, ker) != 1:
-            return False
-        return f.check_equivariance()
-
-    lhs_n, quo_n, Q_n, proj_n, kos_n, rhs_n = level(n)
-    chi_n = canonical_map(lhs_n, proj_n, kos_n, rhs_n)
-    if not check_iso(chi_n):
-        raise IdentificationFailure(f"canonical map is not an isomorphism at level {n}")
+    lhs_n, rhs_n, chi_n, quo_n, d_n = level(n)
     witness = {
         "level": n,
         "colon_quotient_order": lhs_n.module.order(),
@@ -406,33 +309,20 @@ def colon_identification(xs, y, n, M, extra_levels=(1, 2)):
     }
     for extra in extra_levels:
         m = n + extra
-        lhs_m, quo_m, Q_m, proj_m, kos_m, rhs_m = level(m)
-        chi_m = canonical_map(lhs_m, proj_m, kos_m, rhs_m)
-        if not check_iso(chi_m):
-            raise IdentificationFailure(f"canonical map is not an isomorphism at level {m}")
+        lhs_m, rhs_m, chi_m, quo_m, d_m = level(m)
+        ymn = M.action_hom(y ** (m - n))
         # map (3): multiplication by y^(m-n) between colon quotients
-        ymn = y ** (m - n)
-        map3 = induced_hom(M.action_hom(ymn), lhs_m.data, lhs_n.data)
-        # map (4): the Koszul transition K(y^m; Q_m) -> K(y^n; Q_n):
-        # degree 0 the base projection, degree 1 multiplication by y^(m-n)
-        # composed with the projection; verified to commute, then induced.
-        base = ModuleHom(Q_m, Q_n, induced_hom(GroupHom.identity(M.group), quo_m, quo_n))
-        comp1 = ModuleHom(
-            kos_m.packs[1][0],
-            kos_n.packs[1][0],
-            kos_n.packs[1][1][0]
-            .hom.compose(Q_n.action_hom(ymn))
-            .compose(base.hom)
-            .compose(kos_m.packs[1][2][0].hom),
-        )
-        cmap = ComplexMap(
-            kos_m.complex, kos_n.complex, {0: base, 1: comp1}
-        )  # construction validates commuting
-        map4 = induced_hom(cmap.component(1).hom, rhs_m.data, rhs_n.data)
+        map3 = induced_hom(ymn, lhs_m.data, lhs_n.data)
+        # map (4): the Koszul transition K(y^m; Q_m) -> K(y^n; Q_n) is the
+        # base projection in degree 0 and y^(m-n) times it in degree 1; its
+        # one square d_1(y^n) o (y^(m-n) base) = base o d_1(y^m) is checked
+        base = induced_hom(GroupHom.identity(M.group), quo_m, quo_n)
+        tau = induced_hom(ymn, quo_m, quo_n)
+        if not d_n.compose(tau).equals_map(base.compose(d_m)):
+            raise IdentificationFailure(f"Koszul transition fails d_1 between levels {m} and {n}")
+        map4 = induced_hom(tau, rhs_m.data, rhs_n.data)
         # the (3)/(4) square: chi_n o map3 == map4 o chi_m
-        left = chi_n.hom.compose(map3)
-        right = map4.compose(chi_m.hom)
-        if not left.equals_map(right):
+        if not chi_n.hom.compose(map3).equals_map(map4.compose(chi_m.hom)):
             raise IdentificationFailure(f"square fails between levels {m} and {n}")
         witness["squares"].append({"m": m, "n": n, "commutes": True})
     return witness, True
@@ -587,11 +477,11 @@ def cech_tor_compare(M, N, x_seq, i, resolution_length):
 
     One resolution L serves both sides: Tor is balanced, so Tor_i(Lambda, N)
     is H_i(Lambda tensor L), the empty-sequence Koszul complex on the
-    completion Lambda with L.  The tests check it against the route of
-    `derived_functor`, which resolves Lambda instead.  Both sides are read
-    as spans (`_transition_image`): the limit off the tower of x on M, and
-    Tor as H_i at level 1 of the empty-sequence tower on Lambda, from its
-    d_i and d_(i+1) alone.
+    completion Lambda with L.  The tests check it against Tor through a
+    resolution of Lambda (`derived_functor` in `tests/complex_reference.py`).
+    Both sides are read as spans (`_transition_image`): the limit off the
+    tower of x on M, and Tor as H_i at level 1 of the empty-sequence tower
+    on Lambda, from its d_i and d_(i+1) alone.
 
     Returns (lhs, rhs, agree), agree from `modules_isomorphic`: when the
     two sides are equal modules the identity is the isomorphism shown;

@@ -6,10 +6,11 @@ submodule spans, colon and torsion constructions, divisibility, Matlis
 duality against the injective cogenerator R^dual, Hom, free resolutions
 (free modules addressed by index, `FreeModuleData`), adic completion,
 and local cohomology, which comes from the stable idempotent with no
-resolution.  Tor/Ext through a resolution of the
-first argument (`derived_functor`) are reference routes: the runtime takes
-neither, and the test suite checks local cohomology and the Tor comparison
-against them.
+resolution.  Tor/Ext through a resolution of the first argument
+(`derived_functor`), homology of a two-map complex (`homology_module`)
+and the cyclic module R/I (`cyclic_quotient_module`) are reference routes
+in `tests/complex_reference.py`: the runtime takes none of them, and the
+test suite checks local cohomology and the Tor comparison against them.
 
 Submodules are stored as canonical column-HNF spans of the additive
 lattice, so equality compares the matrices, and membership and inclusion
@@ -21,9 +22,8 @@ ring basis (`span_closure`).
 `module_power` is the one direct sum of modules, laid out by one slot map
 (`_power_layout`, which `free_module` shares) with each action written
 straight to its slots, and `block_hom` the one place where maps between
-direct sums are assembled: the Tor/Ext differentials here, and the
-Koszul, Cech and total complexes of the complexes layer, which are all
-built on module powers.
+direct sums are assembled: the Koszul, Cech and total complexes of the
+complexes layer, which are all built on module powers.
 Quotient generators are lifted back only through the section read off
 the one Smith reduction of `intlinalg` (quotients, subquotients and Hom
 modules); nothing here solves for a lift on its own.  Quotient,
@@ -496,14 +496,6 @@ def subquotient_module(M, ker_span, im_span):
     return SubquotientData(H, M, data)
 
 
-def homology_module(X, outgoing, incoming):
-    """ker(outgoing)/im(incoming) at the module X; either map may be None
-    (treated as the zero map out of or into X)."""
-    ker = hom_kernel_span(outgoing) if outgoing is not None else X.full_span()
-    im = hom_image_span(incoming) if incoming is not None else X.zero_span()
-    return subquotient_module(X, ker, im)
-
-
 # ---------------------------------------------------------------------------
 # Presentations and generators
 
@@ -701,7 +693,7 @@ def hom_module(M, N):
 
 
 # ---------------------------------------------------------------------------
-# Resolutions and derived functors
+# Free resolutions
 
 
 @dataclass(frozen=True)
@@ -771,46 +763,6 @@ def free_resolution(M, length):
     return Resolution(M, tuple(frees), tuple(ring_mats), tuple(homs))
 
 
-def derived_functor(kind, M, N, i, resolution_length=None):
-    """Tor_i(M, N) via tensoring a free resolution of M with N, or
-    Ext^i(M, N) via Hom from the same resolution."""
-    if i < 0:
-        raise DimensionMismatch("derived functor degree must be >= 0")
-    L = resolution_length if resolution_length is not None else i + 1
-    if L < i + 1:
-        raise DimensionMismatch("resolution length must be at least degree + 1")
-    res = free_resolution(M, L)
-    powers = [module_power(N, r) for r in res.ranks]
-
-    def blocks(j):
-        # d_j: copy u of F_j -> copy v of F_{j-1} multiplies by ring_matrices[j-1][u][v]
-        return [
-            (u, v, N.action_hom(rel))
-            for u, col in enumerate(res.ring_matrices[j - 1])
-            for v, rel in enumerate(col)
-        ]
-
-    if kind == "tor":
-        def diff(j):
-            # d_j tensor N
-            return block_hom(powers[j], powers[j - 1], [(v, u, A, 1) for u, v, A in blocks(j)])
-
-        outgoing = diff(i) if i >= 1 else None
-        incoming = diff(i + 1)
-        return homology_module(powers[i][0], outgoing, incoming).module
-
-    if kind == "ext":
-        def codiff(j):
-            # delta^j: Hom(F_{j-1}, N) -> Hom(F_j, N); transposed blocks
-            return block_hom(powers[j - 1], powers[j], [(u, v, A, 1) for u, v, A in blocks(j)])
-
-        outgoing = codiff(i + 1)
-        incoming = codiff(i) if i >= 1 else None
-        return homology_module(powers[i][0], outgoing, incoming).module
-
-    raise DimensionMismatch(f"unknown derived functor kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # Completion and local cohomology
 
@@ -821,19 +773,13 @@ def adic_completion(M, I):
     return quotient_module(M, image_submodule(M, [e]))
 
 
-def cyclic_quotient_module(R, I):
-    """R / I as a cyclic module presented with a single free generator."""
-    gens = [(g,) for g in I.span_elements()]
-    module, _, _ = module_from_presentation(R, 1, gens)
-    return module
-
-
 def local_cohomology(M, I, i):
     """H^i_I(M) = Ext^i(R/eR, M) for the stable idempotent e, I^c = e R.
     R/eR is isomorphic to (1 - e)R, a direct summand of R, so it is
     projective: H^i_I(M) = 0 for i >= 1 and H^0_I(M) = (1 - e)M (Weibel,
     An Introduction to Homological Algebra, 2.4).  No resolution is built;
-    the tests check this against the Ext route of `derived_functor`.
+    the tests check this against the Ext route of `derived_functor` (in
+    `tests/complex_reference.py`).
 
     >>> from prokit.rings import ideal, zmod
     >>> R = zmod(12)

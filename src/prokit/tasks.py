@@ -132,12 +132,20 @@ def _count(value):
     return count
 
 
+def _list(value):
+    """A JSON array as a list; a string or object would split into its
+    characters or keys, so any other value is rejected."""
+    if not isinstance(value, list):
+        raise ValueError(f"expected a JSON array, got {value!r}")
+    return value
+
+
 def _int_list(value):
-    return [int(v) for v in value]
+    return [int(v) for v in _list(value)]
 
 
 def _products_table(value):
-    return [[tuple(int(c) for c in col) for col in row] for row in value]
+    return [[tuple(_int_list(col)) for col in _list(row)] for row in _list(value)]
 
 
 def _build_ring(spec, validate=True):
@@ -147,7 +155,7 @@ def _build_ring(spec, validate=True):
         R = zmod(_field(spec, "m"))
     elif kind == "product":
         factors = []
-        for sub in _field(spec, "factors", list):
+        for sub in _field(spec, "factors", _list):
             Rf, sub_named = _build_ring(sub)
             factors.append(Rf)
         R, _ = product_ring(factors)
@@ -162,7 +170,7 @@ def _build_ring(spec, validate=True):
         named["x"] = x
     elif kind == "quotient":
         base, base_named = _build_ring(_field(spec, "ring", dict))
-        gens = [_resolve_element(base, base_named, ref) for ref in _field(spec, "ideal", list)]
+        gens = [_resolve_element(base, base_named, ref) for ref in _field(spec, "ideal", _list)]
         R, project = quotient_ring(base, ideal(base, gens))
         named = {name: project(el) for name, el in base_named.items()}
     elif kind == "raw":
@@ -281,22 +289,22 @@ def parse_spec(text, kind=None):
             modules["M"] = ring_as_module(R)
     seq_specs = _field(doc, "sequences", dict, {})
     sequences = {
-        name: [_resolve_element(R, named, ref) for ref in _field(seq_specs, name, list)]
+        name: [_resolve_element(R, named, ref) for ref in _field(seq_specs, name, _list)]
         for name in seq_specs
     }
     return TaskSpec(R, named, modules, sequences, analysis, bounds, seed, doc, None)
 
 
 def _reference_lists(value):
-    if not all(isinstance(refs, list) for refs in value):
+    if not all(isinstance(refs, list) for refs in _list(value)):
         raise ValueError(f"expected a list of element-reference lists, got {value!r}")
-    return list(value)
+    return value
 
 
 def _family_sequences(family):
     seqs = _field(family, "sequences", _reference_lists, None)
     if seqs is None:
-        seqs = [_field(family, "sequence", list, ["x"])]
+        seqs = [_field(family, "sequence", _list, ["x"])]
     if not all(seqs):
         raise ParseError("a sweep tracks entry (1, 1), so no family sequence may be empty")
     return {"_family": seqs}
@@ -362,7 +370,7 @@ def run_profile_task(task):
     seq = _analysis_sequence(task)
     n_max = task.bounds.get("n_max", 3)
     m_max = task.bounds.get("m_max")
-    kinds = _field(task.analysis, "profiles", list, None)
+    kinds = _field(task.analysis, "profiles", _list, None)
     if kinds is None:
         kinds = [_field(task.analysis, "profile", str, "lipman")]
     results = {}
@@ -401,7 +409,7 @@ ALL_CHECKS = (
 
 
 def _check_names(value):
-    return ALL_CHECKS if value == "all" else tuple(value)
+    return ALL_CHECKS if value == "all" else tuple(_list(value))
 
 
 def run_verify_task(task):
@@ -549,7 +557,7 @@ def run_verify_task(task):
             return _resolve_element(R, task.named, ref)
 
         def elements(refs):
-            return [element(ref) for ref in refs]
+            return [element(ref) for ref in _list(refs)]
 
         I = ideal(R, _field(cart, "ideal", elements))
         x = _field(cart, "x", element)

@@ -36,11 +36,12 @@ from prokit.modules import (
     submodule_module,
     torsion_submodule,
 )
-from prokit.randgen import random_element, random_instance, random_ring, rng_from_seed
+from prokit.randgen import rng_from_seed
 from prokit.rings import ideal, zmod
 from prokit.tasks import parse_spec, run_task
 
 from linalg_reference import det
+from random_instances import random_element, random_instance, random_ring
 
 
 def report_line(num, ok, label, t0):

@@ -39,7 +39,7 @@ from prokit.modules import (
     ring_as_module,
     zero_module,
 )
-from prokit.randgen import random_instance, rng_from_seed
+from prokit.randgen import rng_from_seed
 from prokit.rings import (
     ideal,
     truncated_polynomial_family,
@@ -48,6 +48,7 @@ from prokit.rings import (
     zmod,
 )
 from test_rings import ideal_power
+from random_instances import random_instance
 
 
 def test_bounded_torsion_index_z8():

@@ -3,7 +3,6 @@
 import itertools
 
 from prokit.analysis import gm_profile, lipman_profile, local_global_check
-from prokit.complexes import ChainComplex, koszul_complex
 from prokit.modules import (
     free_resolution,
     localize_module,
@@ -14,6 +13,7 @@ from prokit.modules import (
     hom_module,
 )
 from prokit.rings import ideal, localize, zmod, zero_ring, product_ring
+from complex_reference import ChainComplex, koszul_complex
 from test_modules import tensor_module
 
 

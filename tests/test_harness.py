@@ -285,6 +285,66 @@ def test_cli_bad_task_file_exits_64(command, content, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+RAW_Z2 = {"kind": "raw", "orders": [2], "products": [[[1]]], "unit": [1]}
+Z8 = {"kind": "zmod", "m": 8}
+CARTIER = {"kind": "verify", "sequence": "xs", "checks": []}
+
+
+@pytest.mark.parametrize(
+    "command, field, content",
+    [
+        ("sweep", "sequence", family_text(range=[2, 3], sequence="one")),
+        ("sweep", "sequence", family_text(range=[2, 3], sequence="x")),
+        ("check", "xs", task_text(elements={"p": 2}, sequences={"xs": "p"})),
+        ("check", "factors", task_text(ring={"kind": "product", "factors": "ab"})),
+        ("check", "ideal", task_text(ring={"kind": "quotient", "ring": Z8, "ideal": "4"})),
+        ("check", "orders", task_text(ring={**RAW_Z2, "orders": "24"})),
+        ("axioms", "orders", task_text(ring={**RAW_Z2, "orders": "24"}, analysis={"kind": "axioms"})),
+        ("check", "unit", task_text(ring={**RAW_Z2, "unit": "10"})),
+        ("check", "products", task_text(ring={**RAW_Z2, "products": "1"})),
+        ("check", "checks", verify_text(checks="profiles")),
+        ("profile", "profiles", task_text(analysis={"kind": "profile", "profiles": "gm"})),
+        (
+            "check",
+            "ideal",
+            task_text(elements={"p": 2}, analysis={**CARTIER, "cartier": {"ideal": "p", "x": 2}}),
+        ),
+        (
+            "check",
+            "covering",
+            task_text(
+                elements={"p": 2},
+                analysis={**CARTIER, "cartier": {"ideal": [2], "x": 2, "covering": "p"}},
+            ),
+        ),
+    ],
+    ids=[
+        "family_sequence_name",
+        "family_sequence_one_letter",
+        "sequence_value",
+        "product_factors",
+        "quotient_ideal",
+        "raw_orders",
+        "raw_orders_axioms",
+        "raw_unit",
+        "raw_products",
+        "checks_one_name",
+        "profiles_one_kind",
+        "cartier_ideal",
+        "cartier_covering",
+    ],
+)
+def test_cli_list_field_given_a_string_exits_64(command, field, content, tmp_path, capsys):
+    # a string is not split into one entry per character: every list field
+    # takes only a JSON array ("checks": "all" is the one string form)
+    path = tmp_path / "task.json"
+    path.write_text(content)
+    assert main([command, str(path)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith(f"prokit: bad value for field {field!r}: expected a JSON array, got ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("q", [0, 1, -2, 9, True])
 def test_cli_family_modulus_that_is_not_prime_exits_64(q, tmp_path, capsys):
     # the family's modulus is checked while the document is parsed, as a

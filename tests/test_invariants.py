@@ -10,7 +10,6 @@ from prokit.errors import AxiomViolation, DimensionMismatch
 from prokit.intlinalg import FinAbGroup, GroupHom, IntMatrix
 from prokit.modules import (
     FgModule,
-    cyclic_quotient_module,
     free_module,
     generated_submodule,
     hom_module,
@@ -23,7 +22,7 @@ from prokit.modules import (
     submodule_module,
     zero_module,
 )
-from prokit.randgen import random_instance, random_ring, rng_from_seed
+from prokit.randgen import rng_from_seed
 from prokit.rings import (
     FiniteRing,
     check_ring_axioms,
@@ -37,7 +36,9 @@ from prokit.rings import (
     zmod,
 )
 from prokit.tasks import Report, emit_report, parse_spec, run_task
+from complex_reference import cyclic_quotient_module
 from test_modules import tensor_module
+from random_instances import random_instance, random_ring
 
 
 def test_conclusive_entries_reverify():
@@ -93,14 +94,21 @@ def test_axioms_task_diagnoses_corrupted_ring():
 
 
 def test_doctests_pass():
+    # every module, so that a run of tests/ alone covers the doctests too
     import doctest
+    import importlib
+    import pkgutil
 
-    import prokit.intlinalg
-    import prokit.rings
+    import prokit
 
-    for mod in (prokit.intlinalg, prokit.rings):
-        result = doctest.testmod(mod)
-        assert result.failed == 0, mod.__name__
+    names = [info.name for info in pkgutil.iter_modules(prokit.__path__, "prokit.")]
+    assert {"prokit.complexes", "prokit.modules", "prokit.tasks"} <= set(names)
+    attempted = 0
+    for name in names:
+        result = doctest.testmod(importlib.import_module(name))
+        assert result.failed == 0, name
+        attempted += result.attempted
+    assert attempted
 
 
 def test_suite_checks_axioms_on_every_construction():

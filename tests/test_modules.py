@@ -20,7 +20,7 @@ from prokit.intlinalg import (
     span_contains,
     span_lattice,
 )
-from prokit.randgen import random_instance, random_module, random_ring, rng_from_seed
+from prokit.randgen import rng_from_seed
 from prokit.rings import (
     RingElement,
     ideal,
@@ -39,8 +39,6 @@ from prokit.modules import (
     adic_completion,
     block_hom,
     colon_submodule,
-    cyclic_quotient_module,
-    derived_functor,
     free_module,
     free_resolution,
     generated_submodule,
@@ -64,7 +62,9 @@ from prokit.modules import (
     zero_module,
 )
 from prokit.complexes import cech_cohomology, cech_homology
+from complex_reference import cyclic_quotient_module, derived_functor
 from test_analysis import ideal_power_image
+from random_instances import random_instance, random_module, random_ring
 
 
 def brute_subgroup(M, predicate):

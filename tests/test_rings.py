@@ -39,9 +39,9 @@ from prokit.rings import (
     zmod,
 )
 
-from prokit.randgen import random_ring
 
 from linalg_reference import IntLinearSystem
+from random_instances import random_ring
 
 
 def ideal_power(I, n):
