@@ -15,15 +15,18 @@ level is assembled once, when first read.  Koszul homology and its
 transitions are read as spans of the level-n chains (`_transition_image`)
 by the Cech-homology limit, the weak profile, the Tor comparison and the
 colon identification, which reads H_1(y^n; M/x^(n)M) off the tower of the
-one element y.  No complex is built whole at runtime: the whole-complex
-route (`koszul_complex`, `ChainComplex`, `ComplexMap`) is a reference in
+one element y.
+The Cech complex (`CechData`) is built on the same layout: degree j is the
+power M^(k choose j), its codifferential is the layout's faces transposed,
+copy S to copy T by the face's sign times the Fitting idempotent e_T, and
+the localizations (+) e_S M are the subcomplex cut out by E = diag(e_S),
+one Fitting split per element of the sequence, kept on the ring (the
+idempotent of a subset is the product of its elements' idempotents).
+Like a tower, it assembles each E_j and each codifferential once, when
+first read, so one degree of Cech cohomology builds only the maps around
+it.  No complex is built whole at runtime: the whole-complex route
+(`koszul_complex`, `ChainComplex`, `ComplexMap`) is a reference in
 `tests/complex_reference.py` that only the tests take.
-The Cech complex is built on the same layout: degree j is the power
-M^(k choose j), its codifferential is the layout's faces transposed, copy S
-to copy T by the face's sign times the Fitting idempotent e_T, and the
-localizations (+) e_S M are the subcomplex cut out by E = diag(e_S), one
-Fitting split per element of the sequence (the idempotent of a subset is
-the product of its elements' idempotents).
 
 Cech homology is the inverse limit of Koszul homology H_i(x^(m)), which for
 finite modules agrees with the derived-Hom definition because the lim^1
@@ -45,7 +48,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .errors import AxiomViolation, IdentificationFailure
 from .intlinalg import (
@@ -57,7 +59,6 @@ from .intlinalg import (
     span_subgroup_order,
 )
 from .modules import (
-    FgModule,
     ModuleHom,
     Submodule,
     adic_completion,
@@ -332,47 +333,86 @@ def colon_identification(xs, y, n, M, extra_levels=(1, 2)):
 # Cech complexes via localization
 
 
-@dataclass(frozen=True)
 class CechData:
     """Cech cochain complex of a sequence on a module, on the Koszul layout.
 
     Degree j is M^(k choose j), one copy per j-subset S in the layout's
-    order, and `idempotents[j]` is E_j = diag(e_S), where e_S is the Fitting
+    order, and `idempotent(j)` is E_j = diag(e_S), where e_S is the Fitting
     idempotent of the product of the x_i, i in S.  A finite ring is a
     product of local rings, where each element is a unit or nilpotent, so
     that idempotent is the product of the e_{x_i}: the k Fitting splits of
-    the x_i give all 2^k of them.  The codifferential sends copy S to each
-    copy T containing S by +-e_T.  Since e_T e_S = e_T, d = d E = E d: the
-    complex of localizations (+) e_S M is the subcomplex E M^(k choose j),
-    and d kills (1 - E) M^(k choose j).
+    the x_i give all 2^k of them.  The codifferential `codifferential(j)`
+    sends copy S to each copy T containing S by +-e_T.  Since e_T e_S =
+    e_T, d = d E = E d: the complex of localizations (+) e_S M is the
+    subcomplex E M^(k choose j), and d kills (1 - E) M^(k choose j).
+
+    Like `KoszulTower`, the complex is never built whole: each E_j and
+    each d^j is assembled once, when first read, with one action of M per
+    distinct e_S (the layout's).  `tower` is the Koszul tower of x on M,
+    on the same layout, for the Cech homology.
     """
 
-    module: FgModule
-    sequence: tuple
-    packs: dict        # degree -> (module, injections, projections)
-    idempotents: dict  # degree j -> GroupHom E_j on C^j
-    codiffs: dict      # j -> ModuleHom C^j -> C^{j+1}
-    splits: tuple      # the Fitting idempotents e_{x_i}, one per element
-    tower: KoszulTower  # the Koszul tower of x on M, on the same layout
+    def __init__(self, x_seq, M):
+        self.module = M
+        self.sequence = tuple(x_seq)
+        self.tower = KoszulTower(self.sequence, M)
+        self._layout = self.tower._layout
+        self._splits = [fitting_split(M.ring, x)[1] for x in self.sequence]
+        self._idempotents = {}  # j -> E_j
+        self._codiffs = {}      # j -> d^j
+
+    def _action(self, S):
+        """The action of e_S, the product of the e_{x_i} over i in S, on M."""
+        e = math.prod((self._splits[i] for i in S), start=self.module.ring.one())
+        return self._layout.action(e)
+
+    def idempotent(self, j):
+        """E_j = diag(e_S) on C^j, built on first read."""
+        if j not in self._idempotents:
+            pack = self._layout.pack(j)
+            blocks = self._layout.blocks[j]
+            diag = [(b, b, self._action(S), 1) for b, (S, _, _) in enumerate(blocks)]
+            self._idempotents[j] = block_hom(pack, pack, diag)
+        return self._idempotents[j]
+
+    def codifferential(self, j):
+        """d^j: C^j -> C^(j+1), 0 <= j < k, the transpose of the layout's
+        degree-(j + 1) faces: copy S to copy T by the face's sign times e_T.
+        Built on first read; d o d = 0 is checked once per adjacent pair,
+        when its second map is built."""
+        if j not in self._codiffs:
+            layout = self._layout
+            faces, _ = layout.diff_blocks(j + 1)
+            blocks = [(t, s, self._action(layout.blocks[j + 1][t][0]), c) for s, t, _, c in faces]
+            source, target = layout.pack(j), layout.pack(j + 1)
+            f = ModuleHom(source[0], target[0], block_hom(source, target, blocks))
+            below, above = self._codiffs.get(j - 1), self._codiffs.get(j + 1)
+            for lower, upper, e in ((below, f, j - 1), (f, above, j)):
+                if lower is None or upper is None:
+                    continue
+                if not upper.compose(lower).is_zero_map():
+                    raise AxiomViolation(f"Cech codifferential fails d o d = 0 at degree {e}")
+            self._codiffs[j] = f
+        return self._codiffs[j]
 
     def cohomology_data(self, i):
-        """H^i of the localized subcomplex: E_i ker d^i / im d^(i-1)."""
-        X = self.packs[i][0]
-        outgoing = self.codiffs.get(i)
-        incoming = self.codiffs.get(i - 1)
-        ker = hom_kernel_span(outgoing.hom) if outgoing is not None else X.full_span()
-        cycles = span_lattice(X.group, (self.idempotents[i].matrix * ker).cols_list())
-        im = hom_image_span(incoming.hom) if incoming is not None else X.zero_span()
+        """H^i of the localized subcomplex: E_i ker d^i / im d^(i-1).  It
+        builds E_i, d^i and d^(i-1), where they exist, and no other map."""
+        X = self._layout.pack(i)[0]
+        k = len(self.sequence)
+        ker = hom_kernel_span(self.codifferential(i).hom) if i < k else X.full_span()
+        cycles = span_lattice(X.group, (self.idempotent(i).matrix * ker).cols_list())
+        im = hom_image_span(self.codifferential(i - 1).hom) if i else X.zero_span()
         return subquotient_module(X, cycles, im)
 
 
 def cech_complex(x_seq, M):
     """The Cech cochain complex 0 -> M -> (+) M_{x_i} -> ... on the module
     powers of the layout of `KoszulTower(x, M)`, kept as `tower` for the
-    Cech homology: the codifferential of degree j is the transpose of the
-    layout's degree-(j + 1) faces, copy S to copy T by the face's sign
-    times e_T.  One Fitting split per x_i: e_S is the product of the
-    e_{x_i} over i in S (1 for the empty set).
+    Cech homology (see `CechData`).  It forms the tower and one Fitting
+    split per x_i (kept on the ring, `fitting_split`), and no map: e_S is
+    the product of the e_{x_i} over i in S (1 for the empty set), and each
+    E_j and d^j is built when first read.
 
     >>> from prokit.rings import zmod
     >>> from prokit.modules import ring_as_module
@@ -381,38 +421,16 @@ def cech_complex(x_seq, M):
     >>> [cech.cohomology_data(i).module.order() for i in (0, 1)]
     [4, 1]
     """
-    R = M.ring
-    tower = KoszulTower(x_seq, M)
-    layout = tower._layout
-    splits = [fitting_split(R, x)[1] for x in x_seq]
-    idem = {(): R.one()}
-    for d in layout.degrees[1:]:
-        for S, _, _ in layout.blocks[d]:
-            idem[S] = idem[S[:-1]] * splits[S[-1]]
-    acts = {S: M.action_hom(e) for S, e in idem.items()}
-    packs = {j: layout.pack(j) for j in layout.degrees}
-    idempotents = {
-        j: block_hom(packs[j], packs[j], [(b, b, acts[S], 1) for b, (S, _, _) in enumerate(bl)])
-        for j, bl in layout.blocks.items()
-    }
-    codiffs = {}
-    for d in layout.degrees[1:]:
-        # the faces of degree d transposed: copy S to copy T by +-e_T
-        faces, _ = layout.diff_blocks(d)
-        blocks = [(t, s, acts[layout.blocks[d][t][0]], c) for s, t, _, c in faces]
-        hom = block_hom(packs[d - 1], packs[d], blocks)
-        codiffs[d - 1] = ModuleHom(packs[d - 1][0], packs[d][0], hom)
-    for j in range(len(x_seq) - 1):
-        if not codiffs[j + 1].compose(codiffs[j]).is_zero_map():
-            raise AxiomViolation(f"Cech codifferential fails d o d = 0 at degree {j}")
-    return CechData(M, tuple(x_seq), packs, idempotents, codiffs, tuple(splits), tower)
+    return CechData(x_seq, M)
 
 
 def cech_cohomology(x_seq, M, i):
     """H^i of the Cech cochain complex; degree 0 equals the torsion
-    submodule of the generated ideal.  One degree per call: a caller
-    that needs several builds `cech_complex` once and reads each off
-    `cohomology_data`."""
+    submodule of the generated ideal.  One degree per call, which builds
+    E_i, d^i and d^(i-1) and no other map of the complex; the splits of
+    the x_i are kept on the ring, so later calls reuse them.  A caller
+    that needs several degrees builds `cech_complex` once and reads each
+    off `cohomology_data`."""
     if i < 0:
         raise AxiomViolation("negative cohomological degree")
     if i > len(x_seq):

@@ -66,6 +66,9 @@ class FiniteRing:
         self.additive = additive
         self.mult_matrices = tuple(mult_matrices)
         self.unit_coords = additive.reduce(tuple(unit_coords)) if additive.rank else ()
+        # x.coords -> fitting_split(self, x), kept by its first call for x;
+        # equality and hashing ignore it
+        self._splits = {}
 
     @property
     def rank(self):
@@ -500,6 +503,8 @@ def fitting_split(R, x):
     Returns (c, e): c minimal with x^c R = x^{c+1} R and e the unique
     idempotent with e R = x^c R.  Multiplication by x is bijective on e R
     and nilpotent on (1-e) R.  Units give (0, 1), nilpotents (c, 0).
+    The split is a function of (R, x) alone: the first call for x computes
+    it and keeps it on R, and later calls for x read it there.
 
     >>> R = zmod(12)
     >>> c, e = fitting_split(R, R.from_int(2))
@@ -508,7 +513,9 @@ def fitting_split(R, x):
     """
     if R.rank == 0:
         return 0, R.zero()
-    return _factor_fitting_idempotent(R, R.one(), x)
+    if x.coords not in R._splits:
+        R._splits[x.coords] = _factor_fitting_idempotent(R, R.one(), x)
+    return R._splits[x.coords]
 
 
 @dataclass(frozen=True)
@@ -581,23 +588,19 @@ def stable_idempotent(I):
     In R_j an element is a unit or nilpotent, so I^c has the factor R_j
     when some generator is a unit there and is 0 there otherwise; the
     Fitting idempotent of g is the sum of the 1_j where g is a unit.  So
-    e = 1 - prod(1 - e_g) over the generators g, one Fitting split each,
-    on the first call for I; e is kept on I for later calls.
+    e = 1 - prod(1 - e_g) over the generators g, read from their Fitting
+    splits (`fitting_split`, kept on the ring) on the first call for I; e
+    is kept on I for later calls.
 
     >>> R = zmod(12)
     >>> stable_idempotent(ideal(R, [R.from_int(2), R.from_int(6)])).coords
     (4,)
     """
     if I.idempotent is None:
-        _keep_stable_idempotent(I, [fitting_split(I.ring, g)[1] for g in I.generators])
+        one = I.ring.one()
+        rest = math.prod((one - fitting_split(I.ring, g)[1] for g in I.generators), start=one)
+        object.__setattr__(I, "idempotent", one - rest)
     return I.idempotent
-
-
-def _keep_stable_idempotent(I, splits):
-    """Keep e = 1 - prod(1 - e_g) on I, for the Fitting idempotents e_g of its
-    generators (a caller that already split them passes its splits)."""
-    one = I.ring.one()
-    object.__setattr__(I, "idempotent", one - math.prod((one - e for e in splits), start=one))
 
 
 def ideal_stabilization(I):

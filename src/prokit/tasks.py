@@ -55,7 +55,6 @@ from .modules import (
 )
 from .randgen import rng_from_seed
 from .rings import (
-    _keep_stable_idempotent,
     check_ring_axioms,
     ideal,
     product_ring,
@@ -102,7 +101,15 @@ class Report:
 _REQUIRED = object()
 
 
-def _field(spec, key, convert=int, default=_REQUIRED):
+def _int(value):
+    """A JSON integer as itself; `int()` would also take a string, a float
+    or a boolean, so any other value is rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _field(spec, key, convert=_int, default=_REQUIRED):
     """`convert(spec[key])`, or `default` when the key is absent.
 
     The one reader of task-document fields: a spec that is not an object, a
@@ -122,11 +129,11 @@ def _field(spec, key, convert=int, default=_REQUIRED):
 def _int_pair(value):
     if not isinstance(value, list) or len(value) != 2:
         raise ValueError(f"expected a list of exactly two integers, got {value!r}")
-    return int(value[0]), int(value[1])
+    return _int(value[0]), _int(value[1])
 
 
 def _count(value):
-    count = int(value)
+    count = _int(value)
     if count < 0:
         raise ValueError(f"expected a count >= 0, got {count}")
     return count
@@ -141,7 +148,7 @@ def _list(value):
 
 
 def _int_list(value):
-    return [int(v) for v in _list(value)]
+    return [_int(v) for v in _list(value)]
 
 
 def _products_table(value):
@@ -208,14 +215,14 @@ def _resolve_element(R, named, ref):
         if ref not in named:
             raise UnknownReference(f"element name {ref!r} is not declared")
         return named[ref]
-    if isinstance(ref, int):
+    if isinstance(ref, int) and not isinstance(ref, bool):
         return R.from_int(ref)
     if isinstance(ref, (list, tuple)):
         if len(ref) != R.rank:
             raise ParseError(f"coordinate vector of length {len(ref)} for rank {R.rank}")
         try:
-            return R.element(tuple(int(c) for c in ref))
-        except (TypeError, ValueError) as exc:
+            return R.element(tuple(_int(c) for c in ref))
+        except ValueError as exc:
             raise ParseError(f"bad coordinate vector {ref!r}: {exc}") from exc
     raise ParseError(f"cannot interpret element reference {ref!r}")
 
@@ -582,7 +589,6 @@ def _vanishing_battery(M, seq):
     payload = {}
     ok = True
     cech = cech_complex(list(seq), M)
-    _keep_stable_idempotent(I, cech.splits)
     for i in range(1, k + 1):
         z = cech.cohomology_data(i).module.is_zero_module()
         payload[f"cech_cohomology_{i}_zero"] = z
@@ -689,8 +695,8 @@ class _FactorSweep:
         if len(ref) != G.rank:
             raise ParseError(f"coordinate vector of length {len(ref)} for rank {G.rank}")
         try:
-            lift = S.apply(G.reduce(tuple(int(c) for c in ref)))
-        except (TypeError, ValueError) as exc:
+            lift = S.apply(G.reduce(tuple(_int(c) for c in ref)))
+        except ValueError as exc:
             raise ParseError(f"bad coordinate vector {ref!r}: {exc}") from exc
         parts = []
         for R, _ in level:

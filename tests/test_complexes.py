@@ -734,23 +734,51 @@ def test_level_2n_squares_level_n_and_transitions_raise_no_power(monkeypatch):
     assert powers == []
 
 
-def test_fitting_split_never_calls_ring_basis(monkeypatch):
-    # the chain y^(c+1) e R = span(mult(y) prev) steps on the previous span
-    from prokit.rings import FiniteRing, product_ring, truncated_polynomial
+def _split_rings():
+    from prokit.rings import product_ring, truncated_polynomial
 
-    rings = [
+    return [
         zmod(12),
         product_ring([zmod(8), zmod(4)])[0],
         truncated_two_power(3)[0],
         truncated_polynomial(2, 4)[0],
     ]
+
+
+def test_fitting_split_never_calls_ring_basis(monkeypatch):
+    # the chain y^(c+1) e R = span(mult(y) prev) steps on the previous span
+    from prokit.rings import FiniteRing
+
     calls = []
     real = FiniteRing.basis
     monkeypatch.setattr(FiniteRing, "basis", lambda self: calls.append(self) or real(self))
-    for R in rings:
+    for R in _split_rings():
         for x in R.elements():
             fitting_split(R, x)
     assert calls == []
+
+
+def test_fitting_split_is_kept_on_the_ring(monkeypatch):
+    # the kept split equals a fresh one, is read back on later calls, and
+    # leaves the ring equal to (and hashed as) a ring without kept splits
+    import prokit.rings as rings
+    from prokit.rings import FiniteRing
+
+    fresh = rings._factor_fitting_idempotent
+    runs = []
+    monkeypatch.setattr(
+        rings, "_factor_fitting_idempotent", lambda *a: runs.append(a) or fresh(*a)
+    )
+    for R in _split_rings():
+        runs.clear()
+        elements = list(R.elements())
+        for x in elements:
+            kept = fitting_split(R, x)
+            assert kept == fresh(R, R.one(), x), (R, x)
+            assert fitting_split(R, x) is kept
+        assert len(runs) == len(elements) == R.order()
+        bare = FiniteRing(R.additive, R.mult_matrices, R.unit_coords)
+        assert R == bare and hash(R) == hash(bare)
 
 
 def test_cech_homology_unit():
@@ -1053,8 +1081,107 @@ def test_cech_complex_builds_no_subgroup_direct_sum_or_induced_map(monkeypatch):
         ([R12.from_int(2), R12.from_int(3)], ring_as_module(R12)),
         ([t, one, T.zero()], ring_as_module(T)),
     ):
-        cech_complex(seq, M)
+        # the complex is lazy, so every map is read to build it
+        cech = cech_complex(seq, M)
+        for j in range(len(seq) + 1):
+            cech.idempotent(j)
+        for j in range(len(seq)):
+            cech.codifferential(j)
+        assert len(cech._idempotents) == len(seq) + 1 and len(cech._codiffs) == len(seq)
     assert counts == {}
+
+
+def _battery_ring_and_sequence(rows):
+    """Z/2 x Z/4 x Z/8 and the elements with the given factor coordinates."""
+    from prokit.rings import product_ring
+
+    factors = [zmod(2), zmod(4), zmod(8)]
+    R, embed = product_ring(factors)
+    seq = [embed([F.from_int(c) for F, c in zip(factors, row)]) for row in rows]
+    return R, seq
+
+
+def test_cech_cohomology_builds_only_the_maps_around_its_degree(monkeypatch):
+    # one degree i of a 3-element Cech complex assembles E_i, d^i and
+    # d^(i-1), each once, and no other map: no other E_j or d^j, and no
+    # Koszul differential
+    import prokit.complexes as cx
+
+    built = []
+    real_idem, real_codiff = cx.CechData.idempotent, cx.CechData.codifferential
+
+    def idempotent(self, j):
+        if j not in self._idempotents:
+            built.append(("E", j))
+        return real_idem(self, j)
+
+    def codifferential(self, j):
+        if j not in self._codiffs:
+            built.append(("d", j))
+        return real_codiff(self, j)
+
+    assembled = []
+    real_block_hom = cx.block_hom
+    monkeypatch.setattr(cx.CechData, "idempotent", idempotent)
+    monkeypatch.setattr(cx.CechData, "codifferential", codifferential)
+    monkeypatch.setattr(cx, "block_hom", lambda *a: assembled.append(a) or real_block_hom(*a))
+    koszul, _, _ = _count_koszul_differentials(monkeypatch)
+    R, seq = _battery_ring_and_sequence(((0, 2, 2), (1, 0, 2), (0, 1, 4)))
+    M = ring_as_module(R)
+    for i in range(len(seq) + 2):
+        built.clear()
+        assembled.clear()
+        cech_cohomology(seq, M, i)
+        expected = [("E", i)] if i <= len(seq) else []
+        expected += [("d", j) for j in (i - 1, i) if 0 <= j < len(seq)]
+        assert sorted(built) == sorted(expected), i
+        assert len(assembled) == len(expected), i
+    assert koszul == []
+
+
+def test_vanishing_op_battery_splits_each_distinct_element_once(monkeypatch):
+    # the per-degree calls of the bench's vanishing battery share the
+    # splits kept on the ring: one Fitting split per distinct element
+    import prokit.rings as rings
+
+    R, seq = _battery_ring_and_sequence(((0, 2, 2), (1, 0, 2), (0, 2, 2)))
+    M = ring_as_module(R)
+    split = []
+    real = rings._factor_fitting_idempotent
+    monkeypatch.setattr(
+        rings, "_factor_fitting_idempotent", lambda R, e, y: split.append(y.coords) or real(R, e, y)
+    )
+    I = ideal(R, seq)
+    for i in range(len(seq) + 1):
+        assert cech_cohomology(seq, M, i).is_zero_module() == (i > 0)
+        assert local_cohomology(M, I, i).is_zero_module() == (i > 0)
+        assert cech_homology(seq, M, i).is_zero_module() == (i > 0)
+    torsion_submodule(M, I)
+    adic_completion(M, I)
+    assert sorted(split) == sorted({x.coords for x in seq})
+
+
+def test_cech_codifferential_with_a_wrong_face_sign_fails_d_squared(monkeypatch):
+    # d o d = 0 is checked when the second map of an adjacent pair is built:
+    # with one sign of the degree-2 faces flipped, d^1 o d^0 != 0 is caught
+    # by H^1, which builds both, and not by H^0, which builds d^0 alone
+    import prokit.complexes as cx
+
+    real = cx._KoszulLayout.diff_blocks
+
+    def corrupted(self, d):
+        faces, res_part = real(self, d)
+        if d == 2:
+            (t, s, e, c), *rest = faces
+            faces = [(t, s, e, -c)] + rest
+        return faces, res_part
+
+    monkeypatch.setattr(cx._KoszulLayout, "diff_blocks", corrupted)
+    R = zmod(12)
+    cech = cech_complex([R.from_int(2), R.from_int(2)], ring_as_module(R))
+    cech.cohomology_data(0)
+    with pytest.raises(AxiomViolation, match="d o d = 0 at degree 0"):
+        cech.cohomology_data(1)
 
 
 def _assert_same_module(new, old, context):

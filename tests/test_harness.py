@@ -360,7 +360,45 @@ def test_cli_family_modulus_that_is_not_prime_exits_64(q, tmp_path, capsys):
         path.write_text(json.dumps(doc))
         assert main([command, str(path)]) == 64
         errors.append(capsys.readouterr().err)
-    assert errors[0] == errors[1] == f"prokit: modulus {int(q)} is not prime\n"
+    # a boolean is not a JSON integer, so it never reaches the prime test
+    if isinstance(q, bool):
+        expected = f"prokit: bad value for field 'q': expected an integer, got {q!r}\n"
+    else:
+        expected = f"prokit: modulus {q} is not prime\n"
+    assert errors[0] == errors[1] == expected
+
+
+BAD_FIELD = "bad value for field {!r}: expected an integer, got {!r}"
+BAD_COORDS = "bad coordinate vector {!r}: expected an integer, got True"
+INT_PRODUCT = {"kind": "product", "factors": [Z8, Z8]}
+
+
+@pytest.mark.parametrize(
+    "command, content, message",
+    [
+        ("check", task_text(ring={"kind": "zmod", "m": "12"}), BAD_FIELD.format("m", "12")),
+        ("check", task_text(ring={"kind": "zmod", "m": 12.9}), BAD_FIELD.format("m", 12.9)),
+        ("check", task_text(ring={"kind": "zmod", "m": True}), BAD_FIELD.format("m", True)),
+        ("check", task_text(bounds={"n_max": 2.0}), BAD_FIELD.format("n_max", 2.0)),
+        ("sweep", family_text(range=["2", 4]), BAD_FIELD.format("range", "2")),
+        (
+            "check",
+            task_text(ring=INT_PRODUCT, sequences={"xs": [[2, True]]}),
+            BAD_COORDS.format([2, True]),
+        ),
+        ("sweep", family_text(range=[2, 2], sequence=[[1, True]]), BAD_COORDS.format([1, True])),
+    ],
+    ids=[
+        "string", "float", "bool", "float_bound", "string_in_range", "coordinate", "sweep_coordinate"
+    ],
+)
+def test_cli_integer_field_given_another_type_exits_64(command, content, message, tmp_path, capsys):
+    # integer fields and coordinates take JSON integers only: int() would
+    # read "12" and 12.9 as 12, and true as 1
+    path = tmp_path / "task.json"
+    path.write_text(content)
+    assert main([command, str(path)]) == 64
+    assert capsys.readouterr().err == f"prokit: {message}\n"
 
 
 def test_cli_sweep_over_a_prime_family_modulus_runs(tmp_path, capsys):
@@ -535,16 +573,17 @@ def test_three_element_battery_builds_each_differential_once(monkeypatch):
 
 
 def test_vanishing_battery_splits_each_element_once_per_use(monkeypatch):
-    # one split per element, by the Cech complex; the stable idempotent of
-    # I, which torsion_submodule, local_cohomology and adic_completion share
-    # through the Ideal, is formed from those splits
-    import prokit.complexes
+    # one split per element, kept on the ring by the Cech complex's first
+    # call; the stable idempotent of I, which torsion_submodule,
+    # local_cohomology and adic_completion share through the Ideal, reads
+    # the kept splits
     import prokit.rings
 
     calls = []
-    real = prokit.rings.fitting_split
-    for module in (prokit.rings, prokit.complexes):
-        monkeypatch.setattr(module, "fitting_split", lambda R, x: calls.append(x) or real(R, x))
+    real = prokit.rings._factor_fitting_idempotent
+    monkeypatch.setattr(
+        prokit.rings, "_factor_fitting_idempotent", lambda *a: calls.append(a) or real(*a)
+    )
     _z12_battery()
     assert len(calls) == 2
 
