@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .errors import IdentificationFailure, InsufficientBound, NotCovering
+from .errors import IdentificationFailure, InsufficientBound, InvalidSpec, NotCovering
 from .intlinalg import (
     hom_kernel_span,
     intersect_spans,
@@ -33,7 +33,6 @@ from .complexes import KoszulTower, cech_cohomology, cech_complex, pro_zero_inde
 from .modules import (
     Submodule,
     colon_submodule,
-    hom_module,
     image_submodule,
     is_divisible,
     localize_module,
@@ -316,7 +315,7 @@ def power_stability_check(M, x_seq, exponents):
     conclusive within m <= n + ceil(log2 |M|) (finite modules are always
     proregular)."""
     if any(e < 1 for e in exponents):
-        raise InsufficientBound("exponents must be >= 1")
+        raise InvalidSpec("exponents must be >= 1")
     o = max(M.order(), 2)
     slack = (o - 1).bit_length()
     n_max = 3
@@ -347,15 +346,19 @@ def power_stability_check(M, x_seq, exponents):
 def injective_criterion(M, x_seq, mode):
     """Cohomological criteria against the injective cogenerator E = R^dual.
 
+    Hom_R(M, E) is read as the Matlis dual M^dual = Hom_Z(M, Q/Z): by
+    tensor-Hom adjunction, Hom_R(M, Hom_Z(R, Q/Z)) = Hom_Z(M, Q/Z) through
+    the natural isomorphism phi -> (m -> phi(m)(1)), so H needs no linear
+    system.
+
     proregular mode: for each position i, the localization sequence of
-    D = torsion_{x_1..x_{i-1}}(Hom(M, E)) must have vanishing first Cech
-    cohomology at x_i, and D / torsion_{x_1..x_i}(Hom(M, E)) must be
-    x_i-divisible.  weak mode: all higher Cech cohomology of Hom(M, E)
-    vanishes.  The verdict is compared with the conclusiveness of the
-    matching profile."""
+    D = torsion_{x_1..x_{i-1}}(H) must have vanishing first Cech
+    cohomology at x_i, and D / torsion_{x_1..x_i}(H) must be
+    x_i-divisible.  weak mode: all higher Cech cohomology of H vanishes.
+    The verdict is compared with the conclusiveness of the matching
+    profile."""
     R = M.ring
-    E = matlis_dual(ring_as_module(R))
-    H = hom_module(M, E)
+    H = matlis_dual(M)
     k = len(x_seq)
     details = {}
     ok = True
@@ -379,7 +382,7 @@ def injective_criterion(M, x_seq, mode):
             ok = ok and vanish
         profile = weak_profile(M, x_seq, 2)
     else:
-        raise InsufficientBound(f"unknown criterion mode {mode!r}")
+        raise InvalidSpec(f"unknown criterion mode {mode!r}")
     agrees = ok == profile.all_conclusive()
     details["profile_conclusive"] = profile.all_conclusive()
     details["agrees_with_profile"] = agrees

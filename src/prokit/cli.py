@@ -3,7 +3,8 @@
 Subcommands: check (full verification battery), profile (witness tables),
 sweep (truncated-family divergence sweeps), axioms (ring diagnostics).
 Exit codes: 0 all assertions passed, 1 verified counterexample or failed
-check, 2 inconclusive entries, 64 usage or parse errors.
+check, 2 inconclusive entries or a search budget or enumeration limit
+reached, 64 usage or parse errors.
 """
 
 from __future__ import annotations

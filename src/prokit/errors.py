@@ -22,7 +22,8 @@ class AxiomViolation(ProkitError):
 
 
 class DecompositionBoundExceeded(ProkitError):
-    """Idempotent splitting stalled before all factors became local."""
+    """Idempotent splitting stalled before all factors became local, or
+    its idempotents broke the idempotent laws; indicates an internal bug."""
 
 
 class IdentificationFailure(ProkitError):
@@ -36,7 +37,9 @@ class NotCovering(ProkitError):
 
 
 class InsufficientBound(ProkitError):
-    """A bound-transfer check needed profile entries beyond the search budget."""
+    """A search budget or enumeration limit was reached before the answer
+    was decided (a bound-transfer check needed profile entries beyond the
+    search budget, or a ring was too large to enumerate)."""
 
 
 class ParseError(ProkitError):

@@ -23,10 +23,10 @@ of N's canonical span over L's from forward substitution; it takes the
 canonical spans themselves, so the coordinates depend only on the
 subgroups, never on their generators.
 Every quotient lift in the package (subgroups, quotients, quotient rings,
-Hom and tensor modules, subquotients) is a product with such a section.
+subquotients) is a product with such a section.
 `GroupSubquotient` and `induced_hom` are the one lift/classify path:
-`subgroup_embedding` (N = 0, span diag(G)) and `quotient_group` (L = G,
-span I) canonicalize their generators once and are cases of
+subgroups (`subgroup_embedding`, N = 0 with span diag(G)) and quotients
+(L = G with span I) canonicalize their generators once and are cases of
 `subquotient_group`, the record classifies an element by forward
 substitution on its canonical span (no normal form), and every map induced
 on a subgroup, quotient or subquotient (module actions, homology maps,
@@ -151,15 +151,6 @@ class IntMatrix:
         if len(vec) != self.cols:
             raise DimensionMismatch(f"{len(vec)} != {self.cols}")
         return tuple(sum(map(mul, self.row(i), vec)) for i in range(self.rows))
-
-    def hstack(self, other):
-        if self.rows != other.rows:
-            raise DimensionMismatch("row counts differ")
-        rows = [list(self.row(i)) + list(other.row(i)) for i in range(self.rows)]
-        return IntMatrix.from_rows(rows) if rows else IntMatrix(0, self.cols + other.cols, [])
-
-    def neg(self):
-        return IntMatrix._of(self.rows, self.cols, tuple(-e for e in self._data))
 
     def __eq__(self, other):
         return (
@@ -797,14 +788,6 @@ def subgroup_embedding(G, gen_vectors):
     GroupSubquotient whose lift is the inclusion: `subquotient_group` with
     N = 0, whose canonical span is diag(G)."""
     return subquotient_group(G, span_lattice(G, gen_vectors), _moduli_matrix(G))
-
-
-def quotient_group(G, gen_vectors):
-    """Quotient of G by the subgroup generated by the given coordinate
-    vectors, as a GroupSubquotient: `subquotient_group` with L = G, whose
-    canonical span is the identity, so the projection acts on G
-    coordinates directly and the lift is the section of the presentation."""
-    return subquotient_group(G, IntMatrix.identity(G.rank), span_lattice(G, gen_vectors))
 
 
 def subquotient_group(G, L, N):

@@ -3,14 +3,16 @@
 Modules are finite abelian groups with one action matrix per ring basis
 element.  This file carries the functor toolkit the analysis layer runs on:
 submodule spans, colon and torsion constructions, divisibility, Matlis
-duality against the injective cogenerator R^dual, Hom, free resolutions
-(free modules addressed by index, `FreeModuleData`), adic completion,
-and local cohomology, which comes from the stable idempotent with no
-resolution.  Tor/Ext through a resolution of the first argument
-(`derived_functor`), homology of a two-map complex (`homology_module`)
-and the cyclic module R/I (`cyclic_quotient_module`) are reference routes
-in `tests/complex_reference.py`: the runtime takes none of them, and the
-test suite checks local cohomology and the Tor comparison against them.
+duality (the character module M^dual, which is Hom_R(M, R^dual) for the
+injective cogenerator R^dual), free resolutions (free modules addressed
+by index, `FreeModuleData`), adic completion, and local cohomology, which
+comes from the stable idempotent with no resolution.  Tor/Ext through a
+resolution of the first argument (`derived_functor`), homology of a
+two-map complex (`homology_module`), the cyclic module R/I
+(`cyclic_quotient_module`) and Hom_R(M, N) from its action-commutation
+system over Z are reference routes in `tests/complex_reference.py`: the
+runtime takes none of them, and the test suite checks local cohomology,
+the Tor comparison and the Matlis dual against them.
 
 Submodules are stored as canonical column-HNF spans of the additive
 lattice, so equality compares the matrices, and membership and inclusion
@@ -25,8 +27,8 @@ straight to its slots, and `block_hom` the one place where maps between
 direct sums are assembled: the Koszul, Cech and total complexes of the
 complexes layer, which are all built on module powers.
 Quotient generators are lifted back only through the section read off
-the one Smith reduction of `intlinalg` (quotients, subquotients and Hom
-modules); nothing here solves for a lift on its own.  Quotient,
+the one Smith reduction of `intlinalg` (quotients and subquotients);
+nothing here solves for a lift on its own.  Quotient,
 submodule, subquotient and localized modules carry an
 `intlinalg.GroupSubquotient` and get their actions from
 `intlinalg.induced_hom`, the one lift/classify path.
@@ -35,7 +37,6 @@ submodule, subquotient and localized modules carry an
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .errors import AxiomViolation, DimensionMismatch, InvalidSpec
 from .intlinalg import (
@@ -44,16 +45,12 @@ from .intlinalg import (
     GroupSubquotient,
     IntMatrix,
     _moduli_matrix,
-    _smith_presentation,
-    _span_classes,
-    _span_coefficients,
     hom_image_span,
     hom_kernel_span,
     induced_hom,
     intersect_spans,
     linear_combination,
     matrix_combination,
-    preimage_lattice,
     preimage_span,
     span_contains,
     span_lattice,
@@ -370,9 +367,6 @@ class Submodule:
     def is_zero(self):
         return self.order() == 1
 
-    def is_full(self):
-        return self.order() == self.parent.order()
-
     def __eq__(self, other):
         return (
             isinstance(other, Submodule)
@@ -557,15 +551,17 @@ def _greedy_generators(M, pool, target):
 
 
 # ---------------------------------------------------------------------------
-# Duality, Hom, tensor
+# Duality
 
 
 def matlis_dual(M):
-    """Character module Hom(M, Q/Z) with the transposed action.
+    """Character module M^dual = Hom_Z(M, Q/Z) with the transposed action.
 
     In invariant-factor coordinates the dual group has the same factors and
     the action matrices are D A^T D^{-1}, integral precisely because the
-    originals were well defined.
+    originals were well defined.  By tensor-Hom adjunction this is also
+    Hom_R(M, R^dual) for the injective cogenerator R^dual = matlis_dual(R):
+    phi maps to m -> phi(m)(1), with inverse chi -> (m -> (r -> chi(r m))).
     """
     d = M.group.invariant_factors
     n = M.group.rank
@@ -581,115 +577,6 @@ def matlis_dual(M):
                 entries.append(q)
         actions.append(GroupHom(M.group, M.group, IntMatrix(n, n, entries)))
     return FgModule(M.ring, FinAbGroup(d), actions)
-
-
-def _hom_matrix_from_coeffs(source_group, target_group, pair_moduli, t):
-    """Concrete hom matrix for elementary-generator coefficients t."""
-    r = target_group.rank
-    s = source_group.rank
-    b = target_group.invariant_factors
-    entries = [0] * (r * s)
-    for idx, coeff in enumerate(t):
-        i, j = divmod(idx, s)
-        entries[i * s + j] = coeff * (b[i] // pair_moduli[idx])
-    return GroupHom(source_group, target_group, IntMatrix(r, s, entries))
-
-
-@dataclass(frozen=True)
-class HomModuleData:
-    """Hom_R(M, N) as a module, with encode/decode to concrete homs."""
-
-    module: FgModule
-    source: FgModule
-    target: FgModule
-    _lattice: IntMatrix   # columns: coefficient vectors spanning the hom lattice
-    _proj: IntMatrix      # lattice coordinates -> module generators
-    _section: IntMatrix   # module generators -> lattice coordinates, a section of _proj
-    _pair_moduli: tuple
-
-    def to_group_hom(self, h):
-        t = self._lattice.apply(self._section.apply(h.coords))
-        return _hom_matrix_from_coeffs(
-            self.source.group, self.target.group, self._pair_moduli, t
-        )
-
-    def from_group_hom(self, f):
-        t = _hom_coeffs_of(self.source.group, self.target.group, self._pair_moduli, f)
-        return self.module.element(_span_classes(self._lattice, self._proj, [t])[0])
-
-
-def _hom_coeffs_of(source_group, target_group, pair_moduli, f):
-    r = target_group.rank
-    s = source_group.rank
-    b = target_group.invariant_factors
-    t = []
-    for i in range(r):
-        for j in range(s):
-            scale = b[i] // pair_moduli[i * s + j]
-            q, rem = divmod(f.matrix[i, j], scale)
-            if rem:
-                raise AxiomViolation("hom matrix entry off the elementary lattice")
-            t.append(q)
-    return t
-
-
-def hom_module_data(M, N):
-    """Hom_R(M, N) from the action-commutation linear system over Z."""
-    if M.ring != N.ring:
-        raise DimensionMismatch("hom between modules over different rings")
-    R = M.ring
-    a = M.group.invariant_factors
-    b = N.group.invariant_factors
-    s = M.group.rank
-    r = N.group.rank
-    pair_moduli = tuple(gcd(a[j], b[i]) for i in range(r) for j in range(s))
-    nvars = r * s
-    if nvars == 0:
-        empty = IntMatrix(0, 0, [])
-        return HomModuleData(zero_module(R), M, N, empty, empty, empty, pair_moduli)
-
-    def scale(i, j):
-        return b[i] // pair_moduli[i * s + j]
-
-    # equivariance of Phi: Phi A_k = B_k Phi modulo target orders, entrywise
-    cond_rows = []
-    cond_mods = []
-    for k in range(R.rank):
-        Ak = M.actions[k].matrix
-        Bk = N.actions[k].matrix
-        for i in range(r):
-            for j in range(s):
-                row = [0] * nvars
-                for jp in range(s):
-                    row[i * s + jp] += scale(i, jp) * Ak[jp, j]
-                for ip in range(r):
-                    row[ip * s + j] -= Bk[i, ip] * scale(ip, j)
-                cond_rows.append(row)
-                cond_mods.append(b[i])
-    C = IntMatrix.from_rows(cond_rows)
-    # L is canonical, square and full rank, so it presents the hom group
-    # with relations L^-1 diag(pair_moduli), and t decodes to P * L^-1 t,
-    # both by forward substitution
-    L = preimage_lattice(C, IntMatrix.diagonal(cond_mods), pair_moduli)
-    rels = _span_coefficients(nvars, L, IntMatrix.diagonal(list(pair_moduli)).cols_list())
-    G, P, S = _smith_presentation(IntMatrix.from_cols(list(rels), rows=nvars))
-    # canonical generators lifted to coefficient vectors
-    concrete = [
-        _hom_matrix_from_coeffs(M.group, N.group, pair_moduli, L.apply(S.col(i)))
-        for i in range(G.rank)
-    ]
-    actions = []
-    for Bk in N.actions:
-        tvecs = [_hom_coeffs_of(M.group, N.group, pair_moduli, Bk.compose(f)) for f in concrete]
-        cols = [G.reduce(c) for c in _span_classes(L, P, tvecs)]
-        mat = IntMatrix.from_cols(cols, rows=G.rank) if cols else IntMatrix(G.rank, 0, [])
-        actions.append(GroupHom(G, G, mat))
-    module = FgModule(R, G, actions)
-    return HomModuleData(module, M, N, L, P, S, pair_moduli)
-
-
-def hom_module(M, N):
-    return hom_module_data(M, N).module
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .errors import (
     AxiomViolation,
     DecompositionBoundExceeded,
     DimensionMismatch,
+    InsufficientBound,
     InvalidSpec,
 )
 from .intlinalg import (
@@ -375,9 +376,6 @@ class Ideal:
     def is_unit_ideal(self):
         return self.contains(self.ring.one())
 
-    def is_zero_ideal(self):
-        return self.order() == 1
-
     def span_elements(self):
         """Ring elements of the canonical span columns (reduced)."""
         return [self.ring.element(c) for c in self.span.cols_list()]
@@ -621,7 +619,7 @@ def ideal_stabilization(I):
 def _is_local(R, limit=SPLIT_ENUM_LIMIT):
     """Local iff every element is a unit or nilpotent (finite commutative)."""
     if R.order() > limit:
-        raise DecompositionBoundExceeded(
+        raise InsufficientBound(
             f"locality check needs enumeration; order {R.order()} exceeds {limit}"
         )
     for y in R.elements():
@@ -637,7 +635,9 @@ def primitive_idempotents(R):
     The search first splits 1 along the additive primary components (those
     idempotents come for free), then refines each factor with Fitting
     idempotents of its elements, enumerated in deterministic coordinate
-    order.  Rings too large to enumerate raise DecompositionBoundExceeded.
+    order.  Factors too large to enumerate raise InsufficientBound; a
+    splitting that stalls or breaks the idempotent laws raises
+    DecompositionBoundExceeded.
     """
     if R.rank == 0:
         return []
@@ -677,7 +677,7 @@ def primitive_idempotents(R):
         e = work.pop(0)
         factor_order = span_subgroup_order(R.additive, hom_image_span(R.multiplication_hom(e)))
         if factor_order > SPLIT_ENUM_LIMIT:
-            raise DecompositionBoundExceeded(
+            raise InsufficientBound(
                 f"factor of order {factor_order} too large to enumerate"
             )
         split = None

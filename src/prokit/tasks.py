@@ -17,6 +17,7 @@ from operator import mul
 from . import __version__
 from .errors import (
     BoundViolation,
+    InsufficientBound,
     ParseError,
     ProkitError,
     UnknownReference,
@@ -555,7 +556,12 @@ def run_verify_task(task):
         except ParseError:
             raise
         except ProkitError as exc:
-            note(check, {"error": f"{type(exc).__name__}: {exc}", "passed": False}, False)
+            results[check] = {"error": f"{type(exc).__name__}: {exc}", "passed": False}
+            # a budget or enumeration limit leaves the check undecided, not failed
+            if isinstance(exc, InsufficientBound):
+                inconclusive = True
+            else:
+                failed = True
 
     # optional Cartier checks when the task declares an ideal and an element
     cart = task.analysis.get("cartier")

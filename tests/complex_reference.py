@@ -14,19 +14,29 @@ independent answer:
 - `derived_functor`, Tor and Ext through a resolution of the first
   argument, the reference for local cohomology and the Tor comparison;
 - `cyclic_quotient_module`, R/I presented with one free generator;
+- `hom_module`, Hom_R(M, N) from the action-commutation system over Z,
+  kept as a `HomModuleData` that decodes elements to group homs; the
+  runtime reads Hom_R(M, R^dual) as the Matlis dual M^dual instead, and
+  the tests certify the adjunction map between the two;
 - `reference_colon_identification`, the colon identification on full
   Koszul complexes, its transition checked as a `ComplexMap`.
 """
 
 from dataclasses import dataclass
+from math import gcd
 
 from prokit.complexes import _KoszulLayout
 from prokit.errors import AxiomViolation, DimensionMismatch, IdentificationFailure
 from prokit.intlinalg import (
     GroupHom,
+    IntMatrix,
+    _smith_presentation,
+    _span_classes,
+    _span_coefficients,
     hom_image_span,
     hom_kernel_span,
     induced_hom,
+    preimage_lattice,
     span_subgroup_order,
 )
 from prokit.modules import (
@@ -41,6 +51,7 @@ from prokit.modules import (
     power_image,
     quotient_module_data,
     subquotient_module,
+    zero_module,
 )
 
 
@@ -180,6 +191,115 @@ def derived_functor(kind, M, N, i, resolution_length=None):
         return homology_module(powers[i][0], outgoing, incoming).module
 
     raise DimensionMismatch(f"unknown derived functor kind {kind!r}")
+
+
+def _hom_matrix_from_coeffs(source_group, target_group, pair_moduli, t):
+    """Concrete hom matrix for elementary-generator coefficients t."""
+    r = target_group.rank
+    s = source_group.rank
+    b = target_group.invariant_factors
+    entries = [0] * (r * s)
+    for idx, coeff in enumerate(t):
+        i, j = divmod(idx, s)
+        entries[i * s + j] = coeff * (b[i] // pair_moduli[idx])
+    return GroupHom(source_group, target_group, IntMatrix(r, s, entries))
+
+
+@dataclass(frozen=True)
+class HomModuleData:
+    """Hom_R(M, N) as a module, with encode/decode to concrete homs."""
+
+    module: FgModule
+    source: FgModule
+    target: FgModule
+    _lattice: IntMatrix   # columns: coefficient vectors spanning the hom lattice
+    _proj: IntMatrix      # lattice coordinates -> module generators
+    _section: IntMatrix   # module generators -> lattice coordinates, a section of _proj
+    _pair_moduli: tuple
+
+    def to_group_hom(self, h):
+        t = self._lattice.apply(self._section.apply(h.coords))
+        return _hom_matrix_from_coeffs(
+            self.source.group, self.target.group, self._pair_moduli, t
+        )
+
+    def from_group_hom(self, f):
+        t = _hom_coeffs_of(self.source.group, self.target.group, self._pair_moduli, f)
+        return self.module.element(_span_classes(self._lattice, self._proj, [t])[0])
+
+
+def _hom_coeffs_of(source_group, target_group, pair_moduli, f):
+    r = target_group.rank
+    s = source_group.rank
+    b = target_group.invariant_factors
+    t = []
+    for i in range(r):
+        for j in range(s):
+            scale = b[i] // pair_moduli[i * s + j]
+            q, rem = divmod(f.matrix[i, j], scale)
+            if rem:
+                raise AxiomViolation("hom matrix entry off the elementary lattice")
+            t.append(q)
+    return t
+
+
+def hom_module_data(M, N):
+    """Hom_R(M, N) from the action-commutation linear system over Z."""
+    if M.ring != N.ring:
+        raise DimensionMismatch("hom between modules over different rings")
+    R = M.ring
+    a = M.group.invariant_factors
+    b = N.group.invariant_factors
+    s = M.group.rank
+    r = N.group.rank
+    pair_moduli = tuple(gcd(a[j], b[i]) for i in range(r) for j in range(s))
+    nvars = r * s
+    if nvars == 0:
+        empty = IntMatrix(0, 0, [])
+        return HomModuleData(zero_module(R), M, N, empty, empty, empty, pair_moduli)
+
+    def scale(i, j):
+        return b[i] // pair_moduli[i * s + j]
+
+    # equivariance of Phi: Phi A_k = B_k Phi modulo target orders, entrywise
+    cond_rows = []
+    cond_mods = []
+    for k in range(R.rank):
+        Ak = M.actions[k].matrix
+        Bk = N.actions[k].matrix
+        for i in range(r):
+            for j in range(s):
+                row = [0] * nvars
+                for jp in range(s):
+                    row[i * s + jp] += scale(i, jp) * Ak[jp, j]
+                for ip in range(r):
+                    row[ip * s + j] -= Bk[i, ip] * scale(ip, j)
+                cond_rows.append(row)
+                cond_mods.append(b[i])
+    C = IntMatrix.from_rows(cond_rows)
+    # L is canonical, square and full rank, so it presents the hom group
+    # with relations L^-1 diag(pair_moduli), and t decodes to P * L^-1 t,
+    # both by forward substitution
+    L = preimage_lattice(C, IntMatrix.diagonal(cond_mods), pair_moduli)
+    rels = _span_coefficients(nvars, L, IntMatrix.diagonal(list(pair_moduli)).cols_list())
+    G, P, S = _smith_presentation(IntMatrix.from_cols(list(rels), rows=nvars))
+    # canonical generators lifted to coefficient vectors
+    concrete = [
+        _hom_matrix_from_coeffs(M.group, N.group, pair_moduli, L.apply(S.col(i)))
+        for i in range(G.rank)
+    ]
+    actions = []
+    for Bk in N.actions:
+        tvecs = [_hom_coeffs_of(M.group, N.group, pair_moduli, Bk.compose(f)) for f in concrete]
+        cols = [G.reduce(c) for c in _span_classes(L, P, tvecs)]
+        mat = IntMatrix.from_cols(cols, rows=G.rank) if cols else IntMatrix(G.rank, 0, [])
+        actions.append(GroupHom(G, G, mat))
+    module = FgModule(R, G, actions)
+    return HomModuleData(module, M, N, L, P, S, pair_moduli)
+
+
+def hom_module(M, N):
+    return hom_module_data(M, N).module
 
 
 def reference_colon_identification(xs, y, n, M, extra_levels=(1, 2)):

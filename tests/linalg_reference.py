@@ -4,7 +4,9 @@ built on it.  `prokit.intlinalg` solves A x = b by one canonical preimage
 (`_solve`) and keeps `snf` for presentations alone; these are the routes
 it replaced, kept as the independent answers the tests compare against.
 The Bareiss determinant `det` is the independent oracle of acceptance
-criterion 01, which checks the Smith form against it."""
+criterion 01, which checks the Smith form against it.  `hstack`, `neg`
+and `quotient_group` are the small matrix and group helpers only the
+tests use."""
 
 from prokit.errors import DimensionMismatch
 from prokit.intlinalg import (
@@ -15,6 +17,7 @@ from prokit.intlinalg import (
     _swap_rows,
     hom_kernel_span,
     snf,
+    span_lattice,
     subquotient_group,
 )
 
@@ -46,6 +49,26 @@ def det(A: IntMatrix):
 
 def _relations(G):
     return IntMatrix.diagonal(list(G.invariant_factors))
+
+
+def hstack(A: IntMatrix, B: IntMatrix):
+    """[A | B] for matrices with the same number of rows."""
+    if A.rows != B.rows:
+        raise DimensionMismatch("row counts differ")
+    rows = [list(A.row(i)) + list(B.row(i)) for i in range(A.rows)]
+    return IntMatrix.from_rows(rows) if rows else IntMatrix(0, A.cols + B.cols, [])
+
+
+def neg(A: IntMatrix):
+    return IntMatrix._of(A.rows, A.cols, tuple(-e for e in A._data))
+
+
+def quotient_group(G, gen_vectors):
+    """Quotient of G by the subgroup generated by the given coordinate
+    vectors, as a GroupSubquotient: `subquotient_group` with L = G, whose
+    canonical span is the identity, so the projection acts on G
+    coordinates directly and the lift is the section of the presentation."""
+    return subquotient_group(G, IntMatrix.identity(G.rank), span_lattice(G, gen_vectors))
 
 
 def hnf(A: IntMatrix):
@@ -107,7 +130,7 @@ def solve_hom(f: GroupHom, y: GroupElement):
         raise DimensionMismatch("rhs not in target group")
     if f.target.rank == 0:
         return f.source.zero()
-    sol = IntLinearSystem(f.matrix.hstack(_relations(f.target))).solve(y.coords)
+    sol = IntLinearSystem(hstack(f.matrix, _relations(f.target))).solve(y.coords)
     if sol is None:
         return None
     return f.source.element(sol[: f.source.rank])

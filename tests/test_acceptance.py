@@ -28,7 +28,6 @@ from prokit.errors import ProkitError
 from prokit.intlinalg import IntMatrix, snf
 from prokit.modules import (
     adic_completion,
-    hom_module,
     local_cohomology,
     matlis_dual,
     modules_isomorphic,
@@ -40,6 +39,7 @@ from prokit.randgen import rng_from_seed
 from prokit.rings import ideal, zmod
 from prokit.tasks import parse_spec, run_task
 
+from complex_reference import hom_module
 from linalg_reference import det
 from random_instances import random_element, random_instance, random_ring
 

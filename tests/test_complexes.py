@@ -21,7 +21,6 @@ from prokit.modules import (
     adic_completion,
     free_resolution,
     generated_submodule,
-    hom_module,
     local_cohomology,
     matlis_dual,
     module_fingerprint,
@@ -54,6 +53,7 @@ from complex_reference import (
     ComplexMap,
     cyclic_quotient_module,
     derived_functor,
+    hom_module,
     homology_module,
     koszul_complex,
     reference_colon_identification,
@@ -1025,11 +1025,13 @@ def _cech_reference_cases():
     rng = rng_from_seed(0xA006)
     for _ in range(100):
         yield random_instance(rng, k_max=3)
-    # Hom(M, R^dual) on the draws of criteria 05 and 07
+    # Hom(M, R^dual) on the draws of criteria 05 and 07, and the Matlis dual
+    # M^dual that `injective_criterion` reads it as
     rng = rng_from_seed(0xA005)
     for _ in range(12):
         R, M, seq = random_instance(rng, k_max=3)
         yield R, hom_module(M, matlis_dual(ring_as_module(R))), seq
+        yield R, matlis_dual(M), seq
     yield from _degenerate_cases()
 
 

@@ -10,10 +10,9 @@ from prokit.modules import (
     module_from_presentation,
     modules_isomorphic,
     ring_as_module,
-    hom_module,
 )
 from prokit.rings import ideal, localize, zmod, zero_ring, product_ring
-from complex_reference import ChainComplex, koszul_complex
+from complex_reference import ChainComplex, hom_module, koszul_complex
 from test_modules import tensor_module
 
 

@@ -610,6 +610,34 @@ def test_lipman_forms_disagreement_is_a_failed_check(monkeypatch):
     assert profiles["error"].startswith("IdentificationFailure: ")
 
 
+@pytest.mark.parametrize(
+    "ring, element, check, bounds, error",
+    [
+        # bound transfer needs an entry beyond the document's own m_max
+        ({"kind": "zmod", "m": 8}, 2, "bound_transfer", {"n_max": 2, "m_max": 2},
+         "InsufficientBound: inconclusive entry at (1, 1)"),
+        # primitive idempotents enumerate factors of order at most 4096
+        ({"kind": "truncated_two_power", "N": 5}, "x", "local_global", {},
+         "InsufficientBound: factor of order 32768 too large to enumerate"),
+    ],
+    ids=["bound_transfer", "local_global"],
+)
+def test_cli_check_that_runs_out_of_budget_exits_2(
+    ring, element, check, bounds, error, tmp_path, capsys
+):
+    path = write_doc(
+        tmp_path,
+        ring=ring,
+        sequences={"s": [element]},
+        analysis={"kind": "verify", "checks": [check]},
+        bounds=bounds,
+    )
+    assert main(["check", path]) == 2
+    body = json.loads(capsys.readouterr().out)
+    assert body["exit_code"] == 2
+    assert body["results"][check] == {"error": error, "passed": False}
+
+
 def test_zero_ring_passes_local_global(tmp_path, capsys):
     # in the zero ring 1 = 0, so the empty family of primitive idempotents covers
     path = tmp_path / "task.json"

@@ -12,7 +12,6 @@ from prokit.modules import (
     FgModule,
     free_module,
     generated_submodule,
-    hom_module,
     local_cohomology,
     localize_module,
     matlis_dual,
@@ -36,7 +35,7 @@ from prokit.rings import (
     zmod,
 )
 from prokit.tasks import Report, emit_report, parse_spec, run_task
-from complex_reference import cyclic_quotient_module
+from complex_reference import cyclic_quotient_module, hom_module
 from test_modules import tensor_module
 from random_instances import random_instance, random_ring
 

@@ -15,10 +15,12 @@ from prokit.intlinalg import (
     GroupHom,
     IntMatrix,
     cokernel_presentation,
+    hom_image_span,
     hom_kernel_span,
     linear_combination,
     span_contains,
     span_lattice,
+    span_subgroup_order,
 )
 from prokit.randgen import rng_from_seed
 from prokit.rings import (
@@ -42,8 +44,6 @@ from prokit.modules import (
     free_module,
     free_resolution,
     generated_submodule,
-    hom_module,
-    hom_module_data,
     is_divisible,
     local_cohomology,
     matlis_dual,
@@ -62,7 +62,7 @@ from prokit.modules import (
     zero_module,
 )
 from prokit.complexes import cech_cohomology, cech_homology
-from complex_reference import cyclic_quotient_module, derived_functor
+from complex_reference import cyclic_quotient_module, derived_functor, hom_module, hom_module_data
 from test_analysis import ideal_power_image
 from random_instances import random_instance, random_module, random_ring
 
@@ -116,11 +116,11 @@ def test_generated_submodule_examples():
     S = generated_submodule(M, [M.element((2,))])
     assert submodule_set(S) == {(k,) for k in range(0, 12, 2)}
     S1 = generated_submodule(M, [M.element((1,))])
-    assert S1.is_full()
+    assert S1.order() == M.order()
     R6 = zmod(6)
     M6 = ring_as_module(R6)
     S2 = generated_submodule(M6, [M6.element((2,)), M6.element((3,))])
-    assert S2.is_full()
+    assert S2.order() == M6.order()
 
 
 def test_inclusion_chain_power_species():
@@ -148,7 +148,7 @@ def test_colon_submodule_examples():
     assert n_again == four_m
     zero = generated_submodule(M, [])
     allm = colon_submodule(M, zero, R.from_int(2), 3)
-    assert allm.is_full()
+    assert allm.order() == M.order()
 
 
 def test_colon_monotone_and_no_plateau():
@@ -171,7 +171,7 @@ def test_torsion_submodule_examples():
     G = torsion_submodule(M, ideal(R, [R.from_int(2)]))
     assert submodule_set(G) == {(0,), (3,), (6,), (9,)}
     G0 = torsion_submodule(M, ideal(R, [R.zero()]))
-    assert G0.is_full()
+    assert G0.order() == M.order()
     G1 = torsion_submodule(M, ideal(R, [R.one()]))
     assert G1.is_zero()
 
@@ -263,13 +263,65 @@ def test_hom_module_encode_decode():
         assert ModuleHom(M2, ring_as_module(R), f).check_equivariance()
 
 
-def test_hom_into_dual_is_matlis_dual():
+def adjunction_map(M):
+    """The adjunction map psi: Hom_R(M, R^dual) -> M^dual, phi -> (m ->
+    phi(m)(1)), as a ModuleHom out of the reference Hom module.  A dual
+    element chi has coordinates d_j chi(e_j) on M's generators e_j of
+    order d_j."""
+    R = M.ring
+    RM = ring_as_module(R)
+    data = hom_module_data(M, matlis_dual(RM))
+    H, D = data.module, matlis_dual(M)
+    cols = []
+    for h in H.generators():
+        phi = data.to_group_hom(h)
+        col = []
+        for e, d in zip(M.generators(), M.group.invariant_factors):
+            value = d * dual_pairing(RM, phi(e), R.one())
+            assert value.denominator == 1
+            col.append(value.numerator)
+        cols.append(col)
+    mat = IntMatrix.from_cols(cols, rows=D.group.rank) if cols else IntMatrix(D.group.rank, 0, [])
+    return ModuleHom(H, D, GroupHom(H.group, D.group, mat))
+
+
+def is_certified_isomorphism(f):
+    """f is a well-defined R-linear map with zero kernel span and full
+    image span: an isomorphism shown, not a fingerprint match."""
+    return (
+        f.hom.is_well_defined()
+        and f.check_equivariance()
+        and span_subgroup_order(f.source.group, hom_kernel_span(f.hom)) == 1
+        and span_subgroup_order(f.target.group, hom_image_span(f.hom)) == f.target.order()
+    )
+
+
+def _adjunction_cases():
+    # the draws of acceptance criterion 07 (the stream of criterion 05)
+    rng = rng_from_seed(0xA005)
+    for _ in range(100):
+        yield random_instance(rng, k_max=3)[1]
     R = zmod(12)
-    E = matlis_dual(ring_as_module(R))
+    yield ring_as_module(R)
+    yield cyclic_quotient_module(R, ideal(R, [R.from_int(4)]))
+    yield zero_module(R)
+    yield ring_as_module(zero_ring())
+
+
+def test_hom_into_dual_is_matlis_dual():
+    for M in _adjunction_cases():
+        assert is_certified_isomorphism(adjunction_map(M))
+
+
+def test_adjunction_certificate_refuses_a_non_bijective_map():
+    # 2 psi is R-linear but kills the 2-torsion: only bijectivity refuses it
+    R = zmod(12)
     for M in (ring_as_module(R), cyclic_quotient_module(R, ideal(R, [R.from_int(4)]))):
-        H = hom_module(M, E)
-        D = matlis_dual(M)
-        assert modules_isomorphic(H, D)
+        psi = adjunction_map(M)
+        two = psi.target.action_hom(R.from_int(2))
+        doubled = ModuleHom(psi.source, psi.target, two.compose(psi.hom))
+        assert doubled.check_equivariance()
+        assert not is_certified_isomorphism(doubled)
 
 
 # Tensor products: the runtime takes none, so the construction lives here

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from prokit.errors import AxiomViolation, DecompositionBoundExceeded, InvalidSpec
+from prokit.errors import AxiomViolation, InsufficientBound, InvalidSpec
 from prokit.intlinalg import (
     FinAbGroup,
     IntMatrix,
@@ -40,7 +40,7 @@ from prokit.rings import (
 )
 
 
-from linalg_reference import IntLinearSystem
+from linalg_reference import IntLinearSystem, hstack
 from random_instances import random_ring
 
 
@@ -306,7 +306,7 @@ def nonunits_form_ideal(R, limit=SPLIT_ENUM_LIMIT):
     """Direct check that the non-units are closed under addition and under
     multiplication by arbitrary elements (the local-ring criterion)."""
     if R.order() > limit:
-        raise DecompositionBoundExceeded("ring too large to enumerate")
+        raise InsufficientBound("ring too large to enumerate")
     nonunits = {y.coords for y in R.elements() if not R.is_unit(y)}
     for a in nonunits:
         for b in nonunits:
@@ -455,7 +455,7 @@ def _solved_stable_idempotent(I):
             break
         cur = nxt
         c += 1
-    if cur.is_zero_ideal():
+    if cur.order() == 1:
         return c, R.zero()
     gens = cur.span_elements()
     r = R.rank
@@ -472,7 +472,7 @@ def _solved_stable_idempotent(I):
             col[t * r + k] = d[k]
             mod_cols.append(col)
     A = IntMatrix.from_rows(cond_rows)
-    stacked = A.hstack(IntMatrix.from_cols(mod_cols, rows=len(gens) * r))
+    stacked = hstack(A, IntMatrix.from_cols(mod_cols, rows=len(gens) * r))
     sol = IntLinearSystem(stacked).solve(tuple(rhs))
     e = R.zero()
     for coeff, s in zip(sol[: len(gens)], gens):
