@@ -2,25 +2,35 @@
 
 A profile materializes the "for all n there is m" quantifier of the
 proregularity definitions: for each position (or homological degree) i and
-each level n it records the least witness exponent m, found by linear scan
-from n upward.  Validity is upward-closed in m, so the first hit is the
+each level n it records the least witness exponent m.  Validity is
+upward-closed in m, so the first hit of a scan from n upward is the
 minimum.  Entries that exhaust the search bound are recorded as
-inconclusive together with that bound; over a finite module the default
-budget always suffices, so an inconclusive entry at the default budget
-signals a bug rather than an expected outcome.
+inconclusive together with that bound.  A colon entry (i, n) has its least
+witness m in n <= m <= n + c_M(y), for c_M(y) the bounded torsion index of
+the scanned element y on M (Fitting's lemma, see `_witness_scan`), and
+`default_budget` lies above that bound: at the default budget no colon
+entry is inconclusive, so an inconclusive entry comes only from a smaller
+m_max.
 
 Lipman's, Greenlees-May's and the Cartier profile share one condition,
 (N_m :_M y^m) <= (N_n :_M y^(m-n)), and one scan, `_witness_scan`; they
 differ only in the levels N_m that `_levels` yields: x^(m) M (elementwise
 powers of the prefix) or I^m M (powers of the prefix ideal, over R itself
-for Cartier).  The weak profile scans Koszul transitions instead."""
+for Cartier).  The scans of one module share one `_ScanContext`.  The weak
+profile scans Koszul transitions instead."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .errors import IdentificationFailure, InsufficientBound, InvalidSpec, NotCovering
+from .errors import (
+    DimensionMismatch,
+    IdentificationFailure,
+    InsufficientBound,
+    InvalidSpec,
+    NotCovering,
+)
 from .intlinalg import (
     hom_kernel_span,
     intersect_spans,
@@ -89,9 +99,13 @@ class CheckOutcome:
 
 
 def default_budget(order, k, n_max):
-    """n_max + ceil(log2 |M|) * (k + 1) for a module M of the given order;
-    annihilator and power chains in a finite module are shorter than
-    log2 |M|."""
+    """n_max + ceil(log2 |M|) * (k + 1) for a module M of the given order.
+
+    The least witness of a colon entry (i, n) satisfies n <= m <= n +
+    c_M(y), where c_M(y) <= log2 |M| is the bounded torsion index of the
+    scanned element y (see `_witness_scan`); annihilator and power chains in
+    a finite module are shorter than log2 |M|.  So this budget, at least
+    n_max + 2 log2 |M| for k >= 1, leaves no colon entry inconclusive."""
     return n_max + (max(order, 2) - 1).bit_length() * (k + 1)
 
 
@@ -120,32 +134,16 @@ def bounded_torsion_index(M, x):
         prev = nxt
 
 
-def _torsion_index_from(M, x, start, colons):
-    """max(start, c) for c the bounded torsion index of x on M: the least
-    c >= start with 0 :_M x^c = 0 :_M x^(c+1).  Each term of the chain is
-    the preimage of the one before under x, so once two consecutive terms
-    agree the chain stays constant, and equality at `start` settles
-    c <= start.  The annihilator 0 :_M x^e is a colon of the zero level,
-    kept in `colons` under the key of `_witness_scan`; an i = 1 Lipman scan
-    of M (whose levels are all 0) builds the same colons."""
-    zero = M.zero_span()
-    power = M.ring.one()
-    for _ in range(start):
-        power = power * x
-    c, cur = start, zero if start == 0 else _colon(M, colons, M.action_hom(power), zero).span
-    while True:
-        power = power * x
-        nxt = _colon(M, colons, M.action_hom(power), zero).span
-        if nxt == cur:
-            return c
-        c, cur = c + 1, nxt
-
-
 def _levels(M, kind, xs):
     """The levels N_1, N_2, ... of a colon scan over the prefix xs, each
     one multiplication past the one before: x^(m) M (elementwise powers,
     Lipman) for kind "lipman", I^m M with I = (xs) (ideal powers,
-    Greenlees-May) for any other kind."""
+    Greenlees-May) for any other kind.  Over the empty prefix every level
+    is 0."""
+    if not xs:
+        zero = image_submodule(M, [])
+        while True:
+            yield zero
     if kind == "lipman":
         gens = list(xs)
         while True:
@@ -157,85 +155,177 @@ def _levels(M, kind, xs):
         J = ideal_product(J, I)
 
 
-def _colon(M, colons, act, span):
-    """N :_M y^e for `act` the action of y^e and `span` the canonical span
-    of N: the preimage of N under y^e, kept in `colons` under the key
-    (matrix of y^e, span).  Canonical spans identify submodules, so each
-    distinct colon of a module is built once per dict.  A dict belongs to
-    one module: equal matrices act differently on different groups."""
-    key = (act.matrix, span)
-    if key not in colons:
-        colons[key] = Submodule(M, preimage_span(act, span))
-    return colons[key]
+def _levels_key(kind, xs):
+    """The key under which a `_ScanContext` keeps the levels of
+    `_levels(M, kind, xs)`.  Over at most one prefix item the two kinds give
+    the same levels, (x)^m M = x^m M, so the empty prefix has one zero chain
+    for Lipman, Greenlees-May and Cartier."""
+    kind = "lipman" if kind == "lipman" or len(xs) <= 1 else "gm"
+    return kind, tuple(x.coords for x in xs)
 
 
-def _witness_scan(M, levels, y, n_max, m_max, start=None, colons=None):
+class _ScanContext:
+    """What the colon scans and torsion searches of one module M share.  A
+    caller that scans M more than once passes one context to every scan; a
+    context belongs to one module, as equal matrices act differently on
+    different groups.  It keeps
+
+    - `colons`: N :_M y^e, the preimage of N under y^e, keyed by (matrix of
+      y^e, canonical span of N); canonical spans identify submodules, so
+      each distinct colon is built once;
+    - `actions`: per y, by coordinates, [y^e, actions of y^0..y^e], each
+      power one multiplication past the one before;
+    - `levels`: per `_levels_key`, [the `_levels` generator, N_1, N_2, ...],
+      the levels built so far;
+    - `torsion`: per y, c_M(y) or an upper bound for it, from
+      `_torsion_index_from`;
+    - `scans`: finished `_witness_scan` results, keyed by (levels key, y,
+      n_max, m_max, starts)."""
+
+    def __init__(self, M):
+        self.module = M
+        self.colons = {}
+        self.actions = {}
+        self.levels = {}
+        self.torsion = {}
+        self.scans = {}
+
+    def action(self, y, e):
+        """The action of y^e on M."""
+        if y.coords not in self.actions:
+            one = self.module.ring.one()
+            self.actions[y.coords] = [one, [self.module.action_hom(one)]]
+        built = self.actions[y.coords]
+        while len(built[1]) <= e:
+            built[0] = built[0] * y
+            built[1].append(self.module.action_hom(built[0]))
+        return built[1][e]
+
+    def level(self, kind, xs, m):
+        """N_m, the m-th item of `_levels(M, kind, xs)`."""
+        key = _levels_key(kind, xs)
+        if key not in self.levels:
+            self.levels[key] = [_levels(self.module, key[0], xs)]
+        built = self.levels[key]
+        while len(built) <= m:
+            built.append(next(built[0]))
+        return built[m]
+
+    def colon(self, y, e, level):
+        """level :_M y^e: the level itself for e = 0, else its preimage
+        under y^e, built once."""
+        if e == 0:
+            return level
+        act = self.action(y, e)
+        key = (act.matrix, level.span)
+        if key not in self.colons:
+            self.colons[key] = Submodule(self.module, preimage_span(act, level.span))
+        return self.colons[key]
+
+    def holds(self, kind, xs, y, n, m):
+        """Whether (N_m :_M y^m) <= (N_n :_M y^(m-n)) for m >= n and the
+        levels of `_levels(M, kind, xs)`.  The inclusion, through
+        `Submodule.leq`, is cross-checked against the zero-map form
+        y^(m-n) (N_m :_M y^m) <= N_n, membership of the mapped generators
+        in the canonical N_n by `span_leq`."""
+        Nm, Nn = self.level(kind, xs, m), self.level(kind, xs, n)
+        left = self.colon(y, m, Nm)
+        incl = left.leq(self.colon(y, m - n, Nn))
+        if incl != span_leq(self.module.group, self.action(y, m - n).matrix * left.span, Nn.span):
+            raise IdentificationFailure("the two forms of the proregularity condition disagree")
+        return incl
+
+
+def _torsion_index_from(context, x, start):
+    """max(start, c) for c the bounded torsion index of x on the context's
+    module M: the least c >= start with 0 :_M x^c = 0 :_M x^(c+1).  Each
+    term of the chain is the preimage of the one before under x, so once
+    two consecutive terms agree the chain stays constant, and equality at
+    `start` settles c <= start.  The annihilator 0 :_M x^e is the colon of
+    the zero level, which the i = 1 scans of M share.  The result, an upper
+    bound for c, is kept in `context.torsion` unless a smaller one is."""
+    M = context.module
+    zero = Submodule(M, M.zero_span())
+    c, cur = start, context.colon(x, start, zero).span
+    while True:
+        nxt = context.colon(x, c + 1, zero).span
+        if nxt == cur:
+            break
+        c, cur = c + 1, nxt
+    context.torsion[x.coords] = min(c, context.torsion.get(x.coords, c))
+    return c
+
+
+def _witness_scan(context, kind, xs, y, n_max, m_max, start=None):
     """{n: least m in [s_n, m_max] with (N_m :_M y^m) <= (N_n :_M y^(m-n))}
-    for n = 1..n_max, None where no m is, with N_m the m-th item of
-    `levels` and s_n = max(n, start[n]), or n without `start`.  Each level
-    and each power y^e (one multiplication past y^(e-1)) is built once.
+    for n = 1..n_max, None where no m is, with N_m the m-th level of
+    `_levels(M, kind, xs)` and s_n = max(n, start[n]), or n without
+    `start`.  Levels, actions, colons and the finished scan are kept in
+    `context`; each inclusion is tested by `_ScanContext.holds`.
+
+    The theorem: the least witness m satisfies n <= m <= n + c, for c =
+    c_M(y) the bounded torsion index of y on M.  By Fitting's lemma M is
+    the direct sum of y^c M and 0 :_M y^c, split by an idempotent e that
+    acts as a power of y, so e splits every level, colon and inclusion.
+    On e M, y is invertible with inverse a power of y, which maps every
+    level into itself, so the condition holds at m = n; on (1 - e) M,
+    y^c = 0, so for m - n >= c the right-hand colon is everything.  Any
+    upper bound for c does as well; the scan reads `context.torsion[y]` and
+    otherwise finds c by `_torsion_index_from`.
 
     The levels decrease, so validity is upward closed in m (the argument is
     in `tasks.run_family_sweep`), and the first hit at or above s_n is the
-    larger of s_n and the least witness: one test at s_n settles whether
-    the least witness is at most s_n, and the scan goes past s_n only when
-    it is not.  A start above m_max leaves n inconclusive with no test.
-
-    A colon N :_M y^e is N for e = 0, else built by `_colon` in `colons`
-    (a fresh dict when none is given).  Every inclusion is cross-checked
-    against the zero-map form y^(m-n) (N_m :_M y^m) <= N_n, membership of
-    the mapped generators in the canonical N_n by `span_leq`, where the
-    inclusion goes through `Submodule.leq`."""
-    power = M.ring.one()
-    acts = [M.action_hom(power)]  # acts[e]: the action of y^e
-    N = [None]
-    colons = {} if colons is None else colons
-
-    def colon(e, level):
-        return level if e == 0 else _colon(M, colons, acts[e], level.span)
-
-    found = {}
-    for n in range(1, n_max + 1):
-        found[n] = None
-        for m in range(n if start is None else max(n, start[n]), m_max + 1):
-            while len(N) <= m:
-                power = power * y
-                acts.append(M.action_hom(power))
-                N.append(next(levels))
-            left = colon(m, N[m])
-            incl = left.leq(colon(m - n, N[n]))
-            if incl != span_leq(M.group, acts[m - n].matrix * left.span, N[n].span):
-                raise IdentificationFailure("the two forms of the proregularity condition disagree")
-            if incl:
-                found[n] = m
-                break
-    return found
+    larger of s_n and the least witness.  So for hi = n + c: if s_n >= hi,
+    the entry is s_n with no test; otherwise m = s_n, s_n + 1, ... is
+    tested, and the scan stops at hi without testing it.  An entry above
+    m_max is None."""
+    starts = None if start is None else tuple(start[n] for n in range(1, n_max + 1))
+    key = (_levels_key(kind, xs), y.coords, n_max, m_max, starts)
+    if key not in context.scans:
+        c = context.torsion.get(y.coords)
+        if c is None:
+            c = _torsion_index_from(context, y, 0)
+        found = {}
+        for n in range(1, n_max + 1):
+            lo = n if start is None else max(n, start[n])
+            bound = max(lo, n + c)
+            found[n] = bound if bound <= m_max else None
+            for m in range(lo, min(bound, m_max + 1)):
+                if context.holds(kind, xs, y, n, m):
+                    found[n] = m
+                    break
+        context.scans[key] = found
+    return dict(context.scans[key])
 
 
-def _profile(M, x_seq, kind, n_max, m_max, start=None, colons=None):
+def _profile(M, x_seq, kind, n_max, m_max, start, context):
     k = len(x_seq)
     m_max = m_max if m_max is not None else default_budget(M.order(), k, n_max)
+    if context is None:
+        context = _ScanContext(M)
+    elif context.module is not M:
+        raise DimensionMismatch("a scan context of another module")
     entries = {}
     for i in range(1, k + 1):
-        levels = _levels(M, kind, x_seq[: i - 1])
         starts = None if start is None else {n: start[(i, n)] for n in range(1, n_max + 1)}
-        scan = _witness_scan(M, levels, x_seq[i - 1], n_max, m_max, starts, colons)
+        scan = _witness_scan(context, kind, x_seq[: i - 1], x_seq[i - 1], n_max, m_max, starts)
         entries.update(((i, n), m) for n, m in scan.items())
     return Profile(kind, k, n_max, m_max, entries)
 
 
-def lipman_profile(M, x_seq, n_max, m_max=None, start=None, colons=None):
+def lipman_profile(M, x_seq, n_max, m_max=None, start=None, context=None):
     """Minimal witnesses for the elementwise-power form of proregularity.
 
     With `start`, a map (i, n) -> lower bound, entry (i, n) is the least
-    witness at or above its bound; `colons` is a colon dict of M shared
-    with other scans of M (see `_witness_scan`)."""
-    return _profile(M, x_seq, "lipman", n_max, m_max, start, colons)
+    witness at or above its bound; `context` is the `_ScanContext` of M
+    shared with other scans of M (a fresh one without it)."""
+    return _profile(M, x_seq, "lipman", n_max, m_max, start, context)
 
 
-def gm_profile(M, x_seq, n_max, m_max=None):
-    """Minimal witnesses for the ideal-power form of proregularity."""
-    return _profile(M, x_seq, "gm", n_max, m_max)
+def gm_profile(M, x_seq, n_max, m_max=None, context=None):
+    """Minimal witnesses for the ideal-power form of proregularity;
+    `context` as for `lipman_profile`."""
+    return _profile(M, x_seq, "gm", n_max, m_max, None, context)
 
 
 def weak_profile(M, x_seq, n_max, m_max=None, i_max=None):
@@ -393,10 +483,11 @@ def injective_criterion(M, x_seq, mode):
 # Local-global
 
 
-def local_global_check(M, x_seq, covering=None, mode=None, n_max=2, m_max=None):
+def local_global_check(M, x_seq, covering=None, mode=None, n_max=2, m_max=None, context=None):
     """Diagonal injectivity into the covering localizations, and the
     local-global law: the global minimal witness at every profile entry is
-    the maximum of the local ones."""
+    the maximum of the local ones.  `context` is the `_ScanContext` of M
+    for the global Lipman profile, as for `lipman_profile`."""
     R = M.ring
     if mode == "maximal":
         covering = primitive_idempotents(R)
@@ -416,7 +507,7 @@ def local_global_check(M, x_seq, covering=None, mode=None, n_max=2, m_max=None):
         inter = M.full_span()
     diagonal_injective = span_subgroup_order(M.group, inter) == 1
     m_max = m_max if m_max is not None else default_budget(M.order(), len(x_seq), n_max)
-    global_lip = lipman_profile(M, x_seq, n_max, m_max)
+    global_lip = lipman_profile(M, x_seq, n_max, m_max, context=context)
     global_weak = weak_profile(M, x_seq, n_max, m_max)
     local_lips = []
     local_weaks = []
@@ -466,7 +557,7 @@ def local_global_check(M, x_seq, covering=None, mode=None, n_max=2, m_max=None):
 def cartier_profile(R, I, x, n_max, m_max):
     """Minimal witnesses for the ideal form: I^m : x^m inside I^n : x^{m-n}."""
     M = ring_as_module(R)
-    scan = _witness_scan(M, _levels(M, "cartier", I.generators), x, n_max, m_max)
+    scan = _witness_scan(_ScanContext(M), "cartier", I.generators, x, n_max, m_max)
     return Profile("cartier", 1, n_max, m_max, {(1, n): m for n, m in scan.items()})
 
 

@@ -681,10 +681,12 @@ def primitive_idempotents(R):
                 f"factor of order {factor_order} too large to enumerate"
             )
         split = None
+        tried = set()  # many y give one e*y, and a tried e*y did not split e
         for y in R.elements():
             ey = e * y
-            if ey.is_zero() or ey == e:
+            if ey.is_zero() or ey == e or ey.coords in tried:
                 continue
+            tried.add(ey.coords)
             _, eps = _factor_fitting_idempotent(R, e, ey)
             if not eps.is_zero() and eps != e:
                 split = eps

@@ -24,6 +24,7 @@ from .errors import (
 )
 from .analysis import (
     Profile,
+    _ScanContext,
     _torsion_index_from,
     bounded_torsion_index,
     cartier_check,
@@ -433,6 +434,8 @@ def run_verify_task(task):
     inconclusive = False
 
     lip = gm = weak = None
+    # one scan context of M for every colon profile of the document
+    context = _ScanContext(M)
 
     def note(name, payload, ok):
         nonlocal failed
@@ -443,8 +446,8 @@ def run_verify_task(task):
     for check in checks:
         try:
             if check == "profiles":
-                lip = lipman_profile(M, seq, n_max, m_max)
-                gm = gm_profile(M, seq, n_max, m_max)
+                lip = lipman_profile(M, seq, n_max, m_max, context=context)
+                gm = gm_profile(M, seq, n_max, m_max, context=context)
                 weak = weak_profile(M, seq, n_max, m_max)
                 ok = lip.all_conclusive() and gm.all_conclusive() and weak.all_conclusive()
                 inconclusive = inconclusive or not ok
@@ -467,10 +470,15 @@ def run_verify_task(task):
                 ]
                 for x in pool:
                     c, _ = bounded_torsion_index(M, x)
-                    p_l = lipman_profile(M, [x], 2)
-                    p_g = gm_profile(M, [x], 2)
+                    p_l = lipman_profile(M, [x], 2, context=context)
+                    p_g = gm_profile(M, [x], 2, context=context)
+                    # the scans settle (1, n) = n + c from c itself, so the
+                    # inclusions on either side of it are tested here
                     good = all(
-                        p_l.entry(1, n) == n + c and p_g.entry(1, n) == p_l.entry(1, n)
+                        p_l.entry(1, n) == n + c
+                        and p_g.entry(1, n) == p_l.entry(1, n)
+                        and context.holds("lipman", [], x, n, n + c)
+                        and (c == 0 or not context.holds("lipman", [], x, n, n + c - 1))
                         for n in (1, 2)
                     )
                     payload.append(
@@ -480,14 +488,14 @@ def run_verify_task(task):
                 note("single_element", {"cases": payload, "passed": ok}, ok)
             elif check == "bound_transfer":
                 if lip is None:
-                    lip = lipman_profile(M, seq, n_max, m_max)
+                    lip = lipman_profile(M, seq, n_max, m_max, context=context)
                 if gm is None:
-                    gm = gm_profile(M, seq, n_max, m_max)
+                    gm = gm_profile(M, seq, n_max, m_max, context=context)
                 out = verify_bound_transfer(M, seq, lip, gm)
                 note("bound_transfer", _outcome_payload(out), out.passed)
             elif check == "thm2":
                 if lip is None:
-                    lip = lipman_profile(M, seq, n_max, m_max)
+                    lip = lipman_profile(M, seq, n_max, m_max, context=context)
                 if weak is None:
                     weak = weak_profile(M, seq, n_max, m_max)
                 ok = (not lip.all_conclusive()) or weak.all_conclusive()
@@ -524,7 +532,7 @@ def run_verify_task(task):
                 out = power_stability_check(M, seq, [2] * len(seq))
                 note("power_stability", _outcome_payload(out), out.passed)
             elif check == "local_global":
-                out = local_global_check(M, seq, mode="maximal")
+                out = local_global_check(M, seq, mode="maximal", context=context)
                 note("local_global", _outcome_payload(out), out.passed)
             elif check == "torsion_routes":
                 I = ideal(R, list(seq))
@@ -666,7 +674,9 @@ class _FactorSweep:
     Scans run at the sweep's largest budget: the document's m_max, or else
     the default budget of the top level's order.  A prefix is kept under
     the coordinates of its items on each factor, and each factor module has
-    one colon dict, shared by its scans and torsion searches."""
+    one `_ScanContext`, shared by its scans and torsion searches.  A level's
+    torsion searches run before its scans: each leaves max(before, c_j) >=
+    c_j in the factor's context, the bound that its scans stop at."""
 
     def __init__(self, family, hi, n_max, m_max):
         self.factors = _family_factors(family, hi)
@@ -675,7 +685,7 @@ class _FactorSweep:
         self.orders = list(accumulate((R.order() for R, _ in self.factors), mul))
         self.n_max = n_max
         self.m_max = m_max
-        self.colons = [{} for _ in self.modules]
+        self.contexts = [_ScanContext(M) for M in self.modules]
         self.scans = {}
         self.torsion = {}
         self.presentations = {}
@@ -732,13 +742,21 @@ class _FactorSweep:
         if before is not None:
             # a witness missing on an earlier factor starts past the budget
             start = {key: top + 1 if m is None else m for key, m in before.items()}
-        prof = lipman_profile(self.modules[j], seq, self.n_max, top, start, self.colons[j])
+        prof = lipman_profile(self.modules[j], seq, self.n_max, top, start, self.contexts[j])
         return prof.entries
 
     def level(self, N, seq_refs):
         """One sequence at level N, read off the prefix of factors 1..N."""
         parts = [self._resolve(N, ref) for ref in seq_refs]
         seqs = list(zip(*parts))
+        torsion_indices = [
+            self._chain(
+                self.torsion,
+                [x.coords for x in xs],
+                lambda j, before: _torsion_index_from(self.contexts[j], xs[j], before or 0),
+            )
+            for xs in parts
+        ]
         maxima = self._chain(
             self.scans,
             [tuple(x.coords for x in seq) for seq in seqs],
@@ -752,16 +770,7 @@ class _FactorSweep:
             "ring_order": self.orders[N - 1],
             "profile": _profile_payload(prof),
             "entry_1_1": prof.entry(1, 1) if prof.conclusive(1, 1) else None,
-            "torsion_indices": [
-                self._chain(
-                    self.torsion,
-                    [x.coords for x in xs],
-                    lambda j, before: _torsion_index_from(
-                        self.modules[j], xs[j], before or 0, self.colons[j]
-                    ),
-                )
-                for xs in parts
-            ],
+            "torsion_indices": torsion_indices,
         }
 
 

@@ -1,6 +1,6 @@
 """Profiles, bound transfer, criteria, local-global, Cartier checks."""
 
-from itertools import count, islice
+from itertools import islice
 from math import comb
 
 import pytest
@@ -9,6 +9,7 @@ import prokit.analysis as analysis
 from prokit.errors import IdentificationFailure, NotCovering
 from prokit.analysis import (
     CheckOutcome,
+    _ScanContext,
     _levels,
     _torsion_index_from,
     _witness_scan,
@@ -246,29 +247,23 @@ def test_witness_scan_matches_reference_scan():
     # default budgets, and a budget of n_max that leaves entries open.  A
     # scan started at s_n returns max(s_n, least witness) while that is
     # within the budget, and None otherwise; a torsion search started at s
-    # returns max(s, c).  Scans and searches of one module share one
-    # colon dict.
+    # returns max(s, c).  Scans and searches of one module share one scan
+    # context.
     rng = rng_from_seed(0xA23)
-    stores = {}
+    contexts = {}
+
+    def shared(M):
+        return contexts.setdefault(M, _ScanContext(M))
 
     def both(M, kind, xs, y, n_max, m_max):
-        source, built = _levels(M, kind, xs), []  # built once for the three scans
-
-        def levels():
-            for k in count():
-                if k == len(built):
-                    built.append(next(source))
-                yield built[k]
-
-        fast = _witness_scan(M, levels(), y, n_max, m_max)
-        assert fast == _reference_witness_scan(M, levels(), y, n_max, m_max)
+        fast = _witness_scan(_ScanContext(M), kind, xs, y, n_max, m_max)
+        assert fast == _reference_witness_scan(M, _levels(M, kind, xs), y, n_max, m_max)
         # starts around the least witness and past the budget
         start = {
             n: rng.choice([0, n, m_max + 1] + ([] if m is None else [m - 1, m, m + 1]))
             for n, m in fast.items()
         }
-        colons = stores.setdefault(M, {})
-        started = _witness_scan(M, levels(), y, n_max, m_max, start, colons)
+        started = _witness_scan(shared(M), kind, xs, y, n_max, m_max, start)
         for n, m in fast.items():
             bound = None if m is None else max(start[n], m)
             assert started[n] == (bound if bound is not None and bound <= m_max else None)
@@ -277,7 +272,7 @@ def test_witness_scan_matches_reference_scan():
     def torsion(M, y):
         c = bounded_torsion_index(M, y)[0]
         for start in (0, c, c + 1, rng.randint(0, 6)):
-            assert _torsion_index_from(M, y, start, stores.setdefault(M, {})) == max(start, c)
+            assert _torsion_index_from(shared(M), y, start) == max(start, c)
 
     for M, seq, (gens, x) in _scan_corpus():
         RM = ring_as_module(M.ring)
@@ -290,6 +285,43 @@ def test_witness_scan_matches_reference_scan():
             torsion(M, y)
     Z8 = zmod(8)
     assert both(ring_as_module(Z8), "lipman", [], Z8.from_int(2), 3, 3) == {1: None, 2: None, 3: None}
+
+
+def test_witness_bound_theorem():
+    # The least witness m of every colon entry (i, n) satisfies
+    # n <= m <= n + c, for c = c_M(y) of the scanned element y by
+    # `bounded_torsion_index`, and the default budget lies above n + c.
+    # A scan that stops at n + c' for any c' >= c, read from its context,
+    # equals the reference scan at the default and at tight budgets, and
+    # from random starts returns max(start, least witness) within budget.
+    rng = rng_from_seed(0xA27)
+    cases = []
+    for M, seq, (gens, x) in _scan_corpus():
+        cases += [(M, kind, seq[: i - 1], seq[i - 1]) for i in range(1, len(seq) + 1)
+                  for kind in ("lipman", "gm")]
+        cases.append((ring_as_module(M.ring), "cartier", ideal(M.ring, gens).generators, x))
+    for _ in range(30):
+        _, M, seq = random_instance(rng, k_max=3)
+        cases += [(M, rng.choice(["lipman", "gm"]), seq[: i - 1], seq[i - 1])
+                  for i in range(1, len(seq) + 1)]
+    tight = 0
+    for M, kind, xs, y in cases:
+        c = bounded_torsion_index(M, y)[0]
+        budget = default_budget(M.order(), len(xs) + 1, 3)
+        least = _reference_witness_scan(M, _levels(M, kind, xs), y, 3, budget)
+        assert all(n <= least[n] <= n + c < budget for n in least), (kind, xs, y)
+        tight += any(least[n] == n + c for n in least)
+        for m_max in (budget, rng.randint(1, 6)):
+            context = _ScanContext(M)
+            context.torsion[y.coords] = c + rng.choice([0, 0, 1, 4])
+            scan = _witness_scan(context, kind, xs, y, 3, m_max)
+            assert scan == _reference_witness_scan(M, _levels(M, kind, xs), y, 3, m_max)
+            start = {n: rng.randint(0, n + c + 2) for n in least}
+            started = _witness_scan(context, kind, xs, y, 3, m_max, start)
+            for n, m in least.items():
+                assert started[n] == (max(m, start[n]) if max(m, start[n]) <= m_max else None)
+    # the bound is reached, so no smaller one would do
+    assert tight > len(cases) // 2
 
 
 def test_witness_scan_builds_each_colon_once(monkeypatch):

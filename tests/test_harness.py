@@ -727,9 +727,9 @@ def test_sweep_computes_each_torsion_index_once_per_factor(monkeypatch):
     calls = []
     real = tasks._torsion_index_from
 
-    def search(M, x, start, colons):
-        calls.append((M.order(), x.coords, start))
-        return real(M, x, start, colons)
+    def search(context, x, start):
+        calls.append((context.module.order(), x.coords, start))
+        return real(context, x, start)
 
     monkeypatch.setattr(tasks, "_torsion_index_from", search)
     report = run_task(parse_spec(_load_task_text("fixture:ex1_truncated")))
@@ -744,7 +744,8 @@ def test_sweep_computes_each_torsion_index_once_per_factor(monkeypatch):
 def test_sweep_preimage_count_on_ex1(monkeypatch):
     # Scanning each factor from m = n, with its torsion chain built apart
     # from its scans, took 71 preimages on ex1_truncated.  Started at the
-    # running maximum, with one colon dict per factor, the sweep takes 28.
+    # running maximum, with one scan context per factor, the sweep takes
+    # 28: each colon of the torsion chains is one the scans need.
     import prokit.analysis as analysis
     from prokit.cli import _load_task_text
 
@@ -754,6 +755,68 @@ def test_sweep_preimage_count_on_ex1(monkeypatch):
     report = run_task(parse_spec(_load_task_text("fixture:ex1_truncated")))
     assert report.exit_code == 0
     assert len(calls) == 28
+
+
+# Counts of one document's scans: inclusions tested (one `span_leq`
+# cross-check each), preimages (`preimage_span`), levels
+# (`image_submodule`) and actions (`FgModule.action_hom`, every caller).
+# With one colon dict per scan and no witness bound they were, in that
+# order, 101/60/75/216 on z12_battery, 49/29/33/79 on prism_style and
+# 48/28/57/110 on ex1_truncated.
+@pytest.mark.parametrize(
+    "fixture, counts",
+    [
+        ("z12_battery", (57, 41, 17, 142)),
+        ("prism_style", (29, 18, 4, 39)),
+        ("ex1_truncated", (24, 28, 18, 57)),
+    ],
+)
+def test_scan_context_counts_on_fixture(monkeypatch, fixture, counts):
+    # one scan context per module builds each level, action, colon and
+    # scan once, and the scans test no m at or above n + c_M(y)
+    import prokit.analysis as analysis
+    from prokit.cli import _load_task_text
+    from prokit.modules import FgModule
+
+    seen = {"inclusion": 0, "preimage": 0, "level": 0, "action": 0}
+
+    def counted(name, real):
+        def call(*args):
+            seen[name] += 1
+            return real(*args)
+
+        return call
+
+    monkeypatch.setattr(analysis, "span_leq", counted("inclusion", analysis.span_leq))
+    monkeypatch.setattr(analysis, "preimage_span", counted("preimage", analysis.preimage_span))
+    monkeypatch.setattr(analysis, "image_submodule", counted("level", analysis.image_submodule))
+    monkeypatch.setattr(FgModule, "action_hom", counted("action", FgModule.action_hom))
+    report = run_task(parse_spec(_load_task_text(f"fixture:{fixture}")))
+    assert report.exit_code == 0
+    assert tuple(seen.values()) == counts
+
+
+def test_local_global_splits_each_factor_element_once(monkeypatch):
+    # many y give one e*y on a factor e; an e*y that was tried did not
+    # split e, so `primitive_idempotents` does not split it again
+    import prokit.rings
+    from prokit.cli import _load_task_text
+
+    calls = []
+    real = prokit.rings._factor_fitting_idempotent
+
+    def split(R, e, y):
+        calls.append((R, e.coords, y.coords))
+        return real(R, e, y)
+
+    monkeypatch.setattr(prokit.rings, "_factor_fitting_idempotent", split)
+    doc = json.loads(_load_task_text("fixture:z12_battery"))
+    doc["analysis"]["checks"] = ["local_global"]
+    report = run_task(parse_spec(json.dumps(doc)))
+    assert report.body["results"]["local_global"]["passed"]
+    # the calls keep their rings alive, so no two share an id
+    keys = [(id(R), e, y) for R, e, y in calls]
+    assert calls and len(set(keys)) == len(keys)
 
 
 def _reference_family_sweep(task):
@@ -853,8 +916,8 @@ def test_sweep_levels_read_off_factors_match_the_product_route(monkeypatch):
     real = tasks_module.lipman_profile
     held = []
 
-    def scan(M, seq, n_max, m_max, start=None, colons=None):
-        prof = real(M, seq, n_max, m_max, start, colons)
+    def scan(M, seq, n_max, m_max, start=None, context=None):
+        prof = real(M, seq, n_max, m_max, start, context)
         # entries (i, n) that held at a running maximum above n
         at_start = [key for key, m in (start or {}).items() if key[1] < m == prof.entries[key]]
         if at_start:
