@@ -39,7 +39,7 @@ from .intlinalg import (
     span_leq,
     span_subgroup_order,
 )
-from .complexes import KoszulTower, cech_cohomology, cech_complex, pro_zero_index
+from .complexes import KoszulTower, cech_cohomology, pro_zero_index
 from .modules import (
     Submodule,
     colon_submodule,
@@ -400,19 +400,20 @@ def verify_bound_transfer(M, x_seq, lip, gm):
     )
 
 
-def power_stability_check(M, x_seq, exponents):
+def power_stability_check(M, x_seq, exponents, context=None):
     """Profiles of x and of the powered sequence x^(n_) are both fully
     conclusive within m <= n + ceil(log2 |M|) (finite modules are always
-    proregular)."""
+    proregular).  `context` is the `_ScanContext` of M for both Lipman
+    profiles, as for `lipman_profile`."""
     if any(e < 1 for e in exponents):
         raise InvalidSpec("exponents must be >= 1")
     o = max(M.order(), 2)
     slack = (o - 1).bit_length()
     n_max = 3
     m_max = n_max + slack
-    base = lipman_profile(M, x_seq, n_max, m_max)
+    base = lipman_profile(M, x_seq, n_max, m_max, context=context)
     powered_seq = [x ** e for x, e in zip(x_seq, exponents)]
-    powered = lipman_profile(M, powered_seq, n_max, m_max)
+    powered = lipman_profile(M, powered_seq, n_max, m_max, context=context)
     ok = True
     for prof in (base, powered):
         for (i, n), m in prof.entries.items():
@@ -433,7 +434,7 @@ def power_stability_check(M, x_seq, exponents):
 # Injective-dual criteria
 
 
-def injective_criterion(M, x_seq, mode):
+def injective_criterion(M, x_seq, mode, context=None):
     """Cohomological criteria against the injective cogenerator E = R^dual.
 
     Hom_R(M, E) is read as the Matlis dual M^dual = Hom_Z(M, Q/Z): by
@@ -446,7 +447,8 @@ def injective_criterion(M, x_seq, mode):
     cohomology at x_i, and D / torsion_{x_1..x_i}(H) must be
     x_i-divisible.  weak mode: all higher Cech cohomology of H vanishes.
     The verdict is compared with the conclusiveness of the matching
-    profile."""
+    profile; `context` is the `_ScanContext` of M for the Lipman profile
+    of proregular mode, as for `lipman_profile`."""
     R = M.ring
     H = matlis_dual(M)
     k = len(x_seq)
@@ -463,11 +465,10 @@ def injective_criterion(M, x_seq, mode):
             divisible = is_divisible(Q, x_seq[i - 1])
             details[f"position_{i}"] = {"cech1_vanishes": vanish, "divisible": divisible}
             ok = ok and vanish and divisible
-        profile = lipman_profile(M, x_seq, 2)
+        profile = lipman_profile(M, x_seq, 2, context=context)
     elif mode == "weak":
-        cech = cech_complex(list(x_seq), H)
         for i in range(1, k + 1):
-            vanish = cech.cohomology_data(i).module.is_zero_module()
+            vanish = cech_cohomology(x_seq, H, i).is_zero_module()
             details[f"degree_{i}"] = {"cech_vanishes": vanish}
             ok = ok and vanish
         profile = weak_profile(M, x_seq, 2)

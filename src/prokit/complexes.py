@@ -23,10 +23,14 @@ the localizations (+) e_S M are the subcomplex cut out by E = diag(e_S),
 one Fitting split per element of the sequence, kept on the ring (the
 idempotent of a subset is the product of its elements' idempotents).
 Like a tower, it assembles each E_j and each codifferential once, when
-first read, so one degree of Cech cohomology builds only the maps around
-it.  No complex is built whole at runtime: the whole-complex route
-(`koszul_complex`, `ChainComplex`, `ComplexMap`) is a reference in
-`tests/complex_reference.py` that only the tests take.
+first read.  `cech_complex` keeps the last complex it built, keyed by the
+module's identity and the sequence, so the per-degree calls
+`cech_cohomology` and `cech_homology` on one (M, x) read every degree off
+one complex and its tower: each module power, action, E_j, d^j and
+Koszul differential is built once over all 2(k + 1) degrees, and at most
+one complex is kept alive.  No complex is built whole at runtime: the
+whole-complex route (`koszul_complex`, `ChainComplex`, `ComplexMap`) is a
+reference in `tests/complex_reference.py` that only the tests take.
 
 Cech homology is the inverse limit of Koszul homology H_i(x^(m)), which for
 finite modules agrees with the derived-Hom definition because the lim^1
@@ -49,7 +53,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .errors import AxiomViolation, IdentificationFailure
+from .errors import AxiomViolation, DimensionMismatch, IdentificationFailure
 from .intlinalg import (
     GroupHom,
     hom_image_span,
@@ -406,6 +410,10 @@ class CechData:
         return subquotient_module(X, cycles, im)
 
 
+# the last complex `cech_complex` built: (M, sequence, CechData), or None
+_kept = None
+
+
 def cech_complex(x_seq, M):
     """The Cech cochain complex 0 -> M -> (+) M_{x_i} -> ... on the module
     powers of the layout of `KoszulTower(x, M)`, kept as `tower` for the
@@ -414,6 +422,13 @@ def cech_complex(x_seq, M):
     the product of the e_{x_i} over i in S (1 for the empty set), and each
     E_j and d^j is built when first read.
 
+    The last complex built is kept in one slot, keyed by the identity of M
+    and the sequence (a tuple of elements of M's ring), and a call with the
+    same key returns it, so successive degrees of one (M, x) share its maps.
+    Equal but distinct modules never share a complex, and a call on another
+    key drops the kept one.  An element of another ring is a
+    DimensionMismatch, raised before the slot is read.
+
     >>> from prokit.rings import zmod
     >>> from prokit.modules import ring_as_module
     >>> R = zmod(12)
@@ -421,16 +436,21 @@ def cech_complex(x_seq, M):
     >>> [cech.cohomology_data(i).module.order() for i in (0, 1)]
     [4, 1]
     """
-    return CechData(x_seq, M)
+    global _kept
+    seq = tuple(x_seq)
+    if any(x.ring != M.ring for x in seq):
+        raise DimensionMismatch("scalar from a different ring")
+    if _kept is None or _kept[0] is not M or _kept[1] != seq:
+        _kept = (M, seq, CechData(seq, M))
+    return _kept[2]
 
 
 def cech_cohomology(x_seq, M, i):
     """H^i of the Cech cochain complex; degree 0 equals the torsion
-    submodule of the generated ideal.  One degree per call, which builds
-    E_i, d^i and d^(i-1) and no other map of the complex; the splits of
-    the x_i are kept on the ring, so later calls reuse them.  A caller
-    that needs several degrees builds `cech_complex` once and reads each
-    off `cohomology_data`."""
+    submodule of the generated ideal.  One degree per call, read off the
+    kept `cech_complex(x, M)`: the first degree of (M, x) builds E_i, d^i
+    and d^(i-1) and no other map, and each later degree adds only the maps
+    around it that are not built yet."""
     if i < 0:
         raise AxiomViolation("negative cohomological degree")
     if i > len(x_seq):
@@ -470,7 +490,10 @@ def _homology_limit(tower, i):
 def cech_homology(x_seq, M, i):
     """Cech homology lim_n H_i(x^(n); M), read off the Koszul levels n and 2n
     at the stable level n = bit_length(|R|) (see `_homology_limit`); degree 0
-    is the adic completion, degree i >= 1 vanishes for finite modules.
+    is the adic completion, degree i >= 1 vanishes for finite modules.  The
+    levels are those of the tower of the kept `cech_complex(x, M)`, so the
+    degrees of one (M, x) share their differentials and spans with each
+    other and with the Cech cohomology.
 
     >>> from prokit.rings import zmod
     >>> from prokit.modules import ring_as_module
@@ -482,7 +505,7 @@ def cech_homology(x_seq, M, i):
         raise AxiomViolation("negative homological degree")
     if i > len(x_seq):
         return zero_module(M.ring)
-    return _homology_limit(KoszulTower(x_seq, M), i)
+    return _homology_limit(cech_complex(x_seq, M).tower, i)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ columns of U^-1 = H * V * D^-1, so P * S = I over Z with no second solve.
 basis, and `subquotient_group` presents L/N by L^-1 N, the coefficients
 of N's canonical span over L's from forward substitution; it takes the
 canonical spans themselves, so the coordinates depend only on the
-subgroups, never on their generators.
+subgroups, never on their generators.  A zero subquotient (N = L) is the
+trivial record, with no reduction.
 Every quotient lift in the package (subgroups, quotients, quotient rings,
 subquotients) is a product with such a section.
 `GroupSubquotient` and `induced_hom` are the one lift/classify path:
@@ -798,8 +799,15 @@ def subquotient_group(G, L, N):
     columns, and one Smith reduction of that square matrix
     (`_smith_presentation`) gives (group, P, S).  The record's projection
     is P and its lift L * S.  Every matrix here depends only on the two
-    subgroups.  Raises DimensionMismatch when N is not inside L."""
+    subgroups.  When N = L the quotient is zero and the record is built
+    directly, field for field what the Smith route gives (group (), lift
+    G.rank x 0, span L, projection 0 x G.rank), with no substitution and
+    no normal form.  Raises DimensionMismatch when N is not inside L."""
     _canonical_diagonal(G.rank, N)
+    if N == L:
+        Q = FinAbGroup(())
+        lift = GroupHom(Q, G, IntMatrix._of(G.rank, 0, ()))
+        return GroupSubquotient(Q, lift, L, IntMatrix._of(0, G.rank, ()))
     coeffs = list(_span_coefficients(G.rank, L, N.cols_list()))
     if None in coeffs:
         raise DimensionMismatch("element is not in the subgroup")

@@ -502,13 +502,17 @@ def fitting_split(R, x):
     idempotent with e R = x^c R.  Multiplication by x is bijective on e R
     and nilpotent on (1-e) R.  Units give (0, 1), nilpotents (c, 0).
     The split is a function of (R, x) alone: the first call for x computes
-    it and keeps it on R, and later calls for x read it there.
+    it and keeps it on R, and later calls for x read it there.  An x of
+    another ring is a DimensionMismatch, as its coordinates name a
+    different element of R.
 
     >>> R = zmod(12)
     >>> c, e = fitting_split(R, R.from_int(2))
     >>> c, e.coords
     (2, (4,))
     """
+    if x.ring != R:
+        raise DimensionMismatch("scalar from a different ring")
     if R.rank == 0:
         return 0, R.zero()
     if x.coords not in R._splits:

@@ -39,8 +39,8 @@ from .analysis import (
     weak_profile,
 )
 from .complexes import (
-    _homology_limit,
-    cech_complex,
+    cech_cohomology,
+    cech_homology,
     cech_tor_compare,
     colon_identification,
 )
@@ -509,7 +509,7 @@ def run_verify_task(task):
                     ok,
                 )
             elif check == "injective_proregular":
-                out = injective_criterion(M, seq, "proregular")
+                out = injective_criterion(M, seq, "proregular", context=context)
                 note("injective_proregular", _outcome_payload(out), out.passed)
             elif check == "injective_weak":
                 out = injective_criterion(M, seq, "weak")
@@ -529,7 +529,7 @@ def run_verify_task(task):
                     ok = ok and verified
                 note("colon_identification", {"positions": payload, "passed": ok}, ok)
             elif check == "power_stability":
-                out = power_stability_check(M, seq, [2] * len(seq))
+                out = power_stability_check(M, seq, [2] * len(seq), context=context)
                 note("power_stability", _outcome_payload(out), out.passed)
             elif check == "local_global":
                 out = local_global_check(M, seq, mode="maximal", context=context)
@@ -602,12 +602,11 @@ def _vanishing_battery(M, seq):
     I = ideal(R, list(seq))
     payload = {}
     ok = True
-    cech = cech_complex(list(seq), M)
     for i in range(1, k + 1):
-        z = cech.cohomology_data(i).module.is_zero_module()
+        z = cech_cohomology(seq, M, i).is_zero_module()
         payload[f"cech_cohomology_{i}_zero"] = z
         ok = ok and z
-    h0 = cech.cohomology_data(0).module
+    h0 = cech_cohomology(seq, M, 0)
     gamma, _ = submodule_module(M, torsion_submodule(M, I))
     lc0 = local_cohomology(M, I, 0)
     agree0 = modules_isomorphic(h0, gamma) and modules_isomorphic(h0, lc0)
@@ -619,13 +618,11 @@ def _vanishing_battery(M, seq):
         ok = ok and z
     inconclusive = False
     try:
-        # one tower, on the Cech complex's layout, serves every degree
-        tower = cech.tower
         for i in range(1, k + 1):
-            z = _homology_limit(tower, i).is_zero_module()
+            z = cech_homology(seq, M, i).is_zero_module()
             payload[f"cech_homology_{i}_zero"] = z
             ok = ok and z
-        ch0 = _homology_limit(tower, 0)
+        ch0 = cech_homology(seq, M, 0)
         lam, _ = adic_completion(M, I)
         agree_l = modules_isomorphic(ch0, lam)
         payload["cech_homology0_is_completion"] = agree_l

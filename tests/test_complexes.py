@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from prokit.errors import AxiomViolation, ProkitError
+from prokit.errors import AxiomViolation, DimensionMismatch, ProkitError
 from prokit.intlinalg import (
     GroupHom,
     hom_image_span,
@@ -1104,9 +1104,11 @@ def _battery_ring_and_sequence(rows):
 
 
 def test_cech_cohomology_builds_only_the_maps_around_its_degree(monkeypatch):
-    # one degree i of a 3-element Cech complex assembles E_i, d^i and
-    # d^(i-1), each once, and no other map: no other E_j or d^j, and no
-    # Koszul differential
+    # the degrees of one (M, x) read one kept 3-element Cech complex, also
+    # when each call passes the sequence as a new list: each call assembles
+    # only maps among E_i, d^i and d^(i-1) that no earlier degree built, so
+    # over degrees 0..k+1 each E_j and d^j is built once, and no Koszul
+    # differential is
     import prokit.complexes as cx
 
     built = []
@@ -1130,15 +1132,61 @@ def test_cech_cohomology_builds_only_the_maps_around_its_degree(monkeypatch):
     koszul, _, _ = _count_koszul_differentials(monkeypatch)
     R, seq = _battery_ring_and_sequence(((0, 2, 2), (1, 0, 2), (0, 1, 4)))
     M = ring_as_module(R)
-    for i in range(len(seq) + 2):
+    k = len(seq)
+    total = []
+    for i in range(k + 2):
         built.clear()
         assembled.clear()
-        cech_cohomology(seq, M, i)
-        expected = [("E", i)] if i <= len(seq) else []
-        expected += [("d", j) for j in (i - 1, i) if 0 <= j < len(seq)]
-        assert sorted(built) == sorted(expected), i
-        assert len(assembled) == len(expected), i
+        cech_cohomology(list(seq), M, i)
+        around = {("E", i), ("d", i), ("d", i - 1)}
+        assert set(built) <= around, i
+        assert len(assembled) == len(built), i
+        total += built
+    expected = [("E", j) for j in range(k + 1)] + [("d", j) for j in range(k)]
+    assert sorted(total) == sorted(expected)
     assert koszul == []
+
+
+def test_equal_but_distinct_module_builds_its_own_complex():
+    # the kept complex is keyed by the module's identity, not its equality
+    R = zmod(12)
+    seq = [R.from_int(2)]
+    M, N = ring_as_module(R), ring_as_module(R)
+    assert M == N and M is not N
+    first = cech_complex(seq, M)
+    other = cech_complex(seq, N)
+    assert other is not first and other.module is N
+    assert cech_complex(seq, N) is other
+    assert cech_complex([R.from_int(3)], N) is not other
+
+
+def test_only_one_cech_complex_is_kept():
+    # a call on another module drops the kept complex, so nothing holds it
+    import gc
+    import weakref
+
+    R = zmod(12)
+    seq = [R.from_int(2)]
+    ref = weakref.ref(cech_complex(seq, ring_as_module(R)))
+    assert ref() is not None
+    cech_cohomology(seq, ring_as_module(R), 0)
+    gc.collect()
+    assert ref() is None
+
+
+def test_cech_complex_rejects_an_element_of_another_ring():
+    # the coordinates of 2 in Z/8 name 2 in Z/12 too, so neither the kept
+    # split of Z/12 nor a kept complex may answer for it
+    R12, R8 = zmod(12), zmod(8)
+    M = ring_as_module(R12)
+    assert cech_cohomology([R12.from_int(2)], M, 0).order() == 4
+    for degree in (0, 1):
+        with pytest.raises(DimensionMismatch, match="scalar from a different ring"):
+            cech_cohomology([R8.from_int(2)], M, degree)
+        with pytest.raises(DimensionMismatch, match="scalar from a different ring"):
+            cech_homology([R8.from_int(2)], M, degree)
+    with pytest.raises(DimensionMismatch, match="scalar from a different ring"):
+        cech_complex([R12.from_int(2), R8.from_int(2)], M)
 
 
 def test_vanishing_op_battery_splits_each_distinct_element_once(monkeypatch):

@@ -510,19 +510,16 @@ def test_bound_transfer_after_thm2_builds_its_own_gm_profile(tmp_path, capsys):
 @pytest.mark.parametrize("check", ["vanishing", "injective_weak"])
 def test_one_cech_complex_per_check(monkeypatch, check):
     # degrees 0..k are read off one complex, not built once per degree
-    import prokit.analysis
     import prokit.complexes
-    import prokit.tasks
 
-    real = prokit.complexes.cech_complex
+    real = prokit.complexes.CechData.__init__
     calls = []
 
-    def counted(*args):
+    def counted(self, *args):
         calls.append(args)
-        return real(*args)
+        return real(self, *args)
 
-    for module in (prokit.complexes, prokit.tasks, prokit.analysis):
-        monkeypatch.setattr(module, "cech_complex", counted, raising=False)
+    monkeypatch.setattr(prokit.complexes.CechData, "__init__", counted)
     text = task_text(sequences={"xs": [2, 4]}, analysis={"kind": "verify", "sequence": "xs", "checks": [check]})
     assert run_task(parse_spec(text)).body["results"][check]["passed"] is True
     assert len(calls) == 1
@@ -762,11 +759,13 @@ def test_sweep_preimage_count_on_ex1(monkeypatch):
 # (`image_submodule`) and actions (`FgModule.action_hom`, every caller).
 # With one colon dict per scan and no witness bound they were, in that
 # order, 101/60/75/216 on z12_battery, 49/29/33/79 on prism_style and
-# 48/28/57/110 on ex1_truncated.
+# 48/28/57/110 on ex1_truncated.  Before `injective_proregular` and
+# `power_stability` scanned in the document's context, z12_battery took
+# 57/41/17/142.
 @pytest.mark.parametrize(
     "fixture, counts",
     [
-        ("z12_battery", (57, 41, 17, 142)),
+        ("z12_battery", (51, 24, 10, 122)),
         ("prism_style", (29, 18, 4, 39)),
         ("ex1_truncated", (24, 28, 18, 57)),
     ],

@@ -486,6 +486,47 @@ def test_subquotient_records_match_the_two_step_route():
                 assert_subquotient_laws(G, old, im_span)
 
 
+def _smith_route_subquotient(G, L, N):
+    """L/N by forward substitution and one Smith reduction, whatever N."""
+    import prokit.intlinalg as intlinalg
+
+    coeffs = list(intlinalg._span_coefficients(G.rank, L, N.cols_list()))
+    Q, P, S = intlinalg._smith_presentation(IntMatrix.from_cols(coeffs, rows=G.rank))
+    return GroupSubquotient(Q, GroupHom(Q, G, L * S), L, P)
+
+
+def test_zero_subquotient_equals_the_smith_route(monkeypatch):
+    # L/L is the trivial record field for field, with no normal form; a
+    # non-canonical span is still refused, also when N is L
+    import prokit.intlinalg as intlinalg
+
+    rng = random.Random(0x5A0)
+    cases = 0
+    for G in map(FinAbGroup, RECORD_CHAINS):
+        spans = [span_lattice(G, []), IntMatrix.identity(G.rank)]
+        for _ in range(4):
+            f, g = random_endo(rng, G), random_endo(rng, G)
+            spans += [hom_kernel_span(f.compose(g)), span_lattice(G, [rand_vec(rng, G.rank)])]
+        for L in spans:
+            expected = _smith_route_subquotient(G, L, L)
+            with monkeypatch.context() as mp:
+                mp.setattr(intlinalg, "snf", None)
+                mp.setattr(intlinalg, "_span_coefficients", None)
+                record = subquotient_group(G, L, L)
+            assert record == expected and record.group.order() == 1
+            cases += 1
+        if G.rank:
+            for bad in (
+                IntMatrix.diagonal([-d for d in G.invariant_factors]),
+                IntMatrix.from_cols(spans[0].cols_list() + [[0] * G.rank], rows=G.rank),
+            ):
+                with pytest.raises(DimensionMismatch):
+                    subquotient_group(G, bad, bad)
+                with pytest.raises(DimensionMismatch):
+                    subquotient_group(G, spans[0], bad)
+    assert cases == 10 * len(RECORD_CHAINS)
+
+
 def _unit(rng, G):
     """A multiplier that is a unit modulo every invariant factor of G."""
     exponent = G.invariant_factors[-1] if G.rank else 1

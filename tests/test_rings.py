@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from prokit.errors import AxiomViolation, InsufficientBound, InvalidSpec
+from prokit.errors import AxiomViolation, DimensionMismatch, InsufficientBound, InvalidSpec
 from prokit.intlinalg import (
     FinAbGroup,
     IntMatrix,
@@ -180,6 +180,18 @@ def test_fitting_split_nilpotent():
     c, e = fitting_split(R, R.from_int(2))
     assert c == 3
     assert e.is_zero()
+
+
+def test_fitting_split_rejects_an_element_of_another_ring():
+    # 2 in Z/8 has the coordinates of 2 in Z/12, whose split is kept on
+    # Z/12; it is refused before the kept splits are read
+    R12, R8 = zmod(12), zmod(8)
+    assert fitting_split(R12, R12.from_int(2)) == (2, R12.from_int(4))
+    with pytest.raises(DimensionMismatch, match="scalar from a different ring"):
+        fitting_split(R12, R8.from_int(2))
+    assert fitting_split(R8, R8.from_int(2)) == (3, R8.zero())
+    # an equal ring built apart names the same elements
+    assert fitting_split(R12, zmod(12).from_int(2)) == (2, R12.from_int(4))
 
 
 def test_fitting_power_chain_strict():
