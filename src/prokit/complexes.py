@@ -362,13 +362,17 @@ class CechData:
         self.tower = KoszulTower(self.sequence, M)
         self._layout = self.tower._layout
         self._splits = [fitting_split(M.ring, x)[1] for x in self.sequence]
+        self._actions = {}      # S -> action of e_S
         self._idempotents = {}  # j -> E_j
         self._codiffs = {}      # j -> d^j
 
     def _action(self, S):
-        """The action of e_S, the product of the e_{x_i} over i in S, on M."""
-        e = math.prod((self._splits[i] for i in S), start=self.module.ring.one())
-        return self._layout.action(e)
+        """The action of e_S, the product of the e_{x_i} over i in S, on M,
+        formed once per S."""
+        if S not in self._actions:
+            e = math.prod((self._splits[i] for i in S), start=self.module.ring.one())
+            self._actions[S] = self._layout.action(e)
+        return self._actions[S]
 
     def idempotent(self, j):
         """E_j = diag(e_S) on C^j, built on first read."""

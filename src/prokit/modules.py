@@ -507,29 +507,45 @@ def module_from_presentation(R, generators, relations):
     return Q, F, proj
 
 
-def module_generators(M, candidates=None):
-    """A small module generating set, chosen greedily.
+def span_generators(M, span):
+    """Irredundant module generators of the submodule a canonical span
+    describes, chosen greedily.
 
-    The sum of all group generators is tried first (it recovers the unit for
-    cyclic-style modules), then the group generators in order.
+    The pool is the sum of the span's nonzero columns, then those columns.
+    Over a product of local rings the columns of a canonical span tend to
+    split along the factors, so greedy selection takes one column per
+    factor; their sum meets every factor at once.  When the sum led two or
+    more chosen generators and the rest generate the span without it, it is
+    dropped.  The sum can cancel on a factor (2 + 2 = 0 in Z/4), so where it
+    stays, the greedy pick from the columns alone is taken instead if it is
+    no larger.  Each generator lies outside the submodule generated by the
+    ones before it, and the sum stays only when the others fall short; the
+    set is not guaranteed minimal.
+
+    Over Z/2 x Z/4 x Z/8 with x = (0, 2, 2), R/xR and each kernel of its
+    resolution are cyclic (generating each kernel from its columns alone
+    gives ranks (1, 2, 6)):
+
+    >>> from prokit.rings import truncated_two_power
+    >>> R, x, _ = truncated_two_power(3)
+    >>> M = quotient_module(ring_as_module(R), image_submodule(ring_as_module(R), [x]))[0]
+    >>> len(span_generators(M, M.full_span()))
+    1
+    >>> free_resolution(M, 2).ranks
+    (1, 1, 1)
     """
-    if M.group.rank == 0:
+    cols = [g for g in (M.group.element(c) for c in span.cols_list()) if not g.is_zero()]
+    if not cols:
         return []
-    gens = M.generators()
-    total = gens[0]
-    for g in gens[1:]:
-        total = total + g
-    pool = candidates if candidates is not None else [total] + gens
-    chosen, span = _greedy_generators(M, pool, M.full_span())
-    if span != M.full_span():
-        raise AxiomViolation("candidate set failed to generate the module")
-    return chosen
-
-
-def _minimize_span_generators(M, span):
-    """Greedy module generators for the submodule a span describes."""
-    cols = [M.group.element(c) for c in span.cols_list()]
-    return _greedy_generators(M, [g for g in cols if not g.is_zero()], span)[0]
+    total = sum(cols[1:], cols[0])
+    chosen, _ = _greedy_generators(M, [total] + cols, span)
+    if len(chosen) < 2 or chosen[0] is not total:
+        return chosen
+    if span_closure(M, [g.coords for g in chosen[1:]]) == span:
+        return chosen[1:]
+    # the sum was needed; where the columns alone do as well, take them
+    plain = _greedy_generators(M, cols, span)[0]
+    return plain if len(plain) <= len(chosen) else chosen
 
 
 def _greedy_generators(M, pool, target):
@@ -628,21 +644,24 @@ def _free_map_from_images(F_src, tgt_module, images):
 
 
 def free_resolution(M, length):
-    """Greedy free resolution: minimized kernel generators become the next
-    free basis, so exactness in the middle holds by construction (and is
-    re-verified by the test suite).  Each map is written column by column
-    from the generator images, and each kernel generator is read back into
-    ring coordinates at the free module's positions (`FreeModuleData`)."""
+    """Greedy free resolution: the `span_generators` of M, then of each
+    kernel, become the next free basis, so exactness in the middle holds by
+    construction (and is re-verified by the test suite).  The generators are
+    irredundant in the greedy sense of `span_generators` but not guaranteed
+    minimal, so the ranks can exceed those of a minimal resolution.  Each
+    map is written column by column from the generator images, and each
+    kernel generator is read back into ring coordinates at the free
+    module's positions (`FreeModuleData`)."""
     if length < 0:
         raise DimensionMismatch("resolution length must be >= 0")
-    gens = module_generators(M)
+    gens = span_generators(M, M.full_span())
     frees = [free_module(M.ring, len(gens))]
     homs = [_free_map_from_images(frees[0], M, gens)]
     ring_mats = []
     for _ in range(length):
         prev = frees[-1]
         ker_span = hom_kernel_span(homs[-1])
-        ker_gens = _minimize_span_generators(prev.module, ker_span)
+        ker_gens = span_generators(prev.module, ker_span)
         Fn = free_module(M.ring, len(ker_gens))
         ring_mats.append(tuple(tuple(prev.coords(v)) for v in ker_gens))
         homs.append(_free_map_from_images(Fn, prev.module, ker_gens))

@@ -384,11 +384,13 @@ def run_profile_task(task):
         kinds = [_field(task.analysis, "profile", str, "lipman")]
     results = {}
     inconclusive = False
+    # one scan context of M for the colon profiles
+    context = _ScanContext(M)
     for kind in kinds:
         if kind == "lipman":
-            prof = lipman_profile(M, seq, n_max, m_max)
+            prof = lipman_profile(M, seq, n_max, m_max, context=context)
         elif kind == "gm":
-            prof = gm_profile(M, seq, n_max, m_max)
+            prof = gm_profile(M, seq, n_max, m_max, context=context)
         elif kind == "weak":
             i_max = task.bounds.get("i_max")
             if i_max is not None and i_max > len(seq):

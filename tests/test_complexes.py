@@ -1147,6 +1147,19 @@ def test_cech_cohomology_builds_only_the_maps_around_its_degree(monkeypatch):
     assert koszul == []
 
 
+def test_cech_complex_forms_each_subset_action_once():
+    # E_j reads e_S once per block and d^j once per face; over degrees
+    # 0..k the complex forms the action of each of the 2^k products e_S once
+    R, seq = _battery_ring_and_sequence(((0, 2, 2), (1, 0, 2), (0, 1, 4)))
+    cech = cech_complex(list(seq), ring_as_module(R))
+    formed = []
+    real = cech._layout.action
+    cech._layout.action = lambda e: formed.append(e.coords) or real(e)
+    for i in range(len(seq) + 1):
+        cech.cohomology_data(i)
+    assert len(formed) == 2 ** len(seq)
+
+
 def test_equal_but_distinct_module_builds_its_own_complex():
     # the kept complex is keyed by the module's identity, not its equality
     R = zmod(12)

@@ -754,6 +754,31 @@ def test_sweep_preimage_count_on_ex1(monkeypatch):
     assert len(calls) == 28
 
 
+@pytest.mark.parametrize("fixture, preimages", [("z12_battery", 7), ("prism_style", 3)])
+def test_profile_task_shares_one_scan_context(monkeypatch, fixture, preimages):
+    # the Lipman and GM profiles of one profile document scan in one
+    # context; with one context each they took 14 and 6 preimages.  Each
+    # payload equals that of a document asking for its profile alone.
+    import prokit.analysis as analysis
+    from prokit.cli import _load_task_text
+
+    doc = json.loads(_load_task_text(f"fixture:{fixture}"))
+    doc["analysis"] = {"kind": "profile", "profiles": ["lipman", "gm"], "sequence": "xs"}
+    alone = {}
+    for kind in ("lipman", "gm"):
+        single = dict(doc, analysis={"kind": "profile", "profile": kind, "sequence": "xs"})
+        alone[kind] = run_task(parse_spec(json.dumps(single))).body["results"][kind]
+    calls = []
+    real = analysis.preimage_span
+    monkeypatch.setattr(analysis, "preimage_span", lambda f, s: calls.append(1) or real(f, s))
+    report = run_task(parse_spec(json.dumps(doc)))
+    assert report.exit_code == 0
+    assert len(calls) == preimages
+    for kind in ("lipman", "gm"):
+        body = report.body["results"][kind]
+        assert json.dumps(body, sort_keys=True) == json.dumps(alone[kind], sort_keys=True)
+
+
 # Counts of one document's scans: inclusions tested (one `span_leq`
 # cross-check each), preimages (`preimage_span`), levels
 # (`image_submodule`) and actions (`FgModule.action_hom`, every caller).

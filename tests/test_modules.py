@@ -36,8 +36,8 @@ from prokit.rings import (
 from prokit.modules import (
     FgModule,
     ModuleHom,
+    _free_map_from_images,
     _greedy_generators,
-    _minimize_span_generators,
     adic_completion,
     block_hom,
     colon_submodule,
@@ -49,13 +49,13 @@ from prokit.modules import (
     matlis_dual,
     module_fingerprint,
     module_from_presentation,
-    module_generators,
     module_power,
     modules_isomorphic,
     power_image,
     quotient_module,
     ring_as_module,
     span_closure,
+    span_generators,
     submodule_module,
     torsion_by_colon_ascent,
     torsion_submodule,
@@ -90,7 +90,7 @@ def test_ring_as_module_and_generators():
     M = ring_as_module(R)
     assert M.order() == 12
     assert M.validate() == []
-    gens = module_generators(M)
+    gens = span_generators(M, M.full_span())
     assert len(gens) == 1
 
 
@@ -439,22 +439,8 @@ def test_free_resolution_periodic():
 
 
 def test_free_resolution_exactness():
-    from prokit.intlinalg import hom_image_span, hom_kernel_span
-
     R = zmod(12)
-    M = cyclic_quotient_module(R, ideal(R, [R.from_int(4)]))
-    res = free_resolution(M, 3)
-    for i in range(1, res.length):
-        ker = hom_kernel_span(res.group_homs[i])
-        im = hom_image_span(res.group_homs[i + 1])
-        assert ker == im
-    # H_0 = M: augmentation surjective with kernel = im d_1
-    aug = res.group_homs[0]
-    from prokit.intlinalg import span_subgroup_order
-
-    img = hom_image_span(aug)
-    assert span_subgroup_order(M.group, img) == M.order()
-    assert hom_kernel_span(aug) == hom_image_span(res.group_homs[1])
+    _assert_exact(free_resolution(cyclic_quotient_module(R, ideal(R, [R.from_int(4)])), 3))
 
 
 def test_free_resolution_zero_module():
@@ -733,7 +719,7 @@ def test_free_resolution_maps_match_action_hom_construction():
         res = free_resolution(N, 3)
         # generator images: the module generators, then each kernel
         # generator rebuilt from its ring coordinates
-        images = [module_generators(N)]
+        images = [span_generators(N, N.full_span())]
         images += [[F.element(col) for col in cols] for F, cols in zip(res.frees, res.ring_matrices)]
         targets = [N] + [F.module for F in res.frees[:-1]]
         for F, tgt, imgs, hom in zip(res.frees, targets, images, res.group_homs):
@@ -795,13 +781,13 @@ def _free_resolution_by_projections(M, length):
     """`free_resolution` as built before, with projection decoding; returns
     (ring matrices, group homs)."""
     R = M.ring
-    gens = module_generators(M)
+    gens = span_generators(M, M.full_span())
     frees = [free_module(R, len(gens))]
     projs = [_projections(R, len(gens))]
     homs = [_free_map_by_projections(frees[0], projs[0], M, gens)]
     ring_mats = []
     for _ in range(length):
-        ker_gens = _minimize_span_generators(frees[-1].module, hom_kernel_span(homs[-1]))
+        ker_gens = span_generators(frees[-1].module, hom_kernel_span(homs[-1]))
         ring_mats.append(tuple(_coords_by_projections(R, projs[-1], v) for v in ker_gens))
         frees.append(free_module(R, len(ker_gens)))
         projs.append(_projections(R, len(ker_gens)))
@@ -831,22 +817,91 @@ def _greedy_by_full_closure(M, pool, target):
     return chosen, span
 
 
+def _sum_first_pool(X, span):
+    """The pool of `span_generators`: the sum of the span's nonzero columns,
+    then those columns."""
+    cols = [g for g in map(X.group.element, span.cols_list()) if not g.is_zero()]
+    return [sum(cols[1:], cols[0])] + cols if cols else []
+
+
 def test_greedy_generators_match_full_closure():
     for M, N in _acceptance_11_draws():
         res = free_resolution(N, 1)
         F0 = res.frees[0].module
         ker = hom_kernel_span(res.group_homs[0])
-        # the pool of `module_generators`: the sum of the group generators first
-        cases = [
-            (X, [sum(X.generators()[1:], X.generators()[0])] + X.generators(), X.full_span())
-            for X in (M, N)
-            if X.group.rank
-        ]
-        cases.append((F0, [g for g in map(F0.element, ker.cols_list()) if not g.is_zero()], ker))
-        for X, pool, target in cases:
+        cases = [(X, X.full_span()) for X in (M, N)] + [(F0, ker)]
+        for X, target in cases:
+            pool = _sum_first_pool(X, target)
             chosen, span = _greedy_generators(X, pool, target)
             assert (chosen, span) == _greedy_by_full_closure(X, pool, target)
             assert span == span_closure(X, [g.coords for g in chosen]) == target
+            gens = span_generators(X, target)
+            # the greedy pick, without its leading sum, or from the columns alone
+            assert gens in (chosen, chosen[1:], _column_generators(X, target))
+            assert span_closure(X, [g.coords for g in gens]) == target
+
+
+def _column_generators(M, span):
+    """The reference rule for kernels: the greedy pick from the span's
+    nonzero columns alone, with no leading sum."""
+    return _greedy_generators(M, _sum_first_pool(M, span)[1:], span)[0]
+
+
+def _reference_resolution_ranks(M, length):
+    """The ranks of a greedy resolution whose M generators come from the
+    sum-first pool with no drop, and whose kernel generators come from
+    `_column_generators`."""
+    gens = _greedy_generators(M, _sum_first_pool(M, M.full_span()), M.full_span())[0]
+    frees = [free_module(M.ring, len(gens))]
+    hom = _free_map_from_images(frees[0], M, gens)
+    for _ in range(length):
+        ker_gens = _column_generators(frees[-1].module, hom_kernel_span(hom))
+        frees.append(free_module(M.ring, len(ker_gens)))
+        hom = _free_map_from_images(frees[-1], frees[-2].module, ker_gens)
+    return tuple(F.rank for F in frees)
+
+
+def _assert_exact(res):
+    """The augmentation is onto with kernel im d_1, and ker d_i = im d_(i+1)."""
+    M, homs = res.module, res.group_homs
+    assert span_subgroup_order(M.group, hom_image_span(homs[0])) == M.order()
+    for i in range(res.length):
+        assert hom_kernel_span(homs[i]) == hom_image_span(homs[i + 1])
+    for i in range(1, res.length + 1):
+        assert res.differential(i).check_equivariance()
+
+
+def test_span_generators_never_resolve_above_the_column_rule():
+    # 303 draws of order at most 64, resolved to length 3
+    rng = random.Random(0x5E4)
+    total = reference = 0
+    for _ in range(303):
+        R, _ = random_ring(rng)
+        M = random_module(rng, R, max_order=64)
+        res = free_resolution(M, 3)
+        ref = _reference_resolution_ranks(M, 3)
+        assert all(a <= b for a, b in zip(res.ranks, ref)), (res.ranks, ref)
+        _assert_exact(res)
+        total, reference = total + sum(res.ranks), reference + sum(ref)
+    assert total < reference
+
+
+def test_order_two_modules_over_two_power_ring_resolve_cyclically():
+    # the residue fields of Z/2 x Z/4 x Z/8, the modules of the heavy
+    # Tor comparisons, found by seeded presentations
+    R, _, _ = truncated_two_power(3)
+    rng = random.Random(0x2B)
+    found = {}
+    while len(found) < 3:
+        M = random_module(rng, R, max_order=2)
+        if M.order() == 2 and M not in found:
+            found[M] = _reference_resolution_ranks(M, 2)
+            res = free_resolution(M, 2)
+            assert res.ranks == (1, 1, 1)
+            _assert_exact(res)
+    # the column rule: (1, 2, 4) for the residue field of Z/2, (1, 3, 7)
+    # for those of Z/4 and Z/8
+    assert sorted(found.values()) == [(1, 2, 4), (1, 3, 7), (1, 3, 7)]
 
 
 def test_hom_module_round_trip_on_seeded_draws():
