@@ -22,7 +22,7 @@ profile scans Koszul transitions instead."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, repeat
 
 from .errors import (
     DimensionMismatch,
@@ -176,11 +176,14 @@ class _ScanContext:
     - `actions`: per y, by coordinates, [y^e, actions of y^0..y^e], each
       power one multiplication past the one before;
     - `levels`: per `_levels_key`, [the `_levels` generator, N_1, N_2, ...],
-      the levels built so far;
+      the levels built so far.  When N_1 = M every later level is N_1 with
+      nothing built: over a finite ring, I M = M for I = (xs) gives
+      I + ann M = R, hence x^(m) + ann M = R and N_m = M for every m;
     - `torsion`: per y, c_M(y) or an upper bound for it, from
       `_torsion_index_from`;
     - `scans`: finished `_witness_scan` results, keyed by (levels key, y,
-      n_max, m_max, starts)."""
+      n_max, m_max, starts), and finished `weak_profile`s, keyed by
+      ("weak", sequence, n_max, m_max, i_max)."""
 
     def __init__(self, M):
         self.module = M
@@ -209,12 +212,14 @@ class _ScanContext:
         built = self.levels[key]
         while len(built) <= m:
             built.append(next(built[0]))
+            if len(built) == 2 and built[1].order() == self.module.order():
+                built[0] = repeat(built[1])  # N_1 = M: every level is M
         return built[m]
 
     def colon(self, y, e, level):
-        """level :_M y^e: the level itself for e = 0, else its preimage
-        under y^e, built once."""
-        if e == 0:
+        """level :_M y^e: the level itself for e = 0 or a level equal to M
+        (M :_M y^e = M), else its preimage under y^e, built once."""
+        if e == 0 or level.order() == self.module.order():
             return level
         act = self.action(y, e)
         key = (act.matrix, level.span)
@@ -298,13 +303,19 @@ def _witness_scan(context, kind, xs, y, n_max, m_max, start=None):
     return dict(context.scans[key])
 
 
+def _checked_context(M, context):
+    """`context`, a `_ScanContext` of M, or a fresh one when it is None."""
+    if context is None:
+        return _ScanContext(M)
+    if context.module is not M:
+        raise DimensionMismatch("a scan context of another module")
+    return context
+
+
 def _profile(M, x_seq, kind, n_max, m_max, start, context):
     k = len(x_seq)
     m_max = m_max if m_max is not None else default_budget(M.order(), k, n_max)
-    if context is None:
-        context = _ScanContext(M)
-    elif context.module is not M:
-        raise DimensionMismatch("a scan context of another module")
+    context = _checked_context(M, context)
     entries = {}
     for i in range(1, k + 1):
         starts = None if start is None else {n: start[(i, n)] for n in range(1, n_max + 1)}
@@ -328,18 +339,24 @@ def gm_profile(M, x_seq, n_max, m_max=None, context=None):
     return _profile(M, x_seq, "gm", n_max, m_max, None, context)
 
 
-def weak_profile(M, x_seq, n_max, m_max=None, i_max=None):
+def weak_profile(M, x_seq, n_max, m_max=None, i_max=None, context=None):
     """Minimal pro-zero witnesses for the Koszul homology transitions,
-    indexed by homological degree i = 1..i_max."""
+    indexed by homological degree i = 1..i_max.  With `context`, the
+    `_ScanContext` of M, the finished profile is kept there, so the checks
+    of one document that ask for the same profile build one Koszul tower."""
     k = len(x_seq)
     i_max = i_max if i_max is not None else k
     m_max = m_max if m_max is not None else default_budget(M.order(), k, n_max)
-    tower = KoszulTower(x_seq, M)
-    entries = {}
-    for i in range(1, i_max + 1):
-        for n in range(1, n_max + 1):
-            entries[(i, n)] = pro_zero_index(tower, i, n, m_max)
-    return Profile("weak", i_max, n_max, m_max, entries)
+    context = _checked_context(M, context)
+    key = ("weak", tuple(x.coords for x in x_seq), n_max, m_max, i_max)
+    if key not in context.scans:
+        tower = KoszulTower(x_seq, M)
+        context.scans[key] = {
+            (i, n): pro_zero_index(tower, i, n, m_max)
+            for i in range(1, i_max + 1)
+            for n in range(1, n_max + 1)
+        }
+    return Profile("weak", i_max, n_max, m_max, dict(context.scans[key]))
 
 
 def violating_certificate(M, x_seq, kind, i, n, m):
@@ -448,7 +465,8 @@ def injective_criterion(M, x_seq, mode, context=None):
     x_i-divisible.  weak mode: all higher Cech cohomology of H vanishes.
     The verdict is compared with the conclusiveness of the matching
     profile; `context` is the `_ScanContext` of M for the Lipman profile
-    of proregular mode, as for `lipman_profile`."""
+    of proregular mode and the weak profile of weak mode, as for
+    `lipman_profile` and `weak_profile`."""
     R = M.ring
     H = matlis_dual(M)
     k = len(x_seq)
@@ -471,7 +489,7 @@ def injective_criterion(M, x_seq, mode, context=None):
             vanish = cech_cohomology(x_seq, H, i).is_zero_module()
             details[f"degree_{i}"] = {"cech_vanishes": vanish}
             ok = ok and vanish
-        profile = weak_profile(M, x_seq, 2)
+        profile = weak_profile(M, x_seq, 2, context=context)
     else:
         raise InvalidSpec(f"unknown criterion mode {mode!r}")
     agrees = ok == profile.all_conclusive()
@@ -488,7 +506,8 @@ def local_global_check(M, x_seq, covering=None, mode=None, n_max=2, m_max=None, 
     """Diagonal injectivity into the covering localizations, and the
     local-global law: the global minimal witness at every profile entry is
     the maximum of the local ones.  `context` is the `_ScanContext` of M
-    for the global Lipman profile, as for `lipman_profile`."""
+    for the global Lipman and weak profiles, as for `lipman_profile` and
+    `weak_profile`."""
     R = M.ring
     if mode == "maximal":
         covering = primitive_idempotents(R)
@@ -509,7 +528,7 @@ def local_global_check(M, x_seq, covering=None, mode=None, n_max=2, m_max=None, 
     diagonal_injective = span_subgroup_order(M.group, inter) == 1
     m_max = m_max if m_max is not None else default_budget(M.order(), len(x_seq), n_max)
     global_lip = lipman_profile(M, x_seq, n_max, m_max, context=context)
-    global_weak = weak_profile(M, x_seq, n_max, m_max)
+    global_weak = weak_profile(M, x_seq, n_max, m_max, context=context)
     local_lips = []
     local_weaks = []
     for loc in locs:

@@ -17,6 +17,10 @@ Every presentation is one Smith reduction D = U * H * V of a square,
 nonsingular relation matrix H (`_smith_presentation`, the one caller of
 `snf`): the projection P is the kept rows of U and the section S the kept
 columns of U^-1 = H * V * D^-1, so P * S = I over Z with no second solve.
+A diagonal H whose entries, sorted by selection (`_selection_order`), form
+a divisibility chain needs no reduction: `snf` would only make those
+swaps, so D is the sorted diagonal, U the permutation and V = U^T, and the
+record is read off them.
 `cokernel_presentation` first reduces its relations to their canonical
 basis, and `subquotient_group` presents L/N by L^-1 N, the coefficients
 of N's canonical span over L's from forward substitution; it takes the
@@ -30,15 +34,16 @@ subgroups (`subgroup_embedding`, N = 0 with span diag(G)) and quotients
 (L = G with span I) canonicalize their generators once and are cases of
 `subquotient_group`, the record classifies an element by forward
 substitution on its canonical span (no normal form), and every map induced
-on a subgroup, quotient or subquotient (module actions, homology maps,
-localized rings) classifies the columns of f * lift in one call of
-`induced_hom`.
+on a subgroup, quotient or subquotient classifies the columns of f * lift:
+`induced_hom` for one map (homology maps, the colon identification), and
+`induced_actions` for the actions of a module or ring on one record, all
+in one classification, with no work at all on a zero group.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
 from operator import mul
 
@@ -361,6 +366,9 @@ class FinAbGroup:
     """
 
     invariant_factors: tuple
+    # diag(invariant factors), kept by the first `_moduli_matrix(self)`;
+    # equality and hashing ignore it
+    _relations: IntMatrix = field(init=False, compare=False, default=None, repr=False)
 
     def __post_init__(self):
         facs = tuple(int(d) for d in self.invariant_factors)
@@ -517,7 +525,11 @@ class GroupHom:
 
 
 def _moduli_matrix(group):
-    return IntMatrix.diagonal(list(group.invariant_factors))
+    """The relations diag(d_1..d_r) of the group, the canonical span of its
+    zero subgroup: built on the first call and kept on the group."""
+    if group._relations is None:
+        object.__setattr__(group, "_relations", IntMatrix.diagonal(group.invariant_factors))
+    return group._relations
 
 
 def cokernel_presentation(A: IntMatrix, moduli):
@@ -554,15 +566,49 @@ def cokernel_presentation(A: IntMatrix, moduli):
     return _smith_presentation(H)
 
 
+def _selection_order(entries):
+    """(sorted, slot) for a list of integers sorted by selection: for each
+    position t in turn, the first smallest remaining entry is swapped to t.
+    slot[t] is the index in `entries` of the entry that ends at t.  On a
+    positive diagonal these are exactly the swaps `snf` makes, as its pivot
+    is the first smallest remaining entry."""
+    entries = list(entries)
+    n = len(entries)
+    slot = list(range(n))
+    for t in range(n):
+        p = min(range(t, n), key=entries.__getitem__)
+        entries[t], entries[p] = entries[p], entries[t]
+        slot[t], slot[p] = slot[p], slot[t]
+    return entries, slot
+
+
 def _smith_presentation(H):
     """(group, P, S) for Z^r / H Z^r, H square and nonsingular, from one
     Smith reduction D = U * H * V.  The kept rows of U (diagonal entries
     d_i > 1) are P; since H = U^-1 * D * V^-1, column i of U^-1 is
     H * V[:, i] / d_i, an exact division, and its kept columns are S.
     So P * S = I over Z (Cohen, A Course in Computational Algebraic Number
-    Theory, 2.4), and P kills the columns of H modulo the group."""
-    D, U, V = snf(H)
+    Theory, 2.4), and P kills the columns of H modulo the group.
+
+    A diagonal H whose entries sorted by selection (`_selection_order`)
+    form a positive divisibility chain runs no reduction.  On it `snf`
+    swaps each first smallest remaining entry forward, finds nothing to
+    clear, and every pivot divides the rest, so D is the sorted diagonal,
+    U the permutation with row t = e_slot[t] and V = U^T.  Then H * V[:, i]
+    = d_i e_slot[i], so S is the kept columns of U^T: field for field what
+    the Smith route gives, as Smith forms are unique."""
     r = H.rows
+    data = H._data
+    diag, slot = _selection_order(data[:: r + 1])
+    if (
+        not any(x for k, x in enumerate(data) if k % (r + 1))
+        and (not diag or diag[0] > 0)
+        and all(b % a == 0 for a, b in zip(diag, diag[1:]))
+    ):
+        kept = [i for i in range(r) if diag[i] > 1]
+        P = IntMatrix._of(len(kept), r, tuple(int(slot[i] == t) for i in kept for t in range(r)))
+        return FinAbGroup(tuple(diag[i] for i in kept)), P, P.transpose()
+    D, U, V = snf(H)
     kept = [i for i in range(r) if D[i, i] > 1]
     # SNF diagonals divide in order, so the kept tail is already a chain
     group = FinAbGroup(tuple(D[i, i] for i in kept))
@@ -782,6 +828,29 @@ def induced_hom(f, src, tgt):
     carries src's L into tgt's L and src's N into tgt's N: the columns of
     f * src.lift, classified in tgt."""
     return tgt.classify_hom(f.compose(src.lift))
+
+
+def induced_actions(maps, rec):
+    """The endomorphisms of rec.group induced by ambient endomorphisms f
+    that carry rec's L into L and N into N: `induced_hom(f, rec, rec)` for
+    each f, with the columns of every f * lift classified in one call.
+    Raises DimensionMismatch when an f is not an endomorphism of the
+    ambient group or carries a column of the lift outside L.  On a zero
+    group each map is the 0 x 0 hom, with nothing composed or classified."""
+    G, Q = rec.lift.target, rec.group
+    maps = list(maps)
+    if any(f.source != G or f.target != G for f in maps):
+        raise DimensionMismatch("hom does not act on the ambient group")
+    n = Q.rank
+    if n == 0:
+        return [GroupHom(Q, Q, IntMatrix._of(0, 0, ()))] * len(maps)
+    lift = rec.lift.matrix
+    columns = [c for f in maps for c in (f.matrix * lift).cols_list()]
+    classes = [Q.reduce(c) for c in _span_classes(rec.span, rec.projection, columns)]
+    return [
+        GroupHom(Q, Q, IntMatrix.from_cols(classes[a * n : (a + 1) * n], rows=n))
+        for a in range(len(maps))
+    ]
 
 
 def subgroup_embedding(G, gen_vectors):

@@ -30,8 +30,10 @@ Quotient generators are lifted back only through the section read off
 the one Smith reduction of `intlinalg` (quotients and subquotients);
 nothing here solves for a lift on its own.  Quotient,
 submodule, subquotient and localized modules carry an
-`intlinalg.GroupSubquotient` and get their actions from
-`intlinalg.induced_hom`, the one lift/classify path.
+`intlinalg.GroupSubquotient` and get all their actions from one
+`intlinalg.induced_actions` call on it, the one lift/classify path: one
+classification of every action's lifted columns, and none on a zero
+module.
 """
 
 from __future__ import annotations
@@ -45,9 +47,10 @@ from .intlinalg import (
     GroupSubquotient,
     IntMatrix,
     _moduli_matrix,
+    _selection_order,
     hom_image_span,
     hom_kernel_span,
-    induced_hom,
+    induced_actions,
     intersect_spans,
     linear_combination,
     matrix_combination,
@@ -287,17 +290,14 @@ def _power_layout(group, s):
     """The group of s copies of `group` and positions[u][j], the generator
     that is generator j of copy u.
 
-    The copy-major factor list is sorted by selection: the first smallest
-    remaining factor is swapped forward.  That is the order `snf` leaves a
-    diagonal divisibility chain in, so no normal form is needed and the
-    layout is the canonical direct sum of s copies."""
-    facs = list(group.invariant_factors) * s
-    n, r = len(facs), group.rank
-    slot = list(range(n))  # slot[p]: the copy-major index placed at position p
-    for t in range(n):
-        p = min(range(t, n), key=facs.__getitem__)
-        facs[t], facs[p] = facs[p], facs[t]
-        slot[t], slot[p] = slot[p], slot[t]
+    The copy-major factor list is sorted by `intlinalg._selection_order`:
+    the first smallest remaining factor is swapped forward.  That is the
+    order `snf` leaves a diagonal divisibility chain in, and the one
+    `_smith_presentation` reads such a diagonal in, so no normal form is
+    needed and the layout is the canonical direct sum of s copies."""
+    r = group.rank
+    # slot[p]: the copy-major index placed at position p
+    facs, slot = _selection_order(group.invariant_factors * s)
     positions = [[0] * r for _ in range(s)]
     for p, q in enumerate(slot):
         positions[q // r][q % r] = p
@@ -452,7 +452,7 @@ def quotient_module_data(M, N):
     the GroupSubquotient of M.group that lifts and classifies."""
     span = N.span if isinstance(N, Submodule) else N
     quo = subquotient_group(M.group, M.full_span(), span)
-    Q = FgModule(M.ring, quo.group, [induced_hom(A, quo, quo) for A in M.actions])
+    Q = FgModule(M.ring, quo.group, induced_actions(M.actions, quo))
     # a quotient's span is the identity, so its projection acts on M coordinates
     return Q, ModuleHom(M, Q, GroupHom(M.group, quo.group, quo.projection)), quo
 
@@ -468,7 +468,7 @@ def submodule_module(M, N):
     Returns (S, inclusion)."""
     span = N.span if isinstance(N, Submodule) else N
     sub = subquotient_group(M.group, span, M.zero_span())
-    S = FgModule(M.ring, sub.group, [induced_hom(A, sub, sub) for A in M.actions])
+    S = FgModule(M.ring, sub.group, induced_actions(M.actions, sub))
     return S, ModuleHom(S, M, sub.lift)
 
 
@@ -486,7 +486,7 @@ def subquotient_module(M, ker_span, im_span):
     """(ker_span)/(im_span) with induced actions, for canonical spans; raises
     DimensionMismatch unless im lies inside ker."""
     data = subquotient_group(M.group, ker_span, im_span)
-    H = FgModule(M.ring, data.group, [induced_hom(A, data, data) for A in M.actions])
+    H = FgModule(M.ring, data.group, induced_actions(M.actions, data))
     return SubquotientData(H, M, data)
 
 
@@ -707,9 +707,7 @@ def localize_module(M, loc):
     The localized scalars act through their representatives inside R, which
     is exact because e M is an R-direct summand."""
     sub = subgroup_embedding(M.group, M.action_hom(loc.idempotent).matrix.cols_list())
-    actions = [
-        induced_hom(M.action_hom(loc.pull_back(b)), sub, sub) for b in loc.ring.basis()
-    ]
+    actions = induced_actions([M.action_hom(loc.pull_back(b)) for b in loc.ring.basis()], sub)
     return FgModule(loc.ring, sub.group, actions)
 
 

@@ -35,7 +35,7 @@ from .intlinalg import (
     _solve,
     cokernel_presentation,
     hom_image_span,
-    induced_hom,
+    induced_actions,
     linear_combination,
     matrix_combination,
     span_contains,
@@ -355,17 +355,24 @@ def product_ring(factors):
 
 @dataclass(frozen=True)
 class Ideal:
-    """Ideal of a finite ring, normalized to a canonical additive span."""
+    """Ideal of a finite ring, normalized to a canonical additive span.
+
+    The span (`ideal_span`) is computed on its first read and kept; an
+    ideal that is only passed to `stable_idempotent`, which reads the
+    generators, never builds it.  Equality and hashing read the span."""
 
     ring: FiniteRing
     generators: tuple
-    span: IntMatrix = field(compare=False, default=None)
+    _span: IntMatrix = field(init=False, compare=False, default=None, repr=False)
     # e with I^c = e R, kept by the first `stable_idempotent(I)`
     idempotent: RingElement = field(init=False, compare=False, default=None, repr=False)
 
-    def __post_init__(self):
-        if self.span is None:
-            object.__setattr__(self, "span", ideal_span(self.ring, self.generators))
+    @property
+    def span(self):
+        """The canonical additive span, built on the first read."""
+        if self._span is None:
+            object.__setattr__(self, "_span", ideal_span(self.ring, self.generators))
+        return self._span
 
     def contains(self, elem):
         return span_contains(self.ring.additive, self.span, elem.coords)
@@ -553,7 +560,8 @@ def localize(R, f):
         return Localization(Z, e, c, triv, sec)
     sub = subgroup_embedding(R.additive, R.multiplication_hom(e).matrix.cols_list())
     lifts = [R.element(c) for c in sub.lift.matrix.cols_list()]
-    mult_matrices = [induced_hom(R.multiplication_hom(x), sub, sub).matrix for x in lifts]
+    mults = induced_actions([R.multiplication_hom(x) for x in lifts], sub)
+    mult_matrices = [h.matrix for h in mults]
     L = FiniteRing(sub.group, mult_matrices, sub.classify(e.as_group_element()).coords)
     retraction = sub.classify_hom(R.multiplication_hom(e))
     return Localization(L, e, c, retraction, sub.lift)
@@ -729,9 +737,13 @@ def _factor_fitting_idempotent(R, e, y):
     finite y^c e R onto y^{2c} e R = y^c e R, so it is injective there,
     eps is unique whichever x the solver returns, and by Fitting's lemma it
     is the idempotent identity of y^c e R.  The chain steps by
-    y^{c+1} e R = span(mult(y) * prev), with mult(y) formed once."""
+    y^{c+1} e R = span(mult(y) * prev), with mult(y) formed once; for
+    e = 1 it starts at the canonical span of R itself, the identity."""
     mult_y = R.multiplication_hom(y).matrix
-    prev = hom_image_span(R.multiplication_hom(e))
+    if e.coords == R.unit_coords:
+        prev = IntMatrix.identity(R.rank)
+    else:
+        prev = hom_image_span(R.multiplication_hom(e))
     cur = e
     c = 0
     while True:

@@ -384,7 +384,7 @@ def run_profile_task(task):
         kinds = [_field(task.analysis, "profile", str, "lipman")]
     results = {}
     inconclusive = False
-    # one scan context of M for the colon profiles
+    # one scan context of M for the profiles
     context = _ScanContext(M)
     for kind in kinds:
         if kind == "lipman":
@@ -395,7 +395,7 @@ def run_profile_task(task):
             i_max = task.bounds.get("i_max")
             if i_max is not None and i_max > len(seq):
                 raise BoundViolation(f"bound i_max {i_max} exceeds the sequence length {len(seq)}")
-            prof = weak_profile(M, seq, n_max, m_max, i_max)
+            prof = weak_profile(M, seq, n_max, m_max, i_max, context=context)
         else:
             raise ParseError(f"unknown profile kind {kind!r}")
         results[kind] = _profile_payload(prof)
@@ -436,7 +436,7 @@ def run_verify_task(task):
     inconclusive = False
 
     lip = gm = weak = None
-    # one scan context of M for every colon profile of the document
+    # one scan context of M for every profile of the document
     context = _ScanContext(M)
 
     def note(name, payload, ok):
@@ -450,7 +450,7 @@ def run_verify_task(task):
             if check == "profiles":
                 lip = lipman_profile(M, seq, n_max, m_max, context=context)
                 gm = gm_profile(M, seq, n_max, m_max, context=context)
-                weak = weak_profile(M, seq, n_max, m_max)
+                weak = weak_profile(M, seq, n_max, m_max, context=context)
                 ok = lip.all_conclusive() and gm.all_conclusive() and weak.all_conclusive()
                 inconclusive = inconclusive or not ok
                 note(
@@ -499,7 +499,7 @@ def run_verify_task(task):
                 if lip is None:
                     lip = lipman_profile(M, seq, n_max, m_max, context=context)
                 if weak is None:
-                    weak = weak_profile(M, seq, n_max, m_max)
+                    weak = weak_profile(M, seq, n_max, m_max, context=context)
                 ok = (not lip.all_conclusive()) or weak.all_conclusive()
                 note(
                     "thm2",
@@ -514,7 +514,7 @@ def run_verify_task(task):
                 out = injective_criterion(M, seq, "proregular", context=context)
                 note("injective_proregular", _outcome_payload(out), out.passed)
             elif check == "injective_weak":
-                out = injective_criterion(M, seq, "weak")
+                out = injective_criterion(M, seq, "weak", context=context)
                 note("injective_weak", _outcome_payload(out), out.passed)
             elif check == "vanishing":
                 payload, ok, inc = _vanishing_battery(M, seq)

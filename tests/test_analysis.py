@@ -92,6 +92,31 @@ def test_lipman_profile_unit_prefix():
         assert prof.entry(2, n) == n
 
 
+def test_unit_prefix_builds_one_level_and_no_colon(monkeypatch):
+    # N_1 = M makes every level M, and M :_M y^e = M, so a unit prefix
+    # builds N_1 alone and its colons take no preimage; the inclusions
+    # are still tested and cross-checked, and hold at m = n
+    R, x, one = truncated_two_power(3)
+    M = ring_as_module(R)
+    built, preimages = [], []
+    real_image, real_preimage = analysis.image_submodule, analysis.preimage_span
+    monkeypatch.setattr(
+        analysis, "image_submodule", lambda M, xs: built.append(1) or real_image(M, xs)
+    )
+    monkeypatch.setattr(
+        analysis, "preimage_span", lambda f, s: preimages.append(1) or real_preimage(f, s)
+    )
+    context = _ScanContext(M)
+    for kind in ("lipman", "gm"):
+        for m in range(1, 6):
+            level = context.level(kind, [one, x], m)
+            assert level.order() == M.order()
+            assert context.colon(x, m, level) is level
+            assert context.holds(kind, [one, x], x, 1, m)
+    assert len(built) == 2 and preimages == []
+    assert _witness_scan(context, "lipman", [x, one], x, 3, 9) == {1: 1, 2: 2, 3: 3}
+
+
 def test_lipman_profile_x_then_unit():
     R, x, one = truncated_two_power(3)
     M = ring_as_module(R)

@@ -741,8 +741,10 @@ def test_sweep_computes_each_torsion_index_once_per_factor(monkeypatch):
 def test_sweep_preimage_count_on_ex1(monkeypatch):
     # Scanning each factor from m = n, with its torsion chain built apart
     # from its scans, took 71 preimages on ex1_truncated.  Started at the
-    # running maximum, with one scan context per factor, the sweep takes
-    # 28: each colon of the torsion chains is one the scans need.
+    # running maximum, with one scan context per factor, the sweep took
+    # 28: each colon of the torsion chains is one the scans need.  The
+    # colon of a level equal to M is M with no preimage (the unit prefix),
+    # so it takes 17.
     import prokit.analysis as analysis
     from prokit.cli import _load_task_text
 
@@ -751,7 +753,7 @@ def test_sweep_preimage_count_on_ex1(monkeypatch):
     monkeypatch.setattr(analysis, "preimage_span", lambda f, s: calls.append(1) or real(f, s))
     report = run_task(parse_spec(_load_task_text("fixture:ex1_truncated")))
     assert report.exit_code == 0
-    assert len(calls) == 28
+    assert len(calls) == 17
 
 
 @pytest.mark.parametrize("fixture, preimages", [("z12_battery", 7), ("prism_style", 3)])
@@ -786,13 +788,15 @@ def test_profile_task_shares_one_scan_context(monkeypatch, fixture, preimages):
 # order, 101/60/75/216 on z12_battery, 49/29/33/79 on prism_style and
 # 48/28/57/110 on ex1_truncated.  Before `injective_proregular` and
 # `power_stability` scanned in the document's context, z12_battery took
-# 57/41/17/142.
+# 57/41/17/142.  Before a level N_1 = M stood for every later level and
+# colon, and the weak profile was kept in the context, they were
+# 51/24/10/122 on z12_battery and 24/28/18/57 on ex1_truncated.
 @pytest.mark.parametrize(
     "fixture, counts",
     [
-        ("z12_battery", (51, 24, 10, 122)),
+        ("z12_battery", (51, 23, 9, 113)),
         ("prism_style", (29, 18, 4, 39)),
-        ("ex1_truncated", (24, 28, 18, 57)),
+        ("ex1_truncated", (24, 17, 12, 51)),
     ],
 )
 def test_scan_context_counts_on_fixture(monkeypatch, fixture, counts):
@@ -818,6 +822,27 @@ def test_scan_context_counts_on_fixture(monkeypatch, fixture, counts):
     report = run_task(parse_spec(_load_task_text(f"fixture:{fixture}")))
     assert report.exit_code == 0
     assert tuple(seen.values()) == counts
+
+
+def test_verify_document_builds_its_weak_profile_once(monkeypatch):
+    # `profiles`/`thm2`, `injective_weak` and `local_global` ask for the
+    # same global weak profile of z12_battery.  Kept in the document's
+    # scan context, it is built on one Koszul tower; with none kept, each
+    # built its own (three global towers besides the two local ones).
+    import prokit.analysis as analysis
+    from prokit.cli import _load_task_text
+
+    towers = []
+    real = analysis.KoszulTower
+    monkeypatch.setattr(
+        analysis, "KoszulTower", lambda xs, M: towers.append(M.order()) or real(xs, M)
+    )
+    report = run_task(parse_spec(_load_task_text("fixture:z12_battery")))
+    assert report.exit_code == 0
+    # the global tower on Z/12, then one per local factor, Z/4 and Z/3
+    assert sorted(towers) == [3, 4, 12]
+    results = report.body["results"]
+    assert results["profiles"]["weak"]["rows"] == results["local_global"]["details"]["global_weak"]
 
 
 def test_local_global_splits_each_factor_element_once(monkeypatch):

@@ -453,6 +453,33 @@ def test_ideal_span_matches_closure_loop():
         )
 
 
+def test_lazy_ideal_span_matches_ideal_span_and_keeps_equality():
+    """An ideal builds its span on first read, not at construction nor for
+    `stable_idempotent`; the span equals `ideal_span`, and equality and
+    hashing, which read it, agree with the eagerly built spans: ideals with
+    the same span are equal and hash alike, whatever their generators."""
+    rng = random.Random(0x1A2E)
+    rings = [zmod(12), product_ring([zmod(4), zmod(6)])[0], zero_ring(), truncated_two_power(4)[0]]
+    for R in rings:
+        elems = list(R.elements())
+        for _ in range(10):
+            gens = [rng.choice(elems) for _ in range(rng.randint(0, 3))]
+            I = ideal(R, gens)
+            assert I._span is None
+            stable_idempotent(I)
+            assert I._span is None
+            assert I.span == ideal_span(R, gens)
+            assert I.span is I.span
+            # the same ideal from its span's elements, built in another order
+            J = ideal(R, I.span_elements())
+            K = ideal(R, list(reversed(gens)))
+            assert I == J == K and hash(I) == hash(J) == hash(K)
+            assert (ideal(R, gens) == ideal(R, gens + [R.one()])) == (
+                ideal_span(R, gens) == ideal_span(R, gens + [R.one()])
+            )
+            assert len({I, J, K}) == 1
+
+
 def _solved_stable_idempotent(I):
     """(c, e) with I^c = I^{c+1} = e R, e found by solving e * g = g over
     the span of I^c, as `ideal_stabilization` did before the Fitting form."""
@@ -698,6 +725,9 @@ def test_derived_rings_build_without_pairwise_products(monkeypatch):
     R = product_ring([zmod(6), zmod(10), zmod(15)])[0]
     T = truncated_two_power(4)[0]
     I, J = ideal(R, [R.from_int(2)]), ideal(T, [T.from_int(4)])
+    # an ideal's span is built on first read, from its own products, which
+    # are not the quotient ring's
+    I.span, J.span
     calls.clear()
     product_ring([R, T, zmod(9)])
     quotient_ring(R, I)
