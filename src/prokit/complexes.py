@@ -474,10 +474,10 @@ def _homology_limit(tower, i):
     It builds d_(i+1) of level n and d_i of level 2n, and no other
     differential.
 
-    Why it is the limit: each strict step of R > xR > x^2 R > ...
-    at least halves the ideal, so n exceeds every Fitting index c of the
-    x_j.  R is a product of local rings R_j (Atiyah-Macdonald, ch. 8), and
-    the complexes split along them.  On an R_j where some x_j is a unit,
+    Why it is the limit: n exceeds every Fitting index c of the x_j (the
+    bound c < bit_length(|R|) of `rings.fitting_split`).  R is a product
+    of local rings R_j (Atiyah-Macdonald, ch. 8), and the complexes split
+    along them.  On an R_j where some x_j is a unit,
     K(x_j^m) is contractible, so Tot(K(x^(m)) tensor M tensor L) is exact at
     every level m.  On an R_j where every x_j is nilpotent, x_j^n = 0, so
     for m >= n the Koszul faces vanish and H_i(x^(m)) is the sum over
@@ -528,6 +528,11 @@ def cech_tor_compare(M, N, x_seq, i, resolution_length):
     tower of x on M, and Tor as H_i at level 1 of the empty-sequence tower
     on Lambda, from its d_i and d_(i+1) alone.
 
+    H_i of either side reads only the blocks of degrees i and i + 1, which
+    hold L_0 .. L_(i+1) and are the same in every resolution of length at
+    least i + 1.  So `resolution_length` (which must exceed i) never
+    changed the answer, and only L_0 .. L_(i+1) are built.
+
     Returns (lhs, rhs, agree), agree from `modules_isomorphic`: when the
     two sides are equal modules the identity is the isomorphism shown;
     otherwise agreement is equal fingerprints, a necessary condition
@@ -536,7 +541,7 @@ def cech_tor_compare(M, N, x_seq, i, resolution_length):
         raise AxiomViolation("negative homological degree")
     if resolution_length <= i:
         raise AxiomViolation("resolution length must exceed the degree")
-    res = free_resolution(N, resolution_length)
+    res = free_resolution(N, i + 1)
     lhs = _homology_limit(KoszulTower(x_seq, M, res), i)
     lam, _ = adic_completion(M, Ideal(M.ring, tuple(x_seq)))
     tor = KoszulTower((), lam, res)

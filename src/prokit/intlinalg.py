@@ -649,7 +649,7 @@ def preimage_lattice(A, span, moduli):
     s = A.cols
     rows = [c + e for c, e in zip(A.cols_list(), IntMatrix.identity(s).rows_list())]
     rows += [c + [0] * s for c in span.cols_list()]
-    rows += [[0] * A.rows + d for d in IntMatrix.diagonal(list(moduli)).rows_list()]
+    rows += [[0] * (A.rows + t) + [m] + [0] * (s - t - 1) for t, m in enumerate(moduli)]
     return _lattice_basis(rows, A.rows, s)
 
 

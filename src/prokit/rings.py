@@ -131,9 +131,11 @@ class FiniteRing:
         return _solve(m, self.unit_coords, G, G.invariant_factors) is not None
 
     def is_nilpotent(self, elem):
+        """A nilpotent y has y^c = 0 for its Fitting index c, and c <
+        bit_length(|R|) (the bound of `fitting_split`), so s squarings with
+        2^s >= bit_length(|R|) decide."""
         y = elem
-        steps = max(1, self.order().bit_length())
-        for _ in range(steps):
+        for _ in range((self.order().bit_length() - 1).bit_length()):
             if y.is_zero():
                 return True
             y = y * y
@@ -508,6 +510,16 @@ def fitting_split(R, x):
     Returns (c, e): c minimal with x^c R = x^{c+1} R and e the unique
     idempotent with e R = x^c R.  Multiplication by x is bijective on e R
     and nilpotent on (1-e) R.  Units give (0, 1), nilpotents (c, 0).
+
+    The bound c < bit_length(|R|): each strict step of the chain
+    R > xR > x^2 R > ... > x^c R is a proper subgroup, so it at least
+    halves the ideal; hence 2^c <= |R| < 2^bit_length(|R|).  The same
+    holds for y in a factor ring e R.  A nilpotent x has x^c = 0, so
+    s squarings with 2^s >= bit_length(|R|) reach x^c; the split
+    (`_factor_fitting_idempotent`), `FiniteRing.is_nilpotent` and the
+    stable level of the Cech homology (`complexes._homology_limit`)
+    rest on this one bound.
+
     The split is a function of (R, x) alone: the first call for x computes
     it and keeps it on R, and later calls for x read it there.  An x of
     another ring is a DimensionMismatch, as its coordinates name a
@@ -731,35 +743,31 @@ def _factor_fitting_idempotent(R, e, y):
 
     Returns (c, eps): c minimal with y^c e R = y^{c+1} e R and eps the
     idempotent with eps R = y^c e R; eps is 0 for nilpotent-on-the-factor
-    and e for units of the factor.  eps solves y^c * eps = y^c with eps in
-    y^c e R: eps = prev * x for the canonical span prev of y^c e R and a
-    solution x of (y^c * prev) x = y^c.  Multiplication by y^c maps the
-    finite y^c e R onto y^{2c} e R = y^c e R, so it is injective there,
-    eps is unique whichever x the solver returns, and by Fitting's lemma it
-    is the idempotent identity of y^c e R.  The chain steps by
-    y^{c+1} e R = span(mult(y) * prev), with mult(y) formed once; for
-    e = 1 it starts at the canonical span of R itself, the identity."""
-    mult_y = R.multiplication_hom(y).matrix
-    if e.coords == R.unit_coords:
-        prev = IntMatrix.identity(R.rank)
+    and e for units of the factor.  By the bound of `fitting_split`, c <
+    N = bit_length(|R|), so z = (e y)^(2^s) with 2^s >= N (s squarings) is
+    a unit on each local factor of e R where y is a unit and 0 where y is
+    nilpotent; eps is 1 on the first kind and 0 on the second.  So eps = z
+    when z is 0 or idempotent, and otherwise eps = z w for any solution w
+    of z^2 w = z (w inverts z on eps R, which is all z lives on, so eps
+    does not depend on the w the solver returns).  On (e - eps) R, y is
+    nilpotent, so c is the least k with y^k (e - eps) = 0."""
+    n = R.order().bit_length()
+    z = e * y
+    for _ in range((n - 1).bit_length()):
+        z = z * z
+    zz = z * z
+    if z.is_zero() or zz == z:
+        eps = z
     else:
-        prev = hom_image_span(R.multiplication_hom(e))
-    cur = e
-    c = 0
-    while True:
-        nxt = span_lattice(R.additive, (mult_y * prev).cols_list())
-        if nxt == prev:
-            break
-        prev = nxt
-        cur = cur * y
+        G = R.additive
+        w = _solve(R.multiplication_hom(zz).matrix, z.coords, G, G.invariant_factors)
+        if w is None:
+            raise AxiomViolation("factor Fitting equation unsolvable; ring data corrupt")
+        eps = z * R.element(w)
+    c, rest = 0, e - eps
+    while not rest.is_zero():
+        if c == n:
+            raise AxiomViolation("Fitting index reached bit_length(|R|); ring data corrupt")
+        rest = rest * y
         c += 1
-    if c == 0:
-        return 0, e  # y is a unit of e R, and e is its identity
-    if span_subgroup_order(R.additive, prev) == 1:
-        return c, R.zero()
-    A = R.multiplication_hom(cur).matrix * prev
-    exponent = R.additive.invariant_factors[-1]
-    x = _solve(A, cur.coords, R.additive, (exponent,) * prev.cols)
-    if x is None:
-        raise AxiomViolation("factor Fitting equation unsolvable; ring data corrupt")
-    return c, R.element(prev.apply(x))
+    return c, eps

@@ -31,12 +31,14 @@ from prokit.modules import (
     ring_as_module,
     Submodule,
     submodule_module,
+    subquotient_module,
     torsion_submodule,
     zero_module,
 )
 from prokit.complexes import (
     KoszulTower,
     _homology_limit,
+    _transition_image,
     cech_cohomology,
     cech_complex,
     cech_homology,
@@ -746,7 +748,8 @@ def _split_rings():
 
 
 def test_fitting_split_never_calls_ring_basis(monkeypatch):
-    # the chain y^(c+1) e R = span(mult(y) prev) steps on the previous span
+    # the split multiplies by coordinates and solves on one multiplication
+    # matrix; it never forms the products of the ring basis
     from prokit.rings import FiniteRing
 
     calls = []
@@ -1331,9 +1334,33 @@ def test_restricted_limits_match_stabilized_reference():
             _assert_same_module(rhs, tor, (seq, i))
 
 
+def test_tor_compare_resolves_only_through_the_degree_above(monkeypatch):
+    # H_i of both sides reads only L_0 .. L_(i+1): whatever resolution
+    # length above i is passed, the comparison asks for length i + 1, and
+    # its sides equal those read off a resolution of the length passed
+    import prokit.complexes as cx
+
+    asked = []
+    real = cx.free_resolution
+    monkeypatch.setattr(cx, "free_resolution", lambda N, length: asked.append(length) or real(N, length))
+    for seq, M, N, _ in _tensored_tower_cases():
+        lam, _ = adic_completion(M, ideal(M.ring, seq))
+        for i in (0, 1):
+            for length in (i + 1, i + 2, i + 3):
+                asked.clear()
+                lhs, rhs, _ = cech_tor_compare(M, N, seq, i, length)
+                assert asked == [i + 1], (seq, i, length)
+                res = real(N, length)
+                assert lhs == _homology_limit(KoszulTower(seq, M, res), i), (seq, i, length)
+                tor = KoszulTower((), lam, res)
+                sides = subquotient_module(tor.chains(i), *_transition_image(tor, i, 1, 1))
+                assert rhs == sides.module, (seq, i, length)
+
+
 def test_tor_compare_builds_only_the_differentials_its_spans_read(monkeypatch):
-    # Z/12 (stable level 4), x = (2, 3), L of length 2: a full level has 4
-    # differentials and Lambda tensor L has 2.  The limit builds d_(i+1) of
+    # Z/12 (stable level 4), x = (2, 3), L of length i + 1 (the length
+    # passed is i + 2): a full level has 2 + i + 1 differentials and Lambda
+    # tensor L has i + 1.  The limit builds d_(i+1) of
     # level 4 and d_i of level 8, the Tor side d_(i+1) and d_i of Lambda
     # tensor L; only the Tor side builds an adjacent pair, and it checks
     # d_i o d_(i+1) = 0 once

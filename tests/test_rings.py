@@ -739,8 +739,8 @@ def test_derived_rings_build_without_pairwise_products(monkeypatch):
 def _basis_product_fitting_split(R, x):
     """The Fitting split of x with the chain x^c R read off the products of
     x^c with the ring basis, one span per step; the reference for
-    `fitting_split`, which steps the chain by multiplication by x on the
-    previous span."""
+    `fitting_split`, which reads the split off one power of x and one
+    solve."""
 
     def image_span(elem):
         return span_lattice(R.additive, [(elem * b).coords for b in R.basis()])
@@ -762,6 +762,77 @@ def _basis_product_fitting_split(R, x):
     exponent = R.additive.invariant_factors[-1]
     sol = _solve(A, cur.coords, R.additive, (exponent,) * prev.cols)
     return c, R.element(prev.apply(sol))
+
+
+def _chain_factor_fitting_split(R, e, y):
+    """The Fitting split of y inside e R by the chain y^k e R: one span per
+    step, stepped by multiplication by y on the previous span until it
+    stalls at k = c, then eps = prev * x for the canonical span prev of
+    y^c e R and a solution x of (y^c * prev) x = y^c.  The reference for
+    `_factor_fitting_idempotent`, which reads eps off one power of e y and
+    one solve, and c off y^k (e - eps) = 0."""
+    mult_y = R.multiplication_hom(y).matrix
+    if e.coords == R.unit_coords:
+        prev = IntMatrix.identity(R.rank)
+    else:
+        prev = hom_image_span(R.multiplication_hom(e))
+    cur, c = e, 0
+    while True:
+        nxt = span_lattice(R.additive, (mult_y * prev).cols_list())
+        if nxt == prev:
+            break
+        prev, cur, c = nxt, cur * y, c + 1
+    if c == 0:
+        return 0, e
+    if span_subgroup_order(R.additive, prev) == 1:
+        return c, R.zero()
+    A = R.multiplication_hom(cur).matrix * prev
+    exponent = R.additive.invariant_factors[-1]
+    x = _solve(A, cur.coords, R.additive, (exponent,) * prev.cols)
+    return c, R.element(prev.apply(x))
+
+
+def test_factor_fitting_split_matches_chain_reference():
+    # every factor e (each primitive idempotent, and 1) and every y, on
+    # seeded rings, products over mixed primes, F_2[t]/t^n, the truncated
+    # two-power ring and the zero ring
+    from prokit.rings import _factor_fitting_idempotent
+
+    rng = random.Random(0xF1F7)
+    rings = [random_ring(rng)[0] for _ in range(20)]
+    rings += [
+        product_ring([zmod(4), zmod(3), truncated_polynomial(3, 2)[0]])[0],
+        product_ring([zmod(12), truncated_polynomial(2, 3)[0], zmod(5)])[0],
+        truncated_two_power(3)[0],
+        zero_ring(),
+    ]
+    rings += [truncated_polynomial(2, n)[0] for n in range(1, 6)]
+    for R in rings:
+        for e in primitive_idempotents(R) + [R.one()]:
+            for y in R.elements():
+                new = _factor_fitting_idempotent(R, e, y)
+                assert new == _chain_factor_fitting_split(R, e, y), (R, e, y)
+
+
+def test_fitting_split_of_a_large_prime_field():
+    # Z/p above the enumeration limit: every nonzero element is a unit,
+    # (0, 1) by both routes, and 0 is nilpotent of index 1
+    p = 4099
+    assert p > SPLIT_ENUM_LIMIT and all(p % q for q in range(2, 65))
+    R = zmod(p)
+    for y in R.elements():
+        expected = (1, R.zero()) if y.is_zero() else (0, R.one())
+        assert fitting_split(R, y) == expected == _chain_factor_fitting_split(R, R.one(), y), y
+
+
+@pytest.mark.unchecked_axioms
+def test_fitting_split_on_a_corrupt_unit_raises():
+    # Z/9 with x * y = 2xy has unit 5, not the declared 1: the split of 1
+    # finds eps = 5, and 1 - 5 is a unit, so no power of 1 kills it; the
+    # split stops at the bound c < bit_length(|R|) instead of looping
+    R = FiniteRing(FinAbGroup((9,)), [IntMatrix(1, 1, [2])], (1,))
+    with pytest.raises(AxiomViolation, match="ring data corrupt"):
+        fitting_split(R, R.one())
 
 
 def test_fitting_split_matches_basis_product_reference():
