@@ -16,16 +16,16 @@ Lipman's, Greenlees-May's and the Cartier profile share one condition,
 (N_m :_M y^m) <= (N_n :_M y^(m-n)), and one scan, `_witness_scan`; they
 differ only in the levels N_m that `_levels` yields: x^(m) M (elementwise
 powers of the prefix) or I^m M (powers of the prefix ideal, over R itself
-for Cartier).  The scans of one module share one `_ScanContext`.  The weak
-profile scans Koszul transitions instead."""
+for Cartier).  The scans of one module share the `_ScanContext` that the
+module keeps.  The weak profile scans Koszul transitions instead."""
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 
 from .errors import (
-    DimensionMismatch,
     IdentificationFailure,
     InsufficientBound,
     InvalidSpec,
@@ -165,10 +165,12 @@ def _levels_key(kind, xs):
 
 
 class _ScanContext:
-    """What the colon scans and torsion searches of one module M share.  A
-    caller that scans M more than once passes one context to every scan; a
-    context belongs to one module, as equal matrices act differently on
-    different groups.  It keeps
+    """What the colon scans and torsion searches of one module M share.  M
+    keeps it, made by `_scan_context` on its first scan, so every scan of M
+    reads it and a module equal to M but distinct from it shares nothing.
+    Values do not depend on which scans ran before: colons are keyed by
+    canonical spans, finished scans by their full key, and any kept torsion
+    bound bounds a scan (see `_witness_scan`).  It keeps
 
     - `colons`: N :_M y^e, the preimage of N under y^e, keyed by (matrix of
       y^e, canonical span of N); canonical spans identify submodules, so
@@ -186,7 +188,11 @@ class _ScanContext:
       ("weak", sequence, n_max, m_max, i_max)."""
 
     def __init__(self, M):
-        self.module = M
+        # M keeps the context, so the context, its levels and its colons
+        # refer to M through a weak proxy: no reference cycle, so the scan
+        # data is freed with M by reference counting, not left to the cycle
+        # collector
+        self.module = weakref.proxy(M)
         self.colons = {}
         self.actions = {}
         self.levels = {}
@@ -241,15 +247,23 @@ class _ScanContext:
         return incl
 
 
-def _torsion_index_from(context, x, start):
-    """max(start, c) for c the bounded torsion index of x on the context's
-    module M: the least c >= start with 0 :_M x^c = 0 :_M x^(c+1).  Each
+def _scan_context(M):
+    """The `_ScanContext` that M keeps, made on the first call."""
+    if M._scans is None:
+        M._scans = _ScanContext(M)
+    return M._scans
+
+
+def _torsion_index_from(M, x, start):
+    """max(start, c) for c the bounded torsion index of x on M: the least
+    c >= start with 0 :_M x^c = 0 :_M x^(c+1).  Each
     term of the chain is the preimage of the one before under x, so once
     two consecutive terms agree the chain stays constant, and equality at
     `start` settles c <= start.  The annihilator 0 :_M x^e is the colon of
     the zero level, which the i = 1 scans of M share.  The result, an upper
-    bound for c, is kept in `context.torsion` unless a smaller one is."""
-    M = context.module
+    bound for c, is kept in M's `_ScanContext.torsion` unless a smaller one
+    is."""
+    context = _scan_context(M)
     zero = Submodule(M, M.zero_span())
     c, cur = start, context.colon(x, start, zero).span
     while True:
@@ -261,12 +275,12 @@ def _torsion_index_from(context, x, start):
     return c
 
 
-def _witness_scan(context, kind, xs, y, n_max, m_max, start=None):
+def _witness_scan(M, kind, xs, y, n_max, m_max, start=None):
     """{n: least m in [s_n, m_max] with (N_m :_M y^m) <= (N_n :_M y^(m-n))}
     for n = 1..n_max, None where no m is, with N_m the m-th level of
     `_levels(M, kind, xs)` and s_n = max(n, start[n]), or n without
-    `start`.  Levels, actions, colons and the finished scan are kept in
-    `context`; each inclusion is tested by `_ScanContext.holds`.
+    `start`.  Levels, actions, colons and the finished scan are kept in M's
+    `_ScanContext`; each inclusion is tested by `_ScanContext.holds`.
 
     The theorem: the least witness m satisfies n <= m <= n + c, for c =
     c_M(y) the bounded torsion index of y on M.  By Fitting's lemma M is
@@ -275,7 +289,7 @@ def _witness_scan(context, kind, xs, y, n_max, m_max, start=None):
     On e M, y is invertible with inverse a power of y, which maps every
     level into itself, so the condition holds at m = n; on (1 - e) M,
     y^c = 0, so for m - n >= c the right-hand colon is everything.  Any
-    upper bound for c does as well; the scan reads `context.torsion[y]` and
+    upper bound for c does as well; the scan reads the kept `torsion[y]` and
     otherwise finds c by `_torsion_index_from`.
 
     The levels decrease, so validity is upward closed in m (the argument is
@@ -286,10 +300,11 @@ def _witness_scan(context, kind, xs, y, n_max, m_max, start=None):
     m_max is None."""
     starts = None if start is None else tuple(start[n] for n in range(1, n_max + 1))
     key = (_levels_key(kind, xs), y.coords, n_max, m_max, starts)
+    context = _scan_context(M)
     if key not in context.scans:
         c = context.torsion.get(y.coords)
         if c is None:
-            c = _torsion_index_from(context, y, 0)
+            c = _torsion_index_from(M, y, 0)
         found = {}
         for n in range(1, n_max + 1):
             lo = n if start is None else max(n, start[n])
@@ -303,51 +318,39 @@ def _witness_scan(context, kind, xs, y, n_max, m_max, start=None):
     return dict(context.scans[key])
 
 
-def _checked_context(M, context):
-    """`context`, a `_ScanContext` of M, or a fresh one when it is None."""
-    if context is None:
-        return _ScanContext(M)
-    if context.module is not M:
-        raise DimensionMismatch("a scan context of another module")
-    return context
-
-
-def _profile(M, x_seq, kind, n_max, m_max, start, context):
+def _profile(M, x_seq, kind, n_max, m_max, start):
     k = len(x_seq)
     m_max = m_max if m_max is not None else default_budget(M.order(), k, n_max)
-    context = _checked_context(M, context)
     entries = {}
     for i in range(1, k + 1):
         starts = None if start is None else {n: start[(i, n)] for n in range(1, n_max + 1)}
-        scan = _witness_scan(context, kind, x_seq[: i - 1], x_seq[i - 1], n_max, m_max, starts)
+        scan = _witness_scan(M, kind, x_seq[: i - 1], x_seq[i - 1], n_max, m_max, starts)
         entries.update(((i, n), m) for n, m in scan.items())
     return Profile(kind, k, n_max, m_max, entries)
 
 
-def lipman_profile(M, x_seq, n_max, m_max=None, start=None, context=None):
+def lipman_profile(M, x_seq, n_max, m_max=None, start=None):
     """Minimal witnesses for the elementwise-power form of proregularity.
 
     With `start`, a map (i, n) -> lower bound, entry (i, n) is the least
-    witness at or above its bound; `context` is the `_ScanContext` of M
-    shared with other scans of M (a fresh one without it)."""
-    return _profile(M, x_seq, "lipman", n_max, m_max, start, context)
+    witness at or above its bound."""
+    return _profile(M, x_seq, "lipman", n_max, m_max, start)
 
 
-def gm_profile(M, x_seq, n_max, m_max=None, context=None):
-    """Minimal witnesses for the ideal-power form of proregularity;
-    `context` as for `lipman_profile`."""
-    return _profile(M, x_seq, "gm", n_max, m_max, None, context)
+def gm_profile(M, x_seq, n_max, m_max=None):
+    """Minimal witnesses for the ideal-power form of proregularity."""
+    return _profile(M, x_seq, "gm", n_max, m_max, None)
 
 
-def weak_profile(M, x_seq, n_max, m_max=None, i_max=None, context=None):
+def weak_profile(M, x_seq, n_max, m_max=None, i_max=None):
     """Minimal pro-zero witnesses for the Koszul homology transitions,
-    indexed by homological degree i = 1..i_max.  With `context`, the
-    `_ScanContext` of M, the finished profile is kept there, so the checks
-    of one document that ask for the same profile build one Koszul tower."""
+    indexed by homological degree i = 1..i_max.  The finished profile is
+    kept on M, so the checks that ask M for the same profile build one
+    Koszul tower."""
     k = len(x_seq)
     i_max = i_max if i_max is not None else k
     m_max = m_max if m_max is not None else default_budget(M.order(), k, n_max)
-    context = _checked_context(M, context)
+    context = _scan_context(M)
     key = ("weak", tuple(x.coords for x in x_seq), n_max, m_max, i_max)
     if key not in context.scans:
         tower = KoszulTower(x_seq, M)
@@ -417,20 +420,19 @@ def verify_bound_transfer(M, x_seq, lip, gm):
     )
 
 
-def power_stability_check(M, x_seq, exponents, context=None):
+def power_stability_check(M, x_seq, exponents):
     """Profiles of x and of the powered sequence x^(n_) are both fully
     conclusive within m <= n + ceil(log2 |M|) (finite modules are always
-    proregular).  `context` is the `_ScanContext` of M for both Lipman
-    profiles, as for `lipman_profile`."""
+    proregular)."""
     if any(e < 1 for e in exponents):
         raise InvalidSpec("exponents must be >= 1")
     o = max(M.order(), 2)
     slack = (o - 1).bit_length()
     n_max = 3
     m_max = n_max + slack
-    base = lipman_profile(M, x_seq, n_max, m_max, context=context)
+    base = lipman_profile(M, x_seq, n_max, m_max)
     powered_seq = [x ** e for x, e in zip(x_seq, exponents)]
-    powered = lipman_profile(M, powered_seq, n_max, m_max, context=context)
+    powered = lipman_profile(M, powered_seq, n_max, m_max)
     ok = True
     for prof in (base, powered):
         for (i, n), m in prof.entries.items():
@@ -451,7 +453,7 @@ def power_stability_check(M, x_seq, exponents, context=None):
 # Injective-dual criteria
 
 
-def injective_criterion(M, x_seq, mode, context=None):
+def injective_criterion(M, x_seq, mode):
     """Cohomological criteria against the injective cogenerator E = R^dual.
 
     Hom_R(M, E) is read as the Matlis dual M^dual = Hom_Z(M, Q/Z): by
@@ -464,9 +466,7 @@ def injective_criterion(M, x_seq, mode, context=None):
     cohomology at x_i, and D / torsion_{x_1..x_i}(H) must be
     x_i-divisible.  weak mode: all higher Cech cohomology of H vanishes.
     The verdict is compared with the conclusiveness of the matching
-    profile; `context` is the `_ScanContext` of M for the Lipman profile
-    of proregular mode and the weak profile of weak mode, as for
-    `lipman_profile` and `weak_profile`."""
+    profile."""
     R = M.ring
     H = matlis_dual(M)
     k = len(x_seq)
@@ -483,13 +483,13 @@ def injective_criterion(M, x_seq, mode, context=None):
             divisible = is_divisible(Q, x_seq[i - 1])
             details[f"position_{i}"] = {"cech1_vanishes": vanish, "divisible": divisible}
             ok = ok and vanish and divisible
-        profile = lipman_profile(M, x_seq, 2, context=context)
+        profile = lipman_profile(M, x_seq, 2)
     elif mode == "weak":
         for i in range(1, k + 1):
             vanish = cech_cohomology(x_seq, H, i).is_zero_module()
             details[f"degree_{i}"] = {"cech_vanishes": vanish}
             ok = ok and vanish
-        profile = weak_profile(M, x_seq, 2, context=context)
+        profile = weak_profile(M, x_seq, 2)
     else:
         raise InvalidSpec(f"unknown criterion mode {mode!r}")
     agrees = ok == profile.all_conclusive()
@@ -502,12 +502,10 @@ def injective_criterion(M, x_seq, mode, context=None):
 # Local-global
 
 
-def local_global_check(M, x_seq, covering=None, mode=None, n_max=2, m_max=None, context=None):
+def local_global_check(M, x_seq, covering=None, mode=None, n_max=2, m_max=None):
     """Diagonal injectivity into the covering localizations, and the
     local-global law: the global minimal witness at every profile entry is
-    the maximum of the local ones.  `context` is the `_ScanContext` of M
-    for the global Lipman and weak profiles, as for `lipman_profile` and
-    `weak_profile`."""
+    the maximum of the local ones."""
     R = M.ring
     if mode == "maximal":
         covering = primitive_idempotents(R)
@@ -527,8 +525,8 @@ def local_global_check(M, x_seq, covering=None, mode=None, n_max=2, m_max=None, 
         inter = M.full_span()
     diagonal_injective = span_subgroup_order(M.group, inter) == 1
     m_max = m_max if m_max is not None else default_budget(M.order(), len(x_seq), n_max)
-    global_lip = lipman_profile(M, x_seq, n_max, m_max, context=context)
-    global_weak = weak_profile(M, x_seq, n_max, m_max, context=context)
+    global_lip = lipman_profile(M, x_seq, n_max, m_max)
+    global_weak = weak_profile(M, x_seq, n_max, m_max)
     local_lips = []
     local_weaks = []
     for loc in locs:
@@ -577,7 +575,7 @@ def local_global_check(M, x_seq, covering=None, mode=None, n_max=2, m_max=None, 
 def cartier_profile(R, I, x, n_max, m_max):
     """Minimal witnesses for the ideal form: I^m : x^m inside I^n : x^{m-n}."""
     M = ring_as_module(R)
-    scan = _witness_scan(_ScanContext(M), "cartier", I.generators, x, n_max, m_max)
+    scan = _witness_scan(M, "cartier", I.generators, x, n_max, m_max)
     return Profile("cartier", 1, n_max, m_max, {(1, n): m for n, m in scan.items()})
 
 

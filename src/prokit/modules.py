@@ -82,6 +82,9 @@ class FgModule:
         self.actions = tuple(actions)
         if len(self.actions) != ring.rank:
             raise DimensionMismatch("one action per ring basis element required")
+        # the `analysis._ScanContext` of this module, made by its first
+        # scan; equality and hashing ignore it
+        self._scans = None
 
     def validate(self):
         """Well-defined actions, each killed by the additive order of its

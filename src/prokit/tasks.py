@@ -24,7 +24,7 @@ from .errors import (
 )
 from .analysis import (
     Profile,
-    _ScanContext,
+    _scan_context,
     _torsion_index_from,
     bounded_torsion_index,
     cartier_check,
@@ -272,8 +272,10 @@ def parse_spec(text, kind=None):
         raise ParseError("task needs a ring or a family")
     bounds = _field(doc, "bounds", dict, {})
     for key in bounds:
+        if key not in ("n_max", "m_max", "i_max"):
+            raise ParseError(f"unknown bound {key!r}")
         bounds[key] = _field(bounds, key)
-        if key in ("n_max", "m_max", "i_max", "resolution_length") and bounds[key] < 1:
+        if bounds[key] < 1:
             raise BoundViolation(f"bound {key} must be positive, got {bounds[key]}")
     seed = _field(doc, "seed", default=0)
     analysis = _field(doc, "analysis", dict, {})
@@ -384,18 +386,16 @@ def run_profile_task(task):
         kinds = [_field(task.analysis, "profile", str, "lipman")]
     results = {}
     inconclusive = False
-    # one scan context of M for the profiles
-    context = _ScanContext(M)
     for kind in kinds:
         if kind == "lipman":
-            prof = lipman_profile(M, seq, n_max, m_max, context=context)
+            prof = lipman_profile(M, seq, n_max, m_max)
         elif kind == "gm":
-            prof = gm_profile(M, seq, n_max, m_max, context=context)
+            prof = gm_profile(M, seq, n_max, m_max)
         elif kind == "weak":
             i_max = task.bounds.get("i_max")
             if i_max is not None and i_max > len(seq):
                 raise BoundViolation(f"bound i_max {i_max} exceeds the sequence length {len(seq)}")
-            prof = weak_profile(M, seq, n_max, m_max, i_max, context=context)
+            prof = weak_profile(M, seq, n_max, m_max, i_max)
         else:
             raise ParseError(f"unknown profile kind {kind!r}")
         results[kind] = _profile_payload(prof)
@@ -435,10 +435,6 @@ def run_verify_task(task):
     failed = False
     inconclusive = False
 
-    lip = gm = weak = None
-    # one scan context of M for every profile of the document
-    context = _ScanContext(M)
-
     def note(name, payload, ok):
         nonlocal failed
         results[name] = payload
@@ -448,9 +444,9 @@ def run_verify_task(task):
     for check in checks:
         try:
             if check == "profiles":
-                lip = lipman_profile(M, seq, n_max, m_max, context=context)
-                gm = gm_profile(M, seq, n_max, m_max, context=context)
-                weak = weak_profile(M, seq, n_max, m_max, context=context)
+                lip = lipman_profile(M, seq, n_max, m_max)
+                gm = gm_profile(M, seq, n_max, m_max)
+                weak = weak_profile(M, seq, n_max, m_max)
                 ok = lip.all_conclusive() and gm.all_conclusive() and weak.all_conclusive()
                 inconclusive = inconclusive or not ok
                 note(
@@ -470,17 +466,18 @@ def run_verify_task(task):
                     R.element(tuple(rng.randrange(d) for d in R.additive.invariant_factors))
                     for _ in range(2)
                 ]
+                holds = _scan_context(M).holds
                 for x in pool:
                     c, _ = bounded_torsion_index(M, x)
-                    p_l = lipman_profile(M, [x], 2, context=context)
-                    p_g = gm_profile(M, [x], 2, context=context)
+                    p_l = lipman_profile(M, [x], 2)
+                    p_g = gm_profile(M, [x], 2)
                     # the scans settle (1, n) = n + c from c itself, so the
                     # inclusions on either side of it are tested here
                     good = all(
                         p_l.entry(1, n) == n + c
                         and p_g.entry(1, n) == p_l.entry(1, n)
-                        and context.holds("lipman", [], x, n, n + c)
-                        and (c == 0 or not context.holds("lipman", [], x, n, n + c - 1))
+                        and holds("lipman", [], x, n, n + c)
+                        and (c == 0 or not holds("lipman", [], x, n, n + c - 1))
                         for n in (1, 2)
                     )
                     payload.append(
@@ -489,17 +486,13 @@ def run_verify_task(task):
                     ok = ok and good
                 note("single_element", {"cases": payload, "passed": ok}, ok)
             elif check == "bound_transfer":
-                if lip is None:
-                    lip = lipman_profile(M, seq, n_max, m_max, context=context)
-                if gm is None:
-                    gm = gm_profile(M, seq, n_max, m_max, context=context)
+                lip = lipman_profile(M, seq, n_max, m_max)
+                gm = gm_profile(M, seq, n_max, m_max)
                 out = verify_bound_transfer(M, seq, lip, gm)
                 note("bound_transfer", _outcome_payload(out), out.passed)
             elif check == "thm2":
-                if lip is None:
-                    lip = lipman_profile(M, seq, n_max, m_max, context=context)
-                if weak is None:
-                    weak = weak_profile(M, seq, n_max, m_max, context=context)
+                lip = lipman_profile(M, seq, n_max, m_max)
+                weak = weak_profile(M, seq, n_max, m_max)
                 ok = (not lip.all_conclusive()) or weak.all_conclusive()
                 note(
                     "thm2",
@@ -511,10 +504,10 @@ def run_verify_task(task):
                     ok,
                 )
             elif check == "injective_proregular":
-                out = injective_criterion(M, seq, "proregular", context=context)
+                out = injective_criterion(M, seq, "proregular")
                 note("injective_proregular", _outcome_payload(out), out.passed)
             elif check == "injective_weak":
-                out = injective_criterion(M, seq, "weak", context=context)
+                out = injective_criterion(M, seq, "weak")
                 note("injective_weak", _outcome_payload(out), out.passed)
             elif check == "vanishing":
                 payload, ok, inc = _vanishing_battery(M, seq)
@@ -531,10 +524,10 @@ def run_verify_task(task):
                     ok = ok and verified
                 note("colon_identification", {"positions": payload, "passed": ok}, ok)
             elif check == "power_stability":
-                out = power_stability_check(M, seq, [2] * len(seq), context=context)
+                out = power_stability_check(M, seq, [2] * len(seq))
                 note("power_stability", _outcome_payload(out), out.passed)
             elif check == "local_global":
-                out = local_global_check(M, seq, mode="maximal", context=context)
+                out = local_global_check(M, seq, mode="maximal")
                 note("local_global", _outcome_payload(out), out.passed)
             elif check == "torsion_routes":
                 I = ideal(R, list(seq))
@@ -672,10 +665,10 @@ class _FactorSweep:
     None once a factor has no witness.  Torsion searches chain the same way.
     Scans run at the sweep's largest budget: the document's m_max, or else
     the default budget of the top level's order.  A prefix is kept under
-    the coordinates of its items on each factor, and each factor module has
-    one `_ScanContext`, shared by its scans and torsion searches.  A level's
+    the coordinates of its items on each factor, and each factor module
+    keeps the scan data of its scans and torsion searches.  A level's
     torsion searches run before its scans: each leaves max(before, c_j) >=
-    c_j in the factor's context, the bound that its scans stop at."""
+    c_j on the factor module, the bound that its scans stop at."""
 
     def __init__(self, family, hi, n_max, m_max):
         self.factors = _family_factors(family, hi)
@@ -684,7 +677,6 @@ class _FactorSweep:
         self.orders = list(accumulate((R.order() for R, _ in self.factors), mul))
         self.n_max = n_max
         self.m_max = m_max
-        self.contexts = [_ScanContext(M) for M in self.modules]
         self.scans = {}
         self.torsion = {}
         self.presentations = {}
@@ -741,7 +733,7 @@ class _FactorSweep:
         if before is not None:
             # a witness missing on an earlier factor starts past the budget
             start = {key: top + 1 if m is None else m for key, m in before.items()}
-        prof = lipman_profile(self.modules[j], seq, self.n_max, top, start, self.contexts[j])
+        prof = lipman_profile(self.modules[j], seq, self.n_max, top, start)
         return prof.entries
 
     def level(self, N, seq_refs):
@@ -752,7 +744,7 @@ class _FactorSweep:
             self._chain(
                 self.torsion,
                 [x.coords for x in xs],
-                lambda j, before: _torsion_index_from(self.contexts[j], xs[j], before or 0),
+                lambda j, before: _torsion_index_from(self.modules[j], xs[j], before or 0),
             )
             for xs in parts
         ]

@@ -1,5 +1,7 @@
 """Profiles, bound transfer, criteria, local-global, Cartier checks."""
 
+import gc
+import weakref
 from itertools import islice
 from math import comb
 
@@ -9,8 +11,8 @@ import prokit.analysis as analysis
 from prokit.errors import IdentificationFailure, NotCovering
 from prokit.analysis import (
     CheckOutcome,
-    _ScanContext,
     _levels,
+    _scan_context,
     _torsion_index_from,
     _witness_scan,
     bounded_torsion_index,
@@ -34,6 +36,7 @@ from prokit.intlinalg import (
     span_subgroup_order,
 )
 from prokit.modules import (
+    FgModule,
     Submodule,
     image_submodule,
     quotient_module,
@@ -106,7 +109,7 @@ def test_unit_prefix_builds_one_level_and_no_colon(monkeypatch):
     monkeypatch.setattr(
         analysis, "preimage_span", lambda f, s: preimages.append(1) or real_preimage(f, s)
     )
-    context = _ScanContext(M)
+    context = _scan_context(M)
     for kind in ("lipman", "gm"):
         for m in range(1, 6):
             level = context.level(kind, [one, x], m)
@@ -114,7 +117,7 @@ def test_unit_prefix_builds_one_level_and_no_colon(monkeypatch):
             assert context.colon(x, m, level) is level
             assert context.holds(kind, [one, x], x, 1, m)
     assert len(built) == 2 and preimages == []
-    assert _witness_scan(context, "lipman", [x, one], x, 3, 9) == {1: 1, 2: 2, 3: 3}
+    assert _witness_scan(M, "lipman", [x, one], x, 3, 9) == {1: 1, 2: 2, 3: 3}
 
 
 def test_lipman_profile_x_then_unit():
@@ -272,23 +275,19 @@ def test_witness_scan_matches_reference_scan():
     # default budgets, and a budget of n_max that leaves entries open.  A
     # scan started at s_n returns max(s_n, least witness) while that is
     # within the budget, and None otherwise; a torsion search started at s
-    # returns max(s, c).  Scans and searches of one module share one scan
-    # context.
+    # returns max(s, c).  Scans and searches of one module share the scan
+    # data it keeps; the unstarted scan runs on an equal module with none.
     rng = rng_from_seed(0xA23)
-    contexts = {}
-
-    def shared(M):
-        return contexts.setdefault(M, _ScanContext(M))
 
     def both(M, kind, xs, y, n_max, m_max):
-        fast = _witness_scan(_ScanContext(M), kind, xs, y, n_max, m_max)
+        fast = _witness_scan(FgModule(M.ring, M.group, M.actions), kind, xs, y, n_max, m_max)
         assert fast == _reference_witness_scan(M, _levels(M, kind, xs), y, n_max, m_max)
         # starts around the least witness and past the budget
         start = {
             n: rng.choice([0, n, m_max + 1] + ([] if m is None else [m - 1, m, m + 1]))
             for n, m in fast.items()
         }
-        started = _witness_scan(shared(M), kind, xs, y, n_max, m_max, start)
+        started = _witness_scan(M, kind, xs, y, n_max, m_max, start)
         for n, m in fast.items():
             bound = None if m is None else max(start[n], m)
             assert started[n] == (bound if bound is not None and bound <= m_max else None)
@@ -297,7 +296,7 @@ def test_witness_scan_matches_reference_scan():
     def torsion(M, y):
         c = bounded_torsion_index(M, y)[0]
         for start in (0, c, c + 1, rng.randint(0, 6)):
-            assert _torsion_index_from(shared(M), y, start) == max(start, c)
+            assert _torsion_index_from(M, y, start) == max(start, c)
 
     for M, seq, (gens, x) in _scan_corpus():
         RM = ring_as_module(M.ring)
@@ -316,7 +315,7 @@ def test_witness_bound_theorem():
     # The least witness m of every colon entry (i, n) satisfies
     # n <= m <= n + c, for c = c_M(y) of the scanned element y by
     # `bounded_torsion_index`, and the default budget lies above n + c.
-    # A scan that stops at n + c' for any c' >= c, read from its context,
+    # A scan that stops at n + c' for any c' >= c, kept on its module,
     # equals the reference scan at the default and at tight budgets, and
     # from random starts returns max(start, least witness) within budget.
     rng = rng_from_seed(0xA27)
@@ -337,12 +336,12 @@ def test_witness_bound_theorem():
         assert all(n <= least[n] <= n + c < budget for n in least), (kind, xs, y)
         tight += any(least[n] == n + c for n in least)
         for m_max in (budget, rng.randint(1, 6)):
-            context = _ScanContext(M)
-            context.torsion[y.coords] = c + rng.choice([0, 0, 1, 4])
-            scan = _witness_scan(context, kind, xs, y, 3, m_max)
+            fresh = FgModule(M.ring, M.group, M.actions)
+            _scan_context(fresh).torsion[y.coords] = c + rng.choice([0, 0, 1, 4])
+            scan = _witness_scan(fresh, kind, xs, y, 3, m_max)
             assert scan == _reference_witness_scan(M, _levels(M, kind, xs), y, 3, m_max)
             start = {n: rng.randint(0, n + c + 2) for n in least}
-            started = _witness_scan(context, kind, xs, y, 3, m_max, start)
+            started = _witness_scan(fresh, kind, xs, y, 3, m_max, start)
             for n, m in least.items():
                 assert started[n] == (max(m, start[n]) if max(m, start[n]) <= m_max else None)
     # the bound is reached, so no smaller one would do
@@ -376,6 +375,42 @@ def test_witness_scan_builds_each_colon_once(monkeypatch):
                 pairs.add((acts[m - n], levels[n].span))
     assert len(preimages) == len(pairs) == 5
     assert lattices == []
+
+
+def test_equal_modules_share_no_scan_data(monkeypatch):
+    # a module equal to M but distinct from it scans from nothing, so its
+    # profile takes as many preimages as M's first one did; a second
+    # profile of M reads M's kept scans and takes none
+    R, x, one = truncated_two_power(4)
+    M = ring_as_module(R)
+    preimages = []
+    real = analysis.preimage_span
+    monkeypatch.setattr(analysis, "preimage_span", lambda f, s: preimages.append(1) or real(f, s))
+    first = lipman_profile(M, [x, x + one], 3)
+    taken = len(preimages)
+    assert taken > 0
+    twin = FgModule(M.ring, M.group, M.actions)
+    assert twin == M and twin is not M
+    assert lipman_profile(twin, [x, x + one], 3) == first
+    assert len(preimages) == 2 * taken
+    assert lipman_profile(M, [x, x + one], 3) == first
+    assert len(preimages) == 2 * taken
+
+
+def test_scan_data_dies_with_its_module():
+    # no reference cycle holds a module's scan data, so it dies with the
+    # module before any collection runs
+    R, x, _ = truncated_two_power(3)
+    M = ring_as_module(R)
+    lipman_profile(M, [x], 2)
+    weak_profile(M, [x], 2)
+    kept = weakref.ref(_scan_context(M))
+    gc.disable()
+    try:
+        del M
+        assert kept() is None
+    finally:
+        gc.enable()
 
 
 def test_violating_certificate_exists_below_witness():

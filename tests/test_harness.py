@@ -206,6 +206,8 @@ def verify_text(**analysis):
         ("check", verify_text(checks=["no_such_check"]).encode()),
         ("check", task_text(ring={"kind": "zmod"}).encode()),
         ("check", task_text(bounds={"n_max": "a"}).encode()),
+        ("check", task_text(bounds={"n_max": 2, "resolution_length": 3}).encode()),
+        ("check", task_text(bounds={"depth": 2}).encode()),
         ("check", family_text(range=[3]).encode()),
         # errors raised while the ring is built
         ("check", task_text(ring={"kind": "zmod", "m": 0}).encode()),
@@ -255,6 +257,8 @@ def verify_text(**analysis):
         "unknown_check",
         "missing_modulus",
         "non_integer_bound",
+        "resolution_length_bound",
+        "unknown_bound",
         "one_entry_range",
         "zero_modulus",
         "negative_two_power",
@@ -724,9 +728,9 @@ def test_sweep_computes_each_torsion_index_once_per_factor(monkeypatch):
     calls = []
     real = tasks._torsion_index_from
 
-    def search(context, x, start):
-        calls.append((context.module.order(), x.coords, start))
-        return real(context, x, start)
+    def search(M, x, start):
+        calls.append((M.order(), x.coords, start))
+        return real(M, x, start)
 
     monkeypatch.setattr(tasks, "_torsion_index_from", search)
     report = run_task(parse_spec(_load_task_text("fixture:ex1_truncated")))
@@ -741,7 +745,7 @@ def test_sweep_computes_each_torsion_index_once_per_factor(monkeypatch):
 def test_sweep_preimage_count_on_ex1(monkeypatch):
     # Scanning each factor from m = n, with its torsion chain built apart
     # from its scans, took 71 preimages on ex1_truncated.  Started at the
-    # running maximum, with one scan context per factor, the sweep took
+    # running maximum, with scan data kept on each factor, the sweep took
     # 28: each colon of the torsion chains is one the scans need.  The
     # colon of a level equal to M is M with no preimage (the unit prefix),
     # so it takes 17.
@@ -758,9 +762,10 @@ def test_sweep_preimage_count_on_ex1(monkeypatch):
 
 @pytest.mark.parametrize("fixture, preimages", [("z12_battery", 7), ("prism_style", 3)])
 def test_profile_task_shares_one_scan_context(monkeypatch, fixture, preimages):
-    # the Lipman and GM profiles of one profile document scan in one
-    # context; with one context each they took 14 and 6 preimages.  Each
-    # payload equals that of a document asking for its profile alone.
+    # the Lipman and GM profiles of one profile document scan one module,
+    # which keeps its scan data; with fresh scan data for each profile
+    # they took 14 and 6 preimages.  Each payload equals that of a
+    # document asking for its profile alone.
     import prokit.analysis as analysis
     from prokit.cli import _load_task_text
 
@@ -800,7 +805,7 @@ def test_profile_task_shares_one_scan_context(monkeypatch, fixture, preimages):
     ],
 )
 def test_scan_context_counts_on_fixture(monkeypatch, fixture, counts):
-    # one scan context per module builds each level, action, colon and
+    # the scan data each module keeps builds each level, action, colon and
     # scan once, and the scans test no m at or above n + c_M(y)
     import prokit.analysis as analysis
     from prokit.cli import _load_task_text
@@ -826,8 +831,8 @@ def test_scan_context_counts_on_fixture(monkeypatch, fixture, counts):
 
 def test_verify_document_builds_its_weak_profile_once(monkeypatch):
     # `profiles`/`thm2`, `injective_weak` and `local_global` ask for the
-    # same global weak profile of z12_battery.  Kept in the document's
-    # scan context, it is built on one Koszul tower; with none kept, each
+    # same global weak profile of z12_battery.  Kept on the analysis
+    # module, it is built on one Koszul tower; with none kept, each
     # built its own (three global towers besides the two local ones).
     import prokit.analysis as analysis
     from prokit.cli import _load_task_text
@@ -961,16 +966,19 @@ def test_sweep_levels_read_off_factors_match_the_product_route(monkeypatch):
     # with the factor; coordinate lists do, those that are units on the
     # later factors above all.
     import prokit.tasks as tasks_module
+    from prokit.modules import FgModule
 
     real = tasks_module.lipman_profile
     held = []
 
-    def scan(M, seq, n_max, m_max, start=None, context=None):
-        prof = real(M, seq, n_max, m_max, start, context)
+    def scan(M, seq, n_max, m_max, start=None):
+        prof = real(M, seq, n_max, m_max, start)
         # entries (i, n) that held at a running maximum above n
         at_start = [key for key, m in (start or {}).items() if key[1] < m == prof.entries[key]]
         if at_start:
-            own = real(M, seq, n_max, m_max).entries
+            # the factor's own witnesses, on an equal module that shares no
+            # scan data with M
+            own = real(FgModule(M.ring, M.group, M.actions), seq, n_max, m_max).entries
             held.extend(key for key in at_start if own[key] < start[key])
         return prof
 
@@ -1084,3 +1092,47 @@ def test_fixture_body_matches_golden_file(name):
     golden = Path(__file__).parent / "data" / f"{name}_golden.json"
     report = run_task(parse_spec(_load_task_text(f"fixture:{name}")))
     assert report.body_bytes() == golden.read_bytes()
+
+
+def test_runs_keep_no_process_wide_memo():
+    # Derived data lives on the ring, group, ideal or module it derives
+    # from, so running the four fixtures changes no module-level global of
+    # prokit but the one kept Čech complex.  Callables, modules and
+    # `__future__` features are not data; constants are compared by
+    # identity and repr, which shows a container filled in place.
+    import __future__
+    import importlib
+    import pkgutil
+    from types import ModuleType
+
+    import prokit
+    from prokit.cli import _load_task_text
+
+    def module_globals():
+        found = {}
+        for info in pkgutil.iter_modules(prokit.__path__):
+            module = importlib.import_module(f"prokit.{info.name}")
+            for name, value in vars(module).items():
+                if name.startswith("__") or callable(value):
+                    continue
+                if isinstance(value, (ModuleType, __future__._Feature)):
+                    continue
+                found[f"{info.name}.{name}"] = (value, repr(value))
+        return found
+
+    before = module_globals()
+    for name in ("ex1_truncated", "ex2_truncated", "prism_style", "z12_battery"):
+        run_task(parse_spec(_load_task_text(f"fixture:{name}")))
+    after = module_globals()
+    assert after.keys() == before.keys()
+    changed = {
+        key for key, (value, text) in before.items()
+        if after[key][0] is not value or after[key][1] != text
+    }
+    assert changed == {"complexes._kept"}
+    assert {key for key, (value, _) in before.items() if not isinstance(value, int)} == {
+        "cli.COMMAND_KINDS",
+        "complexes._kept",
+        "tasks._REQUIRED",
+        "tasks.ALL_CHECKS",
+    }
