@@ -502,12 +502,13 @@ def injective_criterion(M, x_seq, mode):
 # Local-global
 
 
-def local_global_check(M, x_seq, covering=None, mode=None, n_max=2, m_max=None):
+def local_global_check(M, x_seq, covering=None):
     """Diagonal injectivity into the covering localizations, and the
-    local-global law: the global minimal witness at every profile entry is
-    the maximum of the local ones."""
+    local-global law: the global minimal witness at every profile entry
+    (n <= 2) is the maximum of the local ones.  The covering defaults to the
+    primitive idempotents, whose charts are the local factors."""
     R = M.ring
-    if mode == "maximal":
+    if covering is None:
         covering = primitive_idempotents(R)
     if not covering:
         # the empty family generates the unit ideal exactly when 1 = 0
@@ -524,7 +525,8 @@ def local_global_check(M, x_seq, covering=None, mode=None, n_max=2, m_max=None):
     if inter is None:  # no charts: the diagonal lands in the zero module
         inter = M.full_span()
     diagonal_injective = span_subgroup_order(M.group, inter) == 1
-    m_max = m_max if m_max is not None else default_budget(M.order(), len(x_seq), n_max)
+    n_max = 2
+    m_max = default_budget(M.order(), len(x_seq), n_max)
     global_lip = lipman_profile(M, x_seq, n_max, m_max)
     global_weak = weak_profile(M, x_seq, n_max, m_max)
     local_lips = []

@@ -1,4 +1,4 @@
-"""Task files, the check battery, family sweeps, and report emission.
+"""Task files, the check table, family sweeps, and report emission.
 
 A task file is one JSON document (schema 1) naming a ring, optional
 modules and elements, sequences, an analysis kind, and bounds.  Reports
@@ -403,172 +403,160 @@ def run_profile_task(task):
     return results, (2 if inconclusive else 0)
 
 
-ALL_CHECKS = (
-    "profiles",
-    "single_element",
-    "bound_transfer",
-    "thm2",
-    "injective_proregular",
-    "injective_weak",
-    "vanishing",
-    "colon_identification",
-    "power_stability",
-    "local_global",
-    "torsion_routes",
-    "tor_compare",
-)
-
-
 def _check_names(value):
     return ALL_CHECKS if value == "all" else tuple(_list(value))
 
 
+# Each check reads (M, seq, n_max, m_max, rng), the document's analysis
+# module, sequence, bounds and seeded stream, and returns (payload, passed,
+# inconclusive): passed is False only for a counterexample.
+
+
+def _profiles_check(M, seq, n_max, m_max, rng):
+    profiles = {
+        "lipman": lipman_profile(M, seq, n_max, m_max),
+        "gm": gm_profile(M, seq, n_max, m_max),
+        "weak": weak_profile(M, seq, n_max, m_max),
+    }
+    payload = {kind: _profile_payload(prof) for kind, prof in profiles.items()}
+    payload["passed"] = all(prof.all_conclusive() for prof in profiles.values())
+    # a profile has no counterexample: undecided entries leave it inconclusive
+    return payload, True, not payload["passed"]
+
+
+def _single_element_check(M, seq, n_max, m_max, rng):
+    R = M.ring
+    cases = []
+    pool = list(seq) + [
+        R.element(tuple(rng.randrange(d) for d in R.additive.invariant_factors))
+        for _ in range(2)
+    ]
+    holds = _scan_context(M).holds
+    for x in pool:
+        c, _ = bounded_torsion_index(M, x)
+        p_l = lipman_profile(M, [x], 2)
+        p_g = gm_profile(M, [x], 2)
+        # the scans settle (1, n) = n + c from c itself, so the
+        # inclusions on either side of it are tested here
+        good = all(
+            p_l.entry(1, n) == n + c
+            and p_g.entry(1, n) == p_l.entry(1, n)
+            and holds("lipman", [], x, n, n + c)
+            and (c == 0 or not holds("lipman", [], x, n, n + c - 1))
+            for n in (1, 2)
+        )
+        cases.append({"element": list(x.coords), "torsion_index": c, "law_holds": good})
+    ok = all(case["law_holds"] for case in cases)
+    return {"cases": cases, "passed": ok}, ok, False
+
+
+def _thm2_check(M, seq, n_max, m_max, rng):
+    lip = lipman_profile(M, seq, n_max, m_max).all_conclusive()
+    weak = weak_profile(M, seq, n_max, m_max).all_conclusive()
+    ok = not lip or weak
+    return {"lipman_conclusive": lip, "weak_conclusive": weak, "passed": ok}, ok, False
+
+
+def _colon_identification_check(M, seq, n_max, m_max, rng):
+    positions = []
+    ok = True
+    for i in range(1, len(seq) + 1):
+        witness, verified = colon_identification(list(seq[: i - 1]), seq[i - 1], 1, M)
+        positions.append(_jsonable(witness))
+        ok = ok and verified
+    return {"positions": positions, "passed": ok}, ok, False
+
+
+def _torsion_routes_check(M, seq, n_max, m_max, rng):
+    I = ideal(M.ring, list(seq))
+    a = torsion_submodule(M, I)
+    b = torsion_by_colon_ascent(M, I)
+    ok = a == b
+    return {"orders": [a.order(), b.order()], "passed": ok}, ok, False
+
+
+def _tor_compare_check(M, seq, n_max, m_max, rng):
+    degrees = []
+    for i in (0, 1):
+        lhs, rhs, agree = cech_tor_compare(M, M, seq, i, i + 2)
+        degrees.append(
+            {
+                "degree": i,
+                "lhs_factors": list(lhs.group.invariant_factors),
+                "rhs_factors": list(rhs.group.invariant_factors),
+                "isomorphic": agree,
+            }
+        )
+    ok = all(d["isomorphic"] for d in degrees)
+    return {"degrees": degrees, "passed": ok}, ok, False
+
+
+def _outcome_check(run):
+    """The table entry of a check that returns a `CheckOutcome`."""
+
+    def check(M, seq, n_max, m_max, rng):
+        out = run(M, seq, n_max, m_max)
+        return _outcome_payload(out), out.passed, False
+
+    return check
+
+
+_CHECKS = {
+    "profiles": _profiles_check,
+    "single_element": _single_element_check,
+    "bound_transfer": _outcome_check(
+        lambda M, seq, n_max, m_max: verify_bound_transfer(
+            M, seq, lipman_profile(M, seq, n_max, m_max), gm_profile(M, seq, n_max, m_max)
+        )
+    ),
+    "thm2": _thm2_check,
+    "injective_proregular": _outcome_check(
+        lambda M, seq, *_: injective_criterion(M, seq, "proregular")
+    ),
+    "injective_weak": _outcome_check(lambda M, seq, *_: injective_criterion(M, seq, "weak")),
+    "vanishing": lambda M, seq, *_: _vanishing_battery(M, seq),
+    "colon_identification": _colon_identification_check,
+    "power_stability": _outcome_check(
+        lambda M, seq, *_: power_stability_check(M, seq, [2] * len(seq))
+    ),
+    "local_global": _outcome_check(lambda M, seq, *_: local_global_check(M, seq)),
+    "torsion_routes": _torsion_routes_check,
+    "tor_compare": _tor_compare_check,
+}
+ALL_CHECKS = tuple(_CHECKS)
+
+
 def run_verify_task(task):
-    M = _analysis_module(task)
-    seq = _analysis_sequence(task)
-    R = task.ring
-    n_max = task.bounds.get("n_max", 2)
-    m_max = task.bounds.get("m_max")
-    rng = rng_from_seed(task.seed)
-    checks = _field(task.analysis, "checks", _check_names, ALL_CHECKS)
+    args = (
+        _analysis_module(task),
+        _analysis_sequence(task),
+        task.bounds.get("n_max", 2),
+        task.bounds.get("m_max"),
+        rng_from_seed(task.seed),
+    )
     results = {}
-    failed = False
-    inconclusive = False
-
-    def note(name, payload, ok):
-        nonlocal failed
-        results[name] = payload
-        if not ok:
-            failed = True
-
-    for check in checks:
+    failed = inconclusive = False
+    for name in _field(task.analysis, "checks", _check_names, ALL_CHECKS):
+        # a tuple test, so a list or an object named as a check is not hashed
+        if name not in ALL_CHECKS:
+            raise ParseError(f"unknown check {name!r}")
         try:
-            if check == "profiles":
-                lip = lipman_profile(M, seq, n_max, m_max)
-                gm = gm_profile(M, seq, n_max, m_max)
-                weak = weak_profile(M, seq, n_max, m_max)
-                ok = lip.all_conclusive() and gm.all_conclusive() and weak.all_conclusive()
-                inconclusive = inconclusive or not ok
-                note(
-                    "profiles",
-                    {
-                        "lipman": _profile_payload(lip),
-                        "gm": _profile_payload(gm),
-                        "weak": _profile_payload(weak),
-                        "passed": ok,
-                    },
-                    ok,
-                )
-            elif check == "single_element":
-                payload = []
-                ok = True
-                pool = list(seq) + [
-                    R.element(tuple(rng.randrange(d) for d in R.additive.invariant_factors))
-                    for _ in range(2)
-                ]
-                holds = _scan_context(M).holds
-                for x in pool:
-                    c, _ = bounded_torsion_index(M, x)
-                    p_l = lipman_profile(M, [x], 2)
-                    p_g = gm_profile(M, [x], 2)
-                    # the scans settle (1, n) = n + c from c itself, so the
-                    # inclusions on either side of it are tested here
-                    good = all(
-                        p_l.entry(1, n) == n + c
-                        and p_g.entry(1, n) == p_l.entry(1, n)
-                        and holds("lipman", [], x, n, n + c)
-                        and (c == 0 or not holds("lipman", [], x, n, n + c - 1))
-                        for n in (1, 2)
-                    )
-                    payload.append(
-                        {"element": list(x.coords), "torsion_index": c, "law_holds": good}
-                    )
-                    ok = ok and good
-                note("single_element", {"cases": payload, "passed": ok}, ok)
-            elif check == "bound_transfer":
-                lip = lipman_profile(M, seq, n_max, m_max)
-                gm = gm_profile(M, seq, n_max, m_max)
-                out = verify_bound_transfer(M, seq, lip, gm)
-                note("bound_transfer", _outcome_payload(out), out.passed)
-            elif check == "thm2":
-                lip = lipman_profile(M, seq, n_max, m_max)
-                weak = weak_profile(M, seq, n_max, m_max)
-                ok = (not lip.all_conclusive()) or weak.all_conclusive()
-                note(
-                    "thm2",
-                    {
-                        "lipman_conclusive": lip.all_conclusive(),
-                        "weak_conclusive": weak.all_conclusive(),
-                        "passed": ok,
-                    },
-                    ok,
-                )
-            elif check == "injective_proregular":
-                out = injective_criterion(M, seq, "proregular")
-                note("injective_proregular", _outcome_payload(out), out.passed)
-            elif check == "injective_weak":
-                out = injective_criterion(M, seq, "weak")
-                note("injective_weak", _outcome_payload(out), out.passed)
-            elif check == "vanishing":
-                payload, ok, inc = _vanishing_battery(M, seq)
-                inconclusive = inconclusive or inc
-                note("vanishing", payload, ok)
-            elif check == "colon_identification":
-                payload = []
-                ok = True
-                for i in range(1, len(seq) + 1):
-                    witness, verified = colon_identification(
-                        list(seq[: i - 1]), seq[i - 1], 1, M
-                    )
-                    payload.append(_jsonable(witness))
-                    ok = ok and verified
-                note("colon_identification", {"positions": payload, "passed": ok}, ok)
-            elif check == "power_stability":
-                out = power_stability_check(M, seq, [2] * len(seq))
-                note("power_stability", _outcome_payload(out), out.passed)
-            elif check == "local_global":
-                out = local_global_check(M, seq, mode="maximal")
-                note("local_global", _outcome_payload(out), out.passed)
-            elif check == "torsion_routes":
-                I = ideal(R, list(seq))
-                a = torsion_submodule(M, I)
-                b = torsion_by_colon_ascent(M, I)
-                ok = a == b
-                note(
-                    "torsion_routes",
-                    {"orders": [a.order(), b.order()], "passed": ok},
-                    ok,
-                )
-            elif check == "tor_compare":
-                payload = []
-                ok = True
-                for i in (0, 1):
-                    lhs, rhs, agree = cech_tor_compare(M, M, seq, i, i + 2)
-                    payload.append(
-                        {
-                            "degree": i,
-                            "lhs_factors": list(lhs.group.invariant_factors),
-                            "rhs_factors": list(rhs.group.invariant_factors),
-                            "isomorphic": agree,
-                        }
-                    )
-                    ok = ok and agree
-                note("tor_compare", {"degrees": payload, "passed": ok}, ok)
-            else:
-                raise ParseError(f"unknown check {check!r}")
+            payload, passed, undecided = _CHECKS[name](*args)
         except ParseError:
             raise
         except ProkitError as exc:
-            results[check] = {"error": f"{type(exc).__name__}: {exc}", "passed": False}
+            payload = {"error": f"{type(exc).__name__}: {exc}", "passed": False}
             # a budget or enumeration limit leaves the check undecided, not failed
-            if isinstance(exc, InsufficientBound):
-                inconclusive = True
-            else:
-                failed = True
+            passed = undecided = isinstance(exc, InsufficientBound)
+        results[name] = payload
+        failed = failed or not passed
+        inconclusive = inconclusive or undecided
 
     # optional Cartier checks when the task declares an ideal and an element
     cart = task.analysis.get("cartier")
     if cart:
+        R = task.ring
+
         def element(ref):
             return _resolve_element(R, task.named, ref)
 
@@ -578,7 +566,8 @@ def run_verify_task(task):
         I = ideal(R, _field(cart, "ideal", elements))
         x = _field(cart, "x", element)
         out = cartier_check(R, I, x, task.bounds.get("n_max", 3), task.bounds.get("m_max"))
-        note("cartier", _outcome_payload(out), out.passed)
+        results["cartier"] = _outcome_payload(out)
+        failed = failed or not out.passed
         covering = _field(cart, "covering", elements, None)
         if covering:
             out2 = is_effective_cartier(R, I, covering)
@@ -842,9 +831,7 @@ def run_family_sweep(task):
 def run_task(task):
     """Dispatch a parsed task and assemble the deterministic report."""
     t0 = time.monotonic()
-    kind = task.analysis.get("kind", "verify" if task.family is None else "sweep")
-    if task.family is not None:
-        kind = "sweep"
+    kind = "sweep" if task.family is not None else task.analysis.get("kind", "verify")
     if kind == "profile":
         results, code = run_profile_task(task)
     elif kind == "verify":

@@ -267,14 +267,14 @@ def test_acceptance_09_local_global():
         R, M, seq = random_instance(rng, k_max=2)
         if trial % 3 == 0:
             try:
-                out = local_global_check(M, seq, mode="maximal", n_max=2)
+                out = local_global_check(M, seq)
             except ProkitError:
                 failures += 1
                 continue
         else:
             f = random_element(rng, R)
             covering = [f, R.one() - f]
-            out = local_global_check(M, seq, covering=covering, n_max=2)
+            out = local_global_check(M, seq, covering=covering)
         if not out.passed:
             failures += 1
     ok = failures == 0

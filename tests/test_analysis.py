@@ -607,7 +607,7 @@ def test_local_global_unit_covering():
 def test_local_global_maximal_mode():
     R = zmod(12)
     M = ring_as_module(R)
-    out = local_global_check(M, [R.from_int(2)], mode="maximal")
+    out = local_global_check(M, [R.from_int(2)])
     assert out.passed
 
 
@@ -616,6 +616,9 @@ def test_local_global_rejects_noncovering():
     M = ring_as_module(R)
     with pytest.raises(NotCovering):
         local_global_check(M, [R.from_int(2)], covering=[R.from_int(2)])
+    # an empty covering is not the default one: only the zero ring has it
+    with pytest.raises(NotCovering):
+        local_global_check(M, [R.from_int(2)], covering=[])
 
 
 def test_cartier_prism_fixture():

@@ -204,6 +204,11 @@ def verify_text(**analysis):
         ("check", b"\xff\xfe{"),
         ("check", b"[1, 2]"),
         ("check", verify_text(checks=["no_such_check"]).encode()),
+        # a number, a list or an object is an unknown check name, not a
+        # TypeError from a lookup in the check table
+        ("check", verify_text(checks=[5]).encode()),
+        ("check", verify_text(checks=[["x"]]).encode()),
+        ("check", verify_text(checks=[{"a": 1}]).encode()),
         ("check", task_text(ring={"kind": "zmod"}).encode()),
         ("check", task_text(bounds={"n_max": "a"}).encode()),
         ("check", task_text(bounds={"n_max": 2, "resolution_length": 3}).encode()),
@@ -255,6 +260,9 @@ def verify_text(**analysis):
         "not_utf8",
         "top_level_array",
         "unknown_check",
+        "unknown_check_number",
+        "unknown_check_list",
+        "unknown_check_object",
         "missing_modulus",
         "non_integer_bound",
         "resolution_length_bound",
@@ -501,7 +509,6 @@ def test_degenerate_inputs_pass_every_check(doc, check, tmp_path, capsys):
 
 
 def test_bound_transfer_after_thm2_builds_its_own_gm_profile(tmp_path, capsys):
-    # thm2 leaves only the Lipman and weak profiles behind
     path = write_doc(
         tmp_path, ring=Z12, sequences={"s": [2]}, analysis={"checks": ["thm2", "bound_transfer"]}
     )
@@ -509,6 +516,30 @@ def test_bound_transfer_after_thm2_builds_its_own_gm_profile(tmp_path, capsys):
     out = capsys.readouterr()
     assert out.err == ""
     assert json.loads(out.out)["results"]["bound_transfer"]["passed"] is True
+
+
+def test_cli_undecided_profiles_check_exits_2(tmp_path, capsys):
+    # with m_max = 1 no entry of Z/12, x = 2 is decided: that is exit 2, as
+    # under `prokit profile` and the other checks that read these profiles,
+    # and not the exit 1 of a counterexample
+    doc = {"ring": Z12, "sequences": {"s": [2]}, "bounds": {"n_max": 2, "m_max": 1}}
+    path = write_doc(tmp_path, **doc, analysis={"checks": ["profiles"]})
+    assert main(["check", path]) == 2
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert json.loads(out.out)["results"]["profiles"]["passed"] is False
+    assert main(["profile", path]) == 2
+    path = write_doc(tmp_path, **doc, analysis={"checks": ["thm2", "bound_transfer"]})
+    assert main(["check", path]) == 2
+
+
+def test_readme_lists_the_check_table():
+    from pathlib import Path
+    import re
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"- `verify`: `checks` is `\"all\"` or a list drawn from (.*?)\.\n", readme, re.S)
+    assert tuple(re.findall(r"`(\w+)`", listed.group(1))) == ALL_CHECKS
 
 
 @pytest.mark.parametrize("check", ["vanishing", "injective_weak"])
@@ -1135,4 +1166,5 @@ def test_runs_keep_no_process_wide_memo():
         "complexes._kept",
         "tasks._REQUIRED",
         "tasks.ALL_CHECKS",
+        "tasks._CHECKS",
     }
