@@ -41,12 +41,13 @@ limit.  It is one subquotient of the level-n chains: the transition
 applied to the level-2n cycles, plus the level-n boundaries, modulo those
 boundaries.
 
-Every differential, codifferential and transition between module powers
-here is a list of blocks handed to `modules.block_hom`, the one place where
-such maps are assembled.  The maps between colon quotients, quotients
-M/x^(n)M and their Koszul homology in the colon identification are
-`intlinalg.induced_hom` on the subquotients' `GroupSubquotient` records,
-the one lift/classify path."""
+Every differential, codifferential, transition and E_j between module
+powers here is a list of blocks handed to `modules.block_hom`, which
+writes each block at the slots of its copies (the `positions` of the
+`modules.ModulePower` records), with no injection or projection.  The
+maps between colon quotients, quotients M/x^(n)M and their Koszul
+homology in the colon identification are `intlinalg.induced_hom` on the
+subquotients' `GroupSubquotient` records, the one lift/classify path."""
 
 from __future__ import annotations
 
@@ -122,7 +123,7 @@ class _KoszulLayout:
         self._acts = {}         # ring element -> its action on M
 
     def pack(self, d):
-        """(M^s, injections, projections) for the s blocks of degree d."""
+        """The `ModulePower` M^s for the s blocks of degree d."""
         s = len(self.blocks[d])
         if s not in self._powers:
             self._powers[s] = module_power(self.M, s)
@@ -161,7 +162,7 @@ class _KoszulLayout:
         faces, res_part = self.diff_blocks(d)
         blocks = [(t, s, self.action(x_seq[e]), c) for t, s, e, c in faces] + res_part
         source, target = self.pack(d), self.pack(d - 1)
-        return ModuleHom(source[0], target[0], block_hom(source, target, blocks))
+        return ModuleHom(source.module, target.module, block_hom(source, target, blocks))
 
     def transition(self, y_seq, j):
         """Degree-j component of the transition K(x^(n+e)) -> K(x^(n)) for
@@ -204,7 +205,7 @@ class KoszulTower:
 
     def chains(self, i):
         """C_i, one copy of M per block of degree i at every level."""
-        return self._layout.pack(i)[0]
+        return self._layout.pack(i).module
 
     def differential(self, n, d):
         """d_d of level n, 1 <= d <= the top degree; d o d = 0 is checked
@@ -393,7 +394,7 @@ class CechData:
             faces, _ = layout.diff_blocks(j + 1)
             blocks = [(t, s, self._action(layout.blocks[j + 1][t][0]), c) for s, t, _, c in faces]
             source, target = layout.pack(j), layout.pack(j + 1)
-            f = ModuleHom(source[0], target[0], block_hom(source, target, blocks))
+            f = ModuleHom(source.module, target.module, block_hom(source, target, blocks))
             below, above = self._codiffs.get(j - 1), self._codiffs.get(j + 1)
             for lower, upper, e in ((below, f, j - 1), (f, above, j)):
                 if lower is None or upper is None:
@@ -406,7 +407,7 @@ class CechData:
     def cohomology_data(self, i):
         """H^i of the localized subcomplex: E_i ker d^i / im d^(i-1).  It
         builds E_i, d^i and d^(i-1), where they exist, and no other map."""
-        X = self._layout.pack(i)[0]
+        X = self._layout.pack(i).module
         k = len(self.sequence)
         ker = hom_kernel_span(self.codifferential(i).hom) if i < k else X.full_span()
         cycles = span_lattice(X.group, (self.idempotent(i).matrix * ker).cols_list())
@@ -541,9 +542,23 @@ def cech_tor_compare(M, N, x_seq, i, resolution_length):
         raise AxiomViolation("negative homological degree")
     if resolution_length <= i:
         raise AxiomViolation("resolution length must exceed the degree")
-    res = free_resolution(N, i + 1)
-    lhs = _homology_limit(KoszulTower(x_seq, M, res), i)
+    return cech_tor_comparisons(M, N, x_seq, [i])[0]
+
+
+def cech_tor_comparisons(M, N, x_seq, degrees):
+    """`cech_tor_compare` at each of the degrees, from one resolution of N
+    through the highest degree plus one, one completion of M and one tower
+    on each side.  A longer resolution has the same L_0 .. L_(i+1), so each
+    degree gets the answer `cech_tor_compare` gives it."""
+    if min(degrees) < 0:
+        raise AxiomViolation("negative homological degree")
+    res = free_resolution(N, max(degrees) + 1)
+    limits = KoszulTower(x_seq, M, res)
     lam, _ = adic_completion(M, Ideal(M.ring, tuple(x_seq)))
     tor = KoszulTower((), lam, res)
-    rhs = subquotient_module(tor.chains(i), *_transition_image(tor, i, 1, 1)).module
-    return lhs, rhs, modules_isomorphic(lhs, rhs)
+    out = []
+    for i in degrees:
+        lhs = _homology_limit(limits, i)
+        rhs = subquotient_module(tor.chains(i), *_transition_image(tor, i, 1, 1)).module
+        out.append((lhs, rhs, modules_isomorphic(lhs, rhs)))
+    return out

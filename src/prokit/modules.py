@@ -5,10 +5,10 @@ element.  This file carries the functor toolkit the analysis layer runs on:
 submodule spans, colon and torsion constructions, divisibility, Matlis
 duality (the character module M^dual, which is Hom_R(M, R^dual) for the
 injective cogenerator R^dual), free resolutions (free modules addressed
-by index, `FreeModuleData`), adic completion, and local cohomology, which
-comes from the stable idempotent with no resolution.  Tor/Ext through a
-resolution of the first argument (`derived_functor`), homology of a
-two-map complex (`homology_module`), the cyclic module R/I
+by index: R^s is the module power of R), adic completion, and local
+cohomology, which comes from the stable idempotent with no resolution.
+Tor/Ext through a resolution of the first argument (`derived_functor`),
+homology of a two-map complex (`homology_module`), the cyclic module R/I
 (`cyclic_quotient_module`) and Hom_R(M, N) from its action-commutation
 system over Z are reference routes in `tests/complex_reference.py`: the
 runtime takes none of them, and the test suite checks local cohomology,
@@ -21,11 +21,14 @@ are forward substitution along the lower-triangular span
 generated by some vectors is one canonical span of their images under the
 ring basis (`span_closure`).
 
-`module_power` is the one direct sum of modules, laid out by one slot map
-(`_power_layout`, which `free_module` shares) with each action written
-straight to its slots, and `block_hom` the one place where maps between
-direct sums are assembled: the Koszul, Cech and total complexes of the
-complexes layer, which are all built on module powers.
+A direct sum of modules is a power N^s, and it is described by its slot
+map alone: `module_power` returns one record (`ModulePower`: the module,
+its base N and `positions`, from `_power_layout`), and `free_module(R, s)`
+is that record for N = R.  One writer (`_written`) puts each block of a
+map at the slots of its copies; it writes each power's own actions and,
+under `block_hom`, every map between powers: the Koszul, Cech and total
+complexes of the complexes layer, which are all built on module powers.
+No injection or projection matrix is formed.
 Quotient generators are lifted back only through the section read off
 the one Smith reduction of `intlinalg` (quotients and subquotients);
 nothing here solves for a lift on its own.  Quotient,
@@ -212,81 +215,41 @@ def ring_as_module(R):
 
 
 @dataclass(frozen=True)
-class FreeModuleData:
-    """A free module R^s, addressed by index.
+class ModulePower:
+    """N^s, the direct sum of s copies of N, described by its slot map alone.
 
-    The layout of module powers (`_power_layout`) is a permutation, so
-    generator p of the group of R^s is e_j of copy u for exactly one (u, j),
-    e_j the j-th additive generator of R: `positions[u][j]` is that p.  Elements
-    are written and read at those positions; no injection or projection is
-    applied."""
+    The layout (`_power_layout`) is a permutation, so generator p of the
+    power's group is generator j of copy u for exactly one (u, j):
+    `positions[u][j]` is that p.  Elements are written and read at those
+    positions, and every map into a power, out of it or between powers is
+    written there (`_written`); no injection or projection is formed.  The
+    free module R^s is the power of R (`free_module`)."""
 
     module: FgModule
-    rank: int
-    positions: tuple  # positions[u][j]: the generator of R^s that is e_j of copy u
+    base: FgModule  # N
+    positions: tuple  # positions[u][j]: the generator of N^s that is generator j of copy u
 
-    def element(self, ring_elements):
-        if len(ring_elements) != self.rank:
-            raise DimensionMismatch("one ring element per free generator")
+    @property
+    def rank(self):
+        """s, the number of copies."""
+        return len(self.positions)
+
+    def element(self, parts):
+        """The element with part u in copy u; each part is given by the
+        coordinates of an element of N (a ring element, for R^s)."""
+        if len(parts) != self.rank:
+            raise DimensionMismatch("one part per copy")
         coords = [0] * self.module.group.rank
-        for pos, r in zip(self.positions, ring_elements):
-            for p, c in zip(pos, r.coords):
+        for pos, part in zip(self.positions, parts):
+            for p, c in zip(pos, part.coords):
                 coords[p] = c
         return self.module.element(coords)
 
     def coords(self, m):
-        """The ring coordinates of a group element, one per copy: its entries
-        at the copy's positions, reduced into R's factors."""
-        R = self.module.ring
-        return tuple(
-            RingElement(R, R.additive.reduce(tuple(m.coords[p] for p in pos)))
-            for pos in self.positions
-        )
-
-
-def free_module(R, s):
-    """R^s with its positions, laid out as `module_power(ring_as_module(R), s)`
-    and written straight from R's multiplication matrices."""
-    G, positions = _power_layout(R.additive, s)
-    return FreeModuleData(_power_module(R, G, positions, R.mult_matrices), s, positions)
-
-
-def block_hom(src, tgt, blocks):
-    """The hom sum of c * inj_t . A . proj_s over the blocks (t, s, A, c).
-
-    `src` and `tgt` are direct-sum packs (X, injections, projections), X a
-    group or a module and the maps GroupHoms or ModuleHoms; A runs from
-    source summand s to target summand t.  Every block is written straight
-    into one target matrix through the nonzero entries of the injection and
-    projection matrices (0/1 permutations for module powers).
-    """
-    G = getattr(src[0], "group", src[0])
-    H = getattr(tgt[0], "group", tgt[0])
-    inj_cols = {}
-    proj_rows = {}
-    acc = [0] * (H.rank * G.rank)
-    for t, s, A, c in blocks:
-        inj = getattr(tgt[1][t], "hom", tgt[1][t])
-        proj = getattr(src[2][s], "hom", src[2][s])
-        if A.source != proj.target or A.target != inj.source:
-            raise DimensionMismatch("block does not fit its summands")
-        if t not in inj_cols:
-            inj_cols[t] = [_nonzero(inj.matrix.col(a)) for a in range(inj.matrix.cols)]
-        if s not in proj_rows:
-            proj_rows[s] = [_nonzero(proj.matrix.row(b)) for b in range(proj.matrix.rows)]
-        for a, icol in enumerate(inj_cols[t]):
-            for b, x in enumerate(A.matrix.row(a)):
-                if x == 0:
-                    continue
-                for j, w in proj_rows[s][b]:
-                    xw = c * x * w
-                    for i, v in icol:
-                        acc[i * G.rank + j] += v * xw
-    return GroupHom(G, H, IntMatrix._of(H.rank, G.rank, tuple(acc)))
-
-
-def _nonzero(vec):
-    return [(i, v) for i, v in enumerate(vec) if v]
+        """The coordinates of the parts of an element, one tuple per copy:
+        its entries at the copy's positions, reduced into N's factors."""
+        reduce = self.base.group.reduce
+        return tuple(reduce(tuple(m.coords[p] for p in pos)) for pos in self.positions)
 
 
 def _power_layout(group, s):
@@ -307,39 +270,67 @@ def _power_layout(group, s):
     return FinAbGroup(tuple(facs)), tuple(map(tuple, positions))
 
 
-def _power_module(ring, G, positions, mats):
-    """The module on G on which ring basis element i acts by mats[i] on
-    every copy: entry (a, b) of mats[i] goes to (positions[u][a],
-    positions[u][b]) for each copy u."""
-    n = G.rank
-    actions = []
-    for A in mats:
-        acc = [0] * (n * n)
-        for pos in positions:
-            for a, pa in enumerate(pos):
-                for b, x in enumerate(A.row(a)):
-                    if x:
-                        acc[pa * n + pos[b]] = x
-        actions.append(GroupHom(G, G, IntMatrix._of(n, n, tuple(acc))))
-    return FgModule(ring, G, actions)
+def _written(rows, cols, src_positions, tgt_positions, blocks):
+    """The rows x cols matrix that sums c * A over the blocks (t, s, A, c),
+    A a GroupHom from copy s to copy t: entry (a, b) of c * A goes to
+    (tgt_positions[t][a], src_positions[s][b]).  The one writer of maps
+    between module powers and of their actions."""
+    acc = [0] * (rows * cols)
+    for t, s, A, c in blocks:
+        # A's row-major entries, read with one running index
+        data, i = A.matrix._data, 0
+        at = src_positions[s]
+        for pa in tgt_positions[t]:
+            row = pa * cols
+            for pb in at:
+                x = data[i]
+                i += 1
+                if x:
+                    acc[row + pb] += c * x
+    return IntMatrix._of(rows, cols, tuple(acc))
 
 
 def module_power(N, s):
-    """N^s with injections and projections (the zero module for s = 0),
-    laid out by `_power_layout`: the injections and projections are 0/1
-    permutation matrices, and each action is N's action on every copy.
+    """N^s as a `ModulePower` (the zero module for s = 0), laid out by
+    `_power_layout`, with each action N's on every copy (`_written`).
+
+    Over Z/2 x Z/4, two copies of the group (2, 4) interleave: the factors
+    2 of both copies come first.
+
+    >>> from prokit.rings import product_ring, zmod
+    >>> R, _ = product_ring([zmod(2), zmod(4)])
+    >>> P = module_power(ring_as_module(R), 2)
+    >>> P.module.group.invariant_factors, P.positions
+    ((2, 2, 4, 4), ((0, 2), (1, 3)))
     """
     if s < 0:
         raise InvalidSpec(f"module power needs s >= 0, got {s}")
+    if s == 1:
+        # one copy is laid out as N itself
+        return ModulePower(N, N, (tuple(range(N.group.rank)),))
     G, positions = _power_layout(N.group, s)
-    P = _power_module(N.ring, G, positions, [A.matrix for A in N.actions])
-    n, r = G.rank, N.group.rank
-    injs, projs = [], []
-    for pos in positions:
-        place = IntMatrix._of(n, r, tuple(int(pos[j] == i) for i in range(n) for j in range(r)))
-        injs.append(ModuleHom(N, P, GroupHom(N.group, G, place)))
-        projs.append(ModuleHom(P, N, GroupHom(G, N.group, place.transpose())))
-    return P, injs, projs
+    n = G.rank
+    actions = [
+        GroupHom(G, G, _written(n, n, positions, positions, [(u, u, A, 1) for u in range(s)]))
+        for A in N.actions
+    ]
+    return ModulePower(FgModule(N.ring, G, actions), N, positions)
+
+
+def free_module(R, s):
+    """R^s: the `module_power` of R as a module over itself."""
+    return module_power(ring_as_module(R), s)
+
+
+def block_hom(src, tgt, blocks):
+    """The map from the power `src` to the power `tgt` that sums c * A from
+    copy s to copy t over the blocks (t, s, A, c), A a GroupHom from the
+    group of src's base to that of tgt's, written at the slots
+    (`_written`)."""
+    if any(A.source != src.base.group or A.target != tgt.base.group for _, _, A, _ in blocks):
+        raise DimensionMismatch("block does not fit its summands")
+    G, H = src.module.group, tgt.module.group
+    return GroupHom(G, H, _written(H.rank, G.rank, src.positions, tgt.positions, blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +492,7 @@ def module_from_presentation(R, generators, relations):
     """R^generators / (R-span of the relation vectors).
 
     Relations are sequences of ring elements of length `generators`.
-    Returns (module, free data, projection ModuleHom).
+    Returns (module, the free power R^generators, projection ModuleHom).
     """
     F = free_module(R, generators)
     rel_elems = [F.element(list(rel)) for rel in relations]
@@ -654,19 +645,22 @@ def free_resolution(M, length):
     minimal, so the ranks can exceed those of a minimal resolution.  Each
     map is written column by column from the generator images, and each
     kernel generator is read back into ring coordinates at the free
-    module's positions (`FreeModuleData`)."""
+    module's positions (`ModulePower.coords`)."""
     if length < 0:
         raise DimensionMismatch("resolution length must be >= 0")
+    R = M.ring
     gens = span_generators(M, M.full_span())
-    frees = [free_module(M.ring, len(gens))]
+    frees = [free_module(R, len(gens))]
     homs = [_free_map_from_images(frees[0], M, gens)]
     ring_mats = []
     for _ in range(length):
         prev = frees[-1]
         ker_span = hom_kernel_span(homs[-1])
         ker_gens = span_generators(prev.module, ker_span)
-        Fn = free_module(M.ring, len(ker_gens))
-        ring_mats.append(tuple(tuple(prev.coords(v)) for v in ker_gens))
+        Fn = free_module(R, len(ker_gens))
+        ring_mats.append(
+            tuple(tuple(RingElement(R, c) for c in prev.coords(v)) for v in ker_gens)
+        )
         homs.append(_free_map_from_images(Fn, prev.module, ker_gens))
         frees.append(Fn)
     return Resolution(M, tuple(frees), tuple(ring_mats), tuple(homs))

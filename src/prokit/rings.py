@@ -34,7 +34,6 @@ from .intlinalg import (
     IntMatrix,
     _solve,
     cokernel_presentation,
-    hom_image_span,
     induced_actions,
     linear_combination,
     matrix_combination,
@@ -640,86 +639,51 @@ def ideal_stabilization(I):
     return c, stable_idempotent(I)
 
 
-def _is_local(R, limit=SPLIT_ENUM_LIMIT):
-    """Local iff every element is a unit or nilpotent (finite commutative)."""
-    if R.order() > limit:
-        raise InsufficientBound(
-            f"locality check needs enumeration; order {R.order()} exceeds {limit}"
-        )
-    for y in R.elements():
-        if not R.is_nilpotent(y) and not R.is_unit(y):
-            return False
-    return True
-
-
 def primitive_idempotents(R):
     """Orthogonal primitive idempotents summing to 1; each factor e R is a
     local ring.
 
-    The search first splits 1 along the additive primary components (those
-    idempotents come for free), then refines each factor with Fitting
-    idempotents of its elements, enumerated in deterministic coordinate
-    order.  Factors too large to enumerate raise InsufficientBound; a
-    splitting that stalls or breaks the idempotent laws raises
+    The search first splits 1 along the additive primary components, which
+    come for free: for |R| = p^a m with p not dividing m, m * 1 is a unit on
+    the p-part of R and 0 on the rest, so its Fitting idempotent
+    (`fitting_split`) is the unit of the p-part.  Then each factor e R is
+    refined by the Fitting idempotents of its elements, enumerated through
+    its own additive group (the span of the columns of multiplication by
+    e) in deterministic coordinate order.  That visits every element of
+    e R, so a factor that no element splits has only units and nilpotents
+    and is local.  Factors too large to enumerate raise InsufficientBound;
+    a splitting that breaks the idempotent laws raises
     DecompositionBoundExceeded.
     """
     if R.rank == 0:
         return []
     order = R.order()
-    primes = []
-    n = order
-    p = 2
-    while p * p <= n:
+    work, n, p = [], order, 2
+    while n > 1:
+        if p * p > n:
+            p = n  # what is left of n is prime
         if n % p == 0:
-            primes.append(p)
             while n % p == 0:
                 n //= p
+            m = order
+            while m % p == 0:
+                m //= p
+            work.append(fitting_split(R, R.from_int(m))[1])
         p += 1
-    if n > 1:
-        primes.append(n)
-    current = []
-    for p in primes:
-        ppart = 1
-        o = order
-        while o % p == 0:
-            ppart *= p
-            o //= p
-        rest = order // ppart
-        # scalar congruent to 1 mod p-part and 0 mod the rest: CRT idempotent
-        scalar = rest * pow(rest % ppart, -1, ppart) if rest % ppart else 0
-        if rest == 1:
-            scalar = 1
-        e = R.one().scale(scalar)
-        if not e.is_zero():
-            current.append(e)
-    if not current:
-        current = [R.one()]
 
     result = []
-    work = list(current)
     while work:
-        e = work.pop(0)
-        factor_order = span_subgroup_order(R.additive, hom_image_span(R.multiplication_hom(e)))
-        if factor_order > SPLIT_ENUM_LIMIT:
-            raise InsufficientBound(
-                f"factor of order {factor_order} too large to enumerate"
-            )
-        split = None
-        tried = set()  # many y give one e*y, and a tried e*y did not split e
-        for y in R.elements():
-            ey = e * y
-            if ey.is_zero() or ey == e or ey.coords in tried:
-                continue
-            tried.add(ey.coords)
-            _, eps = _factor_fitting_idempotent(R, e, ey)
+        e = work.pop()
+        sub = subgroup_embedding(R.additive, R.multiplication_hom(e).matrix.cols_list())
+        if sub.group.order() > SPLIT_ENUM_LIMIT:
+            raise InsufficientBound(f"factor of order {sub.group.order()} too large to enumerate")
+        for g in sub.group.elements():
+            _, eps = _factor_fitting_idempotent(R, e, RingElement(R, sub.lift(g).coords))
             if not eps.is_zero() and eps != e:
-                split = eps
+                work += [eps, e - eps]
                 break
-        if split is None:
-            result.append(e)
         else:
-            work.append(split)
-            work.append(e - split)
+            result.append(e)
 
     total = R.zero()
     for e in result:
@@ -732,9 +696,6 @@ def primitive_idempotents(R):
         for b in result[i + 1 :]:
             if not (a * b).is_zero():
                 raise DecompositionBoundExceeded("idempotents are not orthogonal")
-    for e in result:
-        if not _is_local(localize(R, e).ring):
-            raise DecompositionBoundExceeded("splitting stalled on a non-local factor")
     return sorted(result, key=lambda e: e.coords)
 
 

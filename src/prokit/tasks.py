@@ -41,7 +41,7 @@ from .analysis import (
 from .complexes import (
     cech_cohomology,
     cech_homology,
-    cech_tor_compare,
+    cech_tor_comparisons,
     colon_identification,
 )
 from .intlinalg import IntMatrix, cokernel_presentation
@@ -476,17 +476,16 @@ def _torsion_routes_check(M, seq, n_max, m_max, rng):
 
 
 def _tor_compare_check(M, seq, n_max, m_max, rng):
-    degrees = []
-    for i in (0, 1):
-        lhs, rhs, agree = cech_tor_compare(M, M, seq, i, i + 2)
-        degrees.append(
-            {
-                "degree": i,
-                "lhs_factors": list(lhs.group.invariant_factors),
-                "rhs_factors": list(rhs.group.invariant_factors),
-                "isomorphic": agree,
-            }
-        )
+    # degrees 0 and 1 share one resolution of M and one completion
+    degrees = [
+        {
+            "degree": i,
+            "lhs_factors": list(lhs.group.invariant_factors),
+            "rhs_factors": list(rhs.group.invariant_factors),
+            "isomorphic": agree,
+        }
+        for i, (lhs, rhs, agree) in enumerate(cech_tor_comparisons(M, M, seq, (0, 1)))
+    ]
     ok = all(d["isomorphic"] for d in degrees)
     return {"degrees": degrees, "passed": ok}, ok, False
 
@@ -860,13 +859,12 @@ def run_task(task):
 # Emission
 
 
-def emit_report(report, fmt="json", include_timing=True):
+def emit_report(report, fmt="json"):
     """json is the canonical full form; csv flattens profile tables; text is
     a human-readable summary."""
     if fmt == "json":
         doc = dict(report.body)
-        if include_timing:
-            doc["timing"] = report.timing
+        doc["timing"] = report.timing
         return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
     if fmt == "csv":
         lines = ["i,n,m,conclusive"]
@@ -890,7 +888,7 @@ def emit_report(report, fmt="json", include_timing=True):
                 lines.append(f"  [prof] {name}: conclusive={value.get('conclusive')}")
             else:
                 lines.append(f"  [info] {name}")
-        if include_timing and report.timing:
+        if report.timing:
             lines.append(f"  time: {report.timing.get('seconds')}s")
         return ("\n".join(lines) + "\n").encode()
     raise ParseError(f"unknown format {fmt!r}")

@@ -11,6 +11,9 @@ independent answer:
   with the differentials;
 - `koszul_complex`, every differential of K(x; M) tensor L at once on the
   tower's layout, kept as a `KoszulData`;
+- `power_pack`, the injections and projections of a module power built
+  from its slot map, and `composed_block_hom`, a map between direct sums
+  composed as inj . A . proj block by block: the runtime forms neither;
 - `derived_functor`, Tor and Ext through a resolution of the first
   argument, the reference for local cohomology and the Tor comparison;
 - `cyclic_quotient_module`, R/I presented with one free generator;
@@ -125,14 +128,14 @@ class ComplexMap:
 class KoszulData:
     """Koszul complex of a sequence on a module, with block bookkeeping.
 
-    `blocks`, `index`, `packs` and the complex cover every degree."""
+    `blocks`, `index`, `powers` and the complex cover every degree."""
 
     complex: ChainComplex
     sequence: tuple
     module: FgModule
     blocks: dict      # degree -> list of blocks (S, q, u), one copy of M each
     index: dict       # degree -> {block: position in that degree}
-    packs: dict       # degree -> (module, injections, projections)
+    powers: dict      # degree -> the ModulePower of its blocks
 
 
 def koszul_complex(x_seq, M, res=None):
@@ -140,10 +143,33 @@ def koszul_complex(x_seq, M, res=None):
     free resolution `res` = L of some module, with every differential built
     on the layout a `KoszulTower` uses (blocks as in `_KoszulLayout`)."""
     layout = _KoszulLayout(len(x_seq), M, res)
-    packs = {d: layout.pack(d) for d in layout.degrees}
+    powers = {d: layout.pack(d) for d in layout.degrees}
     diffs = {d: layout.differential(x_seq, d) for d in layout.degrees[1:]}
-    C = ChainComplex({d: pack[0] for d, pack in packs.items()}, diffs)
-    return KoszulData(C, tuple(x_seq), M, layout.blocks, layout.index, packs)
+    C = ChainComplex({d: P.module for d, P in powers.items()}, diffs)
+    return KoszulData(C, tuple(x_seq), M, layout.blocks, layout.index, powers)
+
+
+def power_pack(P):
+    """(group, injections, projections) of the module power P, the
+    GroupHoms built from its slot map: generator j of copy u is generator
+    positions[u][j] of the power."""
+    G, B = P.module.group, P.base.group
+    injs, projs = [], []
+    for pos in P.positions:
+        place = IntMatrix(G.rank, B.rank, [p == i for i in range(G.rank) for p in pos])
+        injs.append(GroupHom(B, G, place))
+        projs.append(GroupHom(G, B, place.transpose()))
+    return G, injs, projs
+
+
+def composed_block_hom(src, tgt, blocks):
+    """The sum of c * inj_t . A . proj_s over the blocks (t, s, A, c), for
+    direct-sum packs (group, injections, projections), composed map by map:
+    the reference for `modules.block_hom`, on summands of any kind."""
+    total = GroupHom.zero(src[0], tgt[0])
+    for t, s, A, c in blocks:
+        total = total + tgt[1][t].compose(A).compose(src[2][s]).scale(c)
+    return total
 
 
 def cyclic_quotient_module(R, I):
@@ -179,7 +205,7 @@ def derived_functor(kind, M, N, i, resolution_length=None):
 
         outgoing = diff(i) if i >= 1 else None
         incoming = diff(i + 1)
-        return homology_module(powers[i][0], outgoing, incoming).module
+        return homology_module(powers[i].module, outgoing, incoming).module
 
     if kind == "ext":
         def codiff(j):
@@ -188,7 +214,7 @@ def derived_functor(kind, M, N, i, resolution_length=None):
 
         outgoing = codiff(i + 1)
         incoming = codiff(i) if i >= 1 else None
-        return homology_module(powers[i][0], outgoing, incoming).module
+        return homology_module(powers[i].module, outgoing, incoming).module
 
     raise DimensionMismatch(f"unknown derived functor kind {kind!r}")
 
@@ -318,7 +344,7 @@ def reference_colon_identification(xs, y, n, M, extra_levels=(1, 2)):
     def canonical_map(lhs, proj, kos, rhs):
         # class of v in the colon quotient -> class of v in 0 :_Q y^n, the
         # cycles of the degree-1 block
-        f = kos.packs[1][1][0].hom.compose(proj.hom)
+        f = power_pack(kos.powers[1])[1][0].compose(proj.hom)
         return ModuleHom(lhs.module, rhs.module, induced_hom(f, lhs.data, rhs.data))
 
     def check_iso(f):
@@ -352,12 +378,12 @@ def reference_colon_identification(xs, y, n, M, extra_levels=(1, 2)):
         # composed with the projection; verified to commute, then induced.
         base = ModuleHom(Q_m, Q_n, induced_hom(GroupHom.identity(M.group), quo_m, quo_n))
         comp1 = ModuleHom(
-            kos_m.packs[1][0],
-            kos_n.packs[1][0],
-            kos_n.packs[1][1][0]
-            .hom.compose(Q_n.action_hom(ymn))
+            kos_m.powers[1].module,
+            kos_n.powers[1].module,
+            power_pack(kos_n.powers[1])[1][0]
+            .compose(Q_n.action_hom(ymn))
             .compose(base.hom)
-            .compose(kos_m.packs[1][2][0].hom),
+            .compose(power_pack(kos_m.powers[1])[2][0]),
         )
         cmap = ComplexMap(kos_m.complex, kos_n.complex, {0: base, 1: comp1})
         map4 = induced_hom(cmap.component(1).hom, rhs_m.data, rhs_n.data)

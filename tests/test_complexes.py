@@ -17,7 +17,6 @@ from prokit.intlinalg import (
 from prokit.modules import (
     FgModule,
     ModuleHom,
-    block_hom,
     adic_completion,
     free_resolution,
     generated_submodule,
@@ -53,11 +52,13 @@ from prokit.rings import fitting_split, ideal, truncated_two_power, zero_ring, z
 from complex_reference import (
     ChainComplex,
     ComplexMap,
+    composed_block_hom,
     cyclic_quotient_module,
     derived_functor,
     hom_module,
     homology_module,
     koszul_complex,
+    power_pack,
     reference_colon_identification,
 )
 from random_instances import random_instance, random_ring
@@ -119,7 +120,7 @@ def test_koszul_transition_identity_and_nilpotent():
     M = ring_as_module(R)
     ref = _ReferenceTower(KoszulTower([R.from_int(2)], M))
     cmap = ref.transition(1, 1)
-    assert cmap.component(1).hom.equals_map(GroupHom.identity(ref.level(1).packs[1][0].group))
+    assert cmap.component(1).hom.equals_map(GroupHom.identity(ref.level(1).powers[1].module.group))
     # m=4, n=1: multiplication by 2^3 = 0 on Z/8
     assert ref.transition(4, 1).component(1).is_zero_map()
 
@@ -860,9 +861,9 @@ def test_tensored_koszul_tower_transition_commutes():
                 for S, q, u in kos.blocks[d]:
                     if not q:
                         continue
-                    inj = kos.packs[d][1][kos.index[d][(S, q, u)]].hom
+                    inj = power_pack(kos.powers[d])[1][kos.index[d][(S, q, u)]]
                     for v, rel in enumerate(res.ring_matrices[q - 1][u]):
-                        proj = kos.packs[d - 1][2][kos.index[d - 1][(S, q - 1, v)]].hom
+                        proj = power_pack(kos.powers[d - 1])[2][kos.index[d - 1][(S, q - 1, v)]]
                         sign = R.from_int(-1 if len(S) % 2 else 1)
                         block = proj.compose(diff).compose(inj)
                         assert block.equals_map(M.action_hom(sign * rel))
@@ -878,10 +879,10 @@ def test_koszul_transition_degree2_multiplier():
     ref = _ReferenceTower(KoszulTower(xs, M))
     cmap, src, tgt = ref.transition(2, 1), ref.level(2), ref.level(1)
     expected = M.action_hom(xs[0] * xs[1])
-    # the degree-2 packs hold a single block, so the component is the action
+    # the degree-2 powers hold a single block, so the component is the action
     comp = cmap.component(2).hom
-    inj = tgt.packs[2][1][0].hom
-    proj = src.packs[2][2][0].hom
+    inj = power_pack(tgt.powers[2])[1][0]
+    proj = power_pack(src.powers[2])[2][0]
     assert comp.equals_map(inj.compose(expected).compose(proj))
 
 
@@ -894,7 +895,8 @@ def test_zero_complex_homology():
 def _reference_koszul_diffs(x_seq, M, res):
     """Differential matrices of Tot(K(x) tensor M tensor L) as the builder
     made them before the layout was shared: one module power per degree
-    and one action per block, zero entries of d_L included."""
+    and one action per block, zero entries of d_L included, each block
+    composed with the injections and projections of the powers."""
     k = len(x_seq)
     ranks = res.ranks if res is not None else (1,)
     degrees = range(k + len(ranks))
@@ -907,7 +909,8 @@ def _reference_koszul_diffs(x_seq, M, res):
         ]
         for d in degrees
     }
-    packs = {d: module_power(M, len(blocks[d])) for d in degrees}
+    powers = {d: module_power(M, len(blocks[d])) for d in degrees}
+    packs = {d: power_pack(P) for d, P in powers.items()}
     acts = [M.action_hom(x) for x in x_seq]
     diffs = {}
     for d in degrees[1:]:
@@ -921,8 +924,8 @@ def _reference_koszul_diffs(x_seq, M, res):
                 sign = -1 if len(S) % 2 else 1
                 for v, rel in enumerate(res.ring_matrices[q - 1][u]):
                     hom_blocks.append((below[(S, q - 1, v)], b_idx, M.action_hom(rel), sign))
-        diffs[d] = block_hom(packs[d], packs[d - 1], hom_blocks).matrix
-    return blocks, {d: p[0] for d, p in packs.items()}, diffs
+        diffs[d] = composed_block_hom(packs[d], packs[d - 1], hom_blocks).matrix
+    return blocks, {d: P.module for d, P in powers.items()}, diffs
 
 
 def _tower_cases():
@@ -960,10 +963,7 @@ def test_tower_levels_match_fresh_koszul_complexes():
             for d in layout.degrees[1:]:
                 diff = tower.differential(n, d)
                 assert diff.hom.matrix == fresh.complex.differential(d).hom.matrix == ref_diffs[d]
-            for d, (X, injs, projs) in fresh.packs.items():
-                assert X == layout.pack(d)[0]
-                assert [f.hom.matrix for f in injs] == [f.hom.matrix for f in layout.pack(d)[1]]
-                assert [f.hom.matrix for f in projs] == [f.hom.matrix for f in layout.pack(d)[2]]
+            assert fresh.powers == {d: layout.pack(d) for d in layout.degrees}
 
 
 def test_tower_forms_one_module_power_per_block_count(monkeypatch):
@@ -984,7 +984,7 @@ def _reference_cech_cohomology(x_seq, M):
     """Every H^i of the Cech complex built from the localized summands: each
     e_S M a submodule module of its own, each degree their direct sum by a
     cokernel presentation, and each codifferential block the map induced by
-    e_T from e_S M to e_T M."""
+    e_T from e_S M to e_T M, every map composed as inj . A . proj."""
     from test_modules import direct_sum_groups
 
     R = M.ring
@@ -998,15 +998,13 @@ def _reference_cech_cohomology(x_seq, M):
             e = e * splits[i]
         sub = subgroup_embedding(M.group, M.action_hom(e).matrix.cols_list())
         locs[S] = (FgModule(R, sub.group, [induced_hom(A, sub, sub) for A in M.actions]), sub, e)
-    packs = {}
+    packs, sums = {}, {}
     for j, Ss in subsets.items():
         summands = [locs[S][0] for S in Ss]
-        pack = direct_sum_groups([m.group for m in summands])
-        actions = [
-            block_hom(pack, pack, [(t, t, m.actions[a], 1) for t, m in enumerate(summands)])
-            for a in range(R.rank)
-        ]
-        packs[j] = (FgModule(R, pack[0], actions), pack[1], pack[2])
+        packs[j] = pack = direct_sum_groups([m.group for m in summands])
+        diagonal = [[(t, t, m.actions[a], 1) for t, m in enumerate(summands)] for a in range(R.rank)]
+        actions = [composed_block_hom(pack, pack, blocks) for blocks in diagonal]
+        sums[j] = FgModule(R, pack[0], actions)
     codiffs = {}
     for j in range(k):
         index_of = {S: idx for idx, S in enumerate(subsets[j])}
@@ -1016,9 +1014,9 @@ def _reference_cech_cohomology(x_seq, M):
                 S = tuple(e for e in T if e != dropped)
                 step = induced_hom(M.action_hom(locs[T][2]), locs[S][1], locs[T][1])
                 blocks.append((t_idx, index_of[S], step, -1 if a % 2 else 1))
-        codiffs[j] = block_hom(packs[j], packs[j + 1], blocks)
+        codiffs[j] = composed_block_hom(packs[j], packs[j + 1], blocks)
     return [
-        homology_module(packs[i][0], codiffs.get(i), codiffs.get(i - 1)).module
+        homology_module(sums[i], codiffs.get(i), codiffs.get(i - 1)).module
         for i in range(k + 1)
     ]
 
@@ -1355,6 +1353,35 @@ def test_tor_compare_resolves_only_through_the_degree_above(monkeypatch):
                 tor = KoszulTower((), lam, res)
                 sides = subquotient_module(tor.chains(i), *_transition_image(tor, i, 1, 1))
                 assert rhs == sides.module, (seq, i, length)
+
+
+def test_tor_comparisons_share_one_resolution_and_one_completion(monkeypatch):
+    # degrees 0 and 1 read off one resolution of N of length 2 and one
+    # completion of M give, degree by degree, the modules that separate
+    # `cech_tor_compare` calls give
+    import prokit.complexes as cx
+
+    asked = []
+    real_res, real_completion = cx.free_resolution, cx.adic_completion
+
+    def resolution(N, length):
+        asked.append(length)
+        return real_res(N, length)
+
+    def completion(M, I):
+        asked.append("completion")
+        return real_completion(M, I)
+
+    for seq, M, N, _ in _tensored_tower_cases():
+        separate = [cech_tor_compare(M, N, seq, i, i + 2) for i in (0, 1)]
+        monkeypatch.setattr(cx, "free_resolution", resolution)
+        monkeypatch.setattr(cx, "adic_completion", completion)
+        asked.clear()
+        assert cx.cech_tor_comparisons(M, N, seq, (0, 1)) == separate, seq
+        assert asked == [2, "completion"], seq
+        monkeypatch.undo()
+    with pytest.raises(AxiomViolation):
+        cx.cech_tor_comparisons(M, N, seq, (1, -1))
 
 
 def test_tor_compare_builds_only_the_differentials_its_spans_read(monkeypatch):

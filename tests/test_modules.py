@@ -62,7 +62,14 @@ from prokit.modules import (
     zero_module,
 )
 from prokit.complexes import cech_cohomology, cech_homology
-from complex_reference import cyclic_quotient_module, derived_functor, hom_module, hom_module_data
+from complex_reference import (
+    composed_block_hom,
+    cyclic_quotient_module,
+    derived_functor,
+    hom_module,
+    hom_module_data,
+    power_pack,
+)
 from test_analysis import ideal_power_image
 from random_instances import random_instance, random_module, random_ring
 
@@ -606,7 +613,7 @@ def _comparison_corpus():
     # F_2[t]/t^2 against k^2 (t acts as 0): both of group Z/2 + Z/2
     T, t = truncated_polynomial(2, 2)
     k = cyclic_quotient_module(T, ideal(T, [t]))
-    yield ring_as_module(T), module_power(k, 2)[0]
+    yield ring_as_module(T), module_power(k, 2).module
     # the residue fields of the three local factors of Z/2 x Z/4 x Z/8: all
     # of group Z/2, each killed by the idempotents of the other two factors
     factors = [zmod(2), zmod(4), zmod(8)]
@@ -679,7 +686,7 @@ def test_span_closure_matches_round_by_round_closure():
         if R.rank < 2:
             continue
         M = rng.choice(
-            [ring_as_module(R), random_module(rng, R), module_power(ring_as_module(R), 2)[0]]
+            [ring_as_module(R), random_module(rng, R), module_power(ring_as_module(R), 2).module]
         )
         vectors = [
             tuple(rng.randrange(d) for d in M.group.invariant_factors)
@@ -708,7 +715,7 @@ def _free_map_by_action_homs(F_src, tgt_module, images):
     for gen in F_src.module.generators():
         acc = tgt_module.zero()
         for r, image in zip(F_src.coords(gen), images):
-            acc = acc + tgt_module.action_hom(r)(image)
+            acc = acc + tgt_module.action_hom(tgt_module.ring.element(r))(image)
         cols.append(acc.coords)
     mat = IntMatrix.from_cols(cols, rows=tgt_module.group.rank)
     return GroupHom(F_src.module.group, tgt_module.group, mat)
@@ -727,7 +734,7 @@ def test_free_resolution_maps_match_action_hom_construction():
 
 
 def _projections(R, s):
-    return [p.hom for p in module_power(ring_as_module(R), s)[2]]
+    return power_pack(module_power(ring_as_module(R), s))[2]
 
 
 def _coords_by_projections(R, projs, m):
@@ -762,13 +769,13 @@ def test_free_module_coords_match_projection_decoding():
     for R in _free_coords_rings():
         for s in range(5):
             F = free_module(R, s)
-            projs = _projections(R, s)
-            injs = [inj.hom for inj in module_power(ring_as_module(R), s)[1]]
+            _, injs, projs = power_pack(module_power(ring_as_module(R), s))
             top = 3 * max(F.module.group.invariant_factors, default=1)
             for _ in range(20):
                 raw = tuple(rng.randint(-top, top) for _ in range(F.module.group.rank))
                 m = GroupElement(F.module.group, raw)
-                assert F.coords(m) == _coords_by_projections(R, projs, m), (R, s, raw)
+                decoded = _coords_by_projections(R, projs, m)
+                assert F.coords(m) == tuple(r.coords for r in decoded), (R, s, raw)
                 facs = R.additive.invariant_factors
                 rs = [R.element([rng.randrange(d) for d in facs]) for _ in range(s)]
                 acc = F.module.zero()
@@ -1003,57 +1010,58 @@ POWER_BASES = {
 @pytest.mark.parametrize("s", [0, 1, 3])
 def test_module_power_is_a_permutation_layout(base, s):
     N = _presented(*POWER_BASES[base])
-    P, injs, projs = module_power(N, s)
+    P = module_power(N, s)
+    assert P.base is N and P.rank == s
     if s == 0:
-        assert P.is_zero_module() and injs == [] and projs == []
+        assert P.module.is_zero_module() and P.positions == ()
         return
-    ident = GroupHom.identity(N.group)
+    # every generator of the power is one generator of one copy
+    slots = sorted(p for pos in P.positions for p in pos)
+    assert slots == list(range(P.module.group.rank))
+    for pos in P.positions:
+        assert [P.module.group.invariant_factors[p] for p in pos] == list(N.group.invariant_factors)
+    # the maps read off the positions are the canonical direct sum's
+    G, injs, projs = power_pack(P)
+    G_ref, g_injs, g_projs = direct_sum_groups([N.group] * s)
+    assert G == G_ref
+    assert [f.matrix for f in injs] == [g.matrix for g in g_injs]
+    assert [f.matrix for f in projs] == [g.matrix for g in g_projs]
     for u, inj in enumerate(injs):
+        assert ModuleHom(N, P.module, inj).check_equivariance()
         for v, proj in enumerate(projs):
-            comp = proj.hom.compose(inj.hom)
-            assert comp.equals_map(ident) if u == v else comp.is_zero_map()
-    total = GroupHom.zero(P.group, P.group)
-    for inj, proj in zip(injs, projs):
-        total = total + inj.hom.compose(proj.hom)
-    assert total.matrix == IntMatrix.identity(P.group.rank)
-    G, g_injs, g_projs = direct_sum_groups([N.group] * s)
-    assert P.group == G
-    assert [inj.hom.matrix for inj in injs] == [g.matrix for g in g_injs]
-    assert [proj.hom.matrix for proj in projs] == [g.matrix for g in g_projs]
-    entries = [e for inj in injs for row in inj.hom.matrix.rows_list() for e in row]
-    assert set(entries) == {0, 1}
-    assert all(inj.check_equivariance() for inj in injs)
+            comp = proj.compose(inj)
+            assert comp.equals_map(GroupHom.identity(N.group)) if u == v else comp.is_zero_map()
 
 
-def _power_by_block_hom(N, s):
-    """`module_power(N, s)` as built before: each action the sum of
-    inj_u . A . proj_u over the copies, assembled by `block_hom`."""
-    P, injs, projs = module_power(N, s)
-    pack = (P.group, [inj.hom for inj in injs], [proj.hom for proj in projs])
-    actions = [block_hom(pack, pack, [(u, u, A, 1) for u in range(s)]) for A in N.actions]
-    return FgModule(N.ring, P.group, actions), injs
+def _composed_power(N, s):
+    """N^s on the layout's group with each action the sum of
+    inj_u . A . proj_u over the copies, composed map by map."""
+    pack = power_pack(module_power(N, s))
+    actions = [composed_block_hom(pack, pack, [(u, u, A, 1) for u in range(s)]) for A in N.actions]
+    return FgModule(N.ring, pack[0], actions)
 
 
 def test_module_power_writes_each_action_to_its_slots():
     for base in sorted(POWER_BASES):
         N = _presented(*POWER_BASES[base])
         for s in range(5):
-            assert module_power(N, s)[0] == _power_by_block_hom(N, s)[0], (base, s)
+            assert module_power(N, s).module == _composed_power(N, s), (base, s)
 
 
 def test_free_module_shares_the_slot_map_of_module_powers():
-    # R^s and its positions, written straight from R's multiplication
-    # matrices, against module_power(ring_as_module(R), s) with block_hom
-    # actions and positions read off the injections
+    # R^s is the power of R: the same record, with the actions of the
+    # composed reference, and coordinates read and written at its slots
     for R in _free_coords_rings():
+        N = ring_as_module(R)
         for s in range(5):
-            P, injs = _power_by_block_hom(ring_as_module(R), s)
             F = free_module(R, s)
-            assert F.module == P, (R, s)
-            assert F.positions == tuple(
-                tuple(inj.hom.matrix.col(j).index(1) for j in range(R.additive.rank))
-                for inj in injs
-            ), (R, s)
+            assert F == module_power(N, s), (R, s)
+            assert F.module == _composed_power(N, s), (R, s)
+            basis = R.basis()
+            parts = [basis[u % R.rank] for u in range(s)]
+            assert F.coords(F.element(parts)) == tuple(r.coords for r in parts)
+            with pytest.raises(DimensionMismatch):
+                F.element(parts + [R.one()])
 
 
 def _composed_validate(M):
@@ -1109,27 +1117,25 @@ def test_module_power_rejects_negative_exponent():
         module_power(N, -1)
 
 
-def test_block_hom_matches_composed_reference_on_mixed_pack():
-    # Z/3 (+) Z/4 packed as Z/12: injections and projections that are not
-    # 0/1 permutations, the path module powers never take
-    Z3, Z4, Z12 = FinAbGroup((3,)), FinAbGroup((4,)), FinAbGroup((12,))
-    mixed = (
-        Z12,
-        [GroupHom(Z3, Z12, IntMatrix(1, 1, [4])), GroupHom(Z4, Z12, IntMatrix(1, 1, [9]))],
-        [GroupHom(Z12, Z3, IntMatrix(1, 1, [1])), GroupHom(Z12, Z4, IntMatrix(1, 1, [1]))],
-    )
-    single = (Z12, [GroupHom.identity(Z12)], [GroupHom.identity(Z12)])
-    summands = [Z3, Z4]
-    for inj, proj, g in zip(mixed[1], mixed[2], summands):
-        assert proj.compose(inj).equals_map(GroupHom.identity(g))
-    reduce = [GroupHom(Z12, g, IntMatrix.identity(1)) for g in summands]
-    act = [GroupHom(g, g, IntMatrix(1, 1, [k])) for g, k in zip(summands, (5, 7))]
-    cases = [
-        (single, mixed, [(0, 0, reduce[0], 1), (1, 0, reduce[1], -1)]),
-        (mixed, mixed, [(0, 0, act[0], 2), (1, 1, act[1], -1), (1, 1, act[1], 3)]),
-    ]
-    for src, tgt, blocks in cases:
-        ref = GroupHom.zero(src[0], tgt[0])
-        for t, s, A, c in blocks:
-            ref = ref + tgt[1][t].compose(A).compose(src[2][s]).scale(c)
-        assert block_hom(src, tgt, blocks) == ref
+def test_block_hom_matches_composed_reference_on_module_powers():
+    # repeated (t, s) blocks accumulate, coefficients other than +-1 scale,
+    # and powers of different bases and sizes meet
+    rng = random.Random(0xB10C)
+    R = zmod(8)
+    bases = [ring_as_module(R), _presented(*POWER_BASES["2-4-8"])]
+    for _ in range(30):
+        N = rng.choice(bases)
+        src, tgt = module_power(N, rng.randint(1, 4)), module_power(N, rng.randint(1, 4))
+        blocks = []
+        for _ in range(rng.randint(1, 8)):
+            A = N.action_hom(R.from_int(rng.randrange(8)))
+            c = rng.choice([-3, -1, 1, 2, 5])
+            blocks.append((rng.randrange(tgt.rank), rng.randrange(src.rank), A, c))
+        blocks += blocks[:2]
+        expected = composed_block_hom(power_pack(src), power_pack(tgt), blocks)
+        assert block_hom(src, tgt, blocks) == expected
+    # a block must run between the bases of the two powers
+    N = ring_as_module(R)
+    other = ring_as_module(zmod(4))
+    with pytest.raises(DimensionMismatch):
+        block_hom(module_power(N, 2), module_power(N, 2), [(0, 0, other.actions[0], 1)])
