@@ -6,11 +6,12 @@ each level n it records the least witness exponent m.  Validity is
 upward-closed in m, so the first hit of a scan from n upward is the
 minimum.  Entries that exhaust the search bound are recorded as
 inconclusive together with that bound.  A colon entry (i, n) has its least
-witness m in n <= m <= n + c_M(y), for c_M(y) the bounded torsion index of
-the scanned element y on M (Fitting's lemma, see `_witness_scan`), and
-`default_budget` lies above that bound: at the default budget no colon
-entry is inconclusive, so an inconclusive entry comes only from a smaller
-m_max.
+witness m in n <= m <= n + c_M(y) <= n + c_R(y), for c_M(y) the bounded
+torsion index of the scanned element y on M and c_R(y) its Fitting index,
+which the ring keeps (`fitting_split`) and every scan stops at (see
+`_witness_scan`).  `default_budget` lies above n + c_M(y): at the default
+budget no colon entry is inconclusive, so an inconclusive entry comes only
+from a smaller m_max.
 
 Lipman's, Greenlees-May's and the Cartier profile share one condition,
 (N_m :_M y^m) <= (N_n :_M y^(m-n)), and one scan, `_witness_scan`; they
@@ -52,7 +53,15 @@ from .modules import (
     subquotient_module,
     torsion_submodule,
 )
-from .rings import ideal, ideal_product, ideal_sum, is_covering, localize, primitive_idempotents
+from .rings import (
+    fitting_split,
+    ideal,
+    ideal_product,
+    ideal_sum,
+    is_covering,
+    localize,
+    primitive_idempotents,
+)
 
 
 @dataclass(frozen=True)
@@ -105,7 +114,9 @@ def default_budget(order, k, n_max):
     c_M(y), where c_M(y) <= log2 |M| is the bounded torsion index of the
     scanned element y (see `_witness_scan`); annihilator and power chains in
     a finite module are shorter than log2 |M|.  So this budget, at least
-    n_max + 2 log2 |M| for k >= 1, leaves no colon entry inconclusive."""
+    n_max + 2 log2 |M| for k >= 1, leaves no colon entry inconclusive.  A
+    scan's stop bound n + c_R(y) may lie above it when M is smaller than its
+    ring, but the scan's first hit, at most n + c_M(y), does not."""
     return n_max + (max(order, 2) - 1).bit_length() * (k + 1)
 
 
@@ -165,12 +176,11 @@ def _levels_key(kind, xs):
 
 
 class _ScanContext:
-    """What the colon scans and torsion searches of one module M share.  M
-    keeps it, made by `_scan_context` on its first scan, so every scan of M
-    reads it and a module equal to M but distinct from it shares nothing.
-    Values do not depend on which scans ran before: colons are keyed by
-    canonical spans, finished scans by their full key, and any kept torsion
-    bound bounds a scan (see `_witness_scan`).  It keeps
+    """What the colon scans of one module M share.  M keeps it, made by
+    `_scan_context` on its first scan, so every scan of M reads it and a
+    module equal to M but distinct from it shares nothing.  Values do not
+    depend on which scans ran before: colons are keyed by canonical spans
+    and finished scans by their full key.  It keeps
 
     - `colons`: N :_M y^e, the preimage of N under y^e, keyed by (matrix of
       y^e, canonical span of N); canonical spans identify submodules, so
@@ -181,8 +191,6 @@ class _ScanContext:
       the levels built so far.  When N_1 = M every later level is N_1 with
       nothing built: over a finite ring, I M = M for I = (xs) gives
       I + ann M = R, hence x^(m) + ann M = R and N_m = M for every m;
-    - `torsion`: per y, c_M(y) or an upper bound for it, from
-      `_torsion_index_from`;
     - `scans`: finished `_witness_scan` results, keyed by (levels key, y,
       n_max, m_max, starts), and finished `weak_profile`s, keyed by
       ("weak", sequence, n_max, m_max, i_max)."""
@@ -196,7 +204,6 @@ class _ScanContext:
         self.colons = {}
         self.actions = {}
         self.levels = {}
-        self.torsion = {}
         self.scans = {}
 
     def action(self, y, e):
@@ -254,27 +261,6 @@ def _scan_context(M):
     return M._scans
 
 
-def _torsion_index_from(M, x, start):
-    """max(start, c) for c the bounded torsion index of x on M: the least
-    c >= start with 0 :_M x^c = 0 :_M x^(c+1).  Each
-    term of the chain is the preimage of the one before under x, so once
-    two consecutive terms agree the chain stays constant, and equality at
-    `start` settles c <= start.  The annihilator 0 :_M x^e is the colon of
-    the zero level, which the i = 1 scans of M share.  The result, an upper
-    bound for c, is kept in M's `_ScanContext.torsion` unless a smaller one
-    is."""
-    context = _scan_context(M)
-    zero = Submodule(M, M.zero_span())
-    c, cur = start, context.colon(x, start, zero).span
-    while True:
-        nxt = context.colon(x, c + 1, zero).span
-        if nxt == cur:
-            break
-        c, cur = c + 1, nxt
-    context.torsion[x.coords] = min(c, context.torsion.get(x.coords, c))
-    return c
-
-
 def _witness_scan(M, kind, xs, y, n_max, m_max, start=None):
     """{n: least m in [s_n, m_max] with (N_m :_M y^m) <= (N_n :_M y^(m-n))}
     for n = 1..n_max, None where no m is, with N_m the m-th level of
@@ -289,8 +275,10 @@ def _witness_scan(M, kind, xs, y, n_max, m_max, start=None):
     On e M, y is invertible with inverse a power of y, which maps every
     level into itself, so the condition holds at m = n; on (1 - e) M,
     y^c = 0, so for m - n >= c the right-hand colon is everything.  Any
-    upper bound for c does as well; the scan reads the kept `torsion[y]` and
-    otherwise finds c by `_torsion_index_from`.
+    upper bound for c does as well, and the scan reads one that its ring
+    keeps: the Fitting index c_R(y) of `fitting_split(M.ring, y)`.  Its
+    idempotent e has y^(c_R) (1 - e) = 0 in R, so y^(c_R) kills (1 - e) M
+    and c_M(y) <= c_R(y), with equality for M = R.
 
     The levels decrease, so validity is upward closed in m (the argument is
     in `tasks.run_family_sweep`), and the first hit at or above s_n is the
@@ -302,9 +290,7 @@ def _witness_scan(M, kind, xs, y, n_max, m_max, start=None):
     key = (_levels_key(kind, xs), y.coords, n_max, m_max, starts)
     context = _scan_context(M)
     if key not in context.scans:
-        c = context.torsion.get(y.coords)
-        if c is None:
-            c = _torsion_index_from(M, y, 0)
+        c = fitting_split(M.ring, y)[0]
         found = {}
         for n in range(1, n_max + 1):
             lo = n if start is None else max(n, start[n])

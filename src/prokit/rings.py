@@ -129,17 +129,6 @@ class FiniteRing:
         m, G = self.multiplication_hom(elem).matrix, self.additive
         return _solve(m, self.unit_coords, G, G.invariant_factors) is not None
 
-    def is_nilpotent(self, elem):
-        """A nilpotent y has y^c = 0 for its Fitting index c, and c <
-        bit_length(|R|) (the bound of `fitting_split`), so s squarings with
-        2^s >= bit_length(|R|) decide."""
-        y = elem
-        for _ in range((self.order().bit_length() - 1).bit_length()):
-            if y.is_zero():
-                return True
-            y = y * y
-        return y.is_zero()
-
     def __eq__(self, other):
         return (
             isinstance(other, FiniteRing)
@@ -304,19 +293,26 @@ def _transported_ring(G, P, S, left, unit_coords):
     return FiniteRing(G, mult_matrices, P.apply(tuple(unit_coords)))
 
 
+def _raw_ring(orders, products, unit_coords):
+    """The ring of raw structure constants, transported to the canonical
+    basis of the additive group, with no axiom checked: the `axioms` task
+    reports what `check_ring_axioms` finds in it."""
+    s = len(orders)
+    G, P, S = cokernel_presentation(IntMatrix.zero(s, 0), list(orders))
+    left = [IntMatrix.from_cols([list(v) for v in row], rows=s) for row in products]
+    return _transported_ring(G, P, S, left, unit_coords)
+
+
 def ring_from_raw(orders, products, unit_coords):
     """Ring from raw structure constants over generators with the given
     additive orders; `products[i][j]` is the coordinate vector of g_i * g_j.
 
     Raw tables are where ring data from outside enters, so this is the one
     constructor that checks the axioms at runtime: `check_ring_axioms` runs
-    on the canonicalized result and any failure raises AxiomViolation
-    naming the first three.
+    on the canonicalized result (`_raw_ring`) and any failure raises
+    AxiomViolation naming the first three.
     """
-    s = len(orders)
-    G, P, S = cokernel_presentation(IntMatrix.zero(s, 0), list(orders))
-    left = [IntMatrix.from_cols([list(v) for v in row], rows=s) for row in products]
-    ring = _transported_ring(G, P, S, left, unit_coords)
+    ring = _raw_ring(orders, products, unit_coords)
     failures = check_ring_axioms(ring)
     if failures:
         raise AxiomViolation("; ".join(failures[:3]))
@@ -515,9 +511,13 @@ def fitting_split(R, x):
     halves the ideal; hence 2^c <= |R| < 2^bit_length(|R|).  The same
     holds for y in a factor ring e R.  A nilpotent x has x^c = 0, so
     s squarings with 2^s >= bit_length(|R|) reach x^c; the split
-    (`_factor_fitting_idempotent`), `FiniteRing.is_nilpotent` and the
-    stable level of the Cech homology (`complexes._homology_limit`)
-    rest on this one bound.
+    (`_factor_fitting_idempotent`) and the stable level of the Cech
+    homology (`complexes._homology_limit`) rest on this one bound.
+
+    c bounds the torsion index of x on every R-module M: x^c (1 - e) = 0
+    in R, so x^c kills (1 - e) M while x is bijective on e M, and
+    0 :_M x^c = 0 :_M x^(c+1).  It is the stop bound of every colon scan
+    (`analysis._witness_scan`), and equals the torsion index for M = R.
 
     The split is a function of (R, x) alone: the first call for x computes
     it and keeps it on R, and later calls for x read it there.  An x of
@@ -544,7 +544,6 @@ class Localization:
 
     ring: FiniteRing          # e R on its own canonical basis
     idempotent: RingElement   # e in the original ring
-    stabilization_index: int  # minimal c with x^c R = x^{c+1} R
     map: GroupHom             # additive map r -> e r, original -> localized
     section: GroupHom         # additive inclusion, localized -> original
 
@@ -563,19 +562,19 @@ def localize(R, f):
     """Localization at f: the factor ring e R with unit e, where e is the
     Fitting idempotent of f.  The image of f is a unit there; nilpotent f
     yields the zero ring."""
-    c, e = fitting_split(R, f)
+    _, e = fitting_split(R, f)
     if R.rank == 0 or e.is_zero():
         Z = zero_ring()
         triv = GroupHom(R.additive, Z.additive, IntMatrix(0, R.rank, []))
         sec = GroupHom(Z.additive, R.additive, IntMatrix(R.rank, 0, []))
-        return Localization(Z, e, c, triv, sec)
+        return Localization(Z, e, triv, sec)
     sub = subgroup_embedding(R.additive, R.multiplication_hom(e).matrix.cols_list())
     lifts = [R.element(c) for c in sub.lift.matrix.cols_list()]
     mults = induced_actions([R.multiplication_hom(x) for x in lifts], sub)
     mult_matrices = [h.matrix for h in mults]
     L = FiniteRing(sub.group, mult_matrices, sub.classify(e.as_group_element()).coords)
     retraction = sub.classify_hom(R.multiplication_hom(e))
-    return Localization(L, e, c, retraction, sub.lift)
+    return Localization(L, e, retraction, sub.lift)
 
 
 def is_covering(R, elements):

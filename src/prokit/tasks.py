@@ -25,7 +25,6 @@ from .errors import (
 from .analysis import (
     Profile,
     _scan_context,
-    _torsion_index_from,
     bounded_torsion_index,
     cartier_check,
     default_budget,
@@ -58,9 +57,11 @@ from .modules import (
 from .randgen import rng_from_seed
 from .rings import (
     check_ring_axioms,
+    fitting_split,
     ideal,
     product_ring,
     quotient_ring,
+    _raw_ring,
     require_prime,
     ring_from_raw,
     truncated_polynomial,
@@ -193,18 +194,8 @@ def _build_ring(spec, validate=True):
             raise ParseError(f"raw products must be a {n}x{n} table of length-{n} vectors")
         if len(unit) != n:
             raise ParseError(f"raw unit has length {len(unit)}, expected {n}")
-        if validate:
-            R = ring_from_raw(orders, products, unit)
-        else:
-            # axioms tasks diagnose broken tables instead of rejecting them
-            from .intlinalg import FinAbGroup, IntMatrix
-            from .rings import FiniteRing
-
-            mult = [
-                IntMatrix.from_cols([list(products[i][j]) for j in range(n)], rows=n)
-                for i in range(n)
-            ]
-            R = FiniteRing(FinAbGroup(tuple(orders)), mult, unit)
+        # axioms tasks diagnose broken tables instead of rejecting them
+        R = (ring_from_raw if validate else _raw_ring)(orders, products, unit)
     else:
         raise ParseError(f"unknown ring kind {kind!r}")
     named["one"] = R.one()
@@ -436,8 +427,8 @@ def _single_element_check(M, seq, n_max, m_max, rng):
         c, _ = bounded_torsion_index(M, x)
         p_l = lipman_profile(M, [x], 2)
         p_g = gm_profile(M, [x], 2)
-        # the scans settle (1, n) = n + c from c itself, so the
-        # inclusions on either side of it are tested here
+        # n + c is the scans' stop bound when c = c_R(x), taken untested,
+        # so the inclusions on either side of it are tested here
         good = all(
             p_l.entry(1, n) == n + c
             and p_g.entry(1, n) == p_l.entry(1, n)
@@ -650,13 +641,13 @@ class _FactorSweep:
     A level reads only maxima over its factors, so scans are chained over
     factor prefixes: the scan of factor j starts each entry at the running
     maximum of factors 1..j-1, and the prefix 1..j keeps max(that, m_j), or
-    None once a factor has no witness.  Torsion searches chain the same way.
-    Scans run at the sweep's largest budget: the document's m_max, or else
-    the default budget of the top level's order.  A prefix is kept under
-    the coordinates of its items on each factor, and each factor module
-    keeps the scan data of its scans and torsion searches.  A level's
-    torsion searches run before its scans: each leaves max(before, c_j) >=
-    c_j on the factor module, the bound that its scans stop at."""
+    None once a factor has no witness.  Scans run at the sweep's largest
+    budget: the document's m_max, or else the default budget of the top
+    level's order.  A prefix is kept under the coordinates of its items on
+    each factor, and each factor module keeps the scan data of its scans.
+    A level's torsion index of x is the largest Fitting index of its items
+    x_j, each split once and kept on its factor R_j, where the scans of x_j
+    read it as their stop bound."""
 
     def __init__(self, family, hi, n_max, m_max):
         self.factors = _family_factors(family, hi)
@@ -666,7 +657,6 @@ class _FactorSweep:
         self.n_max = n_max
         self.m_max = m_max
         self.scans = {}
-        self.torsion = {}
         self.presentations = {}
 
     def _budget(self, N, k):
@@ -699,48 +689,31 @@ class _FactorSweep:
             lift = lift[R.rank :]
         return parts
 
-    @staticmethod
-    def _chain(table, keys, step):
-        """The value of the prefix of factors 1..len(keys), where keys[j] is
-        the key of the prefix's item on factor j: each prefix is computed
-        once, by step(j, value of the prefix before it or None), and kept in
-        `table` under its items' keys."""
-        prefix, value = (), None
-        for j, key in enumerate(keys):
-            prefix += (key,)
-            if prefix not in table:
-                table[prefix] = step(j, value)
-            value = table[prefix]
-        return value
-
-    def _scan(self, j, seq, before):
-        """Entries (i, n) of the sequence `seq` of factor j, each the running
-        maximum over factors 1..j of the least witnesses, or None."""
-        top = self._budget(len(self.factors), len(seq))
-        start = None
-        if before is not None:
-            # a witness missing on an earlier factor starts past the budget
-            start = {key: top + 1 if m is None else m for key, m in before.items()}
-        prof = lipman_profile(self.modules[j], seq, self.n_max, top, start)
-        return prof.entries
+    def _maxima(self, seqs):
+        """Entries (i, n) over the prefix of factors 1..len(seqs), where
+        seqs[j] is the sequence on factor j: each the running maximum of the
+        factors' least witnesses, or None.  Each prefix is scanned once, its
+        last factor from the maxima of the prefix before it, and kept in
+        `scans` under the coordinates of its sequences."""
+        top = self._budget(len(self.factors), len(seqs[0]))
+        prefix, maxima = (), None
+        for M, seq in zip(self.modules, seqs):
+            prefix += (tuple(x.coords for x in seq),)
+            if prefix not in self.scans:
+                start = None
+                if maxima is not None:
+                    # a witness missing on an earlier factor starts past the budget
+                    start = {key: top + 1 if m is None else m for key, m in maxima.items()}
+                self.scans[prefix] = lipman_profile(M, seq, self.n_max, top, start).entries
+            maxima = self.scans[prefix]
+        return maxima
 
     def level(self, N, seq_refs):
         """One sequence at level N, read off the prefix of factors 1..N."""
         parts = [self._resolve(N, ref) for ref in seq_refs]
         seqs = list(zip(*parts))
-        torsion_indices = [
-            self._chain(
-                self.torsion,
-                [x.coords for x in xs],
-                lambda j, before: _torsion_index_from(self.modules[j], xs[j], before or 0),
-            )
-            for xs in parts
-        ]
-        maxima = self._chain(
-            self.scans,
-            [tuple(x.coords for x in seq) for seq in seqs],
-            lambda j, before: self._scan(j, seqs[j], before),
-        )
+        torsion_indices = [max(fitting_split(x.ring, x)[0] for x in xs) for xs in parts]
+        maxima = self._maxima(seqs)
         budget = self._budget(N, len(seq_refs))
         entries = {key: m if m is not None and m <= budget else None for key, m in maxima.items()}
         prof = Profile("lipman", len(seq_refs), self.n_max, budget, entries)
@@ -767,19 +740,20 @@ def run_family_sweep(task):
     least witnesses, and level N's entry is that maximum when every m_j is
     found and at most level N's own budget, and inconclusive otherwise.
     The annihilators 0 :_M x^c split the same way, so the torsion index is
-    max_j c_j, and the order of level N is the product of the |R_j|.
-    `local_global_check` verifies the same law on the direct route.
+    max_j c_j, where c_j is the Fitting index of x_j on R_j (M = R_j is
+    faithful, so its torsion index is the ring's), and the order of level N
+    is the product of the |R_j|.  `local_global_check` verifies the same
+    law on the direct route.
 
     Only the maximum is read, so factor j is scanned from the running
     maximum r of factors 1..j-1: by upward closure the first m >= r that
     holds on factor j is max(r, m_j), the running maximum of factors 1..j.
     One test at r settles m_j <= r, and the scan goes past r only when
     m_j > r; a factor with no witness leaves the entry inconclusive at
-    every later level.  Once 0 :_M x^c = 0 :_M x^(c+1) the annihilator
-    chain stays constant, so each torsion search likewise starts at the
-    running maximum of the torsion indices before it.  Each (factor
-    prefix, sequence) is scanned once, at the sweep's largest budget, so
-    every level reads the witnesses its budget allows."""
+    every later level.  Each (factor prefix, sequence) is scanned once, at
+    the sweep's largest budget, so every level reads the witnesses its
+    budget allows.  The sweep is inconclusive (exit 2) when any entry of
+    any level's profile is."""
     family = task.family
     lo, hi = _field(family, "range", _int_pair, (2, 4))
     n_max = task.bounds.get("n_max", 2)
@@ -805,7 +779,7 @@ def run_family_sweep(task):
         def constant(vals):
             return all(a == b for a, b in zip(vals, vals[1:]))
 
-        inconclusive = inconclusive or any(v is None for v in entry_track)
+        inconclusive = inconclusive or not all(lvl["profile"]["conclusive"] for lvl in levels)
         results["sequences"].append(
             {
                 "sequence": seq_refs,

@@ -13,7 +13,6 @@ from prokit.analysis import (
     CheckOutcome,
     _levels,
     _scan_context,
-    _torsion_index_from,
     _witness_scan,
     bounded_torsion_index,
     cartier_check,
@@ -45,6 +44,8 @@ from prokit.modules import (
 )
 from prokit.randgen import rng_from_seed
 from prokit.rings import (
+    FiniteRing,
+    fitting_split,
     ideal,
     truncated_polynomial_family,
     truncated_two_power,
@@ -274,9 +275,9 @@ def _scan_corpus():
 def test_witness_scan_matches_reference_scan():
     # default budgets, and a budget of n_max that leaves entries open.  A
     # scan started at s_n returns max(s_n, least witness) while that is
-    # within the budget, and None otherwise; a torsion search started at s
-    # returns max(s, c).  Scans and searches of one module share the scan
-    # data it keeps; the unstarted scan runs on an equal module with none.
+    # within the budget, and None otherwise.  Scans of one module share the
+    # scan data it keeps; the unstarted scan runs on an equal module with
+    # none.
     rng = rng_from_seed(0xA23)
 
     def both(M, kind, xs, y, n_max, m_max):
@@ -293,11 +294,6 @@ def test_witness_scan_matches_reference_scan():
             assert started[n] == (bound if bound is not None and bound <= m_max else None)
         return fast
 
-    def torsion(M, y):
-        c = bounded_torsion_index(M, y)[0]
-        for start in (0, c, c + 1, rng.randint(0, 6)):
-            assert _torsion_index_from(M, y, start) == max(start, c)
-
     for M, seq, (gens, x) in _scan_corpus():
         RM = ring_as_module(M.ring)
         for m_max in (default_budget(M.order(), len(seq), 3), 3):
@@ -305,8 +301,6 @@ def test_witness_scan_matches_reference_scan():
                 for kind in ("lipman", "gm"):
                     both(M, kind, seq[: i - 1], seq[i - 1], 3, m_max)
             both(RM, "cartier", ideal(M.ring, gens).generators, x, 3, m_max)
-        for y in seq:
-            torsion(M, y)
     Z8 = zmod(8)
     assert both(ring_as_module(Z8), "lipman", [], Z8.from_int(2), 3, 3) == {1: None, 2: None, 3: None}
 
@@ -315,9 +309,11 @@ def test_witness_bound_theorem():
     # The least witness m of every colon entry (i, n) satisfies
     # n <= m <= n + c, for c = c_M(y) of the scanned element y by
     # `bounded_torsion_index`, and the default budget lies above n + c.
-    # A scan that stops at n + c' for any c' >= c, kept on its module,
-    # equals the reference scan at the default and at tight budgets, and
-    # from random starts returns max(start, least witness) within budget.
+    # A scan that stops at n + c' for any c' >= c equals the reference scan
+    # at the default and at tight budgets, and from random starts returns
+    # max(start, least witness) within budget.  The scan reads its stop
+    # bound from the Fitting split its ring keeps, so c' is set there, on a
+    # copy of the ring that a fresh module is built over.
     rng = rng_from_seed(0xA27)
     cases = []
     for M, seq, (gens, x) in _scan_corpus():
@@ -336,8 +332,10 @@ def test_witness_bound_theorem():
         assert all(n <= least[n] <= n + c < budget for n in least), (kind, xs, y)
         tight += any(least[n] == n + c for n in least)
         for m_max in (budget, rng.randint(1, 6)):
-            fresh = FgModule(M.ring, M.group, M.actions)
-            _scan_context(fresh).torsion[y.coords] = c + rng.choice([0, 0, 1, 4])
+            R = M.ring
+            ring = FiniteRing(R.additive, R.mult_matrices, R.unit_coords)
+            ring._splits[y.coords] = c + rng.choice([0, 0, 1, 4]), fitting_split(R, y)[1]
+            fresh = FgModule(ring, M.group, M.actions)
             scan = _witness_scan(fresh, kind, xs, y, 3, m_max)
             assert scan == _reference_witness_scan(M, _levels(M, kind, xs), y, 3, m_max)
             start = {n: rng.randint(0, n + c + 2) for n in least}
@@ -346,6 +344,63 @@ def test_witness_bound_theorem():
                 assert started[n] == (max(m, start[n]) if max(m, start[n]) <= m_max else None)
     # the bound is reached, so no smaller one would do
     assert tight > len(cases) // 2
+
+
+def test_fitting_index_bounds_the_torsion_index():
+    # c_M(y) <= c_R(y) for the Fitting index c_R(y) that the ring keeps,
+    # with equality for M = R; the corpus and the random draws include
+    # modules on which the bound is strict
+    rng = rng_from_seed(0xA35)
+    cases = [(M, y) for M, seq, _ in _scan_corpus() for y in seq]
+    for _ in range(60):
+        _, M, seq = random_instance(rng, k_max=3)
+        cases += [(M, y) for y in seq]
+    strict = 0
+    for M, y in cases:
+        c_R = fitting_split(M.ring, y)[0]
+        c_M = bounded_torsion_index(M, y)[0]
+        assert c_M <= c_R
+        assert bounded_torsion_index(ring_as_module(M.ring), y)[0] == c_R
+        strict += c_M < c_R
+    assert strict > 0
+
+
+def _non_faithful_cases():
+    """(M, y) with M = R/aR for a a nonunit, so ann M is not 0 and c_M(y)
+    can lie below c_R(y)."""
+    Z8, Z12 = zmod(8), zmod(12)
+    cases = [(Z8, Z8.from_int(2), Z8.from_int(2)), (Z12, Z12.from_int(2), Z12.from_int(2))]
+    cases += [(Z12, Z12.from_int(6), Z12.from_int(2)), (Z8, Z8.from_int(4), Z8.from_int(6))]
+    for N in range(2, 6):
+        R, x, one = truncated_two_power(N)
+        cases += [(R, x, x), (R, x * x, x), (R, x, x + one)]
+    for N in range(2, 5):
+        R, x, one = truncated_polynomial_family(2, N)
+        cases += [(R, x * x, x), (R, x, x * x)]
+    out = []
+    for R, a, y in cases:
+        RM = ring_as_module(R)
+        M, _ = quotient_module(RM, image_submodule(RM, [a]))
+        out.append((M, y))
+    return out
+
+
+def test_scans_of_non_faithful_modules_match_the_reference():
+    # on R/aR the scan stops at n + c_R(y), which may lie above n + c_M(y)
+    # and above the default budget of the smaller module; its entries still
+    # equal the reference scan, for both kinds and both prefixes
+    strict = 0
+    for M, y in _non_faithful_cases():
+        R = M.ring
+        strict += bounded_torsion_index(M, y)[0] < fitting_split(R, y)[0]
+        for xs in ([], [R.one()], [y]):
+            for kind in ("lipman", "gm"):
+                for m_max in (default_budget(M.order(), len(xs) + 1, 3), 3):
+                    fresh = FgModule(R, M.group, M.actions)
+                    scan = _witness_scan(fresh, kind, xs, y, 3, m_max)
+                    reference = _reference_witness_scan(M, _levels(M, kind, xs), y, 3, m_max)
+                    assert scan == reference, (M.order(), kind, xs, y, m_max)
+    assert strict >= 5
 
 
 def test_witness_scan_builds_each_colon_once(monkeypatch):

@@ -465,6 +465,51 @@ def test_cli_check_rejects_corrupted_ring_declaring_axioms(tmp_path, capsys):
     assert capsys.readouterr().err == "prokit: unit law fails at basis element 0\n"
 
 
+Z3_TIMES_Z2 = {
+    "kind": "raw",
+    "orders": [3, 2],
+    "products": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+    "unit": [1, 1],
+}
+
+
+def test_cli_axioms_transports_a_table_over_non_chain_orders(tmp_path, capsys):
+    # the orders [3, 2] are no invariant-factor chain; `axioms` builds the
+    # raw ring the way `check` does, transported to Z/6, and finds no
+    # failure
+    path = write_doc(tmp_path, ring=Z3_TIMES_Z2, analysis={"kind": "axioms"})
+    assert main(["axioms", path]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    axioms = json.loads(out.out)["results"]["axioms"]
+    assert axioms == {"failures": [], "invariant_factors": [6], "order": 6, "passed": True}
+    path = write_doc(
+        tmp_path,
+        ring=Z3_TIMES_Z2,
+        sequences={"s": [[1]]},
+        analysis={"kind": "verify", "checks": ["profiles"]},
+    )
+    assert main(["check", path]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_sweep_with_an_undecided_entry_exits_2(tmp_path, capsys):
+    # at m_max 3 entry (1, 2) of truncated_two_power(2) is undecided while
+    # (1, 1) is found; the sweep is inconclusive, as the profile of the
+    # same ring and element is
+    bounds = {"n_max": 2, "m_max": 3}
+    family = {"kind": "truncated_two_power", "range": [2, 2], "sequences": [["x"]]}
+    assert main(["sweep", write_doc(tmp_path, family=family, bounds=bounds)]) == 2
+    results = json.loads(capsys.readouterr().out)["results"]
+    profile = results["sequences"][0]["levels"][0]["profile"]
+    assert profile["rows"] == [[1, 1, 3, True], [1, 2, 3, False]]
+    assert profile["conclusive"] is False
+    ring = {"kind": "truncated_two_power", "N": 2}
+    path = write_doc(tmp_path, ring=ring, sequences={"s": ["x"]}, bounds=bounds)
+    assert main(["profile", path]) == 2
+    assert json.loads(capsys.readouterr().out)["results"]["lipman"] == profile
+
+
 ZERO_RING = {"kind": "product", "factors": []}
 Z6 = {"kind": "zmod", "m": 6}
 Z12 = {"kind": "zmod", "m": 12}
@@ -778,25 +823,25 @@ def test_sweep_builds_no_product_ring_and_scans_each_factor_once(monkeypatch):
 
 def test_sweep_computes_each_torsion_index_once_per_factor(monkeypatch):
     # ex1_truncated sweeps ["x"] and ["one", "x"] over levels 2..6: two
-    # elements on each prefix Z/2 x ... x Z/2^j, j = 1..6, so twelve torsion
-    # searches, not one per (level, element).  The search on factor Z/2^j
-    # starts at the torsion index of the prefix before it: j - 1 for x, 0
-    # for one.
-    import prokit.tasks as tasks
+    # elements on each factor Z/2^j, j = 1..6, so twelve Fitting splits,
+    # not one per (level, element).  Each split is kept on its factor,
+    # where the factor's scans read it as their stop bound and the level
+    # reads it as that factor's torsion index: j for x, 0 for one.
+    import prokit.rings as rings
     from prokit.cli import _load_task_text
 
     calls = []
-    real = tasks._torsion_index_from
+    real = rings._factor_fitting_idempotent
 
-    def search(M, x, start):
-        calls.append((M.order(), x.coords, start))
-        return real(M, x, start)
+    def split(R, e, y):
+        calls.append((R.order(), y.coords))
+        return real(R, e, y)
 
-    monkeypatch.setattr(tasks, "_torsion_index_from", search)
+    monkeypatch.setattr(rings, "_factor_fitting_idempotent", split)
     report = run_task(parse_spec(_load_task_text("fixture:ex1_truncated")))
     assert report.exit_code == 0
-    x_calls = [(2 ** j, (2 % 2 ** j,), j - 1) for j in range(1, 7)]
-    one_calls = [(2 ** j, (1,), 0) for j in range(1, 7)]
+    x_calls = [(2 ** j, (2 % 2 ** j,)) for j in range(1, 7)]
+    one_calls = [(2 ** j, (1,)) for j in range(1, 7)]
     assert sorted(calls) == sorted(x_calls + one_calls)
     levels = report.body["results"]["sequences"][1]["levels"]
     assert [lvl["torsion_indices"] for lvl in levels] == [[0, N] for N in range(2, 7)]
@@ -808,7 +853,8 @@ def test_sweep_preimage_count_on_ex1(monkeypatch):
     # running maximum, with scan data kept on each factor, the sweep took
     # 28: each colon of the torsion chains is one the scans need.  The
     # colon of a level equal to M is M with no preimage (the unit prefix),
-    # so it takes 17.
+    # so it took 17.  The scans stop at the Fitting index their factor
+    # keeps, and no torsion chain builds annihilators, so it takes 11.
     import prokit.analysis as analysis
     from prokit.cli import _load_task_text
 
@@ -817,15 +863,17 @@ def test_sweep_preimage_count_on_ex1(monkeypatch):
     monkeypatch.setattr(analysis, "preimage_span", lambda f, s: calls.append(1) or real(f, s))
     report = run_task(parse_spec(_load_task_text("fixture:ex1_truncated")))
     assert report.exit_code == 0
-    assert len(calls) == 17
+    assert len(calls) == 11
 
 
-@pytest.mark.parametrize("fixture, preimages", [("z12_battery", 7), ("prism_style", 3)])
+@pytest.mark.parametrize("fixture, preimages", [("z12_battery", 5), ("prism_style", 3)])
 def test_profile_task_shares_one_scan_context(monkeypatch, fixture, preimages):
     # the Lipman and GM profiles of one profile document scan one module,
     # which keeps its scan data; with fresh scan data for each profile
-    # they took 14 and 6 preimages.  Each payload equals that of a
-    # document asking for its profile alone.
+    # they took 14 and 6 preimages.  Before the scans stopped at the
+    # Fitting index the ring keeps, z12_battery took 7, two of them for
+    # its torsion chains.  Each payload equals that of a document asking
+    # for its profile alone.
     import prokit.analysis as analysis
     from prokit.cli import _load_task_text
 
@@ -857,18 +905,21 @@ def test_profile_task_shares_one_scan_context(monkeypatch, fixture, preimages):
 # colon, and the weak profile was kept in the context, they were
 # 51/24/10/122 on z12_battery and 24/28/18/57 on ex1_truncated.  Before
 # the Tor comparison read degrees 0 and 1 off one resolution and one
-# completion, z12_battery took 113 actions.
+# completion, z12_battery took 113 actions.  Before the scans stopped at
+# the Fitting index their ring keeps, the torsion searches' annihilator
+# chains added preimages and actions: 51/23/9/110 on z12_battery,
+# 29/18/4/39 on prism_style and 24/17/12/51 on ex1_truncated.
 @pytest.mark.parametrize(
     "fixture, counts",
     [
-        ("z12_battery", (51, 23, 9, 110)),
-        ("prism_style", (29, 18, 4, 39)),
-        ("ex1_truncated", (24, 17, 12, 51)),
+        ("z12_battery", (51, 20, 9, 104)),
+        ("prism_style", (29, 15, 4, 39)),
+        ("ex1_truncated", (24, 11, 12, 39)),
     ],
 )
 def test_scan_context_counts_on_fixture(monkeypatch, fixture, counts):
     # the scan data each module keeps builds each level, action, colon and
-    # scan once, and the scans test no m at or above n + c_M(y)
+    # scan once, and the scans test no m at or above n + c_R(y)
     import prokit.analysis as analysis
     from prokit.cli import _load_task_text
     from prokit.modules import FgModule
