@@ -52,7 +52,6 @@ subquotients' `GroupSubquotient` records, the one lift/classify path."""
 from __future__ import annotations
 
 import itertools
-import math
 
 from .errors import AxiomViolation, DimensionMismatch, IdentificationFailure
 from .intlinalg import (
@@ -77,7 +76,7 @@ from .modules import (
     subquotient_module,
     zero_module,
 )
-from .rings import Ideal, fitting_split
+from .rings import Ideal, fitting_split, ring_product
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +167,9 @@ class _KoszulLayout:
         """Degree-j component of the transition K(x^(n+e)) -> K(x^(n)) for
         y = x^(e): block (S, q, u) is multiplied by the product of the y_i,
         i in S, with one action of M per subset S."""
-        one = self.M.ring.one()
+        R = self.M.ring
         subsets = {S for S, _, _ in self.blocks[j]}
-        acts = {S: self.M.action_hom(math.prod((y_seq[i] for i in S), start=one)) for S in subsets}
+        acts = {S: self.M.action_hom(ring_product(R, [y_seq[i] for i in S])) for S in subsets}
         blocks = [(b, b, acts[S], 1) for b, (S, _, _) in enumerate(self.blocks[j])]
         return block_hom(self.pack(j), self.pack(j), blocks)
 
@@ -371,7 +370,7 @@ class CechData:
         """The action of e_S, the product of the e_{x_i} over i in S, on M,
         formed once per S."""
         if S not in self._actions:
-            e = math.prod((self._splits[i] for i in S), start=self.module.ring.one())
+            e = ring_product(self.module.ring, [self._splits[i] for i in S])
             self._actions[S] = self._layout.action(e)
         return self._actions[S]
 

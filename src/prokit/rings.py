@@ -54,6 +54,9 @@ class FiniteRing:
     `mult_matrices[i]` is the matrix of multiplication by the i-th basis
     element acting on the additive group; its column j holds the coordinates
     of e_i * e_j, so the structure tensor is c[i][j][k] = mult_matrices[i][k, j].
+    Products run over the nonzero constants alone, which the first product
+    reads off and keeps on the ring.  Equality and hashing ignore them, and
+    equality returns at once when both sides are the same object.
 
     The constructor checks no axioms.  Ring data from outside enters only
     through `ring_from_raw`, which runs `check_ring_axioms`; the `axioms`
@@ -69,6 +72,8 @@ class FiniteRing:
         # x.coords -> fitting_split(self, x), kept by its first call for x;
         # equality and hashing ignore it
         self._splits = {}
+        # per basis element i, the (j, k, c[i][j][k]) with c != 0
+        self._constants = None
 
     @property
     def rank(self):
@@ -105,21 +110,24 @@ class FiniteRing:
         return GroupHom(self.additive, self.additive, m)
 
     def mul_coords(self, a, b):
-        """Coordinates of the product of two coordinate vectors."""
-        rows = self.rank
-        out = [0] * rows
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            mi = self.mult_matrices[i]
-            for k in range(rows):
-                row = mi.row(k)
-                s = 0
-                for j, cb in enumerate(b):
-                    if cb:
-                        s += cb * row[j]
-                out[k] += ca * s
-        return self.additive.reduce(tuple(out))
+        """Coordinates of the product: a_i * b_j * c summed into coordinate k
+        over the kept (j, k, c) of each nonzero a_i, and reduced once.
+
+        >>> truncated_two_power(3)[0].mul_coords((1, 3, 5), (1, 2, 7))  # Z/2 x Z/4 x Z/8
+        (1, 2, 3)
+        """
+        if self._constants is None:
+            r = self.rank
+            self._constants = [
+                [(j, k, m[k, j]) for j in range(r) for k in range(r) if m[k, j]]
+                for m in self.mult_matrices
+            ]
+        out = [0] * self.rank
+        for ca, terms in zip(a, self._constants):
+            if ca:
+                for j, k, c in terms:
+                    out[k] += ca * c * b[j]
+        return tuple(x % d for x, d in zip(out, self.additive.invariant_factors))
 
     def elements(self, limit=ENUMERATION_LIMIT):
         for g in self.additive.elements(limit=limit):
@@ -130,7 +138,7 @@ class FiniteRing:
         return _solve(m, self.unit_coords, G, G.invariant_factors) is not None
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FiniteRing)
             and self.additive == other.additive
             and self.mult_matrices == other.mult_matrices
@@ -175,13 +183,12 @@ class RingElement:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative powers are not defined")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        # from the leading bit down: bit_length(n) + popcount(n) - 2 products
+        result = self if n else self.ring.one()
+        for bit in bin(n)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def is_zero(self):
@@ -601,6 +608,11 @@ def is_covering(R, elements):
     return True, coeffs
 
 
+def ring_product(R, elements):
+    """The product of a list of elements of R, none by the unit (1 if empty)."""
+    return math.prod(elements[1:], start=elements[0]) if elements else R.one()
+
+
 def stable_idempotent(I):
     """The idempotent e with I^c = e R for the stable power I^c of I.
 
@@ -618,7 +630,7 @@ def stable_idempotent(I):
     """
     if I.idempotent is None:
         one = I.ring.one()
-        rest = math.prod((one - fitting_split(I.ring, g)[1] for g in I.generators), start=one)
+        rest = ring_product(I.ring, [one - fitting_split(I.ring, g)[1] for g in I.generators])
         object.__setattr__(I, "idempotent", one - rest)
     return I.idempotent
 
@@ -710,11 +722,13 @@ def _factor_fitting_idempotent(R, e, y):
     when z is 0 or idempotent, and otherwise eps = z w for any solution w
     of z^2 w = z (w inverts z on eps R, which is all z lives on, so eps
     does not depend on the w the solver returns).  On (e - eps) R, y is
-    nilpotent, so c is the least k with y^k (e - eps) = 0."""
+    nilpotent, so c is the least k with y^k (e - eps) = 0, found by a
+    galloping search over the squarings' powers in about 2 log2(c) products."""
     n = R.order().bit_length()
-    z = e * y
+    powers = [y if e.coords == R.unit_coords else e * y]  # (e y)^(2^t), t = 0..s
     for _ in range((n - 1).bit_length()):
-        z = z * z
+        powers.append(powers[-1] * powers[-1])
+    z = powers[-1]
     zz = z * z
     if z.is_zero() or zz == z:
         eps = z
@@ -724,10 +738,21 @@ def _factor_fitting_idempotent(R, e, y):
         if w is None:
             raise AxiomViolation("factor Fitting equation unsolvable; ring data corrupt")
         eps = z * R.element(w)
-    c, rest = 0, e - eps
-    while not rest.is_zero():
-        if c == n:
-            raise AxiomViolation("Fitting index reached bit_length(|R|); ring data corrupt")
-        rest = rest * y
-        c += 1
-    return c, eps
+    rest = e - eps
+    if rest.is_zero():
+        return 0, eps
+    # the first t with (e y)^(2^t) rest = 0 puts c in (2^(t-1), 2^t], and
+    # halving that interval with the lower powers finds it
+    below, low = 0, rest  # y^below rest = low, not 0
+    for t, p in enumerate(powers):
+        tested = p if eps.is_zero() else p * rest  # rest = e when eps = 0
+        if tested.is_zero():
+            break
+        below, low = 1 << t, tested
+    for j in range(t - 2, -1, -1):
+        cand = low * powers[j]
+        if not cand.is_zero():
+            below, low = below + (1 << j), cand
+    if below >= n:  # also when no power kills rest, as then below >= 2^s >= n
+        raise AxiomViolation("Fitting index reached bit_length(|R|); ring data corrupt")
+    return below + 1, eps

@@ -185,6 +185,8 @@ def _build_ring(spec, validate=True):
         named = {name: project(el) for name, el in base_named.items()}
     elif kind == "raw":
         orders = _field(spec, "orders", _int_list)
+        if any(d < 1 for d in orders):
+            raise ParseError(f"raw orders must be >= 1, got {orders}")
         products = _field(spec, "products", _products_table)
         unit = tuple(_field(spec, "unit", _int_list))
         n = len(orders)

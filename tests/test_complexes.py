@@ -332,6 +332,33 @@ def test_cech_cohomology_unit_vanishes():
     assert cech_cohomology(x, M, 1).is_zero_module()
 
 
+def test_subset_products_take_one_product_fewer_than_the_subset(monkeypatch):
+    # e_S (a Cech idempotent) and y_S (a Koszul transition entry) are
+    # products over S with no factor 1: |S| - 1 products each, none for
+    # |S| <= 1
+    from prokit.rings import FiniteRing
+
+    R = truncated_two_power(3)[0]
+    M = ring_as_module(R)
+    xs = [R.from_int(2), R.from_int(3), R.basis()[0] + R.from_int(2), R.from_int(5)]
+    cech = cech_complex(xs, M)
+    calls = []
+    mul_coords = FiniteRing.mul_coords
+    monkeypatch.setattr(
+        FiniteRing, "mul_coords", lambda self, a, b: calls.append(1) or mul_coords(self, a, b)
+    )
+    layout = cech.tower._layout
+    for j in range(len(xs) + 1):
+        for S in itertools.combinations(range(len(xs)), j):
+            calls.clear()
+            cech._action(S)
+            assert len(calls) == max(j - 1, 0), S
+        layout.transition(xs, j)  # forms the power, whose axioms the suite checks
+        calls.clear()
+        layout.transition(xs, j)
+        assert len(calls) == sum(max(len(S) - 1, 0) for S in {b[0] for b in layout.blocks[j]})
+
+
 def test_cech_two_elements_vanishing():
     R = zmod(12)
     M = ring_as_module(R)

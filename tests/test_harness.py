@@ -493,6 +493,37 @@ def test_cli_axioms_transports_a_table_over_non_chain_orders(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("command", ["check", "profile", "axioms"])
+@pytest.mark.parametrize("orders", [[-2], [2, -4]], ids=["negative", "negative_second"])
+def test_cli_raw_order_below_one_exits_64(command, orders, tmp_path, capsys):
+    # a negative order would be read as its absolute value: [-2] as Z/2
+    # and [2, -4] as Z/2 x Z/4
+    n = len(orders)
+    ring = {
+        "kind": "raw",
+        "orders": orders,
+        "products": [[[int(i == j == k) for k in range(n)] for j in range(n)] for i in range(n)],
+        "unit": [1] * n,
+    }
+    path = write_doc(tmp_path, ring=ring, sequences={"s": [[1] * n]})
+    assert main([command, path]) == 64
+    assert capsys.readouterr().err == f"prokit: raw orders must be >= 1, got {orders}\n"
+
+
+def test_cli_raw_order_one_stays_valid(tmp_path, capsys):
+    # a generator of order 1 is 0; the table is Z/2 on the second one
+    ring = {
+        "kind": "raw",
+        "orders": [1, 2],
+        "products": [[[0, 0], [0, 0]], [[0, 0], [0, 1]]],
+        "unit": [0, 1],
+    }
+    path = write_doc(tmp_path, ring=ring, analysis={"kind": "axioms"})
+    assert main(["axioms", path]) == 0
+    axioms = json.loads(capsys.readouterr().out)["results"]["axioms"]
+    assert axioms["passed"] is True and axioms["invariant_factors"] == [2]
+
+
 def test_cli_sweep_with_an_undecided_entry_exits_2(tmp_path, capsys):
     # at m_max 3 entry (1, 2) of truncated_two_power(2) is undecided while
     # (1, 1) is found; the sweep is inconclusive, as the profile of the
@@ -940,6 +971,27 @@ def test_scan_context_counts_on_fixture(monkeypatch, fixture, counts):
     report = run_task(parse_spec(_load_task_text(f"fixture:{fixture}")))
     assert report.exit_code == 0
     assert tuple(seen.values()) == counts
+
+
+@pytest.mark.unchecked_axioms  # the suite's axiom check multiplies too
+@pytest.mark.parametrize(
+    "fixture, products",
+    # before products ran without unit factors and the Fitting index was
+    # found by galloping: 228, 71, 100 and 56
+    [("z12_battery", 130), ("prism_style", 51), ("ex1_truncated", 73), ("ex2_truncated", 40)],
+)
+def test_ring_products_on_fixture(monkeypatch, fixture, products):
+    from prokit.cli import _load_task_text
+    from prokit.rings import FiniteRing
+
+    task = parse_spec(_load_task_text(f"fixture:{fixture}"))
+    calls = []
+    mul_coords = FiniteRing.mul_coords
+    monkeypatch.setattr(
+        FiniteRing, "mul_coords", lambda self, a, b: calls.append(1) or mul_coords(self, a, b)
+    )
+    assert run_task(task).exit_code == 0
+    assert len(calls) == products
 
 
 def test_verify_document_builds_its_weak_profile_once(monkeypatch):

@@ -736,6 +736,106 @@ def test_derived_rings_build_without_pairwise_products(monkeypatch):
     assert calls == []
 
 
+def _dense_mul_coords(R, a, b):
+    """The product of two coordinate vectors by the dense walk over the
+    r x r x r structure tensor, one row of a multiplication matrix at a
+    time; the reference for `FiniteRing.mul_coords`, which sums over the
+    nonzero constants it keeps."""
+    rows = R.rank
+    out = [0] * rows
+    for i, ca in enumerate(a):
+        if ca == 0:
+            continue
+        mi = R.mult_matrices[i]
+        for k in range(rows):
+            row = mi.row(k)
+            s = 0
+            for j, cb in enumerate(b):
+                if cb:
+                    s += cb * row[j]
+            out[k] += ca * s
+    return R.additive.reduce(tuple(out))
+
+
+def _vectors(rng, R, count):
+    """Reduced coordinate vectors of R, then unreduced and negative ones."""
+    d = R.additive.invariant_factors
+    reduced = [tuple(rng.randrange(m) for m in d) for _ in range(count)]
+    return reduced + [tuple(rng.randint(-3 * m, 3 * m) for m in d) for _ in range(count)]
+
+
+def _assert_kernel_matches_dense(rng, R, count=6):
+    vecs = _vectors(rng, R, count) + [b.coords for b in R.basis()]
+    for a in vecs:
+        for b in vecs:
+            assert R.mul_coords(a, b) == _dense_mul_coords(R, a, b), (R, a, b)
+
+
+def test_mul_coords_matches_dense_reference():
+    rng = random.Random(0x5CA7)
+    rings = [random_ring(rng)[0] for _ in range(12)]
+    rings += [
+        product_ring([zmod(4), zmod(6), truncated_polynomial(3, 2)[0]])[0],
+        product_ring([zmod(12), truncated_polynomial(2, 3)[0]])[0],
+        truncated_two_power(3)[0],
+        truncated_polynomial_family(2, 3)[0],
+        zmod(7),
+        zmod(512),
+        zero_ring(),
+    ]
+    rings += [truncated_polynomial(q, n)[0] for q in (2, 3, 5) for n in (1, 4, 6)]
+    for R in [zmod(36), truncated_two_power(3)[0], truncated_polynomial_family(3, 2)[0]]:
+        elems = list(R.elements())
+        for _ in range(3):
+            I = ideal(R, rng.sample(elems, 2))
+            if not I.is_unit_ideal():
+                rings.append(quotient_ring(R, I)[0])
+        rings += [localize(R, f).ring for f in rng.sample(elems, 3)]
+    for R in rings:
+        _assert_kernel_matches_dense(rng, R)
+
+
+@pytest.mark.unchecked_axioms
+def test_mul_coords_matches_dense_reference_on_raw_tables():
+    # tables with unreduced and negative constants, which only the raw
+    # constructor and the axioms task see: the kernel sums the same
+    # integers as the dense walk, whatever the entries
+    rng = random.Random(0xD0A5)
+    for _ in range(20):
+        G = FinAbGroup(rng.choice([(5,), (9,), (2, 4), (3, 6), (2, 4, 8), (2, 2, 12)]))
+        r = G.rank
+        mats = [
+            IntMatrix(r, r, [rng.choice([0, 0, rng.randint(-20, 20)]) for _ in range(r * r)])
+            for _ in range(r)
+        ]
+        R = FiniteRing(G, mats, tuple(rng.randint(-5, 5) for _ in range(r)))
+        _assert_kernel_matches_dense(rng, R)
+
+
+def _count_products(monkeypatch):
+    """A list that gains an entry per `FiniteRing.mul_coords` call."""
+    calls = []
+    mul_coords = FiniteRing.mul_coords
+    monkeypatch.setattr(
+        FiniteRing, "mul_coords", lambda self, a, b: calls.append(1) or mul_coords(self, a, b)
+    )
+    return calls
+
+
+def test_power_takes_bit_length_plus_popcount_products(monkeypatch):
+    R = truncated_polynomial_family(3, 3)[0]
+    x = R.basis()[-1] + R.from_int(2)
+    calls = _count_products(monkeypatch)
+    for e in range(70):
+        calls.clear()
+        power = x ** e
+        assert len(calls) == (0 if e <= 1 else e.bit_length() + bin(e).count("1") - 2), e
+        walked = R.one()
+        for _ in range(e):
+            walked = walked * x
+        assert power == walked, e
+
+
 def _basis_product_fitting_split(R, x):
     """The Fitting split of x with the chain x^c R read off the products of
     x^c with the ring basis, one span per step; the reference for
@@ -792,12 +892,10 @@ def _chain_factor_fitting_split(R, e, y):
     return c, R.element(prev.apply(x))
 
 
-def test_factor_fitting_split_matches_chain_reference():
-    # every factor e (each primitive idempotent, and 1) and every y, on
-    # seeded rings, products over mixed primes, F_2[t]/t^n, the truncated
-    # two-power ring and the zero ring
-    from prokit.rings import _factor_fitting_idempotent
-
+def _factor_split_corpus():
+    """(R, e, y) for every factor e (each primitive idempotent, and 1) and
+    every y, on seeded rings, products over mixed primes, F_2[t]/t^n, the
+    truncated two-power ring and the zero ring."""
     rng = random.Random(0xF1F7)
     rings = [random_ring(rng)[0] for _ in range(20)]
     rings += [
@@ -810,8 +908,53 @@ def test_factor_fitting_split_matches_chain_reference():
     for R in rings:
         for e in primitive_idempotents(R) + [R.one()]:
             for y in R.elements():
-                new = _factor_fitting_idempotent(R, e, y)
-                assert new == _chain_factor_fitting_split(R, e, y), (R, e, y)
+                yield R, e, y
+
+
+def test_factor_fitting_split_matches_chain_reference():
+    from prokit.rings import _factor_fitting_idempotent
+
+    for R, e, y in _factor_split_corpus():
+        new = _factor_fitting_idempotent(R, e, y)
+        assert new == _chain_factor_fitting_split(R, e, y), (R, e, y)
+
+
+def _linear_fitting_index(R, e, y, eps):
+    """The least k with y^k (e - eps) = 0, by a walk over k = 0, 1, ...,
+    one product per step; the reference for the galloping search of
+    `_factor_fitting_idempotent` over the kept powers (e y)^(2^t)."""
+    c, rest = 0, e - eps
+    while not rest.is_zero():
+        rest, c = rest * y, c + 1
+    return c
+
+
+def test_factor_fitting_index_matches_linear_walk():
+    # the corpus above, whose indices stay below 6, and rings with indices
+    # up to 11, where the search halves over several powers
+    from prokit.rings import _factor_fitting_idempotent
+
+    corpus = list(_factor_split_corpus())
+    for R in [zmod(2 ** 11), zmod(2 ** 7 * 3), truncated_polynomial(2, 9)[0]]:
+        corpus += [(R, e, y) for e in [R.one()] + primitive_idempotents(R) for y in R.elements()]
+    for R, e, y in corpus:
+        c, eps = _factor_fitting_idempotent(R, e, y)
+        assert c == _linear_fitting_index(R, e, y, eps), (R, e, y)
+
+
+def test_fitting_index_of_two_on_two_powers_takes_no_walk(monkeypatch):
+    # on Z/2^j, 2 is nilpotent of index j, so eps = 0 and the squarings'
+    # powers are the tests: the index takes bit_length(j - 1) - 1 products
+    # beyond them, where the linear walk took j; with e = 1, e y is y
+    from prokit.rings import _factor_fitting_idempotent
+
+    calls = _count_products(monkeypatch)
+    for j in range(1, 13):
+        R = zmod(2 ** j)
+        squarings = (R.order().bit_length() - 1).bit_length()
+        calls.clear()
+        assert _factor_fitting_idempotent(R, R.one(), R.from_int(2)) == (j, R.zero())
+        assert len(calls) == squarings + 1 + max((j - 1).bit_length() - 1, 0), j
 
 
 def test_fitting_split_of_a_large_prime_field():
