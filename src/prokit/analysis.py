@@ -185,8 +185,8 @@ class _ScanContext:
     - `colons`: N :_M y^e, the preimage of N under y^e, keyed by (matrix of
       y^e, canonical span of N); canonical spans identify submodules, so
       each distinct colon is built once;
-    - `actions`: per y, by coordinates, [y^e, actions of y^0..y^e], each
-      power one multiplication past the one before;
+    - `actions`: per y, by coordinates, [y^e or None for e = 0, the
+      actions of y^0..y^e]; y^1 is y, each later power one product more;
     - `levels`: per `_levels_key`, [the `_levels` generator, N_1, N_2, ...],
       the levels built so far.  When N_1 = M every later level is N_1 with
       nothing built: over a finite ring, I M = M for I = (xs) gives
@@ -209,11 +209,10 @@ class _ScanContext:
     def action(self, y, e):
         """The action of y^e on M."""
         if y.coords not in self.actions:
-            one = self.module.ring.one()
-            self.actions[y.coords] = [one, [self.module.action_hom(one)]]
+            self.actions[y.coords] = [None, [self.module.action_hom(self.module.ring.one())]]
         built = self.actions[y.coords]
         while len(built[1]) <= e:
-            built[0] = built[0] * y
+            built[0] = y if built[0] is None else built[0] * y
             built[1].append(self.module.action_hom(built[0]))
         return built[1][e]
 

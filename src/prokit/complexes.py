@@ -12,34 +12,33 @@ power per distinct block count, the d_L blocks) is one private layout per
 tower, each part formed on first use; each level only adds the Koszul face
 blocks of x^(n).  A tower keeps differentials, not levels: each d_d of a
 level is assembled once, when first read.  Koszul homology and its
-transitions are read as spans of the level-n chains (`_transition_image`)
-by the Cech-homology limit, the weak profile, the Tor comparison and the
-colon identification, which reads H_1(y^n; M/x^(n)M) off the tower of the
-one element y.
-The Cech complex (`CechData`) is built on the same layout: degree j is the
-power M^(k choose j), its codifferential is the layout's faces transposed,
-copy S to copy T by the face's sign times the Fitting idempotent e_T, and
-the localizations (+) e_S M are the subcomplex cut out by E = diag(e_S),
-one Fitting split per element of the sequence, kept on the ring (the
-idempotent of a subset is the product of its elements' idempotents).
-Like a tower, it assembles each E_j and each codifferential once, when
-first read.  `cech_complex` keeps the last complex it built, keyed by the
-module's identity and the sequence, so the per-degree calls
-`cech_cohomology` and `cech_homology` on one (M, x) read every degree off
-one complex and its tower: each module power, action, E_j, d^j and
-Koszul differential is built once over all 2(k + 1) degrees, and at most
-one complex is kept alive.  No complex is built whole at runtime: the
-whole-complex route (`koszul_complex`, `ChainComplex`, `ComplexMap`) is a
-reference in `tests/complex_reference.py` that only the tests take.
+transitions are read as spans of the chains: the Cech-homology limit,
+the weak profile (`_transition_image`), the Tor side of the comparison and
+the colon identification, which reads H_1(y^n; M/x^(n)M) off the tower of
+the one element y.
+The Cech complex (`CechData`) keeps the tower of the Fitting idempotents
+e of its sequence, one split per element, kept on the ring, and is built
+on that tower's layout: degree j is the power M^(k choose j), its
+codifferential is the layout's faces transposed, copy S to copy T by the
+face's sign times e_T (the product of its elements' idempotents), and the
+localizations (+) e_S M are the subcomplex cut out by E = diag(e_S), the
+tower's transition by e.  Like a tower, it assembles each E_j and each
+codifferential once, when first read.  `cech_complex` keeps the last
+complex it built, keyed by the module's identity and the sequence, so
+the per-degree calls `cech_cohomology` and `cech_homology` on one (M, x)
+read every degree off one complex and its tower: each module power,
+action, E_j, d^j and Koszul differential is built once over all 2(k + 1)
+degrees, and at most one complex is kept alive.  No complex is built
+whole at runtime: the whole-complex route (`koszul_complex`,
+`ChainComplex`, `ComplexMap`) is a reference in
+`tests/complex_reference.py` that only the tests take.
 
 Cech homology is the inverse limit of Koszul homology H_i(x^(m)), which for
 finite modules agrees with the derived-Hom definition because the lim^1
-term dies (Mittag-Leffler).  Over a finite ring the limit needs no search:
-R is a product of local rings, where each x_j is a unit or nilpotent, so at
-the level n = bit_length(|R|) the image of H_i(x^(2n)) -> H_i(x^(n)) is the
-limit.  It is one subquotient of the level-n chains: the transition
-applied to the level-2n cycles, plus the level-n boundaries, modulo those
-boundaries.
+term dies (Mittag-Leffler).  Over a finite ring it needs no level of x:
+on each local factor every e_j is 1 or 0, and the limit is read off level
+1 of the tower of e that the Cech complex keeps, with its E_i
+(`_homology_limit`).
 
 Every differential, codifferential, transition and E_j between module
 powers here is a list of blocks handed to `modules.block_hom`, which
@@ -166,16 +165,12 @@ class _KoszulLayout:
     def transition(self, y_seq, j):
         """Degree-j component of the transition K(x^(n+e)) -> K(x^(n)) for
         y = x^(e): block (S, q, u) is multiplied by the product of the y_i,
-        i in S, with one action of M per subset S."""
+        i in S, one product per subset S, its action read off `action`."""
         R = self.M.ring
         subsets = {S for S, _, _ in self.blocks[j]}
-        acts = {S: self.M.action_hom(ring_product(R, [y_seq[i] for i in S])) for S in subsets}
+        acts = {S: self.action(ring_product(R, [y_seq[i] for i in S])) for S in subsets}
         blocks = [(b, b, acts[S], 1) for b, (S, _, _) in enumerate(self.blocks[j])]
         return block_hom(self.pack(j), self.pack(j), blocks)
-
-
-def koszul_powers(x_seq, n):
-    return [x ** n for x in x_seq]
 
 
 class KoszulTower:
@@ -184,8 +179,8 @@ class KoszulTower:
     tensor M tensor res (see `_KoszulLayout`).  Every level shares one
     layout, and no level is built whole: each d_d of a level is assembled
     once, when first read.  Level 2n's entries square level n's, and a
-    transition by x^(e) takes level e's, when built.  The cycles and
-    boundaries read are kept as canonical spans of the chains C_i."""
+    transition by x^(e) takes level e's, when built, and is kept per degree
+    and e, as the cycles and boundaries read are, as spans of C_i."""
 
     def __init__(self, x_seq, M, res=None):
         self.x_seq = tuple(x_seq)
@@ -193,12 +188,13 @@ class KoszulTower:
         self._layout = _KoszulLayout(len(self.x_seq), M, res)
         self._sequences = {}  # n -> x^(n)
         self._diffs = {}      # (n, d) -> d_d of level n
+        self._transitions = {}  # (i, e) -> degree-i transition by x^(e)
         self._spans = {}      # ("Z" or "B", i, n) -> a canonical span in C_i
 
     def _powers(self, n):
         if n not in self._sequences:
             half = self._sequences.get(n // 2) if n % 2 == 0 else None
-            seq = [y * y for y in half] if half is not None else koszul_powers(self.x_seq, n)
+            seq = [y * y for y in half] if half is not None else [x ** n for x in self.x_seq]
             self._sequences[n] = tuple(seq)
         return self._sequences[n]
 
@@ -237,7 +233,9 @@ class KoszulTower:
         """Single degree-i component of the transition x^(m) -> x^(n), on the
         layout alone: no differential is built (commutation is a theorem,
         exercised by the tests)."""
-        return self._layout.transition(self._powers(m - n), i)
+        if (i, m - n) not in self._transitions:
+            self._transitions[i, m - n] = self._layout.transition(self._powers(m - n), i)
+        return self._transitions[i, m - n]
 
 
 def _transition_image(tower, i, m, n):
@@ -344,44 +342,38 @@ class CechData:
     order, and `idempotent(j)` is E_j = diag(e_S), where e_S is the Fitting
     idempotent of the product of the x_i, i in S.  A finite ring is a
     product of local rings, where each element is a unit or nilpotent, so
-    that idempotent is the product of the e_{x_i}: the k Fitting splits of
-    the x_i give all 2^k of them.  The codifferential `codifferential(j)`
+    that idempotent is the product of the e_i = e_{x_i}: E_j is the
+    degree-j transition by e of `tower`, the Koszul tower of e on M, whose
+    layout the complex is built on.  The codifferential `codifferential(j)`
     sends copy S to each copy T containing S by +-e_T.  Since e_T e_S =
     e_T, d = d E = E d: the complex of localizations (+) e_S M is the
     subcomplex E M^(k choose j), and d kills (1 - E) M^(k choose j).
 
-    Like `KoszulTower`, the complex is never built whole: each E_j and
-    each d^j is assembled once, when first read, with one action of M per
-    distinct e_S (the layout's).  `tower` is the Koszul tower of x on M,
-    on the same layout, for the Cech homology.
+    Like `KoszulTower`, the complex is never built whole: each E_j (kept
+    by the tower) and each d^j is assembled once, when first read, with one
+    action of M per distinct e_S (the layout's).  The Cech homology reads
+    level 1 of the same tower and the same E_i.
     """
 
     def __init__(self, x_seq, M):
         self.module = M
         self.sequence = tuple(x_seq)
-        self.tower = KoszulTower(self.sequence, M)
+        self.tower = KoszulTower([fitting_split(M.ring, x)[1] for x in self.sequence], M)
         self._layout = self.tower._layout
-        self._splits = [fitting_split(M.ring, x)[1] for x in self.sequence]
         self._actions = {}      # S -> action of e_S
-        self._idempotents = {}  # j -> E_j
         self._codiffs = {}      # j -> d^j
 
     def _action(self, S):
-        """The action of e_S, the product of the e_{x_i} over i in S, on M,
+        """The action of e_S, the product of the e_i over i in S, on M,
         formed once per S."""
         if S not in self._actions:
-            e = ring_product(self.module.ring, [self._splits[i] for i in S])
+            e = ring_product(self.module.ring, [self.tower.x_seq[i] for i in S])
             self._actions[S] = self._layout.action(e)
         return self._actions[S]
 
     def idempotent(self, j):
-        """E_j = diag(e_S) on C^j, built on first read."""
-        if j not in self._idempotents:
-            pack = self._layout.pack(j)
-            blocks = self._layout.blocks[j]
-            diag = [(b, b, self._action(S), 1) for b, (S, _, _) in enumerate(blocks)]
-            self._idempotents[j] = block_hom(pack, pack, diag)
-        return self._idempotents[j]
+        """E_j = diag(e_S) on C^j: the tower's degree-j transition by e."""
+        return self.tower.transition_component(j, 2, 1)
 
     def codifferential(self, j):
         """d^j: C^j -> C^(j+1), 0 <= j < k, the transpose of the layout's
@@ -420,11 +412,11 @@ _kept = None
 
 def cech_complex(x_seq, M):
     """The Cech cochain complex 0 -> M -> (+) M_{x_i} -> ... on the module
-    powers of the layout of `KoszulTower(x, M)`, kept as `tower` for the
-    Cech homology (see `CechData`).  It forms the tower and one Fitting
-    split per x_i (kept on the ring, `fitting_split`), and no map: e_S is
-    the product of the e_{x_i} over i in S (1 for the empty set), and each
-    E_j and d^j is built when first read.
+    powers of the layout of `KoszulTower(e, M)`, e the Fitting idempotents
+    of the x_i, kept as `tower` for the Cech homology (see `CechData`).  It
+    forms one Fitting split per x_i (kept on the ring, `fitting_split`) and
+    the tower, and no map: e_S is the product of the e_i over i in S (1 for
+    the empty set), and each E_j and d^j is built when first read.
 
     The last complex built is kept in one slot, keyed by the identity of M
     and the sequence (a tuple of elements of M's ring), and a call with the
@@ -463,41 +455,46 @@ def cech_cohomology(x_seq, M, i):
 
 
 # ---------------------------------------------------------------------------
-# Cech homology at the stable level
+# Cech homology on the Fitting idempotents
 
 
 def _homology_limit(tower, i):
-    """lim_m H_i of the tower's levels: the image of H_i(x^(2n)) -> H_i(x^(n))
-    at n = bit_length(|R|) (at least 1), as the one subquotient
-    (tau Z_i(x^(2n)) + B_i(x^(n))) / B_i(x^(n)) of C_i(x^(n)), Z the cycles,
-    B the boundaries, tau the degree-i transition (`_transition_image`).
-    It builds d_(i+1) of level n and d_i of level 2n, and no other
-    differential.
+    """lim_m H_i(x^(m)) for the x whose Fitting idempotents e are the
+    tower's sequence: the one subquotient (E_i Z_i(e) + B_i(e)) / B_i(e) of
+    the chains C_i at level 1, E_i = diag(e_S) the degree-i transition by
+    e.  It builds d_i and d_(i+1) of level 1 and no other differential:
+    e^2 = e, so level 2 is level 1, and a tower whose level 2 is not its
+    level 1 is an AxiomViolation.
 
-    Why it is the limit: n exceeds every Fitting index c of the x_j (the
-    bound c < bit_length(|R|) of `rings.fitting_split`).  R is a product
-    of local rings R_j (Atiyah-Macdonald, ch. 8), and the complexes split
-    along them.  On an R_j where some x_j is a unit,
-    K(x_j^m) is contractible, so Tot(K(x^(m)) tensor M tensor L) is exact at
-    every level m.  On an R_j where every x_j is nilpotent, x_j^n = 0, so
-    for m >= n the Koszul faces vanish and H_i(x^(m)) is the sum over
-    subsets S of H_{i-|S|}(M tensor L); the transition tau_{m,n} multiplies
-    summand S by the x_j^(m-n), j in S, so for m >= 2n it kills every S
-    other than the empty set, on which it is the identity.  The images of
-    the tau_{m,n} are therefore the same for all m >= 2n (the system is
-    Mittag-Leffler, Weibel 3.5), and tau restricts to isomorphisms between
-    them: the image at level n is the limit."""
-    n = tower.M.ring.order().bit_length()
-    return subquotient_module(tower.chains(i), *_transition_image(tower, i, 2 * n, n)).module
+    Why it is the limit: R is a product of local rings (Atiyah-Macdonald,
+    ch. 8), where each x_j is a unit (e_j = 1) or nilpotent (e_j = 0), and
+    the complexes split along them.  Where some e_j = 1, K(x_j^m) and
+    K(e_j) are contractible, so Tot(K(-) tensor M tensor L) is exact for
+    x^(m) and for e: the limit is 0, and so is the subquotient (E_i maps
+    cycles to cycles, which are boundaries).  Where every e_j = 0, every
+    x_j is nilpotent: for m at least every Fitting index the faces of
+    K(x^(m)) vanish, H_i(x^(m)) is the sum over subsets S of
+    H_(i-|S|)(M tensor L), and the transition from level m' >= 2m
+    multiplies summand S by the x_j^(m'-m), j in S, killing every S but
+    the empty one, on which it is the identity.  So the images are the
+    same for all m' >= 2m (Mittag-Leffler, Weibel 3.5), and the limit is
+    H_i(M tensor L) on S = empty.  The faces of K(e) vanish there too, and
+    E_i is the identity on S = empty and kills every other block: the
+    subquotient is that same H_i(M tensor L)."""
+    if tower._powers(2) != tower._powers(1):
+        raise AxiomViolation("the Cech homology limit needs a tower of idempotents")
+    C, bounds = tower.chains(i), tower.boundaries(i, 1)
+    moved = (tower.transition_component(i, 2, 1).matrix * tower.cycles(i, 1)).cols_list()
+    return subquotient_module(C, span_lattice(C.group, moved + bounds.cols_list()), bounds).module
 
 
 def cech_homology(x_seq, M, i):
-    """Cech homology lim_n H_i(x^(n); M), read off the Koszul levels n and 2n
-    at the stable level n = bit_length(|R|) (see `_homology_limit`); degree 0
-    is the adic completion, degree i >= 1 vanishes for finite modules.  The
-    levels are those of the tower of the kept `cech_complex(x, M)`, so the
-    degrees of one (M, x) share their differentials and spans with each
-    other and with the Cech cohomology.
+    """Cech homology lim_n H_i(x^(n); M), read off level 1 of the tower of
+    the Fitting idempotents of x (see `_homology_limit`); degree 0 is the
+    adic completion, degree i >= 1 vanishes for finite modules.  The tower
+    is that of the kept `cech_complex(x, M)`, so the degrees of one (M, x)
+    share their differentials, spans and E_i with each other and with the
+    Cech cohomology.
 
     >>> from prokit.rings import zmod
     >>> from prokit.modules import ring_as_module
@@ -524,9 +521,10 @@ def cech_tor_compare(M, N, x_seq, i, resolution_length):
     is H_i(Lambda tensor L), the empty-sequence Koszul complex on the
     completion Lambda with L.  The tests check it against Tor through a
     resolution of Lambda (`derived_functor` in `tests/complex_reference.py`).
-    Both sides are read as spans (`_transition_image`): the limit off the
-    tower of x on M, and Tor as H_i at level 1 of the empty-sequence tower
-    on Lambda, from its d_i and d_(i+1) alone.
+    Both sides are read as spans: the limit off level 1 of the tower of
+    the Fitting idempotents of x on M (`_homology_limit`), and Tor as H_i
+    at level 1 of the empty-sequence tower on Lambda, from its d_i and
+    d_(i+1) alone (`_transition_image`).
 
     H_i of either side reads only the blocks of degrees i and i + 1, which
     hold L_0 .. L_(i+1) and are the same in every resolution of length at
@@ -552,7 +550,7 @@ def cech_tor_comparisons(M, N, x_seq, degrees):
     if min(degrees) < 0:
         raise AxiomViolation("negative homological degree")
     res = free_resolution(N, max(degrees) + 1)
-    limits = KoszulTower(x_seq, M, res)
+    limits = KoszulTower([fitting_split(M.ring, x)[1] for x in x_seq], M, res)
     lam, _ = adic_completion(M, Ideal(M.ring, tuple(x_seq)))
     tor = KoszulTower((), lam, res)
     out = []

@@ -303,7 +303,10 @@ def _transported_ring(G, P, S, left, unit_coords):
 def _raw_ring(orders, products, unit_coords):
     """The ring of raw structure constants, transported to the canonical
     basis of the additive group, with no axiom checked: the `axioms` task
-    reports what `check_ring_axioms` finds in it."""
+    reports what `check_ring_axioms` finds in it.  An order below 1 is
+    InvalidSpec, not read as its absolute value."""
+    if any(d < 1 for d in orders):
+        raise InvalidSpec(f"raw orders must be >= 1, got {list(orders)}")
     s = len(orders)
     G, P, S = cokernel_presentation(IntMatrix.zero(s, 0), list(orders))
     left = [IntMatrix.from_cols([list(v) for v in row], rows=s) for row in products]
@@ -518,8 +521,8 @@ def fitting_split(R, x):
     halves the ideal; hence 2^c <= |R| < 2^bit_length(|R|).  The same
     holds for y in a factor ring e R.  A nilpotent x has x^c = 0, so
     s squarings with 2^s >= bit_length(|R|) reach x^c; the split
-    (`_factor_fitting_idempotent`) and the stable level of the Cech
-    homology (`complexes._homology_limit`) rest on this one bound.
+    (`_factor_fitting_idempotent`) rests on this bound; the Cech homology
+    reads no level of x, only its idempotents (`complexes._homology_limit`).
 
     c bounds the torsion index of x on every R-module M: x^c (1 - e) = 0
     in R, so x^c kills (1 - e) M while x is bijective on e M, and

@@ -10,7 +10,8 @@ independent answer:
   module), and `ComplexMap`, which checks that every component commutes
   with the differentials;
 - `koszul_complex`, every differential of K(x; M) tensor L at once on the
-  tower's layout, kept as a `KoszulData`;
+  tower's layout, kept as a `KoszulData`, and `koszul_powers`, the entries
+  x^(n) of a level;
 - `power_pack`, the injections and projections of a module power built
   from its slot map, and `composed_block_hom`, a map between direct sums
   composed as inj . A . proj block by block: the runtime forms neither;
@@ -22,13 +23,15 @@ independent answer:
   runtime reads Hom_R(M, R^dual) as the Matlis dual M^dual instead, and
   the tests certify the adjunction map between the two;
 - `reference_colon_identification`, the colon identification on full
-  Koszul complexes, its transition checked as a `ComplexMap`.
+  Koszul complexes, its transition checked as a `ComplexMap`;
+- `level_homology_limit`, the Cech homology limit read off the levels n
+  and 2n of the tower of x itself, the route the idempotent tower replaced.
 """
 
 from dataclasses import dataclass
 from math import gcd
 
-from prokit.complexes import _KoszulLayout
+from prokit.complexes import _KoszulLayout, _transition_image
 from prokit.errors import AxiomViolation, DimensionMismatch, IdentificationFailure
 from prokit.intlinalg import (
     GroupHom,
@@ -136,6 +139,11 @@ class KoszulData:
     blocks: dict      # degree -> list of blocks (S, q, u), one copy of M each
     index: dict       # degree -> {block: position in that degree}
     powers: dict      # degree -> the ModulePower of its blocks
+
+
+def koszul_powers(x_seq, n):
+    """x^(n), the entries of level n of a tower."""
+    return [x ** n for x in x_seq]
 
 
 def koszul_complex(x_seq, M, res=None):
@@ -394,3 +402,13 @@ def reference_colon_identification(xs, y, n, M, extra_levels=(1, 2)):
             raise IdentificationFailure(f"square fails between levels {m} and {n}")
         witness["squares"].append({"m": m, "n": n, "commutes": True})
     return witness, True
+
+
+def level_homology_limit(tower, i):
+    """lim_m H_i of the levels of the tower's own sequence x: the image of
+    H_i(x^(2n)) -> H_i(x^(n)) at n = bit_length(|R|), which exceeds every
+    Fitting index of the x_j, as the one subquotient
+    (tau Z_i(x^(2n)) + B_i(x^(n))) / B_i(x^(n)) of the level-n chains.  It
+    builds d_(i+1) of level n and d_i of level 2n."""
+    n = tower.M.ring.order().bit_length()
+    return subquotient_module(tower.chains(i), *_transition_image(tower, i, 2 * n, n)).module

@@ -43,7 +43,6 @@ from prokit.complexes import (
     cech_homology,
     cech_tor_compare,
     colon_identification,
-    koszul_powers,
     pro_zero_index,
 )
 from prokit.analysis import weak_profile
@@ -58,6 +57,8 @@ from complex_reference import (
     hom_module,
     homology_module,
     koszul_complex,
+    koszul_powers,
+    level_homology_limit,
     power_pack,
     reference_colon_identification,
 )
@@ -691,29 +692,36 @@ def _count_koszul_differentials(monkeypatch):
     return built, towers, layouts
 
 
-def test_cech_homology_builds_levels_n_and_2n(monkeypatch):
-    # over Z/2 x Z/4 x Z/8 (order 64) the stable level is n = 7: the limit
-    # reads d_(i+1) of level 7 and d_i of level 14 and nothing else, with no
-    # stabilized-limit search; on one element, H_0 reads d_1 of level 7
-    # alone and H_1 d_1 of level 14 alone
+def _idempotent_tower(seq, M, res=None):
+    """The tower `_homology_limit` reads: that of the Fitting idempotents
+    of seq, on M, tensored with res when given."""
+    return KoszulTower([fitting_split(M.ring, x)[1] for x in seq], M, res)
+
+
+def test_cech_homology_builds_level_1_of_the_idempotent_tower(monkeypatch):
+    # over Z/2 x Z/4 x Z/8 the limit reads d_(i+1) and d_i of level 1 of
+    # the tower of idempotents and nothing else, with no stabilized-limit
+    # search and no second level; on one element, H_0 reads d_1 alone and
+    # H_1 reads the same d_1 again, so it builds nothing
     import prokit.complexes as cx
 
     built, _, _ = _count_koszul_differentials(monkeypatch)
     R, x, _ = truncated_two_power(3)
     M = ring_as_module(R)
     assert not cech_homology([x], M, 0).is_zero_module()
-    assert built == [(1, 7, 1)]
+    assert built == [(1, 1, 1)]
     assert cech_homology([x], M, 1).is_zero_module()
-    assert built == [(1, 7, 1), (1, 14, 1)]
+    assert built == [(1, 1, 1)]
     built.clear()
     assert cech_homology([x, x], M, 1).is_zero_module()
-    assert built == [(2, 7, 2), (2, 14, 1)]
+    assert built == [(2, 1, 2), (2, 1, 1)]
     assert not hasattr(cx, "stable_limit") and not hasattr(cx, "InverseSystem")
 
 
-def test_homology_limit_is_one_subquotient_of_the_level_n_chains(monkeypatch):
-    # the limit is (tau Z_i(x^(2n)) + B_i(x^(n))) / B_i(x^(n)): one
-    # subquotient (one presentation), and no homology of either level
+def test_homology_limit_is_one_subquotient_of_the_level_1_chains(monkeypatch):
+    # the limit is (E_i Z_i(e) + B_i(e)) / B_i(e) at level 1 of the tower
+    # of idempotents: one subquotient (one presentation), and no homology
+    # of any level
     import prokit.complexes as cx
     import prokit.modules as md
 
@@ -721,7 +729,7 @@ def test_homology_limit_is_one_subquotient_of_the_level_n_chains(monkeypatch):
     M = ring_as_module(R)
     cases = [([R.from_int(2), R.from_int(3)], None), ([R.from_int(2)], free_resolution(M, 2))]
     for seq, res in cases:
-        tower = KoszulTower(seq, M, res)
+        tower = _idempotent_tower(seq, M, res)
         for i in range(len(seq) + 1):
             sq, groups = [], []
             real_sq, real_group = md.subquotient_module, md.subquotient_group
@@ -730,14 +738,15 @@ def test_homology_limit_is_one_subquotient_of_the_level_n_chains(monkeypatch):
                 mp.setattr(md, "subquotient_group", lambda *a: groups.append(a) or real_group(*a))
                 limit = _homology_limit(tower, i)
             assert (len(sq), len(groups)) == (1, 1), (seq, i)
-            _assert_same_module(limit, _reference_homology_limit(tower, i), (seq, i))
+            reference = _reference_homology_limit(KoszulTower(seq, M, res), i)
+            _assert_same_module(limit, reference, (seq, i))
     # no complex is built whole at runtime, so none has its homology read
     assert not hasattr(cx, "ChainComplex")
 
 
 def test_level_2n_squares_level_n_and_transitions_raise_no_power(monkeypatch):
     # level 2n's entries are the squares of level n's, and tau_{2n,n}
-    # multiplies by level n's own entries, one action per subset S
+    # multiplies by level n's own entries, one action read per subset S
     from prokit.modules import FgModule
     from prokit.rings import RingElement
 
@@ -755,12 +764,18 @@ def test_level_2n_squares_level_n_and_transitions_raise_no_power(monkeypatch):
     for d in list(blocks)[1:]:
         tower.differential(2 * n, d)
     assert tower._powers(2 * n) == tuple(y * y for y in tower._powers(n))
+    layout_action, seen = tower._layout.action, set(tower._layout._acts)
     for i in blocks:
-        actions = []
+        actions, formed = [], []
         with monkeypatch.context() as mp:
-            mp.setattr(FgModule, "action_hom", lambda self, r: actions.append(r) or real(self, r))
+            mp.setattr(FgModule, "action_hom", lambda self, r: formed.append(r) or real(self, r))
+            mp.setattr(tower._layout, "action", lambda r: actions.append(r) or layout_action(r))
             tower.transition_component(i, 2 * n, n)
         assert len(actions) == len({S for S, _, _ in blocks[i]}), i
+        # the entries of level n and their products that level n's
+        # differentials formed are read off the layout, not formed again
+        assert len(formed) == len({r.coords for r in actions} - seen), i
+        seen |= {r.coords for r in actions}
     assert powers == []
 
 
@@ -1117,7 +1132,7 @@ def test_cech_complex_builds_no_subgroup_direct_sum_or_induced_map(monkeypatch):
             cech.idempotent(j)
         for j in range(len(seq)):
             cech.codifferential(j)
-        assert len(cech._idempotents) == len(seq) + 1 and len(cech._codiffs) == len(seq)
+        assert len(cech.tower._transitions) == len(seq) + 1 and len(cech._codiffs) == len(seq)
     assert counts == {}
 
 
@@ -1143,7 +1158,7 @@ def test_cech_cohomology_builds_only_the_maps_around_its_degree(monkeypatch):
     real_idem, real_codiff = cx.CechData.idempotent, cx.CechData.codifferential
 
     def idempotent(self, j):
-        if j not in self._idempotents:
+        if (j, 1) not in self.tower._transitions:
             built.append(("E", j))
         return real_idem(self, j)
 
@@ -1175,17 +1190,24 @@ def test_cech_cohomology_builds_only_the_maps_around_its_degree(monkeypatch):
     assert koszul == []
 
 
-def test_cech_complex_forms_each_subset_action_once():
-    # E_j reads e_S once per block and d^j once per face; over degrees
-    # 0..k the complex forms the action of each of the 2^k products e_S once
+def test_cech_complex_forms_each_subset_action_once(monkeypatch):
+    # E_j reads e_S once per subset and d^j once per face; over degrees
+    # 0..k the complex reads the action of each of the 2^k products e_S
+    # once for E and once for d (but e_(empty set) = 1, which no face
+    # reaches), and forms one action per distinct e_S
+    from prokit.modules import FgModule
+
     R, seq = _battery_ring_and_sequence(((0, 2, 2), (1, 0, 2), (0, 1, 4)))
     cech = cech_complex(list(seq), ring_as_module(R))
-    formed = []
-    real = cech._layout.action
-    cech._layout.action = lambda e: formed.append(e.coords) or real(e)
+    read, formed = [], []
+    real, real_hom = cech._layout.action, FgModule.action_hom
+    cech._layout.action = lambda e: read.append(e.coords) or real(e)
+    monkeypatch.setattr(FgModule, "action_hom", lambda self, r: formed.append(r) or real_hom(self, r))
     for i in range(len(seq) + 1):
         cech.cohomology_data(i)
-    assert len(formed) == 2 ** len(seq)
+    assert len(read) == 2 * 2 ** len(seq) - 1
+    # 1, 0, and the idempotents of Z/2 and Z/4: one action each
+    assert sorted(r.coords for r in formed) == sorted(set(read)) and len(formed) == 4
 
 
 def test_equal_but_distinct_module_builds_its_own_complex():
@@ -1280,32 +1302,73 @@ def _assert_same_module(new, old, context):
     assert module_fingerprint(new) == module_fingerprint(old), context
 
 
-def test_homology_limit_matches_stabilized_reference():
-    # the draws of acceptance criterion 06 and the degenerate inputs: every
-    # degree of the Cech homology, at the stable level and by the search
+def _cech_homology_cases():
+    """(R, M, seq): the draws of acceptance criterion 06 and the degenerate
+    inputs."""
     rng = rng_from_seed(0xA006)
-    draws = [random_instance(rng, k_max=3) for _ in range(100)]
-    for R, M, seq in draws + list(_degenerate_cases()):
-        tower = KoszulTower(seq, M)
+    yield from (random_instance(rng, k_max=3) for _ in range(100))
+    yield from _degenerate_cases()
+
+
+def _tor_limit_cases():
+    """(R, M, seq, N): the tensored towers of acceptance criterion 11, and
+    the degenerate inputs tensored with a resolution of the module itself."""
+    rng = rng_from_seed(0xA011)
+    for _ in range(20):
+        R, M, seq = random_instance(rng, k_max=2, module_order=64)
+        yield R, M, seq, ring_as_module(R) if rng.random() < 0.4 else M
+    yield from ((R, M, seq, M) for R, M, seq in _degenerate_cases())
+
+
+def test_homology_limit_matches_stabilized_reference():
+    # every degree of the Cech homology, off level 1 of the tower of
+    # idempotents and by the search over the levels of x
+    for R, M, seq in _cech_homology_cases():
+        tower = _idempotent_tower(seq, M)
         for i in range(len(seq) + 1):
             new = _homology_limit(tower, i)
-            _assert_same_module(new, _reference_homology_limit(tower, i), (R, seq, i))
+            _assert_same_module(new, _reference_homology_limit(KoszulTower(seq, M), i), (R, seq, i))
 
 
 def test_tor_homology_limit_matches_stabilized_reference():
-    # the tensored towers of acceptance criterion 11, and the degenerate
-    # inputs tensored with a resolution of the module itself
-    rng = rng_from_seed(0xA011)
-    cases = []
-    for _ in range(20):
-        R, M, seq = random_instance(rng, k_max=2, module_order=64)
-        cases.append((R, M, seq, ring_as_module(R) if rng.random() < 0.4 else M))
-    cases += [(R, M, seq, M) for R, M, seq in _degenerate_cases()]
-    for R, M, seq, N in cases:
+    for R, M, seq, N in _tor_limit_cases():
         for i in (0, 1):
-            tower = KoszulTower(seq, M, free_resolution(N, i + 2))
-            new = _homology_limit(tower, i)
-            _assert_same_module(new, _reference_homology_limit(tower, i), (R, seq, i))
+            res = free_resolution(N, i + 2)
+            new = _homology_limit(_idempotent_tower(seq, M, res), i)
+            old = _reference_homology_limit(KoszulTower(seq, M, res), i)
+            _assert_same_module(new, old, (R, seq, i))
+
+
+def test_homology_limit_equals_the_level_n_image():
+    # the idempotent route gives the very module (==, not only isomorphic)
+    # that the image of H_i(x^(2n)) -> H_i(x^(n)) at n = bit_length(|R|)
+    # gave, on every Cech-homology case and every tensored Tor limit, so the
+    # comparisons with it keep their identity path
+    cases = [(R, M, seq, None, range(len(seq) + 1)) for R, M, seq in _cech_homology_cases()]
+    cases += [(R, M, seq, N, (0, 1)) for R, M, seq, N in _tor_limit_cases()]
+    compared = 0
+    for R, M, seq, N, degrees in cases:
+        for i in degrees:
+            res = free_resolution(N, i + 2) if N is not None else None
+            new = _homology_limit(_idempotent_tower(seq, M, res), i)
+            assert new == level_homology_limit(KoszulTower(seq, M, res), i), (R, seq, i)
+            compared += 1
+    assert compared == 325 + 54
+
+
+def test_homology_limit_rejects_a_tower_that_is_not_idempotent():
+    # level 2 of the tower must be its level 1: on the entries x
+    # themselves, not their idempotents, the limit is refused
+    R = zmod(12)
+    M = ring_as_module(R)
+    for seq in ([R.from_int(2)], [R.from_int(4), R.from_int(3)], [R.from_int(9), R.from_int(6)]):
+        tower = KoszulTower(seq, M)
+        for i in range(len(seq) + 1):
+            with pytest.raises(AxiomViolation, match="tower of idempotents"):
+                _homology_limit(tower, i)
+        assert tower._diffs == {}, seq
+    # 4 and 9 are idempotent in Z/12: their own tower is read
+    assert _homology_limit(KoszulTower([R.from_int(4), R.from_int(9)], M), 0).order() == 1
 
 
 def _tensored_tower_cases():
@@ -1322,24 +1385,23 @@ def _tensored_tower_cases():
 
 
 def test_tower_differentials_equal_those_of_full_levels():
-    # at the levels n and 2n the limit reads, each differential of the
-    # tower, built alone and in the order H_i reads them (d_(i+1) of level
-    # n, then d_i of level 2n), equals the full level's, and so does each
-    # module of chains, up to the top degree
+    # at level 1 of the tower of idempotents, which the limit reads, each
+    # differential, built alone and in the order H_i reads them (d_(i+1),
+    # then d_i), equals the full level's, and so does each module of
+    # chains, up to the top degree; the limit builds no other level
     for seq, M, N, L in _tensored_tower_cases():
         res = free_resolution(N, L)
-        n = M.ring.order().bit_length()
-        tower = KoszulTower(seq, M, res)
+        tower = _idempotent_tower(seq, M, res)
         top = len(seq) + L
         for i in range(top + 1):
             _homology_limit(tower, i)
-        for level in (n, 2 * n):
-            full = koszul_complex(koszul_powers(seq, level), M, res)
-            assert tower._layout.blocks == full.blocks and tower._layout.index == full.index
-            assert {d: tower.chains(d) for d in range(top + 1)} == full.complex.modules
-            assert set(full.complex.diffs) == set(range(1, top + 1)), seq
-            for d, diff in full.complex.diffs.items():
-                assert tower.differential(level, d).hom.matrix == diff.hom.matrix, (seq, level, d)
+        assert {n for n, _ in tower._diffs} <= {1}, seq
+        full = koszul_complex(tower.x_seq, M, res)
+        assert tower._layout.blocks == full.blocks and tower._layout.index == full.index
+        assert {d: tower.chains(d) for d in range(top + 1)} == full.complex.modules
+        assert set(full.complex.diffs) == set(range(1, top + 1)), seq
+        for d, diff in full.complex.diffs.items():
+            assert tower.differential(1, d).hom.matrix == diff.hom.matrix, (seq, d)
 
 
 def test_restricted_limits_match_stabilized_reference():
@@ -1349,7 +1411,7 @@ def test_restricted_limits_match_stabilized_reference():
     for seq, M, N, L in _tensored_tower_cases():
         res = free_resolution(N, L)
         for i in range(L):
-            new = _homology_limit(KoszulTower(seq, M, res), i)
+            new = _homology_limit(_idempotent_tower(seq, M, res), i)
             old = _reference_homology_limit(KoszulTower(seq, M, res), i)
             _assert_same_module(new, old, (seq, i))
             lhs, rhs, _ = cech_tor_compare(M, N, seq, i, L)
@@ -1376,7 +1438,7 @@ def test_tor_compare_resolves_only_through_the_degree_above(monkeypatch):
                 lhs, rhs, _ = cech_tor_compare(M, N, seq, i, length)
                 assert asked == [i + 1], (seq, i, length)
                 res = real(N, length)
-                assert lhs == _homology_limit(KoszulTower(seq, M, res), i), (seq, i, length)
+                assert lhs == _homology_limit(_idempotent_tower(seq, M, res), i), (seq, i, length)
                 tor = KoszulTower((), lam, res)
                 sides = subquotient_module(tor.chains(i), *_transition_image(tor, i, 1, 1))
                 assert rhs == sides.module, (seq, i, length)
@@ -1412,11 +1474,11 @@ def test_tor_comparisons_share_one_resolution_and_one_completion(monkeypatch):
 
 
 def test_tor_compare_builds_only_the_differentials_its_spans_read(monkeypatch):
-    # Z/12 (stable level 4), x = (2, 3), L of length i + 1 (the length
-    # passed is i + 2): a full level has 2 + i + 1 differentials and Lambda
-    # tensor L has i + 1.  The limit builds d_(i+1) of
-    # level 4 and d_i of level 8, the Tor side d_(i+1) and d_i of Lambda
-    # tensor L; only the Tor side builds an adjacent pair, and it checks
+    # Z/12, x = (2, 3), L of length i + 1 (the length passed is i + 2): a
+    # full level has 2 + i + 1 differentials and Lambda tensor L has i + 1.
+    # The limit builds d_(i+1) and d_i of level 1 of the tower of the
+    # idempotents of x, the Tor side d_(i+1) and d_i of Lambda tensor L;
+    # each side builds an adjacent pair for i >= 1, and checks
     # d_i o d_(i+1) = 0 once
     built, _, _ = _count_koszul_differentials(monkeypatch)
     composed = []
@@ -1425,14 +1487,14 @@ def test_tor_compare_builds_only_the_differentials_its_spans_read(monkeypatch):
     R = zmod(12)
     M = ring_as_module(R)
     expected = {
-        0: [(2, 4, 1), (0, 1, 1)],
-        1: [(2, 4, 2), (2, 8, 1), (0, 1, 2), (0, 1, 1)],
+        0: [(2, 1, 1), (0, 1, 1)],
+        1: [(2, 1, 2), (2, 1, 1), (0, 1, 2), (0, 1, 1)],
     }
     for i in (0, 1):
         built.clear(), composed.clear()
         cech_tor_compare(M, M, [R.from_int(2), R.from_int(3)], i, i + 2)
         assert built == expected[i], i
-        assert len(composed) == (i >= 1), i
+        assert len(composed) == 2 * (i >= 1), i
 
 
 def test_tower_checks_each_adjacent_pair_of_differentials_once(monkeypatch):
@@ -1533,7 +1595,7 @@ def test_runtime_comparisons_compute_no_fingerprint(monkeypatch):
 
 def test_fitting_index_is_below_the_stable_level():
     # each strict step of R > xR > x^2 R > ... at least halves the ideal, so
-    # 2^c <= |R| and c < bit_length(|R|), the level `_homology_limit` reads
+    # 2^c <= |R| and c < bit_length(|R|), the bound the split checks
     rng = rng_from_seed(0xF17)
     rings = [random_ring(rng)[0] for _ in range(40)]
     rings += [zero_ring(), zmod(12), zmod(64), truncated_two_power(3)[0]]

@@ -663,19 +663,19 @@ def _z12_battery():
 
 
 def test_vanishing_battery_reads_every_cech_homology_degree_off_one_tower(monkeypatch):
-    # Z/12 has stable level n = 4: one tower, and d_1, d_2 of its levels 4
-    # and 8, each assembled once
+    # one tower, of the idempotents of (2, 3) in Z/12, and d_1, d_2 of its
+    # level 1, each assembled once
     from test_complexes import _count_koszul_differentials
 
     built, towers, _ = _count_koszul_differentials(monkeypatch)
     _z12_battery()
     assert len(towers) == 1
-    assert sorted(built) == [(2, 4, 1), (2, 4, 2), (2, 8, 1), (2, 8, 2)]
+    assert sorted(built) == [(2, 1, 1), (2, 1, 2)]
 
 
 def test_three_element_battery_builds_each_differential_once(monkeypatch):
-    # Z/2 x Z/4 x Z/8 has stable level n = 7; H_0 .. H_3 read d_1 .. d_3 of
-    # levels 7 and 14, six differentials in all, on one layout
+    # over Z/2 x Z/4 x Z/8, H_0 .. H_3 read d_1 .. d_3 of level 1 of the
+    # tower of idempotents, three differentials in all, on one layout
     from prokit.modules import ring_as_module
     from prokit.rings import product_ring, zmod
     from prokit.tasks import _vanishing_battery
@@ -690,7 +690,7 @@ def test_three_element_battery_builds_each_differential_once(monkeypatch):
     ]
     payload, ok, inconclusive = _vanishing_battery(ring_as_module(R), seq)
     assert not inconclusive and "cech_homology_3_zero" in payload
-    assert sorted(built) == [(3, n, d) for n in (7, 14) for d in (1, 2, 3)]
+    assert sorted(built) == [(3, 1, d) for d in (1, 2, 3)]
     assert len(towers) == 1 and len(layouts) == 1
 
 
@@ -939,12 +939,15 @@ def test_profile_task_shares_one_scan_context(monkeypatch, fixture, preimages):
 # completion, z12_battery took 113 actions.  Before the scans stopped at
 # the Fitting index their ring keeps, the torsion searches' annihilator
 # chains added preimages and actions: 51/23/9/110 on z12_battery,
-# 29/18/4/39 on prism_style and 24/17/12/51 on ex1_truncated.
+# 29/18/4/39 on prism_style and 24/17/12/51 on ex1_truncated.  Before
+# Koszul transitions read their actions off the tower's layout, and the
+# Cech homology read level 1 of the tower of idempotents, z12_battery took
+# 104 actions and prism_style 39.
 @pytest.mark.parametrize(
     "fixture, counts",
     [
-        ("z12_battery", (51, 20, 9, 104)),
-        ("prism_style", (29, 15, 4, 39)),
+        ("z12_battery", (51, 20, 9, 98)),
+        ("prism_style", (29, 15, 4, 33)),
         ("ex1_truncated", (24, 11, 12, 39)),
     ],
 )
@@ -977,8 +980,11 @@ def test_scan_context_counts_on_fixture(monkeypatch, fixture, counts):
 @pytest.mark.parametrize(
     "fixture, products",
     # before products ran without unit factors and the Fitting index was
-    # found by galloping: 228, 71, 100 and 56
-    [("z12_battery", 130), ("prism_style", 51), ("ex1_truncated", 73), ("ex2_truncated", 40)],
+    # found by galloping: 228, 71, 100 and 56; before the Cech homology read
+    # level 1 of the tower of idempotents and the scans' powers of y started
+    # at y: 130, 51, 73 and 40
+    [("z12_battery", 117), ("prism_style", 47), ("ex1_truncated", 67), ("ex2_truncated", 35)],
+    ids=["z12_battery", "prism_style", "ex1_truncated", "ex2_truncated"],
 )
 def test_ring_products_on_fixture(monkeypatch, fixture, products):
     from prokit.cli import _load_task_text

@@ -96,6 +96,22 @@ def test_corrupted_structure_constants_reported():
     assert any("unit law" in f for f in failures)
 
 
+def test_raw_orders_below_one_are_rejected():
+    # a raw order is an additive order, so -2 is not read as 2 (Z/2), nor
+    # [2, -4] as Z/2 x Z/4; documents reject such orders at parse time
+    from prokit.rings import _raw_ring
+
+    for orders in ([-2], [0], [2, -4]):
+        n = len(orders)
+        table = [[[int(i == j == k) for k in range(n)] for j in range(n)] for i in range(n)]
+        unit = [1] * n
+        with pytest.raises(InvalidSpec, match="raw orders must be >= 1"):
+            ring_from_raw(orders, table, unit)
+        with pytest.raises(InvalidSpec, match="raw orders must be >= 1"):
+            _raw_ring(orders, table, unit)
+    assert ring_from_raw([2], [[[1]]], [1]).order() == 2
+
+
 def _triple_loop_ring_axioms(R):
     """`check_ring_axioms` as it was before its associativity test became
     one matrix comparison per basis pair: n^3 `mul_coords` pairs."""
